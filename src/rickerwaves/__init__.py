@@ -22,6 +22,7 @@ from .evolution import (
     Grid,
     SpatialState,
     apply_Q,
+    axiom_errors,
     compare,
     constant_state,
     convolve_extended,
@@ -48,6 +49,7 @@ from .model import (
     StabilityCertificate,
     change_coordinates,
     classify_stability,
+    eigenvalues_2x2,
     equilibria,
     jacobian,
     ricker_map,
@@ -58,15 +60,11 @@ from .model import (
 from .speeds import (
     CounterPropagationReport,
     FrontSpeedReport,
-    SpeedKind,
-    SpeedQuery,
     SpeedReport,
-    compute_speed,
     counter_propagation,
     front_position,
     linearization_matrix,
     measure_front_speed,
-    principal_eigenvalue,
     scalar_speed,
     simulate_scalar_invasion,
     system_speed_bound,

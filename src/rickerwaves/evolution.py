@@ -165,7 +165,6 @@ def apply_Q(
     p: ModelParams,
     k1: DiscreteKernel,
     k2: DiscreteKernel,
-    method: str = "fft",
 ) -> SpatialState:
     """One recursion step: pointwise growth, then dispersal per species."""
     for name, dk in (("k1", k1), ("k2", k2)):
@@ -177,15 +176,15 @@ def apply_Q(
     if state.frame == TRANSFORMED_FRAME:
         growth_u = (1.0 - U) * np.exp(p.r1 * (U - p.a1 * V))
         growth_v = V * np.exp(p.r2 * (1.0 - p.a2 - V + p.a2 * U))
-        Un = 1.0 - convolve_extended(growth_u, k1, method)
-        Vn = convolve_extended(growth_v, k2, method)
+        Un = 1.0 - convolve_extended(growth_u, k1)
+        Vn = convolve_extended(growth_v, k2)
         Un = _clamp_unit(Un, "U after step")
         Vn = _clamp_unit(Vn, "V after step")
     else:
         growth_u = U * np.exp(p.r1 * (1.0 - U - p.a1 * V))
         growth_v = V * np.exp(p.r2 * (1.0 - V - p.a2 * U))
-        Un = _clamp_nonnegative(convolve_extended(growth_u, k1, method), "U after step")
-        Vn = _clamp_nonnegative(convolve_extended(growth_v, k2, method), "V after step")
+        Un = _clamp_nonnegative(convolve_extended(growth_u, k1), "U after step")
+        Vn = _clamp_nonnegative(convolve_extended(growth_v, k2), "V after step")
     return SpatialState(grid=state.grid, frame=state.frame, U=Un, V=Vn, step=state.step + 1)
 
 
@@ -195,7 +194,6 @@ def iterate(
     k1: DiscreteKernel,
     k2: DiscreteKernel,
     n_steps: int,
-    method: str = "fft",
     keep_every: int = 1,
 ) -> list:
     """Apply the step operator n_steps times; returns the saved trajectory.
@@ -210,7 +208,7 @@ def iterate(
     trajectory = [state]
     current = state
     for n in range(1, n_steps + 1):
-        current = apply_Q(current, p, k1, k2, method)
+        current = apply_Q(current, p, k1, k2)
         if n % keep_every == 0 or n == n_steps:
             trajectory.append(current)
     return trajectory
@@ -262,3 +260,44 @@ def interior_slice(grid: Grid, margin_cells: int) -> slice:
             f"margin of {margin_cells} cells leaves no interior on {grid.n_points} points"
         )
     return slice(margin_cells, grid.n_points - margin_cells)
+
+
+def _random_state(grid: Grid, rng) -> SpatialState:
+    return SpatialState(
+        grid=grid,
+        frame=TRANSFORMED_FRAME,
+        U=rng.uniform(0.0, 1.0, grid.n_points),
+        V=rng.uniform(0.0, 1.0, grid.n_points),
+    )
+
+
+def axiom_errors(p: ModelParams, dk1: DiscreteKernel, dk2: DiscreteKernel, grid: Grid,
+                 rng, shifts=(7,), pairs: int = 200) -> tuple:
+    """Randomized checks of (A1) translation commutation and (A3) order preservation.
+
+    Returns (a1_err, a3_worst): the worst interior sup error of translate(Q(s), j)
+    against Q(translate(s, j)) over the shifts, and the largest entry of
+    Q(lo) - Q(hi) over random ordered pairs lo <= hi (positive only when order
+    is violated).  ``rng`` draws one state per shift, then two per pair.
+    """
+    margin = max(dk1.half_width, dk2.half_width)
+    a1_err = 0.0
+    for j in shifts:
+        state = _random_state(grid, rng)
+        path_a = translate(apply_Q(state, p, dk1, dk2), j)
+        path_b = apply_Q(translate(state, j), p, dk1, dk2)
+        win = interior_slice(grid, margin + abs(j))
+        a1_err = max(a1_err, float(np.max(np.abs(path_a.U[win] - path_b.U[win]))),
+                     float(np.max(np.abs(path_a.V[win] - path_b.V[win]))))
+
+    a3_worst = 0.0
+    for _ in range(pairs):
+        s1 = _random_state(grid, rng)
+        s2 = _random_state(grid, rng)
+        lo = replace(s1, U=np.minimum(s1.U, s2.U), V=np.minimum(s1.V, s2.V))
+        hi = replace(s1, U=np.maximum(s1.U, s2.U), V=np.maximum(s1.V, s2.V))
+        q_lo = apply_Q(lo, p, dk1, dk2)
+        q_hi = apply_Q(hi, p, dk1, dk2)
+        a3_worst = max(a3_worst, float(np.max(q_lo.U - q_hi.U)),
+                       float(np.max(q_lo.V - q_hi.V)))
+    return a1_err, a3_worst

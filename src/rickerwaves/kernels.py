@@ -158,7 +158,9 @@ class TableKernel(Kernel):
         sym = 0.5 * (dens + dens[::-1])
         was_asymmetric = bool(np.max(np.abs(dens - dens[::-1])) > 0)
         sym = sym / (h * sym.sum())
-        object.__setattr__(self, "offsets", offsets)
+        # snap to exact mirrors so density(y) == density(-y) bit for bit
+        J = offsets.size // 2
+        object.__setattr__(self, "offsets", h * np.arange(-J, J + 1))
         object.__setattr__(self, "densities", sym)
         object.__setattr__(self, "symmetrized", was_asymmetric)
 

@@ -43,11 +43,6 @@ class ModelParams:
     a1: float
     a2: float
 
-    @property
-    def admissible(self) -> bool:
-        """Strong-competition box: r in (0,1), a in (1, inf)."""
-        return not validate_params(self).violations
-
 
 @dataclass
 class ParamReport:
@@ -112,16 +107,14 @@ def pointwise_map(p: ModelParams, point, frame: str):
     raise DomainError(f"unknown frame {frame!r}")
 
 
-def change_coordinates(obj, *, frame: str | None = None):
+def change_coordinates(obj):
     """Swap frames via u -> 1 - u, v -> v.  An involution.
 
     Accepts a point pair or any state-like object with U, V and frame
     attributes (the spatial states of the evolution module); returns the
-    same kind.  ``frame`` optionally asserts the frame the input is in.
+    same kind.
     """
     if hasattr(obj, "U") and hasattr(obj, "V"):
-        if frame is not None and obj.frame != frame:
-            raise DomainError(f"state is in frame {obj.frame!r}, expected {frame!r}")
         new_frame = (
             TRANSFORMED_FRAME if obj.frame == ORIGINAL_FRAME else ORIGINAL_FRAME
         )

@@ -16,7 +16,6 @@ check the variational values against direct simulation.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -25,7 +24,7 @@ import numpy as np
 from .errors import DomainError, MeasurementError, RangeError, SearchError
 from .evolution import Grid, convolve_extended, interior_slice
 from .kernels import DiscreteKernel, Kernel, discretize
-from .model import ModelParams, coexistence_coordinates, require_admissible
+from .model import ModelParams, coexistence_coordinates, eigenvalues_2x2, require_admissible
 
 # golden-section tolerances: bracket width in mu, spread in objective value
 MU_TOL = 1e-8
@@ -34,15 +33,6 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 BRACKET_START = 1e-3
 MU_FLOOR = 1e-6
-
-
-class SpeedKind(enum.Enum):
-    """Which monostable subsystem's speed is requested."""
-
-    CMINUS_F1F3 = "cminus_F1F3"  # retreat of the state above F1, toward F3
-    CPLUS_F0F1 = "cplus_F0F1"  # invasion of F0 by F1
-    CMINUS_F2F3 = "cminus_F2F3"  # retreat above the interior state
-    CPLUS_F0F2 = "cplus_F0F2"  # invasion of F0 by the interior state
 
 
 @dataclass
@@ -54,14 +44,6 @@ class SpeedReport:
     curve: list  # (mu, objective) pairs visited by the search
     method: str  # "scalar-formula" | "matrix-eigenvalue" | "empirical"
     lambda0: float | None = None  # lambda(B_0) sanity value, matrix method only
-
-
-@dataclass(frozen=True)
-class SpeedQuery:
-    which: SpeedKind
-    params: ModelParams
-    kernel1: Kernel
-    kernel2: Kernel
 
 
 def _minimize_positive(objective) -> tuple:
@@ -160,36 +142,19 @@ def linearization_matrix(
     )
 
 
-def principal_eigenvalue(matrix: np.ndarray) -> float:
-    """Dominant (Perron) eigenvalue of an entrywise-positive 2x2 matrix."""
-    m = np.asarray(matrix, dtype=float)
-    if m.shape != (2, 2):
-        raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.all(m > 0.0):
-        raise DomainError("matrix entries must all be strictly positive")
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    disc = tr * tr - 4.0 * det
-    # disc = (m00 - m11)^2 + 4 m01 m10 > 0 for positive entries
-    return 0.5 * (tr + math.sqrt(disc))
-
-
-def system_speed_bound(
-    p: ModelParams, kernel1: Kernel, kernel2: Kernel, which: SpeedKind
-) -> SpeedReport:
+def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> SpeedReport:
     """Speed bound for the subsystems straddling the interior state.
 
-    Minimizes ln(lambda(B_mu))/mu over mu > 0.  By kernel symmetry the
-    same matrix serves the leftward and rightward queries.
+    Minimizes ln(lambda(B_mu))/mu over mu > 0, with lambda the Perron root
+    of the entrywise-positive B_mu.  By kernel symmetry the same matrix
+    serves the leftward and rightward subsystems.
     """
-    if which not in (SpeedKind.CMINUS_F2F3, SpeedKind.CPLUS_F0F2):
-        raise DomainError(f"{which} is not a matrix-eigenvalue query")
     require_admissible(p)
-    lambda0 = principal_eigenvalue(linearization_matrix(p, kernel1, kernel2, 0.0))
+    lambda0 = eigenvalues_2x2(linearization_matrix(p, kernel1, kernel2, 0.0))[0]
 
     def objective(mu):
         b = linearization_matrix(p, kernel1, kernel2, mu)
-        return math.log(principal_eigenvalue(b)) / mu
+        return math.log(eigenvalues_2x2(b)[0]) / mu
 
     mu_star, value, curve = _minimize_positive(objective)
     return SpeedReport(
@@ -198,18 +163,13 @@ def system_speed_bound(
     )
 
 
-def compute_speed(query: SpeedQuery) -> SpeedReport:
-    """Dispatch a speed query to the scalar or matrix formula."""
-    if query.which == SpeedKind.CMINUS_F1F3:
-        return scalar_speed(query.params.r2, query.kernel2)
-    if query.which == SpeedKind.CPLUS_F0F1:
-        return scalar_speed(query.params.r1, query.kernel1)
-    return system_speed_bound(query.params, query.kernel1, query.kernel2, query.which)
-
-
 @dataclass
 class CounterPropagationReport:
-    """The four speeds and the two counter-propagation sums."""
+    """The four speeds and the two counter-propagation sums.
+
+    The two interior speeds share one report: kernel symmetry makes their
+    matrices, and so their searches, identical.
+    """
 
     c_minus_F1F3: SpeedReport
     c_plus_F0F1: SpeedReport
@@ -232,11 +192,12 @@ def counter_propagation(
 ) -> CounterPropagationReport:
     """Compute all four monostable speeds and check both sums are positive."""
     require_admissible(p)
+    interior = system_speed_bound(p, kernel1, kernel2)
     return CounterPropagationReport(
         c_minus_F1F3=scalar_speed(p.r2, kernel2),
         c_plus_F0F1=scalar_speed(p.r1, kernel1),
-        c_minus_F2F3=system_speed_bound(p, kernel1, kernel2, SpeedKind.CMINUS_F2F3),
-        c_plus_F0F2=system_speed_bound(p, kernel1, kernel2, SpeedKind.CPLUS_F0F2),
+        c_minus_F2F3=interior,
+        c_plus_F0F2=interior,
     )
 
 
@@ -286,23 +247,14 @@ def w_transform_check(
     return WTransformReport(max_error=worst, tolerance=tolerance, trials=len(profiles))
 
 
-def scalar_invasion_step(
-    field_values: np.ndarray, r: float, dk: DiscreteKernel, method: str = "fft"
-) -> np.ndarray:
-    """One step of the scalar Ricker invasion recursion."""
-    grown = field_values * np.exp(r * (1.0 - field_values))
-    return convolve_extended(grown, dk, method)
-
-
 def simulate_scalar_invasion(
     r: float,
     dk: DiscreteKernel,
     grid: Grid,
     n_steps: int,
     initial: np.ndarray | None = None,
-    method: str = "fft",
 ) -> list:
-    """Iterate the scalar invasion from a leftward-saturated step profile.
+    """Iterate the scalar Ricker invasion from a leftward-saturated step profile.
 
     Returns the full trajectory of fields (length n_steps + 1).
     """
@@ -310,8 +262,9 @@ def simulate_scalar_invasion(
         initial = np.where(grid.x <= 0.0, 1.0, 0.0)
     fields = [np.asarray(initial, dtype=float)]
     for _ in range(n_steps):
-        nxt = np.clip(scalar_invasion_step(fields[-1], r, dk, method), 0.0, None)
-        fields.append(nxt)
+        u = fields[-1]
+        grown = u * np.exp(r * (1.0 - u))
+        fields.append(np.clip(convolve_extended(grown, dk), 0.0, None))
     return fields
 
 

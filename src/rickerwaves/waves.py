@@ -52,7 +52,6 @@ class WaveOptions:
     init_width: float = 1.0
     level: float = 0.5
     eps_trunc: float = 1e-12
-    method: str = "fft"
 
 
 @dataclass
@@ -157,6 +156,8 @@ def find_bistable_wave(
     """
     opts = opts or WaveOptions()
     grid = grid or Grid(half_length=DEFAULT_HALF_LENGTH, dx=DEFAULT_DX)
+    if opts.max_steps < 1:
+        raise ParameterError(f"solver max_steps must be at least 1, got {opts.max_steps}")
 
     report = validate_params(p)
     if not report.passed:
@@ -183,7 +184,7 @@ def find_bistable_wave(
 
     for n in range(1, opts.max_steps + 1):
         prev_U, prev_V = state.U, state.V
-        state = apply_Q(state, p, dk1, dk2, opts.method)
+        state = apply_Q(state, p, dk1, dk2)
         try:
             t = front_position(grid.x, state.U, opts.level)
         except MeasurementError as exc:
@@ -261,7 +262,7 @@ def wave_residual(
         U=np.clip(wp.phi, 0.0, 1.0),
         V=np.clip(wp.psi, 0.0, 1.0),
     )
-    stepped = apply_Q(state, p, dk1, dk2, opts.method)
+    stepped = apply_Q(state, p, dk1, dk2)
     U, V, m, _ = _resample_shifted(stepped, wp.speed)
 
     margin = max(dk1.half_width, dk2.half_width) + abs(m) + 2

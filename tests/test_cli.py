@@ -203,15 +203,6 @@ class TestSubcommands:
         assert code == 2
         assert "sweep" in capsys.readouterr().err
 
-    def test_sweep_parallel_matches_serial(self, tmp_path, capsys):
-        path = tmp_path / "sweep.cfg"
-        path.write_text(BASE_CONFIG + "sweep.a1 = 1.5, 2\nsweep.sigma = 0.5, 1\n")
-        assert main(["sweep", "--config", str(path)]) == 0
-        serial = capsys.readouterr().out
-        assert main(["sweep", "--config", str(path), "--jobs", "3"]) == 0
-        parallel = capsys.readouterr().out
-        assert serial == parallel
-
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["validate", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2

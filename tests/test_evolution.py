@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rickerwaves import (
     ConfigError,
     DomainError,
+    GaussianKernel,
     Grid,
     RangeError,
     SpatialState,
     apply_Q,
+    axiom_errors,
     compare,
     constant_state,
     convolve_extended,
@@ -209,6 +213,29 @@ class TestTranslate:
             win = interior_slice(small_grid, abs(j) + gaussian_weights.half_width)
             assert np.max(np.abs(a.U[win] - b.U[win])) <= 1e-12
             assert np.max(np.abs(a.V[win] - b.V[win])) <= 1e-12
+
+
+class TestAxiomErrors:
+    def test_order_violation_detected_for_non_monotone_growth(self, params, small_grid, rng):
+        # r1 = 3 leaves the strong-competition box: (1-u) e^{r1 u} rises for
+        # u < 1 - 1/r1, so raising U lowers the next U.  A narrow kernel
+        # keeps the dispersal from averaging the violation away.
+        narrow = discretize(GaussianKernel(0.1), small_grid.dx)
+        wild = replace(params, r1=3.0)
+        _, tame_worst = axiom_errors(params, narrow, narrow, small_grid, rng, pairs=20)
+        _, wild_worst = axiom_errors(wild, narrow, narrow, small_grid, rng, pairs=20)
+        assert tame_worst <= 1e-12
+        assert wild_worst > 1e-2
+
+    def test_draws_one_state_per_shift_then_two_per_pair(self, params, small_grid,
+                                                         gaussian_weights):
+        used = np.random.default_rng(3)
+        axiom_errors(params, gaussian_weights, gaussian_weights, small_grid, used,
+                     shifts=(7, 2), pairs=3)
+        fresh = np.random.default_rng(3)
+        for _ in range(2 + 2 * 3):
+            random_transformed(small_grid, fresh)
+        assert used.uniform() == fresh.uniform()
 
 
 class TestCompare:

@@ -9,16 +9,13 @@ from rickerwaves import (
     Grid,
     MeasurementError,
     ModelParams,
-    SpeedKind,
-    SpeedQuery,
     UniformKernel,
-    compute_speed,
     counter_propagation,
     discretize,
+    eigenvalues_2x2,
     front_position,
     linearization_matrix,
     measure_front_speed,
-    principal_eigenvalue,
     scalar_speed,
     simulate_scalar_invasion,
     system_speed_bound,
@@ -138,23 +135,19 @@ class TestLinearizationMatrix:
 class TestPrincipalEigenvalue:
     def test_reference_matrix(self):
         # closed form: tr = 1.7, det = 0.6, disc = 0.49, root = (1.7+0.7)/2
-        assert principal_eigenvalue(np.array([[0.9, 0.2], [0.6, 0.8]])) == pytest.approx(
+        assert eigenvalues_2x2(np.array([[0.9, 0.2], [0.6, 0.8]]))[0] == pytest.approx(
             1.2, abs=1e-12
         )
 
-    def test_zero_off_diagonals_rejected(self):
-        with pytest.raises(DomainError):
-            principal_eigenvalue(np.eye(2))
-
     def test_symmetric_matrix(self):
-        assert principal_eigenvalue(np.array([[0.7, 0.3], [0.3, 0.7]])) == pytest.approx(
+        assert eigenvalues_2x2(np.array([[0.7, 0.3], [0.3, 0.7]]))[0] == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_is_dominant_root_with_positive_eigenvector(self, rng):
         for _ in range(50):
             m = rng.uniform(0.1, 2.0, (2, 2))
-            lam = principal_eigenvalue(m)
+            lam = eigenvalues_2x2(m)[0]
             eigvals, eigvecs = np.linalg.eig(m)
             idx = np.argmax(eigvals.real)
             assert lam == pytest.approx(eigvals[idx].real, rel=1e-12)
@@ -165,7 +158,7 @@ class TestPrincipalEigenvalue:
 
 class TestSystemSpeedBound:
     def test_reference_lambda_at_zero(self, params, gaussian):
-        report = system_speed_bound(params, gaussian, gaussian, SpeedKind.CMINUS_F2F3)
+        report = system_speed_bound(params, gaussian, gaussian)
         assert report.lambda0 == pytest.approx(1.2, abs=1e-12)
         assert report.lambda0 > 1.0
         assert report.method == "matrix-eigenvalue"
@@ -176,26 +169,15 @@ class TestSystemSpeedBound:
             k1 = GaussianKernel(float(rng.uniform(0.3, 2.0)))
             k2 = GaussianKernel(float(rng.uniform(0.3, 2.0)))
             for mu in np.arange(0.0, 3.01, 0.5):
-                lam = principal_eigenvalue(linearization_matrix(p, k1, k2, mu))
+                lam = eigenvalues_2x2(linearization_matrix(p, k1, k2, mu))[0]
                 assert lam > min(k1.mgf(mu), k2.mgf(mu))
                 assert lam > 1.0
 
     def test_positive_for_random_draws(self, rng):
         for _ in range(20):
             p = random_admissible(rng, r_lo=0.05, r_hi=0.95, a_lo=1.05, a_hi=5.0)
-            report = system_speed_bound(
-                p, GaussianKernel(1.0), GaussianKernel(1.0), SpeedKind.CMINUS_F2F3
-            )
+            report = system_speed_bound(p, GaussianKernel(1.0), GaussianKernel(1.0))
             assert report.value > 0.0
-
-    def test_both_directions_coincide_by_symmetry(self, params, gaussian, uniform):
-        left = system_speed_bound(params, gaussian, uniform, SpeedKind.CMINUS_F2F3)
-        right = system_speed_bound(params, gaussian, uniform, SpeedKind.CPLUS_F0F2)
-        assert left.value == pytest.approx(right.value, abs=1e-12)
-
-    def test_scalar_kind_rejected(self, params, gaussian):
-        with pytest.raises(DomainError):
-            system_speed_bound(params, gaussian, gaussian, SpeedKind.CPLUS_F0F1)
 
 
 class TestCounterPropagation:
@@ -218,17 +200,11 @@ class TestCounterPropagation:
         assert report.c_minus_F1F3.value == pytest.approx(math.sqrt(2e-4), abs=1e-6)
         assert report.c_minus_F1F3.value > 0.0
 
-    def test_query_dispatch(self, params, gaussian, uniform):
-        q = SpeedQuery(SpeedKind.CMINUS_F1F3, params, gaussian, uniform)
-        assert compute_speed(q).value == pytest.approx(
-            scalar_speed(params.r2, uniform).value, abs=1e-12
-        )
-        q = SpeedQuery(SpeedKind.CPLUS_F0F1, params, gaussian, uniform)
-        assert compute_speed(q).value == pytest.approx(
-            scalar_speed(params.r1, gaussian).value, abs=1e-12
-        )
-        q = SpeedQuery(SpeedKind.CPLUS_F0F2, params, gaussian, uniform)
-        assert compute_speed(q).method == "matrix-eigenvalue"
+    def test_both_directions_share_one_interior_search(self, params, gaussian, uniform):
+        # kernel symmetry makes the leftward and rightward matrices identical
+        report = counter_propagation(params, gaussian, uniform)
+        assert report.c_minus_F2F3 is report.c_plus_F0F2
+        assert report.c_minus_F2F3.value == system_speed_bound(params, gaussian, uniform).value
 
 
 class TestFrontMeasurement:

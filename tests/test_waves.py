@@ -127,6 +127,14 @@ class TestFindBistableWave:
             )
         assert len(info.value.history.displacements) == 3
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_nonpositive_step_budget_rejected(self, wave_grid, budget):
+        with pytest.raises(ParameterError, match="max_steps"):
+            find_bistable_wave(
+                ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0),
+                GaussianKernel(1.0), wave_grid, WaveOptions(max_steps=budget),
+            )
+
     def test_crossing_free_data_raises(self, wave_grid):
         flat = constant_state(wave_grid, TRANSFORMED_FRAME, (0.8, 0.8))
         with pytest.raises(DegenerateDataError):
