@@ -395,6 +395,8 @@ def _initial_state(cfg: ExperimentConfig, grid) -> evolution.SpatialState:
 
 
 def cmd_simulate(cfg: ExperimentConfig, out, args) -> RunReport:
+    if not args.out:
+        raise ConfigError("simulate needs --out DIR")
     report = RunReport()
     grid = cfg.grid()
     dk1 = kernels.discretize(cfg.kernel1, grid.dx, cfg.eps_trunc)
@@ -407,10 +409,9 @@ def cmd_simulate(cfg: ExperimentConfig, out, args) -> RunReport:
     )
     report.timings["simulate"] = time.perf_counter() - t0
 
-    out_dir = Path(args.out) if args.out else Path("out")
     for snap in trajectory:
         path = write_csv(
-            out_dir / f"sim_step_{snap.step:05d}.csv",
+            Path(args.out) / f"sim_step_{snap.step:05d}.csv",
             cfg.digest,
             ("x", "U", "V"),
             zip(grid.x, snap.U, snap.V),

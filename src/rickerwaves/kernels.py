@@ -11,10 +11,10 @@ checker reports its MGF as not finite for all exponents.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfcinv
 
 from .errors import DegenerateKernelError, ParameterError, RangeError
 
@@ -79,8 +79,8 @@ class GaussianKernel(Kernel):
         return True
 
     def truncation_radius(self, eps: float) -> float:
-        # two-sided tail mass outside [-R, R] equals erfc(R / (sigma*sqrt(2)))
-        return self.sigma * math.sqrt(2.0) * float(erfcinv(eps))
+        # two-sided tail mass outside [-R, R] is 2*Phi(-R/sigma)
+        return -self.sigma * statistics.NormalDist().inv_cdf(eps / 2.0)
 
 
 @dataclass(frozen=True)
@@ -219,12 +219,15 @@ class DiscreteKernel:
 
     Weights sit at integer cell offsets -J..J with spacing dx, are exactly
     symmetric, nonnegative, and sum to one, so constants are exact fixed
-    points of the induced discrete convolution.
+    points of the induced discrete convolution.  ``spectra`` caches the
+    real-FFT spectrum of the weights per transform length; it is filled by
+    ``evolution.convolve_extended``.
     """
 
     weights: np.ndarray
     dx: float
     parent: Kernel
+    spectra: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def half_width(self) -> int:
@@ -272,6 +275,8 @@ def discretize(kernel: Kernel, dx: float, eps_trunc: float = DEFAULT_TRUNCATION)
         if defect == 0.0:
             break
         w[J] += defect
+    # read-only, so the spectra cached on the DiscreteKernel cannot go stale
+    w.flags.writeable = False
     return DiscreteKernel(weights=w, dx=float(dx), parent=kernel)
 
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     ConvergenceError,
@@ -87,7 +86,9 @@ def step_initial_data(grid: Grid, width: float) -> SpatialState:
     """Monotone ramp data: both components follow a logistic sigmoid."""
     if not (width > 0):
         raise DomainError(f"ramp width must be positive, got {width}")
-    ramp = expit(grid.x / width)
+    # exp overflows to inf far left, where the ramp is then exactly 0
+    with np.errstate(over="ignore"):
+        ramp = 1.0 / (1.0 + np.exp(-grid.x / width))
     return SpatialState(
         grid=grid, frame=TRANSFORMED_FRAME, U=ramp, V=ramp.copy(), step=0
     )

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rickerwaves
 from rickerwaves import ConfigError
 from rickerwaves.cli import load_config, main, run
 
@@ -156,6 +162,16 @@ class TestSubcommands:
         assert lines[1] == "x,U,V"
         assert len(lines) == 2 + 401
 
+    def test_simulate_without_out_writes_nothing(self, config_path, capsys, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        code = main(["simulate", "--config", str(config_path), "--steps", "2",
+                     "--set", "grid.L=20"])
+        assert code == 2
+        assert "error: simulate needs --out DIR" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_wave_profile_and_report(self, config_path, capsys, tmp_path):
         out_dir = tmp_path / "wave"
         code = main(["wave", "--config", str(config_path), "--set", "grid.L=60",
@@ -223,6 +239,18 @@ class TestDeterminism:
         main(["validate", "--config", str(config_path), "--seed", "7"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestImport:
+    def test_cli_import_loads_no_scipy(self):
+        code = ("import sys, rickerwaves.cli; "
+                "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+        src = str(Path(rickerwaves.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, check=True, env=env)
+        assert result.stdout.strip() == "[]"
 
 
 class TestRunApi:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from rickerwaves import (
     transformed_map,
     ricker_map,
 )
+from rickerwaves.evolution import MAX_GRID_POINTS, _fft_length
 from rickerwaves.model import ORIGINAL_FRAME, TRANSFORMED_FRAME
 
 
@@ -58,6 +60,22 @@ class TestGrid:
             Grid(half_length=0.05, dx=0.1)
         with pytest.raises(ConfigError):
             Grid(half_length=10.0, dx=-0.1)
+
+    def test_oversized_grid_rejected_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"L=200.0 at dx=1e-07") as err:
+                Grid(half_length=200.0, dx=1e-7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(MAX_GRID_POINTS) in str(err.value)
+        assert peak < 100_000
+        for half_length, dx in ((float("inf"), 0.1), (1e300, 1e-10), (5e5, 0.1)):
+            with pytest.raises(ConfigError):
+                Grid(half_length=half_length, dx=dx)
+        assert Grid(half_length=499999.9, dx=0.1).n_points == MAX_GRID_POINTS - 1
+        assert Grid(half_length=200.0, dx=0.01).n_points == 40001
 
 
 class TestSpatialState:
@@ -278,6 +296,24 @@ class TestConvolution:
         f[:80] = 1.0
         out = convolve_extended(f, gaussian_weights, "fft")
         assert np.all(out[250:] == 0.0)
+
+    def test_cached_spectrum_per_transform_length(self, gaussian_weights, rng):
+        # one kernel alternating between two grid sizes keeps one spectrum each
+        for n in (201, 4001, 201, 4001):
+            f = rng.uniform(0.0, 1.0, n)
+            fast = convolve_extended(f, gaussian_weights, "fft")
+            ref = convolve_extended(f, gaussian_weights, "direct")
+            assert np.max(np.abs(fast - ref)) <= 1e-13
+        assert len(gaussian_weights.spectra) == 2
+
+    def test_fft_length_is_5_smooth_and_large_enough(self):
+        for n in range(1, 5001):
+            m = _fft_length(n)
+            assert m >= n
+            for prime in (2, 3, 5):
+                while m % prime == 0:
+                    m //= prime
+            assert m == 1, n
 
     def test_unknown_method_rejected(self, gaussian_weights):
         with pytest.raises(ConfigError):

@@ -143,6 +143,25 @@ class TestDiscretize:
         assert dk.half_width == 72
         assert erfc(dk.half_width * 0.1 / math.sqrt(2.0)) < eps
 
+    @pytest.mark.parametrize("eps", [1e-18, 1e-12, 1e-8, 1e-4, 0.5])
+    @pytest.mark.parametrize("sigma", [0.37, 1.0, 3.3])
+    def test_gaussian_radius_matches_erfcinv(self, sigma, eps):
+        oracle = sigma * math.sqrt(2.0) * float(erfcinv(eps))
+        radius = GaussianKernel(sigma).truncation_radius(eps)
+        assert radius == pytest.approx(oracle, rel=1e-14)
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-4])
+    @pytest.mark.parametrize("dx", [0.2, 0.1, 0.05, 0.01])
+    def test_gaussian_half_width_matches_erfcinv(self, dx, eps):
+        for sigma in (0.37, 0.5, 1.0, 1.5, 2.0, 3.3):
+            oracle = sigma * math.sqrt(2.0) * float(erfcinv(eps))
+            dk = discretize(GaussianKernel(sigma), dx, eps)
+            assert dk.half_width == math.ceil(oracle / dx - 1e-12), (sigma, dx, eps)
+
+    def test_weights_are_read_only(self, gaussian_weights):
+        with pytest.raises(ValueError):
+            gaussian_weights.weights[0] = 1.0
+
     def test_uniform_compact_support(self):
         dk = discretize(UniformKernel(1.0), 0.5)
         assert dk.half_width == 2

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from rickerwaves import (
     ConvergenceError,
@@ -50,6 +53,17 @@ class TestStepInitialData:
         mid = small_grid.half_cells
         assert state.U[mid - 2] < 1e-8
         assert state.U[mid + 2] > 1.0 - 1e-8
+
+    def test_sharp_ramp_matches_expit_without_warnings(self):
+        grid = Grid(half_length=200.0, dx=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            state = step_initial_data(grid, 0.05)
+        ref = expit(grid.x / 0.05)
+        assert np.all(state.U[ref == 0.0] == 0.0)
+        nonzero = ref > 0.0
+        assert np.count_nonzero(nonzero) > grid.half_cells
+        assert np.max(np.abs(state.U[nonzero] - ref[nonzero]) / ref[nonzero]) <= 1e-15
 
     def test_limits(self, small_grid):
         state = step_initial_data(small_grid, 0.5)
