@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evolution, kernels, model, speeds, waves
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -27,7 +27,10 @@ from .errors import ConfigError
 
 _KERNEL_KEYS = ("family", "sigma", "halfwidth", "table_path")
 
-# key -> (parser, default); None default means "required" or "unset"
+_WAVE_DEFAULTS = waves.WaveOptions()
+
+# key -> (parser, default); None default means "required" or "unset"; the
+# library defaults are read from the modules that own them
 _KEY_SPEC = {
     "model.r1": (float, None),
     "model.r2": (float, None),
@@ -45,13 +48,13 @@ _KEY_SPEC = {
     "kernel2.sigma": (float, None),
     "kernel2.halfwidth": (float, None),
     "kernel2.table_path": (str, None),
-    "kernel.eps_trunc": (float, 1e-12),
-    "grid.L": (float, 200.0),
-    "grid.dx": (float, 0.1),
-    "solver.profile_tol": (float, 1e-6),
-    "solver.speed_tol": (float, 1e-4),
-    "solver.max_steps": (int, 2000),
-    "solver.init_width": (float, 1.0),
+    "kernel.eps_trunc": (float, kernels.DEFAULT_TRUNCATION),
+    "grid.L": (float, evolution.DEFAULT_HALF_LENGTH),
+    "grid.dx": (float, evolution.DEFAULT_DX),
+    "solver.profile_tol": (float, _WAVE_DEFAULTS.profile_tol),
+    "solver.speed_tol": (float, _WAVE_DEFAULTS.speed_tol),
+    "solver.max_steps": (int, _WAVE_DEFAULTS.max_steps),
+    "solver.init_width": (float, _WAVE_DEFAULTS.init_width),
     "sim.steps": (int, 150),
     "sim.thin": (int, 10),
     "sim.init": (str, "step"),
@@ -91,7 +94,6 @@ class ExperimentConfig:
     kernel2: kernels.Kernel
     half_length: float
     dx: float
-    eps_trunc: float
     wave_opts: waves.WaveOptions
     sim_steps: int
     sim_thin: int
@@ -110,28 +112,21 @@ class ExperimentConfig:
         return evolution.Grid(half_length=self.half_length, dx=self.dx)
 
 
-def _kernel_from_entries(entries: dict, base_dir: Path, which: str) -> kernels.Kernel:
-    family = entries.get("family")
-    if family is None:
-        raise ConfigError(f"{which}: kernel family not specified")
-    family = family.lower()
-    if family == "gaussian":
-        if entries.get("sigma") is None:
-            raise ConfigError(f"{which}: gaussian kernel needs kernel.sigma")
-        return kernels.GaussianKernel(sigma=entries["sigma"])
-    if family == "uniform":
-        if entries.get("halfwidth") is None:
-            raise ConfigError(f"{which}: uniform kernel needs kernel.halfwidth")
-        return kernels.UniformKernel(halfwidth=entries["halfwidth"])
-    if family == "table":
-        path = entries.get("table_path")
+def _build_kernel(entries: dict, base_dir: Path, which: str) -> kernels.Kernel:
+    """``kernels.make_kernel`` on one kernel's entries; a table is read from its file."""
+    spec = {"sigma": entries["sigma"], "halfwidth": entries["halfwidth"]}
+    if entries["family"].lower() == "table":
+        path = entries["table_path"]
         if path is None:
             raise ConfigError(f"{which}: table kernel needs kernel.table_path")
-        table = np.loadtxt(str((base_dir / path) if not Path(path).is_absolute() else path))
+        table = np.loadtxt(base_dir / path)
         if table.ndim != 2 or table.shape[1] != 2:
             raise ConfigError(f"{which}: table file must have two columns (offset, density)")
-        return kernels.TableKernel(offsets=table[:, 0], densities=table[:, 1])
-    raise ConfigError(f"{which}: unknown kernel family {family!r}")
+        spec.update(offsets=table[:, 0], densities=table[:, 1])
+    try:
+        return kernels.make_kernel(entries["family"], **spec)
+    except ParameterError as exc:
+        raise ConfigError(f"{which}: {exc}") from exc
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -189,11 +184,10 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         params=model.ModelParams(
             r1=get("model.r1"), r2=get("model.r2"), a1=get("model.a1"), a2=get("model.a2")
         ),
-        kernel1=_kernel_from_entries(entry1, base_dir, "kernel1"),
-        kernel2=_kernel_from_entries(entry2, base_dir, "kernel2"),
+        kernel1=_build_kernel(entry1, base_dir, "kernel1"),
+        kernel2=_build_kernel(entry2, base_dir, "kernel2"),
         half_length=get("grid.L"),
         dx=get("grid.dx"),
-        eps_trunc=get("kernel.eps_trunc"),
         wave_opts=waves.WaveOptions(
             profile_tol=get("solver.profile_tol"),
             speed_tol=get("solver.speed_tol"),
@@ -295,8 +289,8 @@ def cmd_validate(cfg: ExperimentConfig, out, args) -> RunReport:
         return report
 
     grid = _axiom_grid(cfg)
-    dk1 = kernels.discretize(cfg.kernel1, grid.dx, cfg.eps_trunc)
-    dk2 = kernels.discretize(cfg.kernel2, grid.dx, cfg.eps_trunc)
+    dk1 = kernels.discretize(cfg.kernel1, grid.dx, cfg.wave_opts.eps_trunc)
+    dk2 = kernels.discretize(cfg.kernel2, grid.dx, cfg.wave_opts.eps_trunc)
 
     t0 = time.perf_counter()
     a1_err, worst = evolution.axiom_errors(cfg.params, dk1, dk2, grid, rng)
@@ -351,6 +345,8 @@ def cmd_equilibria(cfg: ExperimentConfig, out, args) -> RunReport:
 
 
 def cmd_speeds(cfg: ExperimentConfig, out, args) -> RunReport:
+    if args.curve and not args.out:
+        raise ConfigError("speeds --curve needs --out DIR")
     report = RunReport()
     cp = speeds.counter_propagation(cfg.params, cfg.kernel1, cfg.kernel2)
     named = (
@@ -367,7 +363,7 @@ def cmd_speeds(cfg: ExperimentConfig, out, args) -> RunReport:
     rows.append(("sum_interior", cp.sum_interior, 0.0, "sum"))
     emit_csv(out, cfg.digest, ("quantity", "value", "mu_star", "method"), rows)
 
-    if args.curve and args.out:
+    if args.curve:
         for name, sr in named:
             path = write_csv(
                 Path(args.out) / f"curve_{name}.csv",
@@ -399,8 +395,8 @@ def cmd_simulate(cfg: ExperimentConfig, out, args) -> RunReport:
         raise ConfigError("simulate needs --out DIR")
     report = RunReport()
     grid = cfg.grid()
-    dk1 = kernels.discretize(cfg.kernel1, grid.dx, cfg.eps_trunc)
-    dk2 = kernels.discretize(cfg.kernel2, grid.dx, cfg.eps_trunc)
+    dk1 = kernels.discretize(cfg.kernel1, grid.dx, cfg.wave_opts.eps_trunc)
+    dk2 = kernels.discretize(cfg.kernel2, grid.dx, cfg.wave_opts.eps_trunc)
     state = _initial_state(cfg, grid)
 
     t0 = time.perf_counter()

@@ -9,10 +9,10 @@ that connect two different constants are not corrupted by wraparound.
 
 The dispersal convolution is a real FFT (``numpy.fft.rfft``/``irfft``) at a
 5-smooth transform length of at least N + 4J, so the linear convolution
-never wraps.  Each ``DiscreteKernel`` keeps the spectrum of its weights for
-every transform length it has met, so a convolution costs two transforms
-of the field and none of the kernel.  Plain O(N*J) summation is kept as the
-reference path.
+never wraps.  Each ``DiscreteKernel`` keeps the transform length and the
+spectrum of its weights for every field length it has met, so a
+convolution costs two transforms of the field and none of the kernel.
+Plain O(N*J) summation is kept as the reference path.
 """
 
 from __future__ import annotations
@@ -151,9 +151,10 @@ def convolve_extended(field_values: np.ndarray, dk: DiscreteKernel, method: str 
     """Convolve with the kernel weights under constant edge continuation.
 
     "fft" multiplies real-FFT spectra at a 5-smooth length of at least
-    N + 4J, using the kernel spectrum cached on ``dk`` for that length, and
-    flushes values under a roundoff floor to zero; "direct" is plain O(N*J)
-    summation, kept as the reference path for cross-checks.
+    N + 4J, using the length and kernel spectrum cached on ``dk`` for the
+    field length N, and flushes values under a roundoff floor to zero;
+    "direct" is plain O(N*J) summation, kept as the reference path for
+    cross-checks.
     """
     J = dk.half_width
     padded = np.concatenate(
@@ -164,10 +165,11 @@ def convolve_extended(field_values: np.ndarray, dk: DiscreteKernel, method: str 
         ]
     )
     if method == "fft":
-        n = _fft_length(len(padded) + 2 * J)
-        spectrum = dk.spectra.get(n)
-        if spectrum is None:
-            spectrum = dk.spectra[n] = np.fft.rfft(dk.weights, n)
+        cached = dk.spectra.get(len(field_values))
+        if cached is None:
+            n = _fft_length(len(padded) + 2 * J)
+            cached = dk.spectra[len(field_values)] = (n, np.fft.rfft(dk.weights, n))
+        n, spectrum = cached
         out = np.fft.irfft(np.fft.rfft(padded, n) * spectrum, n)[2 * J : len(padded)]
         floor = _FFT_NOISE_FLOOR * float(np.max(np.abs(padded)))
         if floor > 0.0:

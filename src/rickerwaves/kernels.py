@@ -25,7 +25,12 @@ DEFAULT_TRUNCATION = 1e-12
 
 
 class Kernel:
-    """Symmetric dispersal density with unit mass and an MGF."""
+    """Symmetric dispersal density with unit mass and an MGF.
+
+    Subclasses give the density, the MGF, whether that MGF is finite for
+    every exponent, and the radius holding all but eps of the mass (the
+    support radius itself for compactly supported densities).
+    """
 
     family = "abstract"
 
@@ -33,11 +38,6 @@ class Kernel:
         raise NotImplementedError
 
     def mgf(self, mu: float) -> float:
-        raise NotImplementedError
-
-    @property
-    def support_radius(self) -> float:
-        """Smallest R with all mass inside [-R, R] (may be inf)."""
         raise NotImplementedError
 
     @property
@@ -71,10 +71,6 @@ class GaussianKernel(Kernel):
         return math.exp(arg)
 
     @property
-    def support_radius(self) -> float:
-        return math.inf
-
-    @property
     def mgf_finite_everywhere(self) -> bool:
         return True
 
@@ -105,10 +101,6 @@ class UniformKernel(Kernel):
         if abs(a * mu) > _EXP_ARG_MAX:
             raise RangeError(f"uniform MGF overflows at mu={mu}")
         return math.sinh(a * mu) / (a * mu)
-
-    @property
-    def support_radius(self) -> float:
-        return self.halfwidth
 
     @property
     def mgf_finite_everywhere(self) -> bool:
@@ -179,31 +171,42 @@ class TableKernel(Kernel):
         return float(self.spacing * np.sum(self.densities * np.exp(arg)))
 
     @property
-    def support_radius(self) -> float:
-        return float(self.offsets[-1])
-
-    @property
     def mgf_finite_everywhere(self) -> bool:
         return self.compactly_supported
 
     def truncation_radius(self, eps: float) -> float:
-        return self.support_radius
+        return float(self.offsets[-1])
+
+
+_SHAPE_PARAMETERS = ("sigma", "halfwidth", "offsets", "densities", "compactly_supported")
 
 
 def make_kernel(family: str, **spec) -> Kernel:
     """Build a kernel from a family name and its shape parameters.
 
     gaussian: sigma; uniform: halfwidth; table: offsets, densities and an
-    optional compactly_supported flag.
+    optional compactly_supported flag.  The other families' parameters are
+    ignored, so one shared spec can serve any family; a missing (or None)
+    parameter of the family and a name no family uses raise ParameterError.
     """
     name = family.strip().lower()
+    if name not in ("gaussian", "uniform", "table"):
+        raise ParameterError(f"unknown kernel family {family!r}")
+    unknown = sorted(set(spec) - set(_SHAPE_PARAMETERS))
+    if unknown:
+        raise ParameterError(f"unknown kernel shape parameters {unknown}")
+
+    def need(key):
+        if spec.get(key) is None:
+            raise ParameterError(f"{name} kernel needs shape parameter {key!r}")
+        return spec[key]
+
     if name == "gaussian":
-        return GaussianKernel(sigma=float(spec.pop("sigma")), **spec)
+        return GaussianKernel(sigma=float(need("sigma")))
     if name == "uniform":
-        return UniformKernel(halfwidth=float(spec.pop("halfwidth")), **spec)
-    if name == "table":
-        return TableKernel(**spec)
-    raise ParameterError(f"unknown kernel family {family!r}")
+        return UniformKernel(halfwidth=float(need("halfwidth")))
+    return TableKernel(offsets=need("offsets"), densities=need("densities"),
+                       compactly_supported=spec.get("compactly_supported", True))
 
 
 def mgf(kernel: Kernel, mu: float) -> float:
@@ -219,9 +222,9 @@ class DiscreteKernel:
 
     Weights sit at integer cell offsets -J..J with spacing dx, are exactly
     symmetric, nonnegative, and sum to one, so constants are exact fixed
-    points of the induced discrete convolution.  ``spectra`` caches the
-    real-FFT spectrum of the weights per transform length; it is filled by
-    ``evolution.convolve_extended``.
+    points of the induced discrete convolution.  ``spectra`` maps a field
+    length N to the transform length and real-FFT spectrum of the weights
+    used for it; it is filled by ``evolution.convolve_extended``.
     """
 
     weights: np.ndarray

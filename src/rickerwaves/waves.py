@@ -31,13 +31,19 @@ from .evolution import (
     DEFAULT_HALF_LENGTH,
     Grid,
     SpatialState,
+    _shift_cells,
     apply_Q,
     interior_slice,
-    translate,
 )
-from .kernels import Kernel, discretize, validate_hypotheses
+from .kernels import DEFAULT_TRUNCATION, DiscreteKernel, Kernel, discretize, validate_hypotheses
 from .model import TRANSFORMED_FRAME, ModelParams, validate_params
 from .speeds import counter_propagation, front_position
+
+
+# steps averaged for the speed estimate
+TRAILING_STEPS = 20
+# level of the first component whose crossing is recentered to x = 0
+FRONT_LEVEL = 0.5
 
 
 @dataclass(frozen=True)
@@ -47,10 +53,8 @@ class WaveOptions:
     profile_tol: float = 1e-6
     speed_tol: float = 1e-4
     max_steps: int = 2000
-    trailing: int = 20  # steps averaged for the speed estimate
     init_width: float = 1.0
-    level: float = 0.5
-    eps_trunc: float = 1e-12
+    eps_trunc: float = DEFAULT_TRUNCATION
 
 
 @dataclass
@@ -59,13 +63,7 @@ class WaveHistory:
 
     sup_diffs: list = field(default_factory=list)
     displacements: list = field(default_factory=list)
-    int_shifts: list = field(default_factory=list)
-    fractions: list = field(default_factory=list)
     monotone_defects: list = field(default_factory=list)
-
-    @property
-    def total_displacement(self) -> float:
-        return float(sum(self.displacements))
 
 
 @dataclass
@@ -101,7 +99,7 @@ def _shift_fractional(values: np.ndarray, offset: float, dx: float) -> np.ndarra
     sample range, which higher-order schemes would not.
     """
     if offset == 0.0:
-        return values.copy()
+        return values
     t = offset / dx
     if not (-1.0 <= t <= 1.0):
         raise RangeError(f"fractional shift {offset} exceeds one cell ({dx})")
@@ -117,20 +115,18 @@ def _shift_fractional(values: np.ndarray, offset: float, dx: float) -> np.ndarra
 
 
 def _resample_shifted(state: SpatialState, offset: float) -> tuple:
-    """State fields sampled at x + offset (integer cells + linear remainder).
+    """State fields sampled at x + offset (whole cells + linear remainder).
 
-    Returns (U, V, whole_cells, fraction) with offset = whole_cells*dx +
-    fraction exactly.
+    Returns (U, V, whole_cells); vacated cells take the edge value.
     """
     dx = state.grid.dx
     m = int(round(offset / dx))
     if abs(m) >= state.grid.n_points:
         raise RangeError(f"shift {offset} exceeds the grid")
     f = offset - m * dx
-    shifted = translate(state, -m)
-    U = _shift_fractional(shifted.U, f, dx)
-    V = _shift_fractional(shifted.V, f, dx)
-    return U, V, m, f
+    U = _shift_fractional(_shift_cells(state.U, -m), f, dx)
+    V = _shift_fractional(_shift_cells(state.V, -m), f, dx)
+    return U, V, m
 
 
 def _min_adjacent_diff(values: np.ndarray) -> float:
@@ -180,26 +176,22 @@ def find_bistable_wave(
             raise DomainError("initial state must be transformed-frame on the solver grid")
         state = initial
     history = WaveHistory()
-    converged = False
-    steps_done = 0
 
     for n in range(1, opts.max_steps + 1):
         prev_U, prev_V = state.U, state.V
         state = apply_Q(state, p, dk1, dk2)
         try:
-            t = front_position(grid.x, state.U, opts.level)
+            t = front_position(grid.x, state.U, FRONT_LEVEL)
         except MeasurementError as exc:
             raise DegenerateDataError(
-                f"front level {opts.level} lost at step {n}"
+                f"front level {FRONT_LEVEL} lost at step {n}"
             ) from exc
-        U, V, m, f = _resample_shifted(state, t)
+        U, V, _ = _resample_shifted(state, t)
         state = SpatialState(
             grid=grid, frame=TRANSFORMED_FRAME, U=U, V=V, step=state.step
         )
 
         history.displacements.append(t)
-        history.int_shifts.append(m)
-        history.fractions.append(f)
         sup_diff = max(
             float(np.max(np.abs(state.U - prev_U))),
             float(np.max(np.abs(state.V - prev_V))),
@@ -208,55 +200,41 @@ def find_bistable_wave(
         history.monotone_defects.append(
             min(_min_adjacent_diff(state.U), _min_adjacent_diff(state.V))
         )
-        steps_done = n
 
-        if n >= opts.trailing:
-            tail = history.displacements[-opts.trailing :]
-            spread = max(tail) - min(tail)
-            if sup_diff < opts.profile_tol and spread < opts.speed_tol:
-                converged = True
-                break
-
-    if not converged:
+        tail = history.displacements[-TRAILING_STEPS:]
+        spread = max(tail) - min(tail)
+        if n >= TRAILING_STEPS and sup_diff < opts.profile_tol and spread < opts.speed_tol:
+            break
+    else:
         raise ConvergenceError(
             f"no traveling profile within {opts.max_steps} steps "
-            f"(last sup diff {history.sup_diffs[-1]:.3e}, "
-            f"displacement spread {max(history.displacements[-opts.trailing:]) - min(history.displacements[-opts.trailing:]):.3e})",
+            f"(last sup diff {sup_diff:.3e}, displacement spread {spread:.3e})",
             history=history,
         )
 
-    speed = float(np.mean(history.displacements[-opts.trailing :]))
     profile = WaveProfile(
         grid=grid,
         phi=state.U,
         psi=state.V,
-        speed=speed,
+        speed=float(np.mean(tail)),
         residual=math.nan,
-        steps=steps_done,
+        steps=n,
         history=history,
         kernel_half_width=max(dk1.half_width, dk2.half_width),
     )
-    profile.residual = wave_residual(profile, p, kernel1, kernel2, opts=opts)
+    profile.residual = wave_residual(profile, p, dk1, dk2)
     return profile
 
 
-def wave_residual(
-    wp: WaveProfile,
-    p: ModelParams,
-    kernel1: Kernel,
-    kernel2: Kernel,
-    opts: WaveOptions | None = None,
-) -> float:
+def wave_residual(wp: WaveProfile, p: ModelParams, dk1: DiscreteKernel,
+                  dk2: DiscreteKernel) -> float:
     """Sup-norm defect of the translating-profile equation.
 
-    Applies one step to (phi, psi), shifts the result back by the wave
-    speed (linear interpolation), and takes the largest deviation from the
-    profile over the boundary-safe interior window.
+    Applies one step with the discretized kernels to (phi, psi), shifts the
+    result back by the wave speed (linear interpolation), and takes the
+    largest deviation from the profile over the boundary-safe interior
+    window.
     """
-    opts = opts or WaveOptions()
-    dk1 = discretize(kernel1, wp.grid.dx, opts.eps_trunc)
-    dk2 = discretize(kernel2, wp.grid.dx, opts.eps_trunc)
-
     state = SpatialState(
         grid=wp.grid,
         frame=TRANSFORMED_FRAME,
@@ -264,7 +242,7 @@ def wave_residual(
         V=np.clip(wp.psi, 0.0, 1.0),
     )
     stepped = apply_Q(state, p, dk1, dk2)
-    U, V, m, _ = _resample_shifted(stepped, wp.speed)
+    U, V, m = _resample_shifted(stepped, wp.speed)
 
     margin = max(dk1.half_width, dk2.half_width) + abs(m) + 2
     if 2 * margin >= wp.grid.n_points:

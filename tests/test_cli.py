@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rickerwaves
-from rickerwaves import ConfigError
+from rickerwaves import ConfigError, WaveOptions
 from rickerwaves.cli import load_config, main, run
 
 
@@ -46,6 +46,7 @@ class TestLoadConfig:
         assert cfg.params.r1 == 0.5 and cfg.params.a2 == 3.0
         assert cfg.half_length == 200.0 and cfg.dx == 0.1
         assert cfg.wave_opts.max_steps == 2000
+        assert cfg.wave_opts == WaveOptions()
         assert cfg.kernel1.sigma == 1.0 and cfg.kernel2.sigma == 1.0
 
     def test_unknown_key_reports_line_number(self, tmp_path):
@@ -90,6 +91,12 @@ class TestLoadConfig:
         )
         cfg = load_config(path)
         assert cfg.kernel1.family == "table"
+
+    def test_missing_kernel_parameter_names_kernel_and_key(self, tmp_path):
+        path = tmp_path / "nosigma.cfg"
+        path.write_text(BASE_CONFIG.replace("kernel.sigma = 1.0\n", ""))
+        with pytest.raises(ConfigError, match="kernel1: gaussian kernel needs shape parameter 'sigma'"):
+            load_config(path)
 
     def test_sweep_lists_parse(self, tmp_path):
         path = tmp_path / "sweep.cfg"
@@ -148,6 +155,16 @@ class TestSubcommands:
         text = (out_dir / curves[0]).read_text()
         assert text.startswith("# config")
         assert text.splitlines()[1] == "mu,objective"
+
+    def test_speeds_curve_without_out_fails(self, config_path, capsys, tmp_path,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["speeds", "--config", str(config_path), "--curve"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: speeds --curve needs --out DIR" in captured.err
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == [config_path]
 
     def test_simulate_writes_snapshots(self, config_path, capsys, tmp_path):
         out_dir = tmp_path / "snaps"

@@ -23,6 +23,7 @@ from rickerwaves import (
     transformed_map,
     ricker_map,
 )
+from rickerwaves import evolution
 from rickerwaves.evolution import MAX_GRID_POINTS, _fft_length
 from rickerwaves.model import ORIGINAL_FRAME, TRANSFORMED_FRAME
 
@@ -297,14 +298,27 @@ class TestConvolution:
         out = convolve_extended(f, gaussian_weights, "fft")
         assert np.all(out[250:] == 0.0)
 
-    def test_cached_spectrum_per_transform_length(self, gaussian_weights, rng):
-        # one kernel alternating between two grid sizes keeps one spectrum each
+    def test_cached_spectrum_per_transform_length(self, gaussian_weights, rng, monkeypatch):
+        # one kernel alternating between two grid sizes keeps one spectrum
+        # each, and sizes each transform once
+        sized = []
+
+        def counting(n):
+            sized.append(n)
+            return _fft_length(n)
+
+        monkeypatch.setattr(evolution, "_fft_length", counting)
         for n in (201, 4001, 201, 4001):
             f = rng.uniform(0.0, 1.0, n)
             fast = convolve_extended(f, gaussian_weights, "fft")
             ref = convolve_extended(f, gaussian_weights, "direct")
             assert np.max(np.abs(fast - ref)) <= 1e-13
-        assert len(gaussian_weights.spectra) == 2
+        J = gaussian_weights.half_width
+        assert sized == [201 + 4 * J, 4001 + 4 * J]
+        assert sorted(gaussian_weights.spectra) == [201, 4001]
+        for n, (length, spectrum) in gaussian_weights.spectra.items():
+            assert length == _fft_length(n + 4 * J)
+            assert np.array_equal(spectrum, np.fft.rfft(gaussian_weights.weights, length))
 
     def test_fft_length_is_5_smooth_and_large_enough(self):
         for n in range(1, 5001):

@@ -54,6 +54,24 @@ class TestMakeKernel:
         with pytest.raises(ParameterError):
             make_kernel("cauchy", gamma=1.0)
 
+    def test_missing_shape_parameter_named(self):
+        with pytest.raises(ParameterError, match="gaussian kernel needs shape parameter 'sigma'"):
+            make_kernel("gaussian")
+        with pytest.raises(ParameterError, match="'halfwidth'"):
+            make_kernel("uniform", sigma=1.0, halfwidth=None)
+        with pytest.raises(ParameterError, match="'densities'"):
+            make_kernel("table", offsets=np.linspace(-1.0, 1.0, 5))
+
+    def test_other_families_parameters_ignored(self):
+        # a config's shared kernel.* entries reach every family
+        k = make_kernel("uniform", sigma=1.0, halfwidth=0.5)
+        assert k == UniformKernel(0.5)
+        assert make_kernel("Gaussian", sigma=2.0, halfwidth=0.5) == GaussianKernel(2.0)
+
+    def test_unknown_shape_parameter_rejected(self):
+        with pytest.raises(ParameterError, match="sigmaa"):
+            make_kernel("gaussian", sigma=1.0, sigmaa=2.0)
+
     def test_bad_tables_rejected(self):
         good = np.linspace(-1, 1, 5)
         with pytest.raises(ParameterError):  # even length

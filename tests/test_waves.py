@@ -12,15 +12,18 @@ from rickerwaves import (
     ModelParams,
     ParameterError,
     ProfileTolerances,
+    UniformKernel,
     WaveOptions,
     change_coordinates,
     constant_state,
+    discretize,
     find_bistable_wave,
     step_initial_data,
     translate,
     validate_profile,
     wave_residual,
 )
+from rickerwaves import waves
 from rickerwaves.evolution import SpatialState, interior_slice
 from rickerwaves.model import TRANSFORMED_FRAME
 from rickerwaves.waves import WaveHistory, WaveProfile
@@ -125,12 +128,20 @@ class TestFindBistableWave:
             assert compare(lo, state) in ("le", "equal")
             assert compare(state, hi) in ("le", "equal")
 
-    def test_displacement_ledger_reconstructs_exactly(self, standard_wave):
-        h = standard_wave.history
-        dx = standard_wave.grid.dx
-        for disp, m, f in zip(h.displacements, h.int_shifts, h.fractions):
-            assert m * dx + f == disp
-        assert h.total_displacement == sum(h.displacements)
+    def test_each_kernel_discretized_once_per_solve(self, wave_grid, monkeypatch):
+        # the residual reuses the solver's discretized kernels
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return discretize(*args, **kwargs)
+
+        monkeypatch.setattr(waves, "discretize", counting)
+        find_bistable_wave(
+            ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0),
+            UniformKernel(1.5), wave_grid,
+        )
+        assert len(calls) == 2
 
     def test_budget_exhaustion_raises_with_history(self, wave_grid):
         opts = WaveOptions(max_steps=3)
@@ -178,7 +189,8 @@ class TestFindBistableWave:
 
 
 class TestWaveResidual:
-    def test_constant_equilibrium_profile_has_zero_residual(self, params, wave_grid):
+    def test_constant_equilibrium_profile_has_zero_residual(self, params, wave_grid,
+                                                            gaussian_weights):
         wp = WaveProfile(
             grid=wave_grid,
             phi=np.zeros(wave_grid.n_points),
@@ -189,14 +201,15 @@ class TestWaveResidual:
             history=WaveHistory(),
             kernel_half_width=72,
         )
-        resid = wave_residual(wp, params, GaussianKernel(1.0), GaussianKernel(1.0))
+        resid = wave_residual(wp, params, gaussian_weights, gaussian_weights)
         assert resid == 0.0
 
-    def test_converged_profile_self_consistent(self, standard_wave, params):
-        resid = wave_residual(standard_wave, params, GaussianKernel(1.0), GaussianKernel(1.0))
+    def test_converged_profile_self_consistent(self, standard_wave, params, gaussian_weights):
+        resid = wave_residual(standard_wave, params, gaussian_weights, gaussian_weights)
+        assert resid == standard_wave.residual
         assert resid < 1e-4
 
-    def test_perturbed_profile_detected(self, standard_wave, params):
+    def test_perturbed_profile_detected(self, standard_wave, params, gaussian_weights):
         bump = 0.05 * np.exp(-0.5 * (standard_wave.grid.x / 3.0) ** 2)
         perturbed = WaveProfile(
             grid=standard_wave.grid,
@@ -208,7 +221,7 @@ class TestWaveResidual:
             history=WaveHistory(),
             kernel_half_width=standard_wave.kernel_half_width,
         )
-        resid = wave_residual(perturbed, params, GaussianKernel(1.0), GaussianKernel(1.0))
+        resid = wave_residual(perturbed, params, gaussian_weights, gaussian_weights)
         assert resid > 1e-3
 
 
