@@ -66,9 +66,7 @@ from .speeds import (
     linearization_matrix,
     measure_front_speed,
     scalar_speed,
-    simulate_scalar_invasion,
     system_speed_bound,
-    w_transform_check,
 )
 from .waves import (
     ProfileTolerances,

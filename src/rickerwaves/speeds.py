@@ -10,8 +10,8 @@ its dominant (Perron) eigenvalue.  Kernel symmetry makes the leftward and
 rightward MGFs coincide, so a single exponent sign serves both directions.
 
 Also provided: an empirical front-speed estimator (level-crossing position
-regressed against step count) and a scalar invasion simulator used to
-check the variational values against direct simulation.
+regressed against step count), which checks the variational values against
+trajectories of the step operator.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, MeasurementError, RangeError, SearchError
-from .evolution import Grid, convolve_extended, interior_slice
-from .kernels import DiscreteKernel, Kernel, discretize
+from .evolution import interior_slice
+from .kernels import Kernel
 from .model import ModelParams, coexistence_coordinates, eigenvalues_2x2, require_admissible
 
 # golden-section tolerances: bracket width in mu, spread in objective value
@@ -201,73 +201,6 @@ def counter_propagation(
     )
 
 
-@dataclass
-class WTransformReport:
-    """Dual-path check of the complement substitution on the edge subsystem."""
-
-    max_error: float
-    tolerance: float
-    trials: int
-
-    @property
-    def passed(self) -> bool:
-        return self.max_error < self.tolerance
-
-
-def w_transform_check(
-    p: ModelParams,
-    kernel: Kernel,
-    *,
-    dx: float = 0.1,
-    half_length: float = 20.0,
-    trials: int = 5,
-    seed: int = 0,
-    tolerance: float = 1e-12,
-) -> WTransformReport:
-    """Verify q -> 1 - q maps the complement recursion to scalar Ricker form.
-
-    One step of q' = 1 - conv((1-q) e^{r1 q}) must equal 1 minus one step
-    of w' = conv(w e^{r1 (1-w)}) applied to w = 1 - q, for any profile q.
-    Checked on constants 0 and 1 plus random profiles.
-    """
-    require_admissible(p)
-    grid = Grid(half_length=half_length, dx=dx)
-    dk = discretize(kernel, dx)
-    rng = np.random.default_rng(seed)
-
-    profiles = [np.zeros(grid.n_points), np.ones(grid.n_points)]
-    profiles += [rng.uniform(0.0, 1.0, grid.n_points) for _ in range(trials)]
-
-    worst = 0.0
-    for q in profiles:
-        direct = 1.0 - convolve_extended((1.0 - q) * np.exp(p.r1 * q), dk, "direct")
-        w = 1.0 - q
-        via_w = convolve_extended(w * np.exp(p.r1 * (1.0 - w)), dk, "direct")
-        worst = max(worst, float(np.max(np.abs(direct - (1.0 - via_w)))))
-    return WTransformReport(max_error=worst, tolerance=tolerance, trials=len(profiles))
-
-
-def simulate_scalar_invasion(
-    r: float,
-    dk: DiscreteKernel,
-    grid: Grid,
-    n_steps: int,
-    initial: np.ndarray | None = None,
-) -> list:
-    """Iterate the scalar Ricker invasion from a leftward-saturated step profile.
-
-    Returns the full trajectory of fields (length n_steps + 1).
-    """
-    if initial is None:
-        initial = np.where(grid.x <= 0.0, 1.0, 0.0)
-    fields = [np.asarray(initial, dtype=float)]
-    for _ in range(n_steps):
-        u = fields[-1]
-        grown = u * np.exp(r * (1.0 - u))
-        fields.append(np.clip(convolve_extended(grown, dk), 0.0, None))
-    return fields
-
-
 def front_position(
     x: np.ndarray, field_values: np.ndarray, level: float, window: slice | None = None
 ) -> float:
@@ -306,39 +239,28 @@ class FrontSpeedReport:
 def measure_front_speed(
     trajectory,
     *,
-    grid: Grid | None = None,
     component: str = "U",
     level: float = 0.5,
     fit_window: tuple | None = None,
     margin_cells: int = 0,
 ) -> FrontSpeedReport:
-    """Empirical front speed from a trajectory of monotone-in-x states.
+    """Empirical front speed from a trajectory of monotone-in-x spatial states.
 
-    The level crossing is located per step by linear interpolation, then a
-    least-squares line of crossing position against step index gives the
-    speed.  ``trajectory`` holds either spatial states (component selects
-    U or V) or bare field arrays (grid must then be passed).  fit_window
-    is a (first, last) pair of trajectory indices, inclusive; the default
-    is the trailing half.  margin_cells restricts the crossing search to
-    the boundary-safe interior.
+    The level crossing of the ``component`` field (U or V) is located per
+    state by linear interpolation, then a least-squares line of crossing
+    position against ``state.step`` gives the speed, so a thinned trajectory
+    fits the same line.  fit_window is a (first, last) pair of trajectory
+    indices, inclusive; the default is the trailing half.  margin_cells
+    restricts the crossing search to the boundary-safe interior.
     """
     if len(trajectory) < 2:
         raise MeasurementError("need at least two states to fit a speed")
-    first = trajectory[0]
-    if hasattr(first, "U"):
-        the_grid = first.grid
-        fields = [getattr(s, component) for s in trajectory]
-        steps = np.array([s.step for s in trajectory], dtype=float)
-    else:
-        if grid is None:
-            raise DomainError("grid is required when passing bare field arrays")
-        the_grid = grid
-        fields = list(trajectory)
-        steps = np.arange(len(fields), dtype=float)
+    grid = trajectory[0].grid
+    steps = np.array([s.step for s in trajectory], dtype=float)
 
-    window = interior_slice(the_grid, margin_cells)
+    window = interior_slice(grid, margin_cells)
     positions = np.array(
-        [front_position(the_grid.x, f, level, window) for f in fields]
+        [front_position(grid.x, getattr(s, component), level, window) for s in trajectory]
     )
 
     if fit_window is None:

@@ -13,6 +13,7 @@ from rickerwaves import (
     GaussianKernel,
     Grid,
     ModelParams,
+    SpatialState,
     axiom_errors,
     convolve_extended,
     counter_propagation,
@@ -22,12 +23,12 @@ from rickerwaves import (
     classify_stability,
     find_bistable_wave,
     interior_slice,
+    iterate,
     jacobian,
     linearization_matrix,
     measure_front_speed,
     ricker_map,
     scalar_speed,
-    simulate_scalar_invasion,
     strong_stability_vectors,
     transformed_map,
     validate_profile,
@@ -119,10 +120,12 @@ def test_criterion_4_empirical_vs_variational_speed():
     failures = []
     grid = Grid(half_length=200.0, dx=0.1)
     dk = discretize(GAUSS, grid.dx)
-    trajectory = simulate_scalar_invasion(0.5, dk, grid, 150)
+    # with V = 0 the original-frame U update is the scalar Ricker invasion, r = r1
+    start = SpatialState(grid=grid, frame=ORIGINAL_FRAME,
+                         U=np.where(grid.x <= 0.0, 1.0, 0.0), V=np.zeros(grid.n_points))
+    trajectory = iterate(start, P_STD, dk, dk, 150)
     speed = measure_front_speed(
-        trajectory, grid=grid, level=0.5, fit_window=(50, 150),
-        margin_cells=dk.half_width,
+        trajectory, level=0.5, fit_window=(50, 150), margin_cells=dk.half_width,
     ).speed
     if abs(speed - 1.0) >= 0.05:
         failures.append(f"empirical speed {speed} off the variational 1.0 by >= 5%")

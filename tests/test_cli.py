@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import rickerwaves
 from rickerwaves import ConfigError, WaveOptions
-from rickerwaves.cli import load_config, main, run
+from rickerwaves.cli import emit_csv, load_config, main, run, write_csv
 
 
 BASE_CONFIG = """\
@@ -189,6 +190,20 @@ class TestSubcommands:
         assert "error: simulate needs --out DIR" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("init", ["step", "bump"])
+    @pytest.mark.parametrize("frame", ["Original", "orignal"])
+    def test_simulate_rejects_unknown_frame(self, config_path, capsys, tmp_path, init, frame):
+        out_dir = tmp_path / "snaps"
+        code = main(["simulate", "--config", str(config_path), "--steps", "2",
+                     "--set", "grid.L=20", "--init", init, "--set", f"sim.frame={frame}",
+                     "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"unknown sim.frame {frame!r}" in captured.err
+        assert "transformed" in captured.err and "original" in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     def test_wave_profile_and_report(self, config_path, capsys, tmp_path):
         out_dir = tmp_path / "wave"
         code = main(["wave", "--config", str(config_path), "--set", "grid.L=60",
@@ -240,6 +255,24 @@ class TestSubcommands:
         code = main(["validate", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestCsv:
+    def test_artifact_matches_emit_csv(self, tmp_path, rng):
+        # more rows than one formatting block, and values whose .12g forms
+        # are signed zero, a three-digit negative exponent and a large exponent
+        n = 4096 + 37
+        columns = [np.linspace(-3.0, 3.0, n), rng.uniform(-1.0, 1.0, n),
+                   rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)]
+        columns[1][:4] = [-0.0, 1e-300, 1.2345678901234567e20, 0.0]
+        columns[2][4096] = -0.0
+        path = write_csv(tmp_path / "sub" / "table.csv", "abc123", ("x", "U", "V"), columns)
+        expected = io.StringIO()
+        emit_csv(expected, "abc123", ("x", "U", "V"), zip(*columns))
+        text = Path(path).read_text()
+        assert text == expected.getvalue()
+        assert [line.split(",")[1] for line in text.splitlines()[2:6]] == [
+            "-0", "1e-300", "1.23456789012e+20", "0"]
 
 
 class TestDeterminism:

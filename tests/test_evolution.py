@@ -11,6 +11,7 @@ from rickerwaves import (
     Grid,
     RangeError,
     SpatialState,
+    UniformKernel,
     apply_Q,
     axiom_errors,
     compare,
@@ -138,6 +139,30 @@ class TestApplyQ:
             expected = ricker_map(params, point)
             assert np.max(np.abs(out.U - expected[0])) < 1e-12
             assert np.max(np.abs(out.V - expected[1])) < 1e-12
+
+    @pytest.mark.parametrize("kernel", [GaussianKernel(1.0), UniformKernel(1.0)],
+                             ids=["gaussian", "uniform"])
+    def test_cooperative_step_conjugates_original_step(self, params, small_grid, rng, kernel):
+        # u -> 1 - u carries one recursion to the other: the cooperative step
+        # of (U, V) is (1 - U', V') for (U', V') the original step of (1 - U, V).
+        # Arrays are compared, not states: the original frame clamps only
+        # below zero, so U' can exceed one by transform roundoff.
+        dk = discretize(kernel, small_grid.dx)
+        n = small_grid.n_points
+        zero = np.zeros(n)
+        cases = [(np.full(n, u), np.full(n, v))
+                 for u, v in ((0.0, 0.0), (1.0, 0.0), (0.3, 0.0), (0.0, 1.0), (1.0, 1.0),
+                              (0.8, 0.4), (0.6, 0.7))]
+        for _ in range(3):
+            U = rng.uniform(0.0, 1.0, n)
+            cases += [(U, zero), (U, rng.uniform(0.0, 1.0, n))]
+        for U, V in cases:
+            coop = apply_Q(SpatialState(grid=small_grid, frame=TRANSFORMED_FRAME, U=U, V=V),
+                           params, dk, dk)
+            orig = apply_Q(SpatialState(grid=small_grid, frame=ORIGINAL_FRAME, U=1.0 - U, V=V),
+                           params, dk, dk)
+            assert np.max(np.abs(coop.U - (1.0 - orig.U))) < 1e-12
+            assert np.max(np.abs(coop.V - orig.V)) < 1e-12
 
     def test_spacing_mismatch_rejected(self, params, small_grid, gaussian):
         wrong = discretize(gaussian, 0.2)

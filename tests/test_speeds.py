@@ -9,19 +9,20 @@ from rickerwaves import (
     Grid,
     MeasurementError,
     ModelParams,
+    SpatialState,
     UniformKernel,
     counter_propagation,
     discretize,
     eigenvalues_2x2,
     front_position,
+    iterate,
     linearization_matrix,
     measure_front_speed,
     scalar_speed,
-    simulate_scalar_invasion,
     system_speed_bound,
-    w_transform_check,
 )
 from rickerwaves.errors import SearchError
+from rickerwaves.model import ORIGINAL_FRAME
 
 from conftest import random_admissible
 from test_kernels import triangular_table
@@ -89,11 +90,6 @@ class TestScalarSpeed:
 
 
 class TestWTransform:
-    def test_constant_endpoints_and_random_profiles(self, params, gaussian):
-        report = w_transform_check(params, gaussian, trials=5, seed=3)
-        assert report.max_error < 1e-12
-        assert report.passed
-
     def test_fixed_constants_under_each_recursion(self, params, gaussian, small_grid):
         from rickerwaves.evolution import convolve_extended
 
@@ -207,18 +203,35 @@ class TestCounterPropagation:
         assert report.c_minus_F2F3.value == system_speed_bound(params, gaussian, uniform).value
 
 
+def scalar_invasion(params, dk, grid, n_steps, keep_every=1):
+    """Original-frame steps from a leftward-saturated U step with V = 0.
+
+    With V identically zero the U update of the step operator is the scalar
+    Ricker invasion u -> conv(u exp(r1 (1 - u))) with r = params.r1.
+    """
+    start = SpatialState(grid=grid, frame=ORIGINAL_FRAME,
+                         U=np.where(grid.x <= 0.0, 1.0, 0.0), V=np.zeros(grid.n_points))
+    return iterate(start, params, dk, dk, n_steps, keep_every)
+
+
+def as_states(grid, fields):
+    """Original-frame states with the given U fields and V = 0 at steps 0, 1, ..."""
+    return [SpatialState(grid=grid, frame=ORIGINAL_FRAME, U=f, V=np.zeros(grid.n_points),
+                         step=k) for k, f in enumerate(fields)]
+
+
 class TestFrontMeasurement:
     def test_rigid_translation_gives_exact_cell_speed(self):
         grid = Grid(half_length=50.0, dx=0.1)
         fields = [np.where(grid.x <= k * 0.1, 1.0, 0.0) for k in range(12)]
-        report = measure_front_speed(fields, grid=grid, level=0.5, fit_window=(0, 11))
+        report = measure_front_speed(as_states(grid, fields), level=0.5, fit_window=(0, 11))
         assert report.speed == pytest.approx(0.1, abs=1e-13)
         assert report.residual_rms < 1e-12
 
     def test_stationary_front_measures_zero(self):
         grid = Grid(half_length=50.0, dx=0.1)
         base = np.where(grid.x <= 0.0, 1.0, 0.0)
-        report = measure_front_speed([base] * 9, grid=grid, fit_window=(0, 8))
+        report = measure_front_speed(as_states(grid, [base] * 9), fit_window=(0, 8))
         assert abs(report.speed) < 1e-12
 
     def test_level_never_crossed(self):
@@ -226,26 +239,39 @@ class TestFrontMeasurement:
         with pytest.raises(MeasurementError):
             front_position(grid.x, np.full(grid.n_points, 0.8), 0.5)
 
-    def test_scalar_invasion_tracks_variational_speed(self, gaussian):
+    def test_scalar_invasion_tracks_variational_speed(self, params, gaussian):
         grid = Grid(half_length=200.0, dx=0.1)
         dk = discretize(gaussian, grid.dx)
-        trajectory = simulate_scalar_invasion(0.5, dk, grid, 150)
+        trajectory = scalar_invasion(params, dk, grid, 150)
         report = measure_front_speed(
-            trajectory, grid=grid, level=0.5, fit_window=(50, 150),
-            margin_cells=dk.half_width,
+            trajectory, level=0.5, fit_window=(50, 150), margin_cells=dk.half_width,
         )
         assert abs(report.speed - 1.0) < 0.05
 
-    def test_empirical_speed_grows_toward_limit_with_domain(self, gaussian):
+    def test_thinned_trajectory_fits_on_state_steps(self, params, gaussian):
+        # positions are regressed on state.step, not on list position: every
+        # tenth state fits the line of the full run over steps 20..60 (five
+        # samples against 41, so they agree to the front's slow
+        # acceleration; a fit on list position would read ten times faster)
+        grid = Grid(half_length=100.0, dx=0.1)
+        dk = discretize(gaussian, grid.dx)
+        full = scalar_invasion(params, dk, grid, 60)
+        thinned = scalar_invasion(params, dk, grid, 60, keep_every=10)
+        every_step = measure_front_speed(full, margin_cells=dk.half_width, fit_window=(20, 60))
+        report = measure_front_speed(thinned, margin_cells=dk.half_width, fit_window=(2, 6))
+        assert np.array_equal(report.steps, np.arange(0.0, 61.0, 10.0))
+        assert np.array_equal(report.positions, every_step.positions[::10])
+        assert abs(report.speed - every_step.speed) < 2e-3
+
+    def test_empirical_speed_grows_toward_limit_with_domain(self, params, gaussian):
         dk = discretize(gaussian, 0.1)
         measured = []
         for L in (100.0, 200.0, 400.0):
             grid = Grid(half_length=L, dx=0.1)
             steps = int(0.8 * L)
-            trajectory = simulate_scalar_invasion(0.5, dk, grid, steps)
+            trajectory = scalar_invasion(params, dk, grid, steps)
             report = measure_front_speed(
-                trajectory, grid=grid, fit_window=(steps // 3, steps),
-                margin_cells=dk.half_width,
+                trajectory, fit_window=(steps // 3, steps), margin_cells=dk.half_width,
             )
             measured.append(report.speed)
         assert measured[0] < measured[1] < measured[2] <= 1.0 + 1e-9
