@@ -51,10 +51,10 @@ from .model import (
     classify_stability,
     eigenvalues_2x2,
     equilibria,
+    growth,
     jacobian,
-    ricker_map,
+    pointwise_map,
     strong_stability_vectors,
-    transformed_map,
     validate_params,
 )
 from .speeds import (

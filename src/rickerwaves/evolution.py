@@ -1,7 +1,7 @@
 """One-step evolution operator on a uniform 1-D grid.
 
-Each step evaluates the pointwise Ricker nonlinearity first and then
-disperses the result by discrete convolution with the species' kernel
+Each step evaluates the pointwise Ricker growth (``model.growth``) first
+and then disperses the result by discrete convolution with the species' kernel
 weights (react at y, then disperse; the reverse order is a different
 operator and is not offered).  Fields are extended by constant
 continuation beyond the grid edges before convolving, so front states
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, RangeError
 from .kernels import DiscreteKernel
-from .model import ORIGINAL_FRAME, TRANSFORMED_FRAME, ModelParams
+from .model import ORIGINAL_FRAME, TRANSFORMED_FRAME, ModelParams, growth
 
 log = logging.getLogger(__name__)
 
@@ -180,25 +180,24 @@ def convolve_extended(field_values: np.ndarray, dk: DiscreteKernel, method: str 
     raise ConfigError(f"unknown convolution method {method!r}")
 
 
-def _clamp_unit(values: np.ndarray, what: str) -> np.ndarray:
-    exceed = max(-values.min(), values.max() - 1.0, 0.0)
+def _clamp(values: np.ndarray, what: str, frame: str) -> np.ndarray:
+    """Pin a stepped field to its frame's range and snap corner residue.
+
+    Both frames clip below 0, and the cooperative frame also clips above 1
+    and snaps values under the noise floor to 0.  Both frames snap values
+    within the floor of 1 to 1.  The snaps are monotone, so order is
+    preserved, and they make E1, E2 (original) and F0, F3 (cooperative)
+    exact fixed points.
+    """
+    upper = 1.0 if frame == TRANSFORMED_FRAME else np.inf
+    exceed = max(-values.min(), values.max() - upper, 0.0)
     if exceed > CLAMP_TOL:
-        log.warning("%s exceeded [0,1] by %.3e; clamping", what, exceed)
+        log.warning("%s left [0, %g] by %.3e; clamping", what, upper, exceed)
     if exceed > 0.0:
-        values = np.clip(values, 0.0, 1.0)
-    # snap roundoff residue at the corners so the two stable constants are
-    # exact fixed points; the snap is monotone, so order is preserved
-    values[values < _FFT_NOISE_FLOOR] = 0.0
-    values[values > 1.0 - _FFT_NOISE_FLOOR] = 1.0
-    return values
-
-
-def _clamp_nonnegative(values: np.ndarray, what: str) -> np.ndarray:
-    low = values.min()
-    if low < -CLAMP_TOL:
-        log.warning("%s dipped below 0 by %.3e; clamping", what, -low)
-    if low < 0.0:
-        return np.clip(values, 0.0, None)
+        values = np.clip(values, 0.0, upper)
+    if frame == TRANSFORMED_FRAME:
+        values[values < _FFT_NOISE_FLOOR] = 0.0
+    values[(values > 1.0 - _FFT_NOISE_FLOOR) & (values < 1.0 + _FFT_NOISE_FLOOR)] = 1.0
     return values
 
 
@@ -214,19 +213,12 @@ def apply_Q(
             raise ConfigError(
                 f"{name} was discretized at dx={dk.dx}, state grid has dx={state.grid.dx}"
             )
-    U, V = state.U, state.V
+    gu, gv = growth(p, state.U, state.V, state.frame)
+    Un = convolve_extended(gu, k1)
     if state.frame == TRANSFORMED_FRAME:
-        growth_u = (1.0 - U) * np.exp(p.r1 * (U - p.a1 * V))
-        growth_v = V * np.exp(p.r2 * (1.0 - p.a2 - V + p.a2 * U))
-        Un = 1.0 - convolve_extended(growth_u, k1)
-        Vn = convolve_extended(growth_v, k2)
-        Un = _clamp_unit(Un, "U after step")
-        Vn = _clamp_unit(Vn, "V after step")
-    else:
-        growth_u = U * np.exp(p.r1 * (1.0 - U - p.a1 * V))
-        growth_v = V * np.exp(p.r2 * (1.0 - V - p.a2 * U))
-        Un = _clamp_nonnegative(convolve_extended(growth_u, k1), "U after step")
-        Vn = _clamp_nonnegative(convolve_extended(growth_v, k2), "V after step")
+        Un = 1.0 - Un
+    Un = _clamp(Un, "U after step", state.frame)
+    Vn = _clamp(convolve_extended(gv, k2), "V after step", state.frame)
     return SpatialState(grid=state.grid, frame=state.frame, U=Un, V=Vn, step=state.step + 1)
 
 

@@ -229,7 +229,6 @@ class DiscreteKernel:
 
     weights: np.ndarray
     dx: float
-    parent: Kernel
     spectra: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -248,7 +247,7 @@ class DiscreteKernel:
 def discretize(kernel: Kernel, dx: float, eps_trunc: float = DEFAULT_TRUNCATION) -> DiscreteKernel:
     """Midpoint-rule weights w_j = l(j dx) dx, symmetrized and normalized.
 
-    The half width J is chosen so the parent's mass outside [-J dx, J dx]
+    The half width J is chosen so the kernel's mass outside [-J dx, J dx]
     is below eps_trunc before normalization.
     """
     if not (dx > 0 and math.isfinite(dx)):
@@ -280,7 +279,7 @@ def discretize(kernel: Kernel, dx: float, eps_trunc: float = DEFAULT_TRUNCATION)
         w[J] += defect
     # read-only, so the spectra cached on the DiscreteKernel cannot go stale
     w.flags.writeable = False
-    return DiscreteKernel(weights=w, dx=float(dx), parent=kernel)
+    return DiscreteKernel(weights=w, dx=float(dx))
 
 
 @dataclass

@@ -11,9 +11,11 @@ competition.  Substituting u -> 1 - u turns it into the cooperative map
     u' = 1 - (1 - u) exp(r1 (u - a1 v)),   v' = v exp(r2 (1 - a2 - v + a2 u))
 
 on the unit square, with stable corners F0=(0,0) and F3=(1,1) and unstable
-interior/edge states F1, F2.  This module owns both pointwise maps, the
-frame change, equilibria with their stability classification, and the
-certificate that the corners are strongly stable in the cooperative frame.
+interior/edge states F1, F2.  This module owns the growth law of both
+frames (``growth``, which the grid step operator calls as well), the
+pointwise map, the frame change, equilibria with their stability
+classification, and the certificate that the corners are strongly stable
+in the cooperative frame.
 """
 
 from __future__ import annotations
@@ -77,34 +79,49 @@ def require_admissible(p: ModelParams) -> None:
         raise ParameterError("; ".join(report.violations))
 
 
-def ricker_map(p: ModelParams, point):
-    """One step of the original-frame competition map."""
-    u, v = point
-    un = u * math.exp(p.r1 * (1.0 - u - p.a1 * v))
-    vn = v * math.exp(p.r2 * (1.0 - v - p.a2 * u))
-    return (un, vn)
+def _exponentials(p: ModelParams, U, V, frame: str):
+    """The two Ricker factors of a frame's map, as (e^{r1(...)}, e^{r2(...)})."""
+    if frame == ORIGINAL_FRAME:
+        return np.exp(p.r1 * (1.0 - U - p.a1 * V)), np.exp(p.r2 * (1.0 - V - p.a2 * U))
+    if frame == TRANSFORMED_FRAME:
+        return np.exp(p.r1 * (U - p.a1 * V)), np.exp(p.r2 * (1.0 - p.a2 - V + p.a2 * U))
+    raise DomainError(f"unknown frame {frame!r}")
 
 
-def transformed_map(p: ModelParams, point):
-    """One step of the cooperative-frame map; domain is the unit square.
+def growth(p: ModelParams, U, V, frame: str):
+    """The Ricker growth of one step, before dispersal: (gu, gv).
 
-    The closed unit square is invariant for admissible parameters, so the
-    output is pinned back to it when rounding spills an ulp past an edge.
+    Broadcasts over scalars and arrays of any shape.  In the original frame
+    gu, gv are the Ricker images.  In the cooperative frame gv is the image
+    of V, and gu = (1 - U) e^{r1 (U - a1 V)} is the complement of the image
+    of U, so the new U is one minus the dispersed average of gu.  Forming
+    1 - gu first would round away small original-frame densities (any gu
+    below 2**-54) before dispersal.  The complement is the original-frame
+    density; it is dispersed at full precision and rounded once.
     """
-    u, v = point
-    if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
-        raise DomainError(f"point {point} outside the unit square")
-    un = 1.0 - (1.0 - u) * math.exp(p.r1 * (u - p.a1 * v))
-    vn = v * math.exp(p.r2 * (1.0 - p.a2 - v + p.a2 * u))
-    return (min(max(un, 0.0), 1.0), min(max(vn, 0.0), 1.0))
+    eu, ev = _exponentials(p, U, V, frame)
+    return (U if frame == ORIGINAL_FRAME else 1.0 - U) * eu, V * ev
 
 
 def pointwise_map(p: ModelParams, point, frame: str):
+    """One step of a frame's space-free map at a point (u, v).
+
+    The cooperative frame's domain is the unit square.  The closed square
+    is invariant for admissible parameters, so the output is pinned back to
+    it when rounding spills an ulp past an edge.
+    """
+    u, v = point
+    if frame == TRANSFORMED_FRAME and not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
+        raise DomainError(f"point {point} outside the unit square")
+    gu, gv = growth(p, u, v, frame)
     if frame == ORIGINAL_FRAME:
-        return ricker_map(p, point)
-    if frame == TRANSFORMED_FRAME:
-        return transformed_map(p, point)
-    raise DomainError(f"unknown frame {frame!r}")
+        return (float(gu), float(gv))
+    return (min(max(float(1.0 - gu), 0.0), 1.0), min(max(float(gv), 0.0), 1.0))
+
+
+def _fixed_point_residual(p: ModelParams, point, frame: str) -> float:
+    image = pointwise_map(p, point, frame)
+    return max(abs(image[0] - point[0]), abs(image[1] - point[1]))
 
 
 def change_coordinates(obj):
@@ -176,41 +193,31 @@ def equilibria(p: ModelParams, check_tol: float = 1e-12) -> EquilibriumSet:
         k1=k1,
         k2=k2,
     )
-    for name, point in eqset.original().items():
-        image = ricker_map(p, point)
-        resid = max(abs(image[0] - point[0]), abs(image[1] - point[1]))
-        if resid > check_tol:
-            raise ParameterError(f"{name} is not fixed to {check_tol}: residual {resid}")
-    for name, point in eqset.transformed().items():
-        image = transformed_map(p, point)
-        resid = max(abs(image[0] - point[0]), abs(image[1] - point[1]))
+    for name, point in {**eqset.original(), **eqset.transformed()}.items():
+        frame = ORIGINAL_FRAME if name.startswith("E") else TRANSFORMED_FRAME
+        resid = _fixed_point_residual(p, point, frame)
         if resid > check_tol:
             raise ParameterError(f"{name} is not fixed to {check_tol}: residual {resid}")
     return eqset
 
 
 def jacobian(p: ModelParams, point, frame: str) -> np.ndarray:
-    """Analytic Jacobian of the chosen frame's map at a point."""
+    """Analytic Jacobian of the chosen frame's map at a point.
+
+    With w the original-frame density of the first species (u, or 1 - u in
+    the cooperative frame), the frames differ only in the sign of the
+    off-diagonal entries: negative for competition, positive once u is
+    flipped.
+    """
     u, v = point
-    if frame == ORIGINAL_FRAME:
-        eu = math.exp(p.r1 * (1.0 - u - p.a1 * v))
-        ev = math.exp(p.r2 * (1.0 - v - p.a2 * u))
-        return np.array(
-            [
-                [eu * (1.0 - p.r1 * u), -p.r1 * p.a1 * u * eu],
-                [-p.r2 * p.a2 * v * ev, ev * (1.0 - p.r2 * v)],
-            ]
-        )
-    if frame == TRANSFORMED_FRAME:
-        eu = math.exp(p.r1 * (u - p.a1 * v))
-        ev = math.exp(p.r2 * (1.0 - p.a2 - v + p.a2 * u))
-        return np.array(
-            [
-                [eu * (1.0 - p.r1 * (1.0 - u)), p.r1 * p.a1 * (1.0 - u) * eu],
-                [p.r2 * p.a2 * v * ev, ev * (1.0 - p.r2 * v)],
-            ]
-        )
-    raise DomainError(f"unknown frame {frame!r}")
+    eu, ev = _exponentials(p, u, v, frame)
+    w, sign = (u, -1.0) if frame == ORIGINAL_FRAME else (1.0 - u, 1.0)
+    return np.array(
+        [
+            [eu * (1.0 - p.r1 * w), sign * p.r1 * p.a1 * w * eu],
+            [sign * p.r2 * p.a2 * v * ev, ev * (1.0 - p.r2 * v)],
+        ]
+    )
 
 
 def eigenvalues_2x2(m: np.ndarray):
@@ -234,8 +241,7 @@ class StabilityResult:
 
 def classify_stability(p: ModelParams, point, frame: str) -> StabilityResult:
     """Classify a fixed point by the spectral radius of its Jacobian."""
-    image = pointwise_map(p, point, frame)
-    resid = max(abs(image[0] - point[0]), abs(image[1] - point[1]))
+    resid = _fixed_point_residual(p, point, frame)
     if resid > FIXED_POINT_TOL:
         raise DomainError(
             f"point {point} is not fixed in frame {frame!r}: residual {resid}"
@@ -303,8 +309,8 @@ def strong_stability_vectors(p: ModelParams, max_level: int = 20) -> StabilityCe
         for eta in (delta, delta / 2.0, delta / 4.0):
             low = (eta * e4[0], eta * e4[1])
             high = (1.0 - eta * e5[0], 1.0 - eta * e5[1])
-            low_ok = _strictly_below(transformed_map(p, low), low)
-            high_ok = _strictly_below(high, transformed_map(p, high))
+            low_ok = _strictly_below(pointwise_map(p, low, TRANSFORMED_FRAME), low)
+            high_ok = _strictly_below(high, pointwise_map(p, high, TRANSFORMED_FRAME))
             rows.append((eta, low_ok, high_ok))
             all_ok = all_ok and low_ok and high_ok
         if all_ok:

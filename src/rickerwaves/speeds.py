@@ -120,6 +120,13 @@ def scalar_speed(r: float, kernel: Kernel) -> SpeedReport:
     return SpeedReport(value=value, mu_star=mu_star, curve=curve, method="scalar-formula")
 
 
+def _coefficients(p: ModelParams) -> np.ndarray:
+    """B_mu with its columns not yet scaled by the kernel MGFs (M1, M2)."""
+    k1, k2 = coexistence_coordinates(p)
+    return np.array([[1.0 - p.r1 * k1, p.a1 * p.r1 * k1],
+                     [p.a2 * p.r2 * k2, 1.0 - p.r2 * k2]])
+
+
 def linearization_matrix(
     p: ModelParams, kernel1: Kernel, kernel2: Kernel, mu: float
 ) -> np.ndarray:
@@ -131,15 +138,7 @@ def linearization_matrix(
     require_admissible(p)
     if mu < 0.0:
         raise DomainError(f"exponent mu must be nonnegative, got {mu}")
-    k1, k2 = coexistence_coordinates(p)
-    m1 = kernel1.mgf(mu)
-    m2 = kernel2.mgf(mu)
-    return np.array(
-        [
-            [(1.0 - p.r1 * k1) * m1, p.a1 * p.r1 * k1 * m2],
-            [p.a2 * p.r2 * k2 * m1, (1.0 - p.r2 * k2) * m2],
-        ]
-    )
+    return _coefficients(p) * np.array([kernel1.mgf(mu), kernel2.mgf(mu)])
 
 
 def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> SpeedReport:
@@ -147,13 +146,14 @@ def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> Spee
 
     Minimizes ln(lambda(B_mu))/mu over mu > 0, with lambda the Perron root
     of the entrywise-positive B_mu.  By kernel symmetry the same matrix
-    serves the leftward and rightward subsystems.
+    serves the leftward and rightward subsystems.  The parameters are
+    checked and the coefficients built once, not per evaluation.
     """
-    require_admissible(p)
     lambda0 = eigenvalues_2x2(linearization_matrix(p, kernel1, kernel2, 0.0))[0]
+    coefficients = _coefficients(p)
 
     def objective(mu):
-        b = linearization_matrix(p, kernel1, kernel2, mu)
+        b = coefficients * np.array([kernel1.mgf(mu), kernel2.mgf(mu)])
         return math.log(eigenvalues_2x2(b)[0]) / mu
 
     mu_star, value, curve = _minimize_positive(objective)

@@ -27,10 +27,9 @@ from rickerwaves import (
     jacobian,
     linearization_matrix,
     measure_front_speed,
-    ricker_map,
+    pointwise_map,
     scalar_speed,
     strong_stability_vectors,
-    transformed_map,
     validate_profile,
 )
 from rickerwaves.model import ORIGINAL_FRAME, TRANSFORMED_FRAME
@@ -53,12 +52,12 @@ def test_criterion_1_equilibria():
     if abs(eq.F2[0] - 0.8) > 1e-15 or abs(eq.F2[1] - 0.4) > 1e-15:
         failures.append(f"F2 {eq.F2}")
     for name, pt in eq.original().items():
-        image = ricker_map(P_STD, pt)
+        image = pointwise_map(P_STD, pt, ORIGINAL_FRAME)
         resid = max(abs(image[0] - pt[0]), abs(image[1] - pt[1]))
         if resid >= 1e-12:
             failures.append(f"{name} residual {resid}")
     for name, pt in eq.transformed().items():
-        image = transformed_map(P_STD, pt)
+        image = pointwise_map(P_STD, pt, TRANSFORMED_FRAME)
         resid = max(abs(image[0] - pt[0]), abs(image[1] - pt[1]))
         if resid >= 1e-12:
             failures.append(f"{name} residual {resid}")

@@ -14,15 +14,15 @@ from rickerwaves import (
     UniformKernel,
     apply_Q,
     axiom_errors,
+    change_coordinates,
     compare,
     constant_state,
     convolve_extended,
     discretize,
     interior_slice,
     iterate,
+    pointwise_map,
     translate,
-    transformed_map,
-    ricker_map,
 )
 from rickerwaves import evolution
 from rickerwaves.evolution import MAX_GRID_POINTS, _fft_length
@@ -103,17 +103,38 @@ class TestSpatialState:
                          U=np.zeros(5), V=np.zeros(5))
 
 
-class TestApplyQ:
-    def test_zero_state_fixed(self, params, small_grid, gaussian_weights):
-        out = apply_Q(constant_state(small_grid, TRANSFORMED_FRAME, (0.0, 0.0)),
-                      params, gaussian_weights, gaussian_weights)
-        assert np.all(out.U == 0.0) and np.all(out.V == 0.0)
+KERNELS = pytest.mark.parametrize("kernel", [GaussianKernel(1.0), UniformKernel(1.0)],
+                                  ids=["gaussian", "uniform"])
 
-    def test_saturated_state_fixed(self, params, small_grid, gaussian_weights):
-        out = apply_Q(constant_state(small_grid, TRANSFORMED_FRAME, (1.0, 1.0)),
+
+class TestApplyQ:
+    # the stable constants are exact fixed points in both frames; F0 and F3
+    # are E1 and E2 seen through u -> 1 - u
+    @KERNELS
+    @pytest.mark.parametrize("frame,point", [(TRANSFORMED_FRAME, (0.0, 0.0)),
+                                             (ORIGINAL_FRAME, (1.0, 0.0))], ids=["F0", "E1"])
+    def test_zero_state_fixed(self, params, small_grid, kernel, frame, point):
+        dk = discretize(kernel, small_grid.dx)
+        out = apply_Q(constant_state(small_grid, frame, point), params, dk, dk)
+        assert np.all(out.U == point[0]) and np.all(out.V == point[1])
+
+    @KERNELS
+    @pytest.mark.parametrize("frame,point", [(TRANSFORMED_FRAME, (1.0, 1.0)),
+                                             (ORIGINAL_FRAME, (0.0, 1.0))], ids=["F3", "E2"])
+    def test_saturated_state_fixed(self, params, small_grid, kernel, frame, point):
+        dk = discretize(kernel, small_grid.dx)
+        out = apply_Q(constant_state(small_grid, frame, point), params, dk, dk)
+        assert np.all(out.U == point[0])
+        assert np.all(out.V == 1.0)
+
+    def test_original_step_of_E1_changes_frame(self, params, small_grid, gaussian_weights):
+        # without the snap at one, U lands within 1 +- 7e-16 and the
+        # cooperative frame rejects 1 - U below zero
+        out = apply_Q(constant_state(small_grid, ORIGINAL_FRAME, (1.0, 0.0)),
                       params, gaussian_weights, gaussian_weights)
-        assert np.all(out.U == 1.0)
-        assert np.max(np.abs(out.V - 1.0)) < 1e-14
+        moved = change_coordinates(out)
+        assert moved.frame == TRANSFORMED_FRAME
+        assert np.all(moved.U == 0.0) and np.all(moved.V == 0.0)
 
     @pytest.mark.parametrize("point", [(1.0, 0.0), (0.8, 0.4)])
     def test_unstable_equilibria_fixed(self, params, small_grid, gaussian_weights, point):
@@ -127,7 +148,7 @@ class TestApplyQ:
             point = tuple(rng.uniform(0.0, 1.0, 2))
             out = apply_Q(constant_state(small_grid, TRANSFORMED_FRAME, point),
                           params, gaussian_weights, gaussian_weights)
-            expected = transformed_map(params, point)
+            expected = pointwise_map(params, point, TRANSFORMED_FRAME)
             assert np.max(np.abs(out.U - expected[0])) < 1e-12
             assert np.max(np.abs(out.V - expected[1])) < 1e-12
 
@@ -136,17 +157,17 @@ class TestApplyQ:
             point = tuple(rng.uniform(0.0, 1.2, 2))
             out = apply_Q(constant_state(small_grid, ORIGINAL_FRAME, point),
                           params, gaussian_weights, gaussian_weights)
-            expected = ricker_map(params, point)
+            expected = pointwise_map(params, point, ORIGINAL_FRAME)
             assert np.max(np.abs(out.U - expected[0])) < 1e-12
             assert np.max(np.abs(out.V - expected[1])) < 1e-12
 
-    @pytest.mark.parametrize("kernel", [GaussianKernel(1.0), UniformKernel(1.0)],
-                             ids=["gaussian", "uniform"])
+    @KERNELS
     def test_cooperative_step_conjugates_original_step(self, params, small_grid, rng, kernel):
         # u -> 1 - u carries one recursion to the other: the cooperative step
         # of (U, V) is (1 - U', V') for (U', V') the original step of (1 - U, V).
-        # Arrays are compared, not states: the original frame clamps only
-        # below zero, so U' can exceed one by transform roundoff.
+        # Arrays are compared, not states: the original frame bounds U' only
+        # below (densities above one are in its range), so 1 - U' need not be
+        # a cooperative-frame state.
         dk = discretize(kernel, small_grid.dx)
         n = small_grid.n_points
         zero = np.zeros(n)

@@ -11,13 +11,13 @@ from rickerwaves import (
     change_coordinates,
     classify_stability,
     equilibria,
+    growth,
     jacobian,
-    ricker_map,
+    pointwise_map,
     strong_stability_vectors,
-    transformed_map,
     validate_params,
 )
-from rickerwaves.model import ORIGINAL_FRAME, TRANSFORMED_FRAME, pointwise_map
+from rickerwaves.model import ORIGINAL_FRAME, TRANSFORMED_FRAME
 
 from conftest import random_admissible
 
@@ -44,43 +44,71 @@ class TestValidateParams:
 
 class TestPointwiseMaps:
     def test_coexistence_point_is_fixed(self, params):
-        assert ricker_map(params, (0.2, 0.4)) == pytest.approx((0.2, 0.4), abs=1e-15)
+        image = pointwise_map(params, (0.2, 0.4), ORIGINAL_FRAME)
+        assert image == pytest.approx((0.2, 0.4), abs=1e-15)
 
     def test_extinction_is_fixed(self, params):
-        assert ricker_map(params, (0.0, 0.0)) == (0.0, 0.0)
+        assert pointwise_map(params, (0.0, 0.0), ORIGINAL_FRAME) == (0.0, 0.0)
 
     def test_exclusion_is_fixed(self, params):
-        assert ricker_map(params, (1.0, 0.0)) == (1.0, 0.0)
+        assert pointwise_map(params, (1.0, 0.0), ORIGINAL_FRAME) == (1.0, 0.0)
 
     def test_transformed_value_against_direct_evaluation(self, params):
         # independent scalar calculation of the map at (0.5, 0.5)
         expected_u = 1.0 - 0.5 * math.exp(0.5 * (0.5 - 2.0 * 0.5))
         expected_v = 0.5 * math.exp(0.5 * (1.0 - 3.0 - 0.5 + 3.0 * 0.5))
-        got = transformed_map(params, (0.5, 0.5))
+        got = pointwise_map(params, (0.5, 0.5), TRANSFORMED_FRAME)
         assert got == pytest.approx((expected_u, expected_v), abs=1e-15)
         assert got == pytest.approx((0.610600, 0.303265), abs=1e-6)
 
     def test_transformed_corners_fixed(self, params):
-        assert transformed_map(params, (0.0, 0.0)) == (0.0, 0.0)
-        assert transformed_map(params, (1.0, 1.0)) == (1.0, 1.0)
+        assert pointwise_map(params, (0.0, 0.0), TRANSFORMED_FRAME) == (0.0, 0.0)
+        assert pointwise_map(params, (1.0, 1.0), TRANSFORMED_FRAME) == (1.0, 1.0)
 
     def test_interior_transformed_point_fixed(self, params):
-        assert transformed_map(params, (0.8, 0.4)) == pytest.approx((0.8, 0.4), abs=1e-15)
+        image = pointwise_map(params, (0.8, 0.4), TRANSFORMED_FRAME)
+        assert image == pytest.approx((0.8, 0.4), abs=1e-15)
 
     def test_outside_unit_square_rejected(self, params):
         with pytest.raises(DomainError):
-            transformed_map(params, (1.2, 0.5))
+            pointwise_map(params, (1.2, 0.5), TRANSFORMED_FRAME)
         with pytest.raises(DomainError):
-            transformed_map(params, (0.5, -0.1))
+            pointwise_map(params, (0.5, -0.1), TRANSFORMED_FRAME)
 
     def test_transformed_map_monotone_on_ordered_pairs(self, params, rng):
         for _ in range(1000):
             lo = rng.uniform(0.0, 1.0, 2)
             hi = lo + rng.uniform(0.0, 1.0, 2) * (1.0 - lo)
-            out_lo = transformed_map(params, tuple(lo))
-            out_hi = transformed_map(params, tuple(hi))
+            out_lo = pointwise_map(params, tuple(lo), TRANSFORMED_FRAME)
+            out_hi = pointwise_map(params, tuple(hi), TRANSFORMED_FRAME)
             assert out_lo[0] <= out_hi[0] + 1e-15
             assert out_lo[1] <= out_hi[1] + 1e-15
+
+
+class TestGrowth:
+    @pytest.mark.parametrize("frame", [ORIGINAL_FRAME, TRANSFORMED_FRAME])
+    def test_broadcasts_bit_for_bit(self, params, rng, frame):
+        U = rng.uniform(0.0, 1.0, (3, 50))
+        V = rng.uniform(0.0, 1.0, (3, 50))
+        gu, gv = growth(params, U, V, frame)
+        assert gu.shape == gv.shape == (3, 50)
+        for row in range(3):
+            row_u, row_v = growth(params, U[row], V[row], frame)
+            assert np.array_equal(gu[row], row_u) and np.array_equal(gv[row], row_v)
+        point = growth(params, float(U[1, 7]), float(V[1, 7]), frame)
+        assert point == (gu[1, 7], gv[1, 7])
+
+    def test_cooperative_u_is_the_complement_of_the_image(self):
+        # the largest double below one leaves an original-frame density of
+        # 2**-53, which the growth shrinks below what 1 - gu can hold
+        p = ModelParams(0.9, 0.5, 4.0, 3.0)
+        gu, _ = growth(p, 1.0 - 2.0**-53, 1.0, TRANSFORMED_FRAME)
+        assert gu == pytest.approx(2.0**-53 * math.exp(-2.7), rel=1e-12)
+        assert 1.0 - gu == 1.0
+
+    def test_unknown_frame_rejected(self, params):
+        with pytest.raises(DomainError):
+            growth(params, 0.5, 0.5, "Original")
 
 
 class TestChangeCoordinates:
@@ -129,10 +157,10 @@ class TestEquilibria:
             p = random_admissible(rng)
             eq = equilibria(p, check_tol=1e-12)  # raises if any residual exceeds
             for name, pt in eq.original().items():
-                image = ricker_map(p, pt)
+                image = pointwise_map(p, pt, ORIGINAL_FRAME)
                 assert max(abs(image[0] - pt[0]), abs(image[1] - pt[1])) < 1e-12
             for name, pt in eq.transformed().items():
-                image = transformed_map(p, pt)
+                image = pointwise_map(p, pt, TRANSFORMED_FRAME)
                 assert max(abs(image[0] - pt[0]), abs(image[1] - pt[1])) < 1e-12
 
     def test_singular_competition_product_rejected(self):
@@ -267,10 +295,10 @@ class TestStrongStability:
         cert = strong_stability_vectors(params)
         for eta in (cert.delta, cert.delta / 8.0, cert.delta / 64.0):
             low = (eta * cert.e4[0], eta * cert.e4[1])
-            out = transformed_map(params, low)
+            out = pointwise_map(params, low, TRANSFORMED_FRAME)
             assert out[0] < low[0] and out[1] < low[1]
             high = (1.0 - eta * cert.e5[0], 1.0 - eta * cert.e5[1])
-            out = transformed_map(params, high)
+            out = pointwise_map(params, high, TRANSFORMED_FRAME)
             assert out[0] > high[0] and out[1] > high[1]
 
     def test_failure_raises_certificate_error(self):
