@@ -76,6 +76,7 @@ from .waves import (
     find_bistable_wave,
     step_initial_data,
     validate_profile,
+    wave_grid,
     wave_residual,
 )
 

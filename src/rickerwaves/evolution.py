@@ -7,12 +7,15 @@ operator and is not offered).  Fields are extended by constant
 continuation beyond the grid edges before convolving, so front states
 that connect two different constants are not corrupted by wraparound.
 
-The dispersal convolution is a real FFT (``numpy.fft.rfft``/``irfft``) at a
-5-smooth transform length of at least N + 4J, so the linear convolution
-never wraps.  Each ``DiscreteKernel`` keeps the transform length and the
-spectrum of its weights for every field length it has met, so a
-convolution costs two transforms of the field and none of the kernel.
-Plain O(N*J) summation is kept as the reference path.
+The dispersal convolution is plain O(N*J) summation on small problems and
+a real FFT (``numpy.fft.rfft``/``irfft``) on large ones, chosen once per
+kernel and field length by the count N*(2J+1) of multiply-adds.  The FFT
+runs at a 5-smooth transform length of at least N + 4J, so the linear
+convolution never wraps.  Each ``DiscreteKernel`` keeps the chosen method,
+the transform length and the spectrum of its weights for every field
+length it has met, so a convolution costs two transforms of the field and
+none of the kernel.  Summation is also the reference path for
+cross-checks.
 """
 
 from __future__ import annotations
@@ -103,10 +106,11 @@ class SpatialState:
             )
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "V", V)
-        lo = min(U.min(), V.min())
-        hi = max(U.max(), V.max())
-        if not (np.isfinite(lo) and np.isfinite(hi)):
+        # numpy reductions propagate nan, so each field's extremes are checked
+        u_lo, u_hi, v_lo, v_hi = float(U.min()), float(U.max()), float(V.min()), float(V.max())
+        if not all(math.isfinite(b) for b in (u_lo, u_hi, v_lo, v_hi)):
             raise DomainError("fields contain non-finite samples")
+        lo, hi = min(u_lo, v_lo), max(u_hi, v_hi)
         if self.frame == TRANSFORMED_FRAME and (lo < 0.0 or hi > 1.0):
             raise DomainError(
                 f"transformed-frame samples must lie in [0,1]; range [{lo}, {hi}]"
@@ -130,6 +134,14 @@ def constant_state(grid: Grid, frame: str, point, step: int = 0) -> SpatialState
 # would otherwise grow exponentially and fake an invasion)
 _FFT_NOISE_FLOOR = 64.0 * np.finfo(float).eps
 
+# direct summation costs N*(2J+1) multiply-adds, the FFT path a fixed cost
+# of two transforms plus a few ns per point.  Timed with numpy 2.4 on a
+# 2-core Xeon over J = 36..714 and N = 101..8001, this threshold on N*(2J+1)
+# gave the least summed excess over the faster method; above it the FFT
+# wins except for narrow kernels (J <= 72), where summation stays up to ~20%
+# ahead.  The default grid (N = 4001, J = 72) stays on the FFT.
+DIRECT_MAX_TERMS = 3e5
+
 
 def _fft_length(n: int) -> int:
     """Smallest 2**a * 3**b * 5**c that is at least n (fast for pocketfft)."""
@@ -147,31 +159,41 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def convolve_extended(field_values: np.ndarray, dk: DiscreteKernel, method: str = "fft") -> np.ndarray:
+def _choose_method(n: int, half_width: int) -> str:
+    """The faster convolution for a field of n points and 2J+1 weights."""
+    return "direct" if n * (2 * half_width + 1) < DIRECT_MAX_TERMS else "fft"
+
+
+def convolve_extended(field_values: np.ndarray, dk: DiscreteKernel,
+                      method: str | None = None) -> np.ndarray:
     """Convolve with the kernel weights under constant edge continuation.
 
     "fft" multiplies real-FFT spectra at a 5-smooth length of at least
     N + 4J, using the length and kernel spectrum cached on ``dk`` for the
     field length N, and flushes values under a roundoff floor to zero;
-    "direct" is plain O(N*J) summation, kept as the reference path for
-    cross-checks.
+    "direct" is plain O(N*J) summation, also the reference path for
+    cross-checks.  Without a method, the one ``_choose_method`` picks for N
+    is used; the choice is cached on ``dk`` next to the spectra.
     """
     J = dk.half_width
-    padded = np.concatenate(
-        [
-            np.full(J, field_values[0]),
-            field_values,
-            np.full(J, field_values[-1]),
-        ]
-    )
+    n_field = len(field_values)
+    if method is None:
+        method = dk.methods.get(n_field)
+        if method is None:
+            method = dk.methods[n_field] = _choose_method(n_field, J)
+    padded = np.empty(n_field + 2 * J)
+    padded[:J] = field_values[0]
+    padded[J : J + n_field] = field_values
+    padded[J + n_field :] = field_values[-1]
     if method == "fft":
-        cached = dk.spectra.get(len(field_values))
+        cached = dk.spectra.get(n_field)
         if cached is None:
             n = _fft_length(len(padded) + 2 * J)
-            cached = dk.spectra[len(field_values)] = (n, np.fft.rfft(dk.weights, n))
+            cached = dk.spectra[n_field] = (n, np.fft.rfft(dk.weights, n))
         n, spectrum = cached
         out = np.fft.irfft(np.fft.rfft(padded, n) * spectrum, n)[2 * J : len(padded)]
-        floor = _FFT_NOISE_FLOOR * float(np.max(np.abs(padded)))
+        # the padding repeats edge values, so the field holds the largest one
+        floor = _FFT_NOISE_FLOOR * float(np.abs(field_values).max())
         if floor > 0.0:
             out[np.abs(out) < floor] = 0.0
         return out
@@ -196,8 +218,11 @@ def _clamp(values: np.ndarray, what: str, frame: str) -> np.ndarray:
     if exceed > 0.0:
         values = np.clip(values, 0.0, upper)
     if frame == TRANSFORMED_FRAME:
+        # values are at most 1 here, so the band around 1 is one comparison
         values[values < _FFT_NOISE_FLOOR] = 0.0
-    values[(values > 1.0 - _FFT_NOISE_FLOOR) & (values < 1.0 + _FFT_NOISE_FLOOR)] = 1.0
+        values[values > 1.0 - _FFT_NOISE_FLOOR] = 1.0
+    else:
+        values[(values > 1.0 - _FFT_NOISE_FLOOR) & (values < 1.0 + _FFT_NOISE_FLOOR)] = 1.0
     return values
 
 

@@ -222,13 +222,15 @@ class DiscreteKernel:
 
     Weights sit at integer cell offsets -J..J with spacing dx, are exactly
     symmetric, nonnegative, and sum to one, so constants are exact fixed
-    points of the induced discrete convolution.  ``spectra`` maps a field
-    length N to the transform length and real-FFT spectrum of the weights
-    used for it; it is filled by ``evolution.convolve_extended``.
+    points of the induced discrete convolution.  ``methods`` maps a field
+    length N to the convolution method chosen for it, and ``spectra`` maps
+    N to the transform length and real-FFT spectrum of the weights used
+    for it; both are filled by ``evolution.convolve_extended``.
     """
 
     weights: np.ndarray
     dx: float
+    methods: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     spectra: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property

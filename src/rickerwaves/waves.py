@@ -35,9 +35,16 @@ from .evolution import (
     apply_Q,
     interior_slice,
 )
-from .kernels import DEFAULT_TRUNCATION, DiscreteKernel, Kernel, discretize, validate_hypotheses
+from .kernels import (
+    _EXP_ARG_MAX,
+    DEFAULT_TRUNCATION,
+    DiscreteKernel,
+    Kernel,
+    discretize,
+    validate_hypotheses,
+)
 from .model import TRANSFORMED_FRAME, ModelParams, validate_params
-from .speeds import counter_propagation, front_position
+from .speeds import counter_propagation, front_position, system_speed_bound
 
 
 # steps averaged for the speed estimate
@@ -78,6 +85,9 @@ class WaveProfile:
     steps: int
     history: WaveHistory
     kernel_half_width: int
+    # slowest tail decay rate at the corners for speeds |c| up to the
+    # interior monostable speed; the sized grid is built from it
+    decay_rate: float = math.nan
 
 
 def step_initial_data(grid: Grid, width: float) -> SpatialState:
@@ -130,7 +140,89 @@ def _resample_shifted(state: SpatialState, offset: float) -> tuple:
 
 
 def _min_adjacent_diff(values: np.ndarray) -> float:
-    return float(np.min(np.diff(values)))
+    return float((values[1:] - values[:-1]).min())
+
+
+def _decay_rate(log_alpha: float, dk: DiscreteKernel, speed: float) -> float:
+    """Positive root of log_alpha + ln M(lam) + lam*speed, M the discrete MGF.
+
+    At a stable corner log_alpha < 0, and speed > 0, so the function is
+    negative at 0, increasing and convex, and nonnegative at
+    -log_alpha/speed; Newton's method from there decreases monotonically
+    onto the root.  Where that start would overflow the MGF, the largest
+    safe exponent is returned if the root lies beyond it (a slower rate,
+    so a longer grid).
+    """
+    x = dk.dx * np.arange(-dk.half_width, dk.half_width + 1)
+
+    def value_and_slope(lam):
+        terms = dk.weights * np.exp(lam * x)
+        m = float(np.sum(terms))
+        return log_alpha + math.log(m) + lam * speed, float(np.dot(terms, x)) / m + speed
+
+    lam = min(-log_alpha / speed, _EXP_ARG_MAX / x[-1])
+    g, slope = value_and_slope(lam)
+    if g <= 0.0:
+        return lam
+    for _ in range(100):
+        step = g / slope
+        lam -= step
+        if step <= 1e-12 * lam:
+            break
+        g, slope = value_and_slope(lam)
+    return lam
+
+
+def _tail_decay_rate(p: ModelParams, dk1: DiscreteKernel, dk2: DiscreteKernel,
+                     speed: float) -> float:
+    """Slowest decay rate of the profile tails for any front speed in [-speed, speed].
+
+    Linearized at F0 (left tail) the cooperative-frame step multiplies U by
+    1 - r1 and V by exp(r2 (1 - a2)) before dispersal; at F3 (right tail) it
+    multiplies 1 - U by exp(r1 (1 - a1)) and 1 - V by 1 - r2.  A tail
+    exp(-lam |x|) of a front moving at c solves ln(alpha) + ln M(lam) +- lam c
+    = 0 (+ on the left, - on the right); c = +speed on the left and
+    c = -speed on the right give the slowest rates.
+    """
+    # the root falls as log(alpha) rises, so per kernel the corner with the
+    # larger log(alpha) is the slower one
+    log_alpha1 = max(math.log1p(-p.r1), p.r1 * (1.0 - p.a1))
+    log_alpha2 = max(p.r2 * (1.0 - p.a2), math.log1p(-p.r2))
+    return min(_decay_rate(log_alpha1, dk1, speed), _decay_rate(log_alpha2, dk2, speed))
+
+
+def _sized_grid(dk1: DiscreteKernel, dk2: DiscreteKernel, speed: float,
+                decay_rate: float, eps: float) -> Grid:
+    """Half length J*dx plus the distance over which the slowest tail falls to eps.
+
+    At least speed + 3 cells beyond J*dx, so ``wave_residual`` and
+    ``validate_profile`` keep an interior window, and at most
+    ``DEFAULT_HALF_LENGTH``.
+    """
+    dx = dk1.dx
+    tail = math.log(1.0 / eps) / decay_rate if decay_rate > 0.0 else math.inf
+    reach = max(dk1.half_width, dk2.half_width) * dx
+    return Grid(half_length=min(reach + max(tail, speed + 3 * dx), DEFAULT_HALF_LENGTH), dx=dx)
+
+
+def wave_grid(p: ModelParams, kernel1: Kernel, kernel2: Kernel, dx: float = DEFAULT_DX,
+              opts: WaveOptions | None = None) -> Grid:
+    """The grid ``find_bistable_wave`` solves on at spacing dx when given none.
+
+    The front is recentered to x = 0 after every step, so the grid only has
+    to hold the two exponential tails beyond the kernel half width J: the
+    half length is J*dx + ln(1/profile_tol)/lam, with lam the slowest tail
+    decay rate of the discretized kernels for any speed |c| up to the
+    interior monostable speed, capped at ``DEFAULT_HALF_LENGTH``.  Past
+    that point the tails are below the solver's sup-norm stopping
+    tolerance, so a longer grid adds work the stopping test cannot see.
+    """
+    opts = opts or WaveOptions()
+    speed = system_speed_bound(p, kernel1, kernel2).value
+    dk1 = discretize(kernel1, dx, opts.eps_trunc)
+    dk2 = discretize(kernel2, dx, opts.eps_trunc)
+    return _sized_grid(dk1, dk2, speed, _tail_decay_rate(p, dk1, dk2, speed),
+                       opts.profile_tol)
 
 
 def find_bistable_wave(
@@ -149,10 +241,10 @@ def find_bistable_wave(
     ConvergenceError (with the history attached) on step-budget exhaustion
     and DegenerateDataError if the tracked level crossing disappears.
     ``initial`` replaces the default ramp data (it must be a monotone
-    transformed-frame state on the same grid).
+    transformed-frame state, on ``grid`` when one is given).  Without
+    either, the solve runs on ``wave_grid`` at ``DEFAULT_DX``.
     """
     opts = opts or WaveOptions()
-    grid = grid or Grid(half_length=DEFAULT_HALF_LENGTH, dx=DEFAULT_DX)
     if opts.max_steps < 1:
         raise ParameterError(f"solver max_steps must be at least 1, got {opts.max_steps}")
 
@@ -163,11 +255,19 @@ def find_bistable_wave(
         hyp = validate_hypotheses(k)
         if not hyp.passed:
             raise ParameterError(f"{name}: " + "; ".join(hyp.violations))
-    if not counter_propagation(p, kernel1, kernel2).passed:
+    cp = counter_propagation(p, kernel1, kernel2)
+    if not cp.passed:
         raise ParameterError("counter-propagation sums are not both positive")
 
-    dk1 = discretize(kernel1, grid.dx, opts.eps_trunc)
-    dk2 = discretize(kernel2, grid.dx, opts.eps_trunc)
+    if grid is None and initial is not None:
+        grid = initial.grid
+    dx = DEFAULT_DX if grid is None else grid.dx
+    dk1 = discretize(kernel1, dx, opts.eps_trunc)
+    dk2 = discretize(kernel2, dx, opts.eps_trunc)
+    speed_bound = cp.c_plus_F0F2.value
+    decay_rate = _tail_decay_rate(p, dk1, dk2, speed_bound)
+    if grid is None:
+        grid = _sized_grid(dk1, dk2, speed_bound, decay_rate, opts.profile_tol)
 
     if initial is None:
         state = step_initial_data(grid, opts.init_width)
@@ -221,6 +321,7 @@ def find_bistable_wave(
         steps=n,
         history=history,
         kernel_half_width=max(dk1.half_width, dk2.half_width),
+        decay_rate=decay_rate,
     )
     profile.residual = wave_residual(profile, p, dk1, dk2)
     return profile

@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import subprocess
@@ -232,6 +233,52 @@ class TestSubcommands:
         # exclusion wave: (1, 0) on the left, (0, 1) on the right
         assert float(first[1]) > 1 - 1e-3 and float(first[2]) < 1e-3
         assert float(last[1]) < 1e-3 and float(last[2]) > 1 - 1e-3
+
+    def test_wave_without_L_solves_on_the_sized_grid(self, config_path, capsys, tmp_path):
+        sized_dir, full_dir = tmp_path / "sized", tmp_path / "full"
+        assert main(["wave", "--config", str(config_path), "--out", str(sized_dir)]) == 0
+        _, sized = parse_csv(capsys.readouterr().out)
+        assert main(["wave", "--config", str(config_path), "--L", "200",
+                     "--out", str(full_dir)]) == 0
+        _, full = parse_csv(capsys.readouterr().out)
+        assert abs(float(sized[0]["speed"]) - float(full[0]["speed"])) <= 1e-9
+
+        cfg = load_config(config_path)
+        grid = rickerwaves.wave_grid(cfg.params, cfg.kernel1, cfg.kernel2, cfg.dx,
+                                     cfg.wave_opts)
+        assert grid.half_length < 200.0
+        rows = (sized_dir / "wave_profile.csv").read_text().splitlines()[2:]
+        assert len(rows) == grid.n_points
+        assert float(rows[0].split(",")[0]) == pytest.approx(grid.x[0], abs=1e-12)
+        assert len((full_dir / "wave_profile.csv").read_text().splitlines()) == 2 + 4001
+
+    def test_wave_sized_grid_follows_dx_and_simulate_keeps_200(self, config_path, tmp_path):
+        cfg = load_config(config_path, {"grid.dx": "0.2"})
+        args = argparse.Namespace(out=str(tmp_path), seed=0, curve=False, frame="transformed")
+        assert run("wave", cfg, io.StringIO(), args).passed
+        grid = rickerwaves.wave_grid(cfg.params, cfg.kernel1, cfg.kernel2, 0.2, cfg.wave_opts)
+        rows = (tmp_path / "wave_profile.csv").read_text().splitlines()[2:]
+        assert len(rows) == grid.n_points
+        assert float(rows[1].split(",")[0]) - float(rows[0].split(",")[0]) == pytest.approx(0.2)
+        # simulate's grid keeps the default half length
+        assert cfg.grid() == rickerwaves.Grid(half_length=200.0, dx=0.2)
+
+    def test_wave_on_a_grid_too_coarse_for_the_kernel_fails(self, config_path, capsys):
+        # sigma = 1 at dx = 5: the front "converges" at 2.6 times the speed
+        assert main(["wave", "--config", str(config_path), "--dx", "5"]) == 1
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert float(rows[0]["speed"]) > 0.3
+        report = run("wave", load_config(config_path, {"grid.dx": "5"}), io.StringIO())
+        failed = [check for check in report.checks if not check.ok]
+        assert [check.name for check in failed] == ["wave-kernel-resolved"]
+        assert "tolerance 0.05" in failed[0].detail
+
+    def test_wave_resolved_kernels_pass_the_mgf_check(self, config_path, tmp_path):
+        path = tmp_path / "uniform.cfg"
+        path.write_text(BASE_CONFIG + "kernel2.family = uniform\nkernel2.halfwidth = 2.0\n")
+        for cfg in (load_config(config_path), load_config(path)):
+            checks = {c.name: c for c in run("wave", cfg, io.StringIO()).checks}
+            assert checks["wave-kernel-resolved"].ok, checks["wave-kernel-resolved"].detail
 
     def test_sweep_rows_all_positive(self, tmp_path, capsys):
         path = tmp_path / "sweep.cfg"

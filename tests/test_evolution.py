@@ -102,6 +102,15 @@ class TestSpatialState:
             SpatialState(grid=small_grid, frame=TRANSFORMED_FRAME,
                          U=np.zeros(5), V=np.zeros(5))
 
+    @pytest.mark.parametrize("frame", [TRANSFORMED_FRAME, ORIGINAL_FRAME])
+    @pytest.mark.parametrize("field", ["U", "V"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_in_either_field_rejected(self, small_grid, frame, field, bad):
+        fields = {"U": np.full(small_grid.n_points, 0.5), "V": np.full(small_grid.n_points, 0.5)}
+        fields[field][3] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            SpatialState(grid=small_grid, frame=frame, **fields)
+
 
 KERNELS = pytest.mark.parametrize("kernel", [GaussianKernel(1.0), UniformKernel(1.0)],
                                   ids=["gaussian", "uniform"])
@@ -374,6 +383,59 @@ class TestConvolution:
                 while m % prime == 0:
                     m //= prime
             assert m == 1, n
+
+    # J = 72 at dx = 0.1: 201 points are 29145 multiply-adds, 4001 are 580145
+    @pytest.mark.parametrize("n,method", [(201, "direct"), (4001, "fft")])
+    def test_default_method_by_size_agrees_with_direct(self, gaussian_weights, rng, n, method):
+        assert evolution._choose_method(n, gaussian_weights.half_width) == method
+        for _ in range(5):
+            f = rng.uniform(0.0, 1.0, n)
+            chosen = convolve_extended(f, gaussian_weights)
+            assert np.max(np.abs(chosen - convolve_extended(f, gaussian_weights, "direct"))) <= 1e-13
+            assert np.array_equal(chosen, convolve_extended(f, gaussian_weights, method))
+        assert gaussian_weights.methods == {n: method}
+
+    def test_choice_straddles_the_threshold(self):
+        limit = evolution.DIRECT_MAX_TERMS
+        J = 72
+        below = int(limit // (2 * J + 1))
+        assert evolution._choose_method(below, J) == "direct"
+        assert evolution._choose_method(below + 1, J) == "fft"
+
+    def test_method_chosen_once_per_kernel_and_length(self, gaussian_weights, rng, monkeypatch):
+        chosen = []
+        choose = evolution._choose_method
+
+        def counting(n, half_width):
+            chosen.append((n, half_width))
+            return choose(n, half_width)
+
+        monkeypatch.setattr(evolution, "_choose_method", counting)
+        for n in (201, 4001, 201, 4001, 201):
+            convolve_extended(rng.uniform(0.0, 1.0, n), gaussian_weights)
+        J = gaussian_weights.half_width
+        assert chosen == [(201, J), (4001, J)]
+        assert gaussian_weights.methods == {201: "direct", 4001: "fft"}
+        # a second kernel makes its own choice
+        convolve_extended(rng.uniform(0.0, 1.0, 201), discretize(GaussianKernel(1.0), 0.1))
+        assert chosen[-1] == (201, J)
+
+    def test_explicit_method_is_honoured(self, gaussian_weights, rng):
+        J = gaussian_weights.half_width
+        small, large = rng.uniform(0.0, 1.0, 201), rng.uniform(0.0, 1.0, 4001)
+        via_fft = convolve_extended(small, gaussian_weights, "fft")
+        via_direct = convolve_extended(large, gaussian_weights, "direct")
+        # only the fft call sized a spectrum, and neither made a choice
+        assert sorted(gaussian_weights.spectra) == [201]
+        assert gaussian_weights.methods == {}
+        summed = np.convolve(np.pad(large, J, mode="edge"), gaussian_weights.weights, "valid")
+        assert np.array_equal(via_direct, summed)
+        # the default for 201 points is summation; the explicit fft differs by roundoff
+        default = convolve_extended(small, gaussian_weights)
+        assert np.array_equal(
+            default, np.convolve(np.pad(small, J, mode="edge"), gaussian_weights.weights, "valid"))
+        assert not np.array_equal(via_fft, default)
+        assert np.max(np.abs(via_fft - default)) <= 1e-13
 
     def test_unknown_method_rejected(self, gaussian_weights):
         with pytest.raises(ConfigError):

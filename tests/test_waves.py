@@ -6,12 +6,14 @@ from scipy.special import expit
 
 from rickerwaves import (
     ConvergenceError,
+    DomainError,
     DegenerateDataError,
     GaussianKernel,
     Grid,
     ModelParams,
     ParameterError,
     ProfileTolerances,
+    TableKernel,
     UniformKernel,
     WaveOptions,
     change_coordinates,
@@ -24,8 +26,9 @@ from rickerwaves import (
     wave_residual,
 )
 from rickerwaves import waves
-from rickerwaves.evolution import SpatialState, interior_slice
+from rickerwaves.evolution import DEFAULT_DX, DEFAULT_HALF_LENGTH, SpatialState, interior_slice
 from rickerwaves.model import TRANSFORMED_FRAME
+from rickerwaves.speeds import system_speed_bound
 from rickerwaves.waves import WaveHistory, WaveProfile
 
 
@@ -268,3 +271,97 @@ class TestValidateProfile:
         strict = ProfileTolerances(residual_tol=1e-12)
         report = validate_profile(standard_wave, strict)
         assert not report.residual_ok
+
+
+def _latin_hypercube_cells(count, seed):
+    """Admissible cells from one stratified draw per parameter (r, a, sigma)."""
+    rng = np.random.default_rng(seed)
+    bounds = {"r1": (0.2, 0.8), "r2": (0.2, 0.8), "a1": (1.5, 3.5), "a2": (1.5, 3.5),
+              "s1": (0.5, 2.0), "s2": (0.5, 2.0)}
+    columns = {name: lo + (hi - lo) * (rng.permutation(count) + rng.random(count)) / count
+               for name, (lo, hi) in bounds.items()}
+    return [(ModelParams(*(float(columns[n][k]) for n in ("r1", "r2", "a1", "a2"))),
+             GaussianKernel(float(columns["s1"][k])), GaussianKernel(float(columns["s2"][k])))
+            for k in range(count)]
+
+
+_TRIANGLE = TableKernel(offsets=np.linspace(-1.5, 1.5, 31),
+                        densities=1.0 - np.abs(np.linspace(-1.5, 1.5, 31)) / 1.5)
+SIZING_CELLS = _latin_hypercube_cells(8, 20240817) + [
+    (ModelParams(0.5, 0.5, 2.0, 3.0), UniformKernel(2.0), UniformKernel(2.0)),
+    (ModelParams(0.4, 0.6, 2.5, 2.0), _TRIANGLE, GaussianKernel(1.0)),
+]
+
+
+class TestWaveGrid:
+    @pytest.mark.parametrize("cell", SIZING_CELLS,
+                             ids=[f"lhs{k}" for k in range(8)] + ["uniform", "table"])
+    def test_doubling_the_sized_grid_keeps_the_speed(self, cell):
+        p, k1, k2 = cell
+        grid = waves.wave_grid(p, k1, k2)
+        assert grid.half_length < DEFAULT_HALF_LENGTH
+        wp = find_bistable_wave(p, k1, k2)
+        assert wp.grid == grid
+        assert validate_profile(wp).passed
+        doubled = find_bistable_wave(p, k1, k2, Grid(2.0 * grid.half_length, grid.dx))
+        assert abs(wp.speed - doubled.speed) <= 1e-9
+
+    def test_stiff_cell_keeps_the_default_grid(self):
+        # r2 = 0.001 leaves the V tail at F3 decaying at ~1e-3 per unit
+        grid = waves.wave_grid(ModelParams(0.999, 0.001, 2.0, 3.0), GaussianKernel(1.0),
+                         GaussianKernel(1.0))
+        assert grid == Grid(half_length=DEFAULT_HALF_LENGTH, dx=DEFAULT_DX)
+
+    def test_grid_follows_the_spacing_and_profile_tolerance(self):
+        p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
+        coarse, fine = waves.wave_grid(p, k, k, 0.2), waves.wave_grid(p, k, k, 0.1)
+        assert coarse.dx == 0.2
+        assert coarse.half_length == pytest.approx(fine.half_length, abs=0.2)
+        strict = waves.wave_grid(p, k, k, 0.1, WaveOptions(profile_tol=1e-9))
+        # ln(1e9)/ln(1e6) of the tail length beyond the kernel reach
+        reach = discretize(k, 0.1).half_width * 0.1
+        assert (strict.half_length - reach) == pytest.approx(
+            1.5 * (fine.half_length - reach), abs=0.2)
+
+    def test_decay_rate_solves_the_characteristic_equation(self):
+        sigma, speed = 1.3, 0.4
+        dk = discretize(GaussianKernel(sigma), 0.1)
+        for log_alpha in (np.log(0.5), -1.0, -0.01):
+            lam = waves._decay_rate(log_alpha, dk, speed)
+            assert log_alpha + np.log(dk.mgf(lam)) + lam * speed == pytest.approx(0.0, abs=1e-12)
+            # the Gaussian closed form, ln M = (sigma lam)^2 / 2
+            exact = (-speed + np.sqrt(speed**2 - 2.0 * sigma**2 * log_alpha)) / sigma**2
+            assert lam == pytest.approx(exact, rel=1e-9)
+
+    def test_slowest_corner_sets_the_rate(self):
+        p = ModelParams(0.3, 0.7, 1.6, 3.2)
+        k1, k2 = GaussianKernel(0.8), GaussianKernel(1.7)
+        dk1, dk2 = discretize(k1, 0.1), discretize(k2, 0.1)
+        speed = system_speed_bound(p, k1, k2).value
+        rates = [waves._decay_rate(np.log1p(-p.r1), dk1, speed),
+                 waves._decay_rate(p.r2 * (1 - p.a2), dk2, speed),
+                 waves._decay_rate(p.r1 * (1 - p.a1), dk1, speed),
+                 waves._decay_rate(np.log1p(-p.r2), dk2, speed)]
+        assert waves._tail_decay_rate(p, dk1, dk2, speed) == min(rates)
+        assert find_bistable_wave(p, k1, k2).decay_rate == min(rates)
+
+    def test_fast_tails_keep_interior_windows(self):
+        dk = discretize(GaussianKernel(1.0), 0.1)
+        grid = waves._sized_grid(dk, dk, 0.6, 1e9, 1e-6)
+        # wave_residual trims J + |round(c/dx)| + 2 cells, c up to the speed bound
+        interior_slice(grid, dk.half_width + round(0.6 / 0.1) + 2)
+
+    def test_initial_state_sets_the_grid(self):
+        p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
+        for grid in (Grid(half_length=DEFAULT_HALF_LENGTH, dx=DEFAULT_DX),
+                     Grid(half_length=30.0, dx=0.2)):
+            start = step_initial_data(grid, 1.0)
+            wp = find_bistable_wave(p, k, k, initial=start)
+            assert wp.grid == grid
+            assert wp.speed == find_bistable_wave(p, k, k, grid).speed
+
+    def test_initial_state_on_another_grid_rejected(self):
+        p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
+        start = step_initial_data(Grid(half_length=30.0, dx=0.1), 1.0)
+        with pytest.raises(DomainError):
+            find_bistable_wave(p, k, k, Grid(half_length=40.0, dx=0.1), initial=start)
