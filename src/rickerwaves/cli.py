@@ -443,9 +443,10 @@ def cmd_simulate(cfg: ExperimentConfig, out, args) -> RunReport:
 
 
 # largest relative error of a discretized kernel's MGF at the tail decay
-# rate that the wave report accepts: above the O(dx) error of a uniform
-# kernel at the default dx (3e-2 at halfwidth 0.5), below the -0.29 of a
-# sigma = 1 Gaussian at dx = 5, whose front then moves 2.6 times too fast
+# rate that the wave report accepts: well above the error of a uniform
+# kernel at the default dx (3.3e-3 at halfwidth 0.5, 2.1e-4 at halfwidth 2),
+# below the -0.29 of a sigma = 1 Gaussian at dx = 5, whose front then moves
+# 2.6 times too fast
 MGF_REL_TOL = 5e-2
 
 

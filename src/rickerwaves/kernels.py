@@ -49,6 +49,10 @@ class Kernel:
         """Radius R such that the mass outside [-R, R] is below eps."""
         raise NotImplementedError
 
+    def cell_masses(self, offsets: np.ndarray, dx: float) -> np.ndarray:
+        """Mass of each cell [y - dx/2, y + dx/2]; the midpoint rule density(y)*dx."""
+        return self.density(offsets) * dx
+
 
 @dataclass(frozen=True)
 class GaussianKernel(Kernel):
@@ -108,6 +112,13 @@ class UniformKernel(Kernel):
 
     def truncation_radius(self, eps: float) -> float:
         return self.halfwidth
+
+    def cell_masses(self, offsets: np.ndarray, dx: float) -> np.ndarray:
+        # exact: each cell's overlap with [-a, a], so the end cells carry
+        # their fraction of a cell rather than a full one
+        a = self.halfwidth
+        overlap = np.minimum(offsets + 0.5 * dx, a) - np.maximum(offsets - 0.5 * dx, -a)
+        return np.maximum(overlap, 0.0) / (2.0 * a)
 
 
 @dataclass(frozen=True)
@@ -223,14 +234,17 @@ class DiscreteKernel:
     Weights sit at integer cell offsets -J..J with spacing dx, are exactly
     symmetric, nonnegative, and sum to one, so constants are exact fixed
     points of the induced discrete convolution.  ``methods`` maps a field
-    length N to the convolution method chosen for it, and ``spectra`` maps
-    N to the transform length and real-FFT spectrum of the weights used
-    for it; both are filled by ``evolution.convolve_extended``.
+    length N to the convolution method chosen for it, ``lengths`` maps N
+    to its FFT transform length, and ``spectra`` maps a transform length to
+    the real-FFT spectrum of the weights, so field lengths that share a
+    transform length share one spectrum; all three are filled by
+    ``evolution.convolve_extended``.
     """
 
     weights: np.ndarray
     dx: float
     methods: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    lengths: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     spectra: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -247,7 +261,10 @@ class DiscreteKernel:
 
 
 def discretize(kernel: Kernel, dx: float, eps_trunc: float = DEFAULT_TRUNCATION) -> DiscreteKernel:
-    """Midpoint-rule weights w_j = l(j dx) dx, symmetrized and normalized.
+    """Cell masses at offsets j dx, symmetrized and normalized.
+
+    The masses are ``kernel.cell_masses``: the midpoint rule l(j dx) dx,
+    exact overlaps for the uniform kernel.
 
     The half width J is chosen so the kernel's mass outside [-J dx, J dx]
     is below eps_trunc before normalization.
@@ -265,7 +282,7 @@ def discretize(kernel: Kernel, dx: float, eps_trunc: float = DEFAULT_TRUNCATION)
             "all mass would land on one cell"
         )
     offsets = np.arange(-J, J + 1) * dx
-    w = kernel.density(offsets) * dx
+    w = kernel.cell_masses(offsets, dx)
     if w.sum() <= 0 or np.all(w[np.arange(-J, J + 1) != 0] == 0.0):
         raise DegenerateKernelError(
             f"dx={dx} is too coarse for the kernel; only the center cell "

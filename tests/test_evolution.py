@@ -9,6 +9,7 @@ from rickerwaves import (
     DomainError,
     GaussianKernel,
     Grid,
+    ModelParams,
     RangeError,
     SpatialState,
     UniformKernel,
@@ -19,10 +20,12 @@ from rickerwaves import (
     constant_state,
     convolve_extended,
     discretize,
+    find_bistable_wave,
     interior_slice,
     iterate,
     pointwise_map,
     translate,
+    wave_grid,
 )
 from rickerwaves import evolution
 from rickerwaves.evolution import MAX_GRID_POINTS, _fft_length
@@ -354,8 +357,10 @@ class TestConvolution:
         assert np.all(out[250:] == 0.0)
 
     def test_cached_spectrum_per_transform_length(self, gaussian_weights, rng, monkeypatch):
-        # one kernel alternating between two grid sizes keeps one spectrum
-        # each, and sizes each transform once
+        # one kernel alternating between field lengths sizes each field
+        # length's transform once, and field lengths that share a transform
+        # length (200 and 201 points both need 500 at J = 72) share one
+        # spectrum, transformed once
         sized = []
 
         def counting(n):
@@ -363,16 +368,20 @@ class TestConvolution:
             return _fft_length(n)
 
         monkeypatch.setattr(evolution, "_fft_length", counting)
-        for n in (201, 4001, 201, 4001):
+        J = gaussian_weights.half_width
+        assert _fft_length(200 + 4 * J) == _fft_length(201 + 4 * J) == 500
+        spectra = []
+        for n in (201, 4001, 201, 4001, 200):
             f = rng.uniform(0.0, 1.0, n)
             fast = convolve_extended(f, gaussian_weights, "fft")
             ref = convolve_extended(f, gaussian_weights, "direct")
             assert np.max(np.abs(fast - ref)) <= 1e-13
-        J = gaussian_weights.half_width
-        assert sized == [201 + 4 * J, 4001 + 4 * J]
-        assert sorted(gaussian_weights.spectra) == [201, 4001]
-        for n, (length, spectrum) in gaussian_weights.spectra.items():
-            assert length == _fft_length(n + 4 * J)
+            spectra.append(gaussian_weights.spectra[gaussian_weights.lengths[n]])
+        assert sized == [201 + 4 * J, 4001 + 4 * J, 200 + 4 * J]
+        assert gaussian_weights.lengths == {n: _fft_length(n + 4 * J) for n in (200, 201, 4001)}
+        assert sorted(gaussian_weights.spectra) == [500, _fft_length(4001 + 4 * J)]
+        assert spectra[0] is spectra[2] is spectra[4] and spectra[1] is spectra[3]
+        for length, spectrum in gaussian_weights.spectra.items():
             assert np.array_equal(spectrum, np.fft.rfft(gaussian_weights.weights, length))
 
     def test_fft_length_is_5_smooth_and_large_enough(self):
@@ -425,8 +434,11 @@ class TestConvolution:
         small, large = rng.uniform(0.0, 1.0, 201), rng.uniform(0.0, 1.0, 4001)
         via_fft = convolve_extended(small, gaussian_weights, "fft")
         via_direct = convolve_extended(large, gaussian_weights, "direct")
-        # only the fft call sized a spectrum, and neither made a choice
-        assert sorted(gaussian_weights.spectra) == [201]
+        # only the fft call sized a transform and cached a spectrum, and
+        # neither made a choice
+        length = _fft_length(201 + 4 * J)
+        assert gaussian_weights.lengths == {201: length}
+        assert sorted(gaussian_weights.spectra) == [length]
         assert gaussian_weights.methods == {}
         summed = np.convolve(np.pad(large, J, mode="edge"), gaussian_weights.weights, "valid")
         assert np.array_equal(via_direct, summed)
@@ -440,3 +452,146 @@ class TestConvolution:
     def test_unknown_method_rejected(self, gaussian_weights):
         with pytest.raises(ConfigError):
             convolve_extended(np.ones(64), gaussian_weights, "warp")
+
+
+class _NoScan(np.ndarray):
+    """An array whose elementwise comparison fails: proof that no scan ran."""
+
+    def __ne__(self, other):
+        raise AssertionError("the active-window scan ran")
+
+
+@pytest.fixture(scope="module")
+def wide_profile():
+    # converged README front on L = 200: exactly 0 and 1 beyond |x| ~ 31
+    p = ModelParams(0.5, 0.5, 2.0, 3.0)
+    k = GaussianKernel(1.0)
+    wp = find_bistable_wave(p, k, k, Grid(half_length=200.0, dx=0.1))
+    return SpatialState(grid=wp.grid, frame=TRANSFORMED_FRAME, U=wp.phi, V=wp.psi)
+
+
+# kernels of different half widths: J = 72 and 36, and J = 36 and 20
+KERNEL_PAIRS = pytest.mark.parametrize(
+    "kernel1,kernel2",
+    [(GaussianKernel(1.0), GaussianKernel(0.5)), (GaussianKernel(0.5), UniformKernel(2.0))],
+    ids=["gauss-gauss", "gauss-uniform"])
+FRAMES = pytest.mark.parametrize("frame", [TRANSFORMED_FRAME, ORIGINAL_FRAME])
+
+
+class TestActiveWindow:
+    @staticmethod
+    def steps(state, params, kernel1, kernel2, monkeypatch, method, window=True, n=5):
+        """n steps on fresh weights, every convolution on ``method``."""
+        with monkeypatch.context() as m:
+            m.setattr(evolution, "_choose_method", lambda n_field, half_width: method)
+            if not window:
+                m.setattr(evolution, "_active_window", lambda U, V, reach: (0, len(U)))
+            k1, k2 = discretize(kernel1, state.grid.dx), discretize(kernel2, state.grid.dx)
+            return iterate(state, params, k1, k2, n)[1:]
+
+    @staticmethod
+    def in_frame(state, frame):
+        return state if state.frame == frame else change_coordinates(state)
+
+    @staticmethod
+    def reach(kernel1, kernel2, dx):
+        return max(discretize(kernel1, dx).half_width, discretize(kernel2, dx).half_width) + 1
+
+    def assert_bit_identical(self, state, params, kernel1, kernel2, monkeypatch, n=5):
+        windowed = self.steps(state, params, kernel1, kernel2, monkeypatch, "direct", n=n)
+        full = self.steps(state, params, kernel1, kernel2, monkeypatch, "direct", False, n=n)
+        for a, b in zip(windowed, full):
+            assert np.array_equal(a.U, b.U) and np.array_equal(a.V, b.V)
+
+    @FRAMES
+    @KERNEL_PAIRS
+    def test_summed_steps_are_bit_identical(self, wide_profile, params, kernel1, kernel2,
+                                            frame, monkeypatch):
+        state = self.in_frame(wide_profile, frame)
+        a, b = evolution._active_window(state.U, state.V,
+                                        self.reach(kernel1, kernel2, state.grid.dx))
+        n = state.grid.n_points
+        assert 0 < a and b < n and b - a <= evolution.ACTIVE_MAX_SHARE * n
+        self.assert_bit_identical(state, params, kernel1, kernel2, monkeypatch)
+
+    @FRAMES
+    @KERNEL_PAIRS
+    def test_fft_steps_agree_to_roundoff(self, wide_profile, params, kernel1, kernel2,
+                                         frame, monkeypatch):
+        state = self.in_frame(wide_profile, frame)
+        windowed = self.steps(state, params, kernel1, kernel2, monkeypatch, "fft", n=1)[0]
+        full = self.steps(state, params, kernel1, kernel2, monkeypatch, "fft", False, n=1)[0]
+        assert np.max(np.abs(windowed.U - full.U)) <= 1e-13
+        assert np.max(np.abs(windowed.V - full.V)) <= 1e-13
+
+    @pytest.mark.parametrize("frame,point", [
+        (ORIGINAL_FRAME, (1.0, 0.0)), (ORIGINAL_FRAME, (0.0, 1.0)),
+        (TRANSFORMED_FRAME, (0.0, 0.0)), (TRANSFORMED_FRAME, (1.0, 1.0)),
+        (TRANSFORMED_FRAME, (0.3, 0.7))], ids=["E1", "E2", "F0", "F3", "constant"])
+    def test_constant_states_step_one_cell(self, params, small_grid, frame, point, monkeypatch):
+        state = constant_state(small_grid, frame, point)
+        assert evolution._active_window(state.U, state.V, 73) == (0, 1)
+        out = apply_Q(state, params, discretize(GaussianKernel(1.0), 0.1),
+                      discretize(UniformKernel(2.0), 0.1))
+        if point != (0.3, 0.7):
+            assert np.all(out.U == point[0]) and np.all(out.V == point[1])
+        self.assert_bit_identical(state, params, GaussianKernel(1.0), UniformKernel(2.0),
+                                  monkeypatch, n=2)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_state_constant_on_one_side(self, params, rng, side, monkeypatch):
+        grid = Grid(half_length=50.0, dx=0.1)
+        n = grid.n_points
+        U = np.sort(rng.uniform(0.0, 1.0, n))
+        V = np.sort(rng.uniform(0.0, 1.0, n))
+        if side == "left":
+            U[:600], V[:600] = 0.0, 0.0
+            expected = (600 - 73, n)
+        else:
+            U[400:], V[400:] = 1.0, 1.0
+            expected = (0, 400 + 73)
+        state = SpatialState(grid=grid, frame=TRANSFORMED_FRAME, U=U, V=V)
+        assert evolution._active_window(U, V, 73) == expected
+        self.assert_bit_identical(state, params, GaussianKernel(1.0), GaussianKernel(1.0),
+                                  monkeypatch)
+
+    @pytest.mark.parametrize("run", [71, 72, 73, 74, 75])
+    def test_short_constant_run_is_not_trimmed(self, params, rng, run, monkeypatch):
+        # J = 72: a left run of J + 1 cells or fewer keeps every cell, and
+        # each cell more trims one
+        grid = Grid(half_length=50.0, dx=0.1)
+        U = np.ones(grid.n_points)
+        U[:300] = np.sort(rng.uniform(0.0, 1.0, 300))
+        U[:run] = 0.0
+        state = SpatialState(grid=grid, frame=TRANSFORMED_FRAME, U=U, V=U.copy())
+        assert evolution._active_window(U, U, 73) == (max(run - 73, 0), 300 + 73)
+        self.assert_bit_identical(state, params, GaussianKernel(1.0), GaussianKernel(1.0),
+                                  monkeypatch)
+
+    def test_sized_profile_and_random_state_take_no_window(self, params, rng):
+        k = GaussianKernel(1.0)
+        wp = find_bistable_wave(params, k, k)
+        reach = wp.kernel_half_width + 1
+        noise = rng.uniform(0.0, 1.0, (2, 4001))
+        for U, V in ((wp.phi, wp.psi), (noise[0], noise[1])):
+            # the O(1) edge probe rules the window out before any scan
+            window = evolution._active_window(U.view(_NoScan), V.view(_NoScan), reach)
+            assert window == (0, len(U))
+
+    def test_window_that_keeps_most_of_the_grid_is_skipped(self, rng):
+        # a 400-cell run passes the edge probe, but its window would keep
+        # 674 of 1001 cells; a 700-cell run leaves a window of 374
+        U = np.sort(rng.uniform(0.0, 1.0, 1001))
+        U[:400] = 0.0
+        assert 674 > evolution.ACTIVE_MAX_SHARE * 1001
+        assert evolution._active_window(U, U, 73) == (0, 1001)
+        U[:700] = 0.0
+        assert evolution._active_window(U, U, 73) == (627, 1001)
+
+    @pytest.mark.parametrize("dx", [0.1, 0.01])
+    def test_wide_grid_speed_matches_sized_grid(self, params, dx):
+        k = GaussianKernel(1.0)
+        sized = find_bistable_wave(params, k, k, wave_grid(params, k, k, dx))
+        wide = find_bistable_wave(params, k, k, Grid(half_length=200.0, dx=dx))
+        assert wide.steps == sized.steps
+        assert abs(wide.speed - sized.speed) <= 1e-12

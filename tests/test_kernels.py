@@ -196,6 +196,24 @@ class TestDiscretize:
         assert np.array_equal(dk.weights, dk.weights[::-1])
         assert np.all(dk.weights >= 0.0)
 
+    def test_uniform_weights_are_exact_cell_masses(self):
+        # a = 2, dx = 0.1: the end cells [1.95, 2.05] hold half a cell of
+        # [-2, 2], so the discrete MGF at mu = 1 is off by 8.3e-4, where full
+        # end weights gave 2.7e-2; the error is second order in dx
+        k = UniformKernel(2.0)
+        dk = discretize(k, 0.1)
+        assert dk.half_width == 20
+        assert dk.weights[0] == dk.weights[-1] == pytest.approx(0.0125, rel=1e-13)
+        assert np.allclose(dk.weights[1:-1], 0.025, rtol=1e-13, atol=0.0)
+        err = dk.mgf(1.0) / k.mgf(1.0) - 1.0
+        assert 0.0 < err <= 1e-3
+        assert 0.0 < discretize(k, 0.01).mgf(1.0) / k.mgf(1.0) - 1.0 <= 1e-5
+        # off the grid: a = 0.56 reaches 0.01 into the cell [0.55, 0.65]
+        dk = discretize(UniformKernel(0.56), 0.1)
+        assert dk.half_width == 6
+        assert dk.weights[0] == pytest.approx(0.01 / 1.12, rel=1e-12)
+        assert dk.weights[1] == pytest.approx(0.1 / 1.12, rel=1e-12)
+
     def test_degenerate_spacing_rejected(self):
         with pytest.raises(DegenerateKernelError):
             discretize(GaussianKernel(0.001), 1.0)
