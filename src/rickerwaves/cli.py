@@ -483,7 +483,11 @@ def cmd_wave(cfg: ExperimentConfig, out, args) -> RunReport:
           validation.range_ok, validation.left_tail_ok,
           validation.right_tail_ok, validation.residual_ok)],
     )
-    report.add("wave-converged", True, f"speed {_fmt(wp.speed)} in {wp.steps} steps")
+    report.add(
+        "wave-converged", True,
+        f"speed {_fmt(wp.speed)} in {wp.steps} steps (speed_error {_fmt(wp.speed_error)}, "
+        f"contraction_rate {_fmt(wp.contraction_rate)})",
+    )
     report.add("wave-profile-valid", validation.passed, str(validation.details))
 
     # a grid too coarse for a kernel shows as a discrete MGF that departs

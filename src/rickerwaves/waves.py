@@ -47,8 +47,6 @@ from .model import TRANSFORMED_FRAME, ModelParams, validate_params
 from .speeds import counter_propagation, front_position, system_speed_bound
 
 
-# steps averaged for the speed estimate
-TRAILING_STEPS = 20
 # level of the first component whose crossing is recentered to x = 0
 FRONT_LEVEL = 0.5
 
@@ -88,6 +86,11 @@ class WaveProfile:
     # slowest tail decay rate at the corners for speeds |c| up to the
     # interior monostable speed; the sized grid is built from it
     decay_rate: float = math.nan
+    # magnitude of the last Aitken correction, which overstates the
+    # iteration error left in ``speed``; the grid's error is not in it
+    speed_error: float = math.nan
+    # ratio of the last two displacement increments
+    contraction_rate: float = math.nan
 
 
 def step_initial_data(grid: Grid, width: float) -> SpatialState:
@@ -141,6 +144,26 @@ def _resample_shifted(state: SpatialState, offset: float) -> tuple:
 
 def _min_adjacent_diff(values: np.ndarray) -> float:
     return float((values[1:] - values[:-1]).min())
+
+
+def _aitken(displacements: list) -> tuple:
+    """Aitken delta-squared limit of the last three displacements.
+
+    With increments dn = xn - xn-1 and ratio q = dn/dn-1, a sequence
+    converging geometrically at rate q has limit xn - c, where the
+    correction c = dn**2/(dn - dn-1) is also the error of xn.  Equal
+    increments (a zero denominator) leave nothing to extrapolate: c = 0,
+    and q is 0 for constant displacements and 1 for a steady drift.
+    Returns (limit, c, q).
+    """
+    x0, x1, x2 = displacements[-3:]
+    d, d_prev = x2 - x1, x1 - x0
+    correction = d * d / (d - d_prev) if d != d_prev else 0.0
+    if d_prev != 0.0:
+        q = d / d_prev
+    else:
+        q = 0.0 if d == 0.0 else math.inf
+    return x2 - correction, correction, q
 
 
 def _decay_rate(log_alpha: float, dk: DiscreteKernel, speed: float) -> float:
@@ -235,11 +258,19 @@ def find_bistable_wave(
 ) -> WaveProfile:
     """Iterate from ramp data, recentering the front, until it translates.
 
-    Convergence requires both a small sup-norm change between consecutive
-    recentered profiles and a small spread of the trailing per-step
-    displacements; the speed is the trailing mean displacement.  Raises
-    ConvergenceError (with the history attached) on step-budget exhaustion
-    and DegenerateDataError if the tracked level crossing disappears.
+    The recentered iteration contracts geometrically onto the front, so the
+    per-step displacements converge geometrically to its speed.  The speed
+    is the Aitken delta-squared limit of the last three displacements, and
+    ``speed_error`` is the magnitude of that last correction.  The solve
+    stops once the sup-norm change between consecutive recentered profiles
+    is below ``profile_tol``, the displacement increments contract
+    (|``contraction_rate``| < 1) and the correction is below ``speed_tol``.
+    ``speed_error`` is the error the extrapolation removed, so it overstates
+    the iteration error that is left; it says nothing of the grid's own
+    error (speed at dx 0.1 against dx 0.01: ~9e-5 in the README case).
+    Raises ConvergenceError (with the history attached) on step-budget
+    exhaustion and DegenerateDataError if the tracked level crossing
+    disappears.
     ``initial`` replaces the default ramp data (it must be a monotone
     transformed-frame state, on ``grid`` when one is given).  Without
     either, the solve runs on ``wave_grid`` at ``DEFAULT_DX``.
@@ -276,6 +307,7 @@ def find_bistable_wave(
             raise DomainError("initial state must be transformed-frame on the solver grid")
         state = initial
     history = WaveHistory()
+    correction = rate = math.nan
 
     for n in range(1, opts.max_steps + 1):
         prev_U, prev_V = state.U, state.V
@@ -301,14 +333,16 @@ def find_bistable_wave(
             min(_min_adjacent_diff(state.U), _min_adjacent_diff(state.V))
         )
 
-        tail = history.displacements[-TRAILING_STEPS:]
-        spread = max(tail) - min(tail)
-        if n >= TRAILING_STEPS and sup_diff < opts.profile_tol and spread < opts.speed_tol:
-            break
+        if n >= 3:
+            speed, correction, rate = _aitken(history.displacements)
+            if (sup_diff < opts.profile_tol and abs(rate) < 1.0
+                    and abs(correction) < opts.speed_tol):
+                break
     else:
         raise ConvergenceError(
             f"no traveling profile within {opts.max_steps} steps "
-            f"(last sup diff {sup_diff:.3e}, displacement spread {spread:.3e})",
+            f"(last sup diff {sup_diff:.3e}, Aitken correction {abs(correction):.3e}, "
+            f"contraction rate {rate:.4g})",
             history=history,
         )
 
@@ -316,12 +350,14 @@ def find_bistable_wave(
         grid=grid,
         phi=state.U,
         psi=state.V,
-        speed=float(np.mean(tail)),
+        speed=speed,
         residual=math.nan,
         steps=n,
         history=history,
         kernel_half_width=max(dk1.half_width, dk2.half_width),
         decay_rate=decay_rate,
+        speed_error=abs(correction),
+        contraction_rate=rate,
     )
     profile.residual = wave_residual(profile, p, dk1, dk2)
     return profile

@@ -31,11 +31,14 @@ from rickerwaves import (
     scalar_speed,
     strong_stability_vectors,
     validate_profile,
+    WaveOptions,
 )
 from rickerwaves.model import ORIGINAL_FRAME, TRANSFORMED_FRAME
 
 P_STD = ModelParams(r1=0.5, r2=0.5, a1=2.0, a2=3.0)
 GAUSS = GaussianKernel(sigma=1.0)
+# README-config front speed on Grid(200, 0.1), solved to tolerances 1e-12
+C_CONVERGED = 0.11896981135981706
 
 
 def report(number, description, failures):
@@ -225,19 +228,20 @@ def test_criterion_8_bistable_wave_desk_scale():
         failures.append(f"tail deviation {max(tails)} >= 1e-3")
     if wp.residual >= 1e-4:
         failures.append(f"residual {wp.residual} >= 1e-4")
-    trailing = wp.history.displacements[-20:]
-    if max(trailing) - min(trailing) >= 1e-4:
-        failures.append("trailing speed spread >= 1e-4")
+    if abs(wp.speed - C_CONVERGED) >= 1e-7:
+        failures.append(f"speed {wp.speed} not within 1e-7 of {C_CONVERGED}")
+    if not wp.speed_error < WaveOptions().speed_tol:
+        failures.append(f"speed error {wp.speed_error} >= speed_tol")
     if not validate_profile(wp).passed:
         failures.append("validation report failed")
 
     symmetric = find_bistable_wave(
         ModelParams(0.5, 0.5, 2.0, 2.0), GAUSS, GAUSS, grid
     )
-    if abs(symmetric.speed) >= 1e-3:
-        failures.append(f"symmetric speed {symmetric.speed} not within 1e-3 of zero")
-    report(8, f"bistable wave located (speed {wp.speed:.6f}); symmetric case |c| < 1e-3",
-           failures)
+    if abs(symmetric.speed) >= 1e-8:
+        failures.append(f"symmetric speed {symmetric.speed} not within 1e-8 of zero")
+    report(8, f"bistable wave located (speed {wp.speed:.9f}, within 1e-7 of the converged "
+           f"speed); symmetric case |c| < 1e-8", failures)
 
 
 def test_criterion_9_convolution_cross_check():

@@ -10,7 +10,7 @@ import pytest
 
 import rickerwaves
 from rickerwaves import ConfigError, WaveOptions
-from rickerwaves.cli import emit_csv, load_config, main, run, write_csv
+from rickerwaves.cli import _fmt, emit_csv, load_config, main, run, write_csv
 
 
 BASE_CONFIG = """\
@@ -279,6 +279,20 @@ class TestSubcommands:
         for cfg in (load_config(config_path), load_config(path)):
             checks = {c.name: c for c in run("wave", cfg, io.StringIO()).checks}
             assert checks["wave-kernel-resolved"].ok, checks["wave-kernel-resolved"].detail
+
+    def test_wave_converged_detail_carries_the_error_estimate(self, config_path):
+        cfg = load_config(config_path)
+        out = io.StringIO()
+        checks = {c.name: c for c in run("wave", cfg, out).checks}
+        header, rows = parse_csv(out.getvalue())
+        assert header == ["speed", "residual", "steps", "monotone", "range", "left_tail",
+                          "right_tail", "residual_ok"]
+        wp = rickerwaves.find_bistable_wave(cfg.params, cfg.kernel1, cfg.kernel2,
+                                            opts=cfg.wave_opts)
+        assert rows[0]["steps"] == str(wp.steps)
+        detail = checks["wave-converged"].detail
+        assert f"speed_error {_fmt(wp.speed_error)}" in detail
+        assert f"contraction_rate {_fmt(wp.contraction_rate)}" in detail
 
     def test_sweep_rows_all_positive(self, tmp_path, capsys):
         path = tmp_path / "sweep.cfg"

@@ -31,6 +31,9 @@ from rickerwaves.model import TRANSFORMED_FRAME
 from rickerwaves.speeds import system_speed_bound
 from rickerwaves.waves import WaveHistory, WaveProfile
 
+# README-config front speed on Grid(200, 0.1), solved to tolerances 1e-12
+C_CONVERGED = 0.11896981135981706
+
 
 @pytest.fixture(scope="module")
 def wave_grid():
@@ -94,16 +97,60 @@ class TestFindBistableWave:
         # value is an output, asserted only as a regression guard
         assert standard_wave.speed == pytest.approx(0.118988, abs=1e-3)
 
-    def test_trailing_speed_spread_small(self, standard_wave):
-        tail = standard_wave.history.displacements[-20:]
-        assert max(tail) - min(tail) < 1e-4
+    def test_extrapolated_speed_matches_converged_value(self, standard_wave):
+        assert abs(standard_wave.speed - C_CONVERGED) < 1e-7
+        assert standard_wave.speed_error < WaveOptions().speed_tol
+        assert 0.0 < standard_wave.contraction_rate < 1.0
+
+    def test_stops_at_the_first_step_meeting_the_tolerances(self, standard_wave):
+        opts, h = WaveOptions(), standard_wave.history
+
+        def met(n):
+            _, correction, rate = waves._aitken(h.displacements[:n])
+            return (h.sup_diffs[n - 1] < opts.profile_tol and abs(rate) < 1.0
+                    and abs(correction) < opts.speed_tol)
+
+        assert [n for n in range(3, len(h.displacements) + 1) if met(n)] == [standard_wave.steps]
+        speed, correction, rate = waves._aitken(h.displacements)
+        assert standard_wave.speed == speed
+        assert standard_wave.speed_error == abs(correction)
+        assert standard_wave.contraction_rate == rate
+
+    @pytest.mark.parametrize("ratio", [0.5, -0.5, 2.0, -2.0])
+    def test_stops_only_on_contracting_displacements(self, standard_wave, monkeypatch, ratio):
+        # from the converged profile, displacements c + 1e-12 * ratio**n keep every
+        # Aitken correction far below speed_tol; only |ratio| < 1 may stop the solve
+        powers = iter(ratio ** n for n in range(1, 100))
+        monkeypatch.setattr(waves, "front_position",
+                            lambda x, U, level: standard_wave.speed + 1e-12 * next(powers))
+        start = SpatialState(grid=standard_wave.grid, frame=TRANSFORMED_FRAME,
+                             U=standard_wave.phi, V=standard_wave.psi)
+        args = (ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0), GaussianKernel(1.0),
+                standard_wave.grid, WaveOptions(max_steps=10))
+        if abs(ratio) < 1.0:
+            wp = find_bistable_wave(*args, initial=start)
+            assert wp.steps == 3 and wp.contraction_rate == pytest.approx(ratio, rel=1e-3)
+            assert wp.speed == pytest.approx(standard_wave.speed, abs=1e-15)
+        else:
+            with pytest.raises(ConvergenceError) as info:
+                find_bistable_wave(*args, initial=start)
+            assert max(info.value.history.sup_diffs) < WaveOptions().profile_tol
+
+    def test_speed_tol_bounds_the_aitken_correction(self, wave_grid, standard_wave):
+        wp = find_bistable_wave(
+            ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0), GaussianKernel(1.0),
+            wave_grid, WaveOptions(speed_tol=1e-9),
+        )
+        assert wp.speed_error < 1e-9
+        assert wp.steps > standard_wave.steps
+        assert abs(wp.speed - C_CONVERGED) < 1e-10
 
     def test_symmetric_parameters_give_zero_speed(self, wave_grid):
         wp = find_bistable_wave(
             ModelParams(0.5, 0.5, 2.0, 2.0), GaussianKernel(1.0), GaussianKernel(1.0),
             wave_grid,
         )
-        assert abs(wp.speed) < 1e-3
+        assert abs(wp.speed) < 1e-8
 
     def test_translated_initial_data_is_equivalent(self, wave_grid, standard_wave):
         p = ModelParams(0.5, 0.5, 2.0, 3.0)
@@ -154,6 +201,9 @@ class TestFindBistableWave:
                 GaussianKernel(1.0), wave_grid, opts,
             )
         assert len(info.value.history.displacements) == 3
+        message = str(info.value)
+        for name in ("last sup diff", "Aitken correction", "contraction rate"):
+            assert name in message
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_nonpositive_step_budget_rejected(self, wave_grid, budget):
@@ -189,6 +239,53 @@ class TestFindBistableWave:
         assert original.V[0] == pytest.approx(0.0, abs=1e-10)
         assert original.U[-1] == pytest.approx(0.0, abs=1e-10)
         assert original.V[-1] == pytest.approx(1.0, abs=1e-10)
+
+
+class TestAitken:
+    def test_geometric_sequence_extrapolates_exactly(self):
+        limit, q = 0.25, 0.7
+        xs = [limit + 0.5 * q**n for n in range(6)]
+        speed, correction, rate = waves._aitken(xs)
+        assert speed == pytest.approx(limit, abs=1e-15)
+        assert correction == pytest.approx(xs[-1] - limit, rel=1e-12)
+        assert rate == pytest.approx(q, rel=1e-12)
+
+    def test_constant_displacements_need_no_correction(self):
+        assert waves._aitken([0.3, 0.3, 0.3]) == (0.3, 0.0, 0.0)
+
+    def test_steady_drift_does_not_contract(self):
+        # equal nonzero increments: zero denominator, but |q| = 1 fails the stop test
+        speed, correction, rate = waves._aitken([0.0, 0.5, 1.0])
+        assert (speed, correction, rate) == (1.0, 0.0, 1.0)
+        assert waves._aitken([0.5, 0.5, 1.0])[2] == float("inf")
+
+
+def _exchange_cells(count, seed):
+    """Seeded cells with a Gaussian first and a uniform second kernel."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for _ in range(count):
+        r1, r2 = rng.uniform(0.2, 0.8, 2)
+        a1, a2 = rng.uniform(1.5, 3.5, 2)
+        cells.append((ModelParams(float(r1), float(r2), float(a1), float(a2)),
+                      GaussianKernel(float(rng.uniform(0.5, 1.5))),
+                      UniformKernel(float(rng.uniform(0.5, 2.0)))))
+    return cells
+
+
+class TestKnownAnswerIdentities:
+    @pytest.mark.parametrize("cell", _exchange_cells(6, 20240817),
+                             ids=[f"cell{k}" for k in range(6)])
+    def test_exchange_antisymmetry(self, cell):
+        # swapping the species and mapping (U, V)(x) -> (1 - V, 1 - U)(-x)
+        # turns a front of speed c into one of speed -c
+        p, k1, k2 = cell
+        swapped = ModelParams(p.r2, p.r1, p.a2, p.a1)
+        grid = Grid(half_length=30.0, dx=0.1)
+        wp = find_bistable_wave(p, k1, k2, grid)
+        wq = find_bistable_wave(swapped, k2, k1, grid)
+        assert validate_profile(wp).passed and validate_profile(wq).passed
+        assert abs(wp.speed + wq.speed) <= wp.speed_error + wq.speed_error
 
 
 class TestWaveResidual:
