@@ -30,6 +30,7 @@ cross-checks.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -153,20 +154,35 @@ _FFT_NOISE_FLOOR = 64.0 * np.finfo(float).eps
 DIRECT_MAX_TERMS = 3e5
 
 
-def _fft_length(n: int) -> int:
-    """Smallest 2**a * 3**b * 5**c that is at least n (fast for pocketfft)."""
-    best = 1 << (n - 1).bit_length()
+def _smooth_numbers(limit: int) -> tuple:
+    """Every 2**a * 3**b * 5**c up to limit, in increasing order."""
+    numbers = []
     p5 = 1
-    while p5 < best:
+    while p5 <= limit:
         p35 = p5
-        while p35 < best:
+        while p35 <= limit:
             p = p35
-            while p < n:
+            while p <= limit:
+                numbers.append(p)
                 p *= 2
-            best = min(best, p)
             p35 *= 3
         p5 *= 5
-    return best
+    return tuple(sorted(numbers))
+
+
+# a transform holds a field of at most MAX_GRID_POINTS cells and its 4J
+# padding; every length up to the first power of two above twice that has
+# its least smooth length here (934 lengths, built in ~0.15 ms at import)
+_SMOOTH_LENGTHS = _smooth_numbers(1 << (2 * MAX_GRID_POINTS - 1).bit_length())
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c that is at least n (fast for pocketfft).
+
+    Beyond the table, the next power of two.
+    """
+    i = bisect.bisect_left(_SMOOTH_LENGTHS, n)
+    return _SMOOTH_LENGTHS[i] if i < len(_SMOOTH_LENGTHS) else 1 << (n - 1).bit_length()
 
 
 def _choose_method(n: int, half_width: int) -> str:

@@ -31,6 +31,9 @@ from .evolution import (
     DEFAULT_HALF_LENGTH,
     Grid,
     SpatialState,
+    _active_window,
+    _clamp,
+    _extend,
     _shift_cells,
     apply_Q,
     interior_slice,
@@ -117,29 +120,56 @@ def _shift_fractional(values: np.ndarray, offset: float, dx: float) -> np.ndarra
     if not (-1.0 <= t <= 1.0):
         raise RangeError(f"fractional shift {offset} exceeds one cell ({dx})")
     out = np.empty_like(values)
+    # (1 - t)*v[i] + t*v[i+1], with the first product formed in place
     if t > 0.0:
-        out[:-1] = (1.0 - t) * values[:-1] + t * values[1:]
+        np.multiply(values[:-1], 1.0 - t, out=out[:-1])
+        out[:-1] += t * values[1:]
         out[-1] = values[-1]
     else:
         s = -t
-        out[1:] = (1.0 - s) * values[1:] + s * values[:-1]
+        np.multiply(values[1:], 1.0 - s, out=out[1:])
+        out[1:] += s * values[:-1]
         out[0] = values[0]
     return out
 
 
-def _resample_shifted(state: SpatialState, offset: float) -> tuple:
+def _resample_shifted(state: SpatialState, offset: float, a: int = 0,
+                      b: int | None = None) -> tuple:
     """State fields sampled at x + offset (whole cells + linear remainder).
 
-    Returns (U, V, whole_cells); vacated cells take the edge value.
+    Vacated cells take the edge value.  Returns (U, V, whole_cells, span):
+    the result is constant outside the slice ``span`` of cells and equal
+    there to the span's end cells.  When both fields hold their edge values
+    outside cells a..b-1 and in its three end cells on each side, only
+    a..b-1 is resampled; it lands on cells a-m..b-m-1 and its end values
+    fill the cells beyond.  That is the full-grid result when the span
+    stays off the grid's end cells and keeps its two end cells on each side
+    equal: the outer one holds what the full grid gives its edge cell, the
+    inner one what it gives the rest of its far field, (1 - t)*c + t*c.
+    Otherwise every cell is resampled and the span is the whole grid.
     """
+    n = state.grid.n_points
     dx = state.grid.dx
     m = int(round(offset / dx))
-    if abs(m) >= state.grid.n_points:
+    if abs(m) >= n:
         raise RangeError(f"shift {offset} exceeds the grid")
     f = offset - m * dx
-    U = _shift_fractional(_shift_cells(state.U, -m), f, dx)
-    V = _shift_fractional(_shift_cells(state.V, -m), f, dx)
-    return U, V, m
+    b = n if b is None else b
+    if 0 < a and 0 < a - m and b < n and b - m < n:
+        U = _shift_fractional(state.U[a:b], f, dx)
+        V = _shift_fractional(state.V[a:b], f, dx)
+        if U[0] == U[1] and U[-2] == U[-1] and V[0] == V[1] and V[-2] == V[-1]:
+            return _extend(U, a - m, n), _extend(V, a - m, n), m, slice(a - m, b - m)
+    U, V = state.U, state.V
+    if m != 0:
+        U, V = _shift_cells(U, -m), _shift_cells(V, -m)
+    return _shift_fractional(U, f, dx), _shift_fractional(V, f, dx), m, slice(0, n)
+
+
+def _sup_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b|, with one temporary."""
+    d = a - b
+    return float(np.abs(d, out=d).max())
 
 
 def _min_adjacent_diff(values: np.ndarray) -> float:
@@ -274,6 +304,12 @@ def find_bistable_wave(
     ``initial`` replaces the default ramp data (it must be a monotone
     transformed-frame state, on ``grid`` when one is given).  Without
     either, the solve runs on ``wave_grid`` at ``DEFAULT_DX``.
+    The start state is snapped first, on copies, as every step's clamp
+    snaps its output: values within the roundoff floor of 0 or 1 become 0
+    or 1.  Each step then recenters and measures only the span of cells that
+    moved (``evolution._active_window``) and gives the rest the far-field
+    values, which is the full-grid computation bit for bit; a span keeping
+    more than half the grid, as on sized grids, is the whole grid.
     """
     opts = opts or WaveOptions()
     if opts.max_steps < 1:
@@ -306,31 +342,47 @@ def find_bistable_wave(
         if initial.grid != grid or initial.frame != TRANSFORMED_FRAME:
             raise DomainError("initial state must be transformed-frame on the solver grid")
         state = initial
+    # snap the start's corner residue as every step's clamp does, so that a
+    # long grid's first step is windowed too (on copies: ``initial`` is the caller's)
+    state = SpatialState(
+        grid=grid, frame=TRANSFORMED_FRAME, step=state.step,
+        U=_clamp(state.U.copy(), "initial U", TRANSFORMED_FRAME),
+        V=_clamp(state.V.copy(), "initial V", TRANSFORMED_FRAME),
+    )
     history = WaveHistory()
     correction = rate = math.nan
+    # the current state is constant outside the cells of span
+    span = slice(0, grid.n_points)
 
     for n in range(1, opts.max_steps + 1):
-        prev_U, prev_V = state.U, state.V
+        prev_U, prev_V, prev_span = state.U, state.V, span
         state = apply_Q(state, p, dk1, dk2)
+        # bookkeeping runs on the cells that moved, with three edge cells each side
+        a, b = _active_window(state.U, state.V, 3)
         try:
-            t = front_position(grid.x, state.U, FRONT_LEVEL)
+            t = front_position(grid.x[a:b], state.U[a:b], FRONT_LEVEL)
         except MeasurementError as exc:
             raise DegenerateDataError(
                 f"front level {FRONT_LEVEL} lost at step {n}"
             ) from exc
-        U, V, _ = _resample_shifted(state, t)
+        U, V, _, span = _resample_shifted(state, t, a, b)
         state = SpatialState(
             grid=grid, frame=TRANSFORMED_FRAME, U=U, V=V, step=state.step
         )
 
         history.displacements.append(t)
+        # both states hold their far-field values outside the union of their
+        # spans and in its end cells, so the union holds every difference
+        union = slice(min(prev_span.start, span.start), max(prev_span.stop, span.stop))
         sup_diff = max(
-            float(np.max(np.abs(state.U - prev_U))),
-            float(np.max(np.abs(state.V - prev_V))),
+            _sup_diff(U[union], prev_U[union]),
+            _sup_diff(V[union], prev_V[union]),
         )
         history.sup_diffs.append(sup_diff)
+        # the cells beyond the span repeat its two equal end cells, so the
+        # span holds every adjacent difference, a zero one included
         history.monotone_defects.append(
-            min(_min_adjacent_diff(state.U), _min_adjacent_diff(state.V))
+            min(_min_adjacent_diff(U[span]), _min_adjacent_diff(V[span]))
         )
 
         if n >= 3:
@@ -339,10 +391,15 @@ def find_bistable_wave(
                     and abs(correction) < opts.speed_tol):
                 break
     else:
+        # at the last contraction rate the sup diff reaches profile_tol in this many more steps
+        remaining = ""
+        if 0.0 < rate < 1.0 and sup_diff > opts.profile_tol:
+            more = math.ceil(math.log(sup_diff / opts.profile_tol) / -math.log(rate))
+            remaining = f"; about {more} more steps at that rate"
         raise ConvergenceError(
             f"no traveling profile within {opts.max_steps} steps "
             f"(last sup diff {sup_diff:.3e}, Aitken correction {abs(correction):.3e}, "
-            f"contraction rate {rate:.4g})",
+            f"contraction rate {rate:.4g}{remaining})",
             history=history,
         )
 
@@ -379,7 +436,7 @@ def wave_residual(wp: WaveProfile, p: ModelParams, dk1: DiscreteKernel,
         V=np.clip(wp.psi, 0.0, 1.0),
     )
     stepped = apply_Q(state, p, dk1, dk2)
-    U, V, m = _resample_shifted(stepped, wp.speed)
+    U, V, m, _ = _resample_shifted(stepped, wp.speed)
 
     margin = max(dk1.half_width, dk2.half_width) + abs(m) + 2
     if 2 * margin >= wp.grid.n_points:
@@ -388,8 +445,8 @@ def wave_residual(wp: WaveProfile, p: ModelParams, dk1: DiscreteKernel,
         )
     win = interior_slice(wp.grid, margin)
     return max(
-        float(np.max(np.abs(U[win] - wp.phi[win]))),
-        float(np.max(np.abs(V[win] - wp.psi[win]))),
+        _sup_diff(U[win], wp.phi[win]),
+        _sup_diff(V[win], wp.psi[win]),
     )
 
 

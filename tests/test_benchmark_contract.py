@@ -1,7 +1,9 @@
 """The package names the benchmark uses must exist where it looks for them.
 
 ``perfbench/spans.py`` wraps module attributes listed in ``BOUNDARIES`` and
-reads ``convolve_extended``'s third positional argument as the method; the
+reads ``convolve_extended``'s third positional argument as the method, and
+its per-step metrics count the solver's calls of ``waves.apply_Q`` and
+``waves.front_position``; the
 workload, per-layer and reference scripts import names from the package and
 read attributes of its modules.  A rename or deletion in the package would
 otherwise surface only as a crash of a benchmark run.  This module reads
@@ -17,7 +19,14 @@ import numpy as np
 import pytest
 
 import rickerwaves
-from rickerwaves import GaussianKernel, convolve_extended, discretize
+from rickerwaves import (
+    GaussianKernel,
+    ModelParams,
+    convolve_extended,
+    discretize,
+    find_bistable_wave,
+    waves,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -96,3 +105,22 @@ def test_convolve_extended_takes_method_positionally():
         np.concatenate([np.zeros(dk.half_width), values, np.ones(dk.half_width)]),
         dk.weights, mode="valid"))
     assert np.max(np.abs(convolve_extended(values, dk, "fft") - direct)) <= 1e-13
+
+
+def test_solver_steps_through_the_wrapped_globals(monkeypatch):
+    # one apply_Q call per step plus one for the residual, and one front
+    # search per step, each looked up as a waves global and called with
+    # three positional arguments
+    calls = {"apply_Q": [], "front_position": []}
+    for name in calls:
+        original = getattr(waves, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name].append((len(args), kwargs))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(waves, name, counting)
+    k = GaussianKernel(1.0)
+    wp = find_bistable_wave(ModelParams(0.5, 0.5, 2.0, 3.0), k, k)
+    assert calls["apply_Q"] == [(4, {})] * (wp.steps + 1)
+    assert calls["front_position"] == [(3, {})] * wp.steps

@@ -393,6 +393,31 @@ class TestConvolution:
                     m //= prime
             assert m == 1, n
 
+    def test_fft_length_is_the_least_5_smooth_length(self):
+        def smooth(m):
+            for prime in (2, 3, 5):
+                while m % prime == 0:
+                    m //= prime
+            return m == 1
+
+        def least(n):
+            while not smooth(n):
+                n += 1
+            return n
+
+        # one brute-force walk down from 60000 gives the least length for every n
+        expected, best = {}, least(60000)
+        for n in range(60000, 0, -1):
+            if smooth(n):
+                best = n
+            expected[n] = best
+        assert all(_fft_length(n) == expected[n] for n in range(1, 50001))
+        for n in (MAX_GRID_POINTS, MAX_GRID_POINTS + 1, 2 * MAX_GRID_POINTS):
+            assert _fft_length(n) == least(n)
+        # past the table, a power of two: 5-smooth and large enough
+        last = evolution._SMOOTH_LENGTHS[-1]
+        assert _fft_length(last + 1) == 2 * last
+
     # J = 72 at dx = 0.1: 201 points are 29145 multiply-adds, 4001 are 580145
     @pytest.mark.parametrize("n,method", [(201, "direct"), (4001, "fft")])
     def test_default_method_by_size_agrees_with_direct(self, gaussian_weights, rng, n, method):

@@ -26,7 +26,13 @@ from rickerwaves import (
     wave_residual,
 )
 from rickerwaves import waves
-from rickerwaves.evolution import DEFAULT_DX, DEFAULT_HALF_LENGTH, SpatialState, interior_slice
+from rickerwaves.evolution import (
+    _FFT_NOISE_FLOOR,
+    DEFAULT_DX,
+    DEFAULT_HALF_LENGTH,
+    SpatialState,
+    interior_slice,
+)
 from rickerwaves.model import TRANSFORMED_FRAME
 from rickerwaves.speeds import system_speed_bound
 from rickerwaves.waves import WaveHistory, WaveProfile
@@ -200,10 +206,16 @@ class TestFindBistableWave:
                 ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0),
                 GaussianKernel(1.0), wave_grid, opts,
             )
-        assert len(info.value.history.displacements) == 3
+        history = info.value.history
+        assert len(history.displacements) == 3
         message = str(info.value)
         for name in ("last sup diff", "Aitken correction", "contraction rate"):
             assert name in message
+        # at the last contraction rate q, ln(sup diff / profile_tol) / -ln(q) more steps
+        _, _, rate = waves._aitken(history.displacements)
+        assert 0.0 < rate < 1.0
+        more = np.log(history.sup_diffs[-1] / opts.profile_tol) / -np.log(rate)
+        assert f"about {int(np.ceil(more))} more steps at that rate" in message
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_nonpositive_step_budget_rejected(self, wave_grid, budget):
@@ -286,6 +298,99 @@ class TestKnownAnswerIdentities:
         wq = find_bistable_wave(swapped, k2, k1, grid)
         assert validate_profile(wp).passed and validate_profile(wq).passed
         assert abs(wp.speed + wq.speed) <= wp.speed_error + wq.speed_error
+
+    def test_speed_monotone_in_competition(self):
+        # comparison principle: the cooperative-frame growth is monotone in
+        # a1 and a2, so c falls as a1 grows and rises with a2; a1 = a2 is the
+        # exchange-symmetric case, c = 0
+        k, grid, values = GaussianKernel(1.0), Grid(half_length=30.0, dx=0.1), (1.5, 2.0, 2.5, 3.0)
+        fronts = {(a1, a2): find_bistable_wave(ModelParams(0.5, 0.5, a1, a2), k, k, grid)
+                  for a1 in values for a2 in values}
+
+        def drop(faster, slower):
+            return faster.speed - slower.speed > faster.speed_error + slower.speed_error
+
+        for u, v in zip(values, values[1:]):
+            for w in values:
+                assert drop(fronts[u, w], fronts[v, w]), (u, v, w)
+                assert drop(fronts[w, v], fronts[w, u]), (w, u, v)
+        for a in values:
+            assert abs(fronts[a, a].speed) <= fronts[a, a].speed_error
+
+
+def _same_profile(a, b):
+    """Bit-identical solver outputs, history included."""
+    assert (a.speed, a.steps, a.residual) == (b.speed, b.steps, b.residual)
+    assert np.array_equal(a.phi, b.phi) and np.array_equal(a.psi, b.psi)
+    for name in ("sup_diffs", "displacements", "monotone_defects"):
+        assert getattr(a.history, name) == getattr(b.history, name), name
+
+
+class TestFrontWindow:
+    @pytest.mark.parametrize("a2,family,dx,floor", [
+        (3.0, "gaussian", 0.01, 0.0), (2.0, "gaussian", 0.01, 0.0),
+        (3.0, "uniform", 0.1, 0.0), (3.0, "gaussian", 0.1, 0.3),
+    ], ids=["readme_dx0.01", "symmetric_dx0.01", "uniform_dx0.1", "raised_start_dx0.1"])
+    def test_whole_grid_bookkeeping_is_bit_identical(self, monkeypatch, a2, family, dx, floor):
+        # a start raised to `floor` on the left has a far field c that the
+        # fractional shift can move to (1 - t)*c + t*c != c
+        p = ModelParams(0.5, 0.5, 2.0, a2)
+        k = GaussianKernel(1.0) if family == "gaussian" else UniformKernel(2.0)
+        grid = Grid(half_length=200.0, dx=dx)
+        ramp = floor + (1.0 - floor) * step_initial_data(grid, 1.0).U
+        start = SpatialState(grid=grid, frame=TRANSFORMED_FRAME, U=ramp, V=ramp.copy())
+        spans = []
+        resample = waves._resample_shifted
+
+        def recording(*args):
+            result = resample(*args)
+            spans.append(result[3])
+            return result
+
+        monkeypatch.setattr(waves, "_resample_shifted", recording)
+        windowed = find_bistable_wave(p, k, k, grid, initial=start)
+        # most steps recenter a window (the last call is the residual's); the
+        # raised start's far field must reach a fixed point first
+        trimmed = sum(span.stop - span.start < grid.n_points / 2 for span in spans[:-1])
+        assert trimmed > (windowed.steps / 2 if floor == 0.0 else 0)
+        monkeypatch.setattr(waves, "_active_window", lambda U, V, reach: (0, len(U)))
+        whole = find_bistable_wave(p, k, k, grid, initial=start)
+        _same_profile(windowed, whole)
+
+    def test_first_step_is_windowed(self, monkeypatch):
+        # the start is snapped, so no convolution of a long-grid solve, the
+        # first step's and the residual's included, runs on all its cells
+        kernels = []
+
+        def keeping(*args, **kwargs):
+            kernels.append(discretize(*args, **kwargs))
+            return kernels[-1]
+
+        monkeypatch.setattr(waves, "discretize", keeping)
+        grid = Grid(half_length=200.0, dx=0.01)
+        find_bistable_wave(ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0),
+                           GaussianKernel(1.0), grid)
+        assert all(n < grid.n_points / 2 for dk in kernels for n in dk.methods)
+
+    def test_caller_initial_is_not_mutated(self):
+        grid = Grid(half_length=30.0, dx=0.1)
+        start = step_initial_data(grid, 0.5)
+        U, V = start.U.copy(), start.V.copy()
+        assert U.min() < _FFT_NOISE_FLOOR and U.max() > 1.0 - _FFT_NOISE_FLOOR
+        find_bistable_wave(ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0),
+                           GaussianKernel(1.0), initial=start)
+        assert np.array_equal(start.U, U) and np.array_equal(start.V, V)
+
+    def test_sub_floor_start_values_do_not_change_the_profile(self):
+        grid = Grid(half_length=30.0, dx=0.1)
+        ramp = step_initial_data(grid, 0.5)
+        U = np.where(ramp.U < _FFT_NOISE_FLOOR, 0.0,
+                     np.where(ramp.U > 1.0 - _FFT_NOISE_FLOOR, 1.0, ramp.U))
+        assert not np.array_equal(U, ramp.U)
+        snapped = SpatialState(grid=grid, frame=TRANSFORMED_FRAME, U=U, V=U.copy())
+        args = (ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0), GaussianKernel(1.0))
+        _same_profile(find_bistable_wave(*args, initial=ramp),
+                      find_bistable_wave(*args, initial=snapped))
 
 
 class TestWaveResidual:
