@@ -129,6 +129,20 @@ class SpatialState:
         if self.frame == ORIGINAL_FRAME and lo < 0.0:
             raise DomainError(f"original-frame samples must be nonnegative; min {lo}")
 
+    @classmethod
+    def _unchecked(cls, grid: Grid, frame: str, U: np.ndarray, V: np.ndarray,
+                   step: int) -> SpatialState:
+        """A state whose fields are known to pass the checks, built without the scan.
+
+        For float fields of the grid's size made from a checked state by
+        operations that keep them finite and inside the frame's range.
+        """
+        state = object.__new__(cls)
+        for name, value in (("grid", grid), ("frame", frame), ("U", U), ("V", V),
+                            ("step", step)):
+            object.__setattr__(state, name, value)
+        return state
+
 
 def constant_state(grid: Grid, frame: str, point, step: int = 0) -> SpatialState:
     """Spatially homogeneous state at the given point."""
@@ -230,6 +244,17 @@ def convolve_extended(field_values: np.ndarray, dk: DiscreteKernel,
     raise ConfigError(f"unknown convolution method {method!r}")
 
 
+def _snap_corners(values: np.ndarray) -> np.ndarray:
+    """In place: values under the noise floor become 0, values within it of 1 become 1.
+
+    Values below 0 and above 1 fall in these bands too, so the snaps also
+    clip to [0, 1].
+    """
+    values[values < _FFT_NOISE_FLOOR] = 0.0
+    values[values > 1.0 - _FFT_NOISE_FLOOR] = 1.0
+    return values
+
+
 def _clamp(values: np.ndarray, what: str, frame: str) -> np.ndarray:
     """Pin a stepped field to its frame's range and snap corner residue.
 
@@ -246,9 +271,7 @@ def _clamp(values: np.ndarray, what: str, frame: str) -> np.ndarray:
     if exceed > 0.0:
         values = np.clip(values, 0.0, upper)
     if frame == TRANSFORMED_FRAME:
-        # values are at most 1 here, so the band around 1 is one comparison
-        values[values < _FFT_NOISE_FLOOR] = 0.0
-        values[values > 1.0 - _FFT_NOISE_FLOOR] = 1.0
+        _snap_corners(values)
     else:
         values[(values > 1.0 - _FFT_NOISE_FLOOR) & (values < 1.0 + _FFT_NOISE_FLOOR)] = 1.0
     return values

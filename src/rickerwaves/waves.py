@@ -3,12 +3,14 @@
 The step operator is monotone and the cooperative-frame corners (0,0) and
 (1,1) are strongly stable, so iterating from monotone ramp data and
 re-centering the half-level crossing of the first component after every
-step converges to a translating profile.  The accumulated re-centering
-shifts give the front speed; no formula for it is available, so the speed
-is purely an output of the construction (zero in the exchange-symmetric
-case).  Newton-type profile solving is deliberately avoided: the operator
-is cheap and globally monotone, while its derivative is not something we
-ever need to build.
+step converges to a translating profile.  The re-centering shifts give the
+front speed; no formula for it is available, so the speed is purely an
+output of the construction (zero in the exchange-symmetric case).
+Anderson mixing of the recentered steps, projected back onto monotone
+states in [0, 1], reaches the profile in fewer steps; plain steps at the
+end give the speed.  Newton-type profile solving is deliberately avoided:
+the operator is cheap and globally monotone, while its derivative is not
+something we ever need to build, and the mixing only evaluates it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .errors import (
     RangeError,
 )
 from .evolution import (
+    _FFT_NOISE_FLOOR,
+    ACTIVE_MAX_SHARE,
     DEFAULT_DX,
     DEFAULT_HALF_LENGTH,
     Grid,
@@ -35,6 +39,7 @@ from .evolution import (
     _clamp,
     _extend,
     _shift_cells,
+    _snap_corners,
     apply_Q,
     interior_slice,
 )
@@ -52,6 +57,13 @@ from .speeds import counter_propagation, front_position, system_speed_bound
 
 # level of the first component whose crossing is recentered to x = 0
 FRONT_LEVEL = 0.5
+
+# number of past steps the Anderson mixing combines; 0 is plain iteration
+ANDERSON_DEPTH = 5
+
+# the speed is extrapolated from this many displacements of unmixed steps:
+# two Aitken limits, three displacements each
+PLAIN_DISPLACEMENTS = 4
 
 
 @dataclass(frozen=True)
@@ -72,6 +84,8 @@ class WaveHistory:
     sup_diffs: list = field(default_factory=list)
     displacements: list = field(default_factory=list)
     monotone_defects: list = field(default_factory=list)
+    # the speed error bound after each step; nan until it is defined
+    speed_errors: list = field(default_factory=list)
 
 
 @dataclass
@@ -89,8 +103,8 @@ class WaveProfile:
     # slowest tail decay rate at the corners for speeds |c| up to the
     # interior monostable speed; the sized grid is built from it
     decay_rate: float = math.nan
-    # magnitude of the last Aitken correction, which overstates the
-    # iteration error left in ``speed``; the grid's error is not in it
+    # bound on the iteration error left in ``speed`` (see
+    # ``find_bistable_wave``); the grid's error is not in it
     speed_error: float = math.nan
     # ratio of the last two displacement increments
     contraction_rate: float = math.nan
@@ -196,6 +210,155 @@ def _aitken(displacements: list) -> tuple:
     return x2 - correction, correction, q
 
 
+def _hull(*spans: slice) -> slice:
+    return slice(min(s.start for s in spans), max(s.stop for s in spans))
+
+
+def _place(values: np.ndarray, old: slice, new: slice) -> np.ndarray:
+    """Columns on the cells ``old`` placed on ``new``, which holds them, with 0 around."""
+    if old == new:
+        return values
+    out = np.zeros(values.shape[:-1] + (new.stop - new.start,))
+    out[..., old.start - new.start : old.stop - new.start] = values
+    return out
+
+
+def _widen(Gf: np.ndarray, old: slice, new: slice) -> np.ndarray:
+    """[G; f] on the cells ``old`` placed on ``new``: G keeps its end values, f is 0."""
+    out = _place(Gf, old, new)
+    if old != new:
+        out[0, :, : old.start - new.start] = Gf[0, :, :1]
+        out[0, :, old.stop - new.start :] = Gf[0, :, -1:]
+    return out
+
+
+def _stack(z: tuple, G: tuple, cells: slice) -> np.ndarray:
+    """[G; G - z] on the cells, (2, 2, width): G(z) and the residual of z."""
+    Gf = np.array(((G[0][cells], G[1][cells]), (z[0][cells], z[1][cells])))
+    np.subtract(Gf[0], Gf[1], out=Gf[1])
+    return Gf
+
+
+class _Anderson:
+    """Anderson type II mixing of the recentered step G (Walker & Ni, 2011).
+
+    On z = [U; V] with residual f = G(z) - z, the next iterate is
+    G(z) - dG @ gamma, where gamma minimizes |f - dF @ gamma| over the last
+    ``depth`` differences dF of residuals and dG of G values.  It is then
+    projected back onto the monotone states in [0, 1]: the two snaps of
+    ``evolution._clamp``, which also clip, and a running maximum per field.
+    The differences sit in a ring buffer with their Gram matrix, which each
+    new difference updates by one row and column.
+
+    Windows: while the far fields hold still, every residual is zero
+    outside the hull of the spans of z and G(z), so the last G and residual
+    live on the hull of those spans since the mixing began (the working
+    window; the whole grid while a far field moves).  The differences live
+    on a window outside which they are all zero, found from their values
+    alone and widened by 1/32 of its length each side so that it seldom
+    grows.  Their dot products, and with them the iterates, therefore do
+    not depend on how wide a span ``evolution._active_window`` reports.
+    """
+
+    def __init__(self, depth: int, n: int):
+        self.depth, self.n = depth, n
+        self.count = 0
+        self.gram = np.zeros((depth, depth))
+        # per slot the differences of G and of f, (depth, 2, 2, width), on `support`
+        self.rows = None
+        self.support = None
+        # [G; f] of the last step, (2, 2, width), on the working window
+        self.work = self.last = None
+
+    def step(self, z: tuple, G: tuple, union: slice, Gf: np.ndarray):
+        """The next iterate from z and G(z), as (U, V, span); None for G(z) itself.
+
+        ``Gf`` is ``_stack(z, G, union)``, on the hull of the spans of z and G(z).
+        """
+        still = (G[0][0] == z[0][0] and G[0][-1] == z[0][-1]
+                 and G[1][0] == z[1][0] and G[1][-1] == z[1][-1])
+        work = union if still else slice(0, self.n)
+        old = self.work
+        if old is not None:
+            work = _hull(work, old)
+        if work != union:
+            Gf = _stack(z, G, work)
+        mixed = None
+        if old is not None:
+            mixed, work, Gf = self._mix(Gf, _widen(self.last, old, work), work)
+        self.work, self.last = work, Gf
+        if mixed is None:
+            return None
+        return _extend(mixed[0], work.start, self.n), _extend(mixed[1], work.start, self.n), work
+
+    def _hold(self, lo: int, hi: int) -> slice:
+        """The difference window, grown with a margin to hold the cells lo..hi-1.
+
+        Like a step's active window, it takes the whole grid rather than
+        keep more than ``ACTIVE_MAX_SHARE`` of it.
+        """
+        margin = (hi - lo) // 32
+        new = slice(max(lo - margin, 0), min(hi + margin, self.n))
+        if new.stop - new.start > ACTIVE_MAX_SHARE * self.n:
+            new = slice(0, self.n)
+        if self.support is None:
+            self.rows = np.zeros((self.depth, 2, 2, new.stop - new.start))
+        else:
+            new = _hull(self.support, new)
+            self.rows = _place(self.rows, self.support, new)
+        self.support = new
+        return new
+
+    def _mix(self, Gf, last, work):
+        """The mixed iterate on ``work`` (None without one), and the possibly
+        widened work and Gf."""
+        S, slot = self.support, self.count % self.depth
+        if S == work:
+            # every difference lies in the window: it goes straight to its slot
+            np.subtract(Gf, last, out=self.rows[slot])
+        else:
+            d = Gf - last
+            if S is not None:
+                a, b = S.start - work.start, S.stop - work.start
+            if S is None or d[..., :a].any() or d[..., b:].any():
+                # a difference outside the window: grow it
+                moved = d.any(axis=(0, 1))
+                lo = int(moved.argmax())
+                if not moved[lo]:
+                    self.count = 0
+                    return None, work, Gf
+                hi = len(moved) - int(moved[::-1].argmax())
+                S = self._hold(work.start + lo, work.start + hi)
+                if S.start < work.start or S.stop > work.stop:
+                    # the margin reaches past every span, where the residuals are zero
+                    wider = _hull(work, S)
+                    Gf, d, work = _widen(Gf, work, wider), _place(d, work, wider), wider
+            # zero outside the window, so this fills the whole row
+            self.rows[slot] = d[..., S.start - work.start : S.stop - work.start]
+        a, b = S.start - work.start, S.stop - work.start
+        self.count += 1
+        k = min(self.count, self.depth)
+        dF = self.rows[:k, 1].reshape(k, -1)
+        column, rhs = (dF @ np.array((dF[slot], Gf[1, :, a:b].reshape(-1))).T).T
+        self.gram[slot, :k] = column
+        self.gram[:k, slot] = column
+        try:
+            gamma = np.linalg.solve(self.gram[:k, :k], rhs)
+        except np.linalg.LinAlgError:
+            # a singular history, a zero difference in it say: start it again
+            self.count = 0
+            return None, work, Gf
+        combined = (gamma @ self.rows[:k, 0].reshape(k, -1)).reshape(2, -1)
+        if S == work:
+            mixed = Gf[0] - combined
+        else:
+            mixed = Gf[0].copy()
+            mixed[:, a:b] -= combined
+        _snap_corners(mixed)
+        # the running maximum; fmax is the faster of the two on values without nan
+        return np.fmax.accumulate(mixed, axis=1, out=mixed), work, Gf
+
+
 def _decay_rate(log_alpha: float, dk: DiscreteKernel, speed: float) -> float:
     """Positive root of log_alpha + ln M(lam) + lam*speed, M the discrete MGF.
 
@@ -249,13 +412,22 @@ def _sized_grid(dk1: DiscreteKernel, dk2: DiscreteKernel, speed: float,
     """Half length J*dx plus the distance over which the slowest tail falls to eps.
 
     At least speed + 3 cells beyond J*dx, so ``wave_residual`` and
-    ``validate_profile`` keep an interior window, and at most
-    ``DEFAULT_HALF_LENGTH``.
+    ``validate_profile`` keep an interior window.  Raises RangeError beyond
+    ``DEFAULT_HALF_LENGTH``: a shorter grid cuts the tails off above eps,
+    and the solve converges to a profile whose tails miss the corners.
     """
     dx = dk1.dx
     tail = math.log(1.0 / eps) / decay_rate if decay_rate > 0.0 else math.inf
     reach = max(dk1.half_width, dk2.half_width) * dx
-    return Grid(half_length=min(reach + max(tail, speed + 3 * dx), DEFAULT_HALF_LENGTH), dx=dx)
+    half_length = reach + max(tail, speed + 3 * dx)
+    if half_length > DEFAULT_HALF_LENGTH:
+        raise RangeError(
+            f"the profile tails need a half length of about {half_length:.4g} "
+            f"(slowest tail decay rate {decay_rate:.4g}), more than the "
+            f"{DEFAULT_HALF_LENGTH:g} a sized grid may take; give the grid "
+            "(grid.L, or --L on the command line) to solve on it"
+        )
+    return Grid(half_length=half_length, dx=dx)
 
 
 def wave_grid(p: ModelParams, kernel1: Kernel, kernel2: Kernel, dx: float = DEFAULT_DX,
@@ -266,9 +438,11 @@ def wave_grid(p: ModelParams, kernel1: Kernel, kernel2: Kernel, dx: float = DEFA
     to hold the two exponential tails beyond the kernel half width J: the
     half length is J*dx + ln(1/profile_tol)/lam, with lam the slowest tail
     decay rate of the discretized kernels for any speed |c| up to the
-    interior monostable speed, capped at ``DEFAULT_HALF_LENGTH``.  Past
-    that point the tails are below the solver's sup-norm stopping
-    tolerance, so a longer grid adds work the stopping test cannot see.
+    interior monostable speed.  Past that point the tails are below the
+    solver's sup-norm stopping tolerance, so a longer grid adds work the
+    stopping test cannot see.  Raises RangeError when that half length
+    exceeds ``DEFAULT_HALF_LENGTH``; a grid given to the solver is used as
+    it is.
     """
     opts = opts or WaveOptions()
     speed = system_speed_bound(p, kernel1, kernel2).value
@@ -288,28 +462,38 @@ def find_bistable_wave(
 ) -> WaveProfile:
     """Iterate from ramp data, recentering the front, until it translates.
 
-    The recentered iteration contracts geometrically onto the front, so the
-    per-step displacements converge geometrically to its speed.  The speed
-    is the Aitken delta-squared limit of the last three displacements, and
-    ``speed_error`` is the magnitude of that last correction.  The solve
-    stops once the sup-norm change between consecutive recentered profiles
-    is below ``profile_tol``, the displacement increments contract
-    (|``contraction_rate``| < 1) and the correction is below ``speed_tol``.
-    ``speed_error`` is the error the extrapolation removed, so it overstates
-    the iteration error that is left; it says nothing of the grid's own
-    error (speed at dx 0.1 against dx 0.01: ~9e-5 in the README case).
+    The translating profile is the fixed point of G = recenter o Q, and the
+    plain iteration z -> G(z) contracts geometrically onto it.  Each step
+    instead takes the Anderson mixing of the last ``ANDERSON_DEPTH`` steps
+    (``_Anderson``), projected onto the monotone states in [0, 1], until
+    the sup-norm change of the recentered profile falls below
+    profile_tol * speed_tol (at least the roundoff floor).  Plain steps
+    follow, and their displacements converge geometrically to the speed:
+    the speed is the Aitken delta-squared limit of the last three.
+    ``speed_error`` bounds its error by the largest of the last Aitken
+    correction, the change of the limit over the last step and
+    sup diff / ((1 - |q|) phi'(0)), where q is ``contraction_rate`` and
+    phi'(0) the slope of the first component at the crossing: a step that
+    moves the profile by d leaves it up to d / (1 - |q|) from the fixed
+    point, and the front that far over the slope.  The solve stops at the
+    first step after four plain displacements where the profile moved less
+    than ``profile_tol``, |q| < 1 and ``speed_error`` is below
+    ``speed_tol``.  ``speed_error`` says nothing of the grid's own error
+    (speed at dx 0.1 against dx 0.01: ~9e-5 in the README case).
     Raises ConvergenceError (with the history attached) on step-budget
-    exhaustion and DegenerateDataError if the tracked level crossing
-    disappears.
+    exhaustion, DegenerateDataError if the tracked level crossing
+    disappears, and RangeError from ``wave_grid`` when no grid is given and
+    the tails need more than ``DEFAULT_HALF_LENGTH``.
     ``initial`` replaces the default ramp data (it must be a monotone
     transformed-frame state, on ``grid`` when one is given).  Without
     either, the solve runs on ``wave_grid`` at ``DEFAULT_DX``.
     The start state is snapped first, on copies, as every step's clamp
     snaps its output: values within the roundoff floor of 0 or 1 become 0
-    or 1.  Each step then recenters and measures only the span of cells that
-    moved (``evolution._active_window``) and gives the rest the far-field
-    values, which is the full-grid computation bit for bit; a span keeping
-    more than half the grid, as on sized grids, is the whole grid.
+    or 1.  Each step then recenters, measures and mixes only the span of
+    cells that moved (``evolution._active_window``) and gives the rest the
+    far-field values, which is the full-grid computation bit for bit; a
+    span keeping more than half the grid, as on sized grids, is the whole
+    grid.
     """
     opts = opts or WaveOptions()
     if opts.max_steps < 1:
@@ -350,46 +534,69 @@ def find_bistable_wave(
         V=_clamp(state.V.copy(), "initial V", TRANSFORMED_FRAME),
     )
     history = WaveHistory()
-    correction = rate = math.nan
     # the current state is constant outside the cells of span
-    span = slice(0, grid.n_points)
+    span = slice(*_active_window(state.U, state.V, 3))
+    mixer = _Anderson(ANDERSON_DEPTH, grid.n_points) if ANDERSON_DEPTH > 0 else None
+    # mixed iterates break the geometric decay the Aitken limit relies on,
+    # so the plain steps that give the speed start once the profile moves
+    # less than a speed_tol fraction of profile_tol per step (stopping the
+    # mixing at profile_tol left speed errors up to 3e-5 on seeded cells);
+    # the roundoff floor keeps tight tolerances reachable
+    mix_tol = max(opts.profile_tol * opts.speed_tol, _FFT_NOISE_FLOOR)
+    plain = 0  # displacements since the last mixed iterate
+    centre = grid.half_cells
+    limit = speed_error = correction = rate = math.nan
 
     for n in range(1, opts.max_steps + 1):
         prev_U, prev_V, prev_span = state.U, state.V, span
-        state = apply_Q(state, p, dk1, dk2)
+        stepped = apply_Q(state, p, dk1, dk2)
         # bookkeeping runs on the cells that moved, with three edge cells each side
-        a, b = _active_window(state.U, state.V, 3)
+        a, b = _active_window(stepped.U, stepped.V, 3)
         try:
-            t = front_position(grid.x[a:b], state.U[a:b], FRONT_LEVEL)
+            t = front_position(grid.x[a:b], stepped.U[a:b], FRONT_LEVEL)
         except MeasurementError as exc:
             raise DegenerateDataError(
                 f"front level {FRONT_LEVEL} lost at step {n}"
             ) from exc
-        U, V, _, span = _resample_shifted(state, t, a, b)
-        state = SpatialState(
-            grid=grid, frame=TRANSFORMED_FRAME, U=U, V=V, step=state.step
-        )
+        step = stepped.step
+        U, V, _, span = _resample_shifted(stepped, t, a, b)
+        del stepped  # before the mixing makes its fields
 
         history.displacements.append(t)
         # both states hold their far-field values outside the union of their
         # spans and in its end cells, so the union holds every difference
-        union = slice(min(prev_span.start, span.start), max(prev_span.stop, span.stop))
-        sup_diff = max(
-            _sup_diff(U[union], prev_U[union]),
-            _sup_diff(V[union], prev_V[union]),
-        )
+        union = _hull(prev_span, span)
+        Gf = _stack((prev_U, prev_V), (U, V), union)
+        sup_diff = float(np.abs(Gf[1]).max())
         history.sup_diffs.append(sup_diff)
-        # the cells beyond the span repeat its two equal end cells, so the
-        # span holds every adjacent difference, a zero one included
-        history.monotone_defects.append(
-            min(_min_adjacent_diff(U[span]), _min_adjacent_diff(V[span]))
-        )
+        # beyond its span the state repeats the span's two equal end cells,
+        # so the union holds every adjacent difference, a zero one included
+        history.monotone_defects.append(float((Gf[0, :, 1:] - Gf[0, :, :-1]).min()))
 
+        if mixer is not None and sup_diff < mix_tol:
+            mixer = None
+        plain = 0 if mixer is not None else plain + 1
+        speed_error = math.nan
         if n >= 3:
+            previous = limit
             speed, correction, rate = _aitken(history.displacements)
-            if (sup_diff < opts.profile_tol and abs(rate) < 1.0
-                    and abs(correction) < opts.speed_tol):
-                break
+            limit = speed
+            if plain >= PLAIN_DISPLACEMENTS:
+                # a profile within sup_diff/(1 - |q|) of the fixed point puts
+                # the front within that over the slope at the crossing
+                slope = float(U[centre + 1] - U[centre - 1]) / (2.0 * grid.dx)
+                drift = (sup_diff / ((1.0 - abs(rate)) * slope)
+                         if abs(rate) < 1.0 and slope > 0.0 else math.inf)
+                speed_error = max(abs(correction), abs(speed - previous), drift)
+        history.speed_errors.append(speed_error)
+        # speed_error bounds the Aitken correction from above
+        if sup_diff < opts.profile_tol and abs(rate) < 1.0 and speed_error < opts.speed_tol:
+            break
+        mixed = None if mixer is None else mixer.step((prev_U, prev_V), (U, V), union, Gf)
+        if mixed is not None:
+            U, V, span = mixed
+        # recentering and mixing keep the checked fields of apply_Q inside [0, 1]
+        state = SpatialState._unchecked(grid, TRANSFORMED_FRAME, U, V, step)
     else:
         # at the last contraction rate the sup diff reaches profile_tol in this many more steps
         remaining = ""
@@ -399,21 +606,21 @@ def find_bistable_wave(
         raise ConvergenceError(
             f"no traveling profile within {opts.max_steps} steps "
             f"(last sup diff {sup_diff:.3e}, Aitken correction {abs(correction):.3e}, "
-            f"contraction rate {rate:.4g}{remaining})",
+            f"speed error {speed_error:.3e}, contraction rate {rate:.4g}{remaining})",
             history=history,
         )
 
     profile = WaveProfile(
         grid=grid,
-        phi=state.U,
-        psi=state.V,
+        phi=U,
+        psi=V,
         speed=speed,
         residual=math.nan,
         steps=n,
         history=history,
         kernel_half_width=max(dk1.half_width, dk2.half_width),
         decay_rate=decay_rate,
-        speed_error=abs(correction),
+        speed_error=speed_error,
         contraction_rate=rate,
     )
     profile.residual = wave_residual(profile, p, dk1, dk2)

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from rickerwaves import (
@@ -13,6 +15,7 @@ from rickerwaves import (
     ModelParams,
     ParameterError,
     ProfileTolerances,
+    RangeError,
     TableKernel,
     UniformKernel,
     WaveOptions,
@@ -34,7 +37,7 @@ from rickerwaves.evolution import (
     interior_slice,
 )
 from rickerwaves.model import TRANSFORMED_FRAME
-from rickerwaves.speeds import system_speed_bound
+from rickerwaves.speeds import counter_propagation, system_speed_bound
 from rickerwaves.waves import WaveHistory, WaveProfile
 
 # README-config front speed on Grid(200, 0.1), solved to tolerances 1e-12
@@ -114,13 +117,23 @@ class TestFindBistableWave:
         def met(n):
             _, correction, rate = waves._aitken(h.displacements[:n])
             return (h.sup_diffs[n - 1] < opts.profile_tol and abs(rate) < 1.0
-                    and abs(correction) < opts.speed_tol)
+                    and abs(correction) < opts.speed_tol
+                    and h.speed_errors[n - 1] < opts.speed_tol)
 
         assert [n for n in range(3, len(h.displacements) + 1) if met(n)] == [standard_wave.steps]
         speed, correction, rate = waves._aitken(h.displacements)
         assert standard_wave.speed == speed
-        assert standard_wave.speed_error == abs(correction)
         assert standard_wave.contraction_rate == rate
+        # the bound covers the last correction and the last change of the limit
+        previous = waves._aitken(h.displacements[:-1])[0]
+        assert standard_wave.speed_error == h.speed_errors[-1]
+        assert standard_wave.speed_error >= max(abs(correction), abs(speed - previous))
+        # it is defined once the mixing has stopped and four plain steps were taken
+        defined = [n for n, e in enumerate(h.speed_errors, 1) if not np.isnan(e)]
+        assert defined == list(range(defined[0], standard_wave.steps + 1))
+        switch = defined[0] - waves.PLAIN_DISPLACEMENTS + 1
+        assert h.sup_diffs[switch - 1] < opts.profile_tol * opts.speed_tol
+        assert all(d >= opts.profile_tol * opts.speed_tol for d in h.sup_diffs[:switch - 1])
 
     @pytest.mark.parametrize("ratio", [0.5, -0.5, 2.0, -2.0])
     def test_stops_only_on_contracting_displacements(self, standard_wave, monkeypatch, ratio):
@@ -134,8 +147,9 @@ class TestFindBistableWave:
         args = (ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0), GaussianKernel(1.0),
                 standard_wave.grid, WaveOptions(max_steps=10))
         if abs(ratio) < 1.0:
+            # the stop compares the Aitken limits of two steps: four displacements
             wp = find_bistable_wave(*args, initial=start)
-            assert wp.steps == 3 and wp.contraction_rate == pytest.approx(ratio, rel=1e-3)
+            assert wp.steps == 4 and wp.contraction_rate == pytest.approx(ratio, rel=1e-3)
             assert wp.speed == pytest.approx(standard_wave.speed, abs=1e-15)
         else:
             with pytest.raises(ConvergenceError) as info:
@@ -184,6 +198,21 @@ class TestFindBistableWave:
             assert compare(lo, state) in ("le", "equal")
             assert compare(state, hi) in ("le", "equal")
 
+    def test_one_state_check_per_step(self, monkeypatch):
+        # apply_Q checks the state it returns; the recentered and mixed
+        # states made from it are not checked again
+        calls = []
+        check = SpatialState.__post_init__
+        monkeypatch.setattr(SpatialState, "__post_init__",
+                            lambda self: calls.append(1) or check(self))
+        p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
+        extra = set()
+        for opts in (WaveOptions(), WaveOptions(speed_tol=1e-9)):
+            calls.clear()
+            wp = find_bistable_wave(p, k, k, opts=opts)
+            extra.add(len(calls) - wp.steps)
+        assert len(extra) == 1 and extra.pop() < 5
+
     def test_each_kernel_discretized_once_per_solve(self, wave_grid, monkeypatch):
         # the residual reuses the solver's discretized kernels
         calls = []
@@ -209,7 +238,7 @@ class TestFindBistableWave:
         history = info.value.history
         assert len(history.displacements) == 3
         message = str(info.value)
-        for name in ("last sup diff", "Aitken correction", "contraction rate"):
+        for name in ("last sup diff", "Aitken correction", "speed error", "contraction rate"):
             assert name in message
         # at the last contraction rate q, ln(sup diff / profile_tol) / -ln(q) more steps
         _, _, rate = waves._aitken(history.displacements)
@@ -316,6 +345,66 @@ class TestKnownAnswerIdentities:
                 assert drop(fronts[w, v], fronts[w, u]), (w, u, v)
         for a in values:
             assert abs(fronts[a, a].speed) <= fronts[a, a].speed_error
+
+
+TIGHT = WaveOptions(profile_tol=1e-11, speed_tol=1e-12)
+ERROR_CELLS = {
+    "readme": (ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)),
+    "second": (ModelParams(0.3, 0.7, 2.5, 1.8), GaussianKernel(1.0)),
+    "symmetric": (ModelParams(0.5, 0.5, 2.0, 2.0), GaussianKernel(1.0)),
+    "uniform": (ModelParams(0.5, 0.5, 2.0, 3.0), UniformKernel(2.0)),
+}
+
+
+def _bounds_its_error(p, k1, k2):
+    """Default and tight solves on the default grid; the default's bound holds."""
+    wp = find_bistable_wave(p, k1, k2)
+    tight = find_bistable_wave(p, k1, k2, opts=TIGHT)
+    assert tight.speed_error < TIGHT.speed_tol
+    assert abs(wp.speed - tight.speed) <= wp.speed_error
+    return wp
+
+
+def _distance_bound(wp):
+    """How far the last sup diff leaves the profile from the fixed point."""
+    return wp.history.sup_diffs[-1] / (1.0 - abs(wp.contraction_rate))
+
+
+class TestSpeedError:
+    @pytest.mark.parametrize("name", ERROR_CELLS)
+    def test_bounds_the_error_against_a_tight_solve(self, name):
+        p, k = ERROR_CELLS[name]
+        _bounds_its_error(p, k, k)
+
+    @pytest.mark.parametrize("name", ERROR_CELLS)
+    def test_mixing_keeps_the_plain_iteration_answer(self, monkeypatch, name):
+        p, k = ERROR_CELLS[name]
+        mixed = find_bistable_wave(p, k, k)
+        monkeypatch.setattr(waves, "ANDERSON_DEPTH", 0)
+        plain = find_bistable_wave(p, k, k)
+        assert mixed.steps < plain.steps
+        assert abs(mixed.speed - plain.speed) <= mixed.speed_error + plain.speed_error
+        # a step that moves the profile by d leaves it within d/(1 - q) of
+        # the fixed point: up to 3.6e-6 for the plain solves, so more than
+        # profile_tol
+        far = _distance_bound(mixed) + _distance_bound(plain)
+        assert max(np.max(np.abs(mixed.phi - plain.phi)),
+                   np.max(np.abs(mixed.psi - plain.psi))) <= far
+
+
+# the benchmark's box of strong-competition Gaussian cells
+_unit = st.floats(0.2, 0.8)
+_competition = st.floats(1.5, 3.5)
+_sigma = st.floats(0.5, 2.0)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(r1=_unit, r2=_unit, a1=_competition, a2=_competition, s1=_sigma, s2=_sigma)
+def test_random_cells_converge_to_valid_profiles_within_their_bound(r1, r2, a1, a2, s1, s2):
+    p, k1, k2 = ModelParams(r1, r2, a1, a2), GaussianKernel(s1), GaussianKernel(s2)
+    assume(counter_propagation(p, k1, k2).passed)
+    wp = _bounds_its_error(p, k1, k2)
+    assert validate_profile(wp).passed
 
 
 def _same_profile(a, b):
@@ -508,11 +597,17 @@ class TestWaveGrid:
         doubled = find_bistable_wave(p, k1, k2, Grid(2.0 * grid.half_length, grid.dx))
         assert abs(wp.speed - doubled.speed) <= 1e-9
 
-    def test_stiff_cell_keeps_the_default_grid(self):
-        # r2 = 0.001 leaves the V tail at F3 decaying at ~1e-3 per unit
-        grid = waves.wave_grid(ModelParams(0.999, 0.001, 2.0, 3.0), GaussianKernel(1.0),
-                         GaussianKernel(1.0))
-        assert grid == Grid(half_length=DEFAULT_HALF_LENGTH, dx=DEFAULT_DX)
+    def test_stiff_cell_needs_a_longer_grid(self):
+        # the slowest tail decays at 0.0143 per unit: it needs L ~ 974, and a
+        # grid capped at 200 would cut it off at 1 - psi ~ 1.7e-3
+        p, k = ModelParams(0.999, 0.001, 2.0, 3.0), GaussianKernel(1.0)
+        for solve in (waves.wave_grid, find_bistable_wave):
+            with pytest.raises(RangeError, match=r"half length of about 973\.7.*grid\.L.*--L"):
+                solve(p, k, k)
+        # a grid given by the caller is solved on as it is
+        with pytest.raises(ConvergenceError):
+            find_bistable_wave(p, k, k, Grid(DEFAULT_HALF_LENGTH, DEFAULT_DX),
+                               WaveOptions(max_steps=5))
 
     def test_grid_follows_the_spacing_and_profile_tolerance(self):
         p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
