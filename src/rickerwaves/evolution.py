@@ -7,6 +7,8 @@ operator and is not offered).  Fields are extended by constant
 continuation beyond the grid edges before convolving, so front states
 that connect two different constants are not corrupted by wraparound.
 
+A state holds U and V as the rows of one (2, N) array; a step clamps and
+extends that stack once, and the clamp's min and max check its output.
 A step computes only the active window: the span where U or V differs
 from its edge value, widened by the larger kernel half width plus one.
 Beyond it the stepped fields equal the window's end outputs, because
@@ -33,7 +35,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -97,13 +99,19 @@ class Grid:
 
 @dataclass(frozen=True)
 class SpatialState:
-    """Paired fields (U, V) sampled on a grid, tagged with their frame."""
+    """Paired fields (U, V) sampled on a grid, tagged with their frame.
+
+    U and V are the rows of one C-contiguous (2, N) array, ``fields``.  The
+    constructor stacks the U and V it is given (a copy) and checks them with
+    one min and one max; ``apply_Q``'s states are checked by its clamp.
+    """
 
     grid: Grid
     frame: str
     U: np.ndarray
     V: np.ndarray
     step: int = 0
+    fields: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.frame not in (ORIGINAL_FRAME, TRANSFORMED_FRAME):
@@ -115,32 +123,33 @@ class SpatialState:
             raise ConfigError(
                 f"field shapes {U.shape}, {V.shape} do not match grid size {n}"
             )
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "V", V)
-        # numpy reductions propagate nan, so each field's extremes are checked
-        u_lo, u_hi, v_lo, v_hi = float(U.min()), float(U.max()), float(V.min()), float(V.max())
-        if not all(math.isfinite(b) for b in (u_lo, u_hi, v_lo, v_hi)):
+        fields = np.array((U, V))
+        # numpy reductions propagate nan, so the extremes show any non-finite sample
+        lo, hi = float(fields.min()), float(fields.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError("fields contain non-finite samples")
-        lo, hi = min(u_lo, v_lo), max(u_hi, v_hi)
         if self.frame == TRANSFORMED_FRAME and (lo < 0.0 or hi > 1.0):
             raise DomainError(
                 f"transformed-frame samples must lie in [0,1]; range [{lo}, {hi}]"
             )
         if self.frame == ORIGINAL_FRAME and lo < 0.0:
             raise DomainError(f"original-frame samples must be nonnegative; min {lo}")
+        object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "U", fields[0])
+        object.__setattr__(self, "V", fields[1])
 
     @classmethod
-    def _unchecked(cls, grid: Grid, frame: str, U: np.ndarray, V: np.ndarray,
+    def _unchecked(cls, grid: Grid, frame: str, fields: np.ndarray,
                    step: int) -> SpatialState:
-        """A state whose fields are known to pass the checks, built without the scan.
+        """A state on the (2, N) ``fields`` it keeps, known to pass the checks.
 
-        For float fields of the grid's size made from a checked state by
-        operations that keep them finite and inside the frame's range.
+        Made from a checked state by operations that keep the fields finite
+        and inside the frame's range, or checked by ``_clamp``.
         """
         state = object.__new__(cls)
-        for name, value in (("grid", grid), ("frame", frame), ("U", U), ("V", V),
-                            ("step", step)):
-            object.__setattr__(state, name, value)
+        # the instance dict takes the frozen fields without __setattr__
+        state.__dict__.update(grid=grid, frame=frame, fields=fields, U=fields[0],
+                              V=fields[1], step=step)
         return state
 
 
@@ -250,30 +259,35 @@ def _snap_corners(values: np.ndarray) -> np.ndarray:
     Values below 0 and above 1 fall in these bands too, so the snaps also
     clip to [0, 1].
     """
-    values[values < _FFT_NOISE_FLOOR] = 0.0
-    values[values > 1.0 - _FFT_NOISE_FLOOR] = 1.0
+    np.copyto(values, 0.0, where=values < _FFT_NOISE_FLOOR)
+    np.copyto(values, 1.0, where=values > 1.0 - _FFT_NOISE_FLOOR)
     return values
 
 
 def _clamp(values: np.ndarray, what: str, frame: str) -> np.ndarray:
-    """Pin a stepped field to its frame's range and snap corner residue.
+    """Pin stepped fields to their frame's range and snap corner residue, in place.
 
     Both frames clip below 0, and the cooperative frame also clips above 1
     and snaps values under the noise floor to 0.  Both frames snap values
     within the floor of 1 to 1.  The snaps are monotone, so order is
     preserved, and they make E1, E2 (original) and F0, F3 (cooperative)
-    exact fixed points.
+    exact fixed points.  The clamp is also the check of a step's output:
+    a non-finite sample raises DomainError, and one outside the range by
+    more than ``CLAMP_TOL`` is logged before it is clipped.
     """
-    upper = 1.0 if frame == TRANSFORMED_FRAME else np.inf
-    exceed = max(-values.min(), values.max() - upper, 0.0)
+    lo, hi = float(values.min()), float(values.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"{what} contain non-finite samples")
+    upper = 1.0 if frame == TRANSFORMED_FRAME else math.inf
+    exceed = max(-lo, hi - upper, 0.0)
     if exceed > CLAMP_TOL:
         log.warning("%s left [0, %g] by %.3e; clamping", what, upper, exceed)
-    if exceed > 0.0:
-        values = np.clip(values, 0.0, upper)
     if frame == TRANSFORMED_FRAME:
-        _snap_corners(values)
-    else:
-        values[(values > 1.0 - _FFT_NOISE_FLOOR) & (values < 1.0 + _FFT_NOISE_FLOOR)] = 1.0
+        # the snaps clip to [0, 1] as well
+        return _snap_corners(values)
+    if lo < 0.0:
+        np.clip(values, 0.0, upper, out=values)
+    values[(values > 1.0 - _FFT_NOISE_FLOOR) & (values < 1.0 + _FFT_NOISE_FLOOR)] = 1.0
     return values
 
 
@@ -316,13 +330,14 @@ def _active_window(U: np.ndarray, V: np.ndarray, reach: int) -> tuple:
 
 
 def _extend(values: np.ndarray, a: int, n: int) -> np.ndarray:
-    """A window's outputs from cell a on n cells, its end values repeated outward."""
-    if len(values) == n:
+    """Rows of a window's outputs from cell a on n cells, end values repeated outward."""
+    width = values.shape[-1]
+    if width == n:
         return values
-    out = np.empty(n)
-    out[:a] = values[0]
-    out[a : a + len(values)] = values
-    out[a + len(values) :] = values[-1]
+    out = np.empty((len(values), n))
+    out[:, :a] = values[:, :1]
+    out[:, a : a + width] = values
+    out[:, a + width :] = values[:, -1:]
     return out
 
 
@@ -336,25 +351,28 @@ def apply_Q(
 
     Growth, dispersal and the clamp run on ``_active_window`` only; cells
     outside it take the window's end outputs, which is what constant
-    continuation at the grid edge gives there as well.
+    continuation at the grid edge gives there as well.  The clamp of the
+    stacked window checks the output; it is not scanned again.
     """
     for name, dk in (("k1", k1), ("k2", k2)):
         if dk.dx != state.grid.dx:
             raise ConfigError(
                 f"{name} was discretized at dx={dk.dx}, state grid has dx={state.grid.dx}"
             )
-    U, V = state.U, state.V
-    n = len(U)
-    a, b = _active_window(U, V, max(k1.half_width, k2.half_width) + 1)
+    fields = state.fields
+    n = fields.shape[1]
+    a, b = _active_window(state.U, state.V, max(k1.half_width, k2.half_width) + 1)
     if b - a < n:
-        U, V = U[a:b], V[a:b]
-    gu, gv = growth(p, U, V, state.frame)
-    Un = convolve_extended(gu, k1)
+        fields = fields[:, a:b]
+    gu, gv = growth(p, fields[0], fields[1], state.frame)
+    out = np.empty(fields.shape)
     if state.frame == TRANSFORMED_FRAME:
-        Un = 1.0 - Un
-    Un = _extend(_clamp(Un, "U after step", state.frame), a, n)
-    Vn = _extend(_clamp(convolve_extended(gv, k2), "V after step", state.frame), a, n)
-    return SpatialState(grid=state.grid, frame=state.frame, U=Un, V=Vn, step=state.step + 1)
+        np.subtract(1.0, convolve_extended(gu, k1), out=out[0])
+    else:
+        out[0] = convolve_extended(gu, k1)
+    out[1] = convolve_extended(gv, k2)
+    out = _extend(_clamp(out, "fields after step", state.frame), a, n)
+    return SpatialState._unchecked(state.grid, state.frame, out, state.step + 1)
 
 
 def iterate(
@@ -384,14 +402,15 @@ def iterate(
 
 
 def _shift_cells(values: np.ndarray, j: int) -> np.ndarray:
-    n = len(values)
+    """Shift along the last axis by j cells; vacated cells take the edge value."""
+    n = values.shape[-1]
     out = np.empty_like(values)
     if j >= 0:
-        out[:j] = values[0]
-        out[j:] = values[: n - j]
+        out[..., :j] = values[..., :1]
+        out[..., j:] = values[..., : n - j]
     else:
-        out[: n + j] = values[-j:]
-        out[n + j :] = values[-1]
+        out[..., : n + j] = values[..., -j:]
+        out[..., n + j :] = values[..., -1:]
     return out
 
 
@@ -402,15 +421,16 @@ def translate(state: SpatialState, j: int) -> SpatialState:
         raise RangeError(
             f"|shift| {abs(j)} must be below the grid size {state.grid.n_points}"
         )
-    return replace(state, U=_shift_cells(state.U, j), V=_shift_cells(state.V, j))
+    return SpatialState._unchecked(state.grid, state.frame, _shift_cells(state.fields, j),
+                                   state.step)
 
 
 def compare(s1: SpatialState, s2: SpatialState) -> str:
     """Componentwise-pointwise order: 'equal', 'le', 'ge' or 'unordered'."""
     if s1.grid != s2.grid or s1.frame != s2.frame:
         raise ConfigError("states live on different grids or frames")
-    le = bool(np.all(s1.U <= s2.U) and np.all(s1.V <= s2.V))
-    ge = bool(np.all(s1.U >= s2.U) and np.all(s1.V >= s2.V))
+    le = bool(np.all(s1.fields <= s2.fields))
+    ge = bool(np.all(s1.fields >= s2.fields))
     if le and ge:
         return "equal"
     if le:
@@ -456,17 +476,15 @@ def axiom_errors(p: ModelParams, dk1: DiscreteKernel, dk2: DiscreteKernel, grid:
         path_a = translate(apply_Q(state, p, dk1, dk2), j)
         path_b = apply_Q(translate(state, j), p, dk1, dk2)
         win = interior_slice(grid, margin + abs(j))
-        a1_err = max(a1_err, float(np.max(np.abs(path_a.U[win] - path_b.U[win]))),
-                     float(np.max(np.abs(path_a.V[win] - path_b.V[win]))))
+        a1_err = max(a1_err, float(np.max(np.abs(path_a.fields[:, win] - path_b.fields[:, win]))))
 
     a3_worst = 0.0
     for _ in range(pairs):
         s1 = _random_state(grid, rng)
         s2 = _random_state(grid, rng)
-        lo = replace(s1, U=np.minimum(s1.U, s2.U), V=np.minimum(s1.V, s2.V))
-        hi = replace(s1, U=np.maximum(s1.U, s2.U), V=np.maximum(s1.V, s2.V))
-        q_lo = apply_Q(lo, p, dk1, dk2)
-        q_hi = apply_Q(hi, p, dk1, dk2)
-        a3_worst = max(a3_worst, float(np.max(q_lo.U - q_hi.U)),
-                       float(np.max(q_lo.V - q_hi.V)))
+        lo = np.minimum(s1.fields, s2.fields)
+        hi = np.maximum(s1.fields, s2.fields)
+        q_lo = apply_Q(replace(s1, U=lo[0], V=lo[1]), p, dk1, dk2)
+        q_hi = apply_Q(replace(s1, U=hi[0], V=hi[1]), p, dk1, dk2)
+        a3_worst = max(a3_worst, float(np.max(q_lo.fields - q_hi.fields)))
     return a1_err, a3_worst

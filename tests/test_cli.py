@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import os
 import subprocess
@@ -280,6 +281,25 @@ class TestSubcommands:
             checks = {c.name: c for c in run("wave", cfg, io.StringIO()).checks}
             assert checks["wave-kernel-resolved"].ok, checks["wave-kernel-resolved"].detail
 
+    @pytest.mark.parametrize("extra,expected", [((), 4), (("--L", "60"), 2)],
+                             ids=["sized", "grid.L"])
+    def test_wave_discretizes_once_per_grid_build(self, config_path, capsys, monkeypatch,
+                                                 extra, expected):
+        # wave_grid and the solver discretize both kernels; the kernel check
+        # reads the solver's from the profile
+        calls = []
+        discretize = rickerwaves.kernels.discretize
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return discretize(*args, **kwargs)
+
+        for module in (rickerwaves.kernels, rickerwaves.waves):
+            monkeypatch.setattr(module, "discretize", counting)
+        assert main(["wave", "--config", str(config_path), *extra]) == 0
+        capsys.readouterr()
+        assert len(calls) == expected
+
     def test_wave_converged_detail_carries_the_error_estimate(self, config_path):
         cfg = load_config(config_path)
         out = io.StringIO()
@@ -350,6 +370,53 @@ class TestDeterminism:
         main(["validate", "--config", str(config_path), "--seed", "7"])
         second = capsys.readouterr().out
         assert first == second
+
+
+# The README config's `wave` stdout and the sha256 of its `wave_profile.csv`
+# and of each `simulate --steps 150` snapshot.  A change that moves them on
+# purpose updates these pins and says why in CHANGES.md.
+README_WAVE_STDOUT = (
+    "# config dddde958d71f\n"
+    "speed,residual,steps,monotone,range,left_tail,right_tail,residual_ok\n"
+    "0.118969811343,9.10160835588e-12,21,true,true,true,true,true\n"
+)
+README_WAVE_PROFILE_SHA256 = "f6ae4c2700135da81c76a421d405763614e7ace6d515ff06c69fcb2b8ef2dc9d"
+README_SIMULATE_SHA256 = {
+    0: "88a19111caf2e669256f2c723f5e821db638d965c1cf299df610008641e3cfd7",
+    10: "e6265d2e066454ec41328ca9863391c3433caa73ba06591740ee6d482fb98f0d",
+    20: "c7acdc3207ff62016fd7922d2d31a6c02f1708ea90591f3879933aee3e6700ce",
+    30: "7caed872e031e5e4685cbdceb37a7147e7ab5fd8f213be88f8912a5b6ff67db4",
+    40: "d6fad556af67d159d0327cca41c809e267e5fe56998c64a1aa14cfe634a89a10",
+    50: "62fa910acd56c8ca1863e3df467a8a0c3c86ac96515b9c33defc8b1346223df7",
+    60: "afe81d29e210c8306bc2406a5174fe6c518e9d1fcedc03fff976195795d2b6a6",
+    70: "85f6da5eb64ce06ff10998533c6ec4c1a85446e3d5d67b580f0d948dd2bbdc3e",
+    80: "d1ef1b79ac12057e163522b9127c52a68a9dcf8fe3a07b345d2993e57e2b799d",
+    90: "a854d607027fa31dd4fd939a5c92584aabd6366e773ebb2523a1ffe6ab7089e8",
+    100: "8cf201a63ef7b7f47fa716f361f65cd7526174c11b4ba2c6d0317917487bd37e",
+    110: "392bf876630d22e3f9a081759aca636d9d16227be43cf87af4cc8d466288e5e2",
+    120: "ed206646aeb371857d8ec8f744097298ad851289a99177a558d4941a93a3cb59",
+    130: "1495300adb017603569031cd4bb19f21354ccdd13a35029140d4caece14a84c8",
+    140: "6e67462c3ad018774732cf95a4ba6b1230be159a74487713d0484e1150571805",
+    150: "6dc5512ee5c220c5f61c614eab411446685fefa342a30050892996dd2d8f9d3c",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedBytes:
+    def test_readme_wave_stdout_and_profile(self, config_path, capsys, tmp_path):
+        assert main(["wave", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == README_WAVE_STDOUT
+        assert _sha256(tmp_path / "wave_profile.csv") == README_WAVE_PROFILE_SHA256
+
+    def test_readme_simulate_snapshots(self, config_path, capsys, tmp_path):
+        assert main(["simulate", "--config", str(config_path), "--steps", "150",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert {int(path.stem[len("sim_step_"):]): _sha256(path)
+                for path in tmp_path.glob("sim_step_*.csv")} == README_SIMULATE_SHA256
 
 
 class TestImport:

@@ -117,6 +117,7 @@ class TestSpatialState:
 
 KERNELS = pytest.mark.parametrize("kernel", [GaussianKernel(1.0), UniformKernel(1.0)],
                                   ids=["gaussian", "uniform"])
+FRAMES = pytest.mark.parametrize("frame", [TRANSFORMED_FRAME, ORIGINAL_FRAME])
 
 
 class TestApplyQ:
@@ -223,6 +224,55 @@ class TestApplyQ:
             q_hi = apply_Q(hi, params, gaussian_weights, gaussian_weights)
             worst = max(worst, float(np.max(q_lo.U - q_hi.U)), float(np.max(q_lo.V - q_hi.V)))
         assert worst <= 1e-12
+
+
+class TestStepCheck:
+    """The clamp of a step is the check of its output."""
+
+    @pytest.fixture
+    def poisoned(self, monkeypatch):
+        # growth puts a nan in one cell of the window it is given
+        growth = evolution.growth
+
+        def poisoning(p, U, V, frame):
+            gu, gv = growth(p, U, V, frame)
+            gv[len(gv) // 2] = np.nan
+            return gu, gv
+
+        monkeypatch.setattr(evolution, "growth", poisoning)
+
+    @FRAMES
+    def test_non_finite_step_output_raises(self, params, small_grid, gaussian_weights,
+                                           frame, poisoned):
+        state = constant_state(small_grid, frame, (0.3, 0.7))
+        with pytest.raises(DomainError, match="non-finite"):
+            apply_Q(state, params, gaussian_weights, gaussian_weights)
+
+    def test_solver_raises_on_a_non_finite_step(self, params, poisoned):
+        k = GaussianKernel(1.0)
+        with pytest.raises(DomainError, match="non-finite"):
+            find_bistable_wave(params, k, k)
+
+    def test_output_over_one_is_clipped_and_logged(self, params, small_grid, gaussian_weights,
+                                                   monkeypatch, caplog):
+        # the dispersed averages of one cell come out 1 + 1e-12, so V there
+        # is 1 + 1e-12 and U = 1 - that is -1e-12
+        convolve = evolution.convolve_extended
+
+        def bumped(values, dk, method=None):
+            out = convolve(values, dk, method)
+            out[100] = 1.0 + 1e-12
+            return out
+
+        monkeypatch.setattr(evolution, "convolve_extended", bumped)
+        ramp = np.linspace(0.2, 0.8, small_grid.n_points)
+        state = SpatialState(grid=small_grid, frame=TRANSFORMED_FRAME, U=ramp, V=ramp)
+        with caplog.at_level("WARNING", logger="rickerwaves.evolution"):
+            out = apply_Q(state, params, gaussian_weights, gaussian_weights)
+        assert out.V[100] == 1.0 and out.U[100] == 0.0
+        assert out.fields.min() >= 0.0 and out.fields.max() <= 1.0
+        assert len(caplog.records) == 1
+        assert "left [0, 1] by 1.000e-12; clamping" in caplog.records[0].getMessage()
 
 
 class TestIterate:
@@ -500,7 +550,6 @@ KERNEL_PAIRS = pytest.mark.parametrize(
     "kernel1,kernel2",
     [(GaussianKernel(1.0), GaussianKernel(0.5)), (GaussianKernel(0.5), UniformKernel(2.0))],
     ids=["gauss-gauss", "gauss-uniform"])
-FRAMES = pytest.mark.parametrize("frame", [TRANSFORMED_FRAME, ORIGINAL_FRAME])
 
 
 class TestActiveWindow:

@@ -198,20 +198,21 @@ class TestFindBistableWave:
             assert compare(lo, state) in ("le", "equal")
             assert compare(state, hi) in ("le", "equal")
 
-    def test_one_state_check_per_step(self, monkeypatch):
-        # apply_Q checks the state it returns; the recentered and mixed
-        # states made from it are not checked again
+    def test_full_state_scans_do_not_grow_with_the_steps(self, monkeypatch):
+        # each step's clamp checks what apply_Q returns, so no state is
+        # scanned per step: the ramp and the residual's state are
         calls = []
         check = SpatialState.__post_init__
         monkeypatch.setattr(SpatialState, "__post_init__",
                             lambda self: calls.append(1) or check(self))
         p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
-        extra = set()
+        scans, steps = set(), set()
         for opts in (WaveOptions(), WaveOptions(speed_tol=1e-9)):
             calls.clear()
-            wp = find_bistable_wave(p, k, k, opts=opts)
-            extra.add(len(calls) - wp.steps)
-        assert len(extra) == 1 and extra.pop() < 5
+            steps.add(find_bistable_wave(p, k, k, opts=opts).steps)
+            scans.add(len(calls))
+        assert len(steps) == 2
+        assert len(scans) == 1 and scans.pop() <= 3
 
     def test_each_kernel_discretized_once_per_solve(self, wave_grid, monkeypatch):
         # the residual reuses the solver's discretized kernels
