@@ -76,7 +76,6 @@ from .waves import (
     find_bistable_wave,
     step_initial_data,
     validate_profile,
-    wave_grid,
     wave_residual,
 )
 

@@ -119,7 +119,10 @@ def _build_kernel(entries: dict, base_dir: Path, which: str) -> kernels.Kernel:
         path = entries["table_path"]
         if path is None:
             raise ConfigError(f"{which}: table kernel needs kernel.table_path")
-        table = np.loadtxt(base_dir / path)
+        try:
+            table = np.loadtxt(base_dir / path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{which}: cannot read table {base_dir / path}: {exc}") from exc
         if table.ndim != 2 or table.shape[1] != 2:
             raise ConfigError(f"{which}: table file must have two columns (offset, density)")
         spec.update(offsets=table[:, 0], densities=table[:, 1])
@@ -402,6 +405,9 @@ def _initial_state(cfg: ExperimentConfig, grid) -> evolution.SpatialState:
             state = model.change_coordinates(state)
         return state
     if cfg.sim_init == "bump":
+        if not (cfg.sim_init_width > 0 and np.isfinite(cfg.sim_init_width)):
+            raise ConfigError(f"sim.init_width of a bump must be positive and finite, "
+                              f"got {cfg.sim_init_width}")
         bump = np.exp(-0.5 * (grid.x / cfg.sim_init_width) ** 2)
         return evolution.SpatialState(grid=grid, frame=cfg.sim_frame, U=bump, V=bump)
     raise ConfigError(f"unknown sim.init {cfg.sim_init!r} (expected step or bump)")
@@ -452,12 +458,11 @@ MGF_REL_TOL = 5e-2
 
 def cmd_wave(cfg: ExperimentConfig, out, args) -> RunReport:
     report = RunReport()
-    if "grid.L" in cfg.raw:
-        grid = cfg.grid()
-    else:
-        grid = waves.wave_grid(cfg.params, cfg.kernel1, cfg.kernel2, cfg.dx, cfg.wave_opts)
     t0 = time.perf_counter()
-    wp = waves.find_bistable_wave(cfg.params, cfg.kernel1, cfg.kernel2, grid, cfg.wave_opts)
+    # without grid.L the solver sizes the grid at grid.dx
+    wp = waves.find_bistable_wave(cfg.params, cfg.kernel1, cfg.kernel2,
+                                  cfg.grid() if "grid.L" in cfg.raw else None,
+                                  cfg.wave_opts, dx=cfg.dx)
     report.timings["wave"] = time.perf_counter() - t0
     validation = waves.validate_profile(wp)
 

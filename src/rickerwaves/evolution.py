@@ -19,14 +19,13 @@ most of it exactly constant.  A window that would keep more than
 cells rules that out before any scan.
 
 The dispersal convolution is plain O(N*J) summation on small problems and
-a real FFT (``numpy.fft.rfft``/``irfft``) on large ones, chosen once per
-kernel and field length by the count N*(2J+1) of multiply-adds.  The FFT
-runs at a 5-smooth transform length of at least N + 4J, so the linear
-convolution never wraps.  Each ``DiscreteKernel`` keeps the chosen method
-and the transform length for every field length it has met, and the
-spectrum of its weights for every transform length, so a convolution costs
-two transforms of the field and none of the kernel, and windows of many
-lengths share a few spectra.  Summation is also the reference path for
+a real FFT (``numpy.fft.rfft``/``irfft``) on large ones, chosen per call
+by the count N*(2J+1) of multiply-adds.  The FFT runs at a 5-smooth
+transform length of at least N + 4J, so the linear convolution never
+wraps.  Each ``DiscreteKernel`` keeps the spectrum of its weights for
+every transform length it has met, so a convolution costs two transforms
+of the field and none of the kernel, and windows of many lengths share a
+few spectra.  Summation is also the reference path for
 cross-checks.
 """
 
@@ -218,27 +217,23 @@ def convolve_extended(field_values: np.ndarray, dk: DiscreteKernel,
     """Convolve with the kernel weights under constant edge continuation.
 
     "fft" multiplies real-FFT spectra at a 5-smooth length of at least
-    N + 4J, using the length cached on ``dk`` for the field length N and
-    the kernel spectrum cached for that length, and flushes values under a
-    roundoff floor to zero;
+    N + 4J for the field length N, using the kernel spectrum cached on
+    ``dk`` for that length, and flushes values under a roundoff floor to
+    zero;
     "direct" is plain O(N*J) summation, also the reference path for
     cross-checks.  Without a method, the one ``_choose_method`` picks for N
-    is used; the choice is cached on ``dk`` next to the spectra.
+    is used.
     """
     J = dk.half_width
     n_field = len(field_values)
     if method is None:
-        method = dk.methods.get(n_field)
-        if method is None:
-            method = dk.methods[n_field] = _choose_method(n_field, J)
+        method = _choose_method(n_field, J)
     padded = np.empty(n_field + 2 * J)
     padded[:J] = field_values[0]
     padded[J : J + n_field] = field_values
     padded[J + n_field :] = field_values[-1]
     if method == "fft":
-        n = dk.lengths.get(n_field)
-        if n is None:
-            n = dk.lengths[n_field] = _fft_length(n_field + 4 * J)
+        n = _fft_length(n_field + 4 * J)
         spectrum = dk.spectra.get(n)
         if spectrum is None:
             spectrum = dk.spectra[n] = np.fft.rfft(dk.weights, n)

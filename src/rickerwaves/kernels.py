@@ -233,18 +233,14 @@ class DiscreteKernel:
 
     Weights sit at integer cell offsets -J..J with spacing dx, are exactly
     symmetric, nonnegative, and sum to one, so constants are exact fixed
-    points of the induced discrete convolution.  ``methods`` maps a field
-    length N to the convolution method chosen for it, ``lengths`` maps N
-    to its FFT transform length, and ``spectra`` maps a transform length to
-    the real-FFT spectrum of the weights, so field lengths that share a
-    transform length share one spectrum; all three are filled by
-    ``evolution.convolve_extended``.
+    points of the induced discrete convolution.  ``spectra`` maps a
+    transform length to the real-FFT spectrum of the weights, so field
+    lengths that share a transform length share one spectrum; it is filled
+    by ``evolution.convolve_extended``.
     """
 
     weights: np.ndarray
     dx: float
-    methods: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    lengths: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     spectra: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property

@@ -51,7 +51,7 @@ from .kernels import (
     validate_hypotheses,
 )
 from .model import TRANSFORMED_FRAME, ModelParams, validate_params
-from .speeds import counter_propagation, front_position, system_speed_bound
+from .speeds import counter_propagation, front_position
 
 
 # level of the first component whose crossing is recentered to x = 0
@@ -98,7 +98,8 @@ class WaveProfile:
     residual: float
     steps: int
     history: WaveHistory
-    kernel_half_width: int
+    # the two discretized kernels the solve stepped with
+    discrete_kernels: tuple
     # slowest tail decay rate at the corners for speeds |c| up to the
     # interior monostable speed; the sized grid is built from it
     decay_rate: float = math.nan
@@ -107,8 +108,11 @@ class WaveProfile:
     speed_error: float = math.nan
     # ratio of the last two displacement increments
     contraction_rate: float = math.nan
-    # the two discretized kernels the solve stepped with
-    discrete_kernels: tuple = ()
+
+    @property
+    def kernel_half_width(self) -> int:
+        """The larger half width J of the two discretized kernels."""
+        return max(dk.half_width for dk in self.discrete_kernels)
 
 
 def step_initial_data(grid: Grid, width: float) -> SpatialState:
@@ -429,7 +433,9 @@ def _sized_grid(dk1: DiscreteKernel, dk2: DiscreteKernel, speed: float,
                 decay_rate: float, eps: float) -> Grid:
     """Half length J*dx plus the distance over which the slowest tail falls to eps.
 
-    At least speed + 3 cells beyond J*dx, so ``wave_residual`` and
+    The front is recentered to x = 0, so only the tails need room; beyond
+    eps = profile_tol the stopping test cannot see them.  At least
+    speed + 3 cells beyond J*dx, so ``wave_residual`` and
     ``validate_profile`` keep an interior window.  Raises RangeError beyond
     ``DEFAULT_HALF_LENGTH``: a shorter grid cuts the tails off above eps,
     and the solve converges to a profile whose tails miss the corners.
@@ -448,28 +454,6 @@ def _sized_grid(dk1: DiscreteKernel, dk2: DiscreteKernel, speed: float,
     return Grid(half_length=half_length, dx=dx)
 
 
-def wave_grid(p: ModelParams, kernel1: Kernel, kernel2: Kernel, dx: float = DEFAULT_DX,
-              opts: WaveOptions | None = None) -> Grid:
-    """The grid ``find_bistable_wave`` solves on at spacing dx when given none.
-
-    The front is recentered to x = 0 after every step, so the grid only has
-    to hold the two exponential tails beyond the kernel half width J: the
-    half length is J*dx + ln(1/profile_tol)/lam, with lam the slowest tail
-    decay rate of the discretized kernels for any speed |c| up to the
-    interior monostable speed.  Past that point the tails are below the
-    solver's sup-norm stopping tolerance, so a longer grid adds work the
-    stopping test cannot see.  Raises RangeError when that half length
-    exceeds ``DEFAULT_HALF_LENGTH``; a grid given to the solver is used as
-    it is.
-    """
-    opts = opts or WaveOptions()
-    speed = system_speed_bound(p, kernel1, kernel2).value
-    dk1 = discretize(kernel1, dx, opts.eps_trunc)
-    dk2 = discretize(kernel2, dx, opts.eps_trunc)
-    return _sized_grid(dk1, dk2, speed, _tail_decay_rate(p, dk1, dk2, speed),
-                       opts.profile_tol)
-
-
 def find_bistable_wave(
     p: ModelParams,
     kernel1: Kernel,
@@ -477,6 +461,7 @@ def find_bistable_wave(
     grid: Grid | None = None,
     opts: WaveOptions | None = None,
     initial: SpatialState | None = None,
+    dx: float | None = None,
 ) -> WaveProfile:
     """Iterate from ramp data, recentering the front, until it translates.
 
@@ -498,13 +483,15 @@ def find_bistable_wave(
     than ``profile_tol``, |q| < 1 and ``speed_error`` is below
     ``speed_tol``.  ``speed_error`` says nothing of the grid's own error
     (speed at dx 0.1 against dx 0.01: ~9e-5 in the README case).
+    ``initial`` replaces the default ramp data (a monotone transformed-frame
+    state, on ``grid`` when one is given).  Without either, the solve runs
+    on ``_sized_grid`` at spacing ``dx`` (default ``DEFAULT_DX``); a ``dx``
+    that differs from a given grid's spacing raises ParameterError.
     Raises ConvergenceError (with the history attached) on step-budget
     exhaustion, DegenerateDataError if the tracked level crossing
-    disappears, and RangeError from ``wave_grid`` when no grid is given and
-    the tails need more than ``DEFAULT_HALF_LENGTH``.
-    ``initial`` replaces the default ramp data (it must be a monotone
-    transformed-frame state, on ``grid`` when one is given).  Without
-    either, the solve runs on ``wave_grid`` at ``DEFAULT_DX``.
+    disappears, and RangeError before the first step when a sized grid
+    needs more than ``DEFAULT_HALF_LENGTH`` or a given one has fewer than
+    J + 2 cells each side.
     The start state is snapped first, on copies, as every step's clamp
     snaps its output: values within the roundoff floor of 0 or 1 become 0
     or 1.  Each step then recenters, measures and mixes only the span of
@@ -532,13 +519,21 @@ def find_bistable_wave(
 
     if grid is None and initial is not None:
         grid = initial.grid
-    dx = DEFAULT_DX if grid is None else grid.dx
+    if grid is not None and dx not in (None, grid.dx):
+        raise ParameterError(f"dx {dx} differs from the spacing {grid.dx} of the given grid")
+    dx = grid.dx if grid is not None else DEFAULT_DX if dx is None else dx
     dk1 = discretize(kernel1, dx, opts.eps_trunc)
     dk2 = discretize(kernel2, dx, opts.eps_trunc)
     speed_bound = cp.c_plus_F0F2.value
     decay_rate = _tail_decay_rate(p, dk1, dk2, speed_bound)
+    reach = max(dk1.half_width, dk2.half_width)
     if grid is None:
         grid = _sized_grid(dk1, dk2, speed_bound, decay_rate, opts.profile_tol)
+    elif grid.half_cells < reach + 2:
+        # on fewer cells even a standing front leaves wave_residual no interior window
+        raise RangeError(f"grid half length {grid.half_length:g} is too short for the "
+                         f"kernels: a wave needs at least {(reach + 2) * dx:.4g} "
+                         f"({reach} + 2 cells of {dx:g})")
 
     if initial is None:
         state = step_initial_data(grid, opts.init_width)
@@ -626,32 +621,30 @@ def find_bistable_wave(
         residual=math.nan,
         steps=n,
         history=history,
-        kernel_half_width=max(dk1.half_width, dk2.half_width),
+        discrete_kernels=(dk1, dk2),
         decay_rate=decay_rate,
         speed_error=speed_error,
         contraction_rate=rate,
-        discrete_kernels=(dk1, dk2),
     )
-    profile.residual = wave_residual(profile, p, dk1, dk2)
+    profile.residual = wave_residual(profile, p)
     return profile
 
 
-def wave_residual(wp: WaveProfile, p: ModelParams, dk1: DiscreteKernel,
-                  dk2: DiscreteKernel) -> float:
+def wave_residual(wp: WaveProfile, p: ModelParams) -> float:
     """Sup-norm defect of the translating-profile equation.
 
-    Applies one step with the discretized kernels to (phi, psi), shifts the
-    result back by the wave speed (linear interpolation), and takes the
-    largest deviation from the profile over the boundary-safe interior
-    window.
+    Applies one step with the profile's discretized kernels to (phi, psi),
+    shifts the result back by the wave speed (linear interpolation), and
+    takes the largest deviation from the profile over the boundary-safe
+    interior window.
     """
     state = SpatialState(grid=wp.grid, frame=TRANSFORMED_FRAME,
                          U=np.clip(wp.phi, 0.0, 1.0), V=np.clip(wp.psi, 0.0, 1.0))
-    fields = apply_Q(state, p, dk1, dk2).fields
+    fields = apply_Q(state, p, *wp.discrete_kernels).fields
     del state  # before the resample makes its fields
     fields, m, _, _ = _resample_shifted(fields, wp.speed, wp.grid.dx)
 
-    margin = max(dk1.half_width, dk2.half_width) + abs(m) + 2
+    margin = wp.kernel_half_width + abs(m) + 2
     if 2 * margin >= wp.grid.n_points:
         raise RangeError(f"speed {wp.speed} and kernel width leave no interior window")
     win = interior_slice(wp.grid, margin)

@@ -95,6 +95,21 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.kernel1.family == "table"
 
+    def test_missing_table_file_names_kernel_and_path(self, tmp_path):
+        path = tmp_path / "tbl.cfg"
+        path.write_text(BASE_CONFIG + "kernel1.family = table\nkernel1.table_path = absent.txt\n")
+        with pytest.raises(ConfigError, match=r"kernel1: cannot read table .*absent\.txt") as info:
+            load_config(path)
+        assert isinstance(info.value.__cause__, FileNotFoundError)
+
+    def test_non_numeric_table_names_kernel_and_path(self, tmp_path):
+        (tmp_path / "words.txt").write_text("-1 0\n0 one\n1 0\n")
+        path = tmp_path / "tbl.cfg"
+        path.write_text(BASE_CONFIG + "kernel2.family = table\nkernel2.table_path = words.txt\n")
+        with pytest.raises(ConfigError, match=r"kernel2: cannot read table .*words\.txt") as info:
+            load_config(path)
+        assert isinstance(info.value.__cause__, ValueError)
+
     def test_missing_kernel_parameter_names_kernel_and_key(self, tmp_path):
         path = tmp_path / "nosigma.cfg"
         path.write_text(BASE_CONFIG.replace("kernel.sigma = 1.0\n", ""))
@@ -206,6 +221,19 @@ class TestSubcommands:
         assert captured.out == ""
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("width", ["0", "-1", "inf", "nan"])
+    def test_simulate_rejects_a_bump_width_that_is_not_positive_and_finite(
+            self, config_path, capsys, tmp_path, width):
+        out_dir = tmp_path / "snaps"
+        code = main(["simulate", "--config", str(config_path), "--steps", "2",
+                     "--set", "grid.L=20", "--init", "bump",
+                     "--set", f"sim.init_width={width}", "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: sim.init_width of a bump must be positive and finite" in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     def test_wave_profile_and_report(self, config_path, capsys, tmp_path):
         out_dir = tmp_path / "wave"
         code = main(["wave", "--config", str(config_path), "--set", "grid.L=60",
@@ -245,8 +273,8 @@ class TestSubcommands:
         assert abs(float(sized[0]["speed"]) - float(full[0]["speed"])) <= 1e-9
 
         cfg = load_config(config_path)
-        grid = rickerwaves.wave_grid(cfg.params, cfg.kernel1, cfg.kernel2, cfg.dx,
-                                     cfg.wave_opts)
+        grid = rickerwaves.find_bistable_wave(cfg.params, cfg.kernel1, cfg.kernel2,
+                                              opts=cfg.wave_opts, dx=cfg.dx).grid
         assert grid.half_length < 200.0
         rows = (sized_dir / "wave_profile.csv").read_text().splitlines()[2:]
         assert len(rows) == grid.n_points
@@ -257,7 +285,8 @@ class TestSubcommands:
         cfg = load_config(config_path, {"grid.dx": "0.2"})
         args = argparse.Namespace(out=str(tmp_path), seed=0, curve=False, frame="transformed")
         assert run("wave", cfg, io.StringIO(), args).passed
-        grid = rickerwaves.wave_grid(cfg.params, cfg.kernel1, cfg.kernel2, 0.2, cfg.wave_opts)
+        grid = rickerwaves.find_bistable_wave(cfg.params, cfg.kernel1, cfg.kernel2,
+                                              opts=cfg.wave_opts, dx=0.2).grid
         rows = (tmp_path / "wave_profile.csv").read_text().splitlines()[2:]
         assert len(rows) == grid.n_points
         assert float(rows[1].split(",")[0]) - float(rows[0].split(",")[0]) == pytest.approx(0.2)
@@ -281,14 +310,15 @@ class TestSubcommands:
             checks = {c.name: c for c in run("wave", cfg, io.StringIO()).checks}
             assert checks["wave-kernel-resolved"].ok, checks["wave-kernel-resolved"].detail
 
-    @pytest.mark.parametrize("extra,expected", [((), 4), (("--L", "60"), 2)],
+    @pytest.mark.parametrize("extra,expected", [((), 2), (("--L", "60"), 2)],
                              ids=["sized", "grid.L"])
     def test_wave_discretizes_once_per_grid_build(self, config_path, capsys, monkeypatch,
                                                  extra, expected):
-        # wave_grid and the solver discretize both kernels; the kernel check
-        # reads the solver's from the profile
-        calls = []
+        # the solver alone discretizes both kernels and bounds the speed,
+        # sized grid or not; the kernel check reads its kernels from the profile
+        calls, bounds = [], []
         discretize = rickerwaves.kernels.discretize
+        bound = rickerwaves.speeds.system_speed_bound
 
         def counting(*args, **kwargs):
             calls.append(args)
@@ -296,9 +326,24 @@ class TestSubcommands:
 
         for module in (rickerwaves.kernels, rickerwaves.waves):
             monkeypatch.setattr(module, "discretize", counting)
+        monkeypatch.setattr(rickerwaves.speeds, "system_speed_bound",
+                            lambda *args: bounds.append(args) or bound(*args))
         assert main(["wave", "--config", str(config_path), *extra]) == 0
         capsys.readouterr()
         assert len(calls) == expected
+        assert len(bounds) == 1
+
+    @pytest.mark.parametrize("half_length", ["3", "7.3"])
+    def test_wave_grid_too_short_for_the_kernel_fails_before_solving(
+            self, config_path, capsys, half_length):
+        assert main(["wave", "--config", str(config_path), "--L", half_length]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "needs at least 7.4 (72 + 2 cells of 0.1)" in captured.err
+        # a grid the check lets through is solved on and only fails its tail checks
+        assert main(["wave", "--config", str(config_path), "--L", "7.5"]) == 1
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert rows[0]["left_tail"] == "false" or rows[0]["right_tail"] == "false"
 
     def test_wave_converged_detail_carries_the_error_estimate(self, config_path):
         cfg = load_config(config_path)

@@ -25,7 +25,6 @@ from rickerwaves import (
     iterate,
     pointwise_map,
     translate,
-    wave_grid,
 )
 from rickerwaves import evolution
 from rickerwaves.evolution import MAX_GRID_POINTS, _fft_length
@@ -407,17 +406,19 @@ class TestConvolution:
         assert np.all(out[250:] == 0.0)
 
     def test_cached_spectrum_per_transform_length(self, gaussian_weights, rng, monkeypatch):
-        # one kernel alternating between field lengths sizes each field
-        # length's transform once, and field lengths that share a transform
+        # one kernel alternating between field lengths transforms its weights
+        # once per transform length, and field lengths that share a transform
         # length (200 and 201 points both need 500 at J = 72) share one
-        # spectrum, transformed once
-        sized = []
+        # spectrum
+        transformed = []
+        rfft = np.fft.rfft
 
-        def counting(n):
-            sized.append(n)
-            return _fft_length(n)
+        def counting(values, n=None):
+            if values is gaussian_weights.weights:
+                transformed.append(n)
+            return rfft(values, n)
 
-        monkeypatch.setattr(evolution, "_fft_length", counting)
+        monkeypatch.setattr(np.fft, "rfft", counting)
         J = gaussian_weights.half_width
         assert _fft_length(200 + 4 * J) == _fft_length(201 + 4 * J) == 500
         spectra = []
@@ -426,9 +427,8 @@ class TestConvolution:
             fast = convolve_extended(f, gaussian_weights, "fft")
             ref = convolve_extended(f, gaussian_weights, "direct")
             assert np.max(np.abs(fast - ref)) <= 1e-13
-            spectra.append(gaussian_weights.spectra[gaussian_weights.lengths[n]])
-        assert sized == [201 + 4 * J, 4001 + 4 * J, 200 + 4 * J]
-        assert gaussian_weights.lengths == {n: _fft_length(n + 4 * J) for n in (200, 201, 4001)}
+            spectra.append(gaussian_weights.spectra[_fft_length(n + 4 * J)])
+        assert transformed == [500, _fft_length(4001 + 4 * J)]
         assert sorted(gaussian_weights.spectra) == [500, _fft_length(4001 + 4 * J)]
         assert spectra[0] is spectra[2] is spectra[4] and spectra[1] is spectra[3]
         for length, spectrum in gaussian_weights.spectra.items():
@@ -477,7 +477,8 @@ class TestConvolution:
             chosen = convolve_extended(f, gaussian_weights)
             assert np.max(np.abs(chosen - convolve_extended(f, gaussian_weights, "direct"))) <= 1e-13
             assert np.array_equal(chosen, convolve_extended(f, gaussian_weights, method))
-        assert gaussian_weights.methods == {n: method}
+        # only the fft path caches a spectrum
+        assert bool(gaussian_weights.spectra) == (method == "fft")
 
     def test_choice_straddles_the_threshold(self):
         limit = evolution.DIRECT_MAX_TERMS
@@ -486,35 +487,38 @@ class TestConvolution:
         assert evolution._choose_method(below, J) == "direct"
         assert evolution._choose_method(below + 1, J) == "fft"
 
-    def test_method_chosen_once_per_kernel_and_length(self, gaussian_weights, rng, monkeypatch):
+    def test_method_chosen_by_length_on_every_call(self, gaussian_weights, rng, monkeypatch):
         chosen = []
         choose = evolution._choose_method
 
         def counting(n, half_width):
-            chosen.append((n, half_width))
-            return choose(n, half_width)
+            chosen.append((n, half_width, choose(n, half_width)))
+            return chosen[-1][2]
 
         monkeypatch.setattr(evolution, "_choose_method", counting)
-        for n in (201, 4001, 201, 4001, 201):
-            convolve_extended(rng.uniform(0.0, 1.0, n), gaussian_weights)
+        lengths = (201, 4001, 201, 4001, 201)
+        for n in lengths:
+            f = rng.uniform(0.0, 1.0, n)
+            assert np.array_equal(convolve_extended(f, gaussian_weights),
+                                  convolve_extended(f, gaussian_weights, chosen[-1][2]))
         J = gaussian_weights.half_width
-        assert chosen == [(201, J), (4001, J)]
-        assert gaussian_weights.methods == {201: "direct", 4001: "fft"}
-        # a second kernel makes its own choice
-        convolve_extended(rng.uniform(0.0, 1.0, 201), discretize(GaussianKernel(1.0), 0.1))
-        assert chosen[-1] == (201, J)
+        expected = {201: "direct", 4001: "fft"}
+        assert chosen == [(n, J, expected[n]) for n in lengths]
+        # only the fft choice cached a spectrum
+        assert sorted(gaussian_weights.spectra) == [_fft_length(4001 + 4 * J)]
 
-    def test_explicit_method_is_honoured(self, gaussian_weights, rng):
+    def test_explicit_method_is_honoured(self, gaussian_weights, rng, monkeypatch):
+        chosen = []
+        choose = evolution._choose_method
+        monkeypatch.setattr(evolution, "_choose_method",
+                            lambda n, half_width: chosen.append(n) or choose(n, half_width))
         J = gaussian_weights.half_width
         small, large = rng.uniform(0.0, 1.0, 201), rng.uniform(0.0, 1.0, 4001)
         via_fft = convolve_extended(small, gaussian_weights, "fft")
         via_direct = convolve_extended(large, gaussian_weights, "direct")
-        # only the fft call sized a transform and cached a spectrum, and
-        # neither made a choice
-        length = _fft_length(201 + 4 * J)
-        assert gaussian_weights.lengths == {201: length}
-        assert sorted(gaussian_weights.spectra) == [length]
-        assert gaussian_weights.methods == {}
+        # only the fft call cached a spectrum, and neither made a choice
+        assert sorted(gaussian_weights.spectra) == [_fft_length(201 + 4 * J)]
+        assert chosen == []
         summed = np.convolve(np.pad(large, J, mode="edge"), gaussian_weights.weights, "valid")
         assert np.array_equal(via_direct, summed)
         # the default for 201 points is summation; the explicit fft differs by roundoff
@@ -665,7 +669,7 @@ class TestActiveWindow:
     @pytest.mark.parametrize("dx", [0.1, 0.01])
     def test_wide_grid_speed_matches_sized_grid(self, params, dx):
         k = GaussianKernel(1.0)
-        sized = find_bistable_wave(params, k, k, wave_grid(params, k, k, dx))
+        sized = find_bistable_wave(params, k, k, dx=dx)
         wide = find_bistable_wave(params, k, k, Grid(half_length=200.0, dx=dx))
         assert wide.steps == sized.steps
         assert abs(wide.speed - sized.speed) <= 1e-12

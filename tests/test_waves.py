@@ -28,7 +28,7 @@ from rickerwaves import (
     validate_profile,
     wave_residual,
 )
-from rickerwaves import waves
+from rickerwaves import evolution, waves
 from rickerwaves.evolution import (
     _FFT_NOISE_FLOOR,
     DEFAULT_DX,
@@ -450,17 +450,20 @@ class TestFrontWindow:
     def test_first_step_is_windowed(self, monkeypatch):
         # the start is snapped, so no convolution of a long-grid solve, the
         # first step's and the residual's included, runs on all its cells
-        kernels = []
+        lengths = []
+        convolve = evolution.convolve_extended
 
-        def keeping(*args, **kwargs):
-            kernels.append(discretize(*args, **kwargs))
-            return kernels[-1]
+        def recording(field_values, *args, **kwargs):
+            lengths.append(len(field_values))
+            return convolve(field_values, *args, **kwargs)
 
-        monkeypatch.setattr(waves, "discretize", keeping)
+        monkeypatch.setattr(evolution, "convolve_extended", recording)
         grid = Grid(half_length=200.0, dx=0.01)
-        find_bistable_wave(ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0),
-                           GaussianKernel(1.0), grid)
-        assert all(n < grid.n_points / 2 for dk in kernels for n in dk.methods)
+        wp = find_bistable_wave(ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0),
+                                GaussianKernel(1.0), grid)
+        # two convolutions per step and two for the residual
+        assert len(lengths) == 2 * wp.steps + 2
+        assert all(n < grid.n_points / 2 for n in lengths)
 
     def test_caller_initial_is_not_mutated(self):
         grid = Grid(half_length=30.0, dx=0.1)
@@ -494,13 +497,16 @@ class TestWaveResidual:
             residual=np.nan,
             steps=0,
             history=WaveHistory(),
-            kernel_half_width=72,
+            discrete_kernels=(gaussian_weights, gaussian_weights),
         )
-        resid = wave_residual(wp, params, gaussian_weights, gaussian_weights)
+        assert wp.kernel_half_width == 72
+        resid = wave_residual(wp, params)
         assert resid == 0.0
 
     def test_converged_profile_self_consistent(self, standard_wave, params, gaussian_weights):
-        resid = wave_residual(standard_wave, params, gaussian_weights, gaussian_weights)
+        assert all(np.array_equal(dk.weights, gaussian_weights.weights)
+                   for dk in standard_wave.discrete_kernels)
+        resid = wave_residual(standard_wave, params)
         assert resid == standard_wave.residual
         assert resid < 1e-4
 
@@ -514,9 +520,9 @@ class TestWaveResidual:
             residual=np.nan,
             steps=standard_wave.steps,
             history=WaveHistory(),
-            kernel_half_width=standard_wave.kernel_half_width,
+            discrete_kernels=standard_wave.discrete_kernels,
         )
-        resid = wave_residual(perturbed, params, gaussian_weights, gaussian_weights)
+        resid = wave_residual(perturbed, params)
         assert resid > 1e-3
 
 
@@ -537,7 +543,7 @@ class TestValidateProfile:
             residual=0.0,
             steps=0,
             history=WaveHistory(),
-            kernel_half_width=72,
+            discrete_kernels=standard_wave.discrete_kernels,
         )
         report = validate_profile(wp)
         assert report.monotone_ok
@@ -553,7 +559,7 @@ class TestValidateProfile:
             residual=standard_wave.residual,
             steps=standard_wave.steps,
             history=WaveHistory(),
-            kernel_half_width=standard_wave.kernel_half_width,
+            discrete_kernels=standard_wave.discrete_kernels,
         )
         report = validate_profile(wp)
         assert not report.monotone_ok
@@ -590,10 +596,10 @@ class TestWaveGrid:
                              ids=[f"lhs{k}" for k in range(8)] + ["uniform", "table"])
     def test_doubling_the_sized_grid_keeps_the_speed(self, cell):
         p, k1, k2 = cell
-        grid = waves.wave_grid(p, k1, k2)
-        assert grid.half_length < DEFAULT_HALF_LENGTH
         wp = find_bistable_wave(p, k1, k2)
-        assert wp.grid == grid
+        grid = wp.grid
+        assert grid.half_length < DEFAULT_HALF_LENGTH
+        assert grid.dx == DEFAULT_DX
         assert validate_profile(wp).passed
         doubled = find_bistable_wave(p, k1, k2, Grid(2.0 * grid.half_length, grid.dx))
         assert abs(wp.speed - doubled.speed) <= 1e-9
@@ -602,9 +608,9 @@ class TestWaveGrid:
         # the slowest tail decays at 0.0143 per unit: it needs L ~ 974, and a
         # grid capped at 200 would cut it off at 1 - psi ~ 1.7e-3
         p, k = ModelParams(0.999, 0.001, 2.0, 3.0), GaussianKernel(1.0)
-        for solve in (waves.wave_grid, find_bistable_wave):
+        for dx in (None, DEFAULT_DX):
             with pytest.raises(RangeError, match=r"half length of about 973\.7.*grid\.L.*--L"):
-                solve(p, k, k)
+                find_bistable_wave(p, k, k, dx=dx)
         # a grid given by the caller is solved on as it is
         with pytest.raises(ConvergenceError):
             find_bistable_wave(p, k, k, Grid(DEFAULT_HALF_LENGTH, DEFAULT_DX),
@@ -612,10 +618,11 @@ class TestWaveGrid:
 
     def test_grid_follows_the_spacing_and_profile_tolerance(self):
         p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
-        coarse, fine = waves.wave_grid(p, k, k, 0.2), waves.wave_grid(p, k, k, 0.1)
+        coarse = find_bistable_wave(p, k, k, dx=0.2).grid
+        fine = find_bistable_wave(p, k, k, dx=0.1).grid
         assert coarse.dx == 0.2
         assert coarse.half_length == pytest.approx(fine.half_length, abs=0.2)
-        strict = waves.wave_grid(p, k, k, 0.1, WaveOptions(profile_tol=1e-9))
+        strict = find_bistable_wave(p, k, k, opts=WaveOptions(profile_tol=1e-9), dx=0.1).grid
         # ln(1e9)/ln(1e6) of the tail length beyond the kernel reach
         reach = discretize(k, 0.1).half_width * 0.1
         assert (strict.half_length - reach) == pytest.approx(
@@ -657,6 +664,30 @@ class TestWaveGrid:
             wp = find_bistable_wave(p, k, k, initial=start)
             assert wp.grid == grid
             assert wp.speed == find_bistable_wave(p, k, k, grid).speed
+
+    def test_dx_must_match_a_given_grid(self):
+        p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
+        grid = Grid(half_length=30.0, dx=0.1)
+        with pytest.raises(ParameterError, match=r"dx 0\.2 differs from the spacing 0\.1"):
+            find_bistable_wave(p, k, k, grid, dx=0.2)
+        with pytest.raises(ParameterError, match=r"dx 0\.05 differs"):
+            find_bistable_wave(p, k, k, initial=step_initial_data(grid, 1.0), dx=0.05)
+        assert (find_bistable_wave(p, k, k, grid, dx=0.1).speed
+                == find_bistable_wave(p, k, k, grid).speed)
+
+    def test_grid_too_short_for_the_kernel_is_rejected_before_stepping(self, monkeypatch):
+        # J = 72 at dx = 0.1, so the least half length is 74 cells, 7.4
+        p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
+        steps = []
+        apply_Q = waves.apply_Q
+        monkeypatch.setattr(waves, "apply_Q", lambda *args: steps.append(1) or apply_Q(*args))
+        for half_length in (3.0, 7.3):
+            with pytest.raises(RangeError, match=r"at least 7\.4 \(72 \+ 2 cells of 0\.1\)"):
+                find_bistable_wave(p, k, k, Grid(half_length, 0.1))
+        assert steps == []
+        # a grid the check lets through is solved on
+        assert find_bistable_wave(p, k, k, Grid(7.5, 0.1)).grid.half_cells == 75
+        assert steps
 
     def test_initial_state_on_another_grid_rejected(self):
         p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
