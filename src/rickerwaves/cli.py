@@ -508,7 +508,7 @@ def cmd_wave(cfg: ExperimentConfig, out, args) -> RunReport:
     return report
 
 
-def _sweep_cell(cfg: ExperimentConfig, combo: dict):
+def _sweep_cell(cfg: ExperimentConfig, combo: dict, edge_memo: dict):
     params = replace(
         cfg.params,
         **{name: combo[name] for name in ("r1", "r2", "a1", "a2") if name in combo},
@@ -522,7 +522,7 @@ def _sweep_cell(cfg: ExperimentConfig, combo: dict):
             raise ConfigError("sweep.sigma requires gaussian kernels")
         kernel1 = kernels.GaussianKernel(sigma=combo["sigma"])
         kernel2 = kernels.GaussianKernel(sigma=combo["sigma"])
-    cp = speeds.counter_propagation(params, kernel1, kernel2)
+    cp = speeds.counter_propagation(params, kernel1, kernel2, edge_memo)
     return params, combo.get("sigma"), cp
 
 
@@ -535,7 +535,9 @@ def cmd_sweep(cfg: ExperimentConfig, out, args) -> RunReport:
     combos = [dict(zip(names, point)) for point in itertools.product(*lattices)]
 
     t0 = time.perf_counter()
-    results = [_sweep_cell(cfg, combo) for combo in combos]
+    # the edge speeds of this sweep, each distinct (r, kernel) searched once
+    edge_memo = {}
+    results = [_sweep_cell(cfg, combo, edge_memo) for combo in combos]
     report.timings["sweep"] = time.perf_counter() - t0
 
     rows = []

@@ -220,10 +220,12 @@ def jacobian(p: ModelParams, point, frame: str) -> np.ndarray:
     )
 
 
-def eigenvalues_2x2(m: np.ndarray):
-    """Both eigenvalues from the characteristic polynomial (no iteration)."""
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+def eigenvalues_2x2(m):
+    """Both eigenvalues of a 2x2 array or a pair of row pairs, from the
+    characteristic polynomial (no iteration); either form gives the same bits."""
+    (m00, m01), (m10, m11) = m
+    tr = m00 + m11
+    det = m00 * m11 - m01 * m10
     disc = tr * tr - 4.0 * det
     if disc >= 0.0:
         root = math.sqrt(disc)

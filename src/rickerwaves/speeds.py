@@ -9,6 +9,12 @@ entrywise-positive 2x2 matrix built from the kernel MGFs and lambda is
 its dominant (Perron) eigenvalue.  Kernel symmetry makes the leftward and
 rightward MGFs coincide, so a single exponent sign serves both directions.
 
+The matrix objective runs on Python floats: the same IEEE operations, in
+the same order, as on the array of ``linearization_matrix``, without an
+array per evaluation.  An edge speed depends only on (r, kernel), so a
+sweep hands ``counter_propagation`` one memo and each distinct edge
+search runs once.
+
 Also provided: an empirical front-speed estimator (level-crossing position
 regressed against step count), which checks the variational values against
 trajectories of the step operator.
@@ -147,15 +153,21 @@ def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> Spee
     Minimizes ln(lambda(B_mu))/mu over mu > 0, with lambda the Perron root
     of the entrywise-positive B_mu.  By kernel symmetry the same matrix
     serves the leftward and rightward subsystems.  The parameters are
-    checked and the coefficients built once, not per evaluation.
+    checked and the coefficients built once, not per evaluation, and each
+    evaluation scales them as floats: bit for bit the Perron root of
+    ``linearization_matrix``, without an array per evaluation.
     """
-    lambda0 = eigenvalues_2x2(linearization_matrix(p, kernel1, kernel2, 0.0))[0]
-    coefficients = _coefficients(p)
+    require_admissible(p)
+    (c11, c12), (c21, c22) = _coefficients(p).tolist()
+
+    def perron_root(mu):
+        m1, m2 = kernel1.mgf(mu), kernel2.mgf(mu)
+        return eigenvalues_2x2(((c11 * m1, c12 * m2), (c21 * m1, c22 * m2)))[0]
 
     def objective(mu):
-        b = coefficients * np.array([kernel1.mgf(mu), kernel2.mgf(mu)])
-        return math.log(eigenvalues_2x2(b)[0]) / mu
+        return math.log(perron_root(mu)) / mu
 
+    lambda0 = perron_root(0.0)
     mu_star, value, curve = _minimize_positive(objective)
     return SpeedReport(
         value=value, mu_star=mu_star, curve=curve, method="matrix-eigenvalue",
@@ -188,14 +200,33 @@ class CounterPropagationReport:
 
 
 def counter_propagation(
-    p: ModelParams, kernel1: Kernel, kernel2: Kernel
+    p: ModelParams, kernel1: Kernel, kernel2: Kernel, edge_memo: dict | None = None
 ) -> CounterPropagationReport:
-    """Compute all four monostable speeds and check both sums are positive."""
-    require_admissible(p)
+    """Compute all four monostable speeds and check both sums are positive.
+
+    A caller that computes many cells passes them one dict as
+    ``edge_memo``: each distinct (r, kernel) edge search then runs once, and
+    the cells share its report.  A kernel without a hash is keyed by
+    identity, so the caller keeps it alive while the memo is in use.
+    """
     interior = system_speed_bound(p, kernel1, kernel2)
+
+    def edge(r, kernel):
+        if edge_memo is None:
+            return scalar_speed(r, kernel)
+        key = (r, kernel)
+        try:
+            report = edge_memo.get(key)
+        except TypeError:  # a table kernel holds arrays and has no hash
+            key = (r, id(kernel))
+            report = edge_memo.get(key)
+        if report is None:
+            report = edge_memo[key] = scalar_speed(r, kernel)
+        return report
+
     return CounterPropagationReport(
-        c_minus_F1F3=scalar_speed(p.r2, kernel2),
-        c_plus_F0F1=scalar_speed(p.r1, kernel1),
+        c_minus_F1F3=edge(p.r2, kernel2),
+        c_plus_F0F1=edge(p.r1, kernel1),
         c_minus_F2F3=interior,
         c_plus_F0F2=interior,
     )

@@ -1,6 +1,8 @@
 import argparse
+import dataclasses
 import hashlib
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import rickerwaves
-from rickerwaves import ConfigError, WaveOptions
+from rickerwaves import ConfigError, GaussianKernel, WaveOptions, speeds
 from rickerwaves.cli import _fmt, emit_csv, load_config, main, run, write_csv
 
 
@@ -445,9 +447,20 @@ README_SIMULATE_SHA256 = {
     150: "6dc5512ee5c220c5f61c614eab411446685fefa342a30050892996dd2d8f9d3c",
 }
 
+# The README config's `speeds` stdout, and `sweep` stdout over a 2x2x2x2
+# lattice with a sigma axis.  The benchmark checks sweep tables only to a
+# tolerance, so these pins are what holds the speed search bit for bit.
+README_SPEEDS_STDOUT_SHA256 = "654aa4b4c98988c4d3f01bfe0e55467e9b04ba3fee275949dc91ea9c3198e001"
+SWEEP_LATTICE = "sweep.r1 = 0.3, 0.6\nsweep.a1 = 1.5, 2.5\nsweep.a2 = 2, 4\nsweep.sigma = 0.8, 1.6\n"
+SWEEP_STDOUT_SHA256 = "1df155f9038884e1bca6375a844d0c52324e58bbe6f4f144876b7ec2c032f5de"
+
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _text_sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestPinnedBytes:
@@ -462,6 +475,89 @@ class TestPinnedBytes:
         capsys.readouterr()
         assert {int(path.stem[len("sim_step_"):]): _sha256(path)
                 for path in tmp_path.glob("sim_step_*.csv")} == README_SIMULATE_SHA256
+
+    def test_readme_speeds_stdout(self, config_path, capsys):
+        assert main(["speeds", "--config", str(config_path)]) == 0
+        assert _text_sha256(capsys.readouterr().out) == README_SPEEDS_STDOUT_SHA256
+
+    def test_sigma_lattice_sweep_stdout(self, tmp_path, capsys):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(BASE_CONFIG + SWEEP_LATTICE)
+        assert main(["sweep", "--config", str(path)]) == 0
+        assert _text_sha256(capsys.readouterr().out) == SWEEP_STDOUT_SHA256
+
+
+_SWEEP_HEADER = (
+    "r1", "r2", "a1", "a2", "sigma",
+    "c_minus_F1F3", "c_plus_F0F1", "c_minus_F2F3", "c_plus_F0F2",
+    "sum_edge", "sum_interior", "passed",
+)
+
+
+def _unmemoized_sweep(cfg):
+    """The sweep table from one memo-free counter_propagation per cell."""
+    names = [name for name in ("r1", "r2", "a1", "a2", "sigma") if name in cfg.sweep]
+    rows = []
+    for point in itertools.product(*(cfg.sweep[name] for name in names)):
+        combo = dict(zip(names, point))
+        sigma = combo.pop("sigma", None)
+        params = dataclasses.replace(cfg.params, **combo)
+        k1, k2 = cfg.kernel1, cfg.kernel2
+        if sigma is not None:
+            k1, k2 = GaussianKernel(sigma), GaussianKernel(sigma)
+        cp = speeds.counter_propagation(params, k1, k2)
+        rows.append((params.r1, params.r2, params.a1, params.a2,
+                     "" if sigma is None else sigma,
+                     cp.c_minus_F1F3.value, cp.c_plus_F0F1.value,
+                     cp.c_minus_F2F3.value, cp.c_plus_F0F2.value,
+                     cp.sum_edge, cp.sum_interior, cp.passed))
+    out = io.StringIO()
+    emit_csv(out, cfg.digest, _SWEEP_HEADER, rows)
+    return out.getvalue()
+
+
+class TestSweepEdgeMemo:
+    """A sweep searches each distinct (r, kernel) edge speed once."""
+
+    def _run_counted(self, path, monkeypatch, capsys):
+        calls = []
+        search = speeds.scalar_speed
+
+        def counted(r, kernel):
+            calls.append(r)
+            return search(r, kernel)
+
+        monkeypatch.setattr(speeds, "scalar_speed", counted)
+        assert main(["sweep", "--config", str(path)]) == 0
+        monkeypatch.undo()
+        return calls, capsys.readouterr().out
+
+    def test_sigma_lattice(self, tmp_path, monkeypatch, capsys):
+        # r1 and r2 share 0.6, and kernel1 equals kernel2 at each sigma, so
+        # the 32 edge searches of 16 cells are 3 rates x 2 sigmas
+        path = tmp_path / "sweep.cfg"
+        path.write_text(BASE_CONFIG + "sweep.r1 = 0.3, 0.6\nsweep.r2 = 0.6, 0.8\n"
+                        "sweep.a1 = 1.5, 2.5\nsweep.sigma = 0.8, 1.6\n")
+        calls, out = self._run_counted(path, monkeypatch, capsys)
+        assert sorted(calls) == [0.3, 0.3, 0.6, 0.6, 0.8, 0.8]
+        assert out == _unmemoized_sweep(load_config(path))
+
+    def test_table_kernel_from_file(self, tmp_path, monkeypatch, capsys):
+        # a table kernel holds arrays and has no hash
+        offsets = np.linspace(-1, 1, 21)
+        np.savetxt(tmp_path / "kern.txt",
+                   np.column_stack([offsets, np.maximum(1 - np.abs(offsets), 0)]))
+        path = tmp_path / "tbl.cfg"
+        path.write_text(
+            BASE_CONFIG.replace("kernel.family = gaussian", "kernel.family = table")
+            .replace("kernel.sigma = 1.0", "kernel.table_path = kern.txt")
+            + "sweep.r1 = 0.3, 0.6\nsweep.r2 = 0.4, 0.7\nsweep.a2 = 2, 4\n"
+        )
+        with pytest.raises(TypeError):
+            hash(load_config(path).kernel1)
+        calls, out = self._run_counted(path, monkeypatch, capsys)
+        assert sorted(calls) == [0.3, 0.4, 0.6, 0.7]
+        assert out == _unmemoized_sweep(load_config(path))
 
 
 class TestImport:

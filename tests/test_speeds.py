@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rickerwaves import (
     DomainError,
@@ -23,6 +25,7 @@ from rickerwaves import (
 )
 from rickerwaves.errors import SearchError
 from rickerwaves.model import ORIGINAL_FRAME
+from rickerwaves.speeds import _coefficients, _minimize_positive
 
 from conftest import random_admissible
 from test_kernels import triangular_table
@@ -174,6 +177,42 @@ class TestSystemSpeedBound:
             p = random_admissible(rng, r_lo=0.05, r_hi=0.95, a_lo=1.05, a_hi=5.0)
             report = system_speed_bound(p, GaussianKernel(1.0), GaussianKernel(1.0))
             assert report.value > 0.0
+
+
+def _array_speed_bound(p, kernel1, kernel2):
+    """The interior search on a 2x2 array B_mu per evaluation: the reference
+    the float objective of system_speed_bound must match bit for bit."""
+    coefficients = _coefficients(p)
+
+    def perron_root(mu):
+        b = coefficients * np.array([kernel1.mgf(mu), kernel2.mgf(mu)])
+        return eigenvalues_2x2(b)[0]
+
+    lambda0 = perron_root(0.0)
+    mu_star, value, curve = _minimize_positive(lambda mu: math.log(perron_root(mu)) / mu)
+    return value, mu_star, curve, lambda0
+
+
+_KERNEL_FAMILIES = {"gaussian": GaussianKernel, "uniform": UniformKernel,
+                    "table": triangular_table}
+_rate = st.floats(0.05, 0.95)
+_competition = st.floats(1.05, 5.0)
+_width = st.floats(0.3, 3.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(r1=_rate, r2=_rate, a1=_competition, a2=_competition,
+       family=st.sampled_from(sorted(_KERNEL_FAMILIES)), w1=_width, w2=_width)
+def test_float_objective_is_the_array_objective_bit_for_bit(r1, r2, a1, a2, family, w1, w2):
+    p = ModelParams(r1, r2, a1, a2)
+    k1, k2 = _KERNEL_FAMILIES[family](w1), _KERNEL_FAMILIES[family](w2)
+    report = system_speed_bound(p, k1, k2)
+    value, mu_star, curve, lambda0 = _array_speed_bound(p, k1, k2)
+    # float.hex tells apart any two doubles
+    assert [float(x).hex() for x in (report.value, report.mu_star, report.lambda0)] == [
+        float(x).hex() for x in (value, mu_star, lambda0)]
+    assert [(mu.hex(), f.hex()) for mu, f in report.curve] == [
+        (mu.hex(), float(f).hex()) for mu, f in curve]
 
 
 class TestCounterPropagation:
