@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     ConvergenceError,
@@ -30,12 +31,10 @@ from .errors import (
 )
 from .evolution import (
     _FFT_NOISE_FLOOR,
-    ACTIVE_MAX_SHARE,
     DEFAULT_DX,
     DEFAULT_HALF_LENGTH,
     Grid,
     SpatialState,
-    _active_window,
     _clamp,
     _shift_cells,
     _snap_corners,
@@ -149,40 +148,19 @@ def _shift_fractional(values: np.ndarray, offset: float, dx: float) -> np.ndarra
     return values
 
 
-def _resample_shifted(fields: np.ndarray, offset: float, dx: float, a: int = 0,
-                      b: int | None = None) -> tuple:
+def _resample_shifted(fields: np.ndarray, offset: float, dx: float) -> tuple:
     """(2, N) fields sampled at x + offset (whole cells + linear remainder).
 
     May overwrite ``fields``.  Vacated cells take the edge value.  Returns
-    (fields, whole_cells, remainder, span): the result is constant outside
-    the slice ``span`` of cells and equal there to the span's end cells.
-    When both fields hold their edge values outside cells a..b-1 and in its
-    three end cells on each side, only a..b-1 is resampled, onto cells
-    a-m..b-m-1, and its end values fill the cells beyond.  That is the
-    full-grid result when the span stays off the grid's end cells and keeps
-    its two end cells on each side equal: the outer one holds what the full
-    grid gives its edge cell, the inner one what it gives the rest of its
-    far field, (1 - t)*c + t*c.  Otherwise every cell is resampled.
+    (fields, whole_cells).
     """
     n = fields.shape[1]
     m = int(round(offset / dx))
     if abs(m) >= n:
         raise RangeError(f"shift {offset} exceeds the grid")
-    f = offset - m * dx
-    b = n if b is None else b
-    if 0 < a and 0 < a - m and b < n and b - m < n:
-        out = np.empty_like(fields)
-        window = out[:, a - m : b - m]
-        window[...] = fields[:, a:b]
-        _shift_fractional(window, f, dx)
-        if np.array_equal(window[:, 0], window[:, 1]) and np.array_equal(window[:, -2],
-                                                                         window[:, -1]):
-            out[:, : a - m] = window[:, :1]
-            out[:, b - m :] = window[:, -1:]
-            return out, m, f, slice(a - m, b - m)
     if m != 0:
         fields = _shift_cells(fields, -m)
-    return _shift_fractional(fields, f, dx), m, f, slice(0, n)
+    return _shift_fractional(fields, offset - m * dx, dx), m
 
 
 def _aitken(displacements: list) -> tuple:
@@ -205,34 +183,8 @@ def _aitken(displacements: list) -> tuple:
     return x2 - correction, correction, q
 
 
-def _hull(*spans: slice) -> slice:
-    return slice(min(s.start for s in spans), max(s.stop for s in spans))
-
-
-def _place(values: np.ndarray, old: slice, new: slice) -> np.ndarray:
-    """Columns on the cells ``old`` placed on ``new``, which holds them, with 0 around."""
-    if old == new:
-        return values
-    out = np.zeros(values.shape[:-1] + (new.stop - new.start,))
-    out[..., old.start - new.start : old.stop - new.start] = values
-    return out
-
-
-def _widen(Gf: np.ndarray, old: slice, new: slice) -> np.ndarray:
-    """[G; f] on the cells ``old`` placed on ``new``: G keeps its end values, f is 0."""
-    out = _place(Gf, old, new)
-    if old != new:
-        out[0, :, : old.start - new.start] = Gf[0, :, :1]
-        out[0, :, old.stop - new.start :] = Gf[0, :, -1:]
-    return out
-
-
-def _stack(z: np.ndarray, G: np.ndarray, cells: slice) -> np.ndarray:
-    """[G; G - z] on the cells, (2, 2, width): G(z) and the residual of z."""
-    Gf = np.empty((2, 2, cells.stop - cells.start))
-    Gf[0] = G[:, cells]
-    np.subtract(Gf[0], z[:, cells], out=Gf[1])
-    return Gf
+# the LAPACK solve under np.linalg.solve, without its argument checks
+_solve = _umath_linalg.solve1
 
 
 class _Anderson:
@@ -243,142 +195,62 @@ class _Anderson:
     ``depth`` differences dF of residuals and dG of G values.  It is then
     projected back onto the monotone states in [0, 1]: the two snaps of
     ``evolution._clamp``, which also clip, and a running maximum per field.
-    The differences sit in a ring buffer with their Gram matrix, which each
-    new difference updates by one row and column.
-
-    Windows: while the far fields hold still, every residual is zero
-    outside the hull of the spans of z and G(z), so the last G and residual
-    live on the hull of those spans since the mixing began (the working
-    window; the whole grid while a far field moves).  The differences live
-    on a window outside which they are all zero, found from their values
-    alone and widened by 1/32 of its length each side so that it seldom
-    grows.  Their dot products, and with them the iterates, therefore do
-    not depend on how wide a span ``evolution._active_window`` reports.
+    The differences sit in a ring buffer of whole (2, N) rows with their
+    Gram matrix, which each new difference updates by one row and column.
+    A singular Gram matrix (a zero difference, say) starts the history
+    again.
     """
 
     def __init__(self, depth: int, n: int):
-        self.depth, self.n = depth, n
+        self.depth = depth
         self.count = 0
         self.gram = np.zeros((depth, depth))
-        # per slot the differences of G and of f, (depth, 2, 2, width), on `support`
-        self.rows = None
-        self.support = None
-        # [G; f] of the last step, (2, 2, width), on the working window
-        self.work = self.last = None
+        # per slot the differences of G and of f, (depth, 2, 2, N)
+        self.rows = np.zeros((depth, 2, 2, n))
+        # [G; f] of the last step
+        self.last = None
 
-    def step(self, z: np.ndarray, G: np.ndarray, union: slice, Gf: np.ndarray):
+    def step(self, G: np.ndarray, Gf: np.ndarray) -> None:
         """Turn the (2, N) fields G = G(z) into the next iterate, in place.
 
-        Returns the span outside which the iterate is constant, or None
-        when G(z) itself is the next iterate.  ``Gf`` is
-        ``_stack(z, G, union)``, on the hull of the spans of z and G(z).
+        ``Gf`` is [G; G - z], (2, 2, N): G(z) and the residual of z.  G is
+        left as it is on the first step and when the history starts again.
         """
-        n = self.n
-        still = (G[0, 0] == z[0, 0] and G[0, -1] == z[0, -1]
-                 and G[1, 0] == z[1, 0] and G[1, -1] == z[1, -1])
-        work = union if still else slice(0, n)
-        old = self.work
-        if old is not None:
-            work = _hull(work, old)
-        if work != union:
-            Gf = _stack(z, G, work)
-        combined = None
-        if old is not None:
-            combined, work, Gf = self._mix(Gf, _widen(self.last, old, work), work)
-        self.work, self.last = work, Gf
-        if combined is None:
-            return None
-        # G(z) less the combination on the difference window, then the
-        # projection, on the work window of G itself
-        mixed = G[:, work]
-        mixed[:, self.support.start - work.start : self.support.stop - work.start] -= combined
-        _snap_corners(mixed)
-        # the running maximum; fmax is the faster of the two on values without nan
-        np.fmax.accumulate(mixed, axis=1, out=mixed)
-        # G holds its work window's old end values beyond it; repeat the new ones
-        if work.start and not np.array_equal(G[:, work.start - 1], mixed[:, 0]):
-            G[:, : work.start] = mixed[:, :1]
-        if work.stop < n and not np.array_equal(G[:, work.stop], mixed[:, -1]):
-            G[:, work.stop :] = mixed[:, -1:]
-        return work
-
-    def _hold(self, lo: int, hi: int) -> slice:
-        """The difference window, grown with a margin to hold the cells lo..hi-1.
-
-        Like a step's active window, it takes the whole grid rather than
-        keep more than ``ACTIVE_MAX_SHARE`` of it.
-        """
-        margin = (hi - lo) // 32
-        new = slice(max(lo - margin, 0), min(hi + margin, self.n))
-        if new.stop - new.start > ACTIVE_MAX_SHARE * self.n:
-            new = slice(0, self.n)
-        if self.support is None:
-            self.rows = np.zeros((self.depth, 2, 2, new.stop - new.start))
-        else:
-            new = _hull(self.support, new)
-            self.rows = _place(self.rows, self.support, new)
-        self.support = new
-        return new
-
-    def _mix(self, Gf, last, work):
-        """The combination of G differences to take off G(z) on the
-        difference window (None without one), and the possibly widened
-        work and Gf."""
-        S, slot = self.support, self.count % self.depth
-        if S == work:
-            # every difference lies in the window: it goes straight to its slot
-            np.subtract(Gf, last, out=self.rows[slot])
-        else:
-            d = Gf - last
-            if S is not None:
-                a, b = S.start - work.start, S.stop - work.start
-            if S is None or d[..., :a].any() or d[..., b:].any():
-                # a difference outside the window: grow it
-                moved = d.any(axis=(0, 1))
-                lo = int(moved.argmax())
-                if not moved[lo]:
-                    self.count = 0
-                    return None, work, Gf
-                hi = len(moved) - int(moved[::-1].argmax())
-                S = self._hold(work.start + lo, work.start + hi)
-                if S.start < work.start or S.stop > work.stop:
-                    # the margin reaches past every span, where the residuals are zero
-                    wider = _hull(work, S)
-                    Gf, d, work = _widen(Gf, work, wider), _place(d, work, wider), wider
-            # zero outside the window, so this fills the whole row
-            self.rows[slot] = d[..., S.start - work.start : S.stop - work.start]
-        a, b = S.start - work.start, S.stop - work.start
+        last, self.last = self.last, Gf
+        if last is None:
+            return
+        slot = self.count % self.depth
+        np.subtract(Gf, last, out=self.rows[slot])
         self.count += 1
         k = min(self.count, self.depth)
         dF = self.rows[:k, 1].reshape(k, -1)
-        column, rhs = (dF @ np.array((dF[slot], Gf[1, :, a:b].reshape(-1))).T).T
+        column, rhs = (dF @ np.array((dF[slot], Gf[1].reshape(-1))).T).T
         self.gram[slot, :k] = column
         self.gram[:k, slot] = column
-        try:
-            gamma = np.linalg.solve(self.gram[:k, :k], rhs)
-        except np.linalg.LinAlgError:
-            # a singular history, a zero difference in it say: start it again
+        # a singular matrix fills gamma with nan, quietly as np.linalg.solve's checks do
+        with np.errstate(all="ignore"):
+            gamma = _solve(self.gram[:k, :k], rhs)
+        if math.isnan(gamma[0]):
             self.count = 0
-            return None, work, Gf
-        return (gamma @ self.rows[:k, 0].reshape(k, -1)).reshape(2, -1), work, Gf
+            return
+        G -= (gamma @ self.rows[:k, 0].reshape(k, -1)).reshape(2, -1)
+        _snap_corners(G)
+        # the running maximum; fmax is the faster of the two on values without nan
+        np.fmax.accumulate(G, axis=1, out=G)
 
 
 def _recentered_step(state: SpatialState, p: ModelParams, dk1: DiscreteKernel,
                      dk2: DiscreteKernel) -> tuple:
     """G = recenter o Q: one step, then the front's crossing moved back to x = 0.
 
-    Returns (fields, t, span): the recentered (2, N) fields, the
-    displacement t of the ``FRONT_LEVEL`` crossing of the first component,
-    and the span outside which the fields are constant.  The front search
-    and the resample run on the cells that moved.  Raises MeasurementError
-    when the stepped first component does not cross the level.
+    Returns (fields, t): the recentered (2, N) fields and the displacement
+    t of the ``FRONT_LEVEL`` crossing of the first component.  Raises
+    MeasurementError when the stepped first component does not cross the
+    level.
     """
     stepped = apply_Q(state, p, dk1, dk2)
-    # bookkeeping runs on the cells that moved, with three edge cells each side
-    a, b = _active_window(stepped.U, stepped.V, 3)
-    t = front_position(state.grid.x[a:b], stepped.U[a:b], FRONT_LEVEL)
-    fields, _, _, span = _resample_shifted(stepped.fields, t, state.grid.dx, a, b)
-    return fields, t, span
+    t = front_position(state.grid.x, stepped.U, FRONT_LEVEL)
+    return _resample_shifted(stepped.fields, t, state.grid.dx)[0], t
 
 
 def _decay_rate(log_alpha: float, dk: DiscreteKernel, speed: float) -> float:
@@ -454,6 +326,16 @@ def _sized_grid(dk1: DiscreteKernel, dk2: DiscreteKernel, speed: float,
     return Grid(half_length=half_length, dx=dx)
 
 
+def _crop(fields: np.ndarray, n: int) -> np.ndarray | None:
+    """A copy of the middle n cells of (2, N) fields, or None unless every
+    cell outside them repeats the end value on its side."""
+    m = (fields.shape[1] - n) // 2
+    inner = fields[:, m : m + n]
+    if (fields[:, :m] == inner[:, :1]).all() and (fields[:, m + n :] == inner[:, -1:]).all():
+        return inner.copy()
+    return None
+
+
 def find_bistable_wave(
     p: ModelParams,
     kernel1: Kernel,
@@ -491,16 +373,23 @@ def find_bistable_wave(
     exhaustion, DegenerateDataError if the tracked level crossing
     disappears, and RangeError before the first step when a sized grid
     needs more than ``DEFAULT_HALF_LENGTH`` or a given one has fewer than
-    J + 2 cells each side.
+    J + round(c/dx) + 2 cells each side, c the interior monostable speed
+    that also sizes the grid (``wave_residual`` trims that many).
+    One grid per solve: on a given grid longer than the sized one the
+    solve runs on the sized grid, whose end cells already hold the snapped
+    corner values, and the profile is embedded into the given grid by
+    repeating its end values; the residual and the profile are taken
+    there.  A caller's ``initial`` on such a grid is cropped to the sized
+    grid when it repeats that grid's end values outside it.  Otherwise
+    the solve runs on the given grid as it is: a grid no longer than the
+    sized one, a cell whose sizing raises RangeError, or an ``initial``
+    that is not constant outside the sized grid.
     The start state is snapped first, on copies, as every step's clamp
     snaps its output: values within the roundoff floor of 0 or 1 become 0
-    or 1.  Each step then recenters, measures and mixes only the span of
-    cells that moved (``evolution._active_window``) and gives the rest the
-    far-field values, which is the full-grid computation bit for bit; a
-    span keeping more than half the grid, as on sized grids, is the whole
-    grid.  A step works on both fields as one (2, N) array: one clamp that
-    also checks the output, one resample and one in-place mixing update
-    (README solve: ~155 us per step with set-up, ~175 us with fields apart).
+    or 1.  A step works on both fields as one (2, N) array over every cell
+    of its grid: one clamp that also checks the output, one resample and
+    one in-place mixing update (README solve: ~155 us per step with
+    set-up, ~175 us with fields apart).
     """
     opts = opts or WaveOptions()
     if opts.max_steps < 1:
@@ -526,30 +415,42 @@ def find_bistable_wave(
     dk2 = discretize(kernel2, dx, opts.eps_trunc)
     speed_bound = cp.c_plus_F0F2.value
     decay_rate = _tail_decay_rate(p, dk1, dk2, speed_bound)
-    reach = max(dk1.half_width, dk2.half_width)
     if grid is None:
-        grid = _sized_grid(dk1, dk2, speed_bound, decay_rate, opts.profile_tol)
-    elif grid.half_cells < reach + 2:
-        # on fewer cells even a standing front leaves wave_residual no interior window
-        raise RangeError(f"grid half length {grid.half_length:g} is too short for the "
-                         f"kernels: a wave needs at least {(reach + 2) * dx:.4g} "
-                         f"({reach} + 2 cells of {dx:g})")
+        grid = solve_grid = _sized_grid(dk1, dk2, speed_bound, decay_rate, opts.profile_tol)
+    else:
+        reach, lead = max(dk1.half_width, dk2.half_width), round(speed_bound / dx)
+        if grid.half_cells < reach + lead + 2:
+            # on fewer cells a front moving at up to the speed bound leaves
+            # wave_residual no interior window
+            raise RangeError(
+                f"grid half length {grid.half_length:g} is too short for the kernels and "
+                f"speeds up to {speed_bound:.4g}: a wave needs at least "
+                f"{(reach + lead + 2) * dx:.4g} ({reach} + {lead} + 2 cells of {dx:g})")
+        try:
+            sized = _sized_grid(dk1, dk2, speed_bound, decay_rate, opts.profile_tol)
+        except RangeError:
+            sized = grid  # tails too slow to size a grid: solve on the given one
+        solve_grid = sized if sized.half_cells < grid.half_cells else grid
 
     if initial is None:
-        state = step_initial_data(grid, opts.init_width)
+        state = step_initial_data(solve_grid, opts.init_width)
     else:
         if initial.grid != grid or initial.frame != TRANSFORMED_FRAME:
             raise DomainError("initial state must be transformed-frame on the solver grid")
         state = initial
-    # snap the start's corner residue as every step's clamp does, so that a
-    # long grid's first step is windowed too (on a copy: ``initial`` is the caller's)
-    state = SpatialState._unchecked(
-        grid, TRANSFORMED_FRAME,
-        _clamp(state.fields.copy(), "initial fields", TRANSFORMED_FRAME), state.step)
+    # snap the start's corner residue as every step's clamp does (on a
+    # copy: ``initial`` is the caller's)
+    fields = _clamp(state.fields.copy(), "initial fields", TRANSFORMED_FRAME)
+    if fields.shape[1] != solve_grid.n_points:
+        # a caller's start on the given grid
+        inner = _crop(fields, solve_grid.n_points)
+        if inner is None:
+            solve_grid = grid
+        else:
+            fields = inner
+    state = SpatialState._unchecked(solve_grid, TRANSFORMED_FRAME, fields, state.step)
     history = WaveHistory()
-    # the current state is constant outside the cells of span
-    span = slice(*_active_window(state.U, state.V, 3))
-    mixer = _Anderson(ANDERSON_DEPTH, grid.n_points) if ANDERSON_DEPTH > 0 else None
+    mixer = _Anderson(ANDERSON_DEPTH, solve_grid.n_points) if ANDERSON_DEPTH > 0 else None
     # mixed iterates break the geometric decay the Aitken limit relies on,
     # so the plain steps that give the speed start once the profile moves
     # less than a speed_tol fraction of profile_tol per step (stopping the
@@ -557,24 +458,22 @@ def find_bistable_wave(
     # the roundoff floor keeps tight tolerances reachable
     mix_tol = max(opts.profile_tol * opts.speed_tol, _FFT_NOISE_FLOOR)
     plain = 0  # displacements since the last mixed iterate
-    centre = grid.half_cells
+    centre = solve_grid.half_cells
     limit = speed_error = correction = rate = math.nan
 
     for n in range(1, opts.max_steps + 1):
         try:
-            G, t, G_span = _recentered_step(state, p, dk1, dk2)
+            G, t = _recentered_step(state, p, dk1, dk2)
         except MeasurementError as exc:
             raise DegenerateDataError(f"front level {FRONT_LEVEL} lost at step {n}") from exc
 
         history.displacements.append(t)
-        # both states hold their far-field values outside the union of their
-        # spans and in its end cells, so the union holds every difference
-        union = _hull(span, G_span)
-        Gf = _stack(state.fields, G, union)
+        # [G; G - z]: a copy of G(z), which mixing overwrites, and the residual of z
+        Gf = np.empty((2,) + G.shape)
+        Gf[0] = G
+        np.subtract(G, state.fields, out=Gf[1])
         sup_diff = float(np.abs(Gf[1]).max())
         history.sup_diffs.append(sup_diff)
-        # beyond its span the state repeats the span's two equal end cells,
-        # so the union holds every adjacent difference, a zero one included
         history.monotone_defects.append(float((Gf[0, :, 1:] - Gf[0, :, :-1]).min()))
 
         if mixer is not None and sup_diff < mix_tol:
@@ -596,10 +495,10 @@ def find_bistable_wave(
         # speed_error bounds the Aitken correction from above
         if sup_diff < opts.profile_tol and abs(rate) < 1.0 and speed_error < opts.speed_tol:
             break
-        mixed = None if mixer is None else mixer.step(state.fields, G, union, Gf)
-        span = G_span if mixed is None else mixed
+        if mixer is not None:
+            mixer.step(G, Gf)
         # recentering and mixing keep the checked fields of apply_Q inside [0, 1]
-        state = SpatialState._unchecked(grid, TRANSFORMED_FRAME, G, state.step + 1)
+        state = SpatialState._unchecked(solve_grid, TRANSFORMED_FRAME, G, state.step + 1)
     else:
         # at the last contraction rate the sup diff reaches profile_tol in this many more steps
         remaining = ""
@@ -613,6 +512,10 @@ def find_bistable_wave(
             history=history,
         )
 
+    if solve_grid is not grid:
+        # beyond the sized grid the tails are below profile_tol: repeat the end values
+        m = grid.half_cells - solve_grid.half_cells
+        G = np.pad(G, ((0, 0), (m, m)), mode="edge")
     profile = WaveProfile(
         grid=grid,
         phi=G[0],
@@ -642,7 +545,7 @@ def wave_residual(wp: WaveProfile, p: ModelParams) -> float:
                          U=np.clip(wp.phi, 0.0, 1.0), V=np.clip(wp.psi, 0.0, 1.0))
     fields = apply_Q(state, p, *wp.discrete_kernels).fields
     del state  # before the resample makes its fields
-    fields, m, _, _ = _resample_shifted(fields, wp.speed, wp.grid.dx)
+    fields, m = _resample_shifted(fields, wp.speed, wp.grid.dx)
 
     margin = wp.kernel_half_width + abs(m) + 2
     if 2 * margin >= wp.grid.n_points:

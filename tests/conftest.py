@@ -3,6 +3,9 @@ import pytest
 
 from rickerwaves import GaussianKernel, Grid, ModelParams, UniformKernel, discretize
 
+# the `pytester` fixture runs inner pytest sessions (tests/test_warning_gate.py)
+pytest_plugins = ["pytester"]
+
 
 @pytest.fixture
 def params():

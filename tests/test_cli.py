@@ -335,15 +335,20 @@ class TestSubcommands:
         assert len(calls) == expected
         assert len(bounds) == 1
 
-    @pytest.mark.parametrize("half_length", ["3", "7.3"])
+    @pytest.mark.parametrize("half_length", ["3", "7.3", "7.4", "7.9"])
     def test_wave_grid_too_short_for_the_kernel_fails_before_solving(
-            self, config_path, capsys, half_length):
+            self, config_path, capsys, monkeypatch, half_length):
+        steps = []
+        apply_Q = rickerwaves.waves.apply_Q
+        monkeypatch.setattr(rickerwaves.waves, "apply_Q",
+                            lambda *args: steps.append(1) or apply_Q(*args))
         assert main(["wave", "--config", str(config_path), "--L", half_length]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "needs at least 7.4 (72 + 2 cells of 0.1)" in captured.err
+        assert "needs at least 8 (72 + 6 + 2 cells of 0.1)" in captured.err
+        assert steps == []
         # a grid the check lets through is solved on and only fails its tail checks
-        assert main(["wave", "--config", str(config_path), "--L", "7.5"]) == 1
+        assert main(["wave", "--config", str(config_path), "--L", "8"]) == 1
         _, rows = parse_csv(capsys.readouterr().out)
         assert rows[0]["left_tail"] == "false" or rows[0]["right_tail"] == "false"
 

@@ -416,40 +416,79 @@ def _same_profile(a, b):
         assert getattr(a.history, name) == getattr(b.history, name), name
 
 
+def _same_front(a, b, opts=WaveOptions()):
+    """Two solves of one front: speeds within their errors, profiles within profile_tol."""
+    assert a.grid == b.grid
+    assert abs(a.speed - b.speed) <= a.speed_error + b.speed_error
+    assert max(np.max(np.abs(a.phi - b.phi)), np.max(np.abs(a.psi - b.psi))) <= opts.profile_tol
+
+
+def _stepped_lengths(monkeypatch):
+    """The grid sizes of every apply_Q call the solver makes from here on."""
+    lengths = []
+    apply_Q = waves.apply_Q
+    monkeypatch.setattr(waves, "apply_Q",
+                        lambda state, *args: lengths.append(state.grid.n_points)
+                        or apply_Q(state, *args))
+    return lengths
+
+
 class TestFrontWindow:
-    @pytest.mark.parametrize("a2,family,dx,floor", [
-        (3.0, "gaussian", 0.01, 0.0), (2.0, "gaussian", 0.01, 0.0),
-        (3.0, "uniform", 0.1, 0.0), (3.0, "gaussian", 0.1, 0.3),
-    ], ids=["readme_dx0.01", "symmetric_dx0.01", "uniform_dx0.1", "raised_start_dx0.1"])
-    def test_whole_grid_bookkeeping_is_bit_identical(self, monkeypatch, a2, family, dx, floor):
-        # a start raised to `floor` on the left has a far field c that the
-        # fractional shift can move to (1 - t)*c + t*c != c
+    """On a long grid the solve's window is the sized grid around the front."""
+
+    @pytest.mark.parametrize("a2,family,dx", [
+        (3.0, "gaussian", 0.1), (3.0, "gaussian", 0.01), (2.0, "gaussian", 0.01),
+        (3.0, "uniform", 0.1),
+    ], ids=["readme_dx0.1", "readme_dx0.01", "symmetric_dx0.01", "uniform_dx0.1"])
+    def test_embedded_solve_matches_a_whole_grid_solve(self, monkeypatch, a2, family, dx):
         p = ModelParams(0.5, 0.5, 2.0, a2)
         k = GaussianKernel(1.0) if family == "gaussian" else UniformKernel(2.0)
         grid = Grid(half_length=200.0, dx=dx)
-        ramp = floor + (1.0 - floor) * step_initial_data(grid, 1.0).U
+        lengths = _stepped_lengths(monkeypatch)
+        embedded = find_bistable_wave(p, k, k, grid)
+        sized = find_bistable_wave(p, k, k, dx=dx)
+        # the long grid's solve is the sized one, its residual taken on the long grid
+        assert lengths[: embedded.steps] == [sized.grid.n_points] * embedded.steps
+        assert lengths[embedded.steps] == grid.n_points
+        assert (embedded.speed, embedded.steps) == (sized.speed, sized.steps)
+        margin = grid.half_cells - sized.grid.half_cells
+        for long, short in ((embedded.phi, sized.phi), (embedded.psi, sized.psi)):
+            assert np.array_equal(long, np.pad(short, margin, mode="edge"))
+        # the ramp on the long grid is not constant outside the sized grid, so
+        # it is solved on every cell of the long grid
+        lengths.clear()
+        whole = find_bistable_wave(p, k, k, initial=step_initial_data(grid, 1.0))
+        assert set(lengths) == {grid.n_points}
+        _same_front(embedded, whole)
+        assert validate_profile(embedded).passed and validate_profile(whole).passed
+
+    @pytest.mark.parametrize("floor", [0.0, 0.3], ids=["sharp_ramp", "raised_start"])
+    def test_start_constant_outside_the_sized_grid_is_cropped(self, monkeypatch, floor):
+        # a sharp ramp snaps to its corners (or its raised floor) well inside
+        # the sized grid, so the solve runs there
+        p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
+        grid = Grid(half_length=200.0, dx=0.1)
+        ramp = floor + (1.0 - floor) * step_initial_data(grid, 0.5).U
         start = SpatialState(grid=grid, frame=TRANSFORMED_FRAME, U=ramp, V=ramp.copy())
-        spans = []
-        resample = waves._resample_shifted
-
-        def recording(*args):
-            result = resample(*args)
-            spans.append(result[3])
-            return result
-
-        monkeypatch.setattr(waves, "_resample_shifted", recording)
-        windowed = find_bistable_wave(p, k, k, grid, initial=start)
-        # most steps recenter a window (the last call is the residual's); the
-        # raised start's far field must reach a fixed point first
-        trimmed = sum(span.stop - span.start < grid.n_points / 2 for span in spans[:-1])
-        assert trimmed > (windowed.steps / 2 if floor == 0.0 else 0)
-        monkeypatch.setattr(waves, "_active_window", lambda U, V, reach: (0, len(U)))
-        whole = find_bistable_wave(p, k, k, grid, initial=start)
-        _same_profile(windowed, whole)
+        sized_grid = find_bistable_wave(p, k, k).grid
+        margin = grid.half_cells - sized_grid.half_cells
+        inner = slice(margin, margin + sized_grid.n_points)
+        cropped = SpatialState(grid=sized_grid, frame=TRANSFORMED_FRAME, U=ramp[inner],
+                               V=ramp[inner].copy())
+        lengths = _stepped_lengths(monkeypatch)
+        wp = find_bistable_wave(p, k, k, initial=start)
+        assert wp.grid == grid
+        assert lengths[:-1] == [sized_grid.n_points] * wp.steps
+        sized = find_bistable_wave(p, k, k, initial=cropped)
+        assert (wp.speed, wp.steps, wp.history.sup_diffs) == (
+            sized.speed, sized.steps, sized.history.sup_diffs)
+        assert np.array_equal(wp.phi, np.pad(sized.phi, margin, mode="edge"))
+        assert np.array_equal(wp.psi, np.pad(sized.psi, margin, mode="edge"))
 
     def test_first_step_is_windowed(self, monkeypatch):
-        # the start is snapped, so no convolution of a long-grid solve, the
-        # first step's and the residual's included, runs on all its cells
+        # every step runs on the sized grid, and the residual's step on the
+        # long grid is windowed by apply_Q, so no convolution takes half of
+        # the long grid's cells
         lengths = []
         convolve = evolution.convolve_extended
 
@@ -484,6 +523,40 @@ class TestFrontWindow:
         args = (ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0), GaussianKernel(1.0))
         _same_profile(find_bistable_wave(*args, initial=ramp),
                       find_bistable_wave(*args, initial=snapped))
+
+
+class TestAnderson:
+    def test_zero_and_singular_differences_start_the_history_again(self, rng):
+        # no warning either: the suite turns warnings into errors
+        mixer = waves._Anderson(3, 6)
+        # dyadic values, so that every difference below is exact
+        base = rng.integers(16, 48, (2, 2, 6)) / 64.0
+        d = rng.choice([-2.0, -1.0, 1.0, 2.0], (2, 2, 6)) / 128.0
+
+        def step(Gf):
+            G = np.sort(Gf[0].copy(), axis=1)
+            before = G.copy()
+            mixer.step(G, Gf)
+            return not np.array_equal(G, before)
+
+        assert not step(base)  # the first step has no history
+        assert not step(base.copy())  # a zero difference
+        assert mixer.count == 0
+        assert step(base + d)
+        assert mixer.count == 1
+        # the same difference again: a singular 2 x 2 Gram matrix
+        assert not step(base + 2 * d)
+        assert mixer.count == 0
+        assert step(base + 2 * d + d[::-1])
+
+    def test_mixed_iterate_is_monotone_in_the_unit_square(self, rng):
+        mixer = waves._Anderson(2, 50)
+        for scale in (0.0, 0.3, 0.6):
+            Gf = rng.uniform(-0.5, 1.5, (2, 2, 50)) + scale
+            G = Gf[0].copy()
+            mixer.step(G, Gf)
+        assert G.min() >= 0.0 and G.max() <= 1.0
+        assert (np.diff(G, axis=1) >= 0.0).all()
 
 
 class TestWaveResidual:
@@ -658,12 +731,18 @@ class TestWaveGrid:
 
     def test_initial_state_sets_the_grid(self):
         p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
-        for grid in (Grid(half_length=DEFAULT_HALF_LENGTH, dx=DEFAULT_DX),
-                     Grid(half_length=30.0, dx=0.2)):
-            start = step_initial_data(grid, 1.0)
-            wp = find_bistable_wave(p, k, k, initial=start)
-            assert wp.grid == grid
-            assert wp.speed == find_bistable_wave(p, k, k, grid).speed
+        # the sized grid at dx 0.2 is longer than 30, so both solves run on
+        # the given grid
+        grid = Grid(half_length=30.0, dx=0.2)
+        wp = find_bistable_wave(p, k, k, initial=step_initial_data(grid, 1.0))
+        assert wp.grid == grid
+        assert wp.speed == find_bistable_wave(p, k, k, grid).speed
+        # on L = 200 the ramp is solved on every cell, the grid alone on the
+        # sized grid and embedded: the same front
+        grid = Grid(half_length=DEFAULT_HALF_LENGTH, dx=DEFAULT_DX)
+        wp = find_bistable_wave(p, k, k, initial=step_initial_data(grid, 1.0))
+        assert wp.grid == grid
+        _same_front(wp, find_bistable_wave(p, k, k, grid))
 
     def test_dx_must_match_a_given_grid(self):
         p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
@@ -676,18 +755,28 @@ class TestWaveGrid:
                 == find_bistable_wave(p, k, k, grid).speed)
 
     def test_grid_too_short_for_the_kernel_is_rejected_before_stepping(self, monkeypatch):
-        # J = 72 at dx = 0.1, so the least half length is 74 cells, 7.4
+        # J = 72 at dx = 0.1 and speeds up to 0.604 (6 cells), so the least
+        # half length is 80 cells, 8.0; 7.4 used to run the whole solve
         p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
-        steps = []
-        apply_Q = waves.apply_Q
-        monkeypatch.setattr(waves, "apply_Q", lambda *args: steps.append(1) or apply_Q(*args))
-        for half_length in (3.0, 7.3):
-            with pytest.raises(RangeError, match=r"at least 7\.4 \(72 \+ 2 cells of 0\.1\)"):
+        steps = _stepped_lengths(monkeypatch)
+        for half_length in (3.0, 7.3, 7.4, 7.9):
+            with pytest.raises(RangeError, match=r"at least 8 \(72 \+ 6 \+ 2 cells of 0\.1\)"):
                 find_bistable_wave(p, k, k, Grid(half_length, 0.1))
         assert steps == []
         # a grid the check lets through is solved on
-        assert find_bistable_wave(p, k, k, Grid(7.5, 0.1)).grid.half_cells == 75
+        assert find_bistable_wave(p, k, k, Grid(8.0, 0.1)).grid.half_cells == 80
         assert steps
+
+    def test_stiff_cell_solves_on_a_given_long_grid(self, monkeypatch):
+        # its tails are too slow to size a grid, so the given one is solved on
+        p, k = ModelParams(0.999, 0.001, 2.0, 3.0), GaussianKernel(1.0)
+        grid = Grid(400.0, 0.1)
+        lengths = _stepped_lengths(monkeypatch)
+        wp = find_bistable_wave(p, k, k, grid)
+        assert set(lengths) == {grid.n_points}
+        assert wp.grid == grid
+        assert wp.speed_error < WaveOptions().speed_tol
+        assert validate_profile(wp).passed
 
     def test_initial_state_on_another_grid_rejected(self):
         p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
