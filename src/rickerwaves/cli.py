@@ -183,12 +183,17 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         if lattice is not None:
             sweep[name] = lattice
 
+    # species whose entries resolve equal share one kernel object, so the
+    # speed search evaluates its MGF once per exponent
+    kernel1 = _build_kernel(entry1, base_dir, "kernel1")
+    kernel2 = kernel1 if entry2 == entry1 else _build_kernel(entry2, base_dir, "kernel2")
+
     cfg = ExperimentConfig(
         params=model.ModelParams(
             r1=get("model.r1"), r2=get("model.r2"), a1=get("model.a1"), a2=get("model.a2")
         ),
-        kernel1=_build_kernel(entry1, base_dir, "kernel1"),
-        kernel2=_build_kernel(entry2, base_dir, "kernel2"),
+        kernel1=kernel1,
+        kernel2=kernel2,
         half_length=get("grid.L"),
         dx=get("grid.dx"),
         wave_opts=waves.WaveOptions(
@@ -251,10 +256,16 @@ def _quote(cell: str) -> str:
 
 
 def emit_csv(stream, digest: str, header, rows) -> None:
-    stream.write(f"# config {digest}\n")
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(_quote(_fmt(cell)) for cell in row) + "\n")
+    """Write the digest comment, the header and one line per row, in one write.
+
+    Each cell is ``_quote(_fmt(cell))``; a Python float is rendered by one
+    ``%.12g`` format, the same text without the calls.
+    """
+    lines = [f"# config {digest}", ",".join(header)]
+    lines += [",".join(["%.12g" % cell if type(cell) is float else _quote(_fmt(cell))
+                        for cell in row])
+              for row in rows]
+    stream.write("\n".join(lines) + "\n")
 
 
 # rows rendered by one format call; bounds the strings built at once on the
@@ -520,8 +531,7 @@ def _sweep_cell(cfg: ExperimentConfig, combo: dict, edge_memo: dict):
             and isinstance(kernel2, kernels.GaussianKernel)
         ):
             raise ConfigError("sweep.sigma requires gaussian kernels")
-        kernel1 = kernels.GaussianKernel(sigma=combo["sigma"])
-        kernel2 = kernels.GaussianKernel(sigma=combo["sigma"])
+        kernel1 = kernel2 = kernels.GaussianKernel(sigma=combo["sigma"])
     cp = speeds.counter_propagation(params, kernel1, kernel2, edge_memo)
     return params, combo.get("sigma"), cp
 

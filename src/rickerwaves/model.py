@@ -220,13 +220,19 @@ def jacobian(p: ModelParams, point, frame: str) -> np.ndarray:
     )
 
 
+def trace_and_discriminant(m00, m01, m10, m11):
+    """Trace and discriminant of the 2x2 characteristic polynomial: the one
+    copy of its arithmetic, shared by ``eigenvalues_2x2`` and the Perron root
+    of the speed search."""
+    tr = m00 + m11
+    return tr, tr * tr - 4.0 * (m00 * m11 - m01 * m10)
+
+
 def eigenvalues_2x2(m):
     """Both eigenvalues of a 2x2 array or a pair of row pairs, from the
     characteristic polynomial (no iteration); either form gives the same bits."""
     (m00, m01), (m10, m11) = m
-    tr = m00 + m11
-    det = m00 * m11 - m01 * m10
-    disc = tr * tr - 4.0 * det
+    tr, disc = trace_and_discriminant(m00, m01, m10, m11)
     if disc >= 0.0:
         root = math.sqrt(disc)
         return (0.5 * (tr + root), 0.5 * (tr - root))

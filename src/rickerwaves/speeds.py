@@ -9,11 +9,13 @@ entrywise-positive 2x2 matrix built from the kernel MGFs and lambda is
 its dominant (Perron) eigenvalue.  Kernel symmetry makes the leftward and
 rightward MGFs coincide, so a single exponent sign serves both directions.
 
-The matrix objective runs on Python floats: the same IEEE operations, in
-the same order, as on the array of ``linearization_matrix``, without an
-array per evaluation.  An edge speed depends only on (r, kernel), so a
-sweep hands ``counter_propagation`` one memo and each distinct edge
-search runs once.
+Each objective evaluation is one closure call on Python floats.  The
+matrix objective makes the same IEEE operations, in the same order, as on
+the array of ``linearization_matrix``, through the characteristic-
+polynomial arithmetic that ``model.eigenvalues_2x2`` uses as well, and
+evaluates a kernel shared by both species once.  An edge speed depends
+only on (r, kernel), so a sweep hands ``counter_propagation`` one memo and
+each distinct edge search runs once.
 
 Also provided: an empirical front-speed estimator (level-crossing position
 regressed against step count), which checks the variational values against
@@ -30,7 +32,10 @@ import numpy as np
 from .errors import DomainError, MeasurementError, RangeError, SearchError
 from .evolution import interior_slice
 from .kernels import Kernel
-from .model import ModelParams, coexistence_coordinates, eigenvalues_2x2, require_admissible
+from .model import (
+    ModelParams, coexistence_coordinates, eigenvalues_2x2, require_admissible,
+    trace_and_discriminant,
+)
 
 # golden-section tolerances: bracket width in mu, spread in objective value
 MU_TOL = 1e-8
@@ -58,19 +63,18 @@ def _minimize_positive(objective) -> tuple:
     Brackets by doubling from a small start (the objective blows up as
     mu -> 0+, so it is initially decreasing), treating MGF overflow as the
     upper end of the searchable range, then refines by golden section.
-    Returns (mu_star, value, curve).
+    Returns (mu_star, value, curve), the curve holding each evaluated
+    (mu, value) pair, sorted by mu.
     """
     curve = []
-
-    def f(mu):
-        value = objective(mu)
-        curve.append((mu, value))
-        return value
+    record = curve.append
 
     lo = BRACKET_START
-    f_lo = f(lo)
+    f_lo = objective(lo)
+    record((lo, f_lo))
     mid = 2.0 * lo
-    f_mid = f(mid)
+    f_mid = objective(mid)
+    record((mid, f_mid))
     if f_mid >= f_lo:
         # minimum sits at tiny mu; fall back to the guarded floor
         a, b = MU_FLOOR, mid
@@ -79,11 +83,12 @@ def _minimize_positive(objective) -> tuple:
         while True:
             hi = 2.0 * mid
             try:
-                f_hi = f(hi)
+                f_hi = objective(hi)
             except RangeError as exc:
                 raise SearchError(
                     f"objective still decreasing when the MGF overflowed near mu={hi}"
                 ) from exc
+            record((hi, f_hi))
             if f_hi > f_mid:
                 b = hi
                 break
@@ -92,21 +97,26 @@ def _minimize_positive(objective) -> tuple:
     # golden section on [a, b]
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    f_c, f_d = f(c), f(d)
+    f_c = objective(c)
+    record((c, f_c))
+    f_d = objective(d)
+    record((d, f_d))
     while (b - a) > MU_TOL * max(1.0, 0.5 * (a + b)):
         if abs(f_c - f_d) < VALUE_TOL * max(1.0, abs(f_c)):
             break
         if f_c < f_d:
             b, d, f_d = d, c, f_c
             c = b - _INVPHI * (b - a)
-            f_c = f(c)
+            f_c = objective(c)
+            record((c, f_c))
         else:
             a, c, f_c = c, d, f_d
             d = a + _INVPHI * (b - a)
-            f_d = f(d)
+            f_d = objective(d)
+            record((d, f_d))
     mu_star = 0.5 * (a + b)
     value = objective(mu_star)
-    curve.append((mu_star, value))
+    record((mu_star, value))
     curve.sort(key=lambda pair: pair[0])
     return mu_star, value, curve
 
@@ -119,8 +129,10 @@ def scalar_speed(r: float, kernel: Kernel) -> SpeedReport:
     if not (0.0 < r < 1.0):
         raise DomainError(f"growth rate must lie in (0,1), got {r}")
 
+    log, mgf = math.log, kernel.mgf
+
     def objective(mu):
-        return (r + math.log(kernel.mgf(mu))) / mu
+        return (r + log(mgf(mu))) / mu
 
     mu_star, value, curve = _minimize_positive(objective)
     return SpeedReport(value=value, mu_star=mu_star, curve=curve, method="scalar-formula")
@@ -153,21 +165,27 @@ def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> Spee
     Minimizes ln(lambda(B_mu))/mu over mu > 0, with lambda the Perron root
     of the entrywise-positive B_mu.  By kernel symmetry the same matrix
     serves the leftward and rightward subsystems.  The parameters are
-    checked and the coefficients built once, not per evaluation, and each
-    evaluation scales them as floats: bit for bit the Perron root of
-    ``linearization_matrix``, without an array per evaluation.
+    checked and the coefficients built once, not per evaluation.  Each
+    evaluation is one call: it scales the coefficients by the MGFs as
+    floats and takes the Perron root through
+    ``model.trace_and_discriminant``, bit for bit the root that
+    ``eigenvalues_2x2`` gives for ``linearization_matrix``.  When
+    ``kernel2 is kernel1`` the MGF is evaluated once per exponent.
     """
     require_admissible(p)
     (c11, c12), (c21, c22) = _coefficients(p).tolist()
-
-    def perron_root(mu):
-        m1, m2 = kernel1.mgf(mu), kernel2.mgf(mu)
-        return eigenvalues_2x2(((c11 * m1, c12 * m2), (c21 * m1, c22 * m2)))[0]
+    mgf1, mgf2 = kernel1.mgf, kernel2.mgf
+    shared = kernel2 is kernel1
+    log, sqrt = math.log, math.sqrt
 
     def objective(mu):
-        return math.log(perron_root(mu)) / mu
+        m1 = mgf1(mu)
+        m2 = m1 if shared else mgf2(mu)
+        tr, disc = trace_and_discriminant(c11 * m1, c12 * m2, c21 * m1, c22 * m2)
+        return log(0.5 * (tr + sqrt(disc))) / mu
 
-    lambda0 = perron_root(0.0)
+    m1, m2 = mgf1(0.0), mgf2(0.0)
+    lambda0 = eigenvalues_2x2(((c11 * m1, c12 * m2), (c21 * m1, c22 * m2)))[0]
     mu_star, value, curve = _minimize_positive(objective)
     return SpeedReport(
         value=value, mu_star=mu_star, curve=curve, method="matrix-eigenvalue",

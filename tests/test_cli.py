@@ -13,7 +13,7 @@ import pytest
 
 import rickerwaves
 from rickerwaves import ConfigError, GaussianKernel, WaveOptions, speeds
-from rickerwaves.cli import _fmt, emit_csv, load_config, main, run, write_csv
+from rickerwaves.cli import _fmt, _quote, emit_csv, load_config, main, run, write_csv
 
 
 BASE_CONFIG = """\
@@ -117,6 +117,35 @@ class TestLoadConfig:
         path.write_text(BASE_CONFIG.replace("kernel.sigma = 1.0\n", ""))
         with pytest.raises(ConfigError, match="kernel1: gaussian kernel needs shape parameter 'sigma'"):
             load_config(path)
+
+    def test_equal_kernel_entries_share_one_kernel(self, config_path, tmp_path):
+        cfg = load_config(config_path)
+        assert cfg.kernel2 is cfg.kernel1
+        path = tmp_path / "two.cfg"
+        path.write_text(BASE_CONFIG + "kernel2.sigma = 2.0\n")
+        cfg = load_config(path)
+        assert cfg.kernel2 is not cfg.kernel1
+        assert (cfg.kernel1.sigma, cfg.kernel2.sigma) == (1.0, 2.0)
+
+    def test_shared_table_kernel_reads_its_file_once(self, tmp_path, monkeypatch):
+        offsets = np.linspace(-1, 1, 21)
+        np.savetxt(tmp_path / "kern.txt", np.column_stack([offsets, 1 - np.abs(offsets)]))
+        path = tmp_path / "tbl.cfg"
+        path.write_text(
+            BASE_CONFIG.replace("kernel.family = gaussian", "kernel.family = table")
+            .replace("kernel.sigma = 1.0", "kernel.table_path = kern.txt")
+        )
+        reads = []
+        loadtxt = np.loadtxt
+
+        def counted(fname, *args, **kwargs):
+            reads.append(fname)
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        cfg = load_config(path)
+        assert reads == [tmp_path / "kern.txt"]
+        assert cfg.kernel2 is cfg.kernel1
 
     def test_sweep_lists_parse(self, tmp_path):
         path = tmp_path / "sweep.cfg"
@@ -406,6 +435,21 @@ class TestCsv:
         assert text == expected.getvalue()
         assert [line.split(",")[1] for line in text.splitlines()[2:6]] == [
             "-0", "1e-300", "1.23456789012e+20", "0"]
+
+    def test_float_fast_path_matches_per_cell_rendering(self):
+        floats = [0.1 + 0.2, 1e-300, 1e300, -0.0, float("inf"), float("-inf"),
+                  float("nan"), 123456789012345.0]
+        others = [1, np.int64(-7), True, False, None, "", "a,b", 'q"t']
+        rows = [floats, [np.float64(x) for x in floats], others,
+                [cell for pair in zip(floats, others) for cell in pair],
+                [np.float64(0.1 + 0.2), 0.1 + 0.2, "a,b", 1e300, np.int64(3)]]
+        out = io.StringIO()
+        emit_csv(out, "abc123", ("h1", "h2"), rows)
+        expected = "# config abc123\nh1,h2\n" + "".join(
+            ",".join(_quote(_fmt(cell)) for cell in row) + "\n" for row in rows)
+        assert out.getvalue() == expected
+        assert out.getvalue().splitlines()[2] == (
+            "0.3,1e-300,1e+300,-0,inf,-inf,nan,1.23456789012e+14")
 
 
 class TestDeterminism:

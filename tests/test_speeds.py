@@ -205,14 +205,41 @@ _width = st.floats(0.3, 3.0)
        family=st.sampled_from(sorted(_KERNEL_FAMILIES)), w1=_width, w2=_width)
 def test_float_objective_is_the_array_objective_bit_for_bit(r1, r2, a1, a2, family, w1, w2):
     p = ModelParams(r1, r2, a1, a2)
-    k1, k2 = _KERNEL_FAMILIES[family](w1), _KERNEL_FAMILIES[family](w2)
-    report = system_speed_bound(p, k1, k2)
-    value, mu_star, curve, lambda0 = _array_speed_bound(p, k1, k2)
-    # float.hex tells apart any two doubles
-    assert [float(x).hex() for x in (report.value, report.mu_star, report.lambda0)] == [
-        float(x).hex() for x in (value, mu_star, lambda0)]
-    assert [(mu.hex(), f.hex()) for mu, f in report.curve] == [
-        (mu.hex(), float(f).hex()) for mu, f in curve]
+    make = _KERNEL_FAMILIES[family]
+    k1 = make(w1)
+    # distinct widths, one shared kernel object, and an equal but distinct one
+    for k2 in (make(w2), k1, make(w1)):
+        report = system_speed_bound(p, k1, k2)
+        value, mu_star, curve, lambda0 = _array_speed_bound(p, k1, k2)
+        # float.hex tells apart any two doubles
+        assert [float(x).hex() for x in (report.value, report.mu_star, report.lambda0)] == [
+            float(x).hex() for x in (value, mu_star, lambda0)]
+        assert [(mu.hex(), f.hex()) for mu, f in report.curve] == [
+            (mu.hex(), float(f).hex()) for mu, f in curve]
+
+
+class _CountingKernel:
+    """A kernel that counts its MGF evaluations."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.calls = 0
+
+    def mgf(self, mu):
+        self.calls += 1
+        return self.kernel.mgf(mu)
+
+
+def test_shared_kernel_evaluates_its_mgf_once_per_exponent(params):
+    shared = _CountingKernel(GaussianKernel(1.0))
+    report = system_speed_bound(params, shared, shared)
+    # one call per search evaluation, plus both columns of B_0 for lambda0
+    assert shared.calls == len(report.curve) + 2
+    k1, k2 = _CountingKernel(GaussianKernel(1.0)), _CountingKernel(GaussianKernel(1.0))
+    separate = system_speed_bound(params, k1, k2)
+    assert k1.calls == k2.calls == len(separate.curve) + 1
+    assert (report.value, report.mu_star, report.lambda0, report.curve) == (
+        separate.value, separate.mu_star, separate.lambda0, separate.curve)
 
 
 class TestCounterPropagation:
