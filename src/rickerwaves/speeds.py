@@ -9,13 +9,15 @@ entrywise-positive 2x2 matrix built from the kernel MGFs and lambda is
 its dominant (Perron) eigenvalue.  Kernel symmetry makes the leftward and
 rightward MGFs coincide, so a single exponent sign serves both directions.
 
-Each objective evaluation is one closure call on Python floats.  The
-matrix objective makes the same IEEE operations, in the same order, as on
-the array of ``linearization_matrix``, through the characteristic-
-polynomial arithmetic that ``model.eigenvalues_2x2`` uses as well, and
-evaluates a kernel shared by both species once.  An edge speed depends
-only on (r, kernel), so a sweep hands ``counter_propagation`` one memo and
-each distinct edge search runs once.
+Each speed is the minimum of its objective, found by ``_minimize_positive``:
+a bracket grown from mu = 1 and Brent's parabolic refinement to ``MU_TOL``,
+about 16 evaluations per search.  Each evaluation is one closure call on
+Python floats.  The matrix objective makes the same IEEE operations, in the
+same order, as on the array of ``linearization_matrix``, through the
+characteristic-polynomial arithmetic that ``model.eigenvalues_2x2`` uses as
+well, and evaluates a kernel shared by both species once.  An edge speed
+depends only on (r, kernel), so a sweep hands ``counter_propagation`` one
+memo and each distinct edge search runs once.
 
 Also provided: an empirical front-speed estimator (level-crossing position
 regressed against step count), which checks the variational values against
@@ -37,12 +39,11 @@ from .model import (
     trace_and_discriminant,
 )
 
-# golden-section tolerances: bracket width in mu, spread in objective value
+# the search stops once mu is known to MU_TOL (relative above mu = 1)
 MU_TOL = 1e-8
-VALUE_TOL = 1e-10
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section step of Brent's method: the smaller golden fraction
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
-BRACKET_START = 1e-3
 MU_FLOOR = 1e-6
 
 
@@ -60,26 +61,38 @@ class SpeedReport:
 def _minimize_positive(objective) -> tuple:
     """Minimize a smooth unimodal objective over mu > 0.
 
-    Brackets by doubling from a small start (the objective blows up as
-    mu -> 0+, so it is initially decreasing), treating MGF overflow as the
-    upper end of the searchable range, then refines by golden section.
-    Returns (mu_star, value, curve), the curve holding each evaluated
-    (mu, value) pair, sorted by mu.
+    Brackets from mu = 1, where the minimizers of the speed objectives
+    cluster: mu doubles while the objective falls and halves otherwise,
+    down to ``MU_FLOOR``.  An MGF overflow (RangeError) or a nan value
+    counts as too far right, so an overflow at the start or on the first
+    step up halves mu; one on a later doubling, with the objective still
+    falling, raises SearchError, as does mu itself overflowing.  Brent's
+    method (R. P. Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 5) then refines the bracket by parabolic interpolation
+    through the best three points, with a golden-section step whenever the
+    parabola's vertex leaves the bracket or the step does not halve the
+    one before last, and stops once the minimizer is known to ``MU_TOL``.
+    Returns (mu_star, value, curve): value is the objective at mu_star, the
+    lowest point evaluated, and the curve holds each evaluated (mu, value)
+    pair, sorted by mu.
     """
     curve = []
     record = curve.append
+    inf = math.inf
 
-    lo = BRACKET_START
-    f_lo = objective(lo)
-    record((lo, f_lo))
-    mid = 2.0 * lo
-    f_mid = objective(mid)
-    record((mid, f_mid))
-    if f_mid >= f_lo:
-        # minimum sits at tiny mu; fall back to the guarded floor
-        a, b = MU_FLOOR, mid
-    else:
-        a = lo
+    def evaluate(mu):
+        try:
+            value = objective(mu)
+        except RangeError:
+            return inf
+        record((mu, value))
+        return value
+
+    # bracket: lo < mid < hi with f(mid) below f(lo) and not above f(hi)
+    mid, hi = 1.0, 2.0
+    f_mid, f_hi = evaluate(mid), evaluate(hi)
+    if f_hi < f_mid:
+        lo, mid, f_mid = mid, hi, f_hi
         while True:
             hi = 2.0 * mid
             try:
@@ -89,36 +102,82 @@ def _minimize_positive(objective) -> tuple:
                     f"objective still decreasing when the MGF overflowed near mu={hi}"
                 ) from exc
             record((hi, f_hi))
-            if f_hi > f_mid:
-                b = hi
+            if not f_hi <= f_mid:
                 break
-            a, mid, f_mid = mid, hi, f_hi
+            if hi == inf:
+                raise SearchError("objective still decreasing when mu overflowed")
+            lo, mid, f_mid = mid, hi, f_hi
+    else:
+        while True:
+            lo = 0.5 * mid
+            if lo < MU_FLOOR:
+                # the minimum sits at tiny mu; search down to the guarded floor
+                lo = MU_FLOOR
+                break
+            f_lo = evaluate(lo)
+            if f_lo > f_mid:
+                break
+            hi, mid, f_mid = mid, lo, f_lo
+    if not f_mid < inf:
+        raise SearchError(f"objective not finite at any mu from 1 down to {MU_FLOOR}")
 
-    # golden section on [a, b]
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    f_c = objective(c)
-    record((c, f_c))
-    f_d = objective(d)
-    record((d, f_d))
-    while (b - a) > MU_TOL * max(1.0, 0.5 * (a + b)):
-        if abs(f_c - f_d) < VALUE_TOL * max(1.0, abs(f_c)):
+    # Brent's refinement on [a, b]: x is the lowest point so far, w the
+    # second lowest and v the previous w; e is the step before last
+    a, b = lo, hi
+    x = w = v = mid
+    fx = fw = fv = f_mid
+    d = e = 0.0
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = MU_TOL * max(1.0, x)
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
             break
-        if f_c < f_d:
-            b, d, f_d = d, c, f_c
-            c = b - _INVPHI * (b - a)
-            f_c = objective(c)
-            record((c, f_c))
+        parabolic = False
+        if abs(e) > tol1:
+            # the vertex of the parabola through (v, fv), (w, fw), (x, fx) is x + p/q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            # written so that a nan from an infinite value fails the test
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                d = p / q
+                if (x + d) - a < tol2 or b - (x + d) < tol2:
+                    d = math.copysign(tol1, xm - x)
+        if not parabolic:
+            e = (a - x) if x >= xm else (b - x)
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        # evaluate(u), inlined: this loop makes most of the evaluations
+        try:
+            fu = objective(u)
+        except RangeError:
+            fu = inf
         else:
-            a, c, f_c = c, d, f_d
-            d = a + _INVPHI * (b - a)
-            f_d = objective(d)
-            record((d, f_d))
-    mu_star = 0.5 * (a + b)
-    value = objective(mu_star)
-    record((mu_star, value))
+            record((u, fu))
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
     curve.sort(key=lambda pair: pair[0])
-    return mu_star, value, curve
+    return x, fx, curve
 
 
 def scalar_speed(r: float, kernel: Kernel) -> SpeedReport:

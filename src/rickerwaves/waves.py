@@ -412,7 +412,8 @@ def find_bistable_wave(
         raise ParameterError(f"dx {dx} differs from the spacing {grid.dx} of the given grid")
     dx = grid.dx if grid is not None else DEFAULT_DX if dx is None else dx
     dk1 = discretize(kernel1, dx, opts.eps_trunc)
-    dk2 = discretize(kernel2, dx, opts.eps_trunc)
+    # a kernel shared by both species: one set of weights and one spectrum cache
+    dk2 = dk1 if kernel2 is kernel1 else discretize(kernel2, dx, opts.eps_trunc)
     speed_bound = cp.c_plus_F0F2.value
     decay_rate = _tail_decay_rate(p, dk1, dk2, speed_bound)
     if grid is None:

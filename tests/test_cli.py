@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rickerwaves
-from rickerwaves import ConfigError, GaussianKernel, WaveOptions, speeds
+from rickerwaves import ConfigError, GaussianKernel, WaveOptions, find_bistable_wave, speeds
 from rickerwaves.cli import _fmt, _quote, emit_csv, load_config, main, run, write_csv
 
 
@@ -126,6 +126,15 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.kernel2 is not cfg.kernel1
         assert (cfg.kernel1.sigma, cfg.kernel2.sigma) == (1.0, 2.0)
+
+    def test_shared_kernel_is_discretized_once_per_solve(self, config_path):
+        cfg = load_config(config_path)
+        wp = find_bistable_wave(cfg.params, cfg.kernel1, cfg.kernel2)
+        assert wp.discrete_kernels[0] is wp.discrete_kernels[1]
+        # equal but distinct kernels each get their own, equal, weights
+        wp = find_bistable_wave(cfg.params, GaussianKernel(1.0), GaussianKernel(1.0))
+        dk1, dk2 = wp.discrete_kernels
+        assert dk1 is not dk2 and np.array_equal(dk1.weights, dk2.weights)
 
     def test_shared_table_kernel_reads_its_file_once(self, tmp_path, monkeypatch):
         offsets = np.linspace(-1, 1, 21)
@@ -341,12 +350,14 @@ class TestSubcommands:
             checks = {c.name: c for c in run("wave", cfg, io.StringIO()).checks}
             assert checks["wave-kernel-resolved"].ok, checks["wave-kernel-resolved"].detail
 
-    @pytest.mark.parametrize("extra,expected", [((), 2), (("--L", "60"), 2)],
+    @pytest.mark.parametrize("extra,expected", [((), 1), (("--L", "60"), 1)],
                              ids=["sized", "grid.L"])
     def test_wave_discretizes_once_per_grid_build(self, config_path, capsys, monkeypatch,
                                                  extra, expected):
-        # the solver alone discretizes both kernels and bounds the speed,
-        # sized grid or not; the kernel check reads its kernels from the profile
+        # the solver alone discretizes the kernels and bounds the speed,
+        # sized grid or not, and the README config's two species share one
+        # kernel, so it is discretized once; the kernel check reads its
+        # kernels from the profile
         calls, bounds = [], []
         discretize = rickerwaves.kernels.discretize
         bound = rickerwaves.speeds.system_speed_bound
@@ -499,9 +510,9 @@ README_SIMULATE_SHA256 = {
 # The README config's `speeds` stdout, and `sweep` stdout over a 2x2x2x2
 # lattice with a sigma axis.  The benchmark checks sweep tables only to a
 # tolerance, so these pins are what holds the speed search bit for bit.
-README_SPEEDS_STDOUT_SHA256 = "654aa4b4c98988c4d3f01bfe0e55467e9b04ba3fee275949dc91ea9c3198e001"
+README_SPEEDS_STDOUT_SHA256 = "1bafadfe30b415e9442667cabed51748cfa80920b432308cf2f4432951a0f908"
 SWEEP_LATTICE = "sweep.r1 = 0.3, 0.6\nsweep.a1 = 1.5, 2.5\nsweep.a2 = 2, 4\nsweep.sigma = 0.8, 1.6\n"
-SWEEP_STDOUT_SHA256 = "1df155f9038884e1bca6375a844d0c52324e58bbe6f4f144876b7ec2c032f5de"
+SWEEP_STDOUT_SHA256 = "abaeb920b08058268d454e99e6d779937e5ea46c2d30b0219a56a04ae85dce3a"
 
 
 def _sha256(path):

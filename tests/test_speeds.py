@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from rickerwaves import (
     DomainError,
@@ -37,16 +39,16 @@ class TestScalarSpeed:
         # calculus oracle: min of r/mu + sigma^2 mu / 2 is sigma sqrt(2 r)
         # at mu = sqrt(2 r) / sigma
         report = scalar_speed(0.5, GaussianKernel(sigma))
-        assert report.value == pytest.approx(sigma * math.sqrt(1.0), abs=1e-6)
-        assert report.mu_star == pytest.approx(math.sqrt(1.0) / sigma, abs=1e-4)
+        assert report.value == pytest.approx(sigma * math.sqrt(1.0), abs=1e-12)
+        assert report.mu_star == pytest.approx(math.sqrt(1.0) / sigma, abs=1e-7)
         assert report.method == "scalar-formula"
 
     def test_uniform_kernel_frozen_oracle(self):
         # frozen from a 4e6-point dense grid plus high-precision root
         # refinement of the objective derivative
         report = scalar_speed(0.5, UniformKernel(1.0))
-        assert report.value == pytest.approx(0.54746062375647, abs=1e-6)
-        assert report.mu_star == pytest.approx(2.05924057068149, abs=1e-3)
+        assert report.value == pytest.approx(0.54746062375647, abs=1e-12)
+        assert report.mu_star == pytest.approx(2.05924057068149, abs=1e-6)
 
     def test_growth_rate_domain(self):
         with pytest.raises(DomainError):
@@ -358,3 +360,82 @@ class TestSearchRobustness:
 
         with pytest.raises(SearchError):
             scalar_speed(0.5, DivergentObjective())
+
+    def test_objective_falling_for_ever_raises(self):
+        # a point mass never overflows: r/mu falls until mu itself overflows
+        class PointMass:
+            def mgf(self, mu):
+                return 1.0
+
+        with pytest.raises(SearchError):
+            scalar_speed(0.5, PointMass())
+
+    @pytest.mark.parametrize("sigma", [0.01, 40.0, 100.0])
+    def test_wide_and_narrow_gaussians_keep_the_closed_form(self, sigma):
+        # the MGF overflows at mu = 1 for sigma > 37.6 and at mu = 2 for
+        # sigma > 18.8: the bracket halves mu rather than failing
+        report = scalar_speed(0.5, GaussianKernel(sigma))
+        assert report.value == pytest.approx(sigma * math.sqrt(2.0 * 0.5), rel=1e-12)
+
+    def test_wide_uniform_kernel_scales_the_unit_speed(self):
+        # sinh(a mu)/(a mu) overflows for a mu > 709; the speed of halfwidth
+        # a is a times that of halfwidth 1
+        report = scalar_speed(0.5, UniformKernel(1000.0))
+        assert math.isfinite(report.value)
+        assert report.value == pytest.approx(1000.0 * 0.54746062375647, rel=1e-12)
+
+    @pytest.mark.parametrize("edge", [1e-7, 0.01, 0.3, 1.5, 3.0, 50.0])
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 40.0])
+    def test_nan_mgf_ends_the_search(self, sigma, edge):
+        # a probe whose MGF is nan past some exponent: the search either
+        # reports a finite speed or raises SearchError, in a bounded number
+        # of evaluations
+        kernel = GaussianKernel(sigma)
+
+        class NanPast:
+            calls = 0
+
+            def mgf(self, mu):
+                self.calls += 1
+                assert self.calls < 2000, "the search does not stop"
+                return math.nan if mu > edge else kernel.mgf(mu)
+
+        for search in (lambda k: scalar_speed(0.5, k),
+                       lambda k: system_speed_bound(ModelParams(0.5, 0.5, 2.0, 3.0), k, k)):
+            try:
+                report = search(NanPast())
+            except SearchError:
+                continue
+            assert math.isfinite(report.value) and 0.0 < report.mu_star <= edge
+
+
+def _oracle_minimum(objective, mu_star):
+    """scipy's bounded Brent minimum of the objective on [mu*/4, 4 mu*]."""
+    result = minimize_scalar(objective, bounds=(0.25 * mu_star, 4.0 * mu_star),
+                             method="bounded", options={"xatol": 1e-12 * mu_star})
+    assert result.success
+    return result.fun
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(r1=_rate, r2=_rate, a1=_competition, a2=_competition,
+       family=st.sampled_from(sorted(_KERNEL_FAMILIES)), w1=_width, w2=_width)
+def test_speeds_match_an_independent_minimizer(r1, r2, a1, a2, family, w1, w2):
+    p = ModelParams(r1, r2, a1, a2)
+    make = _KERNEL_FAMILIES[family]
+    k1, k2 = make(w1), make(w2)
+    scalar = scalar_speed(r1, k1)
+    interior = system_speed_bound(p, k1, k2)
+    objectives = (
+        (scalar, lambda mu: (r1 + math.log(k1.mgf(mu))) / mu),
+        (interior, lambda mu: math.log(
+            eigenvalues_2x2(linearization_matrix(p, k1, k2, mu))[0]) / mu),
+    )
+    for report, objective in objectives:
+        oracle = _oracle_minimum(objective, report.mu_star)
+        assert report.value == pytest.approx(oracle, rel=1e-12)
+        # near the minimum the objective is flat down to its rounding: its
+        # numerator mu * value (ln lambda, or r + ln M) carries a few ulps
+        # of 1, and either search may land on a low sample of that noise
+        noise = 16.0 * sys.float_info.epsilon / report.mu_star
+        assert report.value <= oracle + 1e-14 * abs(oracle) + noise
