@@ -38,7 +38,6 @@ from .kernels import (
     UniformKernel,
     discretize,
     make_kernel,
-    mgf,
     validate_hypotheses,
 )
 from .model import (
@@ -69,7 +68,6 @@ from .speeds import (
     system_speed_bound,
 )
 from .waves import (
-    ProfileTolerances,
     ProfileValidation,
     WaveOptions,
     WaveProfile,

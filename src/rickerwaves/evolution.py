@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DomainError, RangeError
-from .kernels import DiscreteKernel
+from .kernels import MAX_GRID_POINTS, DiscreteKernel
 from .model import ORIGINAL_FRAME, TRANSFORMED_FRAME, ModelParams, growth
 
 log = logging.getLogger(__name__)
@@ -50,10 +50,6 @@ CLAMP_TOL = 1e-14
 
 DEFAULT_HALF_LENGTH = 200.0
 DEFAULT_DX = 0.1
-
-# each field on a grid this size is 80 MB; the default grid has 4001 points
-# and dx=0.01 gives 40001, so a larger grid points to a typo in dx or L
-MAX_GRID_POINTS = 10**7
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 Built-in families are the Gaussian (closed-form MGF, finite for every
 exponent) and the symmetric uniform density on [-a, a].  Arbitrary tabulated
 densities on a symmetric uniform grid are supported as well; tables are
-symmetrized and normalized on construction.  A table can be flagged as the
-truncation of an unbounded-support density, in which case the hypothesis
-checker reports its MGF as not finite for all exponents.
+symmetrized and normalized on construction, so every kernel is symmetric and
+nonnegative.  A table can be flagged as the truncation of an
+unbounded-support density, in which case the hypothesis checker reports its
+MGF as not finite for all exponents.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ from .errors import DegenerateKernelError, ParameterError, RangeError
 _EXP_ARG_MAX = 709.0
 
 DEFAULT_TRUNCATION = 1e-12
+
+# each field on a grid this size is 80 MB; the default grid has 4001 points
+# and dx=0.01 gives 40001, so a larger grid points to a typo in dx or L.
+# A discretized kernel's 2J + 1 weights are held to the same cap.
+MAX_GRID_POINTS = 10**7
 
 
 class Kernel:
@@ -126,7 +132,8 @@ class TableKernel(Kernel):
     """Density tabulated on a symmetric uniform grid of offsets.
 
     Samples are symmetrized (average with their mirror) and normalized so
-    that the rectangle-rule mass spacing * sum(densities) is exactly one.
+    that the rectangle-rule mass spacing * sum(densities) is exactly one;
+    the stored offsets and densities are exact mirrors and read-only.
     ``compactly_supported=False`` marks the table as a truncation of an
     unbounded-support density (a Laplace tail, say); such kernels keep
     working numerically but fail the finite-MGF hypothesis.
@@ -163,7 +170,10 @@ class TableKernel(Kernel):
         sym = sym / (h * sym.sum())
         # snap to exact mirrors so density(y) == density(-y) bit for bit
         J = offsets.size // 2
-        object.__setattr__(self, "offsets", h * np.arange(-J, J + 1))
+        offsets = h * np.arange(-J, J + 1)
+        for array in (offsets, sym):
+            array.flags.writeable = False
+        object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "densities", sym)
         object.__setattr__(self, "symmetrized", was_asymmetric)
 
@@ -220,13 +230,6 @@ def make_kernel(family: str, **spec) -> Kernel:
                        compactly_supported=spec.get("compactly_supported", True))
 
 
-def mgf(kernel: Kernel, mu: float) -> float:
-    """Moment generating function of the kernel at exponent mu."""
-    if not math.isfinite(mu):
-        raise RangeError(f"MGF exponent must be finite, got {mu}")
-    return kernel.mgf(mu)
-
-
 @dataclass(frozen=True)
 class DiscreteKernel:
     """Quadrature weights of a kernel on a uniform grid.
@@ -263,7 +266,8 @@ def discretize(kernel: Kernel, dx: float, eps_trunc: float = DEFAULT_TRUNCATION)
     exact overlaps for the uniform kernel.
 
     The half width J is chosen so the kernel's mass outside [-J dx, J dx]
-    is below eps_trunc before normalization.
+    is below eps_trunc before normalization; a dx so fine that the 2J + 1
+    weights exceed ``MAX_GRID_POINTS`` raises ParameterError.
     """
     if not (dx > 0 and math.isfinite(dx)):
         raise ParameterError(f"dx must be positive, got {dx}")
@@ -271,6 +275,13 @@ def discretize(kernel: Kernel, dx: float, eps_trunc: float = DEFAULT_TRUNCATION)
         raise ParameterError(f"eps_trunc must lie in (0, 1), got {eps_trunc}")
 
     radius = kernel.truncation_radius(eps_trunc)
+    # J <= (MAX_GRID_POINTS - 1) // 2 exactly when 2J + 1 <= MAX_GRID_POINTS;
+    # the test also rejects an infinite ratio before ceil() sees it
+    if not radius / dx - 1e-12 <= (MAX_GRID_POINTS - 1) // 2:
+        raise ParameterError(
+            f"dx={dx} is too fine for the kernel: its half width J would be "
+            f"{radius / dx:.4g} cells, and 2J + 1 weights exceed the "
+            f"{MAX_GRID_POINTS} grid points allowed (raise dx)")
     J = int(math.ceil(radius / dx - 1e-12))
     if J < 1:
         raise DegenerateKernelError(
@@ -299,20 +310,23 @@ def discretize(kernel: Kernel, dx: float, eps_trunc: float = DEFAULT_TRUNCATION)
 
 @dataclass
 class HypothesisReport:
-    """Pass/fail record for the dispersal-kernel hypotheses."""
+    """Pass/fail record for the dispersal-kernel hypotheses.
+
+    Symmetry and nonnegativity (H3) hold by construction for every kernel,
+    so only the finite MGF (H2) can fail.
+    """
 
     finite_mgf: bool
-    symmetric_nonnegative: bool
     violations: list
     notes: list
 
     @property
     def passed(self) -> bool:
-        return self.finite_mgf and self.symmetric_nonnegative
+        return self.finite_mgf
 
 
 def validate_hypotheses(kernel: Kernel) -> HypothesisReport:
-    """Check finite-MGF (all exponents) and symmetry/nonnegativity."""
+    """Check finite-MGF (all exponents); note a table symmetrized on construction."""
     violations = []
     notes = []
 
@@ -322,22 +336,6 @@ def validate_hypotheses(kernel: Kernel) -> HypothesisReport:
             "(H2) MGF not finite for all exponents: kernel has unbounded support"
         )
 
-    symmetric = True
-    if isinstance(kernel, TableKernel):
-        dens = kernel.densities
-        if np.any(dens < 0):
-            symmetric = False
-            violations.append("(H3) negative density values")
-        if np.max(np.abs(dens - dens[::-1])) > 0:
-            symmetric = False
-            violations.append("(H3) density table is asymmetric")
-        if kernel.symmetrized:
-            notes.append("input table was asymmetric; symmetrized on construction")
-    # built-in families are symmetric and nonnegative by construction
-
-    return HypothesisReport(
-        finite_mgf=finite,
-        symmetric_nonnegative=symmetric,
-        violations=violations,
-        notes=notes,
-    )
+    if isinstance(kernel, TableKernel) and kernel.symmetrized:
+        notes.append("input table was asymmetric; symmetrized on construction")
+    return HypothesisReport(finite_mgf=finite, violations=violations, notes=notes)

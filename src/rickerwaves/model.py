@@ -34,6 +34,10 @@ TRANSFORMED_FRAME = "transformed"
 # classification band around spectral radius 1
 STABILITY_MARGIN = 1e-9
 FIXED_POINT_TOL = 1e-10
+# the largest fixed-point residual ``equilibria`` accepts
+EQUILIBRIUM_TOL = 1e-12
+# ``strong_stability_vectors`` tries delta = 2^-1 .. 2^-STABILITY_MAX_LEVEL
+STABILITY_MAX_LEVEL = 20
 
 
 @dataclass(frozen=True)
@@ -177,7 +181,7 @@ class EquilibriumSet:
         return {"F0": self.F0, "F1": self.F1, "F2": self.F2, "F3": self.F3}
 
 
-def equilibria(p: ModelParams, check_tol: float = 1e-12) -> EquilibriumSet:
+def equilibria(p: ModelParams) -> EquilibriumSet:
     """All eight equilibria, each verified fixed under its frame's map."""
     require_admissible(p)
     k1, k2 = coexistence_coordinates(p)
@@ -196,8 +200,8 @@ def equilibria(p: ModelParams, check_tol: float = 1e-12) -> EquilibriumSet:
     for name, point in {**eqset.original(), **eqset.transformed()}.items():
         frame = ORIGINAL_FRAME if name.startswith("E") else TRANSFORMED_FRAME
         resid = _fixed_point_residual(p, point, frame)
-        if resid > check_tol:
-            raise ParameterError(f"{name} is not fixed to {check_tol}: residual {resid}")
+        if resid > EQUILIBRIUM_TOL:
+            raise ParameterError(f"{name} is not fixed to {EQUILIBRIUM_TOL}: residual {resid}")
     return eqset
 
 
@@ -286,7 +290,7 @@ def _strictly_below(a, b) -> bool:
     return a[0] < b[0] and a[1] < b[1]
 
 
-def strong_stability_vectors(p: ModelParams, max_level: int = 20) -> StabilityCertificate:
+def strong_stability_vectors(p: ModelParams) -> StabilityCertificate:
     """Certify strong stability of (0,0) and (1,1) for the cooperative map.
 
     Uses the directions (1, 1/(2 a1)) and (1/(2 a2), 1): the triangular
@@ -310,7 +314,7 @@ def strong_stability_vectors(p: ModelParams, max_level: int = 20) -> StabilityCe
 
     chosen = None
     table = []
-    for k in range(1, max_level + 1):
+    for k in range(1, STABILITY_MAX_LEVEL + 1):
         delta = 2.0 ** (-k)
         rows = []
         all_ok = True
@@ -327,7 +331,7 @@ def strong_stability_vectors(p: ModelParams, max_level: int = 20) -> StabilityCe
             break
     if chosen is None:
         raise CertificateError(
-            f"no dyadic delta down to 2^-{max_level} certifies strong stability "
+            f"no dyadic delta down to 2^-{STABILITY_MAX_LEVEL} certifies strong stability "
             f"for params {p}"
         )
     return StabilityCertificate(

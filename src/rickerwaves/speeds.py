@@ -347,19 +347,18 @@ class FrontSpeedReport:
 def measure_front_speed(
     trajectory,
     *,
-    component: str = "U",
     level: float = 0.5,
     fit_window: tuple | None = None,
     margin_cells: int = 0,
 ) -> FrontSpeedReport:
     """Empirical front speed from a trajectory of monotone-in-x spatial states.
 
-    The level crossing of the ``component`` field (U or V) is located per
-    state by linear interpolation, then a least-squares line of crossing
-    position against ``state.step`` gives the speed, so a thinned trajectory
-    fits the same line.  fit_window is a (first, last) pair of trajectory
-    indices, inclusive; the default is the trailing half.  margin_cells
-    restricts the crossing search to the boundary-safe interior.
+    The level crossing of the U field is located per state by linear
+    interpolation, then a least-squares line of crossing position against
+    ``state.step`` gives the speed, so a thinned trajectory fits the same
+    line.  fit_window is a (first, last) pair of trajectory indices,
+    inclusive; the default is the trailing half.  margin_cells restricts the
+    crossing search to the boundary-safe interior.
     """
     if len(trajectory) < 2:
         raise MeasurementError("need at least two states to fit a speed")
@@ -367,9 +366,7 @@ def measure_front_speed(
     steps = np.array([s.step for s in trajectory], dtype=float)
 
     window = interior_slice(grid, margin_cells)
-    positions = np.array(
-        [front_position(grid.x, getattr(s, component), level, window) for s in trajectory]
-    )
+    positions = np.array([front_position(grid.x, s.U, level, window) for s in trajectory])
 
     if fit_window is None:
         start = len(positions) // 2

@@ -41,14 +41,7 @@ from .evolution import (
     apply_Q,
     interior_slice,
 )
-from .kernels import (
-    _EXP_ARG_MAX,
-    DEFAULT_TRUNCATION,
-    DiscreteKernel,
-    Kernel,
-    discretize,
-    validate_hypotheses,
-)
+from .kernels import _EXP_ARG_MAX, DiscreteKernel, Kernel, discretize, validate_hypotheses
 from .model import TRANSFORMED_FRAME, ModelParams, validate_params
 from .speeds import counter_propagation, front_position
 
@@ -63,6 +56,17 @@ ANDERSON_DEPTH = 5
 # two Aitken limits, three displacements each
 PLAIN_DISPLACEMENTS = 4
 
+# width of the solver's logistic start ramp; the fixed point does not depend on it
+RAMP_WIDTH = 1.0
+
+# ``validate_profile`` bounds: the most a profile may fall between cells, the
+# tail deviation from the corners over the outer ``TAIL_FRACTION`` of the
+# interior window, and the translation defect
+MONOTONE_SLACK = 1e-10
+TAIL_TOL = 1e-3
+TAIL_FRACTION = 0.1
+RESIDUAL_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class WaveOptions:
@@ -71,8 +75,6 @@ class WaveOptions:
     profile_tol: float = 1e-6
     speed_tol: float = 1e-4
     max_steps: int = 2000
-    init_width: float = 1.0
-    eps_trunc: float = DEFAULT_TRUNCATION
 
 
 @dataclass
@@ -394,6 +396,10 @@ def find_bistable_wave(
     opts = opts or WaveOptions()
     if opts.max_steps < 1:
         raise ParameterError(f"solver max_steps must be at least 1, got {opts.max_steps}")
+    for name in ("profile_tol", "speed_tol"):
+        tol = getattr(opts, name)
+        if not 0.0 < tol < math.inf:
+            raise ParameterError(f"solver {name} must be positive and finite, got {tol}")
 
     report = validate_params(p)
     if not report.passed:
@@ -411,9 +417,9 @@ def find_bistable_wave(
     if grid is not None and dx not in (None, grid.dx):
         raise ParameterError(f"dx {dx} differs from the spacing {grid.dx} of the given grid")
     dx = grid.dx if grid is not None else DEFAULT_DX if dx is None else dx
-    dk1 = discretize(kernel1, dx, opts.eps_trunc)
+    dk1 = discretize(kernel1, dx)
     # a kernel shared by both species: one set of weights and one spectrum cache
-    dk2 = dk1 if kernel2 is kernel1 else discretize(kernel2, dx, opts.eps_trunc)
+    dk2 = dk1 if kernel2 is kernel1 else discretize(kernel2, dx)
     speed_bound = cp.c_plus_F0F2.value
     decay_rate = _tail_decay_rate(p, dk1, dk2, speed_bound)
     if grid is None:
@@ -434,7 +440,7 @@ def find_bistable_wave(
         solve_grid = sized if sized.half_cells < grid.half_cells else grid
 
     if initial is None:
-        state = step_initial_data(solve_grid, opts.init_width)
+        state = step_initial_data(solve_grid, RAMP_WIDTH)
     else:
         if initial.grid != grid or initial.frame != TRANSFORMED_FRAME:
             raise DomainError("initial state must be transformed-frame on the solver grid")
@@ -559,14 +565,6 @@ def wave_residual(wp: WaveProfile, p: ModelParams) -> float:
 
 
 @dataclass
-class ProfileTolerances:
-    monotone_slack: float = 1e-10
-    tail_tol: float = 1e-3
-    residual_tol: float = 1e-4
-    tail_fraction: float = 0.1
-
-
-@dataclass
 class ProfileValidation:
     """Per-clause pass/fail record for a candidate wave profile."""
 
@@ -583,24 +581,21 @@ class ProfileValidation:
                     self.residual_ok))
 
 
-def validate_profile(
-    wp: WaveProfile, tols: ProfileTolerances | None = None
-) -> ProfileValidation:
+def validate_profile(wp: WaveProfile) -> ProfileValidation:
     """Check monotonicity, range, tail limits and the translation defect."""
-    tols = tols or ProfileTolerances()
     win = interior_slice(wp.grid, wp.kernel_half_width)
     fields = (wp.phi, wp.psi)
     worst_step = min(float((f[win][1:] - f[win][:-1]).min()) for f in fields)
     lo, hi = min(float(f.min()) for f in fields), max(float(f.max()) for f in fields)
-    band = max(1, int(tols.tail_fraction * (win.stop - win.start)))
+    band = max(1, int(TAIL_FRACTION * (win.stop - win.start)))
     left_dev = max(float(f[win][:band].max()) for f in fields)
     right_dev = max(float((1.0 - f[win][-band:]).max()) for f in fields)
     return ProfileValidation(
-        monotone_ok=worst_step >= -tols.monotone_slack,
+        monotone_ok=worst_step >= -MONOTONE_SLACK,
         range_ok=lo >= 0.0 and hi <= 1.0,
-        left_tail_ok=left_dev <= tols.tail_tol,
-        right_tail_ok=right_dev <= tols.tail_tol,
-        residual_ok=wp.residual <= tols.residual_tol,
+        left_tail_ok=left_dev <= TAIL_TOL,
+        right_tail_ok=right_dev <= TAIL_TOL,
+        residual_ok=wp.residual <= RESIDUAL_TOL,
         details={
             "worst_monotone_step": worst_step,
             "range": (lo, hi),

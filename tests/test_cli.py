@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,28 @@ import numpy as np
 import pytest
 
 import rickerwaves
-from rickerwaves import ConfigError, GaussianKernel, WaveOptions, find_bistable_wave, speeds
-from rickerwaves.cli import _fmt, _quote, emit_csv, load_config, main, run, write_csv
+from rickerwaves import (
+    ConfigError,
+    GaussianKernel,
+    ModelParams,
+    WaveOptions,
+    find_bistable_wave,
+    speeds,
+    waves,
+)
+from rickerwaves.cli import (
+    _KEY_SPEC,
+    _REQUIRED,
+    _fmt,
+    _quote,
+    emit_csv,
+    load_config,
+    main,
+    run,
+    write_csv,
+)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 BASE_CONFIG = """\
@@ -59,6 +80,31 @@ class TestLoadConfig:
         path.write_text(BASE_CONFIG + "mystery.knob = 3\n")
         with pytest.raises(ConfigError, match=r"bad\.cfg:8"):
             load_config(path)
+
+    @pytest.mark.parametrize("line", ["solver.init_width = 2", "kernel.eps_trunc = 1e-9"])
+    def test_removed_keys_are_unknown(self, tmp_path, line):
+        path = tmp_path / "old.cfg"
+        path.write_text(BASE_CONFIG + line + "\n")
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=rf"old\.cfg:8: unknown key '{key}'"):
+            load_config(path)
+
+    def test_readme_key_list_is_the_key_spec(self):
+        text = README.read_text()
+        start = text.index("Config keys beyond the required")
+        paragraph = text[start : text.index("(comma separated)", start)]
+        listed = [token for token in re.findall(r"`([^`]+)`", paragraph)
+                  if re.fullmatch(r"[a-z]+[12]?\.(\w+|\*)", token)]
+        shared = [key for key in listed if key.startswith("kernel.")]
+        expanded = {"model.*": [f"model.{f.name}" for f in dataclasses.fields(ModelParams)],
+                    "kernel1.*": [key.replace("kernel.", "kernel1.") for key in shared],
+                    "kernel2.*": [key.replace("kernel.", "kernel2.") for key in shared]}
+        documented = set()
+        for key in listed:
+            documented.update(expanded.get(key, [key]))
+        assert set(_REQUIRED) <= documented
+        assert documented == set(_KEY_SPEC)
+        assert len(_KEY_SPEC) == 31
 
     def test_malformed_value_reports_location(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -375,6 +421,23 @@ class TestSubcommands:
         assert len(calls) == expected
         assert len(bounds) == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("name", ["profile_tol", "speed_tol"])
+    def test_wave_tolerance_not_positive_and_finite_fails_before_stepping(
+            self, config_path, capsys, monkeypatch, name, value):
+        steps = []
+        monkeypatch.setattr(waves, "apply_Q", lambda *args: steps.append(args))
+        code = main(["wave", "--config", str(config_path), "--set", f"solver.{name}={value}"])
+        assert code == 2
+        assert f"error: solver {name} must be positive and finite" in capsys.readouterr().err
+        assert steps == []
+
+    @pytest.mark.parametrize("dx", ["1e-300", "5e-324"])
+    def test_wave_dx_too_fine_for_any_grid_is_named(self, config_path, capsys, dx):
+        assert main(["wave", "--config", str(config_path), "--dx", dx]) == 2
+        err = capsys.readouterr().err
+        assert f"error: dx={float(dx)} is too fine" in err and "half width J" in err
+
     @pytest.mark.parametrize("half_length", ["3", "7.3", "7.4", "7.9"])
     def test_wave_grid_too_short_for_the_kernel_fails_before_solving(
             self, config_path, capsys, monkeypatch, half_length):
@@ -507,6 +570,22 @@ README_SIMULATE_SHA256 = {
     150: "6dc5512ee5c220c5f61c614eab411446685fefa342a30050892996dd2d8f9d3c",
 }
 
+# `validate` stdout on a table kernel built from an asymmetric table: H3
+# passes with the symmetrization note on both species.
+ASYMMETRIC_TABLE_VALIDATE_STDOUT = (
+    "# config 85367513def7\n"
+    "check,passed,detail\n"
+    "H1-admissible,true,\n"
+    "H2-finite-mgf-kernel1,true,\n"
+    "H3-symmetric-kernel1,true,input table was asymmetric; symmetrized on construction\n"
+    "H2-finite-mgf-kernel2,true,\n"
+    "H3-symmetric-kernel2,true,input table was asymmetric; symmetrized on construction\n"
+    "A1-translation,true,interior sup error 0\n"
+    "A3-order-preserving,true,worst violation 0\n"
+    "A5-bistability,true,delta 0.5; intermediates unordered True\n"
+    "A6-counter-propagation,true,edge sum 0.791289453992; interior sum 0.48598199955\n"
+)
+
 # The README config's `speeds` stdout, and `sweep` stdout over a 2x2x2x2
 # lattice with a sigma axis.  The benchmark checks sweep tables only to a
 # tolerance, so these pins are what holds the speed search bit for bit.
@@ -535,6 +614,16 @@ class TestPinnedBytes:
         capsys.readouterr()
         assert {int(path.stem[len("sim_step_"):]): _sha256(path)
                 for path in tmp_path.glob("sim_step_*.csv")} == README_SIMULATE_SHA256
+
+    def test_asymmetric_table_validate_stdout(self, tmp_path, capsys):
+        offsets = np.linspace(-1, 1, 21)
+        dens = np.maximum(1 - np.abs(offsets), 0) * (1 + 0.5 * offsets)
+        np.savetxt(tmp_path / "asym.txt", np.column_stack([offsets, dens]))
+        path = tmp_path / "tbl.cfg"
+        path.write_text(BASE_CONFIG.replace("kernel.family = gaussian", "kernel.family = table")
+                        .replace("kernel.sigma = 1.0", "kernel.table_path = asym.txt"))
+        assert main(["validate", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == ASYMMETRIC_TABLE_VALIDATE_STDOUT
 
     def test_readme_speeds_stdout(self, config_path, capsys):
         assert main(["speeds", "--config", str(config_path)]) == 0

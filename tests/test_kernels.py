@@ -13,7 +13,6 @@ from rickerwaves import (
     UniformKernel,
     discretize,
     make_kernel,
-    mgf,
     validate_hypotheses,
 )
 
@@ -27,7 +26,7 @@ def triangular_table(halfwidth=1.0, n=101):
 class TestMakeKernel:
     def test_gaussian_total_mass(self):
         k = make_kernel("gaussian", sigma=1.0)
-        assert mgf(k, 0.0) == 1.0
+        assert k.mgf(0.0) == 1.0
 
     def test_uniform_density_values(self):
         k = make_kernel("uniform", halfwidth=1.0)
@@ -43,6 +42,16 @@ class TestMakeKernel:
         report = validate_hypotheses(k)
         assert report.passed
         assert any("symmetrized" in note for note in report.notes)
+
+    def test_table_arrays_are_exact_mirrors_and_read_only(self, rng):
+        offsets = np.linspace(-2.0, 2.0, 41)
+        for _ in range(200):
+            k = TableKernel(offsets=offsets, densities=rng.random(41))
+            assert np.array_equal(k.densities, k.densities[::-1])
+            assert np.array_equal(k.offsets, -k.offsets[::-1])
+        for array in (k.offsets, k.densities):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
     def test_bad_shape_parameters_rejected(self):
         with pytest.raises(ParameterError):
@@ -86,19 +95,19 @@ class TestMakeKernel:
 
 class TestMgf:
     def test_gaussian_at_zero(self):
-        assert mgf(GaussianKernel(1.0), 0.0) == 1.0
+        assert GaussianKernel(1.0).mgf(0.0) == 1.0
 
     def test_gaussian_closed_form(self):
-        assert mgf(GaussianKernel(1.0), 1.0) == pytest.approx(math.exp(0.5), abs=1e-12)
+        assert GaussianKernel(1.0).mgf(1.0) == pytest.approx(math.exp(0.5), abs=1e-12)
 
     def test_uniform_closed_form(self):
-        assert mgf(UniformKernel(1.0), 2.0) == pytest.approx(math.sinh(2.0) / 2.0, abs=1e-12)
+        assert UniformKernel(1.0).mgf(2.0) == pytest.approx(math.sinh(2.0) / 2.0, abs=1e-12)
 
     def test_overflow_names_mu(self):
         with pytest.raises(RangeError, match="mu=60"):
-            mgf(GaussianKernel(1.0), 60.0)
+            GaussianKernel(1.0).mgf(60.0)
         with pytest.raises(RangeError):
-            mgf(UniformKernel(1.0), 800.0)
+            UniformKernel(1.0).mgf(800.0)
 
     @pytest.mark.parametrize(
         "kernel",
@@ -107,7 +116,7 @@ class TestMgf:
     )
     def test_symmetric_in_mu(self, kernel):
         for mu in range(-3, 4):
-            assert mgf(kernel, mu) == pytest.approx(mgf(kernel, -mu), abs=1e-10)
+            assert kernel.mgf(mu) == pytest.approx(kernel.mgf(-mu), abs=1e-10)
 
     @pytest.mark.parametrize(
         "kernel",
@@ -115,10 +124,10 @@ class TestMgf:
         ids=["gauss", "unif", "tri"],
     )
     def test_at_least_one_with_equality_only_at_zero(self, kernel):
-        assert mgf(kernel, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert kernel.mgf(0.0) == pytest.approx(1.0, abs=1e-12)
         for mu in np.linspace(-3, 3, 25):
             if abs(mu) > 1e-9:
-                assert mgf(kernel, mu) > 1.0
+                assert kernel.mgf(mu) > 1.0
 
 
 class TestMass:
@@ -224,6 +233,16 @@ class TestDiscretize:
         with pytest.raises(ParameterError):
             discretize(GaussianKernel(1.0), 0.1, eps_trunc=2.0)
 
+    @pytest.mark.parametrize("dx", [1e-300, 5e-324])
+    def test_dx_too_fine_for_any_grid_is_named(self, dx):
+        with pytest.raises(ParameterError, match=r"dx=.* too fine .* half width J"):
+            discretize(GaussianKernel(1.0), dx)
+
+    def test_first_half_width_over_the_grid_point_cap_is_refused(self):
+        # J = 5000000 needs 10000001 weights, one more than MAX_GRID_POINTS
+        with pytest.raises(ParameterError, match="5e\\+06 cells"):
+            discretize(UniformKernel(5000000.0), 1.0)
+
     def test_discrete_mgf_tracks_closed_form(self):
         # at eps_trunc=1e-12 the truncated mu-tilted tail caps the absolute
         # agreement near 1e-3 for |mu| <= 3; tighter truncation restores it
@@ -241,7 +260,7 @@ class TestDiscretize:
 class TestHypotheses:
     def test_gaussian_passes_both(self):
         report = validate_hypotheses(GaussianKernel(2.0))
-        assert report.finite_mgf and report.symmetric_nonnegative
+        assert report.finite_mgf
         assert report.passed
 
     def test_heavy_tailed_table_fails_finite_mgf(self):

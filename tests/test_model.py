@@ -17,6 +17,7 @@ from rickerwaves import (
     strong_stability_vectors,
     validate_params,
 )
+from rickerwaves import model
 from rickerwaves.model import ORIGINAL_FRAME, TRANSFORMED_FRAME
 
 from conftest import random_admissible
@@ -155,7 +156,7 @@ class TestEquilibria:
     def test_fixed_point_residuals_for_random_draws(self, rng):
         for _ in range(20):
             p = random_admissible(rng)
-            eq = equilibria(p, check_tol=1e-12)  # raises if any residual exceeds
+            eq = equilibria(p)  # raises if any residual exceeds 1e-12
             for name, pt in eq.original().items():
                 image = pointwise_map(p, pt, ORIGINAL_FRAME)
                 assert max(abs(image[0] - pt[0]), abs(image[1] - pt[1])) < 1e-12
@@ -301,8 +302,9 @@ class TestStrongStability:
             out = pointwise_map(params, high, TRANSFORMED_FRAME)
             assert out[0] > high[0] and out[1] > high[1]
 
-    def test_failure_raises_certificate_error(self):
+    def test_failure_raises_certificate_error(self, monkeypatch):
         # inadmissible parameters never reach the sweep, so force the sweep
         # to fail by exhausting the dyadic levels on a valid parameter set
+        monkeypatch.setattr(model, "STABILITY_MAX_LEVEL", 0)
         with pytest.raises(CertificateError):
-            strong_stability_vectors(ModelParams(0.5, 0.5, 2.0, 3.0), max_level=0)
+            strong_stability_vectors(ModelParams(0.5, 0.5, 2.0, 3.0))

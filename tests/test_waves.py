@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -14,7 +16,6 @@ from rickerwaves import (
     Grid,
     ModelParams,
     ParameterError,
-    ProfileTolerances,
     RangeError,
     TableKernel,
     UniformKernel,
@@ -254,6 +255,18 @@ class TestFindBistableWave:
                 ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0),
                 GaussianKernel(1.0), wave_grid, WaveOptions(max_steps=budget),
             )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["profile_tol", "speed_tol"])
+    def test_tolerance_not_positive_and_finite_rejected_before_stepping(
+            self, monkeypatch, name, value):
+        steps = []
+        monkeypatch.setattr(waves, "apply_Q", lambda *args: steps.append(args))
+        k = GaussianKernel(1.0)
+        with pytest.raises(ParameterError, match=f"solver {name} must be positive and finite"):
+            find_bistable_wave(ModelParams(0.5, 0.5, 2.0, 3.0), k, k,
+                               opts=WaveOptions(**{name: value}))
+        assert steps == []
 
     def test_crossing_free_data_raises(self, wave_grid):
         flat = constant_state(wave_grid, TRANSFORMED_FRAME, (0.8, 0.8))
@@ -638,10 +651,10 @@ class TestValidateProfile:
         assert not report.monotone_ok
         assert not report.passed
 
-    def test_tolerances_are_configurable(self, standard_wave):
-        strict = ProfileTolerances(residual_tol=1e-12)
-        report = validate_profile(standard_wave, strict)
+    def test_residual_over_the_bound_fails(self, standard_wave):
+        report = validate_profile(dataclasses.replace(standard_wave, residual=2e-4))
         assert not report.residual_ok
+        assert not report.passed
 
 
 def _latin_hypercube_cells(count, seed):
