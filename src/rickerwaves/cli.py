@@ -1,9 +1,9 @@
 """Command-line front end: config files, subcommands, CSV reports.
 
 Config files are flat ``section.key = value`` lines ('#' starts a
-comment).  Flags override file values.  All numeric output uses 12
-significant digits and CSV bodies are deterministic for a fixed config;
-the resolved-config digest rides along in a leading comment line.
+comment).  ``--set KEY=VALUE`` overrides a file value.  All numeric output
+uses 12 significant digits and CSV bodies are deterministic for a fixed
+config; the resolved-config digest rides along in a leading comment line.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ _KEY_SPEC = {
     "kernel2.sigma": (float, None),
     "kernel2.halfwidth": (float, None),
     "kernel2.table_path": (str, None),
-    "grid.L": (float, evolution.DEFAULT_HALF_LENGTH),
+    "grid.L": (float, None),
     "grid.dx": (float, evolution.DEFAULT_DX),
     "solver.profile_tol": (float, _WAVE_DEFAULTS.profile_tol),
     "solver.speed_tol": (float, _WAVE_DEFAULTS.speed_tol),
@@ -85,12 +85,12 @@ def _parse_value(key: str, raw: str, where: str):
 
 @dataclass
 class ExperimentConfig:
-    """Resolved experiment description (file values plus flag overrides)."""
+    """Resolved experiment description (file values plus ``--set`` overrides)."""
 
     params: model.ModelParams
     kernel1: kernels.Kernel
     kernel2: kernels.Kernel
-    half_length: float
+    half_length: float | None
     dx: float
     wave_opts: waves.WaveOptions
     sim_steps: int
@@ -107,7 +107,9 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     def grid(self) -> evolution.Grid:
-        return evolution.Grid(half_length=self.half_length, dx=self.dx)
+        # simulate's grid: grid.L, or the default half length when it is unset
+        L = evolution.DEFAULT_HALF_LENGTH if self.half_length is None else self.half_length
+        return evolution.Grid(half_length=L, dx=self.dx)
 
 
 def _build_kernel(entries: dict, base_dir: Path, which: str) -> kernels.Kernel:
@@ -131,7 +133,7 @@ def _build_kernel(entries: dict, base_dir: Path, which: str) -> kernels.Kernel:
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse a key = value config file and apply flag overrides."""
+    """Parse a key = value config file and apply ``--set`` overrides."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -465,7 +467,7 @@ def cmd_wave(cfg: ExperimentConfig, out, args) -> RunReport:
     t0 = time.perf_counter()
     # without grid.L the solver sizes the grid at grid.dx
     wp = waves.find_bistable_wave(cfg.params, cfg.kernel1, cfg.kernel2,
-                                  cfg.grid() if "grid.L" in cfg.raw else None,
+                                  None if cfg.half_length is None else cfg.grid(),
                                   cfg.wave_opts, dx=cfg.dx)
     report.timings["wave"] = time.perf_counter() - t0
     validation = waves.validate_profile(wp)
@@ -594,25 +596,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
+        # each subcommand takes only the flags it reads
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="key = value config file")
-        p.add_argument("--out", default=None, help="directory for CSV artifacts")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        p.add_argument("--dx", type=float, default=None, help="override grid.dx")
-        p.add_argument("--L", type=float, default=None, help="override grid.L")
-        p.add_argument("--steps", type=int, default=None, help="override sim.steps")
         p.add_argument(
             "--set", action="append", default=[], metavar="KEY=VALUE",
             help="override any config key",
         )
+        if name == "validate":
+            p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+        if name in ("speeds", "simulate", "wave"):
+            p.add_argument("--out", default=None, help="directory for CSV artifacts")
         if name == "speeds":
             p.add_argument("--curve", action="store_true",
                            help="write (mu, objective) samples to --out")
-        if name == "simulate":
-            p.add_argument("--thin", type=int, default=None,
-                           help="override sim.thin (snapshot stride)")
-            p.add_argument("--init", choices=("step", "bump"), default=None,
-                           help="override sim.init (initial-data shape)")
         if name == "wave":
             p.add_argument(
                 "--frame", choices=(model.ORIGINAL_FRAME, model.TRANSFORMED_FRAME),
@@ -623,16 +620,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _overrides_from_args(args) -> dict:
     overrides = {}
-    if args.dx is not None:
-        overrides["grid.dx"] = str(args.dx)
-    if args.L is not None:
-        overrides["grid.L"] = str(args.L)
-    if args.steps is not None:
-        overrides["sim.steps"] = str(args.steps)
-    if getattr(args, "thin", None) is not None:
-        overrides["sim.thin"] = str(args.thin)
-    if getattr(args, "init", None) is not None:
-        overrides["sim.init"] = args.init
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")

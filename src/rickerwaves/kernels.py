@@ -12,7 +12,6 @@ MGF as not finite for all exponents.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +33,8 @@ class Kernel:
     """Symmetric dispersal density with unit mass and an MGF.
 
     Subclasses give the density, the MGF, whether that MGF is finite for
-    every exponent, and the radius holding all but eps of the mass (the
-    support radius itself for compactly supported densities).
+    every exponent, and the radius holding all but DEFAULT_TRUNCATION of the
+    mass (the support radius itself for compactly supported densities).
     """
 
     family = "abstract"
@@ -51,8 +50,8 @@ class Kernel:
         """Structural check: is the MGF finite for every real exponent?"""
         raise NotImplementedError
 
-    def truncation_radius(self, eps: float) -> float:
-        """Radius R such that the mass outside [-R, R] is below eps."""
+    def truncation_radius(self) -> float:
+        """Radius R with less than DEFAULT_TRUNCATION of the mass outside [-R, R]."""
         raise NotImplementedError
 
     def cell_masses(self, offsets: np.ndarray, dx: float) -> np.ndarray:
@@ -76,7 +75,7 @@ class GaussianKernel(Kernel):
 
     def mgf(self, mu: float) -> float:
         arg = 0.5 * (self.sigma * mu) ** 2
-        if arg > _EXP_ARG_MAX:
+        if not arg <= _EXP_ARG_MAX:
             raise RangeError(f"gaussian MGF overflows at mu={mu}")
         return math.exp(arg)
 
@@ -84,9 +83,10 @@ class GaussianKernel(Kernel):
     def mgf_finite_everywhere(self) -> bool:
         return True
 
-    def truncation_radius(self, eps: float) -> float:
-        # two-sided tail mass outside [-R, R] is 2*Phi(-R/sigma)
-        return -self.sigma * statistics.NormalDist().inv_cdf(eps / 2.0)
+    def truncation_radius(self) -> float:
+        # two-sided tail mass outside [-R, R] is 2*Phi(-R/sigma), and
+        # 7.1305... is -Phi^-1(DEFAULT_TRUNCATION / 2)
+        return self.sigma * 7.130506848171323
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ class UniformKernel(Kernel):
         a = self.halfwidth
         if mu == 0.0:
             return 1.0
-        if abs(a * mu) > _EXP_ARG_MAX:
+        if not abs(a * mu) <= _EXP_ARG_MAX:
             raise RangeError(f"uniform MGF overflows at mu={mu}")
         return math.sinh(a * mu) / (a * mu)
 
@@ -116,7 +116,7 @@ class UniformKernel(Kernel):
     def mgf_finite_everywhere(self) -> bool:
         return True
 
-    def truncation_radius(self, eps: float) -> float:
+    def truncation_radius(self) -> float:
         return self.halfwidth
 
     def cell_masses(self, offsets: np.ndarray, dx: float) -> np.ndarray:
@@ -187,7 +187,7 @@ class TableKernel(Kernel):
 
     def mgf(self, mu: float) -> float:
         arg = mu * self.offsets
-        if np.max(arg) > _EXP_ARG_MAX:
+        if not np.max(arg) <= _EXP_ARG_MAX:
             raise RangeError(f"table MGF overflows at mu={mu}")
         return float(self.spacing * np.sum(self.densities * np.exp(arg)))
 
@@ -195,7 +195,7 @@ class TableKernel(Kernel):
     def mgf_finite_everywhere(self) -> bool:
         return self.compactly_supported
 
-    def truncation_radius(self, eps: float) -> float:
+    def truncation_radius(self) -> float:
         return float(self.offsets[-1])
 
 
@@ -254,27 +254,25 @@ class DiscreteKernel:
     def mgf(self, mu: float) -> float:
         j = np.arange(-self.half_width, self.half_width + 1)
         arg = mu * j * self.dx
-        if np.max(arg) > _EXP_ARG_MAX:
+        if not np.max(arg) <= _EXP_ARG_MAX:
             raise RangeError(f"discrete MGF overflows at mu={mu}")
         return float(np.sum(self.weights * np.exp(arg)))
 
 
-def discretize(kernel: Kernel, dx: float, eps_trunc: float = DEFAULT_TRUNCATION) -> DiscreteKernel:
+def discretize(kernel: Kernel, dx: float) -> DiscreteKernel:
     """Cell masses at offsets j dx, symmetrized and normalized.
 
     The masses are ``kernel.cell_masses``: the midpoint rule l(j dx) dx,
     exact overlaps for the uniform kernel.
 
     The half width J is chosen so the kernel's mass outside [-J dx, J dx]
-    is below eps_trunc before normalization; a dx so fine that the 2J + 1
-    weights exceed ``MAX_GRID_POINTS`` raises ParameterError.
+    is below DEFAULT_TRUNCATION before normalization; a dx so fine that the
+    2J + 1 weights exceed ``MAX_GRID_POINTS`` raises ParameterError.
     """
     if not (dx > 0 and math.isfinite(dx)):
         raise ParameterError(f"dx must be positive, got {dx}")
-    if not (0.0 < eps_trunc < 1.0):
-        raise ParameterError(f"eps_trunc must lie in (0, 1), got {eps_trunc}")
 
-    radius = kernel.truncation_radius(eps_trunc)
+    radius = kernel.truncation_radius()
     # J <= (MAX_GRID_POINTS - 1) // 2 exactly when 2J + 1 <= MAX_GRID_POINTS;
     # the test also rejects an infinite ratio before ceil() sees it
     if not radius / dx - 1e-12 <= (MAX_GRID_POINTS - 1) // 2:

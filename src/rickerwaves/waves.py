@@ -118,8 +118,8 @@ class WaveProfile:
 
 def step_initial_data(grid: Grid, width: float) -> SpatialState:
     """Monotone ramp data: both components follow a logistic sigmoid."""
-    if not (width > 0):
-        raise DomainError(f"ramp width must be positive, got {width}")
+    if not (0 < width < math.inf):
+        raise DomainError(f"ramp width must be positive and finite, got {width}")
     # exp overflows to inf far left, where the ramp is then exactly 0
     with np.errstate(over="ignore"):
         ramp = 1.0 / (1.0 + np.exp(-grid.x / width))
@@ -323,7 +323,7 @@ def _sized_grid(dk1: DiscreteKernel, dk2: DiscreteKernel, speed: float,
             f"the profile tails need a half length of about {half_length:.4g} "
             f"(slowest tail decay rate {decay_rate:.4g}), more than the "
             f"{DEFAULT_HALF_LENGTH:g} a sized grid may take; give the grid "
-            "(grid.L, or --L on the command line) to solve on it"
+            "(grid.L, or --set grid.L=... on the command line) to solve on it"
         )
     return Grid(half_length=half_length, dx=dx)
 

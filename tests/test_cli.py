@@ -25,6 +25,7 @@ from rickerwaves import (
 from rickerwaves.cli import (
     _KEY_SPEC,
     _REQUIRED,
+    _build_parser,
     _fmt,
     _quote,
     emit_csv,
@@ -70,7 +71,8 @@ class TestLoadConfig:
     def test_minimal_file_gets_defaults(self, config_path):
         cfg = load_config(config_path)
         assert cfg.params.r1 == 0.5 and cfg.params.a2 == 3.0
-        assert cfg.half_length == 200.0 and cfg.dx == 0.1
+        assert cfg.half_length is None and cfg.dx == 0.1
+        assert cfg.grid() == rickerwaves.Grid(half_length=200.0, dx=0.1)
         assert cfg.wave_opts.max_steps == 2000
         assert cfg.wave_opts == WaveOptions()
         assert cfg.kernel1.sigma == 1.0 and cfg.kernel2.sigma == 1.0
@@ -272,7 +274,7 @@ class TestSubcommands:
 
     def test_simulate_writes_snapshots(self, config_path, capsys, tmp_path):
         out_dir = tmp_path / "snaps"
-        code = main(["simulate", "--config", str(config_path), "--steps", "6",
+        code = main(["simulate", "--config", str(config_path), "--set", "sim.steps=6",
                      "--set", "grid.L=20", "--set", "sim.thin=3",
                      "--out", str(out_dir)])
         assert code == 0
@@ -287,7 +289,7 @@ class TestSubcommands:
                                                  monkeypatch):
         monkeypatch.chdir(tmp_path)
         before = sorted(tmp_path.iterdir())
-        code = main(["simulate", "--config", str(config_path), "--steps", "2",
+        code = main(["simulate", "--config", str(config_path), "--set", "sim.steps=2",
                      "--set", "grid.L=20"])
         assert code == 2
         assert "error: simulate needs --out DIR" in capsys.readouterr().err
@@ -297,8 +299,9 @@ class TestSubcommands:
     @pytest.mark.parametrize("frame", ["Original", "orignal"])
     def test_simulate_rejects_unknown_frame(self, config_path, capsys, tmp_path, init, frame):
         out_dir = tmp_path / "snaps"
-        code = main(["simulate", "--config", str(config_path), "--steps", "2",
-                     "--set", "grid.L=20", "--init", init, "--set", f"sim.frame={frame}",
+        code = main(["simulate", "--config", str(config_path), "--set", "sim.steps=2",
+                     "--set", "grid.L=20", "--set", f"sim.init={init}",
+                     "--set", f"sim.frame={frame}",
                      "--out", str(out_dir)])
         captured = capsys.readouterr()
         assert code == 2
@@ -308,15 +311,19 @@ class TestSubcommands:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("width", ["0", "-1", "inf", "nan"])
+    @pytest.mark.parametrize("init,message", [
+        ("step", "ramp width must be positive and finite"),
+        ("bump", "sim.init_width of a bump must be positive and finite"),
+    ])
     def test_simulate_rejects_a_bump_width_that_is_not_positive_and_finite(
-            self, config_path, capsys, tmp_path, width):
+            self, config_path, capsys, tmp_path, init, message, width):
         out_dir = tmp_path / "snaps"
-        code = main(["simulate", "--config", str(config_path), "--steps", "2",
-                     "--set", "grid.L=20", "--init", "bump",
+        code = main(["simulate", "--config", str(config_path), "--set", "sim.steps=2",
+                     "--set", "grid.L=20", "--set", f"sim.init={init}",
                      "--set", f"sim.init_width={width}", "--out", str(out_dir)])
         captured = capsys.readouterr()
         assert code == 2
-        assert "error: sim.init_width of a bump must be positive and finite" in captured.err
+        assert f"error: {message}" in captured.err
         assert captured.out == ""
         assert not out_dir.exists()
 
@@ -353,7 +360,7 @@ class TestSubcommands:
         sized_dir, full_dir = tmp_path / "sized", tmp_path / "full"
         assert main(["wave", "--config", str(config_path), "--out", str(sized_dir)]) == 0
         _, sized = parse_csv(capsys.readouterr().out)
-        assert main(["wave", "--config", str(config_path), "--L", "200",
+        assert main(["wave", "--config", str(config_path), "--set", "grid.L=200",
                      "--out", str(full_dir)]) == 0
         _, full = parse_csv(capsys.readouterr().out)
         assert abs(float(sized[0]["speed"]) - float(full[0]["speed"])) <= 1e-9
@@ -381,7 +388,7 @@ class TestSubcommands:
 
     def test_wave_on_a_grid_too_coarse_for_the_kernel_fails(self, config_path, capsys):
         # sigma = 1 at dx = 5: the front "converges" at 2.6 times the speed
-        assert main(["wave", "--config", str(config_path), "--dx", "5"]) == 1
+        assert main(["wave", "--config", str(config_path), "--set", "grid.dx=5"]) == 1
         _, rows = parse_csv(capsys.readouterr().out)
         assert float(rows[0]["speed"]) > 0.3
         report = run("wave", load_config(config_path, {"grid.dx": "5"}), io.StringIO())
@@ -396,7 +403,7 @@ class TestSubcommands:
             checks = {c.name: c for c in run("wave", cfg, io.StringIO()).checks}
             assert checks["wave-kernel-resolved"].ok, checks["wave-kernel-resolved"].detail
 
-    @pytest.mark.parametrize("extra,expected", [((), 1), (("--L", "60"), 1)],
+    @pytest.mark.parametrize("extra,expected", [((), 1), (("--set", "grid.L=60"), 1)],
                              ids=["sized", "grid.L"])
     def test_wave_discretizes_once_per_grid_build(self, config_path, capsys, monkeypatch,
                                                  extra, expected):
@@ -434,7 +441,7 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("dx", ["1e-300", "5e-324"])
     def test_wave_dx_too_fine_for_any_grid_is_named(self, config_path, capsys, dx):
-        assert main(["wave", "--config", str(config_path), "--dx", dx]) == 2
+        assert main(["wave", "--config", str(config_path), "--set", f"grid.dx={dx}"]) == 2
         err = capsys.readouterr().err
         assert f"error: dx={float(dx)} is too fine" in err and "half width J" in err
 
@@ -445,13 +452,14 @@ class TestSubcommands:
         apply_Q = rickerwaves.waves.apply_Q
         monkeypatch.setattr(rickerwaves.waves, "apply_Q",
                             lambda *args: steps.append(1) or apply_Q(*args))
-        assert main(["wave", "--config", str(config_path), "--L", half_length]) == 2
+        assert main(["wave", "--config", str(config_path),
+                     "--set", f"grid.L={half_length}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "needs at least 8 (72 + 6 + 2 cells of 0.1)" in captured.err
         assert steps == []
         # a grid the check lets through is solved on and only fails its tail checks
-        assert main(["wave", "--config", str(config_path), "--L", "8"]) == 1
+        assert main(["wave", "--config", str(config_path), "--set", "grid.L=8"]) == 1
         _, rows = parse_csv(capsys.readouterr().out)
         assert rows[0]["left_tail"] == "false" or rows[0]["right_tail"] == "false"
 
@@ -543,7 +551,7 @@ class TestDeterminism:
 
 
 # The README config's `wave` stdout and the sha256 of its `wave_profile.csv`
-# and of each `simulate --steps 150` snapshot.  A change that moves them on
+# and of each `simulate --set sim.steps=150` snapshot.  A change that moves them on
 # purpose updates these pins and says why in CHANGES.md.
 README_WAVE_STDOUT = (
     "# config dddde958d71f\n"
@@ -609,7 +617,7 @@ class TestPinnedBytes:
         assert _sha256(tmp_path / "wave_profile.csv") == README_WAVE_PROFILE_SHA256
 
     def test_readme_simulate_snapshots(self, config_path, capsys, tmp_path):
-        assert main(["simulate", "--config", str(config_path), "--steps", "150",
+        assert main(["simulate", "--config", str(config_path), "--set", "sim.steps=150",
                      "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         assert {int(path.stem[len("sim_step_"):]): _sha256(path)
@@ -710,15 +718,73 @@ class TestSweepEdgeMemo:
 
 
 class TestImport:
-    def test_cli_import_loads_no_scipy(self):
+    @staticmethod
+    def _loaded_after_cli_import(names):
         code = ("import sys, rickerwaves.cli; "
-                "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+                f"print([m for m in sys.modules if m.split('.')[0] in {names!r}])")
         src = str(Path(rickerwaves.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                 text=True, check=True, env=env)
-        assert result.stdout.strip() == "[]"
+        return result.stdout.strip()
+
+    def test_cli_import_loads_no_scipy(self):
+        assert self._loaded_after_cli_import(["scipy"]) == "[]"
+
+    def test_cli_import_loads_no_statistics(self):
+        assert self._loaded_after_cli_import(["statistics"]) == "[]"
+
+
+# the flags each subcommand takes besides --config and --set
+SUBCOMMAND_FLAGS = {
+    "validate": {"--seed"},
+    "equilibria": set(),
+    "speeds": {"--out", "--curve"},
+    "simulate": {"--out"},
+    "wave": {"--out", "--frame"},
+    "sweep": set(),
+}
+# a value for every flag a subcommand takes or once took; None marks a switch
+FLAG_VALUES = {"--seed": "3", "--out": "art", "--curve": None, "--frame": "original",
+               "--dx": "0.05", "--L": "60", "--steps": "2", "--thin": "1", "--init": "bump"}
+
+
+class TestParserSurface:
+    def test_each_subcommand_has_exactly_its_flags(self):
+        parser = _build_parser()
+        subparsers = next(action for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        surface = {name: {flag for action in sub._actions for flag in action.option_strings
+                          if flag not in ("-h", "--help")}
+                   for name, sub in subparsers.choices.items()}
+        assert surface == {name: {"--config", "--set"} | flags
+                           for name, flags in SUBCOMMAND_FLAGS.items()}
+        assert len(set().union(*surface.values())) == 6
+        assert sum(len(flags) for flags in surface.values()) == 18
+
+    @pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+    @pytest.mark.parametrize("sub", sorted(SUBCOMMAND_FLAGS))
+    def test_a_flag_the_subcommand_does_not_read_exits_2(self, sub, flag, capsys):
+        value = FLAG_VALUES[flag]
+        argv = [sub, "--config", "exp.cfg", "--set", "grid.dx=0.1", flag]
+        argv += [] if value is None else [value]
+        if flag in SUBCOMMAND_FLAGS[sub]:
+            args = _build_parser().parse_args(argv)
+            assert str(getattr(args, flag[2:])) == (value or "True")
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[5:])}" in capsys.readouterr().err
+
+    def test_set_gives_the_digest_of_the_removed_aliases(self, config_path, capsys, tmp_path):
+        # 45d928a2b5ed is the digest that `--dx 0.5 --L 10 --steps 2 --thin 1
+        # --init bump` gave
+        assert main(["simulate", "--config", str(config_path), "--set", "grid.dx=0.5",
+                     "--set", "grid.L=10", "--set", "sim.steps=2", "--set", "sim.thin=1",
+                     "--set", "sim.init=bump", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("# config 45d928a2b5ed\n")
 
 
 class TestRunApi:

@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.special import erfc, erfcinv
 
 from rickerwaves import (
     DegenerateKernelError,
+    DiscreteKernel,
     GaussianKernel,
     ParameterError,
     RangeError,
@@ -15,6 +17,7 @@ from rickerwaves import (
     make_kernel,
     validate_hypotheses,
 )
+from rickerwaves.kernels import DEFAULT_TRUNCATION
 
 
 def triangular_table(halfwidth=1.0, n=101):
@@ -111,6 +114,16 @@ class TestMgf:
 
     @pytest.mark.parametrize(
         "kernel",
+        [GaussianKernel(1.0), UniformKernel(1.0), triangular_table(),
+         DiscreteKernel(weights=np.array([0.25, 0.5, 0.25]), dx=0.1)],
+        ids=["gauss", "unif", "tri", "discrete"],
+    )
+    def test_nan_exponent_names_mu(self, kernel):
+        with pytest.raises(RangeError, match="mu=nan"):
+            kernel.mgf(math.nan)
+
+    @pytest.mark.parametrize(
+        "kernel",
         [GaussianKernel(1.0), GaussianKernel(0.5), UniformKernel(1.0), triangular_table()],
         ids=["gauss1", "gauss05", "unif1", "tri"],
     )
@@ -134,7 +147,7 @@ class TestMass:
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     def test_gaussian_unit_mass(self, sigma):
         k = GaussianKernel(sigma)
-        r = k.truncation_radius(1e-13)
+        r = k.truncation_radius()
         ys = np.linspace(-r, r, 200_001)
         assert np.trapezoid(k.density(ys), ys) == pytest.approx(1.0, abs=1e-10)
 
@@ -163,27 +176,29 @@ class TestMass:
 class TestDiscretize:
     def test_gaussian_half_width_matches_tail_oracle(self):
         # oracle: two-sided tail mass outside [-R, R] is erfc(R / (sigma sqrt 2))
-        eps = 1e-12
-        dk = discretize(GaussianKernel(1.0), 0.1, eps)
+        eps = DEFAULT_TRUNCATION
+        dk = discretize(GaussianKernel(1.0), 0.1)
         radius_oracle = math.sqrt(2.0) * float(erfcinv(eps))
         assert dk.half_width == math.ceil(radius_oracle / 0.1)  # = 72
         assert dk.half_width == 72
         assert erfc(dk.half_width * 0.1 / math.sqrt(2.0)) < eps
 
-    @pytest.mark.parametrize("eps", [1e-18, 1e-12, 1e-8, 1e-4, 0.5])
+    def test_gaussian_radius_literal_is_the_normal_quantile(self):
+        assert GaussianKernel(1.0).truncation_radius() == -NormalDist().inv_cdf(
+            DEFAULT_TRUNCATION / 2.0)
+
     @pytest.mark.parametrize("sigma", [0.37, 1.0, 3.3])
-    def test_gaussian_radius_matches_erfcinv(self, sigma, eps):
-        oracle = sigma * math.sqrt(2.0) * float(erfcinv(eps))
-        radius = GaussianKernel(sigma).truncation_radius(eps)
+    def test_gaussian_radius_matches_erfcinv(self, sigma):
+        oracle = sigma * math.sqrt(2.0) * float(erfcinv(DEFAULT_TRUNCATION))
+        radius = GaussianKernel(sigma).truncation_radius()
         assert radius == pytest.approx(oracle, rel=1e-14)
 
-    @pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-4])
     @pytest.mark.parametrize("dx", [0.2, 0.1, 0.05, 0.01])
-    def test_gaussian_half_width_matches_erfcinv(self, dx, eps):
+    def test_gaussian_half_width_matches_erfcinv(self, dx):
         for sigma in (0.37, 0.5, 1.0, 1.5, 2.0, 3.3):
-            oracle = sigma * math.sqrt(2.0) * float(erfcinv(eps))
-            dk = discretize(GaussianKernel(sigma), dx, eps)
-            assert dk.half_width == math.ceil(oracle / dx - 1e-12), (sigma, dx, eps)
+            oracle = sigma * math.sqrt(2.0) * float(erfcinv(DEFAULT_TRUNCATION))
+            dk = discretize(GaussianKernel(sigma), dx)
+            assert dk.half_width == math.ceil(oracle / dx - 1e-12), (sigma, dx)
 
     def test_weights_are_read_only(self, gaussian_weights):
         with pytest.raises(ValueError):
@@ -230,8 +245,6 @@ class TestDiscretize:
     def test_bad_arguments_rejected(self):
         with pytest.raises(ParameterError):
             discretize(GaussianKernel(1.0), -0.1)
-        with pytest.raises(ParameterError):
-            discretize(GaussianKernel(1.0), 0.1, eps_trunc=2.0)
 
     @pytest.mark.parametrize("dx", [1e-300, 5e-324])
     def test_dx_too_fine_for_any_grid_is_named(self, dx):
@@ -244,17 +257,15 @@ class TestDiscretize:
             discretize(UniformKernel(5000000.0), 1.0)
 
     def test_discrete_mgf_tracks_closed_form(self):
-        # at eps_trunc=1e-12 the truncated mu-tilted tail caps the absolute
-        # agreement near 1e-3 for |mu| <= 3; tighter truncation restores it
+        # the truncated mu-tilted tail caps the absolute agreement near 1e-3
+        # for |mu| <= 3
         g = GaussianKernel(1.0)
-        dk12 = discretize(g, 0.1, 1e-12)
+        dk12 = discretize(g, 0.1)
         mus = np.arange(-3.0, 3.001, 0.25)
         rel = max(abs(dk12.mgf(m) - g.mgf(m)) / g.mgf(m) for m in mus)
         assert rel < 2e-5
         inner = [m for m in mus if abs(m) <= 1.5]
         assert max(abs(dk12.mgf(m) - g.mgf(m)) for m in inner) < 1e-6
-        dk18 = discretize(g, 0.1, 1e-18)
-        assert max(abs(dk18.mgf(m) - g.mgf(m)) for m in mus) < 1e-6
 
 
 class TestHypotheses:
