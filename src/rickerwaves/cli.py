@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evolution, kernels, model, speeds, waves
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, DegenerateDataError, ParameterError, SearchError
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -334,12 +334,13 @@ def cmd_validate(cfg: ExperimentConfig, out, args) -> RunReport:
     report.timings["A5"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cp = speeds.counter_propagation(cfg.params, cfg.kernel1, cfg.kernel2)
-    report.add(
-        "A6-counter-propagation",
-        cp.passed,
-        f"edge sum {_fmt(cp.sum_edge)}; interior sum {_fmt(cp.sum_interior)}",
-    )
+    try:
+        cp = speeds.counter_propagation(cfg.params, cfg.kernel1, cfg.kernel2)
+    except (DegenerateDataError, SearchError) as exc:  # reported, not raised
+        report.add("A6-counter-propagation", False, str(exc))
+    else:
+        report.add("A6-counter-propagation", cp.passed,
+                   f"edge sum {_fmt(cp.sum_edge)}; interior sum {_fmt(cp.sum_interior)}")
     report.timings["A6"] = time.perf_counter() - t0
 
     rows = [(c.name, c.ok, c.detail) for c in report.checks]

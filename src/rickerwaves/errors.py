@@ -34,7 +34,7 @@ class MeasurementError(RuntimeError):
 
 
 class DegenerateDataError(RuntimeError):
-    """Initial or iterated data lost the front structure the solver needs."""
+    """Data lack the structure a computation needs: a tracked front, or lambda(B_0) > 1."""
 
 
 class ConvergenceError(RuntimeError):

@@ -199,6 +199,13 @@ class TableKernel(Kernel):
         return float(self.offsets[-1])
 
 
+def same_kernel(kernel1: Kernel, kernel2: Kernel) -> bool:
+    """Whether two species share one kernel: equal Gaussian or uniform kernels,
+    or one table object, since comparing two tables' arrays raises."""
+    return kernel1 is kernel2 or (
+        isinstance(kernel1, (GaussianKernel, UniformKernel)) and kernel1 == kernel2)
+
+
 _SHAPE_PARAMETERS = ("sigma", "halfwidth", "offsets", "densities", "compactly_supported")
 
 

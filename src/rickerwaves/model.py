@@ -227,9 +227,10 @@ def jacobian(p: ModelParams, point, frame: str) -> np.ndarray:
 def trace_and_discriminant(m00, m01, m10, m11):
     """Trace and discriminant of the 2x2 characteristic polynomial: the one
     copy of its arithmetic, shared by ``eigenvalues_2x2`` and the Perron root
-    of the speed search."""
-    tr = m00 + m11
-    return tr, tr * tr - 4.0 * (m00 * m11 - m01 * m10)
+    of the speed search.  The discriminant is formed as (m00 - m11)^2 +
+    4 m01 m10, a sum of two nonnegative terms for an entrywise-positive
+    matrix, rather than tr^2 - 4 det, which cancels when the roots are close."""
+    return m00 + m11, (m00 - m11) * (m00 - m11) + 4.0 * (m01 * m10)
 
 
 def eigenvalues_2x2(m):

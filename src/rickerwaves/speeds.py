@@ -9,15 +9,18 @@ entrywise-positive 2x2 matrix built from the kernel MGFs and lambda is
 its dominant (Perron) eigenvalue.  Kernel symmetry makes the leftward and
 rightward MGFs coincide, so a single exponent sign serves both directions.
 
-Each speed is the minimum of its objective, found by ``_minimize_positive``:
+Each speed is the minimum of its objective.  A Gaussian kernel's scalar
+minimum is sigma sqrt(2 r), at mu = sqrt(2 r)/sigma (Kot, Lewis & van den
+Driessche, Ecology 77, 1996), and needs no search.  When both species share
+one kernel, B_mu = M(mu) B_0, so the interior objective is the scalar one at
+rate ln lambda(B_0).  Any other minimum is found by ``_minimize_positive``:
 a bracket grown from mu = 1 and Brent's parabolic refinement to ``MU_TOL``,
-about 16 evaluations per search.  Each evaluation is one closure call on
-Python floats.  The matrix objective makes the same IEEE operations, in the
-same order, as on the array of ``linearization_matrix``, through the
-characteristic-polynomial arithmetic that ``model.eigenvalues_2x2`` uses as
-well, and evaluates a kernel shared by both species once.  An edge speed
+about 16 evaluations, each one closure call on Python floats.  The matrix
+objective makes the same IEEE operations, in the same order, as on the
+array of ``linearization_matrix``, through the characteristic-polynomial
+arithmetic that ``model.eigenvalues_2x2`` uses as well.  An edge speed
 depends only on (r, kernel), so a sweep hands ``counter_propagation`` one
-memo and each distinct edge search runs once.
+memo and computes each distinct edge speed once.
 
 Also provided: an empirical front-speed estimator (level-crossing position
 regressed against step count), which checks the variational values against
@@ -31,9 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, MeasurementError, RangeError, SearchError
+from .errors import DegenerateDataError, DomainError, MeasurementError, RangeError, SearchError
 from .evolution import interior_slice
-from .kernels import Kernel
+from .kernels import GaussianKernel, Kernel, same_kernel
 from .model import (
     ModelParams, coexistence_coordinates, eigenvalues_2x2, require_admissible,
     trace_and_discriminant,
@@ -53,7 +56,7 @@ class SpeedReport:
 
     value: float
     mu_star: float
-    curve: list  # (mu, objective) pairs visited by the search
+    curve: list  # (mu, objective) pairs visited by the search; one for a closed form
     method: str  # "scalar-formula" | "matrix-eigenvalue" | "empirical"
     lambda0: float | None = None  # lambda(B_0) sanity value, matrix method only
 
@@ -180,6 +183,17 @@ def _minimize_positive(objective) -> tuple:
     return x, fx, curve
 
 
+def _scalar_minimum(rho: float, kernel: Kernel) -> tuple:
+    """inf over mu > 0 of (rho + ln M(mu))/mu as (mu_star, value, curve): for a
+    Gaussian sigma sqrt(2 rho) at mu = sqrt(2 rho)/sigma, else searched."""
+    if isinstance(kernel, GaussianKernel):
+        root = math.sqrt(2.0 * rho)
+        mu_star, value = root / kernel.sigma, kernel.sigma * root
+        return mu_star, value, [(mu_star, value)]
+    log, mgf = math.log, kernel.mgf
+    return _minimize_positive(lambda mu: (rho + log(mgf(mu))) / mu)
+
+
 def scalar_speed(r: float, kernel: Kernel) -> SpeedReport:
     """Spreading speed of the scalar Ricker invasion with growth rate r.
 
@@ -187,13 +201,7 @@ def scalar_speed(r: float, kernel: Kernel) -> SpeedReport:
     """
     if not (0.0 < r < 1.0):
         raise DomainError(f"growth rate must lie in (0,1), got {r}")
-
-    log, mgf = math.log, kernel.mgf
-
-    def objective(mu):
-        return (r + log(mgf(mu))) / mu
-
-    mu_star, value, curve = _minimize_positive(objective)
+    mu_star, value, curve = _scalar_minimum(r, kernel)
     return SpeedReport(value=value, mu_star=mu_star, curve=curve, method="scalar-formula")
 
 
@@ -223,29 +231,32 @@ def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> Spee
 
     Minimizes ln(lambda(B_mu))/mu over mu > 0, with lambda the Perron root
     of the entrywise-positive B_mu.  By kernel symmetry the same matrix
-    serves the leftward and rightward subsystems.  The parameters are
-    checked and the coefficients built once, not per evaluation.  Each
-    evaluation is one call: it scales the coefficients by the MGFs as
-    floats and takes the Perron root through
-    ``model.trace_and_discriminant``, bit for bit the root that
-    ``eigenvalues_2x2`` gives for ``linearization_matrix``.  When
-    ``kernel2 is kernel1`` the MGF is evaluated once per exponent.
+    serves the leftward and rightward subsystems.  A lambda(B_0) that
+    rounds to 1 or below leaves no positive minimum and raises
+    DegenerateDataError.  When both species share one kernel
+    (``kernels.same_kernel``), B_mu = M(mu) B_0 and the minimum is the
+    scalar one at rate ln lambda(B_0).  Otherwise each evaluation is one
+    call: it scales the coefficients, built once, by the MGFs as floats and
+    takes the Perron root through ``model.trace_and_discriminant``, bit for
+    bit the root that ``eigenvalues_2x2`` gives for ``linearization_matrix``.
     """
     require_admissible(p)
     (c11, c12), (c21, c22) = _coefficients(p).tolist()
     mgf1, mgf2 = kernel1.mgf, kernel2.mgf
-    shared = kernel2 is kernel1
     log, sqrt = math.log, math.sqrt
 
     def objective(mu):
-        m1 = mgf1(mu)
-        m2 = m1 if shared else mgf2(mu)
+        m1, m2 = mgf1(mu), mgf2(mu)
         tr, disc = trace_and_discriminant(c11 * m1, c12 * m2, c21 * m1, c22 * m2)
         return log(0.5 * (tr + sqrt(disc))) / mu
 
     m1, m2 = mgf1(0.0), mgf2(0.0)
     lambda0 = eigenvalues_2x2(((c11 * m1, c12 * m2), (c21 * m1, c22 * m2)))[0]
-    mu_star, value, curve = _minimize_positive(objective)
+    if not lambda0 > 1.0:
+        raise DegenerateDataError(
+            f"lambda(B_0) = {lambda0!r} is not above 1: no positive interior speed")
+    mu_star, value, curve = (_scalar_minimum(log(lambda0), kernel1)
+                             if same_kernel(kernel1, kernel2) else _minimize_positive(objective))
     return SpeedReport(
         value=value, mu_star=mu_star, curve=curve, method="matrix-eigenvalue",
         lambda0=lambda0,
@@ -282,8 +293,8 @@ def counter_propagation(
     """Compute all four monostable speeds and check both sums are positive.
 
     A caller that computes many cells passes them one dict as
-    ``edge_memo``: each distinct (r, kernel) edge search then runs once, and
-    the cells share its report.  A kernel without a hash is keyed by
+    ``edge_memo``: each distinct (r, kernel) edge speed is then computed
+    once, and the cells share its report.  A kernel without a hash is keyed by
     identity, so the caller keeps it alive while the memo is in use.
     """
     interior = system_speed_bound(p, kernel1, kernel2)

@@ -41,7 +41,9 @@ from .evolution import (
     apply_Q,
     interior_slice,
 )
-from .kernels import _EXP_ARG_MAX, DiscreteKernel, Kernel, discretize, validate_hypotheses
+from .kernels import (
+    _EXP_ARG_MAX, DiscreteKernel, Kernel, discretize, same_kernel, validate_hypotheses,
+)
 from .model import TRANSFORMED_FRAME, ModelParams, validate_params
 from .speeds import counter_propagation, front_position
 
@@ -372,11 +374,12 @@ def find_bistable_wave(
     on ``_sized_grid`` at spacing ``dx`` (default ``DEFAULT_DX``); a ``dx``
     that differs from a given grid's spacing raises ParameterError.
     Raises ConvergenceError (with the history attached) on step-budget
-    exhaustion, DegenerateDataError if the tracked level crossing
-    disappears, and RangeError before the first step when a sized grid
-    needs more than ``DEFAULT_HALF_LENGTH`` or a given one has fewer than
-    J + round(c/dx) + 2 cells each side, c the interior monostable speed
-    that also sizes the grid (``wave_residual`` trims that many).
+    exhaustion, DegenerateDataError if lambda(B_0) rounds to 1 or the
+    tracked level crossing disappears, and RangeError before the first
+    step when a sized grid needs more than ``DEFAULT_HALF_LENGTH`` or a
+    given one has fewer than J + round(c/dx) + 2 cells each side, c the
+    interior monostable speed that also sizes the grid (``wave_residual``
+    trims that many).
     One grid per solve: on a given grid longer than the sized one the
     solve runs on the sized grid, whose end cells already hold the snapped
     corner values, and the profile is embedded into the given grid by
@@ -419,7 +422,7 @@ def find_bistable_wave(
     dx = grid.dx if grid is not None else DEFAULT_DX if dx is None else dx
     dk1 = discretize(kernel1, dx)
     # a kernel shared by both species: one set of weights and one spectrum cache
-    dk2 = dk1 if kernel2 is kernel1 else discretize(kernel2, dx)
+    dk2 = dk1 if same_kernel(kernel1, kernel2) else discretize(kernel2, dx)
     speed_bound = cp.c_plus_F0F2.value
     decay_rate = _tail_decay_rate(p, dk1, dk2, speed_bound)
     if grid is None:

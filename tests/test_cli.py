@@ -179,10 +179,11 @@ class TestLoadConfig:
         cfg = load_config(config_path)
         wp = find_bistable_wave(cfg.params, cfg.kernel1, cfg.kernel2)
         assert wp.discrete_kernels[0] is wp.discrete_kernels[1]
-        # equal but distinct kernels each get their own, equal, weights
+        # equal but distinct kernels are one kernel and share one set of weights
         wp = find_bistable_wave(cfg.params, GaussianKernel(1.0), GaussianKernel(1.0))
-        dk1, dk2 = wp.discrete_kernels
-        assert dk1 is not dk2 and np.array_equal(dk1.weights, dk2.weights)
+        assert wp.discrete_kernels[0] is wp.discrete_kernels[1]
+        wp = find_bistable_wave(cfg.params, GaussianKernel(1.0), GaussianKernel(1.5))
+        assert wp.discrete_kernels[0] is not wp.discrete_kernels[1]
 
     def test_shared_table_kernel_reads_its_file_once(self, tmp_path, monkeypatch):
         offsets = np.linspace(-1, 1, 21)
@@ -232,6 +233,19 @@ class TestSubcommands:
         h1 = next(row for row in rows if row["check"] == "H1-admissible")
         assert h1["passed"] == "false"
         assert "r1" in h1["detail"]
+
+    def test_validate_reports_a_degenerate_interior_state(self, config_path, capsys):
+        # r2 = 1e-17: lambda(B_0) rounds to 1, so A6 fails with the error's
+        # text in its row rather than ending the run with exit code 2
+        code = main(["validate", "--config", str(config_path), "--set", "model.r2=1e-17"])
+        out = capsys.readouterr().out
+        assert code == 1
+        _, rows = parse_csv(out)
+        a6 = next(row for row in rows if row["check"] == "A6-counter-propagation")
+        assert a6["passed"] == "false"
+        assert a6["detail"] == "lambda(B_0) = 1.0 is not above 1: no positive interior speed"
+        assert main(["speeds", "--config", str(config_path), "--set", "model.r2=1e-17"]) == 2
+        assert "lambda(B_0) = 1.0 is not above 1" in capsys.readouterr().err
 
     def test_equilibria_table(self, config_path, capsys):
         code = main(["equilibria", "--config", str(config_path)])
@@ -596,8 +610,8 @@ ASYMMETRIC_TABLE_VALIDATE_STDOUT = (
 
 # The README config's `speeds` stdout, and `sweep` stdout over a 2x2x2x2
 # lattice with a sigma axis.  The benchmark checks sweep tables only to a
-# tolerance, so these pins are what holds the speed search bit for bit.
-README_SPEEDS_STDOUT_SHA256 = "1bafadfe30b415e9442667cabed51748cfa80920b432308cf2f4432951a0f908"
+# tolerance, so these pins are what holds the speeds bit for bit.
+README_SPEEDS_STDOUT_SHA256 = "80f726764dbc4fee93d9456662fa65f7b5d4aacf18614901ffc2349a077a9cf4"
 SWEEP_LATTICE = "sweep.r1 = 0.3, 0.6\nsweep.a1 = 1.5, 2.5\nsweep.a2 = 2, 4\nsweep.sigma = 0.8, 1.6\n"
 SWEEP_STDOUT_SHA256 = "abaeb920b08058268d454e99e6d779937e5ea46c2d30b0219a56a04ae85dce3a"
 

@@ -17,7 +17,7 @@ from rickerwaves import (
     make_kernel,
     validate_hypotheses,
 )
-from rickerwaves.kernels import DEFAULT_TRUNCATION
+from rickerwaves.kernels import DEFAULT_TRUNCATION, same_kernel
 
 
 def triangular_table(halfwidth=1.0, n=101):
@@ -266,6 +266,27 @@ class TestDiscretize:
         assert rel < 2e-5
         inner = [m for m in mus if abs(m) <= 1.5]
         assert max(abs(dk12.mgf(m) - g.mgf(m)) for m in inner) < 1e-6
+
+
+class TestSameKernel:
+    def test_equal_gaussian_or_uniform_kernels_are_one(self):
+        assert same_kernel(GaussianKernel(1.0), GaussianKernel(1.0))
+        assert same_kernel(UniformKernel(2.0), UniformKernel(2.0))
+
+    def test_different_shapes_or_families_are_two(self):
+        assert not same_kernel(GaussianKernel(1.0), GaussianKernel(1.5))
+        assert not same_kernel(GaussianKernel(1.0), UniformKernel(1.0))
+        assert not same_kernel(UniformKernel(1.0), GaussianKernel(1.0))
+        assert not same_kernel(GaussianKernel(1.0), triangular_table(1.0))
+
+    def test_a_table_is_one_kernel_only_with_itself(self):
+        # comparing two tables would compare their arrays and raise
+        t1, t2 = triangular_table(1.0), triangular_table(1.0)
+        with pytest.raises(ValueError):
+            t1 == t2  # noqa: B015
+        assert same_kernel(t1, t1)
+        assert not same_kernel(t1, t2)
+        assert not same_kernel(triangular_table(1.0), GaussianKernel(1.0))
 
 
 class TestHypotheses:

@@ -1,13 +1,15 @@
 import math
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from rickerwaves import (
+    DegenerateDataError,
     DomainError,
     GaussianKernel,
     Grid,
@@ -26,6 +28,7 @@ from rickerwaves import (
     system_speed_bound,
 )
 from rickerwaves.errors import SearchError
+from rickerwaves.kernels import same_kernel
 from rickerwaves.model import ORIGINAL_FRAME
 from rickerwaves.speeds import _coefficients, _minimize_positive
 
@@ -40,8 +43,21 @@ class TestScalarSpeed:
         # at mu = sqrt(2 r) / sigma
         report = scalar_speed(0.5, GaussianKernel(sigma))
         assert report.value == pytest.approx(sigma * math.sqrt(1.0), abs=1e-12)
-        assert report.mu_star == pytest.approx(math.sqrt(1.0) / sigma, abs=1e-7)
+        assert report.mu_star == pytest.approx(math.sqrt(1.0) / sigma, rel=1e-15)
         assert report.method == "scalar-formula"
+
+    @pytest.mark.parametrize("sigma", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_gaussian_speed_is_the_closed_form_to_two_ulp(self, k, sigma):
+        # sigma sqrt(2 r) in 40-digit decimal arithmetic; a search stopped by
+        # MU_FLOOR reads 36 times the speed at r = 1e-16
+        r = 10.0 ** -k
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = Decimal(sigma) * (2 * Decimal(r)).sqrt()
+        report = scalar_speed(r, GaussianKernel(sigma))
+        assert abs(Decimal(report.value) - exact) <= 2 * Decimal(math.ulp(float(exact)))
+        assert report.mu_star * sigma * sigma == pytest.approx(report.value, rel=1e-15)
 
     def test_uniform_kernel_frozen_oracle(self):
         # frozen from a 4e6-point dense grid plus high-precision root
@@ -88,10 +104,13 @@ class TestScalarSpeed:
                 assert report.value <= dense + 1e-12
 
     def test_curve_is_recorded(self):
-        report = scalar_speed(0.5, GaussianKernel(1.0))
+        report = scalar_speed(0.5, UniformKernel(1.0))
         assert len(report.curve) > 10
         mus = [mu for mu, _ in report.curve]
         assert mus == sorted(mus)
+        # a closed form evaluates nothing: its curve is the one minimum
+        report = scalar_speed(0.5, GaussianKernel(2.0))
+        assert report.curve == [(report.mu_star, report.value)] == [(0.5, 2.0)]
 
 
 class TestWTransform:
@@ -180,6 +199,61 @@ class TestSystemSpeedBound:
             report = system_speed_bound(p, GaussianKernel(1.0), GaussianKernel(1.0))
             assert report.value > 0.0
 
+    @pytest.mark.parametrize("kernel2", [GaussianKernel(1.0), GaussianKernel(2.0)],
+                             ids=["shared", "distinct"])
+    def test_lambda0_not_above_one_is_a_named_error(self, kernel2):
+        # README cell with r2 = 1e-17 or 1e-300: lambda(B_0) rounds to 1, and
+        # a search would stop at its mu floor and return 5.09e-7 as a speed
+        for p in (ModelParams(0.5, 1e-17, 2.0, 3.0), ModelParams(0.5, 1e-300, 2.0, 3.0)):
+            with pytest.raises(DegenerateDataError, match=r"lambda\(B_0\) = .* not above 1"):
+                system_speed_bound(p, GaussianKernel(1.0), kernel2)
+
+    def test_equal_kernels_are_one_kernel_bit_for_bit(self, params):
+        for k, twin in ((GaussianKernel(0.7), GaussianKernel(0.7)),
+                        (UniformKernel(1.3), UniformKernel(1.3))):
+            same, equal = system_speed_bound(params, k, k), system_speed_bound(params, k, twin)
+            assert [float(x).hex() for x in (same.value, same.mu_star, same.lambda0)] == [
+                float(x).hex() for x in (equal.value, equal.mu_star, equal.lambda0)]
+            assert same.curve == equal.curve
+
+    def test_equal_table_kernels_are_two_kernels(self, params):
+        t1, t2 = triangular_table(1.5), triangular_table(1.5)
+        assert not same_kernel(t1, t2)
+        report = system_speed_bound(params, t1, t2)
+        assert report.value == pytest.approx(system_speed_bound(params, t1, t1).value,
+                                             rel=1e-12)
+
+
+def _decimal_lambda0(p):
+    """lambda(B_0) of the float parameters p in 40-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        r1, r2, a1, a2 = (Decimal(x) for x in (p.r1, p.r2, p.a1, p.a2))
+        k1, k2 = (a1 - 1) / (a1 * a2 - 1), (a2 - 1) / (a1 * a2 - 1)
+        c11, c12, c21, c22 = 1 - r1 * k1, a1 * r1 * k1, a2 * r2 * k2, 1 - r2 * k2
+        return (c11 + c22 + ((c11 - c22) ** 2 + 4 * c12 * c21).sqrt()) / 2
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 3.0])
+def test_shared_gaussian_interior_speed_is_the_closed_form(rng, sigma):
+    # B_mu = exp(sigma^2 mu^2 / 2) B_0, so the minimum of ln lambda(B_mu)/mu
+    # is sigma sqrt(2 ln lambda0) at mu = sqrt(2 ln lambda0)/sigma.  The
+    # first cell has lambda0 = 1.007, where the discriminant formed as
+    # tr^2 - 4 det cancels, puts lambda0 6 ulp high and the speed 6.5 eps/mu*
+    cells = [ModelParams(0.05078125, 0.05078125, 1.5, 1.25)] + [
+        random_admissible(rng, r_lo=0.05, r_hi=0.95, a_lo=1.05, a_hi=5.0) for _ in range(20)]
+    for p in cells:
+        report = system_speed_bound(p, GaussianKernel(sigma), GaussianKernel(sigma))
+        root = math.sqrt(2.0 * math.log(report.lambda0))
+        assert (report.value, report.mu_star) == (sigma * root, root / sigma)
+        assert report.curve == [(report.mu_star, report.value)]
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = Decimal(sigma) * (2 * _decimal_lambda0(p).ln()).sqrt()
+        # ln lambda0 carries a few ulps of 1, which the speed divides by mu*
+        assert abs(Decimal(report.value) - exact) <= Decimal(
+            4.0 * sys.float_info.epsilon / report.mu_star)
+
 
 def _array_speed_bound(p, kernel1, kernel2):
     """The interior search on a 2x2 array B_mu per evaluation: the reference
@@ -208,9 +282,12 @@ _width = st.floats(0.3, 3.0)
 def test_float_objective_is_the_array_objective_bit_for_bit(r1, r2, a1, a2, family, w1, w2):
     p = ModelParams(r1, r2, a1, a2)
     make = _KERNEL_FAMILIES[family]
+    # equal Gaussian or uniform kernels take the shared-kernel reduction
+    assume(w2 != w1)
     k1 = make(w1)
-    # distinct widths, one shared kernel object, and an equal but distinct one
-    for k2 in (make(w2), k1, make(w1)):
+    # distinct widths, and for tables an equal but distinct object as well
+    for k2 in (make(w2), make(w1)) if family == "table" else (make(w2),):
+        assert not same_kernel(k1, k2)
         report = system_speed_bound(p, k1, k2)
         value, mu_star, curve, lambda0 = _array_speed_bound(p, k1, k2)
         # float.hex tells apart any two doubles
@@ -232,22 +309,29 @@ class _CountingKernel:
         return self.kernel.mgf(mu)
 
 
-def test_shared_kernel_evaluates_its_mgf_once_per_exponent(params):
-    shared = _CountingKernel(GaussianKernel(1.0))
+def test_shared_kernel_searches_the_scalar_objective_at_ln_lambda0(params):
+    # B_mu = M(mu) B_0, so ln lambda(B_mu) = ln lambda0 + ln M(mu); the
+    # counting wrapper hides the kernel's family, so the search runs
+    kernel = UniformKernel(1.0)
+    shared = _CountingKernel(kernel)
     report = system_speed_bound(params, shared, shared)
     # one call per search evaluation, plus both columns of B_0 for lambda0
     assert shared.calls == len(report.curve) + 2
-    k1, k2 = _CountingKernel(GaussianKernel(1.0)), _CountingKernel(GaussianKernel(1.0))
+    rho = math.log(report.lambda0)
+    assert (report.mu_star, report.value, report.curve) == _minimize_positive(
+        lambda mu: (rho + math.log(kernel.mgf(mu))) / mu)
+    # two distinct wrappers search the 2x2 objective to the same minimum
+    k1, k2 = _CountingKernel(kernel), _CountingKernel(kernel)
     separate = system_speed_bound(params, k1, k2)
     assert k1.calls == k2.calls == len(separate.curve) + 1
-    assert (report.value, report.mu_star, report.lambda0, report.curve) == (
-        separate.value, separate.mu_star, separate.lambda0, separate.curve)
+    assert separate.lambda0 == report.lambda0
+    assert report.value == pytest.approx(separate.value, rel=1e-14)
 
 
 class TestCounterPropagation:
     def test_standard_gaussian_sums(self, params, gaussian):
         report = counter_propagation(params, gaussian, gaussian)
-        assert report.sum_edge == pytest.approx(2.0, abs=1e-6)
+        assert report.sum_edge == pytest.approx(2.0, rel=1e-15)
         assert report.sum_interior > 0.0
         assert report.passed
 
@@ -261,7 +345,7 @@ class TestCounterPropagation:
         p = ModelParams(r1=0.5, r2=1e-4, a1=2.0, a2=3.0)
         report = counter_propagation(p, GaussianKernel(1.0), GaussianKernel(1.0))
         # retreat speed is sigma sqrt(2 r2): tiny but strictly positive
-        assert report.c_minus_F1F3.value == pytest.approx(math.sqrt(2e-4), abs=1e-6)
+        assert report.c_minus_F1F3.value == pytest.approx(math.sqrt(2e-4), rel=1e-15)
         assert report.c_minus_F1F3.value > 0.0
 
     def test_both_directions_share_one_interior_search(self, params, gaussian, uniform):
@@ -373,8 +457,13 @@ class TestSearchRobustness:
     @pytest.mark.parametrize("sigma", [0.01, 40.0, 100.0])
     def test_wide_and_narrow_gaussians_keep_the_closed_form(self, sigma):
         # the MGF overflows at mu = 1 for sigma > 37.6 and at mu = 2 for
-        # sigma > 18.8: the bracket halves mu rather than failing
-        report = scalar_speed(0.5, GaussianKernel(sigma))
+        # sigma > 18.8: the bracket halves mu rather than failing.  The
+        # probe hides the family, so the search runs instead of the formula
+        class GaussianMgf:
+            mgf = GaussianKernel(sigma).mgf
+
+        report = scalar_speed(0.5, GaussianMgf())
+        assert len(report.curve) > 10
         assert report.value == pytest.approx(sigma * math.sqrt(2.0 * 0.5), rel=1e-12)
 
     def test_wide_uniform_kernel_scales_the_unit_speed(self):
@@ -424,13 +513,19 @@ def test_speeds_match_an_independent_minimizer(r1, r2, a1, a2, family, w1, w2):
     p = ModelParams(r1, r2, a1, a2)
     make = _KERNEL_FAMILIES[family]
     k1, k2 = make(w1), make(w2)
-    scalar = scalar_speed(r1, k1)
-    interior = system_speed_bound(p, k1, k2)
-    objectives = (
-        (scalar, lambda mu: (r1 + math.log(k1.mgf(mu))) / mu),
-        (interior, lambda mu: math.log(
-            eigenvalues_2x2(linearization_matrix(p, k1, k2, mu))[0]) / mu),
-    )
+
+    def interior(kernel2):
+        return (system_speed_bound(p, k1, kernel2), lambda mu: math.log(
+            eigenvalues_2x2(linearization_matrix(p, k1, kernel2, mu))[0]) / mu)
+
+    objectives = [
+        (scalar_speed(r1, k1), lambda mu: (r1 + math.log(k1.mgf(mu))) / mu),
+        interior(k2),
+    ]
+    if family != "gaussian":
+        # one kernel for both species: the search at ln lambda0 (a Gaussian's
+        # closed form has its own test)
+        objectives.append(interior(k1))
     for report, objective in objectives:
         oracle = _oracle_minimum(objective, report.mu_star)
         assert report.value == pytest.approx(oracle, rel=1e-12)

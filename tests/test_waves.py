@@ -230,6 +230,25 @@ class TestFindBistableWave:
         )
         assert len(calls) == 2
 
+    def test_equal_kernels_discretized_once_per_solve(self, wave_grid, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return discretize(*args, **kwargs)
+
+        monkeypatch.setattr(waves, "discretize", counting)
+        p = ModelParams(0.5, 0.5, 2.0, 3.0)
+        wp = find_bistable_wave(p, GaussianKernel(1.0), GaussianKernel(1.0), wave_grid)
+        assert len(calls) == 1 and wp.discrete_kernels[0] is wp.discrete_kernels[1]
+        # two equal tables are two kernels: each is discretized, and nothing
+        # compares their arrays
+        offsets = np.linspace(-1.0, 1.0, 21)
+        t1, t2 = (TableKernel(offsets, 1.0 - np.abs(offsets)) for _ in range(2))
+        calls.clear()
+        wp = find_bistable_wave(p, t1, t2, wave_grid)
+        assert len(calls) == 2 and np.array_equal(*(dk.weights for dk in wp.discrete_kernels))
+
     def test_budget_exhaustion_raises_with_history(self, wave_grid):
         opts = WaveOptions(max_steps=3)
         with pytest.raises(ConvergenceError) as info:
