@@ -5,8 +5,9 @@ exponent) and the symmetric uniform density on [-a, a].  Arbitrary tabulated
 densities on a symmetric uniform grid are supported as well; tables are
 symmetrized and normalized on construction, so every kernel is symmetric and
 nonnegative.  A table can be flagged as the truncation of an
-unbounded-support density, in which case the hypothesis checker reports its
-MGF as not finite for all exponents.
+unbounded-support density, in which case ``validate_hypotheses`` raises:
+its MGF is not finite for all exponents.  Two Gaussian or two uniform
+kernels are equal when their shapes are; a table equals only itself.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ MAX_GRID_POINTS = 10**7
 class Kernel:
     """Symmetric dispersal density with unit mass and an MGF.
 
-    Subclasses give the density, the MGF, whether that MGF is finite for
-    every exponent, and the radius holding all but DEFAULT_TRUNCATION of the
-    mass (the support radius itself for compactly supported densities).
+    Subclasses give the density, the MGF and the radius holding all but
+    DEFAULT_TRUNCATION of the mass (the support radius itself for compactly
+    supported densities).
     """
 
     family = "abstract"
@@ -43,11 +44,6 @@ class Kernel:
         raise NotImplementedError
 
     def mgf(self, mu: float) -> float:
-        raise NotImplementedError
-
-    @property
-    def mgf_finite_everywhere(self) -> bool:
-        """Structural check: is the MGF finite for every real exponent?"""
         raise NotImplementedError
 
     def truncation_radius(self) -> float:
@@ -79,10 +75,6 @@ class GaussianKernel(Kernel):
             raise RangeError(f"gaussian MGF overflows at mu={mu}")
         return math.exp(arg)
 
-    @property
-    def mgf_finite_everywhere(self) -> bool:
-        return True
-
     def truncation_radius(self) -> float:
         # two-sided tail mass outside [-R, R] is 2*Phi(-R/sigma), and
         # 7.1305... is -Phi^-1(DEFAULT_TRUNCATION / 2)
@@ -112,10 +104,6 @@ class UniformKernel(Kernel):
             raise RangeError(f"uniform MGF overflows at mu={mu}")
         return math.sinh(a * mu) / (a * mu)
 
-    @property
-    def mgf_finite_everywhere(self) -> bool:
-        return True
-
     def truncation_radius(self) -> float:
         return self.halfwidth
 
@@ -127,7 +115,7 @@ class UniformKernel(Kernel):
         return np.maximum(overlap, 0.0) / (2.0 * a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TableKernel(Kernel):
     """Density tabulated on a symmetric uniform grid of offsets.
 
@@ -136,13 +124,15 @@ class TableKernel(Kernel):
     the stored offsets and densities are exact mirrors and read-only.
     ``compactly_supported=False`` marks the table as a truncation of an
     unbounded-support density (a Laplace tail, say); such kernels keep
-    working numerically but fail the finite-MGF hypothesis.
+    working numerically but fail the finite-MGF hypothesis.  A table equals
+    and hashes as itself only, so two species share a table kernel exactly
+    when they hold one object.
     """
 
     offsets: np.ndarray
     densities: np.ndarray
     compactly_supported: bool = True
-    symmetrized: bool = field(default=False, compare=False)
+    symmetrized: bool = False
     family = "table"
 
     def __post_init__(self):
@@ -191,19 +181,8 @@ class TableKernel(Kernel):
             raise RangeError(f"table MGF overflows at mu={mu}")
         return float(self.spacing * np.sum(self.densities * np.exp(arg)))
 
-    @property
-    def mgf_finite_everywhere(self) -> bool:
-        return self.compactly_supported
-
     def truncation_radius(self) -> float:
         return float(self.offsets[-1])
-
-
-def same_kernel(kernel1: Kernel, kernel2: Kernel) -> bool:
-    """Whether two species share one kernel: equal Gaussian or uniform kernels,
-    or one table object, since comparing two tables' arrays raises."""
-    return kernel1 is kernel2 or (
-        isinstance(kernel1, (GaussianKernel, UniformKernel)) and kernel1 == kernel2)
 
 
 _SHAPE_PARAMETERS = ("sigma", "halfwidth", "offsets", "densities", "compactly_supported")
@@ -313,34 +292,10 @@ def discretize(kernel: Kernel, dx: float) -> DiscreteKernel:
     return DiscreteKernel(weights=w, dx=float(dx))
 
 
-@dataclass
-class HypothesisReport:
-    """Pass/fail record for the dispersal-kernel hypotheses.
-
-    Symmetry and nonnegativity (H3) hold by construction for every kernel,
-    so only the finite MGF (H2) can fail.
-    """
-
-    finite_mgf: bool
-    violations: list
-    notes: list
-
-    @property
-    def passed(self) -> bool:
-        return self.finite_mgf
-
-
-def validate_hypotheses(kernel: Kernel) -> HypothesisReport:
-    """Check finite-MGF (all exponents); note a table symmetrized on construction."""
-    violations = []
-    notes = []
-
-    finite = kernel.mgf_finite_everywhere
-    if not finite:
-        violations.append(
-            "(H2) MGF not finite for all exponents: kernel has unbounded support"
-        )
-
-    if isinstance(kernel, TableKernel) and kernel.symmetrized:
-        notes.append("input table was asymmetric; symmetrized on construction")
-    return HypothesisReport(finite_mgf=finite, violations=violations, notes=notes)
+def validate_hypotheses(kernel: Kernel) -> None:
+    """Check the finite MGF (H2); symmetry and nonnegativity (H3) hold by
+    construction.  Only a table flagged as not compactly supported fails:
+    it raises ParameterError."""
+    if isinstance(kernel, TableKernel) and not kernel.compactly_supported:
+        raise ParameterError(
+            "(H2) MGF not finite for all exponents: kernel has unbounded support")

@@ -50,17 +50,11 @@ class ModelParams:
     a2: float
 
 
-@dataclass
-class ParamReport:
-    violations: list
+def validate_params(p: ModelParams) -> None:
+    """Check the admissibility box r1,r2 in (0,1), a1,a2 in (1,inf) (H1).
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def validate_params(p: ModelParams) -> ParamReport:
-    """Check the admissibility box r1,r2 in (0,1), a1,a2 in (1,inf)."""
+    Raises ParameterError naming every violation, joined by "; ".
+    """
     violations = []
     for name in ("r1", "r2", "a1", "a2"):
         value = getattr(p, name)
@@ -74,13 +68,8 @@ def validate_params(p: ModelParams) -> ParamReport:
         value = getattr(p, name)
         if math.isfinite(value) and not (value > 1.0):
             violations.append(f"{name}={value} outside (1, inf)")
-    return ParamReport(violations=violations)
-
-
-def require_admissible(p: ModelParams) -> None:
-    report = validate_params(p)
-    if not report.passed:
-        raise ParameterError("; ".join(report.violations))
+    if violations:
+        raise ParameterError("; ".join(violations))
 
 
 def _exponentials(p: ModelParams, U, V, frame: str):
@@ -183,7 +172,7 @@ class EquilibriumSet:
 
 def equilibria(p: ModelParams) -> EquilibriumSet:
     """All eight equilibria, each verified fixed under its frame's map."""
-    require_admissible(p)
+    validate_params(p)
     k1, k2 = coexistence_coordinates(p)
     eqset = EquilibriumSet(
         E0=(0.0, 0.0),
@@ -300,7 +289,7 @@ def strong_stability_vectors(p: ModelParams) -> StabilityCertificate:
     dyadic thresholds delta = 2^-k and returns the largest one for which
     the strict inequalities hold at eta in {delta, delta/2, delta/4}.
     """
-    require_admissible(p)
+    validate_params(p)
     e4 = np.array([1.0, 1.0 / (2.0 * p.a1)])
     e4 = e4 / np.linalg.norm(e4)
     e5 = np.array([1.0 / (2.0 * p.a2), 1.0])

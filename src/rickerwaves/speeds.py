@@ -36,10 +36,10 @@ import numpy as np
 
 from .errors import DegenerateDataError, DomainError, MeasurementError, RangeError, SearchError
 from .evolution import interior_slice
-from .kernels import GaussianKernel, Kernel, same_kernel
+from .kernels import GaussianKernel, Kernel
 from .model import (
-    ModelParams, coexistence_coordinates, eigenvalues_2x2, require_admissible,
-    trace_and_discriminant,
+    ModelParams, coexistence_coordinates, eigenvalues_2x2, trace_and_discriminant,
+    validate_params,
 )
 
 # the search stops once mu is known to MU_TOL (relative above mu = 1)
@@ -220,7 +220,7 @@ def linearization_matrix(
     Columns carry the two kernel MGFs at exponent mu; the coefficients come
     from linearizing the shifted dynamics at the coexistence coordinates.
     """
-    require_admissible(p)
+    validate_params(p)
     if mu < 0.0:
         raise DomainError(f"exponent mu must be nonnegative, got {mu}")
     return _coefficients(p) * np.array([kernel1.mgf(mu), kernel2.mgf(mu)])
@@ -233,14 +233,16 @@ def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> Spee
     of the entrywise-positive B_mu.  By kernel symmetry the same matrix
     serves the leftward and rightward subsystems.  A lambda(B_0) that
     rounds to 1 or below leaves no positive minimum and raises
-    DegenerateDataError.  When both species share one kernel
-    (``kernels.same_kernel``), B_mu = M(mu) B_0 and the minimum is the
-    scalar one at rate ln lambda(B_0).  Otherwise each evaluation is one
-    call: it scales the coefficients, built once, by the MGFs as floats and
-    takes the Perron root through ``model.trace_and_discriminant``, bit for
-    bit the root that ``eigenvalues_2x2`` gives for ``linearization_matrix``.
+    DegenerateDataError, and inadmissible parameters raise ParameterError.
+    When both species share one kernel (``kernel1 == kernel2``: equal
+    Gaussian or uniform kernels, or one table object), B_mu = M(mu) B_0 and
+    the minimum is the scalar one at rate ln lambda(B_0).  Otherwise each
+    evaluation is one call: it scales the coefficients, built once, by the
+    MGFs as floats and takes the Perron root through
+    ``model.trace_and_discriminant``, bit for bit the root that
+    ``eigenvalues_2x2`` gives for ``linearization_matrix``.
     """
-    require_admissible(p)
+    validate_params(p)
     (c11, c12), (c21, c22) = _coefficients(p).tolist()
     mgf1, mgf2 = kernel1.mgf, kernel2.mgf
     log, sqrt = math.log, math.sqrt
@@ -256,7 +258,7 @@ def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> Spee
         raise DegenerateDataError(
             f"lambda(B_0) = {lambda0!r} is not above 1: no positive interior speed")
     mu_star, value, curve = (_scalar_minimum(log(lambda0), kernel1)
-                             if same_kernel(kernel1, kernel2) else _minimize_positive(objective))
+                             if kernel1 == kernel2 else _minimize_positive(objective))
     return SpeedReport(
         value=value, mu_star=mu_star, curve=curve, method="matrix-eigenvalue",
         lambda0=lambda0,
@@ -294,8 +296,9 @@ def counter_propagation(
 
     A caller that computes many cells passes them one dict as
     ``edge_memo``: each distinct (r, kernel) edge speed is then computed
-    once, and the cells share its report.  A kernel without a hash is keyed by
-    identity, so the caller keeps it alive while the memo is in use.
+    once, and the cells share its report.  The key holds the kernel itself,
+    so equal Gaussian or uniform kernels share an entry and a table only
+    shares its own.
     """
     interior = system_speed_bound(p, kernel1, kernel2)
 
@@ -303,11 +306,7 @@ def counter_propagation(
         if edge_memo is None:
             return scalar_speed(r, kernel)
         key = (r, kernel)
-        try:
-            report = edge_memo.get(key)
-        except TypeError:  # a table kernel holds arrays and has no hash
-            key = (r, id(kernel))
-            report = edge_memo.get(key)
+        report = edge_memo.get(key)
         if report is None:
             report = edge_memo[key] = scalar_speed(r, kernel)
         return report

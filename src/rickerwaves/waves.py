@@ -42,7 +42,7 @@ from .evolution import (
     interior_slice,
 )
 from .kernels import (
-    _EXP_ARG_MAX, DiscreteKernel, Kernel, discretize, same_kernel, validate_hypotheses,
+    _EXP_ARG_MAX, DiscreteKernel, Kernel, discretize, validate_hypotheses,
 )
 from .model import TRANSFORMED_FRAME, ModelParams, validate_params
 from .speeds import counter_propagation, front_position
@@ -404,13 +404,12 @@ def find_bistable_wave(
         if not 0.0 < tol < math.inf:
             raise ParameterError(f"solver {name} must be positive and finite, got {tol}")
 
-    report = validate_params(p)
-    if not report.passed:
-        raise ParameterError("; ".join(report.violations))
+    validate_params(p)
     for name, k in (("kernel1", kernel1), ("kernel2", kernel2)):
-        hyp = validate_hypotheses(k)
-        if not hyp.passed:
-            raise ParameterError(f"{name}: " + "; ".join(hyp.violations))
+        try:
+            validate_hypotheses(k)
+        except ParameterError as exc:
+            raise ParameterError(f"{name}: {exc}") from exc
     cp = counter_propagation(p, kernel1, kernel2)
     if not cp.passed:
         raise ParameterError("counter-propagation sums are not both positive")
@@ -422,7 +421,7 @@ def find_bistable_wave(
     dx = grid.dx if grid is not None else DEFAULT_DX if dx is None else dx
     dk1 = discretize(kernel1, dx)
     # a kernel shared by both species: one set of weights and one spectrum cache
-    dk2 = dk1 if same_kernel(kernel1, kernel2) else discretize(kernel2, dx)
+    dk2 = dk1 if kernel1 == kernel2 else discretize(kernel2, dx)
     speed_bound = cp.c_plus_F0F2.value
     decay_rate = _tail_decay_rate(p, dk1, dk2, speed_bound)
     if grid is None:

@@ -19,6 +19,7 @@ from rickerwaves import (
     ModelParams,
     WaveOptions,
     find_bistable_wave,
+    model,
     speeds,
     waves,
 )
@@ -160,6 +161,14 @@ class TestLoadConfig:
             load_config(path)
         assert isinstance(info.value.__cause__, ValueError)
 
+    @pytest.mark.parametrize("which", ["kernel1", "kernel2"])
+    def test_table_without_a_path_names_the_kernel_key(self, tmp_path, which):
+        path = tmp_path / "tbl.cfg"
+        path.write_text(BASE_CONFIG + f"{which}.family = table\n")
+        with pytest.raises(ConfigError,
+                           match=rf"^{which}: table kernel needs {which}\.table_path$"):
+            load_config(path)
+
     def test_missing_kernel_parameter_names_kernel_and_key(self, tmp_path):
         path = tmp_path / "nosigma.cfg"
         path.write_text(BASE_CONFIG.replace("kernel.sigma = 1.0\n", ""))
@@ -233,6 +242,44 @@ class TestSubcommands:
         h1 = next(row for row in rows if row["check"] == "H1-admissible")
         assert h1["passed"] == "false"
         assert "r1" in h1["detail"]
+
+    def test_validate_h1_row_lists_every_violation(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(BASE_CONFIG.replace("model.r1 = 0.5", "model.r1 = 1.5")
+                        .replace("model.a1 = 2", "model.a1 = 0.5")
+                        .replace("model.a2 = 3", "model.a2 = nan"))
+        assert main(["validate", "--config", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        # the hypothesis rows only: no axiom check runs on inadmissible parameters
+        assert lines[1:] == [
+            "check,passed,detail",
+            'H1-admissible,false,"a2=nan is not finite; r1=1.5 outside (0, 1); '
+            'a1=0.5 outside (1, inf)"',
+            "H2-finite-mgf-kernel1,true,",
+            "H3-symmetric-kernel1,true,",
+            "H2-finite-mgf-kernel2,true,",
+            "H3-symmetric-kernel2,true,",
+        ]
+
+    def test_validate_reports_a_failed_certificate(self, config_path, capsys, monkeypatch):
+        # no dyadic level to try: A5 fails with the CertificateError's text in its row
+        monkeypatch.setattr(model, "STABILITY_MAX_LEVEL", 0)
+        assert main(["validate", "--config", str(config_path)]) == 1
+        _, rows = parse_csv(capsys.readouterr().out)
+        a5 = next(row for row in rows if row["check"] == "A5-bistability")
+        assert a5["passed"] == "false"
+        assert a5["detail"].startswith("no dyadic delta down to 2^-0 certifies strong stability")
+
+    def test_validate_does_not_report_an_unrelated_error_as_a_failed_check(
+            self, config_path, capsys, monkeypatch):
+        def broken(p):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(model, "strong_stability_vectors", broken)
+        assert main(["validate", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: float division by zero\n"
 
     def test_validate_reports_a_degenerate_interior_state(self, config_path, capsys):
         # r2 = 1e-17: lambda(B_0) rounds to 1, so A6 fails with the error's
@@ -714,7 +761,7 @@ class TestSweepEdgeMemo:
         assert out == _unmemoized_sweep(load_config(path))
 
     def test_table_kernel_from_file(self, tmp_path, monkeypatch, capsys):
-        # a table kernel holds arrays and has no hash
+        # a table kernel keys the memo as itself: the config's one table object
         offsets = np.linspace(-1, 1, 21)
         np.savetxt(tmp_path / "kern.txt",
                    np.column_stack([offsets, np.maximum(1 - np.abs(offsets), 0)]))
@@ -724,8 +771,6 @@ class TestSweepEdgeMemo:
             .replace("kernel.sigma = 1.0", "kernel.table_path = kern.txt")
             + "sweep.r1 = 0.3, 0.6\nsweep.r2 = 0.4, 0.7\nsweep.a2 = 2, 4\n"
         )
-        with pytest.raises(TypeError):
-            hash(load_config(path).kernel1)
         calls, out = self._run_counted(path, monkeypatch, capsys)
         assert sorted(calls) == [0.3, 0.4, 0.6, 0.7]
         assert out == _unmemoized_sweep(load_config(path))

@@ -25,22 +25,21 @@ from conftest import random_admissible
 
 class TestValidateParams:
     def test_inside_box_passes(self):
-        assert validate_params(ModelParams(0.5, 0.5, 2.0, 3.0)).passed
+        assert validate_params(ModelParams(0.5, 0.5, 2.0, 3.0)) is None
 
     def test_growth_rate_above_one_fails(self):
-        report = validate_params(ModelParams(1.5, 0.5, 2.0, 3.0))
-        assert not report.passed
-        assert any("r1" in v for v in report.violations)
+        with pytest.raises(ParameterError, match=r"^r1=1\.5 outside \(0, 1\)$"):
+            validate_params(ModelParams(1.5, 0.5, 2.0, 3.0))
 
     def test_competition_below_one_fails(self):
-        report = validate_params(ModelParams(0.5, 0.5, 0.5, 3.0))
-        assert not report.passed
-        assert any("a1" in v for v in report.violations)
+        with pytest.raises(ParameterError, match=r"^a1=0\.5 outside \(1, inf\)$"):
+            validate_params(ModelParams(0.5, 0.5, 0.5, 3.0))
 
     def test_boundary_growth_rate_is_inadmissible(self):
         # the strict box excludes r = 1 even though the space-free map is
         # still well behaved there
-        assert not validate_params(ModelParams(1.0, 0.5, 2.0, 3.0)).passed
+        with pytest.raises(ParameterError, match=r"^r1=1\.0 outside \(0, 1\)$"):
+            validate_params(ModelParams(1.0, 0.5, 2.0, 3.0))
 
 
 class TestPointwiseMaps:

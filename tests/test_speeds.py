@@ -28,7 +28,6 @@ from rickerwaves import (
     system_speed_bound,
 )
 from rickerwaves.errors import SearchError
-from rickerwaves.kernels import same_kernel
 from rickerwaves.model import ORIGINAL_FRAME
 from rickerwaves.speeds import _coefficients, _minimize_positive
 
@@ -218,7 +217,7 @@ class TestSystemSpeedBound:
 
     def test_equal_table_kernels_are_two_kernels(self, params):
         t1, t2 = triangular_table(1.5), triangular_table(1.5)
-        assert not same_kernel(t1, t2)
+        assert t1 != t2
         report = system_speed_bound(params, t1, t2)
         assert report.value == pytest.approx(system_speed_bound(params, t1, t1).value,
                                              rel=1e-12)
@@ -287,7 +286,7 @@ def test_float_objective_is_the_array_objective_bit_for_bit(r1, r2, a1, a2, fami
     k1 = make(w1)
     # distinct widths, and for tables an equal but distinct object as well
     for k2 in (make(w2), make(w1)) if family == "table" else (make(w2),):
-        assert not same_kernel(k1, k2)
+        assert k1 != k2
         report = system_speed_bound(p, k1, k2)
         value, mu_star, curve, lambda0 = _array_speed_bound(p, k1, k2)
         # float.hex tells apart any two doubles
@@ -347,6 +346,18 @@ class TestCounterPropagation:
         # retreat speed is sigma sqrt(2 r2): tiny but strictly positive
         assert report.c_minus_F1F3.value == pytest.approx(math.sqrt(2e-4), rel=1e-15)
         assert report.c_minus_F1F3.value > 0.0
+
+    def test_edge_memo_keeps_freed_tables_apart(self, params):
+        # tables of widths 1..6 share one memo and are each freed in turn; the
+        # memo keeps each table it keys, so no later table takes its identity
+        # (an id() key lets each new table read the freed width-1 entry)
+        memo, got = {}, []
+        for width in range(1, 7):
+            table = triangular_table(float(width))
+            got.append(counter_propagation(params, table, table, memo).c_plus_F0F1.value)
+            del table
+        assert len(memo) == 6
+        assert got == pytest.approx([got[0] * width for width in range(1, 7)], rel=1e-12)
 
     def test_both_directions_share_one_interior_search(self, params, gaussian, uniform):
         # kernel symmetry makes the leftward and rightward matrices identical

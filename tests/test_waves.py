@@ -41,6 +41,8 @@ from rickerwaves.model import TRANSFORMED_FRAME
 from rickerwaves.speeds import counter_propagation, system_speed_bound
 from rickerwaves.waves import WaveHistory, WaveProfile
 
+from test_kernels import heavy_tailed_table
+
 # README-config front speed on Grid(200, 0.1), solved to tolerances 1e-12
 C_CONVERGED = 0.11896981135981706
 
@@ -301,6 +303,15 @@ class TestFindBistableWave:
                 ModelParams(1.5, 0.5, 2.0, 3.0), GaussianKernel(1.0),
                 GaussianKernel(1.0), wave_grid,
             )
+
+    def test_heavy_tailed_kernel2_rejected_before_stepping(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(waves, "apply_Q", lambda *args: steps.append(args))
+        with pytest.raises(ParameterError, match=r"^kernel2: \(H2\) MGF not finite") as info:
+            find_bistable_wave(ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0),
+                               heavy_tailed_table())
+        assert isinstance(info.value.__cause__, ParameterError)
+        assert steps == []
 
     def test_original_frame_profile_connects_exclusion_states(self, standard_wave):
         state = SpatialState(
