@@ -132,7 +132,8 @@ class TableKernel(Kernel):
     offsets: np.ndarray
     densities: np.ndarray
     compactly_supported: bool = True
-    symmetrized: bool = False
+    # set on construction: whether the input table was asymmetric
+    symmetrized: bool = field(default=False, init=False)
     family = "table"
 
     def __post_init__(self):

@@ -69,7 +69,8 @@ def _minimize_positive(objective) -> tuple:
     down to ``MU_FLOOR``.  An MGF overflow (RangeError) or a nan value
     counts as too far right, so an overflow at the start or on the first
     step up halves mu; one on a later doubling, with the objective still
-    falling, raises SearchError, as does mu itself overflowing.  Brent's
+    falling, raises SearchError, as does mu itself overflowing or an
+    objective at ``MU_FLOOR`` not above the bracket's middle value.  Brent's
     method (R. P. Brent, Algorithms for Minimization without Derivatives,
     1973, ch. 5) then refines the bracket by parabolic interpolation
     through the best three points, with a golden-section step whenever the
@@ -114,8 +115,14 @@ def _minimize_positive(objective) -> tuple:
         while True:
             lo = 0.5 * mid
             if lo < MU_FLOOR:
-                # the minimum sits at tiny mu; search down to the guarded floor
+                # the floor closes the bracket only if the objective rises
+                # there; an objective infinite at every mu is reported below
                 lo = MU_FLOOR
+                if f_mid < inf and not evaluate(lo) > f_mid:
+                    raise SearchError(
+                        f"objective still decreasing at the mu floor {MU_FLOOR}: "
+                        f"{f_mid:.6g} at mu={mid:.6g}, not above it at the floor"
+                    )
                 break
             f_lo = evaluate(lo)
             if f_lo > f_mid:

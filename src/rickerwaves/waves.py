@@ -85,7 +85,6 @@ class WaveHistory:
 
     sup_diffs: list = field(default_factory=list)
     displacements: list = field(default_factory=list)
-    monotone_defects: list = field(default_factory=list)
     # the speed error bound after each step; nan until it is defined
     speed_errors: list = field(default_factory=list)
 
@@ -330,23 +329,12 @@ def _sized_grid(dk1: DiscreteKernel, dk2: DiscreteKernel, speed: float,
     return Grid(half_length=half_length, dx=dx)
 
 
-def _crop(fields: np.ndarray, n: int) -> np.ndarray | None:
-    """A copy of the middle n cells of (2, N) fields, or None unless every
-    cell outside them repeats the end value on its side."""
-    m = (fields.shape[1] - n) // 2
-    inner = fields[:, m : m + n]
-    if (fields[:, :m] == inner[:, :1]).all() and (fields[:, m + n :] == inner[:, -1:]).all():
-        return inner.copy()
-    return None
-
-
 def find_bistable_wave(
     p: ModelParams,
     kernel1: Kernel,
     kernel2: Kernel,
     grid: Grid | None = None,
     opts: WaveOptions | None = None,
-    initial: SpatialState | None = None,
     dx: float | None = None,
 ) -> WaveProfile:
     """Iterate from ramp data, recentering the front, until it translates.
@@ -369,10 +357,11 @@ def find_bistable_wave(
     than ``profile_tol``, |q| < 1 and ``speed_error`` is below
     ``speed_tol``.  ``speed_error`` says nothing of the grid's own error
     (speed at dx 0.1 against dx 0.01: ~9e-5 in the README case).
-    ``initial`` replaces the default ramp data (a monotone transformed-frame
-    state, on ``grid`` when one is given).  Without either, the solve runs
-    on ``_sized_grid`` at spacing ``dx`` (default ``DEFAULT_DX``); a ``dx``
-    that differs from a given grid's spacing raises ParameterError.
+    The start is the logistic ramp of width ``RAMP_WIDTH``
+    (``step_initial_data``) on the grid the solve runs on.  The ramp is
+    snapped as every step's clamp snaps its output: values within the
+    roundoff floor of 0 or 1 become 0 or 1.  A ``dx`` that differs from a
+    given grid's spacing raises ParameterError.
     Raises ConvergenceError (with the history attached) on step-budget
     exhaustion, DegenerateDataError if lambda(B_0) rounds to 1 or the
     tracked level crossing disappears, and RangeError before the first
@@ -380,21 +369,15 @@ def find_bistable_wave(
     given one has fewer than J + round(c/dx) + 2 cells each side, c the
     interior monostable speed that also sizes the grid (``wave_residual``
     trims that many).
-    One grid per solve: on a given grid longer than the sized one the
-    solve runs on the sized grid, whose end cells already hold the snapped
-    corner values, and the profile is embedded into the given grid by
-    repeating its end values; the residual and the profile are taken
-    there.  A caller's ``initial`` on such a grid is cropped to the sized
-    grid when it repeats that grid's end values outside it.  Otherwise
-    the solve runs on the given grid as it is: a grid no longer than the
-    sized one, a cell whose sizing raises RangeError, or an ``initial``
-    that is not constant outside the sized grid.
-    The start state is snapped first, on copies, as every step's clamp
-    snaps its output: values within the roundoff floor of 0 or 1 become 0
-    or 1.  A step works on both fields as one (2, N) array over every cell
-    of its grid: one clamp that also checks the output, one resample and
-    one in-place mixing update (README solve: ~155 us per step with
-    set-up, ~175 us with fields apart).
+    One grid per solve: with no grid, the solve runs on ``_sized_grid`` at
+    spacing ``dx`` (default ``DEFAULT_DX``); with a given grid, it runs on
+    the sized grid when that can be built and is shorter, and the profile
+    is embedded into the given grid by repeating its end values (the
+    residual is taken there); otherwise it runs on the given grid.  A step
+    works on both fields as one (2, N) array over every cell of its grid:
+    one clamp that also checks the output, one resample and one in-place
+    mixing update (README solve: ~155 us per step with set-up, ~175 us
+    with fields apart).
     """
     opts = opts or WaveOptions()
     if opts.max_steps < 1:
@@ -414,8 +397,6 @@ def find_bistable_wave(
     if not cp.passed:
         raise ParameterError("counter-propagation sums are not both positive")
 
-    if grid is None and initial is not None:
-        grid = initial.grid
     if grid is not None and dx not in (None, grid.dx):
         raise ParameterError(f"dx {dx} differs from the spacing {grid.dx} of the given grid")
     dx = grid.dx if grid is not None else DEFAULT_DX if dx is None else dx
@@ -441,23 +422,9 @@ def find_bistable_wave(
             sized = grid  # tails too slow to size a grid: solve on the given one
         solve_grid = sized if sized.half_cells < grid.half_cells else grid
 
-    if initial is None:
-        state = step_initial_data(solve_grid, RAMP_WIDTH)
-    else:
-        if initial.grid != grid or initial.frame != TRANSFORMED_FRAME:
-            raise DomainError("initial state must be transformed-frame on the solver grid")
-        state = initial
-    # snap the start's corner residue as every step's clamp does (on a
-    # copy: ``initial`` is the caller's)
-    fields = _clamp(state.fields.copy(), "initial fields", TRANSFORMED_FRAME)
-    if fields.shape[1] != solve_grid.n_points:
-        # a caller's start on the given grid
-        inner = _crop(fields, solve_grid.n_points)
-        if inner is None:
-            solve_grid = grid
-        else:
-            fields = inner
-    state = SpatialState._unchecked(solve_grid, TRANSFORMED_FRAME, fields, state.step)
+    state = step_initial_data(solve_grid, RAMP_WIDTH)
+    # snap the ramp's corner residue as every step's clamp does
+    _clamp(state.fields, "initial fields", TRANSFORMED_FRAME)
     history = WaveHistory()
     mixer = _Anderson(ANDERSON_DEPTH, solve_grid.n_points) if ANDERSON_DEPTH > 0 else None
     # mixed iterates break the geometric decay the Aitken limit relies on,
@@ -483,7 +450,6 @@ def find_bistable_wave(
         np.subtract(G, state.fields, out=Gf[1])
         sup_diff = float(np.abs(Gf[1]).max())
         history.sup_diffs.append(sup_diff)
-        history.monotone_defects.append(float((Gf[0, :, 1:] - Gf[0, :, :-1]).min()))
 
         if mixer is not None and sup_diff < mix_tol:
             mixer = None

@@ -294,6 +294,17 @@ class TestSubcommands:
         assert main(["speeds", "--config", str(config_path), "--set", "model.r2=1e-17"]) == 2
         assert "lambda(B_0) = 1.0 is not above 1" in capsys.readouterr().err
 
+    def test_validate_reports_an_interior_minimum_below_the_mu_floor(self, config_path, capsys):
+        # a2 = 1 + 1e-15 with two kernels: the interior search reaches MU_FLOOR
+        # still falling, and A6 fails rather than passing on the floor's value
+        near = ["--set", "model.a2=1.000000000000001", "--set", "kernel2.family=uniform",
+                "--set", "kernel2.halfwidth=1.0"]
+        assert main(["validate", "--config", str(config_path), *near]) == 1
+        _, rows = parse_csv(capsys.readouterr().out)
+        a6 = next(row for row in rows if row["check"] == "A6-counter-propagation")
+        assert a6["passed"] == "false"
+        assert a6["detail"].startswith("objective still decreasing at the mu floor 1e-06")
+
     def test_equilibria_table(self, config_path, capsys):
         code = main(["equilibria", "--config", str(config_path)])
         out = capsys.readouterr().out

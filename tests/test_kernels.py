@@ -45,6 +45,15 @@ class TestMakeKernel:
         # a compactly supported table passes H2: the check returns, not raises
         assert validate_hypotheses(k) is None
 
+    def test_symmetrized_is_set_on_construction_only(self):
+        offsets = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(TypeError):
+            TableKernel(offsets, 1.0 - np.abs(offsets), True, True)
+        with pytest.raises(TypeError):
+            TableKernel(offsets, 1.0 - np.abs(offsets), symmetrized=False)
+        assert not TableKernel(offsets, 1.0 - np.abs(offsets)).symmetrized
+        assert TableKernel(offsets, np.array([0.1, 0.2, 0.5, 0.4, 0.3])).symmetrized
+
     def test_table_arrays_are_exact_mirrors_and_read_only(self, rng):
         offsets = np.linspace(-2.0, 2.0, 41)
         for _ in range(200):

@@ -65,6 +65,20 @@ class TestScalarSpeed:
         assert report.value == pytest.approx(0.54746062375647, abs=1e-12)
         assert report.mu_star == pytest.approx(2.05924057068149, abs=1e-6)
 
+    @pytest.mark.parametrize("r", [1e-16, 1e-13])
+    def test_minimum_below_the_mu_floor_raises(self, r):
+        # the minimizer sqrt(6 r) lies below MU_FLOOR; the objective at the
+        # floor used to be returned as the speed, 21 times sqrt(2 r / 3) at
+        # r = 1e-16
+        with pytest.raises(SearchError, match="still decreasing at the mu floor"):
+            scalar_speed(r, UniformKernel(1.0))
+
+    def test_minimum_above_the_mu_floor_is_found(self):
+        # mu* = sqrt(6 r) = 2.45e-5 at r = 1e-10; small-r speed sqrt(2 r / 3)
+        report = scalar_speed(1e-10, UniformKernel(1.0))
+        assert report.mu_star == pytest.approx(math.sqrt(6e-10), rel=1e-3)
+        assert report.value == pytest.approx(math.sqrt(2e-10 / 3.0), rel=1e-6)
+
     def test_growth_rate_domain(self):
         with pytest.raises(DomainError):
             scalar_speed(1.5, GaussianKernel(1.0))
@@ -87,18 +101,25 @@ class TestScalarSpeed:
         assert tiny > 1e8
 
     @pytest.mark.parametrize(
-        "make,shapes",
-        [(GaussianKernel, (0.5, 1.0, 2.0)), (UniformKernel, (0.5, 1.0, 2.0)),
-         (triangular_table, (0.5, 1.0, 2.0))],
+        "make,log_mgf",
+        [(GaussianKernel, lambda k, mus: 0.5 * (k.sigma * mus) ** 2),
+         (UniformKernel,
+          lambda k, mus: np.log(np.sinh(k.halfwidth * mus) / (k.halfwidth * mus))),
+         (triangular_table,
+          lambda k, mus: np.log(k.spacing * (np.exp(np.outer(mus, k.offsets)) @ k.densities)))],
         ids=["gaussian", "uniform", "table"],
     )
-    def test_matches_dense_grid_minimum(self, make, shapes):
-        for shape in shapes:
+    def test_matches_dense_grid_minimum(self, make, log_mgf):
+        # ln M on the whole dense grid at once, the kernel's MGF as an array expression
+        for shape in (0.5, 1.0, 2.0):
             kernel = make(shape)
             for r in (0.2, 0.5, 0.8):
                 report = scalar_speed(r, kernel)
-                mus = np.linspace(1e-4, 4.0 * report.mu_star, 10_000)
-                dense = min((r + math.log(kernel.mgf(m))) / m for m in mus)
+                mu = report.mu_star
+                assert log_mgf(kernel, np.array([mu]))[0] == pytest.approx(
+                    math.log(kernel.mgf(mu)), rel=1e-13)
+                mus = np.linspace(1e-4, 4.0 * mu, 10_000)
+                dense = float(np.min((r + log_mgf(kernel, mus)) / mus))
                 assert abs(report.value - dense) <= 1e-6 * abs(report.value)
                 assert report.value <= dense + 1e-12
 
@@ -206,6 +227,13 @@ class TestSystemSpeedBound:
         for p in (ModelParams(0.5, 1e-17, 2.0, 3.0), ModelParams(0.5, 1e-300, 2.0, 3.0)):
             with pytest.raises(DegenerateDataError, match=r"lambda\(B_0\) = .* not above 1"):
                 system_speed_bound(p, GaussianKernel(1.0), kernel2)
+
+    def test_distinct_kernel_minimum_below_the_mu_floor_raises(self):
+        # README cell with a2 = 1 + 1e-15: lambda(B_0) - 1 is about 4e-16, so
+        # the minimizer lies below MU_FLOOR; the floor's 2.04e-6 was returned
+        p = ModelParams(0.5, 0.5, 2.0, 1.0 + 1e-15)
+        with pytest.raises(SearchError, match="still decreasing at the mu floor"):
+            system_speed_bound(p, GaussianKernel(1.0), GaussianKernel(2.0))
 
     def test_equal_kernels_are_one_kernel_bit_for_bit(self, params):
         for k, twin in ((GaussianKernel(0.7), GaussianKernel(0.7)),

@@ -10,7 +10,6 @@ from scipy.special import expit
 
 from rickerwaves import (
     ConvergenceError,
-    DomainError,
     DegenerateDataError,
     GaussianKernel,
     Grid,
@@ -142,21 +141,20 @@ class TestFindBistableWave:
     def test_stops_only_on_contracting_displacements(self, standard_wave, monkeypatch, ratio):
         # from the converged profile, displacements c + 1e-12 * ratio**n keep every
         # Aitken correction far below speed_tol; only |ratio| < 1 may stop the solve
+        _start_from(monkeypatch, standard_wave)
         powers = iter(ratio ** n for n in range(1, 100))
         monkeypatch.setattr(waves, "front_position",
                             lambda x, U, level: standard_wave.speed + 1e-12 * next(powers))
-        start = SpatialState(grid=standard_wave.grid, frame=TRANSFORMED_FRAME,
-                             U=standard_wave.phi, V=standard_wave.psi)
         args = (ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0), GaussianKernel(1.0),
                 standard_wave.grid, WaveOptions(max_steps=10))
         if abs(ratio) < 1.0:
             # the stop compares the Aitken limits of two steps: four displacements
-            wp = find_bistable_wave(*args, initial=start)
+            wp = find_bistable_wave(*args)
             assert wp.steps == 4 and wp.contraction_rate == pytest.approx(ratio, rel=1e-3)
             assert wp.speed == pytest.approx(standard_wave.speed, abs=1e-15)
         else:
             with pytest.raises(ConvergenceError) as info:
-                find_bistable_wave(*args, initial=start)
+                find_bistable_wave(*args)
             assert max(info.value.history.sup_diffs) < WaveOptions().profile_tol
 
     def test_speed_tol_bounds_the_aitken_correction(self, wave_grid, standard_wave):
@@ -175,18 +173,31 @@ class TestFindBistableWave:
         )
         assert abs(wp.speed) < 1e-8
 
-    def test_translated_initial_data_is_equivalent(self, wave_grid, standard_wave):
+    def test_translated_initial_data_is_equivalent(self, monkeypatch, wave_grid, standard_wave):
         p = ModelParams(0.5, 0.5, 2.0, 3.0)
-        shifted = translate(step_initial_data(wave_grid, 1.0), 5)
-        wp = find_bistable_wave(
-            p, GaussianKernel(1.0), GaussianKernel(1.0), wave_grid, initial=shifted
-        )
+        ramp = waves.step_initial_data
+        monkeypatch.setattr(waves, "step_initial_data",
+                            lambda grid, width: translate(ramp(grid, width), 5))
+        wp = find_bistable_wave(p, GaussianKernel(1.0), GaussianKernel(1.0), wave_grid)
         assert wp.speed == pytest.approx(standard_wave.speed, abs=1e-6)
         assert np.max(np.abs(wp.phi - standard_wave.phi)) < 1e-6
         assert np.max(np.abs(wp.psi - standard_wave.psi)) < 1e-6
 
-    def test_monotone_every_step(self, standard_wave):
-        assert min(standard_wave.history.monotone_defects) >= -1e-12
+    def test_monotone_every_step(self, monkeypatch, wave_grid):
+        # every recentered step G, before any mixing, is monotone
+        defects = []
+        step = waves._recentered_step
+
+        def recording(*args):
+            G, t = step(*args)
+            defects.append(float(np.diff(G, axis=1).min()))
+            return G, t
+
+        monkeypatch.setattr(waves, "_recentered_step", recording)
+        wp = find_bistable_wave(ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0),
+                                GaussianKernel(1.0), wave_grid)
+        assert len(defects) == wp.steps
+        assert min(defects) >= -1e-12
 
     def test_iterates_stay_between_corner_states(self, params, wave_grid, gaussian_weights):
         # squeeze: the whole trajectory stays inside [0,1]^2 by comparison
@@ -289,12 +300,13 @@ class TestFindBistableWave:
                                opts=WaveOptions(**{name: value}))
         assert steps == []
 
-    def test_crossing_free_data_raises(self, wave_grid):
-        flat = constant_state(wave_grid, TRANSFORMED_FRAME, (0.8, 0.8))
+    def test_crossing_free_data_raises(self, monkeypatch, wave_grid):
+        monkeypatch.setattr(waves, "step_initial_data", lambda grid, width: constant_state(
+            grid, TRANSFORMED_FRAME, (0.8, 0.8)))
         with pytest.raises(DegenerateDataError):
             find_bistable_wave(
                 ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0),
-                GaussianKernel(1.0), wave_grid, initial=flat,
+                GaussianKernel(1.0), wave_grid,
             )
 
     def test_inadmissible_parameters_rejected(self, wave_grid):
@@ -455,7 +467,7 @@ def _same_profile(a, b):
     """Bit-identical solver outputs, history included."""
     assert (a.speed, a.steps, a.residual) == (b.speed, b.steps, b.residual)
     assert np.array_equal(a.phi, b.phi) and np.array_equal(a.psi, b.psi)
-    for name in ("sup_diffs", "displacements", "monotone_defects"):
+    for name in ("sup_diffs", "displacements"):
         assert getattr(a.history, name) == getattr(b.history, name), name
 
 
@@ -464,6 +476,25 @@ def _same_front(a, b, opts=WaveOptions()):
     assert a.grid == b.grid
     assert abs(a.speed - b.speed) <= a.speed_error + b.speed_error
     assert max(np.max(np.abs(a.phi - b.phi)), np.max(np.abs(a.psi - b.psi))) <= opts.profile_tol
+
+
+def _start_from(monkeypatch, wp):
+    """Start every solve from the middle of ``wp``'s profile instead of the ramp."""
+    def start(grid, width):
+        m = wp.grid.half_cells - grid.half_cells
+        inner = slice(m, m + grid.n_points)
+        return SpatialState(grid=grid, frame=TRANSFORMED_FRAME, U=wp.phi[inner],
+                            V=wp.psi[inner])
+
+    monkeypatch.setattr(waves, "step_initial_data", start)
+
+
+def _unsizable(monkeypatch):
+    """Make every grid sizing fail, as it does for a cell with too slow tails."""
+    def raising(*args):
+        raise RangeError("tails too slow to size a grid")
+
+    monkeypatch.setattr(waves, "_sized_grid", raising)
 
 
 def _stepped_lengths(monkeypatch):
@@ -497,36 +528,13 @@ class TestFrontWindow:
         margin = grid.half_cells - sized.grid.half_cells
         for long, short in ((embedded.phi, sized.phi), (embedded.psi, sized.psi)):
             assert np.array_equal(long, np.pad(short, margin, mode="edge"))
-        # the ramp on the long grid is not constant outside the sized grid, so
-        # it is solved on every cell of the long grid
+        # a cell whose sizing fails is solved on every cell of the long grid
+        _unsizable(monkeypatch)
         lengths.clear()
-        whole = find_bistable_wave(p, k, k, initial=step_initial_data(grid, 1.0))
+        whole = find_bistable_wave(p, k, k, grid)
         assert set(lengths) == {grid.n_points}
         _same_front(embedded, whole)
         assert validate_profile(embedded).passed and validate_profile(whole).passed
-
-    @pytest.mark.parametrize("floor", [0.0, 0.3], ids=["sharp_ramp", "raised_start"])
-    def test_start_constant_outside_the_sized_grid_is_cropped(self, monkeypatch, floor):
-        # a sharp ramp snaps to its corners (or its raised floor) well inside
-        # the sized grid, so the solve runs there
-        p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
-        grid = Grid(half_length=200.0, dx=0.1)
-        ramp = floor + (1.0 - floor) * step_initial_data(grid, 0.5).U
-        start = SpatialState(grid=grid, frame=TRANSFORMED_FRAME, U=ramp, V=ramp.copy())
-        sized_grid = find_bistable_wave(p, k, k).grid
-        margin = grid.half_cells - sized_grid.half_cells
-        inner = slice(margin, margin + sized_grid.n_points)
-        cropped = SpatialState(grid=sized_grid, frame=TRANSFORMED_FRAME, U=ramp[inner],
-                               V=ramp[inner].copy())
-        lengths = _stepped_lengths(monkeypatch)
-        wp = find_bistable_wave(p, k, k, initial=start)
-        assert wp.grid == grid
-        assert lengths[:-1] == [sized_grid.n_points] * wp.steps
-        sized = find_bistable_wave(p, k, k, initial=cropped)
-        assert (wp.speed, wp.steps, wp.history.sup_diffs) == (
-            sized.speed, sized.steps, sized.history.sup_diffs)
-        assert np.array_equal(wp.phi, np.pad(sized.phi, margin, mode="edge"))
-        assert np.array_equal(wp.psi, np.pad(sized.psi, margin, mode="edge"))
 
     def test_first_step_is_windowed(self, monkeypatch):
         # every step runs on the sized grid, and the residual's step on the
@@ -547,25 +555,18 @@ class TestFrontWindow:
         assert len(lengths) == 2 * wp.steps + 2
         assert all(n < grid.n_points / 2 for n in lengths)
 
-    def test_caller_initial_is_not_mutated(self):
-        grid = Grid(half_length=30.0, dx=0.1)
-        start = step_initial_data(grid, 0.5)
-        U, V = start.U.copy(), start.V.copy()
-        assert U.min() < _FFT_NOISE_FLOOR and U.max() > 1.0 - _FFT_NOISE_FLOOR
-        find_bistable_wave(ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0),
-                           GaussianKernel(1.0), initial=start)
-        assert np.array_equal(start.U, U) and np.array_equal(start.V, V)
-
-    def test_sub_floor_start_values_do_not_change_the_profile(self):
-        grid = Grid(half_length=30.0, dx=0.1)
-        ramp = step_initial_data(grid, 0.5)
+    def test_sub_floor_start_values_do_not_change_the_profile(self, monkeypatch):
+        # the sized grid for sigma 1.5 reaches |x| = 47, where the ramp is
+        # within the roundoff floor of its corners
+        args = (ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.5), GaussianKernel(1.5))
+        from_ramp = find_bistable_wave(*args)
+        ramp = step_initial_data(from_ramp.grid, waves.RAMP_WIDTH)
         U = np.where(ramp.U < _FFT_NOISE_FLOOR, 0.0,
                      np.where(ramp.U > 1.0 - _FFT_NOISE_FLOOR, 1.0, ramp.U))
         assert not np.array_equal(U, ramp.U)
-        snapped = SpatialState(grid=grid, frame=TRANSFORMED_FRAME, U=U, V=U.copy())
-        args = (ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0), GaussianKernel(1.0))
-        _same_profile(find_bistable_wave(*args, initial=ramp),
-                      find_bistable_wave(*args, initial=snapped))
+        monkeypatch.setattr(waves, "step_initial_data", lambda grid, width: SpatialState(
+            grid=grid, frame=TRANSFORMED_FRAME, U=U, V=U))
+        _same_profile(from_ramp, find_bistable_wave(*args))
 
 
 class TestAnderson:
@@ -773,28 +774,28 @@ class TestWaveGrid:
         # wave_residual trims J + |round(c/dx)| + 2 cells, c up to the speed bound
         interior_slice(grid, dk.half_width + round(0.6 / 0.1) + 2)
 
-    def test_initial_state_sets_the_grid(self):
+    def test_given_grid_is_solved_on_unless_a_shorter_sized_grid_exists(self, monkeypatch):
         p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
-        # the sized grid at dx 0.2 is longer than 30, so both solves run on
-        # the given grid
+        lengths = _stepped_lengths(monkeypatch)
+        # the sized grid at dx 0.2 is longer than 30, so the given grid is solved on
         grid = Grid(half_length=30.0, dx=0.2)
-        wp = find_bistable_wave(p, k, k, initial=step_initial_data(grid, 1.0))
-        assert wp.grid == grid
-        assert wp.speed == find_bistable_wave(p, k, k, grid).speed
-        # on L = 200 the ramp is solved on every cell, the grid alone on the
-        # sized grid and embedded: the same front
+        wp = find_bistable_wave(p, k, k, grid)
+        assert wp.grid == grid and set(lengths) == {grid.n_points}
+        # on L = 200 the sized grid is solved on and embedded; with the sizing
+        # failing, every cell of the given grid is: the same front
         grid = Grid(half_length=DEFAULT_HALF_LENGTH, dx=DEFAULT_DX)
-        wp = find_bistable_wave(p, k, k, initial=step_initial_data(grid, 1.0))
-        assert wp.grid == grid
-        _same_front(wp, find_bistable_wave(p, k, k, grid))
+        embedded = find_bistable_wave(p, k, k, grid)
+        _unsizable(monkeypatch)
+        lengths.clear()
+        wp = find_bistable_wave(p, k, k, grid)
+        assert wp.grid == grid and set(lengths) == {grid.n_points}
+        _same_front(wp, embedded)
 
     def test_dx_must_match_a_given_grid(self):
         p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
         grid = Grid(half_length=30.0, dx=0.1)
         with pytest.raises(ParameterError, match=r"dx 0\.2 differs from the spacing 0\.1"):
             find_bistable_wave(p, k, k, grid, dx=0.2)
-        with pytest.raises(ParameterError, match=r"dx 0\.05 differs"):
-            find_bistable_wave(p, k, k, initial=step_initial_data(grid, 1.0), dx=0.05)
         assert (find_bistable_wave(p, k, k, grid, dx=0.1).speed
                 == find_bistable_wave(p, k, k, grid).speed)
 
@@ -821,9 +822,3 @@ class TestWaveGrid:
         assert wp.grid == grid
         assert wp.speed_error < WaveOptions().speed_tol
         assert validate_profile(wp).passed
-
-    def test_initial_state_on_another_grid_rejected(self):
-        p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
-        start = step_initial_data(Grid(half_length=30.0, dx=0.1), 1.0)
-        with pytest.raises(DomainError):
-            find_bistable_wave(p, k, k, Grid(half_length=40.0, dx=0.1), initial=start)
