@@ -287,9 +287,12 @@ def write_csv(path: Path, digest: str, header, columns) -> str:
 # subcommands
 
 
-def _axiom_grid(cfg: ExperimentConfig) -> evolution.Grid:
-    # small desk-scale grid for the operator axiom surrogates
-    return evolution.Grid(half_length=10.0, dx=cfg.dx)
+def _axiom_grid(dk1: kernels.DiscreteKernel, dk2: kernels.DiscreteKernel) -> evolution.Grid:
+    """Small desk-scale grid for the operator axiom surrogates: L = 10, or
+    for wide kernels as long as keeps 20 cells each side of the centre
+    beyond ``axiom_errors``' margin (the widest kernel and its 7-cell shift)."""
+    margin = max(dk1.half_width, dk2.half_width) + 7
+    return evolution.Grid(half_length=max(10.0, (margin + 20) * dk1.dx), dx=dk1.dx)
 
 
 def cmd_validate(cfg: ExperimentConfig, out, args) -> RunReport:
@@ -322,9 +325,9 @@ def cmd_validate(cfg: ExperimentConfig, out, args) -> RunReport:
         emit_csv(out, cfg.digest, ("check", "passed", "detail"), rows)
         return report
 
-    grid = _axiom_grid(cfg)
-    dk1 = kernels.discretize(cfg.kernel1, grid.dx)
-    dk2 = kernels.discretize(cfg.kernel2, grid.dx)
+    dk1 = kernels.discretize(cfg.kernel1, cfg.dx)
+    dk2 = kernels.discretize(cfg.kernel2, cfg.dx)
+    grid = _axiom_grid(dk1, dk2)
 
     t0 = time.perf_counter()
     a1_err, worst = evolution.axiom_errors(cfg.params, dk1, dk2, grid, rng)

@@ -1,4 +1,5 @@
-"""Dispersal kernels: densities, moment generating functions, discretization.
+"""Dispersal kernels: densities, moment generating functions and tilted
+moments, discretization.
 
 Built-in families are the Gaussian (closed-form MGF, finite for every
 exponent) and the symmetric uniform density on [-a, a].  Arbitrary tabulated
@@ -22,6 +23,22 @@ from .errors import DegenerateKernelError, ParameterError, RangeError
 # exp() overflows float64 just above 709.78
 _EXP_ARG_MAX = 709.0
 
+# coth x - 1/x = sum a_n x^(2n-1) with a_n = 2^(2n) B_2n / (2n)!, and its
+# derivative 1/x^2 - 1/sinh^2 x = sum (2n - 1) a_n x^(2n-2): the pairs
+# (a_n, (2n - 1) a_n), highest order first, for Horner's rule below _SERIES_X
+_SERIES_X = 0.4
+_LANGEVIN_SERIES = (
+    (87734 / 38979295480125, 87734 / 2292899734125),
+    (-3617 / 162820783125, -3617 / 10854718875),
+    (4 / 18243225, 4 / 1403325),
+    (-1382 / 638512875, -1382 / 58046625),
+    (2 / 93555, 2 / 10395),
+    (-1 / 4725, -1 / 675),
+    (2 / 945, 2 / 189),
+    (-1 / 45, -1 / 15),
+    (1 / 3, 1 / 3),
+)
+
 DEFAULT_TRUNCATION = 1e-12
 
 # each field on a grid this size is 80 MB; the default grid has 4001 points
@@ -44,6 +61,11 @@ class Kernel:
         raise NotImplementedError
 
     def mgf(self, mu: float) -> float:
+        raise NotImplementedError
+
+    def tilted_moments(self, mu: float) -> tuple:
+        """(mean, variance) of the density tilted by exp(mu y): the first two
+        derivatives of ln M at mu.  Raises RangeError where ``mgf`` does."""
         raise NotImplementedError
 
     def truncation_radius(self) -> float:
@@ -75,6 +97,12 @@ class GaussianKernel(Kernel):
             raise RangeError(f"gaussian MGF overflows at mu={mu}")
         return math.exp(arg)
 
+    def tilted_moments(self, mu: float) -> tuple:
+        if not 0.5 * (self.sigma * mu) ** 2 <= _EXP_ARG_MAX:
+            raise RangeError(f"gaussian MGF overflows at mu={mu}")
+        variance = self.sigma * self.sigma
+        return variance * mu, variance
+
     def truncation_radius(self) -> float:
         # two-sided tail mass outside [-R, R] is 2*Phi(-R/sigma), and
         # 7.1305... is -Phi^-1(DEFAULT_TRUNCATION / 2)
@@ -103,6 +131,24 @@ class UniformKernel(Kernel):
         if not abs(a * mu) <= _EXP_ARG_MAX:
             raise RangeError(f"uniform MGF overflows at mu={mu}")
         return math.sinh(a * mu) / (a * mu)
+
+    def tilted_moments(self, mu: float) -> tuple:
+        # with x = a mu: a (coth x - 1/x) and a^2 (1/x^2 - 1/sinh^2 x), which
+        # cancel as x -> 0; below _SERIES_X their Taylor series, to within
+        # 5e-15 relative of both
+        a = self.halfwidth
+        x = a * mu
+        if not abs(x) <= _EXP_ARG_MAX:
+            raise RangeError(f"uniform MGF overflows at mu={mu}")
+        if abs(x) < _SERIES_X:
+            z = x * x
+            mean = variance = 0.0
+            for c_mean, c_variance in _LANGEVIN_SERIES:
+                mean = mean * z + c_mean
+                variance = variance * z + c_variance
+            return a * x * mean, a * a * variance
+        sinh = math.sinh(x)
+        return a * (1.0 / math.tanh(x) - 1.0 / x), a * a * (1.0 / (x * x) - 1.0 / (sinh * sinh))
 
     def truncation_radius(self) -> float:
         return self.halfwidth
@@ -181,6 +227,20 @@ class TableKernel(Kernel):
         if not np.max(arg) <= _EXP_ARG_MAX:
             raise RangeError(f"table MGF overflows at mu={mu}")
         return float(self.spacing * np.sum(self.densities * np.exp(arg)))
+
+    def tilted_moments(self, mu: float) -> tuple:
+        # three weighted sums: the mass, the first moment with each mirror pair
+        # folded into one sinh (the pairs cancel as mu -> 0), and the centred
+        # second moment, whose terms are all nonnegative
+        arg = mu * self.offsets
+        if not np.max(arg) <= _EXP_ARG_MAX:
+            raise RangeError(f"table MGF overflows at mu={mu}")
+        weights = self.densities * np.exp(arg)
+        mass = np.sum(weights)
+        centre = self.offsets.size // 2
+        y, density = self.offsets[centre + 1:], self.densities[centre + 1:]
+        mean = 2.0 * np.sum(density * y * np.sinh(mu * y)) / mass
+        return float(mean), float(np.sum(weights * (self.offsets - mean) ** 2) / mass)
 
     def truncation_radius(self) -> float:
         return float(self.offsets[-1])

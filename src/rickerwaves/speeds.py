@@ -13,14 +13,21 @@ Each speed is the minimum of its objective.  A Gaussian kernel's scalar
 minimum is sigma sqrt(2 r), at mu = sqrt(2 r)/sigma (Kot, Lewis & van den
 Driessche, Ecology 77, 1996), and needs no search.  When both species share
 one kernel, B_mu = M(mu) B_0, so the interior objective is the scalar one at
-rate ln lambda(B_0).  Any other minimum is found by ``_minimize_positive``:
-a bracket grown from mu = 1 and Brent's parabolic refinement to ``MU_TOL``,
-about 16 evaluations, each one closure call on Python floats.  The matrix
-objective makes the same IEEE operations, in the same order, as on the
-array of ``linearization_matrix``, through the characteristic-polynomial
-arithmetic that ``model.eigenvalues_2x2`` uses as well.  An edge speed
-depends only on (r, kernel), so a sweep hands ``counter_propagation`` one
-memo and computes each distinct edge speed once.
+rate ln lambda(B_0).  Any other minimum is found by ``_minimize_positive``.
+Each objective is g(mu)/mu with g convex: r + ln M(mu) is a cumulant
+generating function, and ln lambda(B_mu) is convex in mu by Kingman ("A
+convexity property of positive matrices", Quart. J. Math. 12, 1961), since
+every entry of B_mu is a positive constant times a log-convex MGF.  So the
+minimizer is the one root of the nondecreasing F(mu) = mu g'(mu) - g(mu),
+and a safeguarded Newton iteration on F, from the minimizer of the quadratic
+model of g at 0 (the Gaussian closed form), finds it in a few evaluations:
+at most 6 for rates 0.2-0.8 and kernel widths 0.5-3.  g' and g'' come from
+the kernels' ``tilted_moments``.  Each evaluation is one closure call on
+Python floats.  The matrix objective makes the same IEEE operations, in the
+same order, as on the array of ``linearization_matrix``, through the
+characteristic-polynomial arithmetic that ``model.eigenvalues_2x2`` uses as
+well.  An edge speed depends only on (r, kernel), so a sweep hands
+``counter_propagation`` one memo and computes each distinct edge speed once.
 
 Also provided: an empirical front-speed estimator (level-crossing position
 regressed against step count), which checks the variational values against
@@ -42,10 +49,9 @@ from .model import (
     validate_params,
 )
 
-# the search stops once mu is known to MU_TOL (relative above mu = 1)
-MU_TOL = 1e-8
-# golden-section step of Brent's method: the smaller golden fraction
-_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
+# a Newton step this short (relative to mu) leaves the next iterate within
+# roundoff of the root: the error after a step s is of order s^2
+_NEWTON_TOL = 1e-7
 
 MU_FLOOR = 1e-6
 
@@ -61,133 +67,76 @@ class SpeedReport:
     lambda0: float | None = None  # lambda(B_0) sanity value, matrix method only
 
 
-def _minimize_positive(objective) -> tuple:
-    """Minimize a smooth unimodal objective over mu > 0.
+def _minimize_positive(objective, g0: float, curvature0: float) -> tuple:
+    """Minimize f(mu) = g(mu)/mu over mu > 0 for a convex g with g(0) > 0.
 
-    Brackets from mu = 1, where the minimizers of the speed objectives
-    cluster: mu doubles while the objective falls and halves otherwise,
-    down to ``MU_FLOOR``.  An MGF overflow (RangeError) or a nan value
-    counts as too far right, so an overflow at the start or on the first
-    step up halves mu; one on a later doubling, with the objective still
-    falling, raises SearchError, as does mu itself overflowing or an
-    objective at ``MU_FLOOR`` not above the bracket's middle value.  Brent's
-    method (R. P. Brent, Algorithms for Minimization without Derivatives,
-    1973, ch. 5) then refines the bracket by parabolic interpolation
-    through the best three points, with a golden-section step whenever the
-    parabola's vertex leaves the bracket or the step does not halve the
-    one before last, and stops once the minimizer is known to ``MU_TOL``.
-    Returns (mu_star, value, curve): value is the objective at mu_star, the
-    lowest point evaluated, and the curve holds each evaluated (mu, value)
-    pair, sorted by mu.
+    ``objective(mu)`` returns (f, g', g'') at mu; ``g0`` and ``curvature0``
+    are g(0) and g''(0).  The minimizer is the one root of the
+    nondecreasing F(mu) = mu g' - g = mu (g' - f), with F(0) = -g(0) < 0
+    and F' = mu g''.  Newton's method on F starts at sqrt(2 g0/curvature0),
+    the minimizer of the quadratic model g0 + curvature0 mu^2 / 2 (exact
+    for a Gaussian kernel; mu = 1 when the curvature is 0), and keeps its
+    iterates inside the sign bracket [lo, hi] of F, bisecting (doubling
+    while no point with F > 0 is known) whenever a step would leave it or
+    not halve the step before last, or F' is not positive (Press et al.,
+    Numerical Recipes, rtsafe).  It stops on the point reached by a Newton
+    step shorter than ``_NEWTON_TOL`` mu, which lies within roundoff of the
+    root, or where the bracket closes to adjacent doubles.
+
+    An MGF overflow (RangeError) or a nan value counts as too far right.  A
+    bracket that closes on such a point, with F still negative to its left,
+    raises SearchError, as does mu itself overflowing; a step below
+    ``MU_FLOOR`` evaluates the floor, and raises SearchError unless F is
+    negative there.  Returns (mu_star, value, curve): mu_star is the last
+    iterate, value the objective there, and the curve holds each evaluated
+    (mu, value) pair, sorted by mu.
     """
     curve = []
     record = curve.append
-    inf = math.inf
-
-    def evaluate(mu):
-        try:
-            value = objective(mu)
-        except RangeError:
-            return inf
-        record((mu, value))
-        return value
-
-    # bracket: lo < mid < hi with f(mid) below f(lo) and not above f(hi)
-    mid, hi = 1.0, 2.0
-    f_mid, f_hi = evaluate(mid), evaluate(hi)
-    if f_hi < f_mid:
-        lo, mid, f_mid = mid, hi, f_hi
-        while True:
-            hi = 2.0 * mid
-            try:
-                f_hi = objective(hi)
-            except RangeError as exc:
-                raise SearchError(
-                    f"objective still decreasing when the MGF overflowed near mu={hi}"
-                ) from exc
-            record((hi, f_hi))
-            if not f_hi <= f_mid:
-                break
-            if hi == inf:
-                raise SearchError("objective still decreasing when mu overflowed")
-            lo, mid, f_mid = mid, hi, f_hi
-    else:
-        while True:
-            lo = 0.5 * mid
-            if lo < MU_FLOOR:
-                # the floor closes the bracket only if the objective rises
-                # there; an objective infinite at every mu is reported below
-                lo = MU_FLOOR
-                if f_mid < inf and not evaluate(lo) > f_mid:
-                    raise SearchError(
-                        f"objective still decreasing at the mu floor {MU_FLOOR}: "
-                        f"{f_mid:.6g} at mu={mid:.6g}, not above it at the floor"
-                    )
-                break
-            f_lo = evaluate(lo)
-            if f_lo > f_mid:
-                break
-            hi, mid, f_mid = mid, lo, f_lo
-    if not f_mid < inf:
-        raise SearchError(f"objective not finite at any mu from 1 down to {MU_FLOOR}")
-
-    # Brent's refinement on [a, b]: x is the lowest point so far, w the
-    # second lowest and v the previous w; e is the step before last
-    a, b = lo, hi
-    x = w = v = mid
-    fx = fw = fv = f_mid
-    d = e = 0.0
+    inf, nan = math.inf, math.nan
+    lo, hi, hi_overflowed = 0.0, inf, False
+    mu = math.sqrt(2.0 * g0 / curvature0) if curvature0 > 0.0 else 1.0
+    newton = False  # whether mu was reached by a Newton step
+    step = previous = inf  # the lengths of the last two steps
     while True:
-        xm = 0.5 * (a + b)
-        tol1 = MU_TOL * max(1.0, x)
-        tol2 = 2.0 * tol1
-        if abs(x - xm) <= tol2 - 0.5 * (b - a):
-            break
-        parabolic = False
-        if abs(e) > tol1:
-            # the vertex of the parabola through (v, fv), (w, fw), (x, fx) is x + p/q
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            # written so that a nan from an infinite value fails the test
-            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
-                parabolic = True
-                d = p / q
-                if (x + d) - a < tol2 or b - (x + d) < tol2:
-                    d = math.copysign(tol1, xm - x)
-        if not parabolic:
-            e = (a - x) if x >= xm else (b - x)
-            d = _CGOLD * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        # evaluate(u), inlined: this loop makes most of the evaluations
+        at_floor = mu < MU_FLOOR
+        if at_floor:
+            # only while lo is 0: every later iterate lies above lo
+            mu, newton = MU_FLOOR, False
         try:
-            fu = objective(u)
+            f, slope, curvature = objective(mu)
         except RangeError:
-            fu = inf
+            f = slope = curvature = nan
         else:
-            record((u, fu))
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+            record((mu, f))
+        # F/mu: it has the sign of F, and the Newton step -F/F' is -gap/g''
+        gap = slope - f
+        if at_floor and not gap < 0.0:
+            raise SearchError(
+                f"objective still decreasing at the mu floor {MU_FLOOR}: "
+                f"its minimum lies below it")
+        if newton and step <= _NEWTON_TOL * mu and gap == gap:
+            break
+        if gap < 0.0:
+            lo = mu
+        elif not gap <= 0.0:  # positive, or nan: too far right
+            hi, hi_overflowed = mu, gap != gap
+        new = mu - gap / curvature if curvature > 0.0 else nan
+        # the halving keeps noise in F from prolonging the iteration
+        newton = lo < new < hi and abs(new - mu) <= 0.5 * previous
+        if not newton:
+            new = 2.0 * lo if hi == inf else 0.5 * (lo + hi)
+            if not lo < new < hi:
+                if new == inf:
+                    raise SearchError("objective still decreasing when mu overflowed")
+                # the bracket has closed to adjacent doubles
+                if hi_overflowed:
+                    raise SearchError(
+                        f"objective still decreasing when the MGF overflowed near mu={hi}")
+                break
+        previous, step, mu = step, abs(new - mu), new
     curve.sort(key=lambda pair: pair[0])
-    return x, fx, curve
+    return mu, f, curve
 
 
 def _scalar_minimum(rho: float, kernel: Kernel) -> tuple:
@@ -197,8 +146,13 @@ def _scalar_minimum(rho: float, kernel: Kernel) -> tuple:
         root = math.sqrt(2.0 * rho)
         mu_star, value = root / kernel.sigma, kernel.sigma * root
         return mu_star, value, [(mu_star, value)]
-    log, mgf = math.log, kernel.mgf
-    return _minimize_positive(lambda mu: (rho + log(mgf(mu))) / mu)
+    log, mgf, moments = math.log, kernel.mgf, kernel.tilted_moments
+
+    def objective(mu):
+        value = (rho + log(mgf(mu))) / mu
+        return (value, *moments(mu))
+
+    return _minimize_positive(objective, rho, moments(0.0)[1])
 
 
 def scalar_speed(r: float, kernel: Kernel) -> SpeedReport:
@@ -247,25 +201,49 @@ def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> Spee
     evaluation is one call: it scales the coefficients, built once, by the
     MGFs as floats and takes the Perron root through
     ``model.trace_and_discriminant``, bit for bit the root that
-    ``eigenvalues_2x2`` gives for ``linearization_matrix``.
+    ``eigenvalues_2x2`` gives for ``linearization_matrix``, and the first
+    two derivatives of ln lambda from the kernels' tilted moments.
     """
     validate_params(p)
     (c11, c12), (c21, c22) = _coefficients(p).tolist()
     mgf1, mgf2 = kernel1.mgf, kernel2.mgf
+    moments1, moments2 = kernel1.tilted_moments, kernel2.tilted_moments
     log, sqrt = math.log, math.sqrt
 
-    def objective(mu):
-        m1, m2 = mgf1(mu), mgf2(mu)
+    def perron(mu, m1, m2):
+        # lambda(B_mu) through model.trace_and_discriminant, with g' and g'' of
+        # g = ln lambda from the first two derivatives of tr and disc, where
+        # M' = M mean and M'' = M (variance + mean^2)
         tr, disc = trace_and_discriminant(c11 * m1, c12 * m2, c21 * m1, c22 * m2)
-        return log(0.5 * (tr + sqrt(disc))) / mu
+        root = sqrt(disc)
+        lam = 0.5 * (tr + root)
+        (e1, v1), (e2, v2) = moments1(mu), moments2(mu)
+        d1, d2 = m1 * e1, m2 * e2
+        s1, s2 = m1 * (v1 + e1 * e1), m2 * (v2 + e2 * e2)
+        diff, d_diff, s_diff = c11 * m1 - c22 * m2, c11 * d1 - c22 * d2, c11 * s1 - c22 * s2
+        coupling = 4.0 * c12 * c21
+        d_disc = 2.0 * diff * d_diff + coupling * (d1 * m2 + m1 * d2)
+        s_disc = 2.0 * (d_diff * d_diff + diff * s_diff) + coupling * (
+            s1 * m2 + 2.0 * d1 * d2 + m1 * s2)
+        d_root = d_disc / (2.0 * root)
+        s_root = (s_disc - 2.0 * d_root * d_root) / (2.0 * root)
+        slope = 0.5 * (c11 * d1 + c22 * d2 + d_root) / lam
+        return lam, slope, 0.5 * (c11 * s1 + c22 * s2 + s_root) / lam - slope * slope
+
+    def objective(mu):
+        lam, slope, curvature = perron(mu, mgf1(mu), mgf2(mu))
+        return log(lam) / mu, slope, curvature
 
     m1, m2 = mgf1(0.0), mgf2(0.0)
     lambda0 = eigenvalues_2x2(((c11 * m1, c12 * m2), (c21 * m1, c22 * m2)))[0]
     if not lambda0 > 1.0:
         raise DegenerateDataError(
             f"lambda(B_0) = {lambda0!r} is not above 1: no positive interior speed")
-    mu_star, value, curve = (_scalar_minimum(log(lambda0), kernel1)
-                             if kernel1 == kernel2 else _minimize_positive(objective))
+    if kernel1 == kernel2:
+        mu_star, value, curve = _scalar_minimum(log(lambda0), kernel1)
+    else:
+        mu_star, value, curve = _minimize_positive(
+            objective, log(lambda0), perron(0.0, m1, m2)[2])
     return SpeedReport(
         value=value, mu_star=mu_star, curve=curve, method="matrix-eigenvalue",
         lambda0=lambda0,

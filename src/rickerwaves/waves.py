@@ -352,11 +352,12 @@ def find_bistable_wave(
     sup diff / ((1 - |q|) phi'(0)), where q is ``contraction_rate`` and
     phi'(0) the slope of the first component at the crossing: a step that
     moves the profile by d leaves it up to d / (1 - |q|) from the fixed
-    point, and the front that far over the slope.  The solve stops at the
-    first step after four plain displacements where the profile moved less
-    than ``profile_tol``, |q| < 1 and ``speed_error`` is below
-    ``speed_tol``.  ``speed_error`` says nothing of the grid's own error
-    (speed at dx 0.1 against dx 0.01: ~9e-5 in the README case).
+    point, and the front that far over the slope, so ``speed_error`` is
+    finite only when |q| < 1.  The solve stops at the first step after four
+    plain displacements where the profile moved less than ``profile_tol``
+    and ``speed_error`` is below ``speed_tol``.  ``speed_error`` says
+    nothing of the grid's own error (speed at dx 0.1 against dx 0.01: ~9e-5
+    in the README case).
     The start is the logistic ramp of width ``RAMP_WIDTH``
     (``step_initial_data``) on the grid the solve runs on.  The ramp is
     snapped as every step's clamp snaps its output: values within the
@@ -468,7 +469,7 @@ def find_bistable_wave(
                 speed_error = max(abs(correction), abs(speed - previous), drift)
         history.speed_errors.append(speed_error)
         # speed_error bounds the Aitken correction from above
-        if sup_diff < opts.profile_tol and abs(rate) < 1.0 and speed_error < opts.speed_tol:
+        if sup_diff < opts.profile_tol and speed_error < opts.speed_tol:
             break
         if mixer is not None:
             mixer.step(G, Gf)

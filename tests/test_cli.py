@@ -232,6 +232,16 @@ class TestSubcommands:
         assert {"H1-admissible", "A1-translation", "A3-order-preserving",
                 "A5-bistability", "A6-counter-propagation"} <= names
 
+    @pytest.mark.parametrize("wide", [["kernel2.sigma=2.0"], ["kernel.sigma=3.0"]],
+                             ids=["sigma2-2", "sigma-3"])
+    def test_validate_keeps_an_axiom_interior_for_wide_kernels(self, config_path, capsys, wide):
+        # a kernel wider than sigma = 1.3 at dx = 0.1 has a margin of more
+        # than 100 cells, which left no interior on the L = 10 grid (exit 2)
+        assert main(["validate", "--config", str(config_path), "--set", *wide]) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        passed = {row["check"]: row["passed"] for row in rows}
+        assert passed["A1-translation"] == passed["A3-order-preserving"] == "true"
+
     def test_validate_names_violated_clause(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(BASE_CONFIG.replace("model.r1 = 0.5", "model.r1 = 1.5"))

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from statistics import NormalDist
 
 import numpy as np
@@ -149,6 +150,92 @@ class TestMgf:
         for mu in np.linspace(-3, 3, 25):
             if abs(mu) > 1e-9:
                 assert kernel.mgf(mu) > 1.0
+
+
+# exponents x = (halfwidth) mu from 1e-8, where both moments cancel in
+# closed form, to 50, where sinh and coth are far from their series
+_TILT_X = [float(x) for x in np.geomspace(1e-8, 50.0, 12)]
+
+
+def _decimal_tilted_moments(offsets, densities, mu):
+    """(mean, variance) of sum_i d_i exp(mu y_i) delta(y - y_i) in Decimal.
+
+    The caller's context sets the digits; each mirror pair shares one exp."""
+    mu = Decimal(mu)
+    weights = []
+    for y, d in zip(offsets, densities):
+        e = (mu * Decimal(abs(y))).exp()
+        weights.append((Decimal(y), Decimal(d) * (e if y >= 0 else 1 / e)))
+    mass = sum(w for _, w in weights)
+    mean = sum(y * w for y, w in weights) / mass
+    return mean, sum((y - mean) ** 2 * w for y, w in weights) / mass
+
+
+def _decimal_uniform_moments(halfwidth, mu):
+    """a (coth x - 1/x) and a^2 (1/x^2 - 1/sinh^2 x), x = a mu, in Decimal."""
+    a = Decimal(halfwidth)
+    x = a * Decimal(mu)
+    e = x.exp()
+    sinh, cosh = (e - 1 / e) / 2, (e + 1 / e) / 2
+    return a * (cosh / sinh - 1 / x), a * a * (1 / (x * x) - 1 / (sinh * sinh))
+
+
+def _relative_error(got, exact):
+    return abs(Decimal(got) / exact - 1)
+
+
+class TestTiltedMoments:
+    @pytest.mark.parametrize("halfwidth", [0.5, 1.0, 3.0])
+    def test_uniform_against_decimal(self, halfwidth):
+        # 80 working digits: the closed forms lose up to 25 of them to
+        # cancellation at x = 1e-8 and still carry more than 40
+        kernel = UniformKernel(halfwidth)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            for x in _TILT_X:
+                mu = x / halfwidth
+                mean, variance = kernel.tilted_moments(mu)
+                exact_mean, exact_variance = _decimal_uniform_moments(halfwidth, mu)
+                assert _relative_error(mean, exact_mean) <= Decimal("1e-13"), x
+                assert _relative_error(variance, exact_variance) <= Decimal("1e-13"), x
+                # odd and even in mu
+                assert kernel.tilted_moments(-mu) == (-mean, variance)
+
+    @pytest.mark.parametrize("halfwidth", [0.5, 3.0])
+    def test_table_against_decimal(self, halfwidth):
+        kernel = triangular_table(halfwidth, n=21)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            for x in _TILT_X:
+                mu = x / halfwidth
+                mean, variance = kernel.tilted_moments(mu)
+                exact_mean, exact_variance = _decimal_tilted_moments(
+                    kernel.offsets.tolist(), kernel.densities.tolist(), mu)
+                assert _relative_error(mean, exact_mean) <= Decimal("1e-13"), x
+                assert _relative_error(variance, exact_variance) <= Decimal("1e-13"), x
+
+    def test_gaussian_closed_form(self):
+        assert GaussianKernel(2.0).tilted_moments(0.75) == (3.0, 4.0)
+
+    @pytest.mark.parametrize("kernel", [GaussianKernel(1.0), UniformKernel(1.0)],
+                             ids=["gauss", "unif"])
+    def test_centred_at_zero_with_the_kernel_variance(self, kernel):
+        mean, variance = kernel.tilted_moments(0.0)
+        assert mean == 0.0
+        ys = np.linspace(-kernel.truncation_radius(), kernel.truncation_radius(), 400_001)
+        assert variance == pytest.approx(
+            np.trapezoid(ys * ys * kernel.density(ys), ys), rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "kernel,mu", [(GaussianKernel(1.0), 60.0), (UniformKernel(1.0), 800.0),
+                      (triangular_table(), 800.0), (GaussianKernel(1.0), math.nan),
+                      (UniformKernel(1.0), math.nan), (triangular_table(), math.nan)],
+        ids=["gauss", "unif", "tri", "gauss-nan", "unif-nan", "tri-nan"])
+    def test_overflow_where_the_mgf_overflows(self, kernel, mu):
+        with pytest.raises(RangeError, match=f"mu={mu}"):
+            kernel.mgf(mu)
+        with pytest.raises(RangeError, match=f"mu={mu}"):
+            kernel.tilted_moments(mu)
 
 
 class TestMass:

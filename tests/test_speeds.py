@@ -27,12 +27,30 @@ from rickerwaves import (
     scalar_speed,
     system_speed_bound,
 )
-from rickerwaves.errors import SearchError
+from rickerwaves.errors import RangeError, SearchError
 from rickerwaves.model import ORIGINAL_FRAME
-from rickerwaves.speeds import _coefficients, _minimize_positive
+from rickerwaves.speeds import _minimize_positive
 
 from conftest import random_admissible
 from test_kernels import triangular_table
+
+
+def _decimal_uniform_root(r):
+    """x* solving x coth x - 1 - ln(sinh x / x) = r, the stationarity
+    condition of the uniform kernel in x = halfwidth mu, by bisection in
+    40-digit decimal arithmetic (the left side increases with x)."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        rate, lo, hi = Decimal(r), Decimal("1e-3"), Decimal(20)
+        for _ in range(120):
+            x = (lo + hi) / 2
+            e = x.exp()
+            sinh, cosh = (e - 1 / e) / 2, (e + 1 / e) / 2
+            if x * cosh / sinh - 1 - (sinh / x).ln() < rate:
+                lo = x
+            else:
+                hi = x
+        return (lo + hi) / 2
 
 
 class TestScalarSpeed:
@@ -63,7 +81,16 @@ class TestScalarSpeed:
         # refinement of the objective derivative
         report = scalar_speed(0.5, UniformKernel(1.0))
         assert report.value == pytest.approx(0.54746062375647, abs=1e-12)
-        assert report.mu_star == pytest.approx(2.05924057068149, abs=1e-6)
+        assert report.mu_star == pytest.approx(2.05924057068149, abs=1e-12)
+
+    @pytest.mark.parametrize("halfwidth", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("r", [1e-3, 0.01, 0.2, 0.5, 0.9])
+    def test_uniform_minimizer_is_the_decimal_root(self, r, halfwidth):
+        # mu* solves the stationarity condition mu K'(mu) = r + K(mu), with
+        # K = ln(sinh x / x) and x = halfwidth mu
+        report = scalar_speed(r, UniformKernel(halfwidth))
+        exact = _decimal_uniform_root(r) / Decimal(halfwidth)
+        assert abs(Decimal(report.mu_star) / exact - 1) <= Decimal("1e-11")
 
     @pytest.mark.parametrize("r", [1e-16, 1e-13])
     def test_minimum_below_the_mu_floor_raises(self, r):
@@ -88,6 +115,8 @@ class TestScalarSpeed:
         kernel = GaussianKernel(1.0)
 
         class Probe:
+            tilted_moments = kernel.tilted_moments
+
             def mgf(self, mu):
                 seen.append(mu)
                 return kernel.mgf(mu)
@@ -124,10 +153,12 @@ class TestScalarSpeed:
                 assert report.value <= dense + 1e-12
 
     def test_curve_is_recorded(self):
-        report = scalar_speed(0.5, UniformKernel(1.0))
-        assert len(report.curve) > 10
-        mus = [mu for mu, _ in report.curve]
-        assert mus == sorted(mus)
+        # one (mu, objective) pair per MGF call, sorted by mu, holding the minimum
+        kernel = _CountingKernel(UniformKernel(1.0))
+        report = scalar_speed(0.5, kernel)
+        assert len(report.curve) == kernel.calls
+        assert report.curve == sorted(report.curve)
+        assert (report.mu_star, report.value) in report.curve
         # a closed form evaluates nothing: its curve is the one minimum
         report = scalar_speed(0.5, GaussianKernel(2.0))
         assert report.curve == [(report.mu_star, report.value)] == [(0.5, 2.0)]
@@ -282,18 +313,10 @@ def test_shared_gaussian_interior_speed_is_the_closed_form(rng, sigma):
             4.0 * sys.float_info.epsilon / report.mu_star)
 
 
-def _array_speed_bound(p, kernel1, kernel2):
-    """The interior search on a 2x2 array B_mu per evaluation: the reference
-    the float objective of system_speed_bound must match bit for bit."""
-    coefficients = _coefficients(p)
-
-    def perron_root(mu):
-        b = coefficients * np.array([kernel1.mgf(mu), kernel2.mgf(mu)])
-        return eigenvalues_2x2(b)[0]
-
-    lambda0 = perron_root(0.0)
-    mu_star, value, curve = _minimize_positive(lambda mu: math.log(perron_root(mu)) / mu)
-    return value, mu_star, curve, lambda0
+def _array_objective(p, kernel1, kernel2, mu):
+    """ln lambda(B_mu)/mu from the 2x2 array of linearization_matrix: the
+    reference the float objective of system_speed_bound must match bit for bit."""
+    return math.log(eigenvalues_2x2(linearization_matrix(p, kernel1, kernel2, mu))[0]) / mu
 
 
 _KERNEL_FAMILIES = {"gaussian": GaussianKernel, "uniform": UniformKernel,
@@ -316,19 +339,20 @@ def test_float_objective_is_the_array_objective_bit_for_bit(r1, r2, a1, a2, fami
     for k2 in (make(w2), make(w1)) if family == "table" else (make(w2),):
         assert k1 != k2
         report = system_speed_bound(p, k1, k2)
-        value, mu_star, curve, lambda0 = _array_speed_bound(p, k1, k2)
+        lambda0 = eigenvalues_2x2(linearization_matrix(p, k1, k2, 0.0))[0]
         # float.hex tells apart any two doubles
-        assert [float(x).hex() for x in (report.value, report.mu_star, report.lambda0)] == [
-            float(x).hex() for x in (value, mu_star, lambda0)]
-        assert [(mu.hex(), f.hex()) for mu, f in report.curve] == [
-            (mu.hex(), float(f).hex()) for mu, f in curve]
+        assert [report.value.hex(), report.lambda0.hex()] == [
+            _array_objective(p, k1, k2, report.mu_star).hex(), float(lambda0).hex()]
+        assert [f.hex() for _, f in report.curve] == [
+            _array_objective(p, k1, k2, mu).hex() for mu, _ in report.curve]
 
 
 class _CountingKernel:
-    """A kernel that counts its MGF evaluations."""
+    """A kernel that counts its MGF evaluations, and hides its family."""
 
     def __init__(self, kernel):
         self.kernel = kernel
+        self.tilted_moments = kernel.tilted_moments
         self.calls = 0
 
     def mgf(self, mu):
@@ -346,13 +370,36 @@ def test_shared_kernel_searches_the_scalar_objective_at_ln_lambda0(params):
     assert shared.calls == len(report.curve) + 2
     rho = math.log(report.lambda0)
     assert (report.mu_star, report.value, report.curve) == _minimize_positive(
-        lambda mu: (rho + math.log(kernel.mgf(mu))) / mu)
+        lambda mu: ((rho + math.log(kernel.mgf(mu))) / mu, *kernel.tilted_moments(mu)),
+        rho, kernel.tilted_moments(0.0)[1])
     # two distinct wrappers search the 2x2 objective to the same minimum
     k1, k2 = _CountingKernel(kernel), _CountingKernel(kernel)
     separate = system_speed_bound(params, k1, k2)
     assert k1.calls == k2.calls == len(separate.curve) + 1
     assert separate.lambda0 == report.lambda0
     assert report.value == pytest.approx(separate.value, rel=1e-14)
+
+
+@pytest.mark.parametrize("family", ["uniform", "table", "gaussian-pair"])
+def test_searches_take_at_most_ten_evaluations(rng, family):
+    # the speed_map box (rates 0.2-0.8, competition 1.5-3.5, halfwidths
+    # 0.5-3), triangular tables as wide, and two distinct Gaussians of sigma
+    # 0.5-2, each search counted by its MGF calls; lambda0 takes one call
+    # of each kernel
+    for _ in range(25):
+        p = random_admissible(rng, r_lo=0.2, r_hi=0.8, a_lo=1.5, a_hi=3.5)
+        if family == "gaussian-pair":
+            k1, k2 = (_CountingKernel(GaussianKernel(float(rng.uniform(0.5, 2.0))))
+                      for _ in range(2))
+            report = system_speed_bound(p, k1, k2)
+            assert len(report.curve) == k1.calls - 1 <= 10
+            continue
+        width = float(rng.uniform(0.5, 3.0))
+        kernel = _CountingKernel(UniformKernel(width) if family == "uniform"
+                                 else triangular_table(width))
+        assert len(scalar_speed(p.r1, kernel).curve) == kernel.calls <= 10
+        kernel.calls = 0
+        assert len(system_speed_bound(p, kernel, kernel).curve) == kernel.calls - 2 <= 10
 
 
 class TestCounterPropagation:
@@ -476,10 +523,12 @@ class TestSearchRobustness:
         class DivergentObjective:
             def mgf(self, mu):
                 if mu > 1000.0:
-                    from rickerwaves.errors import RangeError
-
                     raise RangeError(f"overflow at mu={mu}")
                 return math.exp(-0.5 * mu)  # log-mgf decreasing: objective falls
+
+            def tilted_moments(self, mu):
+                self.mgf(mu)
+                return -0.5, 0.0  # the derivatives of ln M = -mu/2
 
         with pytest.raises(SearchError):
             scalar_speed(0.5, DivergentObjective())
@@ -490,19 +539,23 @@ class TestSearchRobustness:
             def mgf(self, mu):
                 return 1.0
 
+            def tilted_moments(self, mu):
+                return 0.0, 0.0
+
         with pytest.raises(SearchError):
             scalar_speed(0.5, PointMass())
 
     @pytest.mark.parametrize("sigma", [0.01, 40.0, 100.0])
     def test_wide_and_narrow_gaussians_keep_the_closed_form(self, sigma):
-        # the MGF overflows at mu = 1 for sigma > 37.6 and at mu = 2 for
-        # sigma > 18.8: the bracket halves mu rather than failing.  The
-        # probe hides the family, so the search runs instead of the formula
-        class GaussianMgf:
-            mgf = GaussianKernel(sigma).mgf
-
-        report = scalar_speed(0.5, GaussianMgf())
-        assert len(report.curve) > 10
+        # the MGF overflows at mu = 1 for sigma > 37.6; the search starts at
+        # the quadratic model's minimizer, for a Gaussian the closed form
+        # itself.  The probe hides the family, so the search runs instead of
+        # the formula
+        kernel = _CountingKernel(GaussianKernel(sigma))
+        report = scalar_speed(0.5, kernel)
+        assert len(report.curve) == kernel.calls > 1
+        assert report.curve == sorted(report.curve)
+        assert (report.mu_star, report.value) in report.curve
         assert report.value == pytest.approx(sigma * math.sqrt(2.0 * 0.5), rel=1e-12)
 
     def test_wide_uniform_kernel_scales_the_unit_speed(self):
@@ -522,6 +575,7 @@ class TestSearchRobustness:
 
         class NanPast:
             calls = 0
+            tilted_moments = kernel.tilted_moments
 
             def mgf(self, mu):
                 self.calls += 1
