@@ -1,8 +1,8 @@
 """Two-species Ricker competition on a 1-D line.
 
 Simulation of the dispersal-growth recursion, variational spreading
-speeds of its monostable subsystems, desk-scale verification of the
-monotone-operator properties, and location of the monotone front
+speeds of its monostable subsystems, checks of the hypotheses the
+monotone-operator theory rests on, and location of the monotone front
 connecting the two stable states.
 """
 
@@ -22,7 +22,6 @@ from .evolution import (
     Grid,
     SpatialState,
     apply_Q,
-    axiom_errors,
     compare,
     constant_state,
     convolve_extended,

@@ -34,7 +34,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -441,41 +441,3 @@ def interior_slice(grid: Grid, margin_cells: int) -> slice:
         )
     return slice(margin_cells, grid.n_points - margin_cells)
 
-
-def _random_state(grid: Grid, rng) -> SpatialState:
-    return SpatialState(
-        grid=grid,
-        frame=TRANSFORMED_FRAME,
-        U=rng.uniform(0.0, 1.0, grid.n_points),
-        V=rng.uniform(0.0, 1.0, grid.n_points),
-    )
-
-
-def axiom_errors(p: ModelParams, dk1: DiscreteKernel, dk2: DiscreteKernel, grid: Grid,
-                 rng, shifts=(7,), pairs: int = 200) -> tuple:
-    """Randomized checks of (A1) translation commutation and (A3) order preservation.
-
-    Returns (a1_err, a3_worst): the worst interior sup error of translate(Q(s), j)
-    against Q(translate(s, j)) over the shifts, and the largest entry of
-    Q(lo) - Q(hi) over random ordered pairs lo <= hi (positive only when order
-    is violated).  ``rng`` draws one state per shift, then two per pair.
-    """
-    margin = max(dk1.half_width, dk2.half_width)
-    a1_err = 0.0
-    for j in shifts:
-        state = _random_state(grid, rng)
-        path_a = translate(apply_Q(state, p, dk1, dk2), j)
-        path_b = apply_Q(translate(state, j), p, dk1, dk2)
-        win = interior_slice(grid, margin + abs(j))
-        a1_err = max(a1_err, float(np.max(np.abs(path_a.fields[:, win] - path_b.fields[:, win]))))
-
-    a3_worst = 0.0
-    for _ in range(pairs):
-        s1 = _random_state(grid, rng)
-        s2 = _random_state(grid, rng)
-        lo = np.minimum(s1.fields, s2.fields)
-        hi = np.maximum(s1.fields, s2.fields)
-        q_lo = apply_Q(replace(s1, U=lo[0], V=lo[1]), p, dk1, dk2)
-        q_hi = apply_Q(replace(s1, U=hi[0], V=hi[1]), p, dk1, dk2)
-        a3_worst = max(a3_worst, float(np.max(q_lo.fields - q_hi.fields)))
-    return a1_err, a3_worst

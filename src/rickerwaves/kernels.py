@@ -91,15 +91,20 @@ class GaussianKernel(Kernel):
         s = self.sigma
         return np.exp(-0.5 * (y / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
 
-    def mgf(self, mu: float) -> float:
-        arg = 0.5 * (self.sigma * mu) ** 2
+    def _log_mgf(self, mu: float) -> float:
+        # |sigma mu| is bounded before the power, which raises OverflowError
+        # rather than giving inf once it passes ~1.3e154
+        s = self.sigma * mu
+        arg = 0.5 * s ** 2 if abs(s) <= _EXP_ARG_MAX else math.inf
         if not arg <= _EXP_ARG_MAX:
             raise RangeError(f"gaussian MGF overflows at mu={mu}")
-        return math.exp(arg)
+        return arg
+
+    def mgf(self, mu: float) -> float:
+        return math.exp(self._log_mgf(mu))
 
     def tilted_moments(self, mu: float) -> tuple:
-        if not 0.5 * (self.sigma * mu) ** 2 <= _EXP_ARG_MAX:
-            raise RangeError(f"gaussian MGF overflows at mu={mu}")
+        self._log_mgf(mu)
         variance = self.sigma * self.sigma
         return variance * mu, variance
 

@@ -166,11 +166,11 @@ def scalar_speed(r: float, kernel: Kernel) -> SpeedReport:
     return SpeedReport(value=value, mu_star=mu_star, curve=curve, method="scalar-formula")
 
 
-def _coefficients(p: ModelParams) -> np.ndarray:
-    """B_mu with its columns not yet scaled by the kernel MGFs (M1, M2)."""
+def _coefficients(p: ModelParams) -> tuple:
+    """Rows of B_mu with its columns not yet scaled by the kernel MGFs (M1, M2)."""
     k1, k2 = coexistence_coordinates(p)
-    return np.array([[1.0 - p.r1 * k1, p.a1 * p.r1 * k1],
-                     [p.a2 * p.r2 * k2, 1.0 - p.r2 * k2]])
+    return ((1.0 - p.r1 * k1, p.a1 * p.r1 * k1),
+            (p.a2 * p.r2 * k2, 1.0 - p.r2 * k2))
 
 
 def linearization_matrix(
@@ -184,7 +184,7 @@ def linearization_matrix(
     validate_params(p)
     if mu < 0.0:
         raise DomainError(f"exponent mu must be nonnegative, got {mu}")
-    return _coefficients(p) * np.array([kernel1.mgf(mu), kernel2.mgf(mu)])
+    return np.array(_coefficients(p)) * np.array([kernel1.mgf(mu), kernel2.mgf(mu)])
 
 
 def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> SpeedReport:
@@ -205,7 +205,7 @@ def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> Spee
     two derivatives of ln lambda from the kernels' tilted moments.
     """
     validate_params(p)
-    (c11, c12), (c21, c22) = _coefficients(p).tolist()
+    (c11, c12), (c21, c22) = _coefficients(p)
     mgf1, mgf2 = kernel1.mgf, kernel2.mgf
     moments1, moments2 = kernel1.tilted_moments, kernel2.tilted_moments
     log, sqrt = math.log, math.sqrt

@@ -14,7 +14,6 @@ from rickerwaves import (
     Grid,
     ModelParams,
     SpatialState,
-    axiom_errors,
     convolve_extended,
     counter_propagation,
     discretize,
@@ -34,6 +33,8 @@ from rickerwaves import (
     WaveOptions,
 )
 from rickerwaves.model import ORIGINAL_FRAME, TRANSFORMED_FRAME
+
+from conftest import axiom_errors
 
 P_STD = ModelParams(r1=0.5, r2=0.5, a1=2.0, a2=3.0)
 GAUSS = GaussianKernel(sigma=1.0)

@@ -18,7 +18,9 @@ from rickerwaves import (
     GaussianKernel,
     ModelParams,
     WaveOptions,
+    evolution,
     find_bistable_wave,
+    kernels,
     model,
     speeds,
     waves,
@@ -241,6 +243,23 @@ class TestSubcommands:
         _, rows = parse_csv(capsys.readouterr().out)
         passed = {row["check"]: row["passed"] for row in rows}
         assert passed["A1-translation"] == passed["A3-order-preserving"] == "true"
+
+    def test_validate_steps_no_state_and_discretizes_no_kernel(self, config_path, capsys,
+                                                               monkeypatch):
+        # A1 and A3 follow from (H1) and the lattice convolution, so the
+        # rows stand without a grid, a discretized kernel or a step of Q
+        main(["validate", "--config", str(config_path)])
+        _, expected = parse_csv(capsys.readouterr().out)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("validate must not reach this")
+
+        monkeypatch.setattr(evolution, "apply_Q", refuse)
+        monkeypatch.setattr(kernels, "discretize", refuse)
+        assert main(["validate", "--config", str(config_path)]) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert [(row["check"], row["passed"]) for row in rows] == [
+            (row["check"], row["passed"]) for row in expected]
 
     def test_validate_names_violated_clause(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -624,10 +643,10 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_validate_deterministic_with_seed(self, config_path, capsys):
-        main(["validate", "--config", str(config_path), "--seed", "7"])
+    def test_identical_validate_runs_are_byte_identical(self, config_path, capsys):
+        main(["validate", "--config", str(config_path)])
         first = capsys.readouterr().out
-        main(["validate", "--config", str(config_path), "--seed", "7"])
+        main(["validate", "--config", str(config_path)])
         second = capsys.readouterr().out
         assert first == second
 
@@ -670,8 +689,8 @@ ASYMMETRIC_TABLE_VALIDATE_STDOUT = (
     "H3-symmetric-kernel1,true,input table was asymmetric; symmetrized on construction\n"
     "H2-finite-mgf-kernel2,true,\n"
     "H3-symmetric-kernel2,true,input table was asymmetric; symmetrized on construction\n"
-    "A1-translation,true,interior sup error 0\n"
-    "A3-order-preserving,true,worst violation 0\n"
+    "A1-translation,true,a lattice convolution commutes with whole-cell shifts\n"
+    "A3-order-preserving,true,holds by (H1) and nonnegative weights\n"
     "A5-bistability,true,delta 0.5; intermediates unordered True\n"
     "A6-counter-propagation,true,edge sum 0.791289453992; interior sum 0.48598199955\n"
 )
@@ -818,7 +837,7 @@ class TestImport:
 
 # the flags each subcommand takes besides --config and --set
 SUBCOMMAND_FLAGS = {
-    "validate": {"--seed"},
+    "validate": set(),
     "equilibria": set(),
     "speeds": {"--out", "--curve"},
     "simulate": {"--out"},
@@ -840,8 +859,8 @@ class TestParserSurface:
                    for name, sub in subparsers.choices.items()}
         assert surface == {name: {"--config", "--set"} | flags
                            for name, flags in SUBCOMMAND_FLAGS.items()}
-        assert len(set().union(*surface.values())) == 6
-        assert sum(len(flags) for flags in surface.values()) == 18
+        assert len(set().union(*surface.values())) == 5
+        assert sum(len(flags) for flags in surface.values()) == 17
 
     @pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
     @pytest.mark.parametrize("sub", sorted(SUBCOMMAND_FLAGS))

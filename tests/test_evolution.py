@@ -14,7 +14,6 @@ from rickerwaves import (
     SpatialState,
     UniformKernel,
     apply_Q,
-    axiom_errors,
     change_coordinates,
     compare,
     constant_state,
@@ -30,14 +29,7 @@ from rickerwaves import evolution
 from rickerwaves.evolution import MAX_GRID_POINTS, _fft_length
 from rickerwaves.model import ORIGINAL_FRAME, TRANSFORMED_FRAME
 
-
-def random_transformed(grid, rng):
-    return SpatialState(
-        grid=grid,
-        frame=TRANSFORMED_FRAME,
-        U=rng.uniform(0.0, 1.0, grid.n_points),
-        V=rng.uniform(0.0, 1.0, grid.n_points),
-    )
+from conftest import axiom_errors, random_transformed
 
 
 def ordered_pair(grid, rng):

@@ -229,8 +229,10 @@ class TestTiltedMoments:
     @pytest.mark.parametrize(
         "kernel,mu", [(GaussianKernel(1.0), 60.0), (UniformKernel(1.0), 800.0),
                       (triangular_table(), 800.0), (GaussianKernel(1.0), math.nan),
-                      (UniformKernel(1.0), math.nan), (triangular_table(), math.nan)],
-        ids=["gauss", "unif", "tri", "gauss-nan", "unif-nan", "tri-nan"])
+                      (UniformKernel(1.0), math.nan), (triangular_table(), math.nan),
+                      (GaussianKernel(1e160), 1.0)],
+        ids=["gauss", "unif", "tri", "gauss-nan", "unif-nan", "tri-nan",
+             "gauss-sigma-mu-past-float-square"])
     def test_overflow_where_the_mgf_overflows(self, kernel, mu):
         with pytest.raises(RangeError, match=f"mu={mu}"):
             kernel.mgf(mu)

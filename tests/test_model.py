@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rickerwaves import (
     CertificateError,
@@ -109,6 +111,35 @@ class TestGrowth:
     def test_unknown_frame_rejected(self, params):
         with pytest.raises(DomainError):
             growth(params, 0.5, 0.5, "Original")
+
+
+# admissible (H1) rates up to 1 - 1e-9 and competition coefficients, and the
+# unit square as a 65 x 65 lattice, corners included
+_rate = st.floats(1e-6, 1.0 - 1e-9)
+_coefficient = st.floats(1.0 + 1e-9, 20.0)
+_LATTICE = np.linspace(0.0, 1.0, 65)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@example(r1=1.0 - 1e-9, r2=1.0 - 1e-9, a1=20.0, a2=20.0)
+@given(r1=_rate, r2=_rate, a1=_coefficient, a2=_coefficient)
+def test_cooperative_growth_is_monotone_under_h1(r1, r2, a1, a2):
+    # what makes apply_Q order-preserving (A3): the new U is one minus the
+    # dispersed gu and the new V the dispersed gv, and nonnegative weights
+    # keep the order of what they average.  The U-derivative of gu is
+    # e^(...) (r1 (1 - U) - 1) and the V-derivative of gv is e^(...) (1 - r2 V),
+    # so the margin vanishes as r -> 1 at U = 0 and at V = 1
+    U, V = np.meshgrid(_LATTICE, _LATTICE, indexing="ij")
+    gu, gv = growth(ModelParams(r1, r2, a1, a2), U, V, TRANSFORMED_FRAME)
+    for image in (1.0 - gu, gv):
+        assert np.all(np.diff(image, axis=0) >= 0.0)  # in U
+        assert np.all(np.diff(image, axis=1) >= 0.0)  # in V
+
+
+def test_cooperative_growth_loses_order_past_r_one():
+    # r1 = 1.5 leaves (H1): gu rises in U below U = 1 - 1/r1
+    gu, _ = growth(ModelParams(1.5, 0.5, 2.0, 3.0), _LATTICE, 0.0, TRANSFORMED_FRAME)
+    assert np.any(np.diff(1.0 - gu) < 0.0)
 
 
 class TestChangeCoordinates:

@@ -558,6 +558,14 @@ class TestSearchRobustness:
         assert (report.mu_star, report.value) in report.curve
         assert report.value == pytest.approx(sigma * math.sqrt(2.0 * 0.5), rel=1e-12)
 
+    def test_a_gaussian_too_wide_for_the_float_square_ends_in_a_named_error(self):
+        # past sigma mu ~ 1.3e154 the float square raises OverflowError; the
+        # MGF raises RangeError there, the search takes it as too far right,
+        # and the minimizer, near 1/sigma, lies below the mu floor
+        with pytest.raises(SearchError, match="mu floor"):
+            system_speed_bound(ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1e160),
+                               GaussianKernel(1.0))
+
     def test_wide_uniform_kernel_scales_the_unit_speed(self):
         # sinh(a mu)/(a mu) overflows for a mu > 709; the speed of halfwidth
         # a is a times that of halfwidth 1
