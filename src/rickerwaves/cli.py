@@ -222,7 +222,6 @@ class CheckResult:
 @dataclass
 class RunReport:
     checks: list = field(default_factory=list)
-    artifacts: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
 
     def add(self, name: str, ok: bool, detail: str = "") -> None:
@@ -390,13 +389,12 @@ def cmd_speeds(cfg: ExperimentConfig, out, args) -> RunReport:
 
     if args.curve:
         for name, sr in named:
-            path = write_csv(
+            write_csv(
                 Path(args.out) / f"curve_{name}.csv",
                 cfg.digest,
                 ("mu", "objective"),
                 np.array(sr.curve).T,
             )
-            report.artifacts.append(path)
 
     report.add("counter-propagation", cp.passed,
                f"edge {_fmt(cp.sum_edge)}; interior {_fmt(cp.sum_interior)}")
@@ -437,13 +435,12 @@ def cmd_simulate(cfg: ExperimentConfig, out, args) -> RunReport:
     report.timings["simulate"] = time.perf_counter() - t0
 
     for snap in trajectory:
-        path = write_csv(
+        write_csv(
             Path(args.out) / f"sim_step_{snap.step:05d}.csv",
             cfg.digest,
             ("x", "U", "V"),
             (grid.x, snap.U, snap.V),
         )
-        report.artifacts.append(path)
 
     final = trajectory[-1]
     emit_csv(
@@ -480,13 +477,12 @@ def cmd_wave(cfg: ExperimentConfig, out, args) -> RunReport:
         phi = 1.0 - phi
 
     if args.out:
-        path = write_csv(
+        write_csv(
             Path(args.out) / "wave_profile.csv",
             cfg.digest,
             ("x", "phi", "psi"),
             (wp.grid.x, phi, psi),
         )
-        report.artifacts.append(path)
 
     emit_csv(
         out, cfg.digest,
@@ -505,7 +501,7 @@ def cmd_wave(cfg: ExperimentConfig, out, args) -> RunReport:
 
     # a grid too coarse for a kernel shows as a discrete MGF that departs
     # from the continuous one at the rate the profile tails decay
-    errors = [dk.mgf(wp.decay_rate) / k.mgf(wp.decay_rate) - 1.0
+    errors = [dk.moments(wp.decay_rate)[0] / k.moments(wp.decay_rate)[0] - 1.0
               for dk, k in zip(wp.discrete_kernels, (cfg.kernel1, cfg.kernel2))]
     report.add(
         "wave-kernel-resolved",

@@ -1,5 +1,4 @@
-"""Dispersal kernels: densities, moment generating functions and tilted
-moments, discretization.
+"""Dispersal kernels: densities, moments, discretization.
 
 Built-in families are the Gaussian (closed-form MGF, finite for every
 exponent) and the symmetric uniform density on [-a, a].  Arbitrary tabulated
@@ -50,22 +49,18 @@ MAX_GRID_POINTS = 10**7
 class Kernel:
     """Symmetric dispersal density with unit mass and an MGF.
 
-    Subclasses give the density, the MGF and the radius holding all but
+    Subclasses give the density, the moments and the radius holding all but
     DEFAULT_TRUNCATION of the mass (the support radius itself for compactly
     supported densities).
     """
 
-    family = "abstract"
-
     def density(self, y):
         raise NotImplementedError
 
-    def mgf(self, mu: float) -> float:
-        raise NotImplementedError
-
-    def tilted_moments(self, mu: float) -> tuple:
-        """(mean, variance) of the density tilted by exp(mu y): the first two
-        derivatives of ln M at mu.  Raises RangeError where ``mgf`` does."""
+    def moments(self, mu: float) -> tuple:
+        """(M, mean, variance) at mu: the MGF M(mu), and the mean and variance
+        of the density tilted by exp(mu y), which are the first two
+        derivatives of ln M.  Raises RangeError where M overflows."""
         raise NotImplementedError
 
     def truncation_radius(self) -> float:
@@ -80,33 +75,27 @@ class Kernel:
 @dataclass(frozen=True)
 class GaussianKernel(Kernel):
     sigma: float
-    family = "gaussian"
 
     def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ParameterError(f"gaussian sigma must be positive, got {self.sigma}")
+        # the variance sigma^2 must be a float too
+        if not (self.sigma > 0 and math.isfinite(self.sigma * self.sigma)):
+            raise ParameterError(
+                f"gaussian sigma must be positive with a finite square, got {self.sigma}")
 
     def density(self, y):
         y = np.asarray(y, dtype=float)
         s = self.sigma
         return np.exp(-0.5 * (y / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
 
-    def _log_mgf(self, mu: float) -> float:
+    def moments(self, mu: float) -> tuple:
         # |sigma mu| is bounded before the power, which raises OverflowError
         # rather than giving inf once it passes ~1.3e154
         s = self.sigma * mu
         arg = 0.5 * s ** 2 if abs(s) <= _EXP_ARG_MAX else math.inf
         if not arg <= _EXP_ARG_MAX:
             raise RangeError(f"gaussian MGF overflows at mu={mu}")
-        return arg
-
-    def mgf(self, mu: float) -> float:
-        return math.exp(self._log_mgf(mu))
-
-    def tilted_moments(self, mu: float) -> tuple:
-        self._log_mgf(mu)
         variance = self.sigma * self.sigma
-        return variance * mu, variance
+        return math.exp(arg), variance * mu, variance
 
     def truncation_radius(self) -> float:
         # two-sided tail mass outside [-R, R] is 2*Phi(-R/sigma), and
@@ -117,43 +106,38 @@ class GaussianKernel(Kernel):
 @dataclass(frozen=True)
 class UniformKernel(Kernel):
     halfwidth: float
-    family = "uniform"
 
     def __post_init__(self):
-        if not (self.halfwidth > 0 and math.isfinite(self.halfwidth)):
+        # the variance a^2 / 3 must be a float too
+        if not (self.halfwidth > 0 and math.isfinite(self.halfwidth * self.halfwidth)):
             raise ParameterError(
-                f"uniform halfwidth must be positive, got {self.halfwidth}"
+                f"uniform halfwidth must be positive with a finite square, got {self.halfwidth}"
             )
 
     def density(self, y):
         y = np.asarray(y, dtype=float)
         return np.where(np.abs(y) <= self.halfwidth, 0.5 / self.halfwidth, 0.0)
 
-    def mgf(self, mu: float) -> float:
-        a = self.halfwidth
-        if mu == 0.0:
-            return 1.0
-        if not abs(a * mu) <= _EXP_ARG_MAX:
-            raise RangeError(f"uniform MGF overflows at mu={mu}")
-        return math.sinh(a * mu) / (a * mu)
-
-    def tilted_moments(self, mu: float) -> tuple:
-        # with x = a mu: a (coth x - 1/x) and a^2 (1/x^2 - 1/sinh^2 x), which
-        # cancel as x -> 0; below _SERIES_X their Taylor series, to within
-        # 5e-15 relative of both
+    def moments(self, mu: float) -> tuple:
+        # with x = a mu: M = sinh x / x, and the mean and variance
+        # a (coth x - 1/x) and a^2 (1/x^2 - 1/sinh^2 x), which cancel as
+        # x -> 0; below _SERIES_X their Taylor series, to within 5e-15
+        # relative of both
         a = self.halfwidth
         x = a * mu
         if not abs(x) <= _EXP_ARG_MAX:
             raise RangeError(f"uniform MGF overflows at mu={mu}")
+        sinh = math.sinh(x)
+        mgf = sinh / x if x else 1.0
         if abs(x) < _SERIES_X:
             z = x * x
             mean = variance = 0.0
             for c_mean, c_variance in _LANGEVIN_SERIES:
                 mean = mean * z + c_mean
                 variance = variance * z + c_variance
-            return a * x * mean, a * a * variance
-        sinh = math.sinh(x)
-        return a * (1.0 / math.tanh(x) - 1.0 / x), a * a * (1.0 / (x * x) - 1.0 / (sinh * sinh))
+            return mgf, a * x * mean, a * a * variance
+        return (mgf, a * (1.0 / math.tanh(x) - 1.0 / x),
+                a * a * (1.0 / (x * x) - 1.0 / (sinh * sinh)))
 
     def truncation_radius(self) -> float:
         return self.halfwidth
@@ -183,9 +167,10 @@ class TableKernel(Kernel):
     offsets: np.ndarray
     densities: np.ndarray
     compactly_supported: bool = True
-    # set on construction: whether the input table was asymmetric
+    # set on construction: whether the input table was asymmetric, and the
+    # step h of the offsets h * (-J..J), so offsets[j] == (j - J) * spacing
     symmetrized: bool = field(default=False, init=False)
-    family = "table"
+    spacing: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         offsets = np.asarray(self.offsets, dtype=float)
@@ -218,37 +203,39 @@ class TableKernel(Kernel):
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "densities", sym)
         object.__setattr__(self, "symmetrized", was_asymmetric)
-
-    @property
-    def spacing(self) -> float:
-        return float(self.offsets[1] - self.offsets[0])
+        object.__setattr__(self, "spacing", float(h))
 
     def density(self, y):
         y = np.asarray(y, dtype=float)
         return np.interp(y, self.offsets, self.densities, left=0.0, right=0.0)
 
-    def mgf(self, mu: float) -> float:
-        arg = mu * self.offsets
-        if not np.max(arg) <= _EXP_ARG_MAX:
-            raise RangeError(f"table MGF overflows at mu={mu}")
-        return float(self.spacing * np.sum(self.densities * np.exp(arg)))
-
-    def tilted_moments(self, mu: float) -> tuple:
-        # three weighted sums: the mass, the first moment with each mirror pair
-        # folded into one sinh (the pairs cancel as mu -> 0), and the centred
-        # second moment, whose terms are all nonnegative
-        arg = mu * self.offsets
-        if not np.max(arg) <= _EXP_ARG_MAX:
-            raise RangeError(f"table MGF overflows at mu={mu}")
-        weights = self.densities * np.exp(arg)
-        mass = np.sum(weights)
-        centre = self.offsets.size // 2
-        y, density = self.offsets[centre + 1:], self.densities[centre + 1:]
-        mean = 2.0 * np.sum(density * y * np.sinh(mu * y)) / mass
-        return float(mean), float(np.sum(weights * (self.offsets - mean) ** 2) / mass)
+    def moments(self, mu: float) -> tuple:
+        mass, mean, variance = _lattice_moments(self.offsets, self.densities, mu, "table")
+        return self.spacing * mass, mean, variance
 
     def truncation_radius(self) -> float:
         return float(self.offsets[-1])
+
+
+def _lattice_moments(offsets: np.ndarray, weights: np.ndarray, mu: float, name: str) -> tuple:
+    """(sum of w e^(mu y), mean, variance) of weights w at offsets y that are
+    exact mirrors about their centre entry.
+
+    Three weighted sums: the tilted mass, the first moment with each mirror
+    pair folded into one sinh (the pairs cancel as mu -> 0), and the centred
+    second moment, whose terms are all nonnegative.  A |mu| above
+    _EXP_ARG_MAX / max(y) raises RangeError, so that quotient itself, where
+    ``waves._decay_rate`` may start, is always a safe exponent.
+    """
+    if not abs(mu) <= _EXP_ARG_MAX / offsets[-1]:
+        raise RangeError(f"{name} MGF overflows at mu={mu}")
+    # ndarray.sum skips np.sum's dispatch, which outweighs a short sum
+    tilted = weights * np.exp(mu * offsets)
+    mass = float(tilted.sum())
+    centre = offsets.size // 2
+    y = offsets[centre + 1:]
+    mean = float(2.0 * (weights[centre + 1:] * y * np.sinh(mu * y)).sum() / mass)
+    return mass, mean, float((tilted * (offsets - mean) ** 2).sum() / mass)
 
 
 _SHAPE_PARAMETERS = ("sigma", "halfwidth", "offsets", "densities", "compactly_supported")
@@ -303,12 +290,10 @@ class DiscreteKernel:
         """J: weights span cells -J..J."""
         return (len(self.weights) - 1) // 2
 
-    def mgf(self, mu: float) -> float:
-        j = np.arange(-self.half_width, self.half_width + 1)
-        arg = mu * j * self.dx
-        if not np.max(arg) <= _EXP_ARG_MAX:
-            raise RangeError(f"discrete MGF overflows at mu={mu}")
-        return float(np.sum(self.weights * np.exp(arg)))
+    def moments(self, mu: float) -> tuple:
+        """(M, mean, variance) of the weights at offsets j dx, as ``Kernel.moments``."""
+        offsets = self.dx * np.arange(-self.half_width, self.half_width + 1)
+        return _lattice_moments(offsets, self.weights, mu, "discrete")
 
 
 def discretize(kernel: Kernel, dx: float) -> DiscreteKernel:

@@ -21,10 +21,11 @@ every entry of B_mu is a positive constant times a log-convex MGF.  So the
 minimizer is the one root of the nondecreasing F(mu) = mu g'(mu) - g(mu),
 and a safeguarded Newton iteration on F, from the minimizer of the quadratic
 model of g at 0 (the Gaussian closed form), finds it in a few evaluations:
-at most 6 for rates 0.2-0.8 and kernel widths 0.5-3.  g' and g'' come from
-the kernels' ``tilted_moments``.  Each evaluation is one closure call on
-Python floats.  The matrix objective makes the same IEEE operations, in the
-same order, as on the array of ``linearization_matrix``, through the
+at most 6 for rates 0.2-0.8 and kernel widths 0.5-3.  Each evaluation is
+one closure call on Python floats, which makes one ``moments`` call per
+kernel: M and the first two derivatives of ln M, so g' and g'' as well.
+The matrix objective makes the same IEEE operations, in the same order, as
+on the array of ``linearization_matrix``, through the
 characteristic-polynomial arithmetic that ``model.eigenvalues_2x2`` uses as
 well.  An edge speed depends only on (r, kernel), so a sweep hands
 ``counter_propagation`` one memo and computes each distinct edge speed once.
@@ -146,13 +147,13 @@ def _scalar_minimum(rho: float, kernel: Kernel) -> tuple:
         root = math.sqrt(2.0 * rho)
         mu_star, value = root / kernel.sigma, kernel.sigma * root
         return mu_star, value, [(mu_star, value)]
-    log, mgf, moments = math.log, kernel.mgf, kernel.tilted_moments
+    log, moments = math.log, kernel.moments
 
     def objective(mu):
-        value = (rho + log(mgf(mu))) / mu
-        return (value, *moments(mu))
+        mgf, mean, variance = moments(mu)
+        return (rho + log(mgf)) / mu, mean, variance
 
-    return _minimize_positive(objective, rho, moments(0.0)[1])
+    return _minimize_positive(objective, rho, moments(0.0)[2])
 
 
 def scalar_speed(r: float, kernel: Kernel) -> SpeedReport:
@@ -184,7 +185,8 @@ def linearization_matrix(
     validate_params(p)
     if mu < 0.0:
         raise DomainError(f"exponent mu must be nonnegative, got {mu}")
-    return np.array(_coefficients(p)) * np.array([kernel1.mgf(mu), kernel2.mgf(mu)])
+    return np.array(_coefficients(p)) * np.array(
+        [kernel1.moments(mu)[0], kernel2.moments(mu)[0]])
 
 
 def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> SpeedReport:
@@ -202,22 +204,21 @@ def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> Spee
     MGFs as floats and takes the Perron root through
     ``model.trace_and_discriminant``, bit for bit the root that
     ``eigenvalues_2x2`` gives for ``linearization_matrix``, and the first
-    two derivatives of ln lambda from the kernels' tilted moments.
+    two derivatives of ln lambda from the kernels' tilted moments; each
+    kernel's three numbers come from one ``moments`` call.
     """
     validate_params(p)
     (c11, c12), (c21, c22) = _coefficients(p)
-    mgf1, mgf2 = kernel1.mgf, kernel2.mgf
-    moments1, moments2 = kernel1.tilted_moments, kernel2.tilted_moments
+    moments1, moments2 = kernel1.moments, kernel2.moments
     log, sqrt = math.log, math.sqrt
 
-    def perron(mu, m1, m2):
+    def perron(m1, e1, v1, m2, e2, v2):
         # lambda(B_mu) through model.trace_and_discriminant, with g' and g'' of
         # g = ln lambda from the first two derivatives of tr and disc, where
         # M' = M mean and M'' = M (variance + mean^2)
         tr, disc = trace_and_discriminant(c11 * m1, c12 * m2, c21 * m1, c22 * m2)
         root = sqrt(disc)
         lam = 0.5 * (tr + root)
-        (e1, v1), (e2, v2) = moments1(mu), moments2(mu)
         d1, d2 = m1 * e1, m2 * e2
         s1, s2 = m1 * (v1 + e1 * e1), m2 * (v2 + e2 * e2)
         diff, d_diff, s_diff = c11 * m1 - c22 * m2, c11 * d1 - c22 * d2, c11 * s1 - c22 * s2
@@ -231,10 +232,11 @@ def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> Spee
         return lam, slope, 0.5 * (c11 * s1 + c22 * s2 + s_root) / lam - slope * slope
 
     def objective(mu):
-        lam, slope, curvature = perron(mu, mgf1(mu), mgf2(mu))
+        lam, slope, curvature = perron(*moments1(mu), *moments2(mu))
         return log(lam) / mu, slope, curvature
 
-    m1, m2 = mgf1(0.0), mgf2(0.0)
+    at_zero = (*moments1(0.0), *moments2(0.0))
+    m1, m2 = at_zero[0], at_zero[3]
     lambda0 = eigenvalues_2x2(((c11 * m1, c12 * m2), (c21 * m1, c22 * m2)))[0]
     if not lambda0 > 1.0:
         raise DegenerateDataError(
@@ -243,7 +245,7 @@ def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> Spee
         mu_star, value, curve = _scalar_minimum(log(lambda0), kernel1)
     else:
         mu_star, value, curve = _minimize_positive(
-            objective, log(lambda0), perron(0.0, m1, m2)[2])
+            objective, log(lambda0), perron(*at_zero)[2])
     return SpeedReport(
         value=value, mu_star=mu_star, curve=curve, method="matrix-eigenvalue",
         lambda0=lambda0,

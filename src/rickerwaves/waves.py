@@ -266,14 +266,11 @@ def _decay_rate(log_alpha: float, dk: DiscreteKernel, speed: float) -> float:
     safe exponent is returned if the root lies beyond it (a slower rate,
     so a longer grid).
     """
-    x = dk.dx * np.arange(-dk.half_width, dk.half_width + 1)
-
     def value_and_slope(lam):
-        terms = dk.weights * np.exp(lam * x)
-        m = float(np.sum(terms))
-        return log_alpha + math.log(m) + lam * speed, float(np.dot(terms, x)) / m + speed
+        m, mean, _ = dk.moments(lam)
+        return log_alpha + math.log(m) + lam * speed, mean + speed
 
-    lam = min(-log_alpha / speed, _EXP_ARG_MAX / x[-1])
+    lam = min(-log_alpha / speed, _EXP_ARG_MAX / (dk.dx * dk.half_width))
     g, slope = value_and_slope(lam)
     if g <= 0.0:
         return lam

@@ -159,7 +159,7 @@ def test_criterion_5_matrix_eigenvalue():
         k2 = GaussianKernel(float(rng.uniform(0.3, 2.0)))
         for mu in np.arange(0.0, 3.01, 0.5):
             lam = eigenvalues_2x2(linearization_matrix(p, k1, k2, mu))[0]
-            floor = min(k1.mgf(mu), k2.mgf(mu))
+            floor = min(k1.moments(mu)[0], k2.moments(mu)[0])
             if not (lam > floor and lam > 1.0):
                 failures.append(f"{p} mu={mu}: lambda {lam} <= min-MGF {floor} or <= 1")
     report(5, "lambda(B_0)=1.2 and dominance bounds on 20 random draws", failures)

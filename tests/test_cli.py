@@ -17,6 +17,8 @@ from rickerwaves import (
     ConfigError,
     GaussianKernel,
     ModelParams,
+    TableKernel,
+    UniformKernel,
     WaveOptions,
     evolution,
     find_bistable_wave,
@@ -132,9 +134,8 @@ class TestLoadConfig:
         path = tmp_path / "two.cfg"
         path.write_text(BASE_CONFIG + "kernel2.family = uniform\nkernel2.halfwidth = 0.5\n")
         cfg = load_config(path)
-        assert cfg.kernel1.family == "gaussian"
-        assert cfg.kernel2.family == "uniform"
-        assert cfg.kernel2.halfwidth == 0.5
+        assert cfg.kernel1 == GaussianKernel(1.0)
+        assert cfg.kernel2 == UniformKernel(0.5)
 
     def test_table_kernel_from_file(self, tmp_path):
         offsets = np.linspace(-1, 1, 21)
@@ -146,7 +147,7 @@ class TestLoadConfig:
             .replace("kernel.sigma = 1.0", "kernel.table_path = kern.txt")
         )
         cfg = load_config(path)
-        assert cfg.kernel1.family == "table"
+        assert isinstance(cfg.kernel1, TableKernel)
 
     def test_missing_table_file_names_kernel_and_path(self, tmp_path):
         path = tmp_path / "tbl.cfg"
@@ -539,6 +540,12 @@ class TestSubcommands:
         assert code == 2
         assert f"error: solver {name} must be positive and finite" in capsys.readouterr().err
         assert steps == []
+
+    @pytest.mark.parametrize("width", ["kernel.sigma=1e160", "kernel.halfwidth=1e160"])
+    def test_a_kernel_width_whose_square_overflows_exits_2(self, config_path, capsys, width):
+        family = ["--set", "kernel.family=uniform"] if "halfwidth" in width else []
+        assert main(["speeds", "--config", str(config_path), *family, "--set", width]) == 2
+        assert "must be positive with a finite square, got 1e+160" in capsys.readouterr().err
 
     @pytest.mark.parametrize("dx", ["1e-300", "5e-324"])
     def test_wave_dx_too_fine_for_any_grid_is_named(self, config_path, capsys, dx):

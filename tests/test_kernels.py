@@ -4,6 +4,8 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc, erfcinv
 
 from rickerwaves import (
@@ -30,7 +32,7 @@ def triangular_table(halfwidth=1.0, n=101):
 class TestMakeKernel:
     def test_gaussian_total_mass(self):
         k = make_kernel("gaussian", sigma=1.0)
-        assert k.mgf(0.0) == 1.0
+        assert k.moments(0.0)[0] == 1.0
 
     def test_uniform_density_values(self):
         k = make_kernel("uniform", halfwidth=1.0)
@@ -75,6 +77,15 @@ class TestMakeKernel:
         with pytest.raises(ParameterError):
             make_kernel("cauchy", gamma=1.0)
 
+    @pytest.mark.parametrize("make", [GaussianKernel, UniformKernel], ids=["gauss", "unif"])
+    def test_a_width_whose_square_overflows_is_rejected(self, make):
+        # the variance needs width * width, which is inf past ~1.34e154
+        with pytest.raises(ParameterError, match="finite square, got 1e.160"):
+            make(1e160)
+
+    def test_a_width_whose_square_is_a_float_has_finite_moments(self):
+        assert GaussianKernel(1e150).moments(0.0) == (1.0, 0.0, 1e150 * 1e150)
+
     def test_missing_shape_parameter_named(self):
         with pytest.raises(ParameterError, match="gaussian kernel needs shape parameter 'sigma'"):
             make_kernel("gaussian")
@@ -106,20 +117,23 @@ class TestMakeKernel:
 
 
 class TestMgf:
+    """M(mu), the first of the three numbers ``moments`` returns."""
+
     def test_gaussian_at_zero(self):
-        assert GaussianKernel(1.0).mgf(0.0) == 1.0
+        assert GaussianKernel(1.0).moments(0.0)[0] == 1.0
 
     def test_gaussian_closed_form(self):
-        assert GaussianKernel(1.0).mgf(1.0) == pytest.approx(math.exp(0.5), abs=1e-12)
+        assert GaussianKernel(1.0).moments(1.0)[0] == pytest.approx(math.exp(0.5), abs=1e-12)
 
     def test_uniform_closed_form(self):
-        assert UniformKernel(1.0).mgf(2.0) == pytest.approx(math.sinh(2.0) / 2.0, abs=1e-12)
+        assert UniformKernel(1.0).moments(2.0)[0] == pytest.approx(
+            math.sinh(2.0) / 2.0, abs=1e-12)
 
     def test_overflow_names_mu(self):
         with pytest.raises(RangeError, match="mu=60"):
-            GaussianKernel(1.0).mgf(60.0)
+            GaussianKernel(1.0).moments(60.0)
         with pytest.raises(RangeError):
-            UniformKernel(1.0).mgf(800.0)
+            UniformKernel(1.0).moments(800.0)
 
     @pytest.mark.parametrize(
         "kernel",
@@ -129,7 +143,7 @@ class TestMgf:
     )
     def test_nan_exponent_names_mu(self, kernel):
         with pytest.raises(RangeError, match="mu=nan"):
-            kernel.mgf(math.nan)
+            kernel.moments(math.nan)
 
     @pytest.mark.parametrize(
         "kernel",
@@ -138,7 +152,7 @@ class TestMgf:
     )
     def test_symmetric_in_mu(self, kernel):
         for mu in range(-3, 4):
-            assert kernel.mgf(mu) == pytest.approx(kernel.mgf(-mu), abs=1e-10)
+            assert kernel.moments(mu)[0] == pytest.approx(kernel.moments(-mu)[0], abs=1e-10)
 
     @pytest.mark.parametrize(
         "kernel",
@@ -146,10 +160,10 @@ class TestMgf:
         ids=["gauss", "unif", "tri"],
     )
     def test_at_least_one_with_equality_only_at_zero(self, kernel):
-        assert kernel.mgf(0.0) == pytest.approx(1.0, abs=1e-12)
+        assert kernel.moments(0.0)[0] == pytest.approx(1.0, abs=1e-12)
         for mu in np.linspace(-3, 3, 25):
             if abs(mu) > 1e-9:
-                assert kernel.mgf(mu) > 1.0
+                assert kernel.moments(mu)[0] > 1.0
 
 
 # exponents x = (halfwidth) mu from 1e-8, where both moments cancel in
@@ -158,7 +172,7 @@ _TILT_X = [float(x) for x in np.geomspace(1e-8, 50.0, 12)]
 
 
 def _decimal_tilted_moments(offsets, densities, mu):
-    """(mean, variance) of sum_i d_i exp(mu y_i) delta(y - y_i) in Decimal.
+    """(mass, mean, variance) of sum_i d_i exp(mu y_i) delta(y - y_i) in Decimal.
 
     The caller's context sets the digits; each mirror pair shares one exp."""
     mu = Decimal(mu)
@@ -168,7 +182,7 @@ def _decimal_tilted_moments(offsets, densities, mu):
         weights.append((Decimal(y), Decimal(d) * (e if y >= 0 else 1 / e)))
     mass = sum(w for _, w in weights)
     mean = sum(y * w for y, w in weights) / mass
-    return mean, sum((y - mean) ** 2 * w for y, w in weights) / mass
+    return mass, mean, sum((y - mean) ** 2 * w for y, w in weights) / mass
 
 
 def _decimal_uniform_moments(halfwidth, mu):
@@ -185,6 +199,9 @@ def _relative_error(got, exact):
 
 
 class TestTiltedMoments:
+    """The mean and variance of the tilted kernel, the last two numbers of
+    ``moments``."""
+
     @pytest.mark.parametrize("halfwidth", [0.5, 1.0, 3.0])
     def test_uniform_against_decimal(self, halfwidth):
         # 80 working digits: the closed forms lose up to 25 of them to
@@ -194,34 +211,43 @@ class TestTiltedMoments:
             ctx.prec = 80
             for x in _TILT_X:
                 mu = x / halfwidth
-                mean, variance = kernel.tilted_moments(mu)
+                _, mean, variance = kernel.moments(mu)
                 exact_mean, exact_variance = _decimal_uniform_moments(halfwidth, mu)
                 assert _relative_error(mean, exact_mean) <= Decimal("1e-13"), x
                 assert _relative_error(variance, exact_variance) <= Decimal("1e-13"), x
                 # odd and even in mu
-                assert kernel.tilted_moments(-mu) == (-mean, variance)
+                assert kernel.moments(-mu)[1:] == (-mean, variance)
 
+    @pytest.mark.parametrize("discretized", [False, True], ids=["table", "discrete"])
     @pytest.mark.parametrize("halfwidth", [0.5, 3.0])
-    def test_table_against_decimal(self, halfwidth):
+    def test_table_against_decimal(self, halfwidth, discretized):
+        # a table's moments, and those of its weights at its own spacing,
+        # which the discrete kernel sums at offsets j dx without the spacing
         kernel = triangular_table(halfwidth, n=21)
+        offsets, weights, scale = kernel.offsets, kernel.densities, kernel.spacing
+        if discretized:
+            kernel = discretize(kernel, kernel.spacing)
+            offsets = kernel.dx * np.arange(-kernel.half_width, kernel.half_width + 1)
+            weights, scale = kernel.weights, 1.0
         with localcontext() as ctx:
             ctx.prec = 80
             for x in _TILT_X:
                 mu = x / halfwidth
-                mean, variance = kernel.tilted_moments(mu)
-                exact_mean, exact_variance = _decimal_tilted_moments(
-                    kernel.offsets.tolist(), kernel.densities.tolist(), mu)
+                mgf, mean, variance = kernel.moments(mu)
+                exact_mass, exact_mean, exact_variance = _decimal_tilted_moments(
+                    offsets.tolist(), weights.tolist(), mu)
+                assert _relative_error(mgf, Decimal(scale) * exact_mass) <= Decimal("1e-13"), x
                 assert _relative_error(mean, exact_mean) <= Decimal("1e-13"), x
                 assert _relative_error(variance, exact_variance) <= Decimal("1e-13"), x
 
     def test_gaussian_closed_form(self):
-        assert GaussianKernel(2.0).tilted_moments(0.75) == (3.0, 4.0)
+        assert GaussianKernel(2.0).moments(0.75) == (math.exp(1.125), 3.0, 4.0)
 
     @pytest.mark.parametrize("kernel", [GaussianKernel(1.0), UniformKernel(1.0)],
                              ids=["gauss", "unif"])
     def test_centred_at_zero_with_the_kernel_variance(self, kernel):
-        mean, variance = kernel.tilted_moments(0.0)
-        assert mean == 0.0
+        mgf, mean, variance = kernel.moments(0.0)
+        assert (mgf, mean) == (1.0, 0.0)
         ys = np.linspace(-kernel.truncation_radius(), kernel.truncation_radius(), 400_001)
         assert variance == pytest.approx(
             np.trapezoid(ys * ys * kernel.density(ys), ys), rel=1e-6)
@@ -230,14 +256,32 @@ class TestTiltedMoments:
         "kernel,mu", [(GaussianKernel(1.0), 60.0), (UniformKernel(1.0), 800.0),
                       (triangular_table(), 800.0), (GaussianKernel(1.0), math.nan),
                       (UniformKernel(1.0), math.nan), (triangular_table(), math.nan),
-                      (GaussianKernel(1e160), 1.0)],
+                      (GaussianKernel(1e150), 1e10)],
         ids=["gauss", "unif", "tri", "gauss-nan", "unif-nan", "tri-nan",
              "gauss-sigma-mu-past-float-square"])
     def test_overflow_where_the_mgf_overflows(self, kernel, mu):
+        # sigma mu = 1e160 would overflow the float square itself
         with pytest.raises(RangeError, match=f"mu={mu}"):
-            kernel.mgf(mu)
-        with pytest.raises(RangeError, match=f"mu={mu}"):
-            kernel.tilted_moments(mu)
+            kernel.moments(mu)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(halfwidth=st.floats(0.1, 10.0),
+       half=st.lists(st.floats(0.01, 1.0), min_size=6, max_size=40))
+def test_a_table_and_its_discretization_share_their_moments(halfwidth, half):
+    # half holds the centre density and those to its right; at the table's
+    # own spacing the weights are the densities times the spacing, up to
+    # roundoff, which the discrete kernel sums without the spacing.  The
+    # centred variance carries an absolute error near (eps halfwidth)^2, so
+    # a relative comparison needs the tilted mass spread over more than one
+    # offset: positive densities within a factor 100 of each other, on at
+    # least five offsets a side, keep mu * spacing <= 10
+    table = TableKernel(np.linspace(-halfwidth, halfwidth, 2 * len(half) - 1),
+                        np.array(half[:0:-1] + half))
+    dk = discretize(table, table.spacing)
+    mus = np.geomspace(1e-8, 50.0 / halfwidth, 12)
+    for mu in [*mus, *-mus]:
+        assert dk.moments(mu) == pytest.approx(table.moments(mu), rel=1e-13, abs=0.0), mu
 
 
 class TestMass:
@@ -326,14 +370,23 @@ class TestDiscretize:
         assert dk.half_width == 20
         assert dk.weights[0] == dk.weights[-1] == pytest.approx(0.0125, rel=1e-13)
         assert np.allclose(dk.weights[1:-1], 0.025, rtol=1e-13, atol=0.0)
-        err = dk.mgf(1.0) / k.mgf(1.0) - 1.0
+        err = dk.moments(1.0)[0] / k.moments(1.0)[0] - 1.0
         assert 0.0 < err <= 1e-3
-        assert 0.0 < discretize(k, 0.01).mgf(1.0) / k.mgf(1.0) - 1.0 <= 1e-5
+        assert 0.0 < discretize(k, 0.01).moments(1.0)[0] / k.moments(1.0)[0] - 1.0 <= 1e-5
         # off the grid: a = 0.56 reaches 0.01 into the cell [0.55, 0.65]
         dk = discretize(UniformKernel(0.56), 0.1)
         assert dk.half_width == 6
         assert dk.weights[0] == pytest.approx(0.01 / 1.12, rel=1e-12)
         assert dk.weights[1] == pytest.approx(0.1 / 1.12, rel=1e-12)
+
+    def test_a_table_at_its_own_spacing_keeps_its_end_cells(self):
+        # the offsets are built from linspace's step 0.22499999999999998; the
+        # difference of the first two offsets is 0.2250000000000001, and five
+        # of those passed the last offset, where the density reads 0
+        table = TableKernel(np.linspace(-1.125, 1.125, 11), np.ones(11))
+        assert np.array_equal(table.offsets, table.spacing * np.arange(-5, 6))
+        dk = discretize(table, table.spacing)
+        assert np.allclose(dk.weights, 1.0 / 11.0, rtol=1e-15, atol=0.0)
 
     def test_degenerate_spacing_rejected(self):
         with pytest.raises(DegenerateKernelError):
@@ -359,10 +412,10 @@ class TestDiscretize:
         g = GaussianKernel(1.0)
         dk12 = discretize(g, 0.1)
         mus = np.arange(-3.0, 3.001, 0.25)
-        rel = max(abs(dk12.mgf(m) - g.mgf(m)) / g.mgf(m) for m in mus)
-        assert rel < 2e-5
-        inner = [m for m in mus if abs(m) <= 1.5]
-        assert max(abs(dk12.mgf(m) - g.mgf(m)) for m in inner) < 1e-6
+        pairs = [(dk12.moments(m)[0], g.moments(m)[0]) for m in mus]
+        assert max(abs(d - c) / c for d, c in pairs) < 2e-5
+        inner = [pair for m, pair in zip(mus, pairs) if abs(m) <= 1.5]
+        assert max(abs(d - c) for d, c in inner) < 1e-6
 
 
 def heavy_tailed_table():

@@ -15,6 +15,7 @@ from rickerwaves import (
     Grid,
     MeasurementError,
     ModelParams,
+    ParameterError,
     SpatialState,
     UniformKernel,
     counter_propagation,
@@ -111,22 +112,22 @@ class TestScalarSpeed:
             scalar_speed(1.5, GaussianKernel(1.0))
 
     def test_search_never_touches_nonpositive_mu(self):
+        # the first call, at mu = 0, gives the start's curvature g''(0)
         seen = []
         kernel = GaussianKernel(1.0)
 
         class Probe:
-            tilted_moments = kernel.tilted_moments
-
-            def mgf(self, mu):
+            def moments(self, mu):
                 seen.append(mu)
-                return kernel.mgf(mu)
+                return kernel.moments(mu)
 
         scalar_speed(0.5, Probe())
-        assert min(seen) > 0.0
+        assert seen[0] == 0.0
+        assert min(seen[1:]) > 0.0
 
     def test_objective_blows_up_near_zero(self):
         kernel = GaussianKernel(1.0)
-        tiny = (0.5 + math.log(kernel.mgf(1e-9))) / 1e-9
+        tiny = (0.5 + math.log(kernel.moments(1e-9)[0])) / 1e-9
         assert tiny > 1e8
 
     @pytest.mark.parametrize(
@@ -146,17 +147,18 @@ class TestScalarSpeed:
                 report = scalar_speed(r, kernel)
                 mu = report.mu_star
                 assert log_mgf(kernel, np.array([mu]))[0] == pytest.approx(
-                    math.log(kernel.mgf(mu)), rel=1e-13)
+                    math.log(kernel.moments(mu)[0]), rel=1e-13)
                 mus = np.linspace(1e-4, 4.0 * mu, 10_000)
                 dense = float(np.min((r + log_mgf(kernel, mus)) / mus))
                 assert abs(report.value - dense) <= 1e-6 * abs(report.value)
                 assert report.value <= dense + 1e-12
 
     def test_curve_is_recorded(self):
-        # one (mu, objective) pair per MGF call, sorted by mu, holding the minimum
+        # one (mu, objective) pair per moments call after the one at mu = 0,
+        # sorted by mu, holding the minimum
         kernel = _CountingKernel(UniformKernel(1.0))
         report = scalar_speed(0.5, kernel)
-        assert len(report.curve) == kernel.calls
+        assert len(report.curve) == kernel.calls - 1
         assert report.curve == sorted(report.curve)
         assert (report.mu_star, report.value) in report.curve
         # a closed form evaluates nothing: its curve is the one minimum
@@ -241,7 +243,7 @@ class TestSystemSpeedBound:
             k2 = GaussianKernel(float(rng.uniform(0.3, 2.0)))
             for mu in np.arange(0.0, 3.01, 0.5):
                 lam = eigenvalues_2x2(linearization_matrix(p, k1, k2, mu))[0]
-                assert lam > min(k1.mgf(mu), k2.mgf(mu))
+                assert lam > min(k1.moments(mu)[0], k2.moments(mu)[0])
                 assert lam > 1.0
 
     def test_positive_for_random_draws(self, rng):
@@ -348,16 +350,15 @@ def test_float_objective_is_the_array_objective_bit_for_bit(r1, r2, a1, a2, fami
 
 
 class _CountingKernel:
-    """A kernel that counts its MGF evaluations, and hides its family."""
+    """A kernel that counts its ``moments`` calls, and hides its family."""
 
     def __init__(self, kernel):
         self.kernel = kernel
-        self.tilted_moments = kernel.tilted_moments
         self.calls = 0
 
-    def mgf(self, mu):
+    def moments(self, mu):
         self.calls += 1
-        return self.kernel.mgf(mu)
+        return self.kernel.moments(mu)
 
 
 def test_shared_kernel_searches_the_scalar_objective_at_ln_lambda0(params):
@@ -366,13 +367,19 @@ def test_shared_kernel_searches_the_scalar_objective_at_ln_lambda0(params):
     kernel = UniformKernel(1.0)
     shared = _CountingKernel(kernel)
     report = system_speed_bound(params, shared, shared)
-    # one call per search evaluation, plus both columns of B_0 for lambda0
-    assert shared.calls == len(report.curve) + 2
+    # one call per search evaluation, plus three at mu = 0: both columns of
+    # B_0 for lambda0, and the curvature that starts the scalar search
+    assert shared.calls == len(report.curve) + 3
     rho = math.log(report.lambda0)
+
+    def objective(mu):
+        mgf, mean, variance = kernel.moments(mu)
+        return (rho + math.log(mgf)) / mu, mean, variance
+
     assert (report.mu_star, report.value, report.curve) == _minimize_positive(
-        lambda mu: ((rho + math.log(kernel.mgf(mu))) / mu, *kernel.tilted_moments(mu)),
-        rho, kernel.tilted_moments(0.0)[1])
-    # two distinct wrappers search the 2x2 objective to the same minimum
+        objective, rho, kernel.moments(0.0)[2])
+    # two distinct wrappers search the 2x2 objective to the same minimum,
+    # each called once per evaluation and once at mu = 0
     k1, k2 = _CountingKernel(kernel), _CountingKernel(kernel)
     separate = system_speed_bound(params, k1, k2)
     assert k1.calls == k2.calls == len(separate.curve) + 1
@@ -384,8 +391,8 @@ def test_shared_kernel_searches_the_scalar_objective_at_ln_lambda0(params):
 def test_searches_take_at_most_ten_evaluations(rng, family):
     # the speed_map box (rates 0.2-0.8, competition 1.5-3.5, halfwidths
     # 0.5-3), triangular tables as wide, and two distinct Gaussians of sigma
-    # 0.5-2, each search counted by its MGF calls; lambda0 takes one call
-    # of each kernel
+    # 0.5-2, each search counted by its moments calls; lambda0 takes one
+    # call of each kernel, and a scalar search one more for its start
     for _ in range(25):
         p = random_admissible(rng, r_lo=0.2, r_hi=0.8, a_lo=1.5, a_hi=3.5)
         if family == "gaussian-pair":
@@ -397,9 +404,9 @@ def test_searches_take_at_most_ten_evaluations(rng, family):
         width = float(rng.uniform(0.5, 3.0))
         kernel = _CountingKernel(UniformKernel(width) if family == "uniform"
                                  else triangular_table(width))
-        assert len(scalar_speed(p.r1, kernel).curve) == kernel.calls <= 10
+        assert len(scalar_speed(p.r1, kernel).curve) == kernel.calls - 1 <= 10
         kernel.calls = 0
-        assert len(system_speed_bound(p, kernel, kernel).curve) == kernel.calls - 2 <= 10
+        assert len(system_speed_bound(p, kernel, kernel).curve) == kernel.calls - 3 <= 10
 
 
 class TestCounterPropagation:
@@ -521,14 +528,12 @@ class TestSearchRobustness:
         # a fake kernel whose log-MGF decays keeps the objective falling, so
         # the doubling never brackets and runs into the overflow guard
         class DivergentObjective:
-            def mgf(self, mu):
+            def moments(self, mu):
                 if mu > 1000.0:
                     raise RangeError(f"overflow at mu={mu}")
-                return math.exp(-0.5 * mu)  # log-mgf decreasing: objective falls
-
-            def tilted_moments(self, mu):
-                self.mgf(mu)
-                return -0.5, 0.0  # the derivatives of ln M = -mu/2
+                # log-mgf decreasing: objective falls; -1/2 and 0 are the
+                # derivatives of ln M = -mu/2
+                return math.exp(-0.5 * mu), -0.5, 0.0
 
         with pytest.raises(SearchError):
             scalar_speed(0.5, DivergentObjective())
@@ -536,11 +541,8 @@ class TestSearchRobustness:
     def test_objective_falling_for_ever_raises(self):
         # a point mass never overflows: r/mu falls until mu itself overflows
         class PointMass:
-            def mgf(self, mu):
-                return 1.0
-
-            def tilted_moments(self, mu):
-                return 0.0, 0.0
+            def moments(self, mu):
+                return 1.0, 0.0, 0.0
 
         with pytest.raises(SearchError):
             scalar_speed(0.5, PointMass())
@@ -553,17 +555,20 @@ class TestSearchRobustness:
         # the formula
         kernel = _CountingKernel(GaussianKernel(sigma))
         report = scalar_speed(0.5, kernel)
-        assert len(report.curve) == kernel.calls > 1
+        assert len(report.curve) == kernel.calls - 1 > 1
         assert report.curve == sorted(report.curve)
         assert (report.mu_star, report.value) in report.curve
         assert report.value == pytest.approx(sigma * math.sqrt(2.0 * 0.5), rel=1e-12)
 
     def test_a_gaussian_too_wide_for_the_float_square_ends_in_a_named_error(self):
-        # past sigma mu ~ 1.3e154 the float square raises OverflowError; the
-        # MGF raises RangeError there, the search takes it as too far right,
-        # and the minimizer, near 1/sigma, lies below the mu floor
+        # a sigma whose square overflows is refused when the kernel is built;
+        # at sigma = 1e150 the MGF overflows (RangeError) at every mu from the
+        # floor up, the search takes that as too far right, and the
+        # minimizer, near 1/sigma, lies below the mu floor
+        with pytest.raises(ParameterError, match="finite square"):
+            GaussianKernel(1e160)
         with pytest.raises(SearchError, match="mu floor"):
-            system_speed_bound(ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1e160),
+            system_speed_bound(ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1e150),
                                GaussianKernel(1.0))
 
     def test_wide_uniform_kernel_scales_the_unit_speed(self):
@@ -583,12 +588,12 @@ class TestSearchRobustness:
 
         class NanPast:
             calls = 0
-            tilted_moments = kernel.tilted_moments
 
-            def mgf(self, mu):
+            def moments(self, mu):
                 self.calls += 1
                 assert self.calls < 2000, "the search does not stop"
-                return math.nan if mu > edge else kernel.mgf(mu)
+                mgf, mean, variance = kernel.moments(mu)
+                return math.nan if mu > edge else mgf, mean, variance
 
         for search in (lambda k: scalar_speed(0.5, k),
                        lambda k: system_speed_bound(ModelParams(0.5, 0.5, 2.0, 3.0), k, k)):
@@ -620,7 +625,7 @@ def test_speeds_match_an_independent_minimizer(r1, r2, a1, a2, family, w1, w2):
             eigenvalues_2x2(linearization_matrix(p, k1, kernel2, mu))[0]) / mu)
 
     objectives = [
-        (scalar_speed(r1, k1), lambda mu: (r1 + math.log(k1.mgf(mu))) / mu),
+        (scalar_speed(r1, k1), lambda mu: (r1 + math.log(k1.moments(mu)[0])) / mu),
         interior(k2),
     ]
     if family != "gaussian":

@@ -751,10 +751,21 @@ class TestWaveGrid:
         dk = discretize(GaussianKernel(sigma), 0.1)
         for log_alpha in (np.log(0.5), -1.0, -0.01):
             lam = waves._decay_rate(log_alpha, dk, speed)
-            assert log_alpha + np.log(dk.mgf(lam)) + lam * speed == pytest.approx(0.0, abs=1e-12)
+            assert log_alpha + np.log(dk.moments(lam)[0]) + lam * speed == pytest.approx(
+                0.0, abs=1e-12)
             # the Gaussian closed form, ln M = (sigma lam)^2 / 2
             exact = (-speed + np.sqrt(speed**2 - 2.0 * sigma**2 * log_alpha)) / sigma**2
             assert lam == pytest.approx(exact, rel=1e-9)
+
+    def test_decay_rate_may_start_at_the_overflow_cap(self):
+        # at speed 1e-6 the start -log_alpha/speed passes the largest safe
+        # exponent 709/(J dx), and 709/0.59 times 0.59 rounds to
+        # 709.0000000000001: the start sits on the MGF's own overflow bound
+        dk = discretize(UniformKernel(0.59), 0.01)
+        assert dk.half_width == 59
+        lam = waves._decay_rate(-0.5, dk, 1e-6)
+        assert 0.0 < lam < 709.0 / 0.59
+        assert -0.5 + np.log(dk.moments(lam)[0]) + lam * 1e-6 == pytest.approx(0.0, abs=1e-12)
 
     def test_slowest_corner_sets_the_rate(self):
         p = ModelParams(0.3, 0.7, 1.6, 3.2)
