@@ -23,7 +23,6 @@ from .evolution import (
     SpatialState,
     apply_Q,
     compare,
-    constant_state,
     convolve_extended,
     interior_slice,
     iterate,

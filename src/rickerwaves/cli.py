@@ -25,29 +25,21 @@ from .errors import CertificateError, ConfigError, DegenerateDataError, Paramete
 # configuration
 
 
-_KERNEL_KEYS = ("family", "sigma", "halfwidth", "table_path")
+_MODEL_KEYS = ("r1", "r2", "a1", "a2")
+
+# one kernel's keys and parsers, in each of the sections kernel, kernel1 and kernel2
+_KERNEL_KEYS = {"family": str, "sigma": float, "halfwidth": float, "table_path": str}
+
+_SWEEP_ORDER = (*_MODEL_KEYS, "sigma")
 
 _WAVE_DEFAULTS = waves.WaveOptions()
 
 # key -> (parser, default); None default means "required" or "unset"; the
 # library defaults are read from the modules that own them
 _KEY_SPEC = {
-    "model.r1": (float, None),
-    "model.r2": (float, None),
-    "model.a1": (float, None),
-    "model.a2": (float, None),
-    "kernel.family": (str, None),
-    "kernel.sigma": (float, None),
-    "kernel.halfwidth": (float, None),
-    "kernel.table_path": (str, None),
-    "kernel1.family": (str, None),
-    "kernel1.sigma": (float, None),
-    "kernel1.halfwidth": (float, None),
-    "kernel1.table_path": (str, None),
-    "kernel2.family": (str, None),
-    "kernel2.sigma": (float, None),
-    "kernel2.halfwidth": (float, None),
-    "kernel2.table_path": (str, None),
+    **{f"model.{name}": (float, None) for name in _MODEL_KEYS},
+    **{f"{section}.{name}": (parser, None) for section in ("kernel", "kernel1", "kernel2")
+       for name, parser in _KERNEL_KEYS.items()},
     "grid.L": (float, None),
     "grid.dx": (float, evolution.DEFAULT_DX),
     "solver.profile_tol": (float, _WAVE_DEFAULTS.profile_tol),
@@ -58,16 +50,10 @@ _KEY_SPEC = {
     "sim.init": (str, "step"),
     "sim.init_width": (float, 1.0),
     "sim.frame": (str, "transformed"),
-    "sweep.r1": ("floatlist", None),
-    "sweep.r2": ("floatlist", None),
-    "sweep.a1": ("floatlist", None),
-    "sweep.a2": ("floatlist", None),
-    "sweep.sigma": ("floatlist", None),
+    **{f"sweep.{name}": ("floatlist", None) for name in _SWEEP_ORDER},
 }
 
-_REQUIRED = ("model.r1", "model.r2", "model.a1", "model.a2", "kernel.family")
-
-_SWEEP_ORDER = ("r1", "r2", "a1", "a2", "sigma")
+_REQUIRED = (*(f"model.{name}" for name in _MODEL_KEYS), "kernel.family")
 
 
 def _parse_value(key: str, raw: str, where: str):
@@ -185,9 +171,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     kernel2 = kernel1 if entry2 == entry1 else _build_kernel(entry2, base_dir, "kernel2")
 
     cfg = ExperimentConfig(
-        params=model.ModelParams(
-            r1=get("model.r1"), r2=get("model.r2"), a1=get("model.a1"), a2=get("model.a2")
-        ),
+        params=model.ModelParams(**{name: get(f"model.{name}") for name in _MODEL_KEYS}),
         kernel1=kernel1,
         kernel2=kernel2,
         half_length=get("grid.L"),
@@ -235,10 +219,10 @@ class RunReport:
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format(value, ".12g")
     return str(value)
 
 
@@ -310,38 +294,34 @@ def cmd_validate(cfg: ExperimentConfig, out, args) -> RunReport:
                    if symmetrized else "")
     report.timings["hypotheses"] = time.perf_counter() - t0
 
-    if not admissible:
-        rows = [(c.name, c.ok, c.detail) for c in report.checks]
-        emit_csv(out, cfg.digest, ("check", "passed", "detail"), rows)
-        return report
+    # on admissible parameters only; A1 and A3 hold by construction, as H3 does:
+    # in the cooperative frame 1 - gu and gv rise in U and V when r1, r2 < 1
+    # (H1), and the weights are nonnegative cell masses on a uniform lattice
+    if admissible:
+        report.add("A1-translation", True, "a lattice convolution commutes with whole-cell shifts")
+        report.add("A3-order-preserving", True, "holds by (H1) and nonnegative weights")
 
-    # the operator axioms hold by construction, as H3 does: in the
-    # cooperative frame 1 - gu and gv rise in U and V when r1, r2 < 1 (H1),
-    # and the weights are nonnegative cell masses on a uniform lattice
-    report.add("A1-translation", True, "a lattice convolution commutes with whole-cell shifts")
-    report.add("A3-order-preserving", True, "holds by (H1) and nonnegative weights")
+        t0 = time.perf_counter()
+        try:
+            cert = model.strong_stability_vectors(cfg.params)
+            report.add(
+                "A5-bistability",
+                cert.f1_f2_unordered,
+                f"delta {_fmt(cert.delta)}; intermediates unordered {cert.f1_f2_unordered}",
+            )
+        except CertificateError as exc:  # reported, not raised
+            report.add("A5-bistability", False, str(exc))
+        report.timings["A5"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    try:
-        cert = model.strong_stability_vectors(cfg.params)
-        report.add(
-            "A5-bistability",
-            cert.f1_f2_unordered,
-            f"delta {_fmt(cert.delta)}; intermediates unordered {cert.f1_f2_unordered}",
-        )
-    except CertificateError as exc:  # reported, not raised
-        report.add("A5-bistability", False, str(exc))
-    report.timings["A5"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    try:
-        cp = speeds.counter_propagation(cfg.params, cfg.kernel1, cfg.kernel2)
-    except (DegenerateDataError, SearchError) as exc:  # reported, not raised
-        report.add("A6-counter-propagation", False, str(exc))
-    else:
-        report.add("A6-counter-propagation", cp.passed,
-                   f"edge sum {_fmt(cp.sum_edge)}; interior sum {_fmt(cp.sum_interior)}")
-    report.timings["A6"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        try:
+            cp = speeds.counter_propagation(cfg.params, cfg.kernel1, cfg.kernel2)
+        except (DegenerateDataError, SearchError) as exc:  # reported, not raised
+            report.add("A6-counter-propagation", False, str(exc))
+        else:
+            report.add("A6-counter-propagation", cp.passed,
+                       f"edge sum {_fmt(cp.sum_edge)}; interior sum {_fmt(cp.sum_interior)}")
+        report.timings["A6"] = time.perf_counter() - t0
 
     rows = [(c.name, c.ok, c.detail) for c in report.checks]
     emit_csv(out, cfg.digest, ("check", "passed", "detail"), rows)
@@ -515,7 +495,7 @@ def cmd_wave(cfg: ExperimentConfig, out, args) -> RunReport:
 def _sweep_cell(cfg: ExperimentConfig, combo: dict, edge_memo: dict):
     params = replace(
         cfg.params,
-        **{name: combo[name] for name in ("r1", "r2", "a1", "a2") if name in combo},
+        **{name: combo[name] for name in _MODEL_KEYS if name in combo},
     )
     kernel1, kernel2 = cfg.kernel1, cfg.kernel2
     if "sigma" in combo:
@@ -543,26 +523,18 @@ def cmd_sweep(cfg: ExperimentConfig, out, args) -> RunReport:
     results = [_sweep_cell(cfg, combo, edge_memo) for combo in combos]
     report.timings["sweep"] = time.perf_counter() - t0
 
-    rows = []
-    all_ok = True
-    for params, sigma, cp in results:
-        rows.append(
-            (
-                params.r1, params.r2, params.a1, params.a2,
-                sigma if sigma is not None else "",
-                cp.c_minus_F1F3.value, cp.c_plus_F0F1.value,
-                cp.c_minus_F2F3.value, cp.c_plus_F0F2.value,
-                cp.sum_edge, cp.sum_interior, cp.passed,
-            )
-        )
-        all_ok = all_ok and cp.passed
+    rows = [(params.r1, params.r2, params.a1, params.a2, "" if sigma is None else sigma,
+             cp.c_minus_F1F3.value, cp.c_plus_F0F1.value, cp.c_minus_F2F3.value,
+             cp.c_plus_F0F2.value, cp.sum_edge, cp.sum_interior, cp.passed)
+            for params, sigma, cp in results]
     header = (
         "r1", "r2", "a1", "a2", "sigma",
         "c_minus_F1F3", "c_plus_F0F1", "c_minus_F2F3", "c_plus_F0F2",
         "sum_edge", "sum_interior", "passed",
     )
     emit_csv(out, cfg.digest, header, rows)
-    report.add("sweep-counter-propagation", all_ok, f"{len(rows)} cells")
+    report.add("sweep-counter-propagation", all(cp.passed for _, _, cp in results),
+               f"{len(rows)} cells")
     return report
 
 
@@ -632,6 +604,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for check in report.checks:
+        if not check.ok:  # stdout holds the table; stderr says why a check failed
+            print(f"failed check {check.name}: {check.detail}", file=sys.stderr)
     return 0 if report.passed else 1
 
 

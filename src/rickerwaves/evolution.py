@@ -148,15 +148,6 @@ class SpatialState:
         return state
 
 
-def constant_state(grid: Grid, frame: str, point, step: int = 0) -> SpatialState:
-    """Spatially homogeneous state at the given point."""
-    u, v = point
-    n = grid.n_points
-    return SpatialState(
-        grid=grid, frame=frame, U=np.full(n, float(u)), V=np.full(n, float(v)), step=step
-    )
-
-
 # transform roundoff seeds the far field at ~1e-15; values below this
 # relative floor are flushed to zero so exact zeros propagate as they do
 # under direct summation (the zero state is unstable, so leftover noise

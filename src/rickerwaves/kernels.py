@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -290,10 +291,16 @@ class DiscreteKernel:
         """J: weights span cells -J..J."""
         return (len(self.weights) - 1) // 2
 
-    def moments(self, mu: float) -> tuple:
-        """(M, mean, variance) of the weights at offsets j dx, as ``Kernel.moments``."""
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """The offsets j dx of the weights, j = -J..J: built once, read-only."""
         offsets = self.dx * np.arange(-self.half_width, self.half_width + 1)
-        return _lattice_moments(offsets, self.weights, mu, "discrete")
+        offsets.flags.writeable = False
+        return offsets
+
+    def moments(self, mu: float) -> tuple:
+        """(M, mean, variance) of the weights at ``offsets``, as ``Kernel.moments``."""
+        return _lattice_moments(self.offsets, self.weights, mu, "discrete")
 
 
 def discretize(kernel: Kernel, dx: float) -> DiscreteKernel:

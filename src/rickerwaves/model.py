@@ -138,13 +138,11 @@ def coexistence_coordinates(p: ModelParams):
 
     Evaluated as (a1-1)/d, (a2-1)/d with d = a2 (a1-1) + (a2-1), which
     equals a1 a2 - 1 without the cancellation the naive form suffers when
-    a1 a2 is close to 1.
+    a1 a2 is close to 1.  For admissible parameters (H1) d is positive.
     """
     am1 = p.a1 - 1.0
     bm1 = p.a2 - 1.0
     denom = p.a2 * am1 + bm1
-    if denom == 0.0:
-        raise ParameterError("a1*a2 == 1: coexistence state is singular")
     return (am1 / denom, bm1 / denom)
 
 
@@ -302,28 +300,19 @@ def strong_stability_vectors(p: ModelParams) -> StabilityCertificate:
         (f1[0] <= f2[0] and f1[1] <= f2[1]) or (f1[0] >= f2[0] and f1[1] >= f2[1])
     )
 
-    chosen = None
-    table = []
     for k in range(1, STABILITY_MAX_LEVEL + 1):
         delta = 2.0 ** (-k)
         rows = []
-        all_ok = True
         for eta in (delta, delta / 2.0, delta / 4.0):
             low = (eta * e4[0], eta * e4[1])
             high = (1.0 - eta * e5[0], 1.0 - eta * e5[1])
             low_ok = _strictly_below(pointwise_map(p, low, TRANSFORMED_FRAME), low)
             high_ok = _strictly_below(high, pointwise_map(p, high, TRANSFORMED_FRAME))
             rows.append((eta, low_ok, high_ok))
-            all_ok = all_ok and low_ok and high_ok
-        if all_ok:
-            chosen = delta
-            table = rows
-            break
-    if chosen is None:
-        raise CertificateError(
-            f"no dyadic delta down to 2^-{STABILITY_MAX_LEVEL} certifies strong stability "
-            f"for params {p}"
-        )
-    return StabilityCertificate(
-        e4=e4, e5=e5, delta=chosen, table=table, f1_f2_unordered=unordered
+        if all(low_ok and high_ok for _, low_ok, high_ok in rows):
+            return StabilityCertificate(
+                e4=e4, e5=e5, delta=delta, table=rows, f1_f2_unordered=unordered)
+    raise CertificateError(
+        f"no dyadic delta down to 2^-{STABILITY_MAX_LEVEL} certifies strong stability "
+        f"for params {p}"
     )

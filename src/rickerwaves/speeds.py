@@ -64,7 +64,7 @@ class SpeedReport:
     value: float
     mu_star: float
     curve: list  # (mu, objective) pairs visited by the search; one for a closed form
-    method: str  # "scalar-formula" | "matrix-eigenvalue" | "empirical"
+    method: str  # "scalar-formula" | "matrix-eigenvalue"
     lambda0: float | None = None  # lambda(B_0) sanity value, matrix method only
 
 
@@ -82,7 +82,8 @@ def _minimize_positive(objective, g0: float, curvature0: float) -> tuple:
     not halve the step before last, or F' is not positive (Press et al.,
     Numerical Recipes, rtsafe).  It stops on the point reached by a Newton
     step shorter than ``_NEWTON_TOL`` mu, which lies within roundoff of the
-    root, or where the bracket closes to adjacent doubles.
+    root, on an exact root where F' is not positive (g'' underflowed to 0,
+    say), or where the bracket closes to adjacent doubles.
 
     An MGF overflow (RangeError) or a nan value counts as too far right.  A
     bracket that closes on such a point, with F still negative to its left,
@@ -117,6 +118,8 @@ def _minimize_positive(objective, g0: float, curvature0: float) -> tuple:
                 f"objective still decreasing at the mu floor {MU_FLOOR}: "
                 f"its minimum lies below it")
         if newton and step <= _NEWTON_TOL * mu and gap == gap:
+            break
+        if gap == 0.0 and not curvature > 0.0:  # a flat root, which bisection returns to
             break
         if gap < 0.0:
             lo = mu

@@ -136,8 +136,6 @@ def _shift_fractional(values: np.ndarray, offset: float, dx: float) -> np.ndarra
     if offset == 0.0:
         return values
     t = offset / dx
-    if not (-1.0 <= t <= 1.0):
-        raise RangeError(f"fractional shift {offset} exceeds one cell ({dx})")
     # (1 - t)*v[i] + t*v[i+1], the second products taken before the first overwrite v
     if t > 0.0:
         right = t * values[..., 1:]
@@ -270,7 +268,7 @@ def _decay_rate(log_alpha: float, dk: DiscreteKernel, speed: float) -> float:
         m, mean, _ = dk.moments(lam)
         return log_alpha + math.log(m) + lam * speed, mean + speed
 
-    lam = min(-log_alpha / speed, _EXP_ARG_MAX / (dk.dx * dk.half_width))
+    lam = min(-log_alpha / speed, _EXP_ARG_MAX / float(dk.offsets[-1]))
     g, slope = value_and_slope(lam)
     if g <= 0.0:
         return lam
@@ -433,7 +431,7 @@ def find_bistable_wave(
     mix_tol = max(opts.profile_tol * opts.speed_tol, _FFT_NOISE_FLOOR)
     plain = 0  # displacements since the last mixed iterate
     centre = solve_grid.half_cells
-    limit = speed_error = correction = rate = math.nan
+    speed = speed_error = correction = rate = math.nan
 
     for n in range(1, opts.max_steps + 1):
         try:
@@ -454,9 +452,8 @@ def find_bistable_wave(
         plain = 0 if mixer is not None else plain + 1
         speed_error = math.nan
         if n >= 3:
-            previous = limit
+            previous = speed
             speed, correction, rate = _aitken(history.displacements)
-            limit = speed
             if plain >= PLAIN_DISPLACEMENTS:
                 # a profile within sup_diff/(1 - |q|) of the fixed point puts
                 # the front within that over the slope at the crossing
@@ -512,7 +509,8 @@ def wave_residual(wp: WaveProfile, p: ModelParams) -> float:
     Applies one step with the profile's discretized kernels to (phi, psi),
     shifts the result back by the wave speed (linear interpolation), and
     takes the largest deviation from the profile over the boundary-safe
-    interior window.
+    interior window, J + |round(c/dx)| + 2 cells in from each edge for a
+    speed c; ``interior_slice`` raises RangeError when that leaves no cell.
     """
     state = SpatialState(grid=wp.grid, frame=TRANSFORMED_FRAME,
                          U=np.clip(wp.phi, 0.0, 1.0), V=np.clip(wp.psi, 0.0, 1.0))
@@ -520,10 +518,7 @@ def wave_residual(wp: WaveProfile, p: ModelParams) -> float:
     del state  # before the resample makes its fields
     fields, m = _resample_shifted(fields, wp.speed, wp.grid.dx)
 
-    margin = wp.kernel_half_width + abs(m) + 2
-    if 2 * margin >= wp.grid.n_points:
-        raise RangeError(f"speed {wp.speed} and kernel width leave no interior window")
-    win = interior_slice(wp.grid, margin)
+    win = interior_slice(wp.grid, wp.kernel_half_width + abs(m) + 2)
     d = fields[:, win]
     d[0] -= wp.phi[win]
     d[1] -= wp.psi[win]

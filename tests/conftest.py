@@ -59,6 +59,13 @@ def random_admissible(rng, r_lo=0.2, r_hi=0.9, a_lo=1.3, a_hi=4.0):
     )
 
 
+def constant_state(grid, frame, point, step=0):
+    """Spatially homogeneous state at the given point."""
+    u, v = point
+    return SpatialState(grid=grid, frame=frame, U=np.full(grid.n_points, float(u)),
+                        V=np.full(grid.n_points, float(v)), step=step)
+
+
 def random_transformed(grid, rng):
     return SpatialState(
         grid=grid,

@@ -498,6 +498,49 @@ class TestSubcommands:
         assert [check.name for check in failed] == ["wave-kernel-resolved"]
         assert "tolerance 0.05" in failed[0].detail
 
+    def test_a_failed_check_says_why_on_stderr(self, config_path, capsys):
+        # stdout keeps its table, and stderr gets one line per failed check
+        assert main(["wave", "--config", str(config_path), "--set", "grid.dx=3"]) == 1
+        captured = capsys.readouterr()
+        assert len(parse_csv(captured.out)[1]) == 1
+        [line] = captured.err.splitlines()
+        assert line.startswith("failed check wave-kernel-resolved: relative MGF error")
+        assert line.endswith("(tolerance 0.05)")
+        assert main(["validate", "--config", str(config_path), "--set", "model.a1=0.5"]) == 1
+        assert capsys.readouterr().err == (
+            "failed check H1-admissible: a1=0.5 outside (1, inf)\n")
+        # a run whose checks pass writes nothing there
+        assert main(["wave", "--config", str(config_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command,code", [("speeds", 0), ("validate", 0), ("sweep", 0),
+                                              ("wave", 2)])
+    def test_a_uniform_kernel_whose_square_underflows_ends(self, tmp_path, capsys,
+                                                           monkeypatch, command, code):
+        # at halfwidth 1e-300 the speed searches end on an exact root where
+        # the tilted variance is 0; they once bisected to the same mu for ever
+        calls = []
+        moments = UniformKernel.moments
+
+        def bounded(self, mu):
+            calls.append(mu)
+            assert len(calls) < 20000, "the speed search does not end"
+            return moments(self, mu)
+
+        monkeypatch.setattr(UniformKernel, "moments", bounded)
+        path = tmp_path / "narrow.cfg"
+        path.write_text(BASE_CONFIG.replace("kernel.family = gaussian", "kernel.family = uniform")
+                        .replace("kernel.sigma = 1.0", "kernel.halfwidth = 1e-300")
+                        + "sweep.r1 = 0.3, 0.6\n")
+        assert main([command, "--config", str(path)]) == code
+        captured = capsys.readouterr()
+        if code:
+            # the wave's grid cannot resolve the kernel
+            assert "exceeds the kernel support radius 1e-300" in captured.err
+        else:
+            assert captured.err == ""
+            assert "e-301" in captured.out
+
     def test_wave_resolved_kernels_pass_the_mgf_check(self, config_path, tmp_path):
         path = tmp_path / "uniform.cfg"
         path.write_text(BASE_CONFIG + "kernel2.family = uniform\nkernel2.halfwidth = 2.0\n")

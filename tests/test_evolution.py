@@ -16,7 +16,6 @@ from rickerwaves import (
     apply_Q,
     change_coordinates,
     compare,
-    constant_state,
     convolve_extended,
     discretize,
     find_bistable_wave,
@@ -29,7 +28,7 @@ from rickerwaves import evolution
 from rickerwaves.evolution import MAX_GRID_POINTS, _fft_length
 from rickerwaves.model import ORIGINAL_FRAME, TRANSFORMED_FRAME
 
-from conftest import axiom_errors, random_transformed
+from conftest import axiom_errors, constant_state, random_transformed
 
 
 def ordered_pair(grid, rng):

@@ -20,7 +20,7 @@ from rickerwaves import (
     make_kernel,
     validate_hypotheses,
 )
-from rickerwaves.kernels import DEFAULT_TRUNCATION
+from rickerwaves.kernels import DEFAULT_TRUNCATION, _lattice_moments
 
 
 def triangular_table(halfwidth=1.0, n=101):
@@ -405,6 +405,22 @@ class TestDiscretize:
         # J = 5000000 needs 10000001 weights, one more than MAX_GRID_POINTS
         with pytest.raises(ParameterError, match="5e\\+06 cells"):
             discretize(UniformKernel(5000000.0), 1.0)
+
+    @pytest.mark.parametrize("kernel,dx", [(GaussianKernel(1.0), 0.1),
+                                           (UniformKernel(0.59), 0.01),
+                                           (GaussianKernel(2.5), 0.3)])
+    def test_offsets_are_the_lattice_built_once(self, kernel, dx):
+        dk = discretize(kernel, dx)
+        J = dk.half_width
+        fresh = dx * np.arange(-J, J + 1)
+        assert dk.offsets.tobytes() == fresh.tobytes()
+        assert dk.offsets is dk.offsets and not dk.offsets.flags.writeable
+        # the largest offset is J dx to the bit, the quotient the tail-decay
+        # root may start at
+        assert dk.offsets[-1] == dk.dx * J
+        # the moments are the sums over a lattice built on each call, bit for bit
+        for mu in (-3.0, -1e-9, 0.0, 1e-9, 0.7, 5.0):
+            assert dk.moments(mu) == _lattice_moments(fresh, dk.weights, mu, "discrete")
 
     def test_discrete_mgf_tracks_closed_form(self):
         # the truncated mu-tilted tail caps the absolute agreement near 1e-3

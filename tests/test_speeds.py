@@ -547,6 +547,40 @@ class TestSearchRobustness:
         with pytest.raises(SearchError):
             scalar_speed(0.5, PointMass())
 
+    def test_an_exact_root_where_the_objective_is_flat_ends_the_search(self):
+        # ln M = max(0, mu/4 - 1/2): at rate 1/2 the objective is 1/2 over mu
+        # up to mu = 2 and 1/4 from there on, where F = mu g' - g is exactly
+        # 0 and g'' is 0.  No Newton step exists there, and a bisection
+        # returns to mu = 2, so only the exact root itself can end the search
+        class Kinked:
+            calls = 0
+
+            def moments(self, mu):
+                self.calls += 1
+                assert self.calls < 100, "the search does not stop"
+                return math.exp(max(0.0, 0.25 * mu - 0.5)), 0.25 if mu >= 2.0 else 0.0, 0.0
+
+        kernel = Kinked()
+        report = scalar_speed(0.5, kernel)
+        assert (report.mu_star, report.value) == (2.0, 0.25)
+        # g''(0) for the start, then mu = 1 and its doubling
+        assert kernel.calls == 3
+
+    @pytest.mark.parametrize("r", [0.1, 0.3, 0.5, 0.9])
+    def test_a_uniform_kernel_whose_square_underflows_has_a_speed(self, r):
+        # at halfwidth 1e-300 the tilted variance a^2 (...) underflows to 0
+        # for every mu: the search doubles mu from 1 about a thousand times
+        # and, at every rate here but 0.5, comes to an exact root of F near
+        # mu = 1e300.  The speed is a times the unit one
+        class Bounded(_CountingKernel):
+            def moments(self, mu):
+                assert self.calls < 2000, "the search does not stop"
+                return super().moments(mu)
+
+        report = scalar_speed(r, Bounded(UniformKernel(1e-300)))
+        unit = scalar_speed(r, UniformKernel(1.0)).value
+        assert report.value == pytest.approx(1e-300 * unit, rel=1e-12)
+
     @pytest.mark.parametrize("sigma", [0.01, 40.0, 100.0])
     def test_wide_and_narrow_gaussians_keep_the_closed_form(self, sigma):
         # the MGF overflows at mu = 1 for sigma > 37.6; the search starts at

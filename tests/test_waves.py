@@ -20,7 +20,6 @@ from rickerwaves import (
     UniformKernel,
     WaveOptions,
     change_coordinates,
-    constant_state,
     discretize,
     find_bistable_wave,
     step_initial_data,
@@ -40,6 +39,7 @@ from rickerwaves.model import TRANSFORMED_FRAME
 from rickerwaves.speeds import counter_propagation, system_speed_bound
 from rickerwaves.waves import WaveHistory, WaveProfile
 
+from conftest import constant_state
 from test_kernels import heavy_tailed_table
 
 # README-config front speed on Grid(200, 0.1), solved to tolerances 1e-12
@@ -619,6 +619,23 @@ class TestWaveResidual:
         assert wp.kernel_half_width == 72
         resid = wave_residual(wp, params)
         assert resid == 0.0
+
+    @pytest.mark.parametrize("half_length,raises", [(7.8, True), (7.9, False)])
+    def test_a_grid_without_an_interior_window_raises(self, params, gaussian_weights,
+                                                      half_length, raises):
+        # J = 72 and round(0.5 / 0.1) = 5: the window starts 72 + 5 + 2 = 79
+        # cells in from each edge, which leaves none of 157 points and one of 159
+        grid = Grid(half_length=half_length, dx=0.1)
+        ramp = step_initial_data(grid, 1.0)
+        wp = WaveProfile(grid=grid, phi=ramp.U, psi=ramp.V, speed=0.5, residual=np.nan,
+                         steps=0, history=WaveHistory(),
+                         discrete_kernels=(gaussian_weights, gaussian_weights))
+        assert grid.n_points == (157 if raises else 159)
+        if raises:
+            with pytest.raises(RangeError, match="margin of 79 cells leaves no interior"):
+                wave_residual(wp, params)
+        else:
+            assert 0.0 < wave_residual(wp, params) < 1.0
 
     def test_converged_profile_self_consistent(self, standard_wave, params, gaussian_weights):
         assert all(np.array_equal(dk.weights, gaussian_weights.weights)
