@@ -4,6 +4,10 @@ Config files are flat ``section.key = value`` lines ('#' starts a
 comment).  ``--set KEY=VALUE`` overrides a file value.  All numeric output
 uses 12 significant digits and CSV bodies are deterministic for a fixed
 config; the resolved-config digest rides along in a leading comment line.
+
+``validate``, ``equilibria``, ``speeds`` and ``sweep`` compute on Python floats
+and import no numpy; a table kernel, ``speeds --curve``, ``simulate`` and
+``wave`` load it on first use.
 """
 
 from __future__ import annotations
@@ -16,10 +20,12 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
-from . import evolution, kernels, model, speeds, waves
+from . import kernels, model, speeds
 from .errors import CertificateError, ConfigError, DegenerateDataError, ParameterError, SearchError
+
+TYPE_CHECKING = False  # True to a type checker; spares importing typing
+if TYPE_CHECKING:
+    from . import evolution, waves
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -30,21 +36,21 @@ _MODEL_KEYS = ("r1", "r2", "a1", "a2")
 # one kernel's keys and parsers, in each of the sections kernel, kernel1 and kernel2
 _KERNEL_KEYS = {"family": str, "sigma": float, "halfwidth": float, "table_path": str}
 
+# the solver.* keys: the fields of waves.WaveOptions, with their parsers
+_SOLVER_KEYS = {"profile_tol": float, "speed_tol": float, "max_steps": int}
+
 _SWEEP_ORDER = (*_MODEL_KEYS, "sigma")
 
-_WAVE_DEFAULTS = waves.WaveOptions()
-
-# key -> (parser, default); None default means "required" or "unset"; the
-# library defaults are read from the modules that own them
+# key -> (parser, default); None default means "required" or "unset".  An
+# unset grid.dx or solver.* key takes the default of the module that owns it,
+# evolution.DEFAULT_DX or waves.WaveOptions, when a grid command reads it
 _KEY_SPEC = {
     **{f"model.{name}": (float, None) for name in _MODEL_KEYS},
     **{f"{section}.{name}": (parser, None) for section in ("kernel", "kernel1", "kernel2")
        for name, parser in _KERNEL_KEYS.items()},
     "grid.L": (float, None),
-    "grid.dx": (float, evolution.DEFAULT_DX),
-    "solver.profile_tol": (float, _WAVE_DEFAULTS.profile_tol),
-    "solver.speed_tol": (float, _WAVE_DEFAULTS.speed_tol),
-    "solver.max_steps": (int, _WAVE_DEFAULTS.max_steps),
+    "grid.dx": (float, None),
+    **{f"solver.{name}": (parser, None) for name, parser in _SOLVER_KEYS.items()},
     "sim.steps": (int, 150),
     "sim.thin": (int, 10),
     "sim.init": (str, "step"),
@@ -77,8 +83,8 @@ class ExperimentConfig:
     kernel1: kernels.Kernel
     kernel2: kernels.Kernel
     half_length: float | None
-    dx: float
-    wave_opts: waves.WaveOptions
+    grid_dx: float | None
+    solver: dict  # the solver.* values the config sets, by WaveOptions field
     sim_steps: int
     sim_thin: int
     sim_init: str
@@ -92,8 +98,19 @@ class ExperimentConfig:
         blob = "\n".join(f"{k} = {self.raw[k]}" for k in sorted(self.raw))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
+    @property
+    def dx(self) -> float:
+        from .evolution import DEFAULT_DX
+        return DEFAULT_DX if self.grid_dx is None else self.grid_dx
+
+    @property
+    def wave_opts(self) -> waves.WaveOptions:
+        from .waves import WaveOptions
+        return WaveOptions(**self.solver)
+
     def grid(self) -> evolution.Grid:
         # simulate's grid: grid.L, or the default half length when it is unset
+        from . import evolution
         L = evolution.DEFAULT_HALF_LENGTH if self.half_length is None else self.half_length
         return evolution.Grid(half_length=L, dx=self.dx)
 
@@ -105,6 +122,7 @@ def _build_kernel(entries: dict, base_dir: Path, which: str) -> kernels.Kernel:
         path = entries["table_path"]
         if path is None:
             raise ConfigError(f"{which}: table kernel needs {which}.table_path")
+        import numpy as np
         try:
             table = np.loadtxt(base_dir / path)
         except (OSError, ValueError) as exc:
@@ -153,17 +171,16 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             return _KEY_SPEC[key][1]
         return value
 
+    def given(section, names):
+        # the keys of a section that the config sets, by name
+        return {name: values[f"{section}.{name}"] for name in names
+                if values.get(f"{section}.{name}") is not None}
+
     # per-kernel entries fall back to the shared kernel.* ones
     shared = {name: get(f"kernel.{name}") for name in _KERNEL_KEYS}
     entry1 = {name: values.get(f"kernel1.{name}", shared[name]) for name in _KERNEL_KEYS}
     entry2 = {name: values.get(f"kernel2.{name}", shared[name]) for name in _KERNEL_KEYS}
     base_dir = path.parent
-
-    sweep = {}
-    for name in _SWEEP_ORDER:
-        lattice = values.get(f"sweep.{name}")
-        if lattice is not None:
-            sweep[name] = lattice
 
     # species whose entries resolve equal share one kernel object; a table
     # equals only itself, so this is what makes kernel1 == kernel2 for tables
@@ -175,18 +192,14 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         kernel1=kernel1,
         kernel2=kernel2,
         half_length=get("grid.L"),
-        dx=get("grid.dx"),
-        wave_opts=waves.WaveOptions(
-            profile_tol=get("solver.profile_tol"),
-            speed_tol=get("solver.speed_tol"),
-            max_steps=get("solver.max_steps"),
-        ),
+        grid_dx=get("grid.dx"),
+        solver=given("solver", _SOLVER_KEYS),
         sim_steps=get("sim.steps"),
         sim_thin=get("sim.thin"),
         sim_init=get("sim.init"),
         sim_init_width=get("sim.init_width"),
         sim_frame=get("sim.frame"),
-        sweep=sweep,
+        sweep=given("sweep", _SWEEP_ORDER),
         raw={k: repr(v) for k, v in sorted(values.items())},
     )
     return cfg
@@ -256,6 +269,7 @@ def write_csv(path: Path, digest: str, header, columns) -> str:
     Each block of rows is rendered by one ``%.12g`` format, the text ``_fmt``
     gives a float, without a Python call per cell.
     """
+    import numpy as np
     path.parent.mkdir(parents=True, exist_ok=True)
     line = ",".join(["%.12g"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as handle:
@@ -369,12 +383,8 @@ def cmd_speeds(cfg: ExperimentConfig, out, args) -> RunReport:
 
     if args.curve:
         for name, sr in named:
-            write_csv(
-                Path(args.out) / f"curve_{name}.csv",
-                cfg.digest,
-                ("mu", "objective"),
-                np.array(sr.curve).T,
-            )
+            write_csv(Path(args.out) / f"curve_{name}.csv", cfg.digest, ("mu", "objective"),
+                      tuple(zip(*sr.curve)))
 
     report.add("counter-propagation", cp.passed,
                f"edge {_fmt(cp.sum_edge)}; interior {_fmt(cp.sum_interior)}")
@@ -382,6 +392,8 @@ def cmd_speeds(cfg: ExperimentConfig, out, args) -> RunReport:
 
 
 def _initial_state(cfg: ExperimentConfig, grid) -> evolution.SpatialState:
+    import numpy as np
+    from . import evolution, waves
     if cfg.sim_frame not in (model.TRANSFORMED_FRAME, model.ORIGINAL_FRAME):
         raise ConfigError(f"unknown sim.frame {cfg.sim_frame!r} "
                           f"(expected {model.TRANSFORMED_FRAME} or {model.ORIGINAL_FRAME})")
@@ -402,6 +414,7 @@ def _initial_state(cfg: ExperimentConfig, grid) -> evolution.SpatialState:
 def cmd_simulate(cfg: ExperimentConfig, out, args) -> RunReport:
     if not args.out:
         raise ConfigError("simulate needs --out DIR")
+    from . import evolution
     report = RunReport()
     grid = cfg.grid()
     dk1 = kernels.discretize(cfg.kernel1, grid.dx)
@@ -442,6 +455,7 @@ MGF_REL_TOL = 5e-2
 
 
 def cmd_wave(cfg: ExperimentConfig, out, args) -> RunReport:
+    from . import waves
     report = RunReport()
     t0 = time.perf_counter()
     # without grid.L the solver sizes the grid at grid.dx

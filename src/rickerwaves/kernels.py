@@ -7,7 +7,8 @@ symmetrized and normalized on construction, so every kernel is symmetric and
 nonnegative.  A table can be flagged as the truncation of an
 unbounded-support density, in which case ``validate_hypotheses`` raises:
 its MGF is not finite for all exponents.  Two Gaussian or two uniform
-kernels are equal when their shapes are; a table equals only itself.
+kernels are equal when their shapes are; a table or a discretized kernel
+equals only itself.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .errors import DegenerateKernelError, ParameterError, RangeError
+
+TYPE_CHECKING = False  # True to a type checker; spares importing typing
+if TYPE_CHECKING:
+    import numpy as np
 
 # exp() overflows float64 just above 709.78
 _EXP_ARG_MAX = 709.0
@@ -84,6 +87,7 @@ class GaussianKernel(Kernel):
                 f"gaussian sigma must be positive with a finite square, got {self.sigma}")
 
     def density(self, y):
+        import numpy as np
         y = np.asarray(y, dtype=float)
         s = self.sigma
         return np.exp(-0.5 * (y / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
@@ -116,6 +120,7 @@ class UniformKernel(Kernel):
             )
 
     def density(self, y):
+        import numpy as np
         y = np.asarray(y, dtype=float)
         return np.where(np.abs(y) <= self.halfwidth, 0.5 / self.halfwidth, 0.0)
 
@@ -146,6 +151,7 @@ class UniformKernel(Kernel):
     def cell_masses(self, offsets: np.ndarray, dx: float) -> np.ndarray:
         # exact: each cell's overlap with [-a, a], so the end cells carry
         # their fraction of a cell rather than a full one
+        import numpy as np
         a = self.halfwidth
         overlap = np.minimum(offsets + 0.5 * dx, a) - np.maximum(offsets - 0.5 * dx, -a)
         return np.maximum(overlap, 0.0) / (2.0 * a)
@@ -174,6 +180,7 @@ class TableKernel(Kernel):
     spacing: float = field(default=0.0, init=False)
 
     def __post_init__(self):
+        import numpy as np
         offsets = np.asarray(self.offsets, dtype=float)
         dens = np.asarray(self.densities, dtype=float)
         if offsets.ndim != 1 or offsets.size < 3 or offsets.size % 2 == 0:
@@ -207,6 +214,7 @@ class TableKernel(Kernel):
         object.__setattr__(self, "spacing", float(h))
 
     def density(self, y):
+        import numpy as np
         y = np.asarray(y, dtype=float)
         return np.interp(y, self.offsets, self.densities, left=0.0, right=0.0)
 
@@ -228,6 +236,7 @@ def _lattice_moments(offsets: np.ndarray, weights: np.ndarray, mu: float, name: 
     _EXP_ARG_MAX / max(y) raises RangeError, so that quotient itself, where
     ``waves._decay_rate`` may start, is always a safe exponent.
     """
+    import numpy as np
     if not abs(mu) <= _EXP_ARG_MAX / offsets[-1]:
         raise RangeError(f"{name} MGF overflows at mu={mu}")
     # ndarray.sum skips np.sum's dispatch, which outweighs a short sum
@@ -270,7 +279,7 @@ def make_kernel(family: str, **spec) -> Kernel:
                        compactly_supported=spec.get("compactly_supported", True))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteKernel:
     """Quadrature weights of a kernel on a uniform grid.
 
@@ -279,12 +288,12 @@ class DiscreteKernel:
     points of the induced discrete convolution.  ``spectra`` maps a
     transform length to the real-FFT spectrum of the weights, so field
     lengths that share a transform length share one spectrum; it is filled
-    by ``evolution.convolve_extended``.
+    by ``evolution.convolve_extended``.  It equals and hashes as itself only.
     """
 
     weights: np.ndarray
     dx: float
-    spectra: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    spectra: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def half_width(self) -> int:
@@ -294,6 +303,7 @@ class DiscreteKernel:
     @cached_property
     def offsets(self) -> np.ndarray:
         """The offsets j dx of the weights, j = -J..J: built once, read-only."""
+        import numpy as np
         offsets = self.dx * np.arange(-self.half_width, self.half_width + 1)
         offsets.flags.writeable = False
         return offsets
@@ -330,6 +340,7 @@ def discretize(kernel: Kernel, dx: float) -> DiscreteKernel:
             f"dx={dx} exceeds the kernel support radius {radius}; "
             "all mass would land on one cell"
         )
+    import numpy as np
     offsets = np.arange(-J, J + 1) * dx
     w = kernel.cell_masses(offsets, dx)
     if w.sum() <= 0 or np.all(w[np.arange(-J, J + 1) != 0] == 0.0):

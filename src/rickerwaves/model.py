@@ -24,8 +24,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CertificateError, DomainError, ParameterError
 
 ORIGINAL_FRAME = "original"
@@ -72,12 +70,14 @@ def validate_params(p: ModelParams) -> None:
         raise ParameterError("; ".join(violations))
 
 
-def _exponentials(p: ModelParams, U, V, frame: str):
-    """The two Ricker factors of a frame's map, as (e^{r1(...)}, e^{r2(...)})."""
+def _exponentials(p: ModelParams, U, V, frame: str, exp):
+    """The two Ricker factors of a frame's map, as (e^{r1(...)}, e^{r2(...)}):
+    the one copy of the growth law's exponents, which ``growth`` takes with
+    np.exp on arrays and the scalar maps with math.exp."""
     if frame == ORIGINAL_FRAME:
-        return np.exp(p.r1 * (1.0 - U - p.a1 * V)), np.exp(p.r2 * (1.0 - V - p.a2 * U))
+        return exp(p.r1 * (1.0 - U - p.a1 * V)), exp(p.r2 * (1.0 - V - p.a2 * U))
     if frame == TRANSFORMED_FRAME:
-        return np.exp(p.r1 * (U - p.a1 * V)), np.exp(p.r2 * (1.0 - p.a2 - V + p.a2 * U))
+        return exp(p.r1 * (U - p.a1 * V)), exp(p.r2 * (1.0 - p.a2 - V + p.a2 * U))
     raise DomainError(f"unknown frame {frame!r}")
 
 
@@ -92,7 +92,8 @@ def growth(p: ModelParams, U, V, frame: str):
     below 2**-54) before dispersal.  The complement is the original-frame
     density; it is dispersed at full precision and rounded once.
     """
-    eu, ev = _exponentials(p, U, V, frame)
+    import numpy as np
+    eu, ev = _exponentials(p, U, V, frame, np.exp)
     return (U if frame == ORIGINAL_FRAME else 1.0 - U) * eu, V * ev
 
 
@@ -106,9 +107,10 @@ def pointwise_map(p: ModelParams, point, frame: str):
     u, v = point
     if frame == TRANSFORMED_FRAME and not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
         raise DomainError(f"point {point} outside the unit square")
-    gu, gv = growth(p, u, v, frame)
+    eu, ev = _exponentials(p, u, v, frame, math.exp)
     if frame == ORIGINAL_FRAME:
-        return (float(gu), float(gv))
+        return (float(u * eu), float(v * ev))
+    gu, gv = (1.0 - u) * eu, v * ev
     return (min(max(float(1.0 - gu), 0.0), 1.0), min(max(float(gv), 0.0), 1.0))
 
 
@@ -192,8 +194,8 @@ def equilibria(p: ModelParams) -> EquilibriumSet:
     return eqset
 
 
-def jacobian(p: ModelParams, point, frame: str) -> np.ndarray:
-    """Analytic Jacobian of the chosen frame's map at a point.
+def jacobian(p: ModelParams, point, frame: str) -> tuple:
+    """Analytic Jacobian of the chosen frame's map at a point, as two rows.
 
     With w the original-frame density of the first species (u, or 1 - u in
     the cooperative frame), the frames differ only in the sign of the
@@ -201,14 +203,10 @@ def jacobian(p: ModelParams, point, frame: str) -> np.ndarray:
     flipped.
     """
     u, v = point
-    eu, ev = _exponentials(p, u, v, frame)
+    eu, ev = _exponentials(p, u, v, frame, math.exp)
     w, sign = (u, -1.0) if frame == ORIGINAL_FRAME else (1.0 - u, 1.0)
-    return np.array(
-        [
-            [eu * (1.0 - p.r1 * w), sign * p.r1 * p.a1 * w * eu],
-            [sign * p.r2 * p.a2 * v * ev, ev * (1.0 - p.r2 * v)],
-        ]
-    )
+    return ((eu * (1.0 - p.r1 * w), sign * p.r1 * p.a1 * w * eu),
+            (sign * p.r2 * p.a2 * v * ev, ev * (1.0 - p.r2 * v)))
 
 
 def trace_and_discriminant(m00, m01, m10, m11):
@@ -267,8 +265,8 @@ class StabilityCertificate:
     each tested eta with the two strict-inequality outcomes.
     """
 
-    e4: np.ndarray
-    e5: np.ndarray
+    e4: tuple
+    e5: tuple
     delta: float
     table: list
     f1_f2_unordered: bool
@@ -276,6 +274,11 @@ class StabilityCertificate:
 
 def _strictly_below(a, b) -> bool:
     return a[0] < b[0] and a[1] < b[1]
+
+
+def _unit(x: float, y: float) -> tuple:
+    norm = math.sqrt(x * x + y * y)
+    return (x / norm, y / norm)
 
 
 def strong_stability_vectors(p: ModelParams) -> StabilityCertificate:
@@ -288,10 +291,8 @@ def strong_stability_vectors(p: ModelParams) -> StabilityCertificate:
     the strict inequalities hold at eta in {delta, delta/2, delta/4}.
     """
     validate_params(p)
-    e4 = np.array([1.0, 1.0 / (2.0 * p.a1)])
-    e4 = e4 / np.linalg.norm(e4)
-    e5 = np.array([1.0 / (2.0 * p.a2), 1.0])
-    e5 = e5 / np.linalg.norm(e5)
+    e4 = _unit(1.0, 1.0 / (2.0 * p.a1))
+    e5 = _unit(1.0 / (2.0 * p.a2), 1.0)
 
     k1, k2 = coexistence_coordinates(p)
     f1 = (1.0, 0.0)

@@ -40,15 +40,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DegenerateDataError, DomainError, MeasurementError, RangeError, SearchError
-from .evolution import interior_slice
 from .kernels import GaussianKernel, Kernel
 from .model import (
     ModelParams, coexistence_coordinates, eigenvalues_2x2, trace_and_discriminant,
     validate_params,
 )
+
+TYPE_CHECKING = False  # True to a type checker; spares importing typing
+if TYPE_CHECKING:
+    import numpy as np
 
 # a Newton step this short (relative to mu) leaves the next iterate within
 # roundoff of the root: the error after a step s is of order s^2
@@ -68,36 +69,45 @@ class SpeedReport:
     lambda0: float | None = None  # lambda(B_0) sanity value, matrix method only
 
 
-def _minimize_positive(objective, g0: float, curvature0: float) -> tuple:
+def _minimize_positive(objective, g0: float, curvature0: float, kernels: tuple) -> tuple:
     """Minimize f(mu) = g(mu)/mu over mu > 0 for a convex g with g(0) > 0.
 
     ``objective(mu)`` returns (f, g', g'') at mu; ``g0`` and ``curvature0``
-    are g(0) and g''(0).  The minimizer is the one root of the
-    nondecreasing F(mu) = mu g' - g = mu (g' - f), with F(0) = -g(0) < 0
-    and F' = mu g''.  Newton's method on F starts at sqrt(2 g0/curvature0),
-    the minimizer of the quadratic model g0 + curvature0 mu^2 / 2 (exact
-    for a Gaussian kernel; mu = 1 when the curvature is 0), and keeps its
-    iterates inside the sign bracket [lo, hi] of F, bisecting (doubling
-    while no point with F > 0 is known) whenever a step would leave it or
-    not halve the step before last, or F' is not positive (Press et al.,
-    Numerical Recipes, rtsafe).  It stops on the point reached by a Newton
-    step shorter than ``_NEWTON_TOL`` mu, which lies within roundoff of the
-    root, on an exact root where F' is not positive (g'' underflowed to 0,
-    say), or where the bracket closes to adjacent doubles.
+    are g(0) and g''(0), and ``kernels`` the kernels g is built from.  The
+    minimizer is the one root of the nondecreasing F(mu) = mu g' - g =
+    mu (g' - f), with F(0) = -g(0) < 0 and F' = mu g''.  Newton's method on
+    F starts at sqrt(2 g0/curvature0), the minimizer of the quadratic model
+    g0 + curvature0 mu^2 / 2 (exact for a Gaussian kernel), taken as
+    sqrt(2 g0)/sqrt(curvature0) where the quotient overflows; when the
+    curvature is 0 (it underflowed) it starts at 1/R, with R the largest
+    truncation radius of the kernels.  It keeps its iterates inside the
+    sign bracket [lo, hi] of F, bisecting (doubling while no point with
+    F > 0 is known) whenever a step would leave it or not halve the step
+    before last, or F' is not positive (Press et al., Numerical Recipes,
+    rtsafe).  It stops on the point reached by a Newton step shorter than
+    ``_NEWTON_TOL`` mu, which lies within roundoff of the root, on an exact
+    root where F' is not positive (g'' underflowed to 0, say), or where the
+    bracket closes to adjacent doubles.
 
     An MGF overflow (RangeError) or a nan value counts as too far right.  A
     bracket that closes on such a point, with F still negative to its left,
-    raises SearchError, as does mu itself overflowing; a step below
-    ``MU_FLOOR`` evaluates the floor, and raises SearchError unless F is
-    negative there.  Returns (mu_star, value, curve): mu_star is the last
-    iterate, value the objective there, and the curve holds each evaluated
-    (mu, value) pair, sorted by mu.
+    raises SearchError, as does mu itself overflowing (the minimizer of a
+    uniform kernel narrower than about 1e-308); a step below ``MU_FLOOR``
+    evaluates the floor, and raises SearchError unless F is negative there.
+    Returns (mu_star, value, curve): mu_star is the last iterate, value the
+    objective there, and the curve holds each evaluated (mu, value) pair,
+    sorted by mu.
     """
     curve = []
     record = curve.append
     inf, nan = math.inf, math.nan
     lo, hi, hi_overflowed = 0.0, inf, False
-    mu = math.sqrt(2.0 * g0 / curvature0) if curvature0 > 0.0 else 1.0
+    if curvature0 > 0.0:
+        mu = math.sqrt(2.0 * g0 / curvature0)
+        if mu == inf:
+            mu = math.sqrt(2.0 * g0) / math.sqrt(curvature0)
+    else:
+        mu = 1.0 / max(kernel.truncation_radius() for kernel in kernels)
     newton = False  # whether mu was reached by a Newton step
     step = previous = inf  # the lengths of the last two steps
     while True:
@@ -156,7 +166,7 @@ def _scalar_minimum(rho: float, kernel: Kernel) -> tuple:
         mgf, mean, variance = moments(mu)
         return (rho + log(mgf)) / mu, mean, variance
 
-    return _minimize_positive(objective, rho, moments(0.0)[2])
+    return _minimize_positive(objective, rho, moments(0.0)[2], (kernel,))
 
 
 def scalar_speed(r: float, kernel: Kernel) -> SpeedReport:
@@ -185,6 +195,7 @@ def linearization_matrix(
     Columns carry the two kernel MGFs at exponent mu; the coefficients come
     from linearizing the shifted dynamics at the coexistence coordinates.
     """
+    import numpy as np
     validate_params(p)
     if mu < 0.0:
         raise DomainError(f"exponent mu must be nonnegative, got {mu}")
@@ -248,7 +259,7 @@ def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> Spee
         mu_star, value, curve = _scalar_minimum(log(lambda0), kernel1)
     else:
         mu_star, value, curve = _minimize_positive(
-            objective, log(lambda0), perron(*at_zero)[2])
+            objective, log(lambda0), perron(*at_zero)[2], (kernel1, kernel2))
     return SpeedReport(
         value=value, mu_star=mu_star, curve=curve, method="matrix-eigenvalue",
         lambda0=lambda0,
@@ -322,7 +333,8 @@ def front_position(
     xs = x[window]
     fs = field_values[window]
     sign = fs - level
-    hits = np.nonzero(sign[:-1] * sign[1:] <= 0.0)[0]
+    # ndarray methods only, so a wave solve's steps import nothing here
+    hits = (sign[:-1] * sign[1:] <= 0.0).nonzero()[0]
     if len(hits) == 0:
         raise MeasurementError(f"field never crosses level {level} inside the window")
     i = int(hits[0])
@@ -360,6 +372,8 @@ def measure_front_speed(
     inclusive; the default is the trailing half.  margin_cells restricts the
     crossing search to the boundary-safe interior.
     """
+    import numpy as np
+    from .evolution import interior_slice
     if len(trajectory) < 2:
         raise MeasurementError("need at least two states to fit a speed")
     grid = trajectory[0].grid

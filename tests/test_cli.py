@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import itertools
+import json
 import os
 import re
 import subprocess
@@ -866,23 +867,93 @@ class TestSweepEdgeMemo:
         assert out == _unmemoized_sweep(load_config(path))
 
 
+# every name the package exported when its __init__ imported them all, by module
+PACKAGE_EXPORTS = {
+    "errors": ("CertificateError", "ConfigError", "ConvergenceError", "DegenerateDataError",
+               "DegenerateKernelError", "DomainError", "MeasurementError", "ParameterError",
+               "RangeError", "SearchError"),
+    "evolution": ("Grid", "SpatialState", "apply_Q", "compare", "convolve_extended",
+                  "interior_slice", "iterate", "translate"),
+    "kernels": ("DiscreteKernel", "GaussianKernel", "Kernel", "TableKernel", "UniformKernel",
+                "discretize", "make_kernel", "validate_hypotheses"),
+    "model": ("ORIGINAL_FRAME", "TRANSFORMED_FRAME", "EquilibriumSet", "ModelParams",
+              "StabilityCertificate", "change_coordinates", "classify_stability",
+              "eigenvalues_2x2", "equilibria", "growth", "jacobian", "pointwise_map",
+              "strong_stability_vectors", "validate_params"),
+    "speeds": ("CounterPropagationReport", "FrontSpeedReport", "SpeedReport",
+               "counter_propagation", "front_position", "linearization_matrix",
+               "measure_front_speed", "scalar_speed", "system_speed_bound"),
+    "waves": ("ProfileValidation", "WaveOptions", "WaveProfile", "find_bistable_wave",
+              "step_initial_data", "validate_profile", "wave_residual"),
+}
+
+# run in a fresh interpreter with numpy unimportable: the scalar subcommands,
+# then, with numpy allowed again, the package's lazy exports
+_WITHOUT_NUMPY = """\
+import contextlib, importlib, io, json, sys
+sys.modules["numpy"] = None
+import rickerwaves
+from rickerwaves.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([main(argv), out.getvalue()])
+del sys.modules["numpy"]
+wrong = [name for module, names in json.loads(sys.argv[2]).items() for name in names
+         if getattr(rickerwaves, name) is not getattr(
+             importlib.import_module("rickerwaves." + module), name)]
+try:
+    rickerwaves.no_such_name
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({"runs": runs, "wrong": wrong, "unknown": unknown,
+                  "dir": dir(rickerwaves)}))
+"""
+
+
 class TestImport:
     @staticmethod
-    def _loaded_after_cli_import(names):
-        code = ("import sys, rickerwaves.cli; "
-                f"print([m for m in sys.modules if m.split('.')[0] in {names!r}])")
+    def _fresh(code, *argv):
         src = str(Path(rickerwaves.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+        result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                                 text=True, check=True, env=env)
         return result.stdout.strip()
+
+    @classmethod
+    def _loaded_after_cli_import(cls, names):
+        return cls._fresh("import sys, rickerwaves.cli; "
+                          f"print([m for m in sys.modules if m.split('.')[0] in {names!r}])")
 
     def test_cli_import_loads_no_scipy(self):
         assert self._loaded_after_cli_import(["scipy"]) == "[]"
 
     def test_cli_import_loads_no_statistics(self):
         assert self._loaded_after_cli_import(["statistics"]) == "[]"
+
+    def test_scalar_subcommands_and_exports_without_numpy(self, tmp_path, capsys):
+        uniform = (BASE_CONFIG.replace("kernel.family = gaussian", "kernel.family = uniform")
+                   .replace("kernel.sigma = 1.0", "kernel.halfwidth = 2"))
+        argvs = []
+        for name, text in (("gaussian", BASE_CONFIG + SWEEP_LATTICE),
+                           ("uniform", uniform + "sweep.a1 = 1.5, 2.5\n")):
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(text)
+            argvs += [[sub, "--config", str(path)]
+                      for sub in ("validate", "equilibria", "speeds", "sweep")]
+        expected = []
+        for argv in argvs:
+            expected.append([main(argv), capsys.readouterr().out])
+        assert [code for code, _ in expected] == [0] * 8
+        found = json.loads(self._fresh(_WITHOUT_NUMPY, json.dumps(argvs),
+                                       json.dumps(PACKAGE_EXPORTS)))
+        assert found["runs"] == expected
+        assert found["wrong"] == []
+        assert found["unknown"] == "module 'rickerwaves' has no attribute 'no_such_name'"
+        exports = {name for names in PACKAGE_EXPORTS.values() for name in names}
+        assert exports <= set(found["dir"])
 
 
 # the flags each subcommand takes besides --config and --set

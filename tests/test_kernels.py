@@ -422,6 +422,13 @@ class TestDiscretize:
         for mu in (-3.0, -1e-9, 0.0, 1e-9, 0.7, 5.0):
             assert dk.moments(mu) == _lattice_moments(fresh, dk.weights, mu, "discrete")
 
+    def test_a_discretized_kernel_equals_and_hashes_as_itself(self):
+        # as a table does: comparing the weight arrays raised ValueError,
+        # and hashing them TypeError
+        dk, again = discretize(GaussianKernel(1.0), 0.1), discretize(GaussianKernel(1.0), 0.1)
+        assert dk == dk and dk != again
+        assert hash(dk) == hash(dk) and len({dk, again}) == 2
+
     def test_discrete_mgf_tracks_closed_form(self):
         # the truncated mu-tilted tail caps the absolute agreement near 1e-3
         # for |mu| <= 3

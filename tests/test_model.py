@@ -300,11 +300,12 @@ class TestStability:
 class TestStrongStability:
     def test_standard_directions_and_threshold(self, params):
         cert = strong_stability_vectors(params)
-        assert np.allclose(cert.e4 / cert.e4[0], [1.0, 0.25], atol=1e-12)
-        assert np.allclose(cert.e5 / cert.e5[1], [1.0 / 6.0, 1.0], atol=1e-12)
+        e4, e5 = np.asarray(cert.e4), np.asarray(cert.e5)
+        assert np.allclose(e4 / e4[0], [1.0, 0.25], atol=1e-12)
+        assert np.allclose(e5 / e5[1], [1.0 / 6.0, 1.0], atol=1e-12)
         assert cert.delta > 0.0
-        assert np.linalg.norm(cert.e4) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(cert.e5) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(e4) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(e5) == pytest.approx(1.0, abs=1e-12)
         assert all(low and high for (_, low, high) in cert.table)
 
     def test_intermediate_states_unordered(self, params):

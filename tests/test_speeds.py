@@ -360,6 +360,9 @@ class _CountingKernel:
         self.calls += 1
         return self.kernel.moments(mu)
 
+    def truncation_radius(self):
+        return self.kernel.truncation_radius()
+
 
 def test_shared_kernel_searches_the_scalar_objective_at_ln_lambda0(params):
     # B_mu = M(mu) B_0, so ln lambda(B_mu) = ln lambda0 + ln M(mu); the
@@ -377,7 +380,7 @@ def test_shared_kernel_searches_the_scalar_objective_at_ln_lambda0(params):
         return (rho + math.log(mgf)) / mu, mean, variance
 
     assert (report.mu_star, report.value, report.curve) == _minimize_positive(
-        objective, rho, kernel.moments(0.0)[2])
+        objective, rho, kernel.moments(0.0)[2], (kernel,))
     # two distinct wrappers search the 2x2 objective to the same minimum,
     # each called once per evaluation and once at mu = 0
     k1, k2 = _CountingKernel(kernel), _CountingKernel(kernel)
@@ -535,6 +538,9 @@ class TestSearchRobustness:
                 # derivatives of ln M = -mu/2
                 return math.exp(-0.5 * mu), -0.5, 0.0
 
+            def truncation_radius(self):  # g'' is 0, so the search starts at mu = 1
+                return 1.0
+
         with pytest.raises(SearchError):
             scalar_speed(0.5, DivergentObjective())
 
@@ -543,6 +549,9 @@ class TestSearchRobustness:
         class PointMass:
             def moments(self, mu):
                 return 1.0, 0.0, 0.0
+
+            def truncation_radius(self):
+                return 1.0
 
         with pytest.raises(SearchError):
             scalar_speed(0.5, PointMass())
@@ -560,26 +569,46 @@ class TestSearchRobustness:
                 assert self.calls < 100, "the search does not stop"
                 return math.exp(max(0.0, 0.25 * mu - 0.5)), 0.25 if mu >= 2.0 else 0.0, 0.0
 
+            def truncation_radius(self):
+                return 1.0
+
         kernel = Kinked()
         report = scalar_speed(0.5, kernel)
         assert (report.mu_star, report.value) == (2.0, 0.25)
-        # g''(0) for the start, then mu = 1 and its doubling
+        # g''(0) for the start, then mu = 1 (g''(0) is 0, so 1 over the
+        # radius) and its doubling
         assert kernel.calls == 3
 
     @pytest.mark.parametrize("r", [0.1, 0.3, 0.5, 0.9])
     def test_a_uniform_kernel_whose_square_underflows_has_a_speed(self, r):
         # at halfwidth 1e-300 the tilted variance a^2 (...) underflows to 0
-        # for every mu: the search doubles mu from 1 about a thousand times
-        # and, at every rate here but 0.5, comes to an exact root of F near
-        # mu = 1e300.  The speed is a times the unit one
+        # for every mu: the search starts at mu = 1/a and, at every rate here
+        # but 0.5, comes to an exact root of F near mu = 1e300.  The speed is
+        # a times the unit one
         class Bounded(_CountingKernel):
             def moments(self, mu):
-                assert self.calls < 2000, "the search does not stop"
+                assert self.calls < 100, "the search does not stop"
                 return super().moments(mu)
 
         report = scalar_speed(r, Bounded(UniformKernel(1e-300)))
         unit = scalar_speed(r, UniformKernel(1.0)).value
         assert report.value == pytest.approx(1e-300 * unit, rel=1e-12)
+
+    def test_a_uniform_kernel_of_any_tiny_halfwidth_has_a_speed(self):
+        # at halfwidths 1e-154 .. 1e-161 the variance a^2/3 is subnormal and
+        # 2 r / g''(0) overflows; below that g''(0) is 0 and the search
+        # starts at mu = 1/a.  Each halfwidth keeps a times the unit speed,
+        # in a few dozen calls
+        unit = scalar_speed(0.5, UniformKernel(1.0)).value
+        for exponent in range(1, 308):
+            halfwidth = 10.0 ** -exponent
+            kernel = _CountingKernel(UniformKernel(halfwidth))
+            report = scalar_speed(0.5, kernel)
+            assert report.value / halfwidth == pytest.approx(unit, rel=1e-15), halfwidth
+            assert kernel.calls <= 60, halfwidth
+        # below 1e-308 the minimizer, of order 1/a, overflows
+        with pytest.raises(SearchError):
+            scalar_speed(0.5, UniformKernel(1e-310))
 
     @pytest.mark.parametrize("sigma", [0.01, 40.0, 100.0])
     def test_wide_and_narrow_gaussians_keep_the_closed_form(self, sigma):
