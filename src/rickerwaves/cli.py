@@ -1,7 +1,8 @@
 """Command-line front end: config files, subcommands, CSV reports.
 
 Config files are flat ``section.key = value`` lines ('#' starts a
-comment).  ``--set KEY=VALUE`` overrides a file value.  All numeric output
+comment).  ``--set KEY=VALUE`` overrides a file value.  A setting is read
+as ``cfg[key]``, with its ``_KEY_SPEC`` default when unset.  All numeric output
 uses 12 significant digits and CSV bodies are deterministic for a fixed
 config; the resolved-config digest rides along in a leading comment line.
 
@@ -16,7 +17,6 @@ import argparse
 import hashlib
 import itertools
 import sys
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -41,6 +41,15 @@ _SOLVER_KEYS = {"profile_tol": float, "speed_tol": float, "max_steps": int}
 
 _SWEEP_ORDER = (*_MODEL_KEYS, "sigma")
 
+
+def _floatlist(raw: str) -> list:
+    # a sweep lattice: numbers separated by commas or spaces
+    items = raw.replace(",", " ").split()
+    if not items:
+        raise ValueError("empty list")
+    return [float(piece) for piece in items]
+
+
 # key -> (parser, default); None default means "required" or "unset".  An
 # unset grid.dx or solver.* key takes the default of the module that owns it,
 # evolution.DEFAULT_DX or waves.WaveOptions, when a grid command reads it
@@ -56,67 +65,73 @@ _KEY_SPEC = {
     "sim.init": (str, "step"),
     "sim.init_width": (float, 1.0),
     "sim.frame": (str, "transformed"),
-    **{f"sweep.{name}": ("floatlist", None) for name in _SWEEP_ORDER},
+    **{f"sweep.{name}": (_floatlist, None) for name in _SWEEP_ORDER},
 }
 
-_REQUIRED = (*(f"model.{name}" for name in _MODEL_KEYS), "kernel.family")
+# each species also needs a kernel family, from kernel.family or its own
+# kernelN.family; _build_kernel checks that
+_REQUIRED = tuple(f"model.{name}" for name in _MODEL_KEYS)
 
 
 def _parse_value(key: str, raw: str, where: str):
-    parser, _ = _KEY_SPEC[key]
     try:
-        if parser == "floatlist":
-            items = [piece for piece in raw.replace(",", " ").split() if piece]
-            if not items:
-                raise ValueError("empty list")
-            return [float(piece) for piece in items]
-        return parser(raw)
+        return _KEY_SPEC[key][0](raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key}: {raw!r} ({exc})") from exc
 
 
 @dataclass
 class ExperimentConfig:
-    """Resolved experiment description (file values plus ``--set`` overrides)."""
+    """Resolved experiment: the model, one kernel per species, and the values set.
+
+    ``values`` holds the parsed value of each key that the file or an override
+    sets; ``cfg[key]`` reads it, or the key's ``_KEY_SPEC`` default when unset.
+    """
 
     params: model.ModelParams
     kernel1: kernels.Kernel
     kernel2: kernels.Kernel
-    half_length: float | None
-    grid_dx: float | None
-    solver: dict  # the solver.* values the config sets, by WaveOptions field
-    sim_steps: int
-    sim_thin: int
-    sim_init: str
-    sim_init_width: float
-    sim_frame: str
-    sweep: dict
-    raw: dict = field(default_factory=dict)
+    values: dict
+
+    def __getitem__(self, key: str):
+        return self.values.get(key, _KEY_SPEC[key][1])
+
+    def _section(self, section: str, names) -> dict:
+        # the keys of a section that the config sets, by name
+        return {name: self.values[f"{section}.{name}"] for name in names
+                if f"{section}.{name}" in self.values}
 
     @property
     def digest(self) -> str:
-        blob = "\n".join(f"{k} = {self.raw[k]}" for k in sorted(self.raw))
+        blob = "\n".join(f"{k} = {self.values[k]!r}" for k in sorted(self.values))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     @property
     def dx(self) -> float:
         from .evolution import DEFAULT_DX
-        return DEFAULT_DX if self.grid_dx is None else self.grid_dx
+        return DEFAULT_DX if self["grid.dx"] is None else self["grid.dx"]
 
     @property
     def wave_opts(self) -> waves.WaveOptions:
         from .waves import WaveOptions
-        return WaveOptions(**self.solver)
+        return WaveOptions(**self._section("solver", _SOLVER_KEYS))
+
+    @property
+    def sweep(self) -> dict:
+        """The sweep.* lattices that the config sets, by axis name."""
+        return self._section("sweep", _SWEEP_ORDER)
 
     def grid(self) -> evolution.Grid:
         # simulate's grid: grid.L, or the default half length when it is unset
         from . import evolution
-        L = evolution.DEFAULT_HALF_LENGTH if self.half_length is None else self.half_length
+        L = evolution.DEFAULT_HALF_LENGTH if self["grid.L"] is None else self["grid.L"]
         return evolution.Grid(half_length=L, dx=self.dx)
 
 
 def _build_kernel(entries: dict, base_dir: Path, which: str) -> kernels.Kernel:
     """``kernels.make_kernel`` on one kernel's entries; a table is read from its file."""
+    if entries["family"] is None:
+        raise ConfigError(f"{which}: no kernel family: set kernel.family or {which}.family")
     spec = {"sigma": entries["sigma"], "halfwidth": entries["halfwidth"]}
     if entries["family"].lower() == "table":
         path = entries["table_path"]
@@ -137,7 +152,7 @@ def _build_kernel(entries: dict, base_dir: Path, which: str) -> kernels.Kernel:
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse a key = value config file and apply ``--set`` overrides."""
+    """Parse a key = value config file and apply overrides, each read like ``--set``."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -159,50 +174,23 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     for key, raw in (overrides or {}).items():
         if key not in _KEY_SPEC:
             raise ConfigError(f"override: unknown key {key!r}")
-        values[key] = _parse_value(key, str(raw), "override") if isinstance(raw, str) else raw
+        values[key] = _parse_value(key, str(raw), "override")
 
-    missing = [key for key in _REQUIRED if values.get(key) is None]
+    missing = [key for key in _REQUIRED if key not in values]
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
 
-    def get(key):
-        value = values.get(key)
-        if value is None:
-            return _KEY_SPEC[key][1]
-        return value
-
-    def given(section, names):
-        # the keys of a section that the config sets, by name
-        return {name: values[f"{section}.{name}"] for name in names
-                if values.get(f"{section}.{name}") is not None}
-
     # per-kernel entries fall back to the shared kernel.* ones
-    shared = {name: get(f"kernel.{name}") for name in _KERNEL_KEYS}
-    entry1 = {name: values.get(f"kernel1.{name}", shared[name]) for name in _KERNEL_KEYS}
-    entry2 = {name: values.get(f"kernel2.{name}", shared[name]) for name in _KERNEL_KEYS}
-    base_dir = path.parent
+    entry1, entry2 = ({name: values.get(f"{section}.{name}", values.get(f"kernel.{name}"))
+                       for name in _KERNEL_KEYS} for section in ("kernel1", "kernel2"))
 
     # species whose entries resolve equal share one kernel object; a table
     # equals only itself, so this is what makes kernel1 == kernel2 for tables
-    kernel1 = _build_kernel(entry1, base_dir, "kernel1")
-    kernel2 = kernel1 if entry2 == entry1 else _build_kernel(entry2, base_dir, "kernel2")
+    kernel1 = _build_kernel(entry1, path.parent, "kernel1")
+    kernel2 = kernel1 if entry2 == entry1 else _build_kernel(entry2, path.parent, "kernel2")
 
-    cfg = ExperimentConfig(
-        params=model.ModelParams(**{name: get(f"model.{name}") for name in _MODEL_KEYS}),
-        kernel1=kernel1,
-        kernel2=kernel2,
-        half_length=get("grid.L"),
-        grid_dx=get("grid.dx"),
-        solver=given("solver", _SOLVER_KEYS),
-        sim_steps=get("sim.steps"),
-        sim_thin=get("sim.thin"),
-        sim_init=get("sim.init"),
-        sim_init_width=get("sim.init_width"),
-        sim_frame=get("sim.frame"),
-        sweep=given("sweep", _SWEEP_ORDER),
-        raw={k: repr(v) for k, v in sorted(values.items())},
-    )
-    return cfg
+    params = model.ModelParams(**{name: values[f"model.{name}"] for name in _MODEL_KEYS})
+    return ExperimentConfig(params, kernel1, kernel2, values)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +207,6 @@ class CheckResult:
 @dataclass
 class RunReport:
     checks: list = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
 
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append(CheckResult(name=name, ok=bool(ok), detail=detail))
@@ -297,7 +284,6 @@ def cmd_validate(cfg: ExperimentConfig, out, args) -> RunReport:
         report.add(name, True)
         return True
 
-    t0 = time.perf_counter()
     admissible = check("H1-admissible", model.validate_params, cfg.params)
     for name, k in (("kernel1", cfg.kernel1), ("kernel2", cfg.kernel2)):
         check(f"H2-finite-mgf-{name}", kernels.validate_hypotheses, k)
@@ -306,7 +292,6 @@ def cmd_validate(cfg: ExperimentConfig, out, args) -> RunReport:
         report.add(f"H3-symmetric-{name}", True,
                    "input table was asymmetric; symmetrized on construction"
                    if symmetrized else "")
-    report.timings["hypotheses"] = time.perf_counter() - t0
 
     # on admissible parameters only; A1 and A3 hold by construction, as H3 does:
     # in the cooperative frame 1 - gu and gv rise in U and V when r1, r2 < 1
@@ -315,7 +300,6 @@ def cmd_validate(cfg: ExperimentConfig, out, args) -> RunReport:
         report.add("A1-translation", True, "a lattice convolution commutes with whole-cell shifts")
         report.add("A3-order-preserving", True, "holds by (H1) and nonnegative weights")
 
-        t0 = time.perf_counter()
         try:
             cert = model.strong_stability_vectors(cfg.params)
             report.add(
@@ -325,9 +309,7 @@ def cmd_validate(cfg: ExperimentConfig, out, args) -> RunReport:
             )
         except CertificateError as exc:  # reported, not raised
             report.add("A5-bistability", False, str(exc))
-        report.timings["A5"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
         try:
             cp = speeds.counter_propagation(cfg.params, cfg.kernel1, cfg.kernel2)
         except (DegenerateDataError, SearchError) as exc:  # reported, not raised
@@ -335,7 +317,6 @@ def cmd_validate(cfg: ExperimentConfig, out, args) -> RunReport:
         else:
             report.add("A6-counter-propagation", cp.passed,
                        f"edge sum {_fmt(cp.sum_edge)}; interior sum {_fmt(cp.sum_interior)}")
-        report.timings["A6"] = time.perf_counter() - t0
 
     rows = [(c.name, c.ok, c.detail) for c in report.checks]
     emit_csv(out, cfg.digest, ("check", "passed", "detail"), rows)
@@ -394,21 +375,22 @@ def cmd_speeds(cfg: ExperimentConfig, out, args) -> RunReport:
 def _initial_state(cfg: ExperimentConfig, grid) -> evolution.SpatialState:
     import numpy as np
     from . import evolution, waves
-    if cfg.sim_frame not in (model.TRANSFORMED_FRAME, model.ORIGINAL_FRAME):
-        raise ConfigError(f"unknown sim.frame {cfg.sim_frame!r} "
+    init, width, frame = cfg["sim.init"], cfg["sim.init_width"], cfg["sim.frame"]
+    if frame not in (model.TRANSFORMED_FRAME, model.ORIGINAL_FRAME):
+        raise ConfigError(f"unknown sim.frame {frame!r} "
                           f"(expected {model.TRANSFORMED_FRAME} or {model.ORIGINAL_FRAME})")
-    if cfg.sim_init == "step":
-        state = waves.step_initial_data(grid, cfg.sim_init_width)
-        if cfg.sim_frame == model.ORIGINAL_FRAME:
+    if init == "step":
+        state = waves.step_initial_data(grid, width)
+        if frame == model.ORIGINAL_FRAME:
             state = model.change_coordinates(state)
         return state
-    if cfg.sim_init == "bump":
-        if not (cfg.sim_init_width > 0 and np.isfinite(cfg.sim_init_width)):
+    if init == "bump":
+        if not (width > 0 and np.isfinite(width)):
             raise ConfigError(f"sim.init_width of a bump must be positive and finite, "
-                              f"got {cfg.sim_init_width}")
-        bump = np.exp(-0.5 * (grid.x / cfg.sim_init_width) ** 2)
-        return evolution.SpatialState(grid=grid, frame=cfg.sim_frame, U=bump, V=bump)
-    raise ConfigError(f"unknown sim.init {cfg.sim_init!r} (expected step or bump)")
+                              f"got {width}")
+        bump = np.exp(-0.5 * (grid.x / width) ** 2)
+        return evolution.SpatialState(grid=grid, frame=frame, U=bump, V=bump)
+    raise ConfigError(f"unknown sim.init {init!r} (expected step or bump)")
 
 
 def cmd_simulate(cfg: ExperimentConfig, out, args) -> RunReport:
@@ -421,11 +403,9 @@ def cmd_simulate(cfg: ExperimentConfig, out, args) -> RunReport:
     dk2 = kernels.discretize(cfg.kernel2, grid.dx)
     state = _initial_state(cfg, grid)
 
-    t0 = time.perf_counter()
     trajectory = evolution.iterate(
-        state, cfg.params, dk1, dk2, cfg.sim_steps, keep_every=cfg.sim_thin
+        state, cfg.params, dk1, dk2, cfg["sim.steps"], keep_every=cfg["sim.thin"]
     )
-    report.timings["simulate"] = time.perf_counter() - t0
 
     for snap in trajectory:
         write_csv(
@@ -457,17 +437,14 @@ MGF_REL_TOL = 5e-2
 def cmd_wave(cfg: ExperimentConfig, out, args) -> RunReport:
     from . import waves
     report = RunReport()
-    t0 = time.perf_counter()
     # without grid.L the solver sizes the grid at grid.dx
     wp = waves.find_bistable_wave(cfg.params, cfg.kernel1, cfg.kernel2,
-                                  None if cfg.half_length is None else cfg.grid(),
+                                  None if cfg["grid.L"] is None else cfg.grid(),
                                   cfg.wave_opts, dx=cfg.dx)
-    report.timings["wave"] = time.perf_counter() - t0
     validation = waves.validate_profile(wp)
 
     phi, psi = wp.phi, wp.psi
-    frame = getattr(args, "frame", model.TRANSFORMED_FRAME)
-    if frame == model.ORIGINAL_FRAME:
+    if args.frame == model.ORIGINAL_FRAME:
         phi = 1.0 - phi
 
     if args.out:
@@ -513,11 +490,6 @@ def _sweep_cell(cfg: ExperimentConfig, combo: dict, edge_memo: dict):
     )
     kernel1, kernel2 = cfg.kernel1, cfg.kernel2
     if "sigma" in combo:
-        if not (
-            isinstance(kernel1, kernels.GaussianKernel)
-            and isinstance(kernel2, kernels.GaussianKernel)
-        ):
-            raise ConfigError("sweep.sigma requires gaussian kernels")
         kernel1 = kernel2 = kernels.GaussianKernel(sigma=combo["sigma"])
     cp = speeds.counter_propagation(params, kernel1, kernel2, edge_memo)
     return params, combo.get("sigma"), cp
@@ -525,17 +497,18 @@ def _sweep_cell(cfg: ExperimentConfig, combo: dict, edge_memo: dict):
 
 def cmd_sweep(cfg: ExperimentConfig, out, args) -> RunReport:
     report = RunReport()
-    if not cfg.sweep:
+    sweep = cfg.sweep
+    if not sweep:
         raise ConfigError("sweep subcommand needs at least one sweep.* lattice")
-    names = [name for name in _SWEEP_ORDER if name in cfg.sweep]
-    lattices = [cfg.sweep[name] for name in names]
-    combos = [dict(zip(names, point)) for point in itertools.product(*lattices)]
+    if "sigma" in sweep and not (isinstance(cfg.kernel1, kernels.GaussianKernel)
+                                 and isinstance(cfg.kernel2, kernels.GaussianKernel)):
+        raise ConfigError("sweep.sigma requires gaussian kernels")
+    # cfg.sweep keeps the axes in _SWEEP_ORDER
+    combos = [dict(zip(sweep, point)) for point in itertools.product(*sweep.values())]
 
-    t0 = time.perf_counter()
     # the edge speeds of this sweep, each distinct (r, kernel) searched once
     edge_memo = {}
     results = [_sweep_cell(cfg, combo, edge_memo) for combo in combos]
-    report.timings["sweep"] = time.perf_counter() - t0
 
     rows = [(params.r1, params.r2, params.a1, params.a2, "" if sigma is None else sigma,
              cp.c_minus_F1F3.value, cp.c_plus_F0F1.value, cp.c_minus_F2F3.value,

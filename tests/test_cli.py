@@ -77,7 +77,12 @@ class TestLoadConfig:
     def test_minimal_file_gets_defaults(self, config_path):
         cfg = load_config(config_path)
         assert cfg.params.r1 == 0.5 and cfg.params.a2 == 3.0
-        assert cfg.half_length is None and cfg.dx == 0.1
+        assert cfg["grid.L"] is None and cfg.dx == 0.1
+        # every key the file does not set reads its default
+        given = {"model.r1": 0.5, "model.r2": 0.5, "model.a1": 2.0, "model.a2": 3.0,
+                 "kernel.family": "gaussian", "kernel.sigma": 1.0}
+        assert {key: cfg[key] for key in _KEY_SPEC} == {
+            key: given.get(key, default) for key, (_, default) in _KEY_SPEC.items()}
         assert cfg.grid() == rickerwaves.Grid(half_length=200.0, dx=0.1)
         assert cfg.wave_opts.max_steps == 2000
         assert cfg.wave_opts == WaveOptions()
@@ -130,6 +135,19 @@ class TestLoadConfig:
         cfg = load_config(config_path, {"grid.dx": "0.05"})
         assert cfg.dx == 0.05
         assert cfg.digest != load_config(config_path).digest
+
+    def test_non_string_override_parses_like_set(self, config_path):
+        as_float = load_config(config_path, {"grid.dx": 0.05})
+        as_text = load_config(config_path, {"grid.dx": "0.05"})
+        assert as_float.dx == as_text.dx == 0.05
+        assert as_float.digest == as_text.digest
+        # an int for a float key is the float that --set model.a1=2 gives
+        as_int = load_config(config_path, {"model.a1": 2})
+        assert as_int.digest == load_config(config_path, {"model.a1": "2"}).digest
+
+    def test_non_string_override_is_checked(self, config_path):
+        with pytest.raises(ConfigError, match=r"override: bad value for sim\.steps: '2\.5'"):
+            load_config(config_path, {"sim.steps": 2.5})
 
     def test_per_kernel_entries_override_shared(self, tmp_path):
         path = tmp_path / "two.cfg"
@@ -235,6 +253,23 @@ class TestSubcommands:
         names = {row["check"] for row in rows}
         assert {"H1-admissible", "A1-translation", "A3-order-preserving",
                 "A5-bistability", "A6-counter-propagation"} <= names
+
+    def test_per_species_kernels_run(self, tmp_path, capsys):
+        # one kernel per species and no kernel.* keys
+        path = tmp_path / "species.cfg"
+        path.write_text(BASE_CONFIG.replace("kernel.", "kernel1.")
+                        + "kernel2.family = uniform\nkernel2.halfwidth = 2\n"
+                        + "sweep.a1 = 1.5, 2.5\n")
+        for sub in ("validate", "speeds", "sweep"):
+            assert main([sub, "--config", str(path)]) == 0, sub
+        assert capsys.readouterr().err == ""
+
+    def test_kernel1_alone_names_kernel2_family(self, tmp_path, capsys):
+        path = tmp_path / "one.cfg"
+        path.write_text(BASE_CONFIG.replace("kernel.", "kernel1."))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: kernel2: no kernel family: set kernel.family or kernel2.family\n")
 
     @pytest.mark.parametrize("wide", [["kernel2.sigma=2.0"], ["kernel.sigma=3.0"]],
                              ids=["sigma2-2", "sigma-3"])
