@@ -17,7 +17,7 @@ import argparse
 import hashlib
 import itertools
 import sys
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from pathlib import Path
 
 from . import kernels, model, speeds
@@ -80,7 +80,6 @@ def _parse_value(key: str, raw: str, where: str):
         raise ConfigError(f"{where}: bad value for {key}: {raw!r} ({exc})") from exc
 
 
-@dataclass
 class ExperimentConfig:
     """Resolved experiment: the model, one kernel per species, and the values set.
 
@@ -88,10 +87,12 @@ class ExperimentConfig:
     sets; ``cfg[key]`` reads it, or the key's ``_KEY_SPEC`` default when unset.
     """
 
-    params: model.ModelParams
-    kernel1: kernels.Kernel
-    kernel2: kernels.Kernel
-    values: dict
+    def __init__(self, params: model.ModelParams, kernel1: kernels.Kernel,
+                 kernel2: kernels.Kernel, values: dict):
+        self.params = params
+        self.kernel1 = kernel1
+        self.kernel2 = kernel2
+        self.values = values
 
     def __getitem__(self, key: str):
         return self.values.get(key, _KEY_SPEC[key][1])
@@ -197,16 +198,12 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 # reports and CSV plumbing
 
 
-@dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str
+CheckResult = namedtuple("CheckResult", "name ok detail")
 
 
-@dataclass
 class RunReport:
-    checks: list = field(default_factory=list)
+    def __init__(self):
+        self.checks = []
 
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append(CheckResult(name=name, ok=bool(ok), detail=detail))
@@ -484,10 +481,7 @@ def cmd_wave(cfg: ExperimentConfig, out, args) -> RunReport:
 
 
 def _sweep_cell(cfg: ExperimentConfig, combo: dict, edge_memo: dict):
-    params = replace(
-        cfg.params,
-        **{name: combo[name] for name in _MODEL_KEYS if name in combo},
-    )
+    params = cfg.params._replace(**{name: combo[name] for name in _MODEL_KEYS if name in combo})
     kernel1, kernel2 = cfg.kernel1, cfg.kernel2
     if "sigma" in combo:
         kernel1 = kernel2 = kernels.GaussianKernel(sigma=combo["sigma"])

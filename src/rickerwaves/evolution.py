@@ -32,9 +32,8 @@ cross-checks.
 from __future__ import annotations
 
 import bisect
-import logging
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -43,8 +42,6 @@ from .errors import ConfigError, DomainError, RangeError
 from .kernels import MAX_GRID_POINTS, DiscreteKernel
 from .model import ORIGINAL_FRAME, TRANSFORMED_FRAME, ModelParams, growth
 
-log = logging.getLogger(__name__)
-
 # rounding exceedances beyond this are logged before clamping
 CLAMP_TOL = 1e-14
 
@@ -52,32 +49,28 @@ DEFAULT_HALF_LENGTH = 200.0
 DEFAULT_DX = 0.1
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(namedtuple("Grid", "half_length dx")):
     """Uniform symmetric grid x_i = i*dx, i = -m..m.
 
     The half length is snapped down to a whole number of cells, so the
-    grid always contains x = 0 and is symmetric.
+    grid always contains x = 0 and is symmetric.  No ``__slots__``: the
+    derived sizes and coordinates are cached in the instance dict.
     """
 
-    half_length: float
-    dx: float
-
-    def __post_init__(self):
-        if not (self.dx > 0 and math.isfinite(self.dx)):
-            raise ConfigError(f"grid dx must be positive, got {self.dx}")
-        if self.half_length < self.dx:
-            raise ConfigError(
-                f"grid half_length {self.half_length} must be at least dx={self.dx}"
-            )
+    def __new__(cls, half_length, dx):
+        if not (dx > 0 and math.isfinite(dx)):
+            raise ConfigError(f"grid dx must be positive, got {dx}")
+        if half_length < dx:
+            raise ConfigError(f"grid half_length {half_length} must be at least dx={dx}")
+        self = super().__new__(cls, half_length, dx)
         # the ratio test comes first: it rejects inf and nan before floor() sees them
-        if not (self.half_length / self.dx <= MAX_GRID_POINTS
-                and self.n_points <= MAX_GRID_POINTS):
+        if not (half_length / dx <= MAX_GRID_POINTS and self.n_points <= MAX_GRID_POINTS):
             raise ConfigError(
-                f"grid L={self.half_length} at dx={self.dx} needs "
-                f"{2 * self.half_length / self.dx + 1:.4g} points; at most "
+                f"grid L={half_length} at dx={dx} needs "
+                f"{2 * half_length / dx + 1:.4g} points; at most "
                 f"{MAX_GRID_POINTS} are allowed (raise dx or lower L)"
             )
+        return self
 
     @cached_property
     def half_cells(self) -> int:
@@ -92,7 +85,6 @@ class Grid:
         return np.arange(-self.half_cells, self.half_cells + 1) * self.dx
 
 
-@dataclass(frozen=True)
 class SpatialState:
     """Paired fields (U, V) sampled on a grid, tagged with their frame.
 
@@ -101,19 +93,12 @@ class SpatialState:
     one min and one max; ``apply_Q``'s states are checked by its clamp.
     """
 
-    grid: Grid
-    frame: str
-    U: np.ndarray
-    V: np.ndarray
-    step: int = 0
-    fields: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.frame not in (ORIGINAL_FRAME, TRANSFORMED_FRAME):
-            raise DomainError(f"unknown frame {self.frame!r}")
-        U = np.asarray(self.U, dtype=float)
-        V = np.asarray(self.V, dtype=float)
-        n = self.grid.n_points
+    def __init__(self, grid: Grid, frame: str, U: np.ndarray, V: np.ndarray, step: int = 0):
+        if frame not in (ORIGINAL_FRAME, TRANSFORMED_FRAME):
+            raise DomainError(f"unknown frame {frame!r}")
+        U = np.asarray(U, dtype=float)
+        V = np.asarray(V, dtype=float)
+        n = grid.n_points
         if U.shape != (n,) or V.shape != (n,):
             raise ConfigError(
                 f"field shapes {U.shape}, {V.shape} do not match grid size {n}"
@@ -123,15 +108,14 @@ class SpatialState:
         lo, hi = float(fields.min()), float(fields.max())
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError("fields contain non-finite samples")
-        if self.frame == TRANSFORMED_FRAME and (lo < 0.0 or hi > 1.0):
+        if frame == TRANSFORMED_FRAME and (lo < 0.0 or hi > 1.0):
             raise DomainError(
                 f"transformed-frame samples must lie in [0,1]; range [{lo}, {hi}]"
             )
-        if self.frame == ORIGINAL_FRAME and lo < 0.0:
+        if frame == ORIGINAL_FRAME and lo < 0.0:
             raise DomainError(f"original-frame samples must be nonnegative; min {lo}")
-        object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "U", fields[0])
-        object.__setattr__(self, "V", fields[1])
+        self.grid, self.frame, self.step = grid, frame, step
+        self.fields, self.U, self.V = fields, fields[0], fields[1]
 
     @classmethod
     def _unchecked(cls, grid: Grid, frame: str, fields: np.ndarray,
@@ -142,9 +126,8 @@ class SpatialState:
         and inside the frame's range, or checked by ``_clamp``.
         """
         state = object.__new__(cls)
-        # the instance dict takes the frozen fields without __setattr__
-        state.__dict__.update(grid=grid, frame=frame, fields=fields, U=fields[0],
-                              V=fields[1], step=step)
+        state.grid, state.frame, state.step = grid, frame, step
+        state.fields, state.U, state.V = fields, fields[0], fields[1]
         return state
 
 
@@ -263,7 +246,10 @@ def _clamp(values: np.ndarray, what: str, frame: str) -> np.ndarray:
     upper = 1.0 if frame == TRANSFORMED_FRAME else math.inf
     exceed = max(-lo, hi - upper, 0.0)
     if exceed > CLAMP_TOL:
-        log.warning("%s left [0, %g] by %.3e; clamping", what, upper, exceed)
+        # imported here, its one use: a solve that never leaves the range loads no logging
+        import logging
+        logging.getLogger(__name__).warning("%s left [0, %g] by %.3e; clamping",
+                                            what, upper, exceed)
     if frame == TRANSFORMED_FRAME:
         # the snaps clip to [0, 1] as well
         return _snap_corners(values)

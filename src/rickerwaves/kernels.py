@@ -14,7 +14,7 @@ equals only itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import DegenerateKernelError, ParameterError, RangeError
@@ -58,6 +58,8 @@ class Kernel:
     supported densities).
     """
 
+    __slots__ = ()
+
     def density(self, y):
         raise NotImplementedError
 
@@ -76,15 +78,33 @@ class Kernel:
         return self.density(offsets) * dx
 
 
-@dataclass(frozen=True)
-class GaussianKernel(Kernel):
-    sigma: float
+class _ShapeKernel(Kernel):
+    """A kernel that is the tuple of its shape parameters (a namedtuple base).
 
-    def __post_init__(self):
+    It equals and hashes as a kernel of the same family and shape:
+    ``GaussianKernel(1.0) != UniformKernel(1.0)``, though both are (1.0,).
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class GaussianKernel(_ShapeKernel, namedtuple("GaussianKernel", "sigma")):
+    __slots__ = ()
+
+    def __new__(cls, sigma):
         # the variance sigma^2 must be a float too
-        if not (self.sigma > 0 and math.isfinite(self.sigma * self.sigma)):
+        if not (sigma > 0 and math.isfinite(sigma * sigma)):
             raise ParameterError(
-                f"gaussian sigma must be positive with a finite square, got {self.sigma}")
+                f"gaussian sigma must be positive with a finite square, got {sigma}")
+        return super().__new__(cls, sigma)
 
     def density(self, y):
         import numpy as np
@@ -108,16 +128,15 @@ class GaussianKernel(Kernel):
         return self.sigma * 7.130506848171323
 
 
-@dataclass(frozen=True)
-class UniformKernel(Kernel):
-    halfwidth: float
+class UniformKernel(_ShapeKernel, namedtuple("UniformKernel", "halfwidth")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, halfwidth):
         # the variance a^2 / 3 must be a float too
-        if not (self.halfwidth > 0 and math.isfinite(self.halfwidth * self.halfwidth)):
+        if not (halfwidth > 0 and math.isfinite(halfwidth * halfwidth)):
             raise ParameterError(
-                f"uniform halfwidth must be positive with a finite square, got {self.halfwidth}"
-            )
+                f"uniform halfwidth must be positive with a finite square, got {halfwidth}")
+        return super().__new__(cls, halfwidth)
 
     def density(self, y):
         import numpy as np
@@ -157,7 +176,6 @@ class UniformKernel(Kernel):
         return np.maximum(overlap, 0.0) / (2.0 * a)
 
 
-@dataclass(frozen=True, eq=False)
 class TableKernel(Kernel):
     """Density tabulated on a symmetric uniform grid of offsets.
 
@@ -171,18 +189,11 @@ class TableKernel(Kernel):
     when they hold one object.
     """
 
-    offsets: np.ndarray
-    densities: np.ndarray
-    compactly_supported: bool = True
-    # set on construction: whether the input table was asymmetric, and the
-    # step h of the offsets h * (-J..J), so offsets[j] == (j - J) * spacing
-    symmetrized: bool = field(default=False, init=False)
-    spacing: float = field(default=0.0, init=False)
-
-    def __post_init__(self):
+    def __init__(self, offsets: np.ndarray, densities: np.ndarray,
+                 compactly_supported: bool = True):
         import numpy as np
-        offsets = np.asarray(self.offsets, dtype=float)
-        dens = np.asarray(self.densities, dtype=float)
+        offsets = np.asarray(offsets, dtype=float)
+        dens = np.asarray(densities, dtype=float)
         if offsets.ndim != 1 or offsets.size < 3 or offsets.size % 2 == 0:
             raise ParameterError(
                 "table offsets must be a 1-d odd-length grid centered on zero"
@@ -208,10 +219,13 @@ class TableKernel(Kernel):
         offsets = h * np.arange(-J, J + 1)
         for array in (offsets, sym):
             array.flags.writeable = False
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "densities", sym)
-        object.__setattr__(self, "symmetrized", was_asymmetric)
-        object.__setattr__(self, "spacing", float(h))
+        self.offsets = offsets
+        self.densities = sym
+        self.compactly_supported = compactly_supported
+        # whether the input table was asymmetric, and the step h of the
+        # offsets h * (-J..J), so offsets[j] == (j - J) * spacing
+        self.symmetrized = was_asymmetric
+        self.spacing = float(h)
 
     def density(self, y):
         import numpy as np
@@ -279,7 +293,6 @@ def make_kernel(family: str, **spec) -> Kernel:
                        compactly_supported=spec.get("compactly_supported", True))
 
 
-@dataclass(frozen=True, eq=False)
 class DiscreteKernel:
     """Quadrature weights of a kernel on a uniform grid.
 
@@ -291,9 +304,10 @@ class DiscreteKernel:
     by ``evolution.convolve_extended``.  It equals and hashes as itself only.
     """
 
-    weights: np.ndarray
-    dx: float
-    spectra: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, weights: np.ndarray, dx: float):
+        self.weights = weights
+        self.dx = dx
+        self.spectra = {}
 
     @property
     def half_width(self) -> int:

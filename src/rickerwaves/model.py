@@ -20,9 +20,8 @@ in the cooperative frame.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CertificateError, DomainError, ParameterError
 
@@ -38,14 +37,10 @@ EQUILIBRIUM_TOL = 1e-12
 STABILITY_MAX_LEVEL = 20
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(namedtuple("ModelParams", "r1 r2 a1 a2")):
     """Growth rates r1, r2 and competition coefficients a1, a2."""
 
-    r1: float
-    r2: float
-    a1: float
-    a2: float
+    __slots__ = ()
 
 
 def validate_params(p: ModelParams) -> None:
@@ -122,15 +117,15 @@ def _fixed_point_residual(p: ModelParams, point, frame: str) -> float:
 def change_coordinates(obj):
     """Swap frames via u -> 1 - u, v -> v.  An involution.
 
-    Accepts a point pair or any state-like object with U, V and frame
-    attributes (the spatial states of the evolution module); returns the
+    Accepts a point pair or a spatial state of the evolution module (built
+    anew from its grid, frame, fields and step, so checked); returns the
     same kind.
     """
     if hasattr(obj, "U") and hasattr(obj, "V"):
         new_frame = (
             TRANSFORMED_FRAME if obj.frame == ORIGINAL_FRAME else ORIGINAL_FRAME
         )
-        return dataclasses.replace(obj, U=1.0 - obj.U, V=obj.V.copy(), frame=new_frame)
+        return type(obj)(obj.grid, new_frame, 1.0 - obj.U, obj.V, obj.step)
     u, v = obj
     return (1.0 - u, v)
 
@@ -148,20 +143,10 @@ def coexistence_coordinates(p: ModelParams):
     return (am1 / denom, bm1 / denom)
 
 
-@dataclass(frozen=True)
-class EquilibriumSet:
+class EquilibriumSet(namedtuple("EquilibriumSet", "E0 E1 E2 E3 F0 F1 F2 F3 k1 k2")):
     """The four fixed points in each frame, plus k1, k2."""
 
-    E0: tuple
-    E1: tuple
-    E2: tuple
-    E3: tuple
-    F0: tuple
-    F1: tuple
-    F2: tuple
-    F3: tuple
-    k1: float
-    k2: float
+    __slots__ = ()
 
     def original(self):
         return {"E0": self.E0, "E1": self.E1, "E2": self.E2, "E3": self.E3}
@@ -230,11 +215,8 @@ def eigenvalues_2x2(m):
     return (complex(0.5 * tr, 0.5 * root), complex(0.5 * tr, -0.5 * root))
 
 
-@dataclass
-class StabilityResult:
-    label: str  # "stable" | "unstable" | "marginal"
-    spectral_radius: float
-    eigenvalues: tuple
+# label is "stable", "unstable" or "marginal"
+StabilityResult = namedtuple("StabilityResult", "label spectral_radius eigenvalues")
 
 
 def classify_stability(p: ModelParams, point, frame: str) -> StabilityResult:
@@ -255,8 +237,8 @@ def classify_stability(p: ModelParams, point, frame: str) -> StabilityResult:
     return StabilityResult(label=label, spectral_radius=radius, eigenvalues=lams)
 
 
-@dataclass
-class StabilityCertificate:
+class StabilityCertificate(namedtuple("StabilityCertificate",
+                                      "e4 e5 delta table f1_f2_unordered")):
     """Strong stability of the cooperative-frame corners.
 
     e4 and e5 are strictly positive unit vectors such that for every tested
@@ -265,11 +247,7 @@ class StabilityCertificate:
     each tested eta with the two strict-inequality outcomes.
     """
 
-    e4: tuple
-    e5: tuple
-    delta: float
-    table: list
-    f1_f2_unordered: bool
+    __slots__ = ()
 
 
 def _strictly_below(a, b) -> bool:

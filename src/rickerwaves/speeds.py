@@ -38,7 +38,7 @@ trajectories of the step operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import DegenerateDataError, DomainError, MeasurementError, RangeError, SearchError
 from .kernels import GaussianKernel, Kernel
@@ -58,15 +58,16 @@ _NEWTON_TOL = 1e-7
 MU_FLOOR = 1e-6
 
 
-@dataclass
-class SpeedReport:
-    """A computed speed with its minimizer and evaluation trace."""
+class SpeedReport(namedtuple("SpeedReport", "value mu_star curve method lambda0",
+                             defaults=(None,))):
+    """A computed speed with its minimizer and evaluation trace.
 
-    value: float
-    mu_star: float
-    curve: list  # (mu, objective) pairs visited by the search; one for a closed form
-    method: str  # "scalar-formula" | "matrix-eigenvalue"
-    lambda0: float | None = None  # lambda(B_0) sanity value, matrix method only
+    ``curve`` holds the (mu, objective) pairs the search visited, one for a
+    closed form; ``method`` is "scalar-formula" or "matrix-eigenvalue", and
+    ``lambda0`` the sanity value lambda(B_0) of the matrix method only.
+    """
+
+    __slots__ = ()
 
 
 def _minimize_positive(objective, g0: float, curvature0: float, kernels: tuple) -> tuple:
@@ -266,24 +267,23 @@ def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> Spee
     )
 
 
-@dataclass
-class CounterPropagationReport:
+class CounterPropagationReport(namedtuple(
+        "CounterPropagationReport", "c_minus_F1F3 c_plus_F0F1 c_minus_F2F3 c_plus_F0F2")):
     """The four speeds and the two counter-propagation sums.
 
     The two interior speeds share one report: kernel symmetry makes their
     matrices, and so their searches, identical.
     """
 
-    c_minus_F1F3: SpeedReport
-    c_plus_F0F1: SpeedReport
-    c_minus_F2F3: SpeedReport
-    c_plus_F0F2: SpeedReport
-    sum_edge: float = field(init=False)
-    sum_interior: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.sum_edge = self.c_minus_F1F3.value + self.c_plus_F0F1.value
-        self.sum_interior = self.c_minus_F2F3.value + self.c_plus_F0F2.value
+    @property
+    def sum_edge(self) -> float:
+        return self.c_minus_F1F3.value + self.c_plus_F0F1.value
+
+    @property
+    def sum_interior(self) -> float:
+        return self.c_minus_F2F3.value + self.c_plus_F0F2.value
 
     @property
     def passed(self) -> bool:
@@ -345,15 +345,11 @@ def front_position(
     return float(xs[i] + t * (xs[i + 1] - xs[i]))
 
 
-@dataclass
-class FrontSpeedReport:
+class FrontSpeedReport(namedtuple("FrontSpeedReport",
+                                  "speed intercept residual_rms positions steps")):
     """Least-squares front speed with its fit diagnostics."""
 
-    speed: float
-    intercept: float
-    residual_rms: float
-    positions: np.ndarray
-    steps: np.ndarray
+    __slots__ = ()
 
 
 def measure_front_speed(

@@ -16,7 +16,7 @@ something we ever need to build, and the mixing only evaluates it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -70,46 +70,38 @@ TAIL_FRACTION = 0.1
 RESIDUAL_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class WaveOptions:
+class WaveOptions(namedtuple("WaveOptions", "profile_tol speed_tol max_steps",
+                             defaults=(1e-6, 1e-4, 2000))):
     """Tolerances and budgets for the front solver."""
 
-    profile_tol: float = 1e-6
-    speed_tol: float = 1e-4
-    max_steps: int = 2000
+    __slots__ = ()
 
 
-@dataclass
 class WaveHistory:
     """Per-step convergence diagnostics of the front solver."""
 
-    sup_diffs: list = field(default_factory=list)
-    displacements: list = field(default_factory=list)
-    # the speed error bound after each step; nan until it is defined
-    speed_errors: list = field(default_factory=list)
+    def __init__(self):
+        self.sup_diffs = []
+        self.displacements = []
+        # the speed error bound after each step; nan until it is defined
+        self.speed_errors = []
 
 
-@dataclass
-class WaveProfile:
-    """A translating profile pair with its speed and defect diagnostics."""
+class WaveProfile(namedtuple(
+        "WaveProfile", "grid phi psi speed residual steps history discrete_kernels "
+        "decay_rate speed_error contraction_rate", defaults=(math.nan,) * 3)):
+    """A translating profile pair with its speed and defect diagnostics.
 
-    grid: Grid
-    phi: np.ndarray
-    psi: np.ndarray
-    speed: float
-    residual: float
-    steps: int
-    history: WaveHistory
-    # the two discretized kernels the solve stepped with
-    discrete_kernels: tuple
-    # slowest tail decay rate at the corners for speeds |c| up to the
-    # interior monostable speed; the sized grid is built from it
-    decay_rate: float = math.nan
-    # bound on the iteration error left in ``speed`` (see
-    # ``find_bistable_wave``); the grid's error is not in it
-    speed_error: float = math.nan
-    # ratio of the last two displacement increments
-    contraction_rate: float = math.nan
+    ``discrete_kernels`` are the two discretized kernels the solve stepped
+    with.  ``decay_rate`` is the slowest tail decay rate at the corners for
+    speeds |c| up to the interior monostable speed; the sized grid is built
+    from it.  ``speed_error`` bounds the iteration error left in ``speed``
+    (see ``find_bistable_wave``); the grid's error is not in it.
+    ``contraction_rate`` is the ratio of the last two displacement
+    increments.
+    """
+
+    __slots__ = ()
 
     @property
     def kernel_half_width(self) -> int:
@@ -499,8 +491,7 @@ def find_bistable_wave(
         speed_error=speed_error,
         contraction_rate=rate,
     )
-    profile.residual = wave_residual(profile, p)
-    return profile
+    return profile._replace(residual=wave_residual(profile, p))
 
 
 def wave_residual(wp: WaveProfile, p: ModelParams) -> float:
@@ -525,16 +516,11 @@ def wave_residual(wp: WaveProfile, p: ModelParams) -> float:
     return float(np.abs(d, out=d).max())
 
 
-@dataclass
-class ProfileValidation:
+class ProfileValidation(namedtuple("ProfileValidation", "monotone_ok range_ok left_tail_ok "
+                                   "right_tail_ok residual_ok details")):
     """Per-clause pass/fail record for a candidate wave profile."""
 
-    monotone_ok: bool
-    range_ok: bool
-    left_tail_ok: bool
-    right_tail_ok: bool
-    residual_ok: bool
-    details: dict
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

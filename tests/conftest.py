@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -98,7 +96,7 @@ def axiom_errors(p, dk1, dk2, grid, rng, shifts=(7,), pairs=200):
         s2 = random_transformed(grid, rng)
         lo = np.minimum(s1.fields, s2.fields)
         hi = np.maximum(s1.fields, s2.fields)
-        q_lo = apply_Q(replace(s1, U=lo[0], V=lo[1]), p, dk1, dk2)
-        q_hi = apply_Q(replace(s1, U=hi[0], V=hi[1]), p, dk1, dk2)
+        q_lo = apply_Q(SpatialState(s1.grid, s1.frame, lo[0], lo[1], s1.step), p, dk1, dk2)
+        q_hi = apply_Q(SpatialState(s1.grid, s1.frame, hi[0], hi[1], s1.step), p, dk1, dk2)
         a3_worst = max(a3_worst, float(np.max(q_lo.fields - q_hi.fields)))
     return a1_err, a3_worst

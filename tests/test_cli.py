@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -109,7 +108,7 @@ class TestLoadConfig:
         listed = [token for token in re.findall(r"`([^`]+)`", paragraph)
                   if re.fullmatch(r"[a-z]+[12]?\.(\w+|\*)", token)]
         shared = [key for key in listed if key.startswith("kernel.")]
-        expanded = {"model.*": [f"model.{f.name}" for f in dataclasses.fields(ModelParams)],
+        expanded = {"model.*": [f"model.{name}" for name in ModelParams._fields],
                     "kernel1.*": [key.replace("kernel.", "kernel1.") for key in shared],
                     "kernel2.*": [key.replace("kernel.", "kernel2.") for key in shared]}
         documented = set()
@@ -845,7 +844,7 @@ def _unmemoized_sweep(cfg):
     for point in itertools.product(*(cfg.sweep[name] for name in names)):
         combo = dict(zip(names, point))
         sigma = combo.pop("sigma", None)
-        params = dataclasses.replace(cfg.params, **combo)
+        params = cfg.params._replace(**combo)
         k1, k2 = cfg.kernel1, cfg.kernel2
         if sigma is not None:
             k1, k2 = GaussianKernel(sigma), GaussianKernel(sigma)
@@ -926,7 +925,7 @@ PACKAGE_EXPORTS = {
 # then, with numpy allowed again, the package's lazy exports
 _WITHOUT_NUMPY = """\
 import contextlib, importlib, io, json, sys
-sys.modules["numpy"] = None
+sys.modules["numpy"] = sys.modules["dataclasses"] = None
 import rickerwaves
 from rickerwaves.cli import main
 runs = []
@@ -934,7 +933,7 @@ for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runs.append([main(argv), out.getvalue()])
-del sys.modules["numpy"]
+del sys.modules["numpy"], sys.modules["dataclasses"]
 wrong = [name for module, names in json.loads(sys.argv[2]).items() for name in names
          if getattr(rickerwaves, name) is not getattr(
              importlib.import_module("rickerwaves." + module), name)]
@@ -958,15 +957,26 @@ class TestImport:
         return result.stdout.strip()
 
     @classmethod
-    def _loaded_after_cli_import(cls, names):
-        return cls._fresh("import sys, rickerwaves.cli; "
+    def _loaded_after_import(cls, names, module="rickerwaves.cli"):
+        return cls._fresh(f"import sys, {module}; "
                           f"print([m for m in sys.modules if m.split('.')[0] in {names!r}])")
 
     def test_cli_import_loads_no_scipy(self):
-        assert self._loaded_after_cli_import(["scipy"]) == "[]"
+        assert self._loaded_after_import(["scipy"]) == "[]"
 
     def test_cli_import_loads_no_statistics(self):
-        assert self._loaded_after_cli_import(["statistics"]) == "[]"
+        assert self._loaded_after_import(["statistics"]) == "[]"
+
+    def test_cli_import_loads_no_dataclasses_or_inspect(self):
+        assert self._loaded_after_import(["dataclasses", "inspect"]) == "[]"
+
+    def test_waves_import_adds_none_of_them_to_numpy(self):
+        # numpy itself loads inspect; a wave solve's modules add none of these
+        added = self._fresh(
+            "import sys, numpy.linalg; before = set(sys.modules); import rickerwaves.waves; "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.split('.')[0] in ('dataclasses', 'inspect', 'logging')))")
+        assert added == "[]"
 
     def test_scalar_subcommands_and_exports_without_numpy(self, tmp_path, capsys):
         uniform = (BASE_CONFIG.replace("kernel.family = gaussian", "kernel.family = uniform")

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -338,7 +337,7 @@ class TestAxiomErrors:
         # u < 1 - 1/r1, so raising U lowers the next U.  A narrow kernel
         # keeps the dispersal from averaging the violation away.
         narrow = discretize(GaussianKernel(0.1), small_grid.dx)
-        wild = replace(params, r1=3.0)
+        wild = params._replace(r1=3.0)
         _, tame_worst = axiom_errors(params, narrow, narrow, small_grid, rng, pairs=20)
         _, wild_worst = axiom_errors(wild, narrow, narrow, small_grid, rng, pairs=20)
         assert tame_worst <= 1e-12

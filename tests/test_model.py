@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 from rickerwaves import (
     CertificateError,
     DomainError,
+    GaussianKernel,
+    Grid,
     ModelParams,
     ParameterError,
+    UniformKernel,
+    WaveOptions,
     change_coordinates,
     classify_stability,
     equilibria,
@@ -23,6 +27,23 @@ from rickerwaves import model
 from rickerwaves.model import ORIGINAL_FRAME, TRANSFORMED_FRAME
 
 from conftest import random_admissible
+
+
+class TestValueRecords:
+    # dict keys (a sweep's edge memo) or shared between solves: a field
+    # assignment raises
+    @pytest.mark.parametrize("record, name", [
+        (ModelParams(0.5, 0.5, 2.0, 3.0), "r1"),
+        (GaussianKernel(1.0), "sigma"),
+        (UniformKernel(2.0), "halfwidth"),
+        (Grid(half_length=20.0, dx=0.1), "dx"),
+        (WaveOptions(), "max_steps"),
+    ], ids=["ModelParams", "GaussianKernel", "UniformKernel", "Grid", "WaveOptions"])
+    def test_a_field_cannot_be_assigned(self, record, name):
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, 2 * value)
+        assert getattr(record, name) == value
 
 
 class TestValidateParams:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -216,9 +215,9 @@ class TestFindBistableWave:
         # each step's clamp checks what apply_Q returns, so no state is
         # scanned per step: the ramp and the residual's state are
         calls = []
-        check = SpatialState.__post_init__
-        monkeypatch.setattr(SpatialState, "__post_init__",
-                            lambda self: calls.append(1) or check(self))
+        check = SpatialState.__init__
+        monkeypatch.setattr(SpatialState, "__init__",
+                            lambda self, *args, **kw: calls.append(1) or check(self, *args, **kw))
         p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
         scans, steps = set(), set()
         for opts in (WaveOptions(), WaveOptions(speed_tol=1e-9)):
@@ -401,6 +400,21 @@ class TestKnownAnswerIdentities:
                 assert drop(fronts[w, v], fronts[w, u]), (w, u, v)
         for a in values:
             assert abs(fronts[a, a].speed) <= fronts[a, a].speed_error
+
+    def test_speed_scales_with_the_kernel_and_the_spacing(self):
+        # x -> lambda x maps the lattice problem at (sigma, dx) onto the one
+        # at (lambda sigma, lambda dx): the same weights, the same sized grid
+        # in cells, and a front lambda times as fast
+        p = ModelParams(0.5, 0.5, 2.0, 3.0)
+        opts = WaveOptions(profile_tol=1e-10, speed_tol=1e-12)
+        scaled, points = [], set()
+        for lam in (0.5, 1.0, 2.0, 3.0):
+            k = GaussianKernel(lam)
+            wp = find_bistable_wave(p, k, k, opts=opts, dx=0.1 * lam)
+            scaled.append(wp.speed / lam)
+            points.add(wp.grid.n_points)
+        assert max(scaled) - min(scaled) <= 1e-13
+        assert len(points) == 1
 
 
 TIGHT = WaveOptions(profile_tol=1e-11, speed_tol=1e-12)
@@ -700,7 +714,7 @@ class TestValidateProfile:
         assert not report.passed
 
     def test_residual_over_the_bound_fails(self, standard_wave):
-        report = validate_profile(dataclasses.replace(standard_wave, residual=2e-4))
+        report = validate_profile(standard_wave._replace(residual=2e-4))
         assert not report.residual_ok
         assert not report.passed
 
