@@ -224,7 +224,7 @@ def _fmt(value) -> str:
 
 
 def _quote(cell: str) -> str:
-    if any(ch in cell for ch in ",\"\n"):
+    if "," in cell or '"' in cell or "\n" in cell:
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
@@ -233,11 +233,13 @@ def emit_csv(stream, digest: str, header, rows) -> None:
     """Write the digest comment, the header and one line per row, in one write.
 
     Each cell is ``_quote(_fmt(cell))``; a Python float is rendered by one
-    ``%.12g`` format, the same text without the calls.
+    ``%.12g`` format and a bool as "true" or "false", the same text without
+    the calls.
     """
     lines = [f"# config {digest}", ",".join(header)]
-    lines += [",".join(["%.12g" % cell if type(cell) is float else _quote(_fmt(cell))
-                        for cell in row])
+    lines += [",".join(["%.12g" % cell if type(cell) is float
+                        else ("true" if cell else "false") if type(cell) is bool
+                        else _quote(_fmt(cell)) for cell in row])
               for row in rows]
     stream.write("\n".join(lines) + "\n")
 
@@ -480,15 +482,6 @@ def cmd_wave(cfg: ExperimentConfig, out, args) -> RunReport:
     return report
 
 
-def _sweep_cell(cfg: ExperimentConfig, combo: dict, edge_memo: dict):
-    params = cfg.params._replace(**{name: combo[name] for name in _MODEL_KEYS if name in combo})
-    kernel1, kernel2 = cfg.kernel1, cfg.kernel2
-    if "sigma" in combo:
-        kernel1 = kernel2 = kernels.GaussianKernel(sigma=combo["sigma"])
-    cp = speeds.counter_propagation(params, kernel1, kernel2, edge_memo)
-    return params, combo.get("sigma"), cp
-
-
 def cmd_sweep(cfg: ExperimentConfig, out, args) -> RunReport:
     report = RunReport()
     sweep = cfg.sweep
@@ -497,25 +490,30 @@ def cmd_sweep(cfg: ExperimentConfig, out, args) -> RunReport:
     if "sigma" in sweep and not (isinstance(cfg.kernel1, kernels.GaussianKernel)
                                  and isinstance(cfg.kernel2, kernels.GaussianKernel)):
         raise ConfigError("sweep.sigma requires gaussian kernels")
-    # cfg.sweep keeps the axes in _SWEEP_ORDER
-    combos = [dict(zip(sweep, point)) for point in itertools.product(*sweep.values())]
-
-    # the edge speeds of this sweep, each distinct (r, kernel) searched once
-    edge_memo = {}
-    results = [_sweep_cell(cfg, combo, edge_memo) for combo in combos]
-
-    rows = [(params.r1, params.r2, params.a1, params.a2, "" if sigma is None else sigma,
-             cp.c_minus_F1F3.value, cp.c_plus_F0F1.value, cp.c_minus_F2F3.value,
-             cp.c_plus_F0F2.value, cp.sum_edge, cp.sum_interior, cp.passed)
-            for params, sigma, cp in results]
-    header = (
-        "r1", "r2", "a1", "a2", "sigma",
-        "c_minus_F1F3", "c_plus_F0F1", "c_minus_F2F3", "c_plus_F0F2",
-        "sum_edge", "sum_interior", "passed",
-    )
+    # the config's value stands in for each unset axis, so the product runs
+    # the cells in _SWEEP_ORDER; a sigma's kernel is built at its first cell,
+    # as is any error it raises, and each distinct (r, kernel) edge speed is
+    # searched once
+    axes = [sweep.get(name, [value]) for name, value in zip(_MODEL_KEYS, cfg.params)]
+    axes.append(sweep.get("sigma", [None]))
+    edge_memo, gaussians, rows = {}, {}, []
+    for r1, r2, a1, a2, sigma in itertools.product(*axes):
+        kernel1, kernel2 = cfg.kernel1, cfg.kernel2
+        if sigma is not None:
+            kernel1 = kernel2 = gaussians.get(sigma)
+            if kernel1 is None:
+                kernel1 = kernel2 = gaussians[sigma] = kernels.GaussianKernel(sigma=sigma)
+        cp = speeds.counter_propagation(model.ModelParams(r1, r2, a1, a2),
+                                        kernel1, kernel2, edge_memo)
+        sum_edge, sum_interior = cp.sum_edge, cp.sum_interior
+        rows.append((r1, r2, a1, a2, "" if sigma is None else sigma,
+                     cp.c_minus_F1F3.value, cp.c_plus_F0F1.value, cp.c_minus_F2F3.value,
+                     cp.c_plus_F0F2.value, sum_edge, sum_interior,
+                     sum_edge > 0.0 and sum_interior > 0.0))  # cp.passed, sums read once
+    header = ("r1", "r2", "a1", "a2", "sigma", "c_minus_F1F3", "c_plus_F0F1",
+              "c_minus_F2F3", "c_plus_F0F2", "sum_edge", "sum_interior", "passed")
     emit_csv(out, cfg.digest, header, rows)
-    report.add("sweep-counter-propagation", all(cp.passed for _, _, cp in results),
-               f"{len(rows)} cells")
+    report.add("sweep-counter-propagation", all(row[-1] for row in rows), f"{len(rows)} cells")
     return report
 
 

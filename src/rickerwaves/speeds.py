@@ -12,12 +12,13 @@ rightward MGFs coincide, so a single exponent sign serves both directions.
 Each speed is the minimum of its objective.  A Gaussian kernel's scalar
 minimum is sigma sqrt(2 r), at mu = sqrt(2 r)/sigma (Kot, Lewis & van den
 Driessche, Ecology 77, 1996), and needs no search.  When both species share
-one kernel, B_mu = M(mu) B_0, so the interior objective is the scalar one at
-rate ln lambda(B_0).  Any other minimum is found by ``_minimize_positive``.
-Each objective is g(mu)/mu with g convex: r + ln M(mu) is a cumulant
-generating function, and ln lambda(B_mu) is convex in mu by Kingman ("A
-convexity property of positive matrices", Quart. J. Math. 12, 1961), since
-every entry of B_mu is a positive constant times a log-convex MGF.  So the
+one kernel, B_mu = M(mu) B_0, so the interior minimum is the scalar one at
+rate ln lambda(B_0), taken before any matrix objective is built.  Any other
+minimum is found by ``_minimize_positive``.  Each objective is g(mu)/mu
+with g convex: r + ln M(mu) is a cumulant generating function, and
+ln lambda(B_mu) is convex in mu by Kingman ("A convexity property of
+positive matrices", Quart. J. Math. 12, 1961), since every entry of
+B_mu is a positive constant times a log-convex MGF.  So the
 minimizer is the one root of the nondecreasing F(mu) = mu g'(mu) - g(mu),
 and a safeguarded Newton iteration on F, from the minimizer of the quadratic
 model of g at 0 (the Gaussian closed form), finds it in a few evaluations:
@@ -214,16 +215,25 @@ def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> Spee
     DegenerateDataError, and inadmissible parameters raise ParameterError.
     When both species share one kernel (``kernel1 == kernel2``: equal
     Gaussian or uniform kernels, or one table object), B_mu = M(mu) B_0 and
-    the minimum is the scalar one at rate ln lambda(B_0).  Otherwise each
-    evaluation is one call: it scales the coefficients, built once, by the
-    MGFs as floats and takes the Perron root through
-    ``model.trace_and_discriminant``, bit for bit the root that
+    the minimum is the scalar one at rate ln lambda(B_0), returned before
+    the search closures are built.  Otherwise each evaluation is one call:
+    it scales the coefficients by the MGFs as floats and takes the Perron
+    root through ``model.trace_and_discriminant``, bit for bit the root that
     ``eigenvalues_2x2`` gives for ``linearization_matrix``, and the first
     two derivatives of ln lambda from the kernels' tilted moments; each
     kernel's three numbers come from one ``moments`` call.
     """
     validate_params(p)
     (c11, c12), (c21, c22) = _coefficients(p)
+    at_zero = (*kernel1.moments(0.0), *kernel2.moments(0.0))
+    m1, m2 = at_zero[0], at_zero[3]
+    lambda0 = eigenvalues_2x2(((c11 * m1, c12 * m2), (c21 * m1, c22 * m2)))[0]
+    if not lambda0 > 1.0:
+        raise DegenerateDataError(
+            f"lambda(B_0) = {lambda0!r} is not above 1: no positive interior speed")
+    if kernel1 == kernel2:
+        mu_star, value, curve = _scalar_minimum(math.log(lambda0), kernel1)
+        return SpeedReport(value, mu_star, curve, "matrix-eigenvalue", lambda0)
     moments1, moments2 = kernel1.moments, kernel2.moments
     log, sqrt = math.log, math.sqrt
 
@@ -250,21 +260,9 @@ def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> Spee
         lam, slope, curvature = perron(*moments1(mu), *moments2(mu))
         return log(lam) / mu, slope, curvature
 
-    at_zero = (*moments1(0.0), *moments2(0.0))
-    m1, m2 = at_zero[0], at_zero[3]
-    lambda0 = eigenvalues_2x2(((c11 * m1, c12 * m2), (c21 * m1, c22 * m2)))[0]
-    if not lambda0 > 1.0:
-        raise DegenerateDataError(
-            f"lambda(B_0) = {lambda0!r} is not above 1: no positive interior speed")
-    if kernel1 == kernel2:
-        mu_star, value, curve = _scalar_minimum(log(lambda0), kernel1)
-    else:
-        mu_star, value, curve = _minimize_positive(
-            objective, log(lambda0), perron(*at_zero)[2], (kernel1, kernel2))
-    return SpeedReport(
-        value=value, mu_star=mu_star, curve=curve, method="matrix-eigenvalue",
-        lambda0=lambda0,
-    )
+    mu_star, value, curve = _minimize_positive(
+        objective, log(lambda0), perron(*at_zero)[2], (kernel1, kernel2))
+    return SpeedReport(value, mu_star, curve, "matrix-eigenvalue", lambda0)
 
 
 class CounterPropagationReport(namedtuple(

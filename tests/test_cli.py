@@ -901,6 +901,46 @@ class TestSweepEdgeMemo:
         assert out == _unmemoized_sweep(load_config(path))
 
 
+_NO_KERNEL_CONFIG = "".join(line + "\n" for line in BASE_CONFIG.splitlines()
+                            if not line.startswith("kernel."))
+_SIGMA_ZERO = "gaussian sigma must be positive with a finite square, got 0.0"
+
+
+class TestSweepOnePass:
+    """One pass per lattice: the same bytes on each kernel configuration, and
+    the first bad cell's error, whether from its parameters or its sigma."""
+
+    @pytest.mark.parametrize("config", [
+        _NO_KERNEL_CONFIG + "kernel.family = uniform\nkernel.halfwidth = 2\n"
+        "sweep.r1 = 0.3, 0.6\nsweep.r2 = 0.4, 0.7\nsweep.a1 = 1.5, 2.5\nsweep.a2 = 2, 4\n",
+        _NO_KERNEL_CONFIG + "kernel1.family = gaussian\nkernel1.sigma = 1\n"
+        "kernel2.family = uniform\nkernel2.halfwidth = 2\n"
+        "sweep.r1 = 0.3, 0.6\nsweep.a1 = 1.5, 2.5\n",
+        # sigma values that repeat one another and the config's sigma = 1.0
+        BASE_CONFIG + "sweep.a2 = 2, 4\nsweep.sigma = 1.0, 0.5, 1, 0.5\n",
+    ], ids=["uniform-four-axes", "species-pair", "repeated-sigma"])
+    def test_table_is_the_memo_free_table(self, tmp_path, capsys, config):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(config)
+        assert main(["sweep", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == _unmemoized_sweep(load_config(path))
+
+    @pytest.mark.parametrize("settings,message", [
+        (["sweep.a1=0.5,2.5"], "a1=0.5 outside (1, inf)"),
+        (["sweep.sigma=0"], _SIGMA_ZERO),
+        # the cells run sigma fastest: (a1, sigma) = (0.5, 1) comes first here
+        (["sweep.a1=0.5,2", "sweep.sigma=1,0"], "a1=0.5 outside (1, inf)"),
+        # and (2, 0) here
+        (["sweep.a1=2,0.5", "sweep.sigma=1,0"], _SIGMA_ZERO),
+    ], ids=["a1", "sigma", "a1-first", "sigma-first"])
+    def test_first_bad_cell_is_the_error(self, config_path, capsys, settings, message):
+        argv = ["sweep", "--config", str(config_path)]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # every name the package exported when its __init__ imported them all, by module
 PACKAGE_EXPORTS = {
     "errors": ("CertificateError", "ConfigError", "ConvergenceError", "DegenerateDataError",

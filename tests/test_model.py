@@ -64,6 +64,48 @@ class TestValidateParams:
         with pytest.raises(ParameterError, match=r"^r1=1\.0 outside \(0, 1\)$"):
             validate_params(ModelParams(1.0, 0.5, 2.0, 3.0))
 
+    @staticmethod
+    def _message(**fields):
+        # the ParameterError text for the README parameters with fields replaced
+        with pytest.raises(ParameterError) as info:
+            validate_params(ModelParams(0.5, 0.5, 2.0, 3.0)._replace(**fields))
+        return str(info.value)
+
+    @pytest.mark.parametrize("name", ModelParams._fields)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_named(self, name, value):
+        assert self._message(**{name: value}) == f"{name}={value} is not finite"
+
+    @pytest.mark.parametrize("name,value,box", [
+        ("r1", 0.0, "(0, 1)"), ("r1", 1.0, "(0, 1)"), ("r2", 0.0, "(0, 1)"),
+        ("r2", 1.0, "(0, 1)"), ("a1", 1.0, "(1, inf)"), ("a2", 1.0, "(1, inf)"),
+    ])
+    def test_each_boundary_is_outside(self, name, value, box):
+        assert self._message(**{name: value}) == f"{name}={value} outside {box}"
+
+    def test_one_ulp_inside_every_boundary_passes(self):
+        low, high = math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0)
+        above_one, largest = math.nextafter(1.0, 2.0), math.nextafter(math.inf, 0.0)
+        for p in (ModelParams(low, low, above_one, above_one),
+                  ModelParams(high, high, largest, largest)):
+            assert validate_params(p) is None
+
+    @pytest.mark.parametrize("fields,message", [
+        ((math.nan, 1.5, 0.5, math.inf),
+         "r1=nan is not finite; a2=inf is not finite; r2=1.5 outside (0, 1); "
+         "a1=0.5 outside (1, inf)"),
+        ((1.0, 0.0, -math.inf, 1.0),
+         "a1=-inf is not finite; r1=1.0 outside (0, 1); r2=0.0 outside (0, 1); "
+         "a2=1.0 outside (1, inf)"),
+        ((-0.5, 2.0, -3.0, 0.9),
+         "r1=-0.5 outside (0, 1); r2=2.0 outside (0, 1); a1=-3.0 outside (1, inf); "
+         "a2=0.9 outside (1, inf)"),
+    ])
+    def test_violations_join_non_finite_first_then_in_field_order(self, fields, message):
+        with pytest.raises(ParameterError) as info:
+            validate_params(ModelParams(*fields))
+        assert str(info.value) == message
+
 
 class TestPointwiseMaps:
     def test_coexistence_point_is_fixed(self, params):

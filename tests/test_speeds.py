@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 from decimal import Decimal, localcontext
@@ -260,6 +261,35 @@ class TestSystemSpeedBound:
         for p in (ModelParams(0.5, 1e-17, 2.0, 3.0), ModelParams(0.5, 1e-300, 2.0, 3.0)):
             with pytest.raises(DegenerateDataError, match=r"lambda\(B_0\) = .* not above 1"):
                 system_speed_bound(p, GaussianKernel(1.0), kernel2)
+
+    @pytest.mark.parametrize("kernel", [UniformKernel(2.0), triangular_table(1.5)],
+                             ids=["uniform", "table"])
+    def test_lambda0_not_above_one_is_a_named_error_for_a_shared_search(self, kernel):
+        # a shared uniform or table kernel reaches the scalar search, after the check
+        with pytest.raises(DegenerateDataError, match=r"lambda\(B_0\) = .* not above 1"):
+            system_speed_bound(ModelParams(0.5, 1e-17, 2.0, 3.0), kernel, kernel)
+
+    # (value, mu_star) as hex, the curve's length and a digest of its hex
+    # pairs, on the README parameters, where lambda(B_0) is 0x1.3333333333334p+0;
+    # each shared kernel returns before the distinct kernels' search is set up
+    @pytest.mark.parametrize("pair,pinned", [
+        (lambda: (GaussianKernel(0.7),) * 2,
+         ("0x1.b0d837c4632d5p-2", "0x1.b9ad9c2ba91eap-1", 1, "657469f28ce8be7f")),
+        (lambda: (UniformKernel(1.3),) * 2,
+         ("0x1.c789385bbc957p-2", "0x1.b44d0ec15932dp-1", 5, "831c3fea98aab5d4")),
+        (lambda: (triangular_table(1.5),) * 2,
+         ("0x1.771bc62e70d02p-2", "0x1.03ac6061418bcp+0", 4, "42095356aad5e915")),
+        (lambda: (GaussianKernel(1.0), UniformKernel(2.0)),
+         ("0x1.47b4b87c9611cp-1", "0x1.28e41c5525e46p-1", 4, "75cb484fc3401190")),
+    ], ids=["shared-gaussian", "shared-uniform", "shared-table", "distinct"])
+    def test_report_is_pinned_bit_for_bit(self, params, pair, pinned):
+        report = system_speed_bound(params, *pair())
+        digest = hashlib.sha256(
+            repr([(mu.hex(), value.hex()) for mu, value in report.curve]).encode()).hexdigest()
+        assert (report.value.hex(), report.mu_star.hex(), len(report.curve),
+                digest[:16]) == pinned
+        assert report.lambda0.hex() == "0x1.3333333333334p+0"
+        assert report.method == "matrix-eigenvalue"
 
     def test_distinct_kernel_minimum_below_the_mu_floor_raises(self):
         # README cell with a2 = 1 + 1e-15: lambda(B_0) - 1 is about 4e-16, so
