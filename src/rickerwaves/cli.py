@@ -6,6 +6,12 @@ as ``cfg[key]``, with its ``_KEY_SPEC`` default when unset.  All numeric output
 uses 12 significant digits and CSV bodies are deterministic for a fixed
 config; the resolved-config digest rides along in a leading comment line.
 
+Each subcommand ``cmd_*`` takes ``(cfg, args)``, writes its own ``--out``
+artifacts and returns ``(header, rows, checks)``: its one table and its
+``(name, ok, detail)`` check rows.  ``run`` alone writes the table, to stdout by
+default, and builds the ``RunReport`` from the checks; ``main`` exits 1 when a
+check fails and names it on stderr.
+
 ``validate``, ``equilibria``, ``speeds`` and ``sweep`` compute on Python floats
 and import no numpy; a table kernel, ``speeds --curve``, ``simulate`` and
 ``wave`` load it on first use.
@@ -16,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import itertools
+import math
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -202,11 +209,10 @@ CheckResult = namedtuple("CheckResult", "name ok detail")
 
 
 class RunReport:
-    def __init__(self):
-        self.checks = []
+    """The checks of one run, as CheckResult rows whose ``ok`` is a bool."""
 
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append(CheckResult(name=name, ok=bool(ok), detail=detail))
+    def __init__(self, checks):
+        self.checks = [CheckResult(name, bool(ok), detail) for name, ok, detail in checks]
 
     @property
     def passed(self) -> bool:
@@ -267,20 +273,20 @@ def write_csv(path: Path, digest: str, header, columns) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: (cfg, args) -> (header, rows, checks), as the module docstring says
 
 
-def cmd_validate(cfg: ExperimentConfig, out, args) -> RunReport:
-    report = RunReport()
+def cmd_validate(cfg: ExperimentConfig, args) -> tuple:
+    checks = []
 
     def check(name, validate, arg) -> bool:
         # a row from whether the hypothesis check raised, with its message
         try:
             validate(arg)
         except ParameterError as exc:
-            report.add(name, False, str(exc))
+            checks.append((name, False, str(exc)))
             return False
-        report.add(name, True)
+        checks.append((name, True, ""))
         return True
 
     admissible = check("H1-admissible", model.validate_params, cfg.params)
@@ -288,42 +294,40 @@ def cmd_validate(cfg: ExperimentConfig, out, args) -> RunReport:
         check(f"H2-finite-mgf-{name}", kernels.validate_hypotheses, k)
         # symmetric and nonnegative by construction (H3)
         symmetrized = isinstance(k, kernels.TableKernel) and k.symmetrized
-        report.add(f"H3-symmetric-{name}", True,
-                   "input table was asymmetric; symmetrized on construction"
-                   if symmetrized else "")
+        checks.append((f"H3-symmetric-{name}", True,
+                       "input table was asymmetric; symmetrized on construction"
+                       if symmetrized else ""))
 
     # on admissible parameters only; A1 and A3 hold by construction, as H3 does:
     # in the cooperative frame 1 - gu and gv rise in U and V when r1, r2 < 1
     # (H1), and the weights are nonnegative cell masses on a uniform lattice
     if admissible:
-        report.add("A1-translation", True, "a lattice convolution commutes with whole-cell shifts")
-        report.add("A3-order-preserving", True, "holds by (H1) and nonnegative weights")
+        checks.append(("A1-translation", True,
+                       "a lattice convolution commutes with whole-cell shifts"))
+        checks.append(("A3-order-preserving", True, "holds by (H1) and nonnegative weights"))
 
         try:
             cert = model.strong_stability_vectors(cfg.params)
-            report.add(
-                "A5-bistability",
-                cert.f1_f2_unordered,
-                f"delta {_fmt(cert.delta)}; intermediates unordered {cert.f1_f2_unordered}",
-            )
+            checks.append(("A5-bistability", cert.f1_f2_unordered,
+                           f"delta {_fmt(cert.delta)}; "
+                           f"intermediates unordered {cert.f1_f2_unordered}"))
         except CertificateError as exc:  # reported, not raised
-            report.add("A5-bistability", False, str(exc))
+            checks.append(("A5-bistability", False, str(exc)))
 
         try:
             cp = speeds.counter_propagation(cfg.params, cfg.kernel1, cfg.kernel2)
         except (DegenerateDataError, SearchError) as exc:  # reported, not raised
-            report.add("A6-counter-propagation", False, str(exc))
+            checks.append(("A6-counter-propagation", False, str(exc)))
         else:
-            report.add("A6-counter-propagation", cp.passed,
-                       f"edge sum {_fmt(cp.sum_edge)}; interior sum {_fmt(cp.sum_interior)}")
+            checks.append(("A6-counter-propagation", cp.passed,
+                           f"edge sum {_fmt(cp.sum_edge)}; interior sum {_fmt(cp.sum_interior)}"))
 
-    rows = [(c.name, c.ok, c.detail) for c in report.checks]
-    emit_csv(out, cfg.digest, ("check", "passed", "detail"), rows)
-    return report
+    # the table is the check rows, each ok a bool
+    rows = RunReport(checks).checks
+    return ("check", "passed", "detail"), rows, rows
 
 
-def cmd_equilibria(cfg: ExperimentConfig, out, args) -> RunReport:
-    report = RunReport()
+def cmd_equilibria(cfg: ExperimentConfig, args) -> tuple:
     eqset = model.equilibria(cfg.params)
     rows = []
     for frame, points in (
@@ -333,19 +337,13 @@ def cmd_equilibria(cfg: ExperimentConfig, out, args) -> RunReport:
         for name, point in points.items():
             stab = model.classify_stability(cfg.params, point, frame)
             rows.append((name, frame, point[0], point[1], stab.label, stab.spectral_radius))
-    emit_csv(
-        out, cfg.digest,
-        ("point", "frame", "u", "v", "stability", "spectral_radius"),
-        rows,
-    )
-    report.add("equilibria", True, f"k1 {_fmt(eqset.k1)}; k2 {_fmt(eqset.k2)}")
-    return report
+    return (("point", "frame", "u", "v", "stability", "spectral_radius"), rows,
+            [("equilibria", True, f"k1 {_fmt(eqset.k1)}; k2 {_fmt(eqset.k2)}")])
 
 
-def cmd_speeds(cfg: ExperimentConfig, out, args) -> RunReport:
+def cmd_speeds(cfg: ExperimentConfig, args) -> tuple:
     if args.curve and not args.out:
         raise ConfigError("speeds --curve needs --out DIR")
-    report = RunReport()
     cp = speeds.counter_propagation(cfg.params, cfg.kernel1, cfg.kernel2)
     named = (
         ("c_minus_F1F3", cp.c_minus_F1F3),
@@ -353,59 +351,55 @@ def cmd_speeds(cfg: ExperimentConfig, out, args) -> RunReport:
         ("c_minus_F2F3", cp.c_minus_F2F3),
         ("c_plus_F0F2", cp.c_plus_F0F2),
     )
-    rows = [
-        (name, sr.value, sr.mu_star, sr.method) for name, sr in named
-    ]
-    rows.append(("lambda_B0", cp.c_minus_F2F3.lambda0, 0.0, "matrix-eigenvalue"))
-    rows.append(("sum_edge", cp.sum_edge, 0.0, "sum"))
-    rows.append(("sum_interior", cp.sum_interior, 0.0, "sum"))
-    emit_csv(out, cfg.digest, ("quantity", "value", "mu_star", "method"), rows)
-
     if args.curve:
         for name, sr in named:
             write_csv(Path(args.out) / f"curve_{name}.csv", cfg.digest, ("mu", "objective"),
                       tuple(zip(*sr.curve)))
 
-    report.add("counter-propagation", cp.passed,
-               f"edge {_fmt(cp.sum_edge)}; interior {_fmt(cp.sum_interior)}")
-    return report
+    rows = [(name, sr.value, sr.mu_star, sr.method) for name, sr in named]
+    rows.append(("lambda_B0", cp.c_minus_F2F3.lambda0, 0.0, "matrix-eigenvalue"))
+    rows.append(("sum_edge", cp.sum_edge, 0.0, "sum"))
+    rows.append(("sum_interior", cp.sum_interior, 0.0, "sum"))
+    return (("quantity", "value", "mu_star", "method"), rows,
+            [("counter-propagation", cp.passed,
+              f"edge {_fmt(cp.sum_edge)}; interior {_fmt(cp.sum_interior)}")])
 
 
 def _initial_state(cfg: ExperimentConfig, grid) -> evolution.SpatialState:
+    # the frame, then sim.init, then the width are checked, for either start
     import numpy as np
     from . import evolution, waves
     init, width, frame = cfg["sim.init"], cfg["sim.init_width"], cfg["sim.frame"]
     if frame not in (model.TRANSFORMED_FRAME, model.ORIGINAL_FRAME):
         raise ConfigError(f"unknown sim.frame {frame!r} "
                           f"(expected {model.TRANSFORMED_FRAME} or {model.ORIGINAL_FRAME})")
-    if init == "step":
-        state = waves.step_initial_data(grid, width)
-        if frame == model.ORIGINAL_FRAME:
-            state = model.change_coordinates(state)
-        return state
+    if init not in ("step", "bump"):
+        raise ConfigError(f"unknown sim.init {init!r} (expected step or bump)")
+    if not 0.0 < width < math.inf:
+        raise ConfigError(f"sim.init_width must be positive and finite, got {width}")
     if init == "bump":
-        if not (width > 0 and np.isfinite(width)):
-            raise ConfigError(f"sim.init_width of a bump must be positive and finite, "
-                              f"got {width}")
         bump = np.exp(-0.5 * (grid.x / width) ** 2)
         return evolution.SpatialState(grid=grid, frame=frame, U=bump, V=bump)
-    raise ConfigError(f"unknown sim.init {init!r} (expected step or bump)")
+    state = waves.step_initial_data(grid, width)
+    return model.change_coordinates(state) if frame == model.ORIGINAL_FRAME else state
 
 
-def cmd_simulate(cfg: ExperimentConfig, out, args) -> RunReport:
+def cmd_simulate(cfg: ExperimentConfig, args) -> tuple:
     if not args.out:
         raise ConfigError("simulate needs --out DIR")
     from . import evolution
-    report = RunReport()
     grid = cfg.grid()
+    # a shared kernel is discretized once, so both species share its spectra
     dk1 = kernels.discretize(cfg.kernel1, grid.dx)
-    dk2 = kernels.discretize(cfg.kernel2, grid.dx)
+    dk2 = dk1 if cfg.kernel1 == cfg.kernel2 else kernels.discretize(cfg.kernel2, grid.dx)
     state = _initial_state(cfg, grid)
+    steps, thin = cfg["sim.steps"], cfg["sim.thin"]
+    if steps < 0:
+        raise ConfigError(f"sim.steps must be nonnegative, got {steps}")
+    if thin < 1:
+        raise ConfigError(f"sim.thin must be at least 1, got {thin}")
 
-    trajectory = evolution.iterate(
-        state, cfg.params, dk1, dk2, cfg["sim.steps"], keep_every=cfg["sim.thin"]
-    )
-
+    trajectory = evolution.iterate(state, cfg.params, dk1, dk2, steps, keep_every=thin)
     for snap in trajectory:
         write_csv(
             Path(args.out) / f"sim_step_{snap.step:05d}.csv",
@@ -415,14 +409,10 @@ def cmd_simulate(cfg: ExperimentConfig, out, args) -> RunReport:
         )
 
     final = trajectory[-1]
-    emit_csv(
-        out, cfg.digest,
-        ("saved_states", "final_step", "U_min", "U_max", "V_min", "V_max"),
-        [(len(trajectory), final.step, final.U.min(), final.U.max(),
-          final.V.min(), final.V.max())],
-    )
-    report.add("simulate", True, f"{len(trajectory)} snapshots")
-    return report
+    return (("saved_states", "final_step", "U_min", "U_max", "V_min", "V_max"),
+            [(len(trajectory), final.step, final.U.min(), final.U.max(),
+              final.V.min(), final.V.max())],
+            [("simulate", True, f"{len(trajectory)} snapshots")])
 
 
 # largest relative error of a discretized kernel's MGF at the tail decay
@@ -433,9 +423,8 @@ def cmd_simulate(cfg: ExperimentConfig, out, args) -> RunReport:
 MGF_REL_TOL = 5e-2
 
 
-def cmd_wave(cfg: ExperimentConfig, out, args) -> RunReport:
+def cmd_wave(cfg: ExperimentConfig, args) -> tuple:
     from . import waves
-    report = RunReport()
     # without grid.L the solver sizes the grid at grid.dx
     wp = waves.find_bistable_wave(cfg.params, cfg.kernel1, cfg.kernel2,
                                   None if cfg["grid.L"] is None else cfg.grid(),
@@ -454,36 +443,27 @@ def cmd_wave(cfg: ExperimentConfig, out, args) -> RunReport:
             (wp.grid.x, phi, psi),
         )
 
-    emit_csv(
-        out, cfg.digest,
+    # a grid too coarse for a kernel shows as a discrete MGF that departs
+    # from the continuous one at the rate the profile tails decay
+    errors = [dk.moments(wp.decay_rate)[0] / k.moments(wp.decay_rate)[0] - 1.0
+              for dk, k in zip(wp.discrete_kernels, (cfg.kernel1, cfg.kernel2))]
+    return (
         ("speed", "residual", "steps", "monotone", "range", "left_tail",
          "right_tail", "residual_ok"),
         [(wp.speed, wp.residual, wp.steps, validation.monotone_ok,
           validation.range_ok, validation.left_tail_ok,
           validation.right_tail_ok, validation.residual_ok)],
+        [("wave-converged", True,
+          f"speed {_fmt(wp.speed)} in {wp.steps} steps (speed_error {_fmt(wp.speed_error)}, "
+          f"contraction_rate {_fmt(wp.contraction_rate)})"),
+         ("wave-profile-valid", validation.passed, str(validation.details)),
+         ("wave-kernel-resolved", max(abs(e) for e in errors) <= MGF_REL_TOL,
+          f"relative MGF error at decay rate {_fmt(wp.decay_rate)}: kernel1 "
+          f"{_fmt(errors[0])}, kernel2 {_fmt(errors[1])} (tolerance {_fmt(MGF_REL_TOL)})")],
     )
-    report.add(
-        "wave-converged", True,
-        f"speed {_fmt(wp.speed)} in {wp.steps} steps (speed_error {_fmt(wp.speed_error)}, "
-        f"contraction_rate {_fmt(wp.contraction_rate)})",
-    )
-    report.add("wave-profile-valid", validation.passed, str(validation.details))
-
-    # a grid too coarse for a kernel shows as a discrete MGF that departs
-    # from the continuous one at the rate the profile tails decay
-    errors = [dk.moments(wp.decay_rate)[0] / k.moments(wp.decay_rate)[0] - 1.0
-              for dk, k in zip(wp.discrete_kernels, (cfg.kernel1, cfg.kernel2))]
-    report.add(
-        "wave-kernel-resolved",
-        max(abs(e) for e in errors) <= MGF_REL_TOL,
-        f"relative MGF error at decay rate {_fmt(wp.decay_rate)}: kernel1 "
-        f"{_fmt(errors[0])}, kernel2 {_fmt(errors[1])} (tolerance {_fmt(MGF_REL_TOL)})",
-    )
-    return report
 
 
-def cmd_sweep(cfg: ExperimentConfig, out, args) -> RunReport:
-    report = RunReport()
+def cmd_sweep(cfg: ExperimentConfig, args) -> tuple:
     sweep = cfg.sweep
     if not sweep:
         raise ConfigError("sweep subcommand needs at least one sweep.* lattice")
@@ -512,9 +492,8 @@ def cmd_sweep(cfg: ExperimentConfig, out, args) -> RunReport:
                      sum_edge > 0.0 and sum_interior > 0.0))  # cp.passed, sums read once
     header = ("r1", "r2", "a1", "a2", "sigma", "c_minus_F1F3", "c_plus_F0F1",
               "c_minus_F2F3", "c_plus_F0F2", "sum_edge", "sum_interior", "passed")
-    emit_csv(out, cfg.digest, header, rows)
-    report.add("sweep-counter-propagation", all(row[-1] for row in rows), f"{len(rows)} cells")
-    return report
+    return (header, rows,
+            [("sweep-counter-propagation", all(row[-1] for row in rows), f"{len(rows)} cells")])
 
 
 _COMMANDS = {
@@ -528,13 +507,17 @@ _COMMANDS = {
 
 
 def run(subcommand: str, cfg: ExperimentConfig, out=None, args=None) -> RunReport:
-    """Run one subcommand against a resolved config; returns the report."""
+    """Run one subcommand against a resolved config: its table goes to out
+    (stdout by default) under the config digest, and its checks come back as
+    the report."""
     if subcommand not in _COMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     if args is None:
         args = argparse.Namespace(out=None, curve=False,
                                   frame=model.TRANSFORMED_FRAME)
-    return _COMMANDS[subcommand](cfg, out or sys.stdout, args)
+    header, rows, checks = _COMMANDS[subcommand](cfg, args)
+    emit_csv(out or sys.stdout, cfg.digest, header, rows)
+    return RunReport(checks)
 
 
 def _build_parser() -> argparse.ArgumentParser:

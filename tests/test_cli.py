@@ -449,8 +449,8 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("width", ["0", "-1", "inf", "nan"])
     @pytest.mark.parametrize("init,message", [
-        ("step", "ramp width must be positive and finite"),
-        ("bump", "sim.init_width of a bump must be positive and finite"),
+        ("step", "sim.init_width must be positive and finite"),
+        ("bump", "sim.init_width must be positive and finite"),
     ])
     def test_simulate_rejects_a_bump_width_that_is_not_positive_and_finite(
             self, config_path, capsys, tmp_path, init, message, width):
@@ -463,6 +463,69 @@ class TestSubcommands:
         assert f"error: {message}" in captured.err
         assert captured.out == ""
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("setting,message", [
+        ("sim.steps=-1", "error: sim.steps must be nonnegative, got -1\n"),
+        ("sim.thin=0", "error: sim.thin must be at least 1, got 0\n"),
+        ("sim.thin=-3", "error: sim.thin must be at least 1, got -3\n"),
+    ], ids=["steps", "thin-0", "thin-negative"])
+    def test_simulate_names_a_bad_step_count_or_thinning_before_stepping(
+            self, config_path, capsys, tmp_path, monkeypatch, setting, message):
+        steps = []
+        monkeypatch.setattr(evolution, "apply_Q", lambda *args: steps.append(args))
+        out_dir = tmp_path / "snaps"
+        code = main(["simulate", "--config", str(config_path), "--set", "grid.L=20",
+                     "--set", setting, "--out", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr() == ("", message)
+        assert steps == [] and not out_dir.exists()
+
+    @pytest.mark.parametrize("extra,message", [
+        ((), "error: unknown sim.init 'wedge' (expected step or bump)\n"),
+        (("--set", "sim.frame=orig"),
+         "error: unknown sim.frame 'orig' (expected transformed or original)\n"),
+    ], ids=["init", "frame-first"])
+    def test_simulate_checks_the_frame_then_the_start_then_the_width(
+            self, config_path, capsys, tmp_path, extra, message):
+        out_dir = tmp_path / "snaps"
+        code = main(["simulate", "--config", str(config_path), "--set", "sim.init=wedge",
+                     "--set", "sim.init_width=0", *extra, "--out", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr() == ("", message)
+        assert not out_dir.exists()
+
+    def test_simulate_step_start_in_the_original_frame(self, config_path, capsys, tmp_path):
+        out_dir = tmp_path / "snaps"
+        code = main(["simulate", "--config", str(config_path), "--set", "grid.L=20",
+                     "--set", "sim.steps=2", "--set", "sim.frame=original",
+                     "--out", str(out_dir)])
+        assert code == 0
+        capsys.readouterr()
+        columns = np.loadtxt(out_dir / "sim_step_00000.csv", delimiter=",", skiprows=2)
+        x, U, V = columns.T
+        ramp = 1.0 / (1.0 + np.exp(-x))  # the logistic ramp of width sim.init_width = 1
+        np.testing.assert_allclose(U, 1.0 - ramp, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(V, ramp, rtol=0, atol=1e-12)
+
+    def test_simulate_discretizes_a_shared_kernel_once(self, config_path, capsys, tmp_path,
+                                                       monkeypatch):
+        # as in a wave solve, equal kernels share one discretization and so
+        # one spectrum cache; distinct kernels get one each
+        calls = []
+        discretize = kernels.discretize
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return discretize(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "discretize", counting)
+        base = ["simulate", "--config", str(config_path), "--set", "grid.L=20",
+                "--set", "sim.steps=2"]
+        assert main([*base, "--out", str(tmp_path / "shared")]) == 0
+        assert len(calls) == 1
+        assert main([*base, "--set", "kernel2.sigma=1.5", "--out", str(tmp_path / "two")]) == 0
+        assert len(calls) == 3
+        capsys.readouterr()
 
     def test_wave_profile_and_report(self, config_path, capsys, tmp_path):
         out_dir = tmp_path / "wave"
@@ -685,6 +748,28 @@ class TestSubcommands:
         code = main(["validate", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra,sets,message", [
+        ("", ["sweep.a1= , "], "override: bad value for sweep.a1: ',' (empty list)"),
+        ("kernel.family = table\nkernel.table_path = column.txt\n", [],
+         "kernel1: table file must have two columns (offset, density)"),
+        ("grid.L 20\n", [], "{path}:8: expected 'key = value', got 'grid.L 20'"),
+        ("", ["sweep.knob=1"], "override: unknown key 'sweep.knob'"),
+        ("kernel.family = uniform\nkernel.halfwidth = 2\n", ["sweep.sigma=1"],
+         "sweep.sigma requires gaussian kernels"),
+        ("", ["sweep.a1"], "--set expects KEY=VALUE, got 'sweep.a1'"),
+    ], ids=["empty-list", "one-column-table", "no-equals", "unknown-override",
+            "sigma-on-uniform", "set-without-equals"])
+    def test_a_config_error_exits_2_with_its_line(self, tmp_path, capsys, extra, sets,
+                                                  message):
+        (tmp_path / "column.txt").write_text("-1\n0\n1\n")
+        path = tmp_path / "exp.cfg"
+        path.write_text(BASE_CONFIG + extra)
+        argv = ["sweep", "--config", str(path)]
+        for setting in sets:
+            argv += ["--set", setting]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
 
 
 class TestCsv:

@@ -291,6 +291,16 @@ class TestIterate:
         trajectory = iterate(state, params, gaussian_weights, gaussian_weights, 7, keep_every=3)
         assert [s.step for s in trajectory] == [0, 3, 6, 7]
 
+    @pytest.mark.parametrize("n_steps,keep_every,message", [
+        (-1, 1, "n_steps must be nonnegative, got -1"),
+        (3, 0, "keep_every must be at least 1, got 0"),
+    ])
+    def test_bad_counts_are_refused(self, params, small_grid, gaussian_weights, rng,
+                                    n_steps, keep_every, message):
+        state = random_transformed(small_grid, rng)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            iterate(state, params, gaussian_weights, gaussian_weights, n_steps, keep_every)
+
 
 class TestTranslate:
     def test_zero_shift_is_identity(self, small_grid, rng):

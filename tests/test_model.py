@@ -331,6 +331,16 @@ class TestStability:
         assert res.label == "unstable"
         assert min(abs(lam) for lam in res.eigenvalues) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("a2,label", [(1.0, "marginal"), (1.0 + 1e-12, "marginal"),
+                                          (1.0 + 1e-6, "stable")])
+    def test_marginal_within_the_margin(self, a2, label):
+        # at E1 = (1, 0) the Jacobian is [[1 - r1, -r1 a1], [0, exp(r2 (1 - a2))]];
+        # its radius exp(r2 (1 - a2)) is 1 at a2 = 1, 1 - 5e-13 at a2 = 1 + 1e-12
+        # (inside the 1e-9 margin) and 1 - 5e-7 at a2 = 1 + 1e-6
+        res = classify_stability(ModelParams(0.5, 0.5, 2.0, a2), (1.0, 0.0), ORIGINAL_FRAME)
+        assert res.spectral_radius == pytest.approx(math.exp(0.5 * (1.0 - a2)), abs=1e-15)
+        assert res.label == label
+
     def test_non_fixed_point_rejected(self, params):
         with pytest.raises(DomainError):
             classify_stability(params, (0.3, 0.3), ORIGINAL_FRAME)

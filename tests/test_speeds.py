@@ -218,6 +218,13 @@ class TestPrincipalEigenvalue:
             1.0, abs=1e-12
         )
 
+    def test_complex_pair(self):
+        # tr = 2, disc = 0 + 4 * (-2) = -8: the pair 1 +- i sqrt(2)
+        assert eigenvalues_2x2(((1.0, -2.0), (1.0, 1.0))) == (
+            complex(1.0, math.sqrt(2.0)), complex(1.0, -math.sqrt(2.0)))
+        # a quarter turn: +-i
+        assert eigenvalues_2x2(np.array([[0.0, -1.0], [1.0, 0.0]])) == (1j, -1j)
+
     def test_is_dominant_root_with_positive_eigenvector(self, rng):
         for _ in range(50):
             m = rng.uniform(0.1, 2.0, (2, 2))
@@ -504,6 +511,16 @@ class TestFrontMeasurement:
         fields = [np.where(grid.x <= k * 0.1, 1.0, 0.0) for k in range(12)]
         report = measure_front_speed(as_states(grid, fields), level=0.5, fit_window=(0, 11))
         assert report.speed == pytest.approx(0.1, abs=1e-13)
+        assert report.residual_rms < 1e-12
+
+    def test_default_window_is_the_trailing_half(self):
+        # the front rests for six steps, then moves one cell a step: the
+        # default window, states 6 ... 11, sees only the motion
+        grid = Grid(half_length=50.0, dx=0.1)
+        fields = [np.where(grid.x <= max(k - 5, 0) * 0.1, 1.0, 0.0) for k in range(12)]
+        report = measure_front_speed(as_states(grid, fields))
+        assert report.speed == pytest.approx(0.1, abs=1e-13)
+        assert report.intercept == pytest.approx(-0.45, abs=1e-12)  # crossings sit mid-cell
         assert report.residual_rms < 1e-12
 
     def test_stationary_front_measures_zero(self):

@@ -10,6 +10,7 @@ from scipy.special import expit
 from rickerwaves import (
     ConvergenceError,
     DegenerateDataError,
+    DomainError,
     GaussianKernel,
     Grid,
     ModelParams,
@@ -87,6 +88,11 @@ class TestStepInitialData:
     def test_limits(self, small_grid):
         state = step_initial_data(small_grid, 0.5)
         assert state.U[0] < 1e-12 and state.U[-1] > 1.0 - 1e-12
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.inf, math.nan])
+    def test_width_not_positive_and_finite_is_refused(self, small_grid, width):
+        with pytest.raises(DomainError, match="ramp width must be positive and finite"):
+            step_initial_data(small_grid, width)
 
 
 class TestFindBistableWave:
@@ -797,6 +803,15 @@ class TestWaveGrid:
         lam = waves._decay_rate(-0.5, dk, 1e-6)
         assert 0.0 < lam < 709.0 / 0.59
         assert -0.5 + np.log(dk.moments(lam)[0]) + lam * 1e-6 == pytest.approx(0.0, abs=1e-12)
+
+    def test_decay_rate_returns_the_overflow_cap_below_the_root(self):
+        # log_alpha = r1 (1 - a1) at r1 = 0.5, a1 = 2001: even at the largest
+        # safe exponent 709/(J dx) the characteristic function is negative,
+        # so the root lies beyond it and the cap itself is returned
+        dk = discretize(GaussianKernel(1.0), 0.1)
+        cap = 709.0 / float(dk.offsets[-1])
+        assert -1000.0 + np.log(dk.moments(cap)[0]) + cap * 0.1 < 0.0
+        assert waves._decay_rate(-1000.0, dk, 0.1) == cap
 
     def test_slowest_corner_sets_the_rate(self):
         p = ModelParams(0.3, 0.7, 1.6, 3.2)
