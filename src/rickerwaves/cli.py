@@ -238,15 +238,31 @@ def _quote(cell: str) -> str:
 def emit_csv(stream, digest: str, header, rows) -> None:
     """Write the digest comment, the header and one line per row, in one write.
 
-    Each cell is ``_quote(_fmt(cell))``; a Python float is rendered by one
-    ``%.12g`` format and a bool as "true" or "false", the same text without
-    the calls.
+    Each cell is ``_quote(_fmt(cell))``; a bool is written as "true" or
+    "false", the same text without the calls.  Each distinct Python float is
+    formatted by one ``%.12g`` the first time the table holds it, and its text
+    is looked up after that, so a table's repeated speeds and axis values are
+    formatted once.  A zero is formatted every time: 0.0 and -0.0 are one key
+    but two texts.  Only ``type(cell) is float`` is looked up, so 1.0 never
+    shares an entry with 1 or True.
     """
     lines = [f"# config {digest}", ",".join(header)]
-    lines += [",".join(["%.12g" % cell if type(cell) is float
-                        else ("true" if cell else "false") if type(cell) is bool
-                        else _quote(_fmt(cell)) for cell in row])
-              for row in rows]
+    text = {}  # float -> its %.12g text, for this table only
+    for row in rows:
+        cells = []
+        for cell in row:
+            if type(cell) is float:
+                formatted = text.get(cell)
+                if formatted is None:
+                    formatted = "%.12g" % cell
+                    if cell:
+                        text[cell] = formatted
+                cells.append(formatted)
+            elif type(cell) is bool:
+                cells.append("true" if cell else "false")
+            else:
+                cells.append(_quote(_fmt(cell)))
+        lines.append(",".join(cells))
     stream.write("\n".join(lines) + "\n")
 
 
@@ -352,8 +368,9 @@ def cmd_speeds(cfg: ExperimentConfig, args) -> tuple:
         ("c_plus_F0F2", cp.c_plus_F0F2),
     )
     if args.curve:
+        digest = cfg.digest  # hashes every config value, so read once
         for name, sr in named:
-            write_csv(Path(args.out) / f"curve_{name}.csv", cfg.digest, ("mu", "objective"),
+            write_csv(Path(args.out) / f"curve_{name}.csv", digest, ("mu", "objective"),
                       tuple(zip(*sr.curve)))
 
     rows = [(name, sr.value, sr.mu_star, sr.method) for name, sr in named]
@@ -400,10 +417,11 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> tuple:
         raise ConfigError(f"sim.thin must be at least 1, got {thin}")
 
     trajectory = evolution.iterate(state, cfg.params, dk1, dk2, steps, keep_every=thin)
+    digest = cfg.digest  # hashes every config value, so read once
     for snap in trajectory:
         write_csv(
             Path(args.out) / f"sim_step_{snap.step:05d}.csv",
-            cfg.digest,
+            digest,
             ("x", "U", "V"),
             (grid.x, snap.U, snap.V),
         )

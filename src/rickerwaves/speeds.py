@@ -231,7 +231,7 @@ def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> Spee
     if not lambda0 > 1.0:
         raise DegenerateDataError(
             f"lambda(B_0) = {lambda0!r} is not above 1: no positive interior speed")
-    if kernel1 == kernel2:
+    if kernel1 is kernel2 or kernel1 == kernel2:
         mu_star, value, curve = _scalar_minimum(math.log(lambda0), kernel1)
         return SpeedReport(value, mu_star, curve, "matrix-eigenvalue", lambda0)
     moments1, moments2 = kernel1.moments, kernel2.moments
@@ -297,25 +297,22 @@ def counter_propagation(
     ``edge_memo``: each distinct (r, kernel) edge speed is then computed
     once, and the cells share its report.  The key holds the kernel itself,
     so equal Gaussian or uniform kernels share an entry and a table only
-    shares its own.
+    shares its own.  Both edge reports are looked up in the memo in line, and
+    a miss calls ``scalar_speed`` by its module name.
     """
     interior = system_speed_bound(p, kernel1, kernel2)
-
-    def edge(r, kernel):
-        if edge_memo is None:
-            return scalar_speed(r, kernel)
-        key = (r, kernel)
-        report = edge_memo.get(key)
-        if report is None:
-            report = edge_memo[key] = scalar_speed(r, kernel)
-        return report
-
-    return CounterPropagationReport(
-        c_minus_F1F3=edge(p.r2, kernel2),
-        c_plus_F0F1=edge(p.r1, kernel1),
-        c_minus_F2F3=interior,
-        c_plus_F0F2=interior,
-    )
+    if edge_memo is None:
+        return CounterPropagationReport(
+            scalar_speed(p.r2, kernel2), scalar_speed(p.r1, kernel1), interior, interior)
+    key2, key1 = (p.r2, kernel2), (p.r1, kernel1)
+    edge2 = edge_memo.get(key2)
+    if edge2 is None:
+        edge2 = edge_memo[key2] = scalar_speed(*key2)
+    edge1 = edge_memo.get(key1)
+    if edge1 is None:
+        edge1 = edge_memo[key1] = scalar_speed(*key1)
+    # the fields in order: c_minus_F1F3, c_plus_F0F1, c_minus_F2F3, c_plus_F0F2
+    return CounterPropagationReport(edge2, edge1, interior, interior)
 
 
 def front_position(

@@ -804,6 +804,34 @@ class TestCsv:
         assert out.getvalue().splitlines()[2] == (
             "0.3,1e-300,1e+300,-0,inf,-inf,nan,1.23456789012e+14")
 
+    def test_repeated_floats_render_as_each_cell_alone(self):
+        # one table whose floats repeat: zeros of both signs in either order
+        # (one dict key, two texts), NaNs that are distinct objects, both
+        # infinities, a value as float and as np.float64, and 1.0 beside 1
+        # and True
+        nan_a, nan_b = float("nan"), float("inf") - float("inf")
+        assert nan_a is not nan_b
+        rows = [
+            [0.0, -0.0, -0.0, 0.0, nan_a, float("inf")],
+            [-0.0, 0.0, 0.0, -0.0, nan_b, float("-inf")],
+            [0.0, 0.0, -0.0, -0.0, nan_a, nan_b],
+            [0.1 + 0.2, np.float64(0.1 + 0.2), np.float64(-0.0), -0.0, float("inf"), 1e300],
+            [1.0, 1, True, 1.0, True, 1],
+            [np.float64(1.0), 1.0, False, 0, 0.0, -0.0],
+        ]
+        out = io.StringIO()
+        emit_csv(out, "abc123", ("a", "b", "c", "d", "e", "f"), rows)
+        assert out.getvalue() == "# config abc123\na,b,c,d,e,f\n" + "".join(
+            ",".join(_quote(_fmt(cell)) for cell in row) + "\n" for row in rows)
+        assert out.getvalue().splitlines()[2:] == [
+            "0,-0,-0,0,nan,inf",
+            "-0,0,0,-0,nan,-inf",
+            "0,0,-0,-0,nan,nan",
+            "0.3,0.3,-0,-0,inf,1e+300",
+            "1,1,true,1,true,1",
+            "1,1,false,0,0,-0",
+        ]
+
 
 class TestDeterminism:
     def test_identical_runs_are_byte_identical(self, config_path, capsys):
@@ -872,6 +900,17 @@ README_SPEEDS_STDOUT_SHA256 = "80f726764dbc4fee93d9456662fa65f7b5d4aacf18614901f
 SWEEP_LATTICE = "sweep.r1 = 0.3, 0.6\nsweep.a1 = 1.5, 2.5\nsweep.a2 = 2, 4\nsweep.sigma = 0.8, 1.6\n"
 SWEEP_STDOUT_SHA256 = "abaeb920b08058268d454e99e6d779937e5ea46c2d30b0219a56a04ae85dce3a"
 
+# The README config's `equilibria` stdout, whose u and v columns repeat 0.0
+# and 1.0, and `sweep` stdout on a halfwidth-2 uniform kernel over a 2x2
+# lattice, whose interior speeds are searched.
+README_EQUILIBRIA_STDOUT_SHA256 = (
+    "4e1fd5f3f6c40f70bbe201f77fbf870bdd995bdf3f04fd257c32cba6c551ad19")
+UNIFORM_SWEEP_CONFIG = (
+    "".join(line + "\n" for line in BASE_CONFIG.splitlines() if not line.startswith("kernel."))
+    + "kernel.family = uniform\nkernel.halfwidth = 2\nsweep.r1 = 0.3, 0.6\nsweep.a1 = 1.5, 2.5\n")
+UNIFORM_SWEEP_STDOUT_SHA256 = (
+    "26c11caed2e7f4b9a074cf398d5efcf2fb0597f3056874e74f39a76268daa970")
+
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -913,6 +952,16 @@ class TestPinnedBytes:
         path.write_text(BASE_CONFIG + SWEEP_LATTICE)
         assert main(["sweep", "--config", str(path)]) == 0
         assert _text_sha256(capsys.readouterr().out) == SWEEP_STDOUT_SHA256
+
+    def test_readme_equilibria_stdout(self, config_path, capsys):
+        assert main(["equilibria", "--config", str(config_path)]) == 0
+        assert _text_sha256(capsys.readouterr().out) == README_EQUILIBRIA_STDOUT_SHA256
+
+    def test_uniform_lattice_sweep_stdout(self, tmp_path, capsys):
+        path = tmp_path / "uniform_sweep.cfg"
+        path.write_text(UNIFORM_SWEEP_CONFIG)
+        assert main(["sweep", "--config", str(path)]) == 0
+        assert _text_sha256(capsys.readouterr().out) == UNIFORM_SWEEP_STDOUT_SHA256
 
 
 _SWEEP_HEADER = (

@@ -71,6 +71,14 @@ class TestGrid:
         assert Grid(half_length=499999.9, dx=0.1).n_points == MAX_GRID_POINTS - 1
         assert Grid(half_length=200.0, dx=0.01).n_points == 40001
 
+    def test_interior_slice_trims_the_margin_and_refuses_a_negative_one(self):
+        grid = Grid(half_length=1.0, dx=0.1)
+        assert interior_slice(grid, 0) == slice(0, 21)
+        assert interior_slice(grid, 3) == slice(3, 18)
+        with pytest.raises(DomainError) as err:
+            interior_slice(grid, -1)
+        assert str(err.value) == "margin_cells must be nonnegative, got -1"
+
 
 class TestSpatialState:
     def test_transformed_range_enforced(self, small_grid):
@@ -88,6 +96,12 @@ class TestSpatialState:
         SpatialState(grid=small_grid, frame=ORIGINAL_FRAME,
                      U=np.full(small_grid.n_points, 1.3),
                      V=np.zeros(small_grid.n_points))
+
+    def test_unknown_frame_rejected(self, small_grid):
+        with pytest.raises(DomainError) as err:
+            SpatialState(grid=small_grid, frame="sideways",
+                         U=np.zeros(small_grid.n_points), V=np.zeros(small_grid.n_points))
+        assert str(err.value) == "unknown frame 'sideways'"
 
     def test_shape_mismatch_rejected(self, small_grid):
         with pytest.raises(ConfigError):
@@ -262,6 +276,16 @@ class TestStepCheck:
         assert out.fields.min() >= 0.0 and out.fields.max() <= 1.0
         assert len(caplog.records) == 1
         assert "left [0, 1] by 1.000e-12; clamping" in caplog.records[0].getMessage()
+
+    def test_original_frame_clips_below_zero_only(self, caplog):
+        # a residue below 0 is clipped, values near 1 snap to it, and values
+        # above 1 stay: the original frame has no upper bound
+        values = np.array([-1e-20, 0.5, 1.0 + 1e-15, 1.0 - 1e-15, 2.0])
+        with caplog.at_level("WARNING", logger="rickerwaves.evolution"):
+            out = evolution._clamp(values, "fields", ORIGINAL_FRAME)
+        assert out is values
+        assert out.tolist() == [0.0, 0.5, 1.0, 1.0, 2.0]
+        assert not caplog.records
 
 
 class TestIterate:

@@ -114,6 +114,10 @@ class TestMakeKernel:
             TableKernel(offsets=np.array([-1.0, -0.3, 0.0, 0.3, 1.0]), densities=np.ones(5))
         with pytest.raises(ParameterError):  # negative density
             TableKernel(offsets=good, densities=np.array([0.1, -0.2, 0.5, 0.2, 0.1]))
+        with pytest.raises(ParameterError, match="^table offsets and densities differ in length$"):
+            TableKernel(offsets=good, densities=np.ones(3))
+        with pytest.raises(ParameterError, match="^table densities sum to zero$"):
+            TableKernel(offsets=good, densities=np.zeros(5))
 
 
 class TestMgf:

@@ -261,6 +261,15 @@ class TestEquilibria:
         with pytest.raises(ParameterError):
             equilibria(ModelParams(0.5, 0.5, 1.0, 1.0))
 
+    def test_a_residual_above_the_tolerance_is_refused(self, params, monkeypatch):
+        # on the standard parameters every point maps to itself exactly but
+        # F2 = (0.8, 0.4), whose residual is 2^-53: the first point past a
+        # tolerance below that
+        monkeypatch.setattr(model, "EQUILIBRIUM_TOL", 1e-17)
+        with pytest.raises(ParameterError) as err:
+            equilibria(params)
+        assert str(err.value) == "F2 is not fixed to 1e-17: residual 1.1102230246251565e-16"
+
 
 def finite_difference_jacobian(p, point, frame, h=1e-6):
     out = np.zeros((2, 2))

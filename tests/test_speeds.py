@@ -534,6 +534,29 @@ class TestFrontMeasurement:
         with pytest.raises(MeasurementError):
             front_position(grid.x, np.full(grid.n_points, 0.8), 0.5)
 
+    def test_a_segment_flat_at_the_level_crosses_at_its_left_end(self):
+        # a field at the level on its first two points: no interpolation
+        # across the flat segment, whose left point is the crossing
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        assert front_position(x, np.array([0.5, 0.5, 0.75, 1.0]), 0.5) == 1.0
+        assert front_position(x, np.array([0.0, 0.25, 0.25, 1.0]), 0.25, slice(1, 4)) == 2.0
+
+    def test_fewer_than_two_states_refused(self):
+        grid = Grid(half_length=10.0, dx=0.1)
+        one = as_states(grid, [np.where(grid.x <= 0.0, 1.0, 0.0)])
+        for trajectory in (one, []):
+            with pytest.raises(MeasurementError,
+                               match="^need at least two states to fit a speed$"):
+                measure_front_speed(trajectory)
+
+    @pytest.mark.parametrize("fit_window", [(0, 3), (2, 2), (-1, 1), (2, 1)])
+    def test_fit_window_out_of_range_refused(self, fit_window):
+        grid = Grid(half_length=10.0, dx=0.1)
+        states = as_states(grid, [np.where(grid.x <= k * 0.1, 1.0, 0.0) for k in range(3)])
+        with pytest.raises(DomainError) as err:
+            measure_front_speed(states, fit_window=fit_window)
+        assert str(err.value) == f"fit window {fit_window} out of range"
+
     def test_scalar_invasion_tracks_variational_speed(self, params, gaussian):
         grid = Grid(half_length=200.0, dx=0.1)
         dk = discretize(gaussian, grid.dx)
