@@ -180,9 +180,10 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         values[key] = _parse_value(key, raw, f"{path}:{lineno}")
 
     for key, raw in (overrides or {}).items():
+        key = key.strip()
         if key not in _KEY_SPEC:
             raise ConfigError(f"override: unknown key {key!r}")
-        values[key] = _parse_value(key, str(raw), "override")
+        values[key] = _parse_value(key, str(raw).strip(), "override")
 
     missing = [key for key in _REQUIRED if key not in values]
     if missing:
@@ -503,11 +504,9 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> tuple:
                 kernel1 = kernel2 = gaussians[sigma] = kernels.GaussianKernel(sigma=sigma)
         cp = speeds.counter_propagation(model.ModelParams(r1, r2, a1, a2),
                                         kernel1, kernel2, edge_memo)
-        sum_edge, sum_interior = cp.sum_edge, cp.sum_interior
         rows.append((r1, r2, a1, a2, "" if sigma is None else sigma,
                      cp.c_minus_F1F3.value, cp.c_plus_F0F1.value, cp.c_minus_F2F3.value,
-                     cp.c_plus_F0F2.value, sum_edge, sum_interior,
-                     sum_edge > 0.0 and sum_interior > 0.0))  # cp.passed, sums read once
+                     cp.c_plus_F0F2.value, cp.sum_edge, cp.sum_interior, cp.passed))
     header = ("r1", "r2", "a1", "a2", "sigma", "c_minus_F1F3", "c_plus_F0F1",
               "c_minus_F2F3", "c_plus_F0F2", "sum_edge", "sum_interior", "passed")
     return (header, rows,
@@ -572,7 +571,7 @@ def _overrides_from_args(args) -> dict:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
+        overrides[key] = value
     return overrides
 
 

@@ -28,8 +28,8 @@ kernel: M and the first two derivatives of ln M, so g' and g'' as well.
 The matrix objective makes the same IEEE operations, in the same order, as
 on the array of ``linearization_matrix``, through the
 characteristic-polynomial arithmetic that ``model.eigenvalues_2x2`` uses as
-well.  An edge speed depends only on (r, kernel), so a sweep hands
-``counter_propagation`` one memo and computes each distinct edge speed once.
+well.  An edge speed depends only on (r, kernel), so ``counter_propagation``
+looks both edges up in one memo, which a sweep shares across its cells.
 
 Also provided: an empirical front-speed estimator (level-crossing position
 regressed against step count), which checks the variational values against
@@ -266,78 +266,68 @@ def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> Spee
 
 
 class CounterPropagationReport(namedtuple(
-        "CounterPropagationReport", "c_minus_F1F3 c_plus_F0F1 c_minus_F2F3 c_plus_F0F2")):
+        "CounterPropagationReport",
+        "c_minus_F1F3 c_plus_F0F1 c_minus_F2F3 c_plus_F0F2 sum_edge sum_interior")):
     """The four speeds and the two counter-propagation sums.
 
     The two interior speeds share one report: kernel symmetry makes their
-    matrices, and so their searches, identical.
+    matrices, and so their searches, identical.  ``sum_edge`` is
+    c_minus_F1F3 + c_plus_F0F1 and ``sum_interior`` c_minus_F2F3 +
+    c_plus_F0F2, each added once by ``counter_propagation``.
     """
 
     __slots__ = ()
 
     @property
-    def sum_edge(self) -> float:
-        return self.c_minus_F1F3.value + self.c_plus_F0F1.value
-
-    @property
-    def sum_interior(self) -> float:
-        return self.c_minus_F2F3.value + self.c_plus_F0F2.value
-
-    @property
     def passed(self) -> bool:
+        """Condition (A6): both sums positive."""
         return self.sum_edge > 0.0 and self.sum_interior > 0.0
 
 
 def counter_propagation(
     p: ModelParams, kernel1: Kernel, kernel2: Kernel, edge_memo: dict | None = None
 ) -> CounterPropagationReport:
-    """Compute all four monostable speeds and check both sums are positive.
+    """Compute all four monostable speeds and both counter-propagation sums.
 
-    A caller that computes many cells passes them one dict as
-    ``edge_memo``: each distinct (r, kernel) edge speed is then computed
-    once, and the cells share its report.  The key holds the kernel itself,
-    so equal Gaussian or uniform kernels share an entry and a table only
-    shares its own.  Both edge reports are looked up in the memo in line, and
-    a miss calls ``scalar_speed`` by its module name.
+    Each edge speed is looked up by its (r, kernel) key in ``edge_memo``, a
+    fresh dict when none is given, and a miss calls ``scalar_speed`` by its
+    module name and stores the report.  So a cell whose two edges share one
+    key searches that edge once, and a caller that computes many cells and
+    passes them one dict computes each distinct edge speed once.  The key
+    holds the kernel itself, so equal Gaussian or uniform kernels share an
+    entry and a table only shares its own.
     """
     interior = system_speed_bound(p, kernel1, kernel2)
-    if edge_memo is None:
-        return CounterPropagationReport(
-            scalar_speed(p.r2, kernel2), scalar_speed(p.r1, kernel1), interior, interior)
+    memo = {} if edge_memo is None else edge_memo  # a caller's empty dict is kept
     key2, key1 = (p.r2, kernel2), (p.r1, kernel1)
-    edge2 = edge_memo.get(key2)
+    edge2 = memo.get(key2)
     if edge2 is None:
-        edge2 = edge_memo[key2] = scalar_speed(*key2)
-    edge1 = edge_memo.get(key1)
+        edge2 = memo[key2] = scalar_speed(*key2)
+    edge1 = memo.get(key1)
     if edge1 is None:
-        edge1 = edge_memo[key1] = scalar_speed(*key1)
-    # the fields in order: c_minus_F1F3, c_plus_F0F1, c_minus_F2F3, c_plus_F0F2
-    return CounterPropagationReport(edge2, edge1, interior, interior)
+        edge1 = memo[key1] = scalar_speed(*key1)
+    # c_minus_F1F3, c_plus_F0F1, c_minus_F2F3, c_plus_F0F2, sum_edge, sum_interior
+    return CounterPropagationReport(edge2, edge1, interior, interior,
+                                    edge2.value + edge1.value, interior.value + interior.value)
 
 
-def front_position(
-    x: np.ndarray, field_values: np.ndarray, level: float, window: slice | None = None
-) -> float:
+def front_position(x: np.ndarray, field_values: np.ndarray, level: float) -> float:
     """Position where a monotone-in-x field crosses the level.
 
     Linear interpolation between the two adjacent grid points.  Raises if
-    the level is never crossed inside the window.
+    the level is never crossed.
     """
-    if window is None:
-        window = slice(0, len(x))
-    xs = x[window]
-    fs = field_values[window]
-    sign = fs - level
+    sign = field_values - level
     # ndarray methods only, so a wave solve's steps import nothing here
     hits = (sign[:-1] * sign[1:] <= 0.0).nonzero()[0]
     if len(hits) == 0:
         raise MeasurementError(f"field never crosses level {level} inside the window")
     i = int(hits[0])
-    f0, f1 = fs[i], fs[i + 1]
+    f0, f1 = field_values[i], field_values[i + 1]
     if f1 == f0:
-        return float(xs[i])
+        return float(x[i])
     t = (level - f0) / (f1 - f0)
-    return float(xs[i] + t * (xs[i + 1] - xs[i]))
+    return float(x[i] + t * (x[i + 1] - x[i]))
 
 
 class FrontSpeedReport(namedtuple("FrontSpeedReport",
@@ -371,7 +361,8 @@ def measure_front_speed(
     steps = np.array([s.step for s in trajectory], dtype=float)
 
     window = interior_slice(grid, margin_cells)
-    positions = np.array([front_position(grid.x, s.U, level, window) for s in trajectory])
+    x = grid.x[window]
+    positions = np.array([front_position(x, s.U[window], level) for s in trajectory])
 
     if fit_window is None:
         start = len(positions) // 2

@@ -176,7 +176,10 @@ def _aitken(displacements: list) -> tuple:
     return x2 - correction, correction, q
 
 
-# the LAPACK solve under np.linalg.solve, without its argument checks
+# the LAPACK solve under np.linalg.solve, without its argument checks.  Both
+# return the same bits, but the checks cost: timing 48 seeded Gaussian wave
+# solves with each, in 12 alternating pairs in one process on a 2-vCPU Intel
+# Xeon, np.linalg.solve took 4-5% longer in total and won at most 1 pair
 _solve = _umath_linalg.solve1
 
 

@@ -148,6 +148,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"override: bad value for sim\.steps: '2\.5'"):
             load_config(config_path, {"sim.steps": 2.5})
 
+    def test_override_key_and_value_are_stripped_like_set(self, config_path):
+        cfg = load_config(config_path, {" model.a1 ": " 2.5 "})
+        assert cfg.params.a1 == 2.5
+        assert cfg.digest == load_config(config_path, {"model.a1": "2.5"}).digest
+
+    def test_override_family_is_stripped_before_the_table_read(self, tmp_path):
+        offsets = np.linspace(-1, 1, 21)
+        np.savetxt(tmp_path / "kern.txt",
+                   np.column_stack([offsets, np.maximum(1 - np.abs(offsets), 0)]))
+        path = tmp_path / "tbl.cfg"
+        path.write_text(BASE_CONFIG + "kernel.table_path = kern.txt\n")
+        cfg = load_config(path, {"kernel.family": " table "})
+        assert isinstance(cfg.kernel1, TableKernel)
+        assert cfg.kernel2 is cfg.kernel1
+
     def test_per_kernel_entries_override_shared(self, tmp_path):
         path = tmp_path / "two.cfg"
         path.write_text(BASE_CONFIG + "kernel2.family = uniform\nkernel2.halfwidth = 0.5\n")

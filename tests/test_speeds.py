@@ -539,7 +539,7 @@ class TestFrontMeasurement:
         # across the flat segment, whose left point is the crossing
         x = np.array([1.0, 2.0, 3.0, 4.0])
         assert front_position(x, np.array([0.5, 0.5, 0.75, 1.0]), 0.5) == 1.0
-        assert front_position(x, np.array([0.0, 0.25, 0.25, 1.0]), 0.25, slice(1, 4)) == 2.0
+        assert front_position(x[1:4], np.array([0.0, 0.25, 0.25, 1.0])[1:4], 0.25) == 2.0
 
     def test_fewer_than_two_states_refused(self):
         grid = Grid(half_length=10.0, dx=0.1)

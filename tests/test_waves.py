@@ -640,20 +640,29 @@ class TestWaveResidual:
         resid = wave_residual(wp, params)
         assert resid == 0.0
 
-    @pytest.mark.parametrize("half_length,raises", [(7.8, True), (7.9, False)])
+    @pytest.mark.parametrize("half_length,speed,error", [
+        (7.8, 0.5, "margin of 79 cells leaves no interior on 157 points"),
+        (7.9, 0.5, None),
+        # round(40.1 / 0.1) = 401 cells: the shift leaves all 401 points
+        (20.0, 40.1, "shift 40.1 exceeds the grid"),
+        (20.0, -40.1, "shift -40.1 exceeds the grid"),
+        # 400 cells shift, and the window starts 72 + 400 + 2 = 474 cells in
+        (20.0, 40.0, "margin of 474 cells leaves no interior on 401 points"),
+    ], ids=["7.8-True", "7.9-False", "shift-right", "shift-left", "shift-margin"])
     def test_a_grid_without_an_interior_window_raises(self, params, gaussian_weights,
-                                                      half_length, raises):
+                                                      half_length, speed, error):
         # J = 72 and round(0.5 / 0.1) = 5: the window starts 72 + 5 + 2 = 79
         # cells in from each edge, which leaves none of 157 points and one of 159
         grid = Grid(half_length=half_length, dx=0.1)
         ramp = step_initial_data(grid, 1.0)
-        wp = WaveProfile(grid=grid, phi=ramp.U, psi=ramp.V, speed=0.5, residual=np.nan,
+        wp = WaveProfile(grid=grid, phi=ramp.U, psi=ramp.V, speed=speed, residual=np.nan,
                          steps=0, history=WaveHistory(),
                          discrete_kernels=(gaussian_weights, gaussian_weights))
-        assert grid.n_points == (157 if raises else 159)
-        if raises:
-            with pytest.raises(RangeError, match="margin of 79 cells leaves no interior"):
+        assert grid.n_points == {7.8: 157, 7.9: 159, 20.0: 401}[half_length]
+        if error is not None:
+            with pytest.raises(RangeError) as err:
                 wave_residual(wp, params)
+            assert str(err.value) == error
         else:
             assert 0.0 < wave_residual(wp, params) < 1.0
 
