@@ -7,8 +7,9 @@ operator and is not offered).  Fields are extended by constant
 continuation beyond the grid edges before convolving, so front states
 that connect two different constants are not corrupted by wraparound.
 
-A state holds U and V as the rows of one (2, N) array; a step clamps and
-extends that stack once, and the clamp's min and max check its output.
+A state holds U and V as the rows of one (2, N) array.  A step writes
+its outputs into a fresh stack through a view of the active window,
+clamps that view once, and the clamp's min and max check its output.
 A step computes only the active window: the span where U or V differs
 from its edge value, widened by the larger kernel half width plus one.
 Beyond it the stepped fields equal the window's end outputs, because
@@ -297,18 +298,6 @@ def _active_window(U: np.ndarray, V: np.ndarray, reach: int) -> tuple:
     return a, b
 
 
-def _extend(values: np.ndarray, a: int, n: int) -> np.ndarray:
-    """Rows of a window's outputs from cell a on n cells, end values repeated outward."""
-    width = values.shape[-1]
-    if width == n:
-        return values
-    out = np.empty((len(values), n))
-    out[:, :a] = values[:, :1]
-    out[:, a : a + width] = values
-    out[:, a + width :] = values[:, -1:]
-    return out
-
-
 def apply_Q(
     state: SpatialState,
     p: ModelParams,
@@ -317,10 +306,11 @@ def apply_Q(
 ) -> SpatialState:
     """One recursion step: pointwise growth, then dispersal per species.
 
-    Growth, dispersal and the clamp run on ``_active_window`` only; cells
-    outside it take the window's end outputs, which is what constant
-    continuation at the grid edge gives there as well.  The clamp of the
-    stacked window checks the output; it is not scanned again.
+    Growth, dispersal and the clamp run on ``_active_window`` only (the
+    whole grid when no window is taken), through a view of it into a fresh
+    (2, N) array; cells outside it take the window's end outputs, which is
+    what constant continuation at the grid edge gives there as well.  The
+    clamp of the window checks the output; it is not scanned again.
     """
     for name, dk in (("k1", k1), ("k2", k2)):
         if dk.dx != state.grid.dx:
@@ -328,18 +318,18 @@ def apply_Q(
                 f"{name} was discretized at dx={dk.dx}, state grid has dx={state.grid.dx}"
             )
     fields = state.fields
-    n = fields.shape[1]
     a, b = _active_window(state.U, state.V, max(k1.half_width, k2.half_width) + 1)
-    if b - a < n:
-        fields = fields[:, a:b]
-    gu, gv = growth(p, fields[0], fields[1], state.frame)
+    gu, gv = growth(p, fields[0, a:b], fields[1, a:b], state.frame)
     out = np.empty(fields.shape)
+    window = out[:, a:b]
     if state.frame == TRANSFORMED_FRAME:
-        np.subtract(1.0, convolve_extended(gu, k1), out=out[0])
+        np.subtract(1.0, convolve_extended(gu, k1), out=window[0])
     else:
-        out[0] = convolve_extended(gu, k1)
-    out[1] = convolve_extended(gv, k2)
-    out = _extend(_clamp(out, "fields after step", state.frame), a, n)
+        window[0] = convolve_extended(gu, k1)
+    window[1] = convolve_extended(gv, k2)
+    _clamp(window, "fields after step", state.frame)
+    out[:, :a] = window[:, :1]
+    out[:, b:] = window[:, -1:]
     return SpatialState._unchecked(state.grid, state.frame, out, state.step + 1)
 
 

@@ -311,6 +311,11 @@ def counter_propagation(
                                     edge2.value + edge1.value, interior.value + interior.value)
 
 
+# level of the first component whose crossing marks the front: the wave
+# solver recenters it to x = 0, and measure_front_speed tracks it
+FRONT_LEVEL = 0.5
+
+
 def front_position(x: np.ndarray, field_values: np.ndarray, level: float) -> float:
     """Position where a monotone-in-x field crosses the level.
 
@@ -321,7 +326,7 @@ def front_position(x: np.ndarray, field_values: np.ndarray, level: float) -> flo
     # ndarray methods only, so a wave solve's steps import nothing here
     hits = (sign[:-1] * sign[1:] <= 0.0).nonzero()[0]
     if len(hits) == 0:
-        raise MeasurementError(f"field never crosses level {level} inside the window")
+        raise MeasurementError(f"field never crosses level {level} on the given points")
     i = int(hits[0])
     f0, f1 = field_values[i], field_values[i + 1]
     if f1 == f0:
@@ -340,13 +345,12 @@ class FrontSpeedReport(namedtuple("FrontSpeedReport",
 def measure_front_speed(
     trajectory,
     *,
-    level: float = 0.5,
     fit_window: tuple | None = None,
     margin_cells: int = 0,
 ) -> FrontSpeedReport:
     """Empirical front speed from a trajectory of monotone-in-x spatial states.
 
-    The level crossing of the U field is located per state by linear
+    The ``FRONT_LEVEL`` crossing of the U field is located per state by linear
     interpolation, then a least-squares line of crossing position against
     ``state.step`` gives the speed, so a thinned trajectory fits the same
     line.  fit_window is a (first, last) pair of trajectory indices,
@@ -362,7 +366,7 @@ def measure_front_speed(
 
     window = interior_slice(grid, margin_cells)
     x = grid.x[window]
-    positions = np.array([front_position(x, s.U[window], level) for s in trajectory])
+    positions = np.array([front_position(x, s.U[window], FRONT_LEVEL) for s in trajectory])
 
     if fit_window is None:
         start = len(positions) // 2

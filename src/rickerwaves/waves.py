@@ -45,11 +45,8 @@ from .kernels import (
     _EXP_ARG_MAX, DiscreteKernel, Kernel, discretize, validate_hypotheses,
 )
 from .model import TRANSFORMED_FRAME, ModelParams, validate_params
-from .speeds import counter_propagation, front_position
+from .speeds import FRONT_LEVEL, counter_propagation, front_position
 
-
-# level of the first component whose crossing is recentered to x = 0
-FRONT_LEVEL = 0.5
 
 # number of past steps the Anderson mixing combines; 0 is plain iteration
 ANDERSON_DEPTH = 5
@@ -367,8 +364,7 @@ def find_bistable_wave(
     residual is taken there); otherwise it runs on the given grid.  A step
     works on both fields as one (2, N) array over every cell of its grid:
     one clamp that also checks the output, one resample and one in-place
-    mixing update (README solve: ~155 us per step with set-up, ~175 us
-    with fields apart).
+    mixing update.
     """
     opts = opts or WaveOptions()
     if opts.max_steps < 1:

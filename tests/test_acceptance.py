@@ -128,7 +128,7 @@ def test_criterion_4_empirical_vs_variational_speed():
                          U=np.where(grid.x <= 0.0, 1.0, 0.0), V=np.zeros(grid.n_points))
     trajectory = iterate(start, P_STD, dk, dk, 150)
     speed = measure_front_speed(
-        trajectory, level=0.5, fit_window=(50, 150), margin_cells=dk.half_width,
+        trajectory, fit_window=(50, 150), margin_cells=dk.half_width,
     ).speed
     if abs(speed - 1.0) >= 0.05:
         failures.append(f"empirical speed {speed} off the variational 1.0 by >= 5%")

@@ -640,6 +640,29 @@ class TestActiveWindow:
         self.assert_bit_identical(state, params, GaussianKernel(1.0), UniformKernel(2.0),
                                   monkeypatch, n=2)
 
+    @FRAMES
+    @pytest.mark.parametrize("kind", ["windowed", "full-grid", "one-cell"])
+    def test_step_returns_a_fresh_contiguous_stack(self, wide_profile, params, small_grid, rng,
+                                                   frame, kind):
+        # the Anderson mixer reshapes a step's rows, so they must be one
+        # C-contiguous (2, N) array of the step's own, and the input stays as it was
+        start = {"windowed": wide_profile,
+                 "full-grid": random_transformed(small_grid, rng),
+                 "one-cell": constant_state(small_grid, TRANSFORMED_FRAME, (0.3, 0.7))}[kind]
+        state = self.in_frame(start, frame)
+        k1, k2 = discretize(GaussianKernel(1.0), 0.1), discretize(UniformKernel(2.0), 0.1)
+        n = state.grid.n_points
+        a, b = evolution._active_window(state.U, state.V, k1.half_width + 1)
+        assert {"windowed": 0 < a and b < n, "full-grid": (a, b) == (0, n),
+                "one-cell": (a, b) == (0, 1)}[kind]
+        before = state.fields.copy()
+        out = apply_Q(state, params, k1, k2)
+        assert np.array_equal(state.fields, before)
+        assert out.fields.shape == (2, n) and out.fields.flags.c_contiguous
+        assert out.fields.base is None and not np.shares_memory(out.fields, state.fields)
+        assert out.U.ctypes.data == out.fields[0].ctypes.data and out.U.shape == (n,)
+        assert out.V.ctypes.data == out.fields[1].ctypes.data and out.V.shape == (n,)
+
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_state_constant_on_one_side(self, params, rng, side, monkeypatch):
         grid = Grid(half_length=50.0, dx=0.1)

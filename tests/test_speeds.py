@@ -509,7 +509,7 @@ class TestFrontMeasurement:
     def test_rigid_translation_gives_exact_cell_speed(self):
         grid = Grid(half_length=50.0, dx=0.1)
         fields = [np.where(grid.x <= k * 0.1, 1.0, 0.0) for k in range(12)]
-        report = measure_front_speed(as_states(grid, fields), level=0.5, fit_window=(0, 11))
+        report = measure_front_speed(as_states(grid, fields), fit_window=(0, 11))
         assert report.speed == pytest.approx(0.1, abs=1e-13)
         assert report.residual_rms < 1e-12
 
@@ -531,7 +531,8 @@ class TestFrontMeasurement:
 
     def test_level_never_crossed(self):
         grid = Grid(half_length=10.0, dx=0.1)
-        with pytest.raises(MeasurementError):
+        with pytest.raises(MeasurementError,
+                           match=r"^field never crosses level 0\.5 on the given points$"):
             front_position(grid.x, np.full(grid.n_points, 0.8), 0.5)
 
     def test_a_segment_flat_at_the_level_crosses_at_its_left_end(self):
@@ -562,7 +563,7 @@ class TestFrontMeasurement:
         dk = discretize(gaussian, grid.dx)
         trajectory = scalar_invasion(params, dk, grid, 150)
         report = measure_front_speed(
-            trajectory, level=0.5, fit_window=(50, 150), margin_cells=dk.half_width,
+            trajectory, fit_window=(50, 150), margin_cells=dk.half_width,
         )
         assert abs(report.speed - 1.0) < 0.05
 

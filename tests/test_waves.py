@@ -330,6 +330,19 @@ class TestFindBistableWave:
         assert isinstance(info.value.__cause__, ParameterError)
         assert steps == []
 
+    def test_counter_propagation_failure_rejected_before_stepping(self, monkeypatch):
+        # sigma * sqrt(2 r) underflows to 0.0, so every monostable speed is
+        # 0.0 and neither A6 sum is positive
+        steps = []
+        monkeypatch.setattr(waves, "apply_Q", lambda *args: steps.append(args))
+        p, k = ModelParams(0.1, 0.1, 2.0, 3.0), GaussianKernel(5e-324)
+        cp = counter_propagation(p, k, k)
+        assert (cp.sum_edge, cp.sum_interior, cp.passed) == (0.0, 0.0, False)
+        with pytest.raises(ParameterError,
+                           match=r"^counter-propagation sums are not both positive$"):
+            find_bistable_wave(p, k, k)
+        assert steps == []
+
     def test_original_frame_profile_connects_exclusion_states(self, standard_wave):
         state = SpatialState(
             grid=standard_wave.grid, frame=TRANSFORMED_FRAME,
