@@ -328,8 +328,10 @@ def apply_Q(
         window[0] = convolve_extended(gu, k1)
     window[1] = convolve_extended(gv, k2)
     _clamp(window, "fields after step", state.frame)
-    out[:, :a] = window[:, :1]
-    out[:, b:] = window[:, -1:]
+    if a:
+        out[:, :a] = window[:, :1]
+    if b < out.shape[1]:
+        out[:, b:] = window[:, -1:]
     return SpatialState._unchecked(state.grid, state.frame, out, state.step + 1)
 
 

@@ -91,9 +91,10 @@ class WaveProfile(namedtuple(
 
     ``discrete_kernels`` are the two discretized kernels the solve stepped
     with.  ``decay_rate`` is the slowest tail decay rate at the corners for
-    speeds |c| up to the interior monostable speed; the sized grid is built
-    from it.  ``speed_error`` bounds the iteration error left in ``speed``
-    (see ``find_bistable_wave``); the grid's error is not in it.
+    speeds |c| up to the sizing speed, the interior monostable speed; the
+    sized grid is built from it.  A front may be faster (near a = 1 it
+    nears the edge speed).  ``speed_error`` bounds the iteration error left
+    in ``speed`` (see ``find_bistable_wave``); the grid's error is not in it.
     ``contraction_rate`` is the ratio of the last two displacement
     increments.
     """
@@ -116,32 +117,12 @@ def step_initial_data(grid: Grid, width: float) -> SpatialState:
     return SpatialState(grid=grid, frame=TRANSFORMED_FRAME, U=ramp, V=ramp)
 
 
-def _shift_fractional(values: np.ndarray, offset: float, dx: float) -> np.ndarray:
-    """Resample rows in place at x + offset for |offset| <= dx by linear interpolation.
+def _resample_shifted(fields: np.ndarray, offset: float, dx: float) -> tuple:
+    """(2, N) fields sampled at x + offset: whole cells, then a linear remainder.
 
     Linear interpolation keeps monotone data monotone and stays inside the
-    sample range, which higher-order schemes would not.
-    """
-    if offset == 0.0:
-        return values
-    t = offset / dx
-    # (1 - t)*v[i] + t*v[i+1], the second products taken before the first overwrite v
-    if t > 0.0:
-        right = t * values[..., 1:]
-        values[..., :-1] *= 1.0 - t
-        values[..., :-1] += right
-    else:
-        s = -t
-        left = s * values[..., :-1]
-        values[..., 1:] *= 1.0 - s
-        values[..., 1:] += left
-    return values
-
-
-def _resample_shifted(fields: np.ndarray, offset: float, dx: float) -> tuple:
-    """(2, N) fields sampled at x + offset (whole cells + linear remainder).
-
-    May overwrite ``fields``.  Vacated cells take the edge value.  Returns
+    sample range, which higher-order schemes would not.  May overwrite
+    ``fields``.  Vacated cells take the edge value.  Returns
     (fields, whole_cells).
     """
     n = fields.shape[1]
@@ -150,7 +131,17 @@ def _resample_shifted(fields: np.ndarray, offset: float, dx: float) -> tuple:
         raise RangeError(f"shift {offset} exceeds the grid")
     if m != 0:
         fields = _shift_cells(fields, -m)
-    return _shift_fractional(fields, offset - m * dx, dx), m
+    r = offset - m * dx
+    if r:
+        # (1 - t)*v[i] + t*v[i +- 1] on r's side, the neighbour products
+        # taken before the cells they come from are overwritten
+        t = abs(r / dx)
+        lower, upper = np.s_[:, :-1], np.s_[:, 1:]
+        cells, neighbours = (lower, upper) if r > 0.0 else (upper, lower)
+        mixed = t * fields[neighbours]
+        fields[cells] *= 1.0 - t
+        fields[cells] += mixed
+    return fields, m
 
 
 def _aitken(displacements: list) -> tuple:
@@ -275,14 +266,15 @@ def _decay_rate(log_alpha: float, dk: DiscreteKernel, speed: float) -> float:
 
 def _tail_decay_rate(p: ModelParams, dk1: DiscreteKernel, dk2: DiscreteKernel,
                      speed: float) -> float:
-    """Slowest decay rate of the profile tails for any front speed in [-speed, speed].
+    """Slowest decay rate of the profile tails for front speeds in [-speed, speed].
 
     Linearized at F0 (left tail) the cooperative-frame step multiplies U by
     1 - r1 and V by exp(r2 (1 - a2)) before dispersal; at F3 (right tail) it
     multiplies 1 - U by exp(r1 (1 - a1)) and 1 - V by 1 - r2.  A tail
     exp(-lam |x|) of a front moving at c solves ln(alpha) + ln M(lam) +- lam c
     = 0 (+ on the left, - on the right); c = +speed on the left and
-    c = -speed on the right give the slowest rates.
+    c = -speed on the right give the slowest rates.  A front faster than
+    ``speed`` has one tail that decays more slowly than this rate.
     """
     # the root falls as log(alpha) rises, so per kernel the corner with the
     # larger log(alpha) is the slower one
@@ -355,8 +347,10 @@ def find_bistable_wave(
     tracked level crossing disappears, and RangeError before the first
     step when a sized grid needs more than ``DEFAULT_HALF_LENGTH`` or a
     given one has fewer than J + round(c/dx) + 2 cells each side, c the
-    interior monostable speed that also sizes the grid (``wave_residual``
-    trims that many).
+    sizing speed (``wave_residual`` trims that many at speed c).  The sizing
+    speed is the interior monostable speed, from which the tail decay rate
+    and the sized grid are taken; it is not a bound on the wave speed, which
+    exceeds it near a = 1.
     One grid per solve: with no grid, the solve runs on ``_sized_grid`` at
     spacing ``dx`` (default ``DEFAULT_DX``); with a given grid, it runs on
     the sized grid when that can be built and is shorter, and the profile
@@ -390,21 +384,21 @@ def find_bistable_wave(
     dk1 = discretize(kernel1, dx)
     # a kernel shared by both species: one set of weights and one spectrum cache
     dk2 = dk1 if kernel1 == kernel2 else discretize(kernel2, dx)
-    speed_bound = cp.c_plus_F0F2.value
-    decay_rate = _tail_decay_rate(p, dk1, dk2, speed_bound)
+    sizing_speed = cp.c_plus_F0F2.value
+    decay_rate = _tail_decay_rate(p, dk1, dk2, sizing_speed)
     if grid is None:
-        grid = solve_grid = _sized_grid(dk1, dk2, speed_bound, decay_rate, opts.profile_tol)
+        grid = solve_grid = _sized_grid(dk1, dk2, sizing_speed, decay_rate, opts.profile_tol)
     else:
-        reach, lead = max(dk1.half_width, dk2.half_width), round(speed_bound / dx)
+        reach, lead = max(dk1.half_width, dk2.half_width), round(sizing_speed / dx)
         if grid.half_cells < reach + lead + 2:
-            # on fewer cells a front moving at up to the speed bound leaves
+            # on fewer cells a front moving at the sizing speed leaves
             # wave_residual no interior window
             raise RangeError(
                 f"grid half length {grid.half_length:g} is too short for the kernels and "
-                f"speeds up to {speed_bound:.4g}: a wave needs at least "
+                f"the sizing speed {sizing_speed:.4g}: a wave needs at least "
                 f"{(reach + lead + 2) * dx:.4g} ({reach} + {lead} + 2 cells of {dx:g})")
         try:
-            sized = _sized_grid(dk1, dk2, speed_bound, decay_rate, opts.profile_tol)
+            sized = _sized_grid(dk1, dk2, sizing_speed, decay_rate, opts.profile_tol)
         except RangeError:
             sized = grid  # tails too slow to size a grid: solve on the given one
         solve_grid = sized if sized.half_cells < grid.half_cells else grid

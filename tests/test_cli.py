@@ -654,6 +654,35 @@ class TestSubcommands:
             assert captured.err == ""
             assert "e-301" in captured.out
 
+    @pytest.mark.parametrize("command,code", [("validate", 1), ("wave", 2)])
+    @pytest.mark.parametrize("family", ["gaussian", "uniform"])
+    def test_a_subnormal_kernel_fails_counter_propagation(self, tmp_path, capsys, family,
+                                                          command, code):
+        # a scale of 5e-324 at r1 = r2 = 0.1: the Gaussian speeds underflow to
+        # 0, and the uniform search overflows the MGF before its minimum;
+        # either way A6 fails in validate and the wave is refused
+        scale = "sigma" if family == "gaussian" else "halfwidth"
+        path = tmp_path / "subnormal.cfg"
+        path.write_text(BASE_CONFIG.replace("r1 = 0.5", "r1 = 0.1").replace("r2 = 0.5", "r2 = 0.1")
+                        .replace("kernel.family = gaussian", f"kernel.family = {family}")
+                        .replace("kernel.sigma = 1.0", f"kernel.{scale} = 5e-324"))
+        assert main([command, "--config", str(path)]) == code
+        err = capsys.readouterr().err
+        if command == "validate":
+            assert "failed check A6-counter-propagation" in err
+        elif family == "gaussian":
+            assert err == "error: counter-propagation sums are not both positive\n"
+        else:
+            assert err.startswith("error: objective still decreasing when the MGF overflowed")
+
+    def test_wave_faster_than_the_sizing_speed_passes(self, config_path, capsys):
+        # a1 = 1.05 moves at 0.320, above the interior monostable speed 0.214
+        # the grid is sized with
+        assert main(["wave", "--config", str(config_path), "--set", "model.a1=1.05",
+                     "--set", "model.a2=2.5"]) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert rows[0]["speed"] == "0.320046545321"
+
     def test_wave_resolved_kernels_pass_the_mgf_check(self, config_path, tmp_path):
         path = tmp_path / "uniform.cfg"
         path.write_text(BASE_CONFIG + "kernel2.family = uniform\nkernel2.halfwidth = 2.0\n")

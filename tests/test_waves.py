@@ -435,6 +435,30 @@ class TestKnownAnswerIdentities:
         assert max(scaled) - min(scaled) <= 1e-13
         assert len(points) == 1
 
+    @pytest.mark.parametrize("opts,tol,cells", [
+        (WaveOptions(), 5e-10, ("readme", "second", "uniform", "readme-dx0.01")),
+        (WaveOptions(profile_tol=1e-10, speed_tol=1e-12), 1e-13, ("readme", "second", "uniform")),
+    ], ids=["default", "tight"])
+    def test_mass_identity_gives_the_speed(self, opts, tol, cells):
+        # summing phi - Q[phi] = phi - phi(. - c) over the grid telescopes to
+        # c (phi(+inf) - phi(-inf)) per component: a check of the step, the
+        # embed into a given grid and the end values together
+        readme, gauss = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
+        setups = {
+            "readme": (readme, gauss, None),
+            "second": (ModelParams(0.3, 0.7, 2.5, 1.8), gauss, None),
+            "uniform": (readme, UniformKernel(2.0), None),
+            "readme-dx0.01": (readme, gauss, Grid(200.0, 0.01)),
+        }
+        for name in cells:
+            p, k, grid = setups[name]
+            wp = find_bistable_wave(p, k, k, grid, opts=opts)
+            state = SpatialState(grid=wp.grid, frame=TRANSFORMED_FRAME, U=wp.phi, V=wp.psi)
+            stepped = evolution.apply_Q(state, p, *wp.discrete_kernels).fields
+            for f, q in zip((wp.phi, wp.psi), stepped):
+                c = wp.grid.dx * float(np.sum(f - q)) / float(f[-1] - f[0])
+                assert abs(c - wp.speed) <= tol, (name, c, wp.speed)
+
 
 TIGHT = WaveOptions(profile_tol=1e-11, speed_tol=1e-12)
 ERROR_CELLS = {
@@ -636,6 +660,57 @@ class TestAnderson:
         assert (np.diff(G, axis=1) >= 0.0).all()
 
 
+def _whole_cell_shift(v, m):
+    """v sampled m cells to the right, the vacated cells holding the edge value."""
+    if m >= 0:
+        return np.concatenate([v[:, m:], np.repeat(v[:, -1:], m, axis=1)], axis=1)
+    return np.concatenate([np.repeat(v[:, :1], -m, axis=1), v[:, :m]], axis=1)
+
+
+class TestResampleShifted:
+    DX = 0.1
+
+    @pytest.fixture
+    def fields(self):
+        # two monotone rows in [0, 1] with exact corners at both ends
+        x = np.linspace(-3.0, 3.0, 41)
+        return np.array([np.clip(0.5 + x / 4.0, 0.0, 1.0),
+                         np.where(np.abs(x) < 3.0, expit(2.0 * x), x > 0.0)])
+
+    @pytest.mark.parametrize("cells", [0.0, 0.3, -0.3, 0.5, -0.5, 1.7, -1.7, 3.0, -3.0])
+    def test_linear_remainder_on_whole_cell_shifted_fields(self, fields, cells):
+        dx = self.DX
+        offset = cells * dx
+        out, m = waves._resample_shifted(fields.copy(), offset, dx)
+        assert m == round(cells)
+        shifted = _whole_cell_shift(fields, m)
+        r = offset - m * dx
+        t = abs(r / dx)
+        expected = shifted.copy()
+        if r > 0.0:
+            expected[:, :-1] = (1.0 - t) * shifted[:, :-1] + t * shifted[:, 1:]
+        elif r < 0.0:
+            expected[:, 1:] = (1.0 - t) * shifted[:, 1:] + t * shifted[:, :-1]
+        assert (r == 0.0) == (cells in (0.0, 3.0, -3.0))
+        assert out.tobytes() == expected.tobytes()
+        # vacated cells take the edge value
+        if m > 0:
+            assert np.all(out[:, -m:] == fields[:, -1:])
+        elif m < 0:
+            assert np.all(out[:, :-m] == fields[:, :1])
+        assert np.all(np.diff(out, axis=1) >= 0.0)
+        assert out.min() >= 0.0 and out.max() <= 1.0
+
+    @pytest.mark.parametrize("cells", [41, -41, 60])
+    def test_a_shift_off_the_grid_raises(self, fields, cells):
+        offset = cells * self.DX
+        with pytest.raises(RangeError) as err:
+            waves._resample_shifted(fields.copy(), offset, self.DX)
+        assert str(err.value) == f"shift {offset} exceeds the grid"
+        # one cell less stays on the grid
+        assert waves._resample_shifted(fields.copy(), 40 * self.DX, self.DX)[1] == 40
+
+
 class TestWaveResidual:
     def test_constant_equilibrium_profile_has_zero_residual(self, params, wave_grid,
                                                             gaussian_weights):
@@ -835,6 +910,21 @@ class TestWaveGrid:
         assert -1000.0 + np.log(dk.moments(cap)[0]) + cap * 0.1 < 0.0
         assert waves._decay_rate(-1000.0, dk, 0.1) == cap
 
+    def test_a_front_may_outrun_the_sizing_speed(self):
+        # near a = 1 the front is faster than the interior monostable speed
+        # the grid is sized with, though slower than the edge speed; the
+        # sized solve still gives a valid profile and its exchange partner
+        # the opposite speed
+        p, k = ModelParams(0.5, 0.5, 1.05, 2.5), GaussianKernel(1.0)
+        cp = counter_propagation(p, k, k)
+        wp = find_bistable_wave(p, k, k)
+        assert wp.speed == pytest.approx(0.3200465, abs=1e-7)
+        assert cp.c_plus_F0F2.value == pytest.approx(0.2136103, abs=1e-7)
+        assert cp.c_plus_F0F2.value < wp.speed < cp.c_plus_F0F1.value == 1.0
+        assert validate_profile(wp).passed
+        partner = find_bistable_wave(ModelParams(0.5, 0.5, 2.5, 1.05), k, k)
+        assert abs(wp.speed + partner.speed) <= 1e-8
+
     def test_slowest_corner_sets_the_rate(self):
         p = ModelParams(0.3, 0.7, 1.6, 3.2)
         k1, k2 = GaussianKernel(0.8), GaussianKernel(1.7)
@@ -879,7 +969,7 @@ class TestWaveGrid:
                 == find_bistable_wave(p, k, k, grid).speed)
 
     def test_grid_too_short_for_the_kernel_is_rejected_before_stepping(self, monkeypatch):
-        # J = 72 at dx = 0.1 and speeds up to 0.604 (6 cells), so the least
+        # J = 72 at dx = 0.1 and the sizing speed 0.604 (6 cells), so the least
         # half length is 80 cells, 8.0; 7.4 used to run the whole solve
         p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
         steps = _stepped_lengths(monkeypatch)
