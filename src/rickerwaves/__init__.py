@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 # exported name -> the module that defines it
 _MODULE_OF = {name: module for module, names in {
     "evolution": ("Grid", "SpatialState", "apply_Q", "compare", "convolve_extended",
-                  "interior_slice", "iterate", "translate"),
+                  "interior_slice", "iterate", "step_initial_data", "translate"),
     "kernels": ("DiscreteKernel", "GaussianKernel", "Kernel", "TableKernel", "UniformKernel",
                 "discretize", "make_kernel", "validate_hypotheses"),
     "model": ("ORIGINAL_FRAME", "TRANSFORMED_FRAME", "EquilibriumSet", "ModelParams",
@@ -31,7 +31,7 @@ _MODULE_OF = {name: module for module, names in {
                "counter_propagation", "front_position", "linearization_matrix",
                "measure_front_speed", "scalar_speed", "system_speed_bound"),
     "waves": ("ProfileValidation", "WaveOptions", "WaveProfile", "find_bistable_wave",
-              "step_initial_data", "validate_profile", "wave_residual"),
+              "validate_profile", "wave_residual"),
 }.items() for name in names}
 
 

@@ -223,8 +223,6 @@ class RunReport:
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
@@ -340,8 +338,7 @@ def cmd_validate(cfg: ExperimentConfig, args) -> tuple:
                            f"edge sum {_fmt(cp.sum_edge)}; interior sum {_fmt(cp.sum_interior)}"))
 
     # the table is the check rows, each ok a bool
-    rows = RunReport(checks).checks
-    return ("check", "passed", "detail"), rows, rows
+    return ("check", "passed", "detail"), checks, checks
 
 
 def cmd_equilibria(cfg: ExperimentConfig, args) -> tuple:
@@ -386,7 +383,7 @@ def cmd_speeds(cfg: ExperimentConfig, args) -> tuple:
 def _initial_state(cfg: ExperimentConfig, grid) -> evolution.SpatialState:
     # the frame, then sim.init, then the width are checked, for either start
     import numpy as np
-    from . import evolution, waves
+    from . import evolution
     init, width, frame = cfg["sim.init"], cfg["sim.init_width"], cfg["sim.frame"]
     if frame not in (model.TRANSFORMED_FRAME, model.ORIGINAL_FRAME):
         raise ConfigError(f"unknown sim.frame {frame!r} "
@@ -398,7 +395,7 @@ def _initial_state(cfg: ExperimentConfig, grid) -> evolution.SpatialState:
     if init == "bump":
         bump = np.exp(-0.5 * (grid.x / width) ** 2)
         return evolution.SpatialState(grid=grid, frame=frame, U=bump, V=bump)
-    state = waves.step_initial_data(grid, width)
+    state = evolution.step_initial_data(grid, width)
     return model.change_coordinates(state) if frame == model.ORIGINAL_FRAME else state
 
 

@@ -132,6 +132,16 @@ class SpatialState:
         return state
 
 
+def step_initial_data(grid: Grid, width: float) -> SpatialState:
+    """Monotone ramp data: both components follow a logistic sigmoid."""
+    if not (0 < width < math.inf):
+        raise DomainError(f"ramp width must be positive and finite, got {width}")
+    # exp overflows to inf far left, where the ramp is then exactly 0
+    with np.errstate(over="ignore"):
+        ramp = 1.0 / (1.0 + np.exp(-grid.x / width))
+    return SpatialState(grid=grid, frame=TRANSFORMED_FRAME, U=ramp, V=ramp)
+
+
 # transform roundoff seeds the far field at ~1e-15; values below this
 # relative floor are flushed to zero so exact zeros propagate as they do
 # under direct summation (the zero state is unstable, so leftover noise

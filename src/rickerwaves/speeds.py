@@ -94,8 +94,9 @@ def _minimize_positive(objective, g0: float, curvature0: float, kernels: tuple) 
     An MGF overflow (RangeError) or a nan value counts as too far right.  A
     bracket that closes on such a point, with F still negative to its left,
     raises SearchError, as does mu itself overflowing (the minimizer of a
-    uniform kernel narrower than about 1e-308); a step below ``MU_FLOOR``
-    evaluates the floor, and raises SearchError unless F is negative there.
+    uniform kernel narrower than about 1e-308), at a start 1/R before any
+    evaluation; a step below ``MU_FLOOR`` evaluates the floor, and raises
+    SearchError unless F is negative there.
     Returns (mu_star, value, curve): mu_star is the last iterate, value the
     objective there, and the curve holds each evaluated (mu, value) pair,
     sorted by mu.
@@ -110,6 +111,8 @@ def _minimize_positive(objective, g0: float, curvature0: float, kernels: tuple) 
             mu = math.sqrt(2.0 * g0) / math.sqrt(curvature0)
     else:
         mu = 1.0 / max(kernel.truncation_radius() for kernel in kernels)
+    if mu == inf:
+        raise SearchError("objective still decreasing when mu overflowed")
     newton = False  # whether mu was reached by a Newton step
     step = previous = inf  # the lengths of the last two steps
     while True:

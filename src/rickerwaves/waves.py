@@ -24,7 +24,6 @@ from numpy.linalg import _umath_linalg
 from .errors import (
     ConvergenceError,
     DegenerateDataError,
-    DomainError,
     MeasurementError,
     ParameterError,
     RangeError,
@@ -40,6 +39,7 @@ from .evolution import (
     _snap_corners,
     apply_Q,
     interior_slice,
+    step_initial_data,
 )
 from .kernels import (
     _EXP_ARG_MAX, DiscreteKernel, Kernel, discretize, validate_hypotheses,
@@ -107,16 +107,6 @@ class WaveProfile(namedtuple(
         return max(dk.half_width for dk in self.discrete_kernels)
 
 
-def step_initial_data(grid: Grid, width: float) -> SpatialState:
-    """Monotone ramp data: both components follow a logistic sigmoid."""
-    if not (0 < width < math.inf):
-        raise DomainError(f"ramp width must be positive and finite, got {width}")
-    # exp overflows to inf far left, where the ramp is then exactly 0
-    with np.errstate(over="ignore"):
-        ramp = 1.0 / (1.0 + np.exp(-grid.x / width))
-    return SpatialState(grid=grid, frame=TRANSFORMED_FRAME, U=ramp, V=ramp)
-
-
 def _resample_shifted(fields: np.ndarray, offset: float, dx: float) -> tuple:
     """(2, N) fields sampled at x + offset: whole cells, then a linear remainder.
 
@@ -179,10 +169,11 @@ class _Anderson:
     ``depth`` differences dF of residuals and dG of G values.  It is then
     projected back onto the monotone states in [0, 1]: the two snaps of
     ``evolution._clamp``, which also clip, and a running maximum per field.
-    The differences sit in a ring buffer of whole (2, N) rows with their
-    Gram matrix, which each new difference updates by one row and column.
-    A singular Gram matrix (a zero difference, say) starts the history
-    again.
+    Each step hands over G and f; the mixer keeps a copy of both as
+    [G; f] and stores the differences from the previous pair in a ring
+    buffer of whole (2, N) rows with their Gram matrix, which each new
+    difference updates by one row and column.  A singular Gram matrix (a
+    zero difference, say) starts the history again.
     """
 
     def __init__(self, depth: int, n: int):
@@ -194,12 +185,14 @@ class _Anderson:
         # [G; f] of the last step
         self.last = None
 
-    def step(self, G: np.ndarray, Gf: np.ndarray) -> None:
+    def step(self, G: np.ndarray, f: np.ndarray) -> None:
         """Turn the (2, N) fields G = G(z) into the next iterate, in place.
 
-        ``Gf`` is [G; G - z], (2, 2, N): G(z) and the residual of z.  G is
-        left as it is on the first step and when the history starts again.
+        ``f`` is the (2, N) residual G - z, which is only read.  G is left
+        as it is on the first step and when the history starts again.
         """
+        # a copy of G, which the update overwrites
+        Gf = np.array((G, f))
         last, self.last = self.last, Gf
         if last is None:
             return
@@ -208,7 +201,7 @@ class _Anderson:
         self.count += 1
         k = min(self.count, self.depth)
         dF = self.rows[:k, 1].reshape(k, -1)
-        column, rhs = (dF @ np.array((dF[slot], Gf[1].reshape(-1))).T).T
+        column, rhs = (dF @ np.array((dF[slot], f.reshape(-1))).T).T
         self.gram[slot, :k] = column
         self.gram[:k, slot] = column
         # a singular matrix fills gamma with nan, quietly as np.linalg.solve's checks do
@@ -221,20 +214,6 @@ class _Anderson:
         _snap_corners(G)
         # the running maximum; fmax is the faster of the two on values without nan
         np.fmax.accumulate(G, axis=1, out=G)
-
-
-def _recentered_step(state: SpatialState, p: ModelParams, dk1: DiscreteKernel,
-                     dk2: DiscreteKernel) -> tuple:
-    """G = recenter o Q: one step, then the front's crossing moved back to x = 0.
-
-    Returns (fields, t): the recentered (2, N) fields and the displacement
-    t of the ``FRONT_LEVEL`` crossing of the first component.  Raises
-    MeasurementError when the stepped first component does not cross the
-    level.
-    """
-    stepped = apply_Q(state, p, dk1, dk2)
-    t = front_position(state.grid.x, stepped.U, FRONT_LEVEL)
-    return _resample_shifted(stepped.fields, t, state.grid.dx)[0], t
 
 
 def _decay_rate(log_alpha: float, dk: DiscreteKernel, speed: float) -> float:
@@ -357,8 +336,9 @@ def find_bistable_wave(
     is embedded into the given grid by repeating its end values (the
     residual is taken there); otherwise it runs on the given grid.  A step
     works on both fields as one (2, N) array over every cell of its grid:
-    one clamp that also checks the output, one resample and one in-place
-    mixing update.
+    one clamp that also checks the output, one resample, one residual
+    f = G - z for the stopping test, and one in-place mixing update, to
+    which G and f are handed (``_Anderson`` keeps its own copies).
     """
     opts = opts or WaveOptions()
     if opts.max_steps < 1:
@@ -419,17 +399,16 @@ def find_bistable_wave(
     speed = speed_error = correction = rate = math.nan
 
     for n in range(1, opts.max_steps + 1):
+        # G = recenter o Q: one step, then the front's crossing moved back to x = 0
+        stepped = apply_Q(state, p, dk1, dk2)
         try:
-            G, t = _recentered_step(state, p, dk1, dk2)
+            t = front_position(solve_grid.x, stepped.U, FRONT_LEVEL)
         except MeasurementError as exc:
             raise DegenerateDataError(f"front level {FRONT_LEVEL} lost at step {n}") from exc
-
+        G = _resample_shifted(stepped.fields, t, solve_grid.dx)[0]
         history.displacements.append(t)
-        # [G; G - z]: a copy of G(z), which mixing overwrites, and the residual of z
-        Gf = np.empty((2,) + G.shape)
-        Gf[0] = G
-        np.subtract(G, state.fields, out=Gf[1])
-        sup_diff = float(np.abs(Gf[1]).max())
+        f = G - state.fields  # the residual of z
+        sup_diff = float(np.abs(f).max())
         history.sup_diffs.append(sup_diff)
 
         if mixer is not None and sup_diff < mix_tol:
@@ -451,7 +430,7 @@ def find_bistable_wave(
         if sup_diff < opts.profile_tol and speed_error < opts.speed_tol:
             break
         if mixer is not None:
-            mixer.step(G, Gf)
+            mixer.step(G, f)
         # recentering and mixing keep the checked fields of apply_Q inside [0, 1]
         state = SpatialState._unchecked(solve_grid, TRANSFORMED_FRAME, G, state.step + 1)
     else:

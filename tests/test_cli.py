@@ -659,7 +659,7 @@ class TestSubcommands:
     def test_a_subnormal_kernel_fails_counter_propagation(self, tmp_path, capsys, family,
                                                           command, code):
         # a scale of 5e-324 at r1 = r2 = 0.1: the Gaussian speeds underflow to
-        # 0, and the uniform search overflows the MGF before its minimum;
+        # 0, and the uniform search's start 1/halfwidth overflows;
         # either way A6 fails in validate and the wave is refused
         scale = "sigma" if family == "gaussian" else "halfwidth"
         path = tmp_path / "subnormal.cfg"
@@ -673,7 +673,7 @@ class TestSubcommands:
         elif family == "gaussian":
             assert err == "error: counter-propagation sums are not both positive\n"
         else:
-            assert err.startswith("error: objective still decreasing when the MGF overflowed")
+            assert err == "error: objective still decreasing when mu overflowed\n"
 
     def test_wave_faster_than_the_sizing_speed_passes(self, config_path, capsys):
         # a1 = 1.05 moves at 0.320, above the interior monostable speed 0.214
@@ -921,6 +921,20 @@ README_SIMULATE_SHA256 = {
     150: "6dc5512ee5c220c5f61c614eab411446685fefa342a30050892996dd2d8f9d3c",
 }
 
+# `wave` stdout and the sha256 of `wave_profile.csv` with one kernel per
+# species, a Gaussian beside a uniform kernel: the solve steps with two
+# distinct discretized kernels.
+SPECIES_CONFIG = ("".join(line + "\n" for line in BASE_CONFIG.splitlines()
+                          if not line.startswith("kernel."))
+                  + "kernel1.family = gaussian\nkernel1.sigma = 1\n"
+                  "kernel2.family = uniform\nkernel2.halfwidth = 2\n")
+SPECIES_WAVE_STDOUT = (
+    "# config 1cc644b1cd50\n"
+    "speed,residual,steps,monotone,range,left_tail,right_tail,residual_ok\n"
+    "0.106894428383,4.22343826578e-11,23,true,true,true,true,true\n"
+)
+SPECIES_WAVE_PROFILE_SHA256 = "c5545d7493bc2030f3c6926f8d0eeca47366e480cae620e7a42a04733a3f6206"
+
 # `validate` stdout on a table kernel built from an asymmetric table: H3
 # passes with the symmetrization note on both species.
 ASYMMETRIC_TABLE_VALIDATE_STDOUT = (
@@ -969,6 +983,13 @@ class TestPinnedBytes:
         assert main(["wave", "--config", str(config_path), "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out == README_WAVE_STDOUT
         assert _sha256(tmp_path / "wave_profile.csv") == README_WAVE_PROFILE_SHA256
+
+    def test_species_wave_stdout_and_profile(self, tmp_path, capsys):
+        path = tmp_path / "species.cfg"
+        path.write_text(SPECIES_CONFIG)
+        assert main(["wave", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == SPECIES_WAVE_STDOUT
+        assert _sha256(tmp_path / "wave_profile.csv") == SPECIES_WAVE_PROFILE_SHA256
 
     def test_readme_simulate_snapshots(self, config_path, capsys, tmp_path):
         assert main(["simulate", "--config", str(config_path), "--set", "sim.steps=150",
@@ -1125,7 +1146,7 @@ PACKAGE_EXPORTS = {
                "DegenerateKernelError", "DomainError", "MeasurementError", "ParameterError",
                "RangeError", "SearchError"),
     "evolution": ("Grid", "SpatialState", "apply_Q", "compare", "convolve_extended",
-                  "interior_slice", "iterate", "translate"),
+                  "interior_slice", "iterate", "step_initial_data", "translate"),
     "kernels": ("DiscreteKernel", "GaussianKernel", "Kernel", "TableKernel", "UniformKernel",
                 "discretize", "make_kernel", "validate_hypotheses"),
     "model": ("ORIGINAL_FRAME", "TRANSFORMED_FRAME", "EquilibriumSet", "ModelParams",
@@ -1136,22 +1157,30 @@ PACKAGE_EXPORTS = {
                "counter_propagation", "front_position", "linearization_matrix",
                "measure_front_speed", "scalar_speed", "system_speed_bound"),
     "waves": ("ProfileValidation", "WaveOptions", "WaveProfile", "find_bistable_wave",
-              "step_initial_data", "validate_profile", "wave_residual"),
+              "validate_profile", "wave_residual"),
 }
 
-# run in a fresh interpreter with numpy unimportable: the scalar subcommands,
-# then, with numpy allowed again, the package's lazy exports
+# run in a fresh interpreter with numpy unimportable: the scalar subcommands;
+# then, with numpy allowed again and the wave solver unimportable, the
+# simulations; then, with both allowed, the package's lazy exports
 _WITHOUT_NUMPY = """\
 import contextlib, importlib, io, json, sys
 sys.modules["numpy"] = sys.modules["dataclasses"] = None
 import rickerwaves
 from rickerwaves.cli import main
 runs = []
-for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        runs.append([main(argv), out.getvalue()])
+
+def run_all(argvs):
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runs.append([main(argv), out.getvalue()])
+
+run_all(json.loads(sys.argv[1]))
 del sys.modules["numpy"], sys.modules["dataclasses"]
+sys.modules["rickerwaves.waves"] = None
+run_all(json.loads(sys.argv[3]))
+del sys.modules["rickerwaves.waves"]
 wrong = [name for module, names in json.loads(sys.argv[2]).items() for name in names
          if getattr(rickerwaves, name) is not getattr(
              importlib.import_module("rickerwaves." + module), name)]
@@ -1206,12 +1235,15 @@ class TestImport:
             path.write_text(text)
             argvs += [[sub, "--config", str(path)]
                       for sub in ("validate", "equilibria", "speeds", "sweep")]
+        # simulate steps without loading the wave solver
+        simulations = [["simulate", "--config", str(tmp_path / "gaussian.cfg"),
+                        "--set", "sim.steps=2", "--out", str(tmp_path / "sim")]]
         expected = []
-        for argv in argvs:
+        for argv in argvs + simulations:
             expected.append([main(argv), capsys.readouterr().out])
-        assert [code for code, _ in expected] == [0] * 8
+        assert [code for code, _ in expected] == [0] * 9
         found = json.loads(self._fresh(_WITHOUT_NUMPY, json.dumps(argvs),
-                                       json.dumps(PACKAGE_EXPORTS)))
+                                       json.dumps(PACKAGE_EXPORTS), json.dumps(simulations)))
         assert found["runs"] == expected
         assert found["wrong"] == []
         assert found["unknown"] == "module 'rickerwaves' has no attribute 'no_such_name'"

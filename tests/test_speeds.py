@@ -681,6 +681,20 @@ class TestSearchRobustness:
         with pytest.raises(SearchError):
             scalar_speed(0.5, UniformKernel(1e-310))
 
+    def test_a_start_that_overflows_is_refused_before_any_evaluation(self):
+        # at halfwidth 5e-324 the variance is 0 and the start 1/a is inf:
+        # the search names the overflow of mu, not of the MGF
+        message = "^objective still decreasing when mu overflowed$"
+        kernel = _CountingKernel(UniformKernel(5e-324))
+        with pytest.raises(SearchError, match=message):
+            scalar_speed(0.1, kernel)
+        assert kernel.calls == 1  # g''(0) only
+        # the shared kernel's scalar search and the search of two kernels
+        for kernel2 in (UniformKernel(5e-324), UniformKernel(1e-323)):
+            with pytest.raises(SearchError, match=message):
+                system_speed_bound(ModelParams(0.1, 0.1, 2.0, 3.0), UniformKernel(5e-324),
+                                   kernel2)
+
     @pytest.mark.parametrize("sigma", [0.01, 40.0, 100.0])
     def test_wide_and_narrow_gaussians_keep_the_closed_form(self, sigma):
         # the MGF overflows at mu = 1 for sigma > 37.6; the search starts at
