@@ -396,7 +396,9 @@ def _initial_state(cfg: ExperimentConfig, grid) -> evolution.SpatialState:
         bump = np.exp(-0.5 * (grid.x / width) ** 2)
         return evolution.SpatialState(grid=grid, frame=frame, U=bump, V=bump)
     state = evolution.step_initial_data(grid, width)
-    return model.change_coordinates(state) if frame == model.ORIGINAL_FRAME else state
+    if frame == model.ORIGINAL_FRAME:
+        return evolution.SpatialState(grid=grid, frame=frame, U=1.0 - state.U, V=state.V)
+    return state
 
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> tuple:

@@ -13,7 +13,7 @@ competition.  Substituting u -> 1 - u turns it into the cooperative map
 on the unit square, with stable corners F0=(0,0) and F3=(1,1) and unstable
 interior/edge states F1, F2.  This module owns the growth law of both
 frames (``growth``, which the grid step operator calls as well), the
-pointwise map, the frame change, equilibria with their stability
+pointwise map, the frame change of a point, equilibria with their stability
 classification, and the certificate that the corners are strongly stable
 in the cooperative frame.
 """
@@ -110,19 +110,9 @@ def _fixed_point_residual(p: ModelParams, point, frame: str) -> float:
     return max(abs(image[0] - point[0]), abs(image[1] - point[1]))
 
 
-def change_coordinates(obj):
-    """Swap frames via u -> 1 - u, v -> v.  An involution.
-
-    Accepts a point pair or a spatial state of the evolution module (built
-    anew from its grid, frame, fields and step, so checked); returns the
-    same kind.
-    """
-    if hasattr(obj, "U") and hasattr(obj, "V"):
-        new_frame = (
-            TRANSFORMED_FRAME if obj.frame == ORIGINAL_FRAME else ORIGINAL_FRAME
-        )
-        return type(obj)(obj.grid, new_frame, 1.0 - obj.U, obj.V, obj.step)
-    u, v = obj
+def change_coordinates(point):
+    """Swap frames at a point via u -> 1 - u, v -> v.  An involution."""
+    u, v = point
     return (1.0 - u, v)
 
 

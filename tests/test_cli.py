@@ -921,6 +921,31 @@ README_SIMULATE_SHA256 = {
     150: "6dc5512ee5c220c5f61c614eab411446685fefa342a30050892996dd2d8f9d3c",
 }
 
+# The same runs started in the original frame: `simulate --set sim.frame=original
+# --set sim.steps=150`, whose step start is 1 - the cooperative ramp, and
+# `wave --frame original`, whose profile is written as (1 - phi, psi).
+README_ORIGINAL_SIMULATE_SHA256 = {
+    0: "8b2d453b8ac7c334438e6d09615bba73e65272b904f76de4f9e5cb3e680fcf69",
+    10: "6ffedafb0dbe773fc8b60f26ab8005b6d4136365b4a084a57031facbaee1da26",
+    20: "aeaf89f1d9b6e56d165c63054df1e7e144cf98681123c23afb5c6ce28127227f",
+    30: "34f7570b83eec11404914bd66c2cfa93453365d1b32bca2a45675cf25f275ea8",
+    40: "ea13ac3cb42160906916685c6870dfbdd8e1088f9ec9ca59ac555208be5f0b3c",
+    50: "20c409f6cbb7148b5d0b71a25ef56aeb8adea96b58d4775042fe5d37835bb30f",
+    60: "2917ae93c39e1eb4ae1dbd87ec124fac3e4c2a79e5b414104fd1bcc48837e276",
+    70: "f019bd678673ad86fa57233f49130cd767ed756e977514bc4b06ee0f75b86ca0",
+    80: "4e17879c078b94c86e8289e65bc16f082bff2e473882ef7c196d4d4e600447ae",
+    90: "e162bbb6a612c2449beb66a79724ad68ac43bd210d41cbcd0ae33f42ff488b97",
+    100: "6fb8327747c4ee93203ecd214b5310d0ceb45f2fd75c76a00e7da3e10777c0bc",
+    110: "e4099caba44e05f6cc25a3726dce37b59fa676bb37aae460d4aff564bde57519",
+    120: "2b8fc8e8e3a861e2ae61679aba30c717d3eef74e9d26bac296da08be5c589b32",
+    130: "0f0968b020cc7f09839b92f68dcc4fcbc11ba72af00441479207a615843b0f9c",
+    140: "68a3c4a231e80f33b3bd4b7c40bc9837f611ab92fe1f48161cc65d97443b6580",
+    150: "f0d4b8452a1da1bec9f8b9ac5178bc22fcfe23c33c18f2f58977fd3164a93747",
+}
+README_ORIGINAL_WAVE_PROFILE_SHA256 = (
+    "c31a63f21533e5baebc7259ea25b4ec605375054714bc52b0c7bca2b9a563394")
+
+
 # `wave` stdout and the sha256 of `wave_profile.csv` with one kernel per
 # species, a Gaussian beside a uniform kernel: the solve steps with two
 # distinct discretized kernels.
@@ -997,6 +1022,21 @@ class TestPinnedBytes:
         capsys.readouterr()
         assert {int(path.stem[len("sim_step_"):]): _sha256(path)
                 for path in tmp_path.glob("sim_step_*.csv")} == README_SIMULATE_SHA256
+
+    def test_readme_original_frame_simulate_snapshots(self, config_path, capsys, tmp_path):
+        assert main(["simulate", "--config", str(config_path), "--set", "sim.frame=original",
+                     "--set", "sim.steps=150", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert {int(path.stem[len("sim_step_"):]): _sha256(path)
+                for path in tmp_path.glob("sim_step_*.csv")} == README_ORIGINAL_SIMULATE_SHA256
+
+    def test_readme_original_frame_wave_stdout_and_profile(self, config_path, capsys,
+                                                           tmp_path):
+        assert main(["wave", "--config", str(config_path), "--frame", "original",
+                     "--out", str(tmp_path)]) == 0
+        # the speed and the checks are the cooperative solve's
+        assert capsys.readouterr().out == README_WAVE_STDOUT
+        assert _sha256(tmp_path / "wave_profile.csv") == README_ORIGINAL_WAVE_PROFILE_SHA256
 
     def test_asymmetric_table_validate_stdout(self, tmp_path, capsys):
         offsets = np.linspace(-1, 1, 21)

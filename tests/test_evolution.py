@@ -13,7 +13,6 @@ from rickerwaves import (
     SpatialState,
     UniformKernel,
     apply_Q,
-    change_coordinates,
     compare,
     convolve_extended,
     discretize,
@@ -148,8 +147,7 @@ class TestApplyQ:
         # cooperative frame rejects 1 - U below zero
         out = apply_Q(constant_state(small_grid, ORIGINAL_FRAME, (1.0, 0.0)),
                       params, gaussian_weights, gaussian_weights)
-        moved = change_coordinates(out)
-        assert moved.frame == TRANSFORMED_FRAME
+        moved = SpatialState(out.grid, TRANSFORMED_FRAME, 1.0 - out.U, out.V)
         assert np.all(moved.U == 0.0) and np.all(moved.V == 0.0)
 
     @pytest.mark.parametrize("point", [(1.0, 0.0), (0.8, 0.4)])
@@ -593,7 +591,9 @@ class TestActiveWindow:
 
     @staticmethod
     def in_frame(state, frame):
-        return state if state.frame == frame else change_coordinates(state)
+        if state.frame == frame:
+            return state
+        return SpatialState(state.grid, frame, 1.0 - state.U, state.V, state.step)
 
     @staticmethod
     def reach(kernel1, kernel2, dx):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_bvp
 from scipy.special import expit
 
 from rickerwaves import (
@@ -19,7 +20,6 @@ from rickerwaves import (
     TableKernel,
     UniformKernel,
     WaveOptions,
-    change_coordinates,
     discretize,
     find_bistable_wave,
     step_initial_data,
@@ -35,7 +35,7 @@ from rickerwaves.evolution import (
     SpatialState,
     interior_slice,
 )
-from rickerwaves.model import TRANSFORMED_FRAME
+from rickerwaves.model import ORIGINAL_FRAME, TRANSFORMED_FRAME
 from rickerwaves.speeds import counter_propagation, system_speed_bound
 from rickerwaves.waves import WaveHistory, WaveProfile
 
@@ -345,11 +345,10 @@ class TestFindBistableWave:
         assert steps == []
 
     def test_original_frame_profile_connects_exclusion_states(self, standard_wave):
-        state = SpatialState(
-            grid=standard_wave.grid, frame=TRANSFORMED_FRAME,
-            U=standard_wave.phi, V=standard_wave.psi,
+        original = SpatialState(
+            grid=standard_wave.grid, frame=ORIGINAL_FRAME,
+            U=1.0 - standard_wave.phi, V=standard_wave.psi,
         )
-        original = change_coordinates(state)
         # left tail at (1, 0), right tail at (0, 1)
         assert original.U[0] == pytest.approx(1.0, abs=1e-10)
         assert original.V[0] == pytest.approx(0.0, abs=1e-10)
@@ -459,6 +458,73 @@ class TestKnownAnswerIdentities:
             for f, q in zip((wp.phi, wp.psi), stepped):
                 c = wp.grid.dx * float(np.sum(f - q)) / float(f[-1] - f[0])
                 assert abs(c - wp.speed) <= tol, (name, c, wp.speed)
+
+
+def laplace_balance_point(r1, r2, a2):
+    """The a1 at which the original-frame front stands still, c = 0, for the
+    Laplace kernel k(y) = e^{-|y|} / 2 shared by both species.
+
+    k is the Green's function of 1 - d^2/dx^2, so a standing front of
+    phi = k * g(phi) solves phi'' = phi - g(phi), a four-dimensional
+    first-order system, with a1 as the free parameter.  The two half-lines
+    x = -s and x = s, s in [0, 25], are solved side by side (8 unknowns):
+    they join at s = 0 with equal values and opposite s-slopes, u(0) = 1/2
+    fixes the translate, and the ends sit at the corners (1, 0) and (0, 1).
+    The ODE shares no code with the package.
+    """
+    def rhs(s, y, p):
+        out = np.empty_like(y)
+        for k in (0, 4):
+            u, du, v, dv = y[k:k + 4]
+            gu = u * np.exp(r1 * (1.0 - u - p[0] * v))
+            gv = v * np.exp(r2 * (1.0 - v - a2 * u))
+            out[k:k + 4] = du, u - gu, dv, v - gv
+        return out
+
+    def bc(y0, yL, p):
+        return np.array([y0[0] - y0[4], y0[2] - y0[6], y0[1] + y0[5], y0[3] + y0[7],
+                         y0[0] - 0.5, yL[0] - 1.0, yL[2], yL[4], yL[6] - 1.0])
+
+    s = np.linspace(0.0, 25.0, 301)
+    t, dt = np.tanh(s / 2), 0.25 / np.cosh(s / 2) ** 2
+    start = np.array([0.5 + 0.5 * t, dt, 0.5 - 0.5 * t, -dt,
+                      0.5 - 0.5 * t, -dt, 0.5 + 0.5 * t, dt])
+    sol = solve_bvp(rhs, bc, s, start, p=[3.0], tol=1e-10, max_nodes=5000)
+    assert sol.success, sol.message
+    return float(sol.p[0])
+
+
+def laplace_table(dx):
+    """The Laplace density e^{-|y|} / 2 sampled at dx (-J..J), J = round(40 / dx)."""
+    offsets = dx * np.arange(-round(40.0 / dx), round(40.0 / dx) + 1)
+    return TableKernel(offsets, np.exp(-np.abs(offsets)) / 2.0)
+
+
+# laplace_balance_point(0.3, 0.7, 3.0); half-lines of 25 and 35 agree to 1.8e-11
+LAPLACE_A1_STAR = 3.4965477333057
+
+
+class TestLaplaceBalancePoint:
+    """The lattice front speed at the Laplace ODE's balance point."""
+
+    def test_the_ode_recomputes_its_balance_point(self):
+        assert abs(laplace_balance_point(0.3, 0.7, 3.0) - LAPLACE_A1_STAR) <= 1e-9
+
+    @pytest.mark.parametrize("dx", [0.1, 0.05, 0.025])
+    def test_speed_vanishes_at_second_order(self, dx):
+        k = laplace_table(dx)
+        wp = find_bistable_wave(ModelParams(0.3, 0.7, LAPLACE_A1_STAR, 3.0), k, k,
+                                opts=WaveOptions(1e-10, 1e-12), dx=dx)
+        # c / dx^2 reads 4.355e-5 to 4.351e-5 from dx 0.1 to 0.025
+        assert abs(wp.speed) <= 4.4e-5 * dx**2
+
+    def test_sign_changes_across_the_balance_point(self):
+        k = laplace_table(0.1)
+        c = [find_bistable_wave(ModelParams(0.3, 0.7, a1, 3.0), k, k,
+                                opts=WaveOptions(1e-10, 1e-12), dx=0.1).speed
+             for a1 in (LAPLACE_A1_STAR - 0.01, LAPLACE_A1_STAR + 0.01)]
+        # +9.215e-4 below, -9.176e-4 above
+        assert c[0] > 0.0 > c[1]
 
 
 TIGHT = WaveOptions(profile_tol=1e-11, speed_tol=1e-12)
