@@ -66,10 +66,23 @@ TAIL_TOL = 1e-3
 TAIL_FRACTION = 0.1
 RESIDUAL_TOL = 1e-4
 
+# the tail level of a solve's own sized grid, at most: validation's outer
+# bands begin 1 - 2 TAIL_FRACTION of the way out, where a tail that falls to
+# eps at the grid's end is about eps ** (1 - 2 TAIL_FRACTION), held here to
+# TAIL_TOL / 3 (eps 4.5e-5)
+BAND_EPS = (TAIL_TOL / 3.0) ** (1.0 / (1.0 - 2.0 * TAIL_FRACTION))
+
 
 class WaveOptions(namedtuple("WaveOptions", "profile_tol speed_tol max_steps",
                              defaults=(1e-6, 1e-4, 2000))):
-    """Tolerances and budgets for the front solver."""
+    """Tolerances and budgets for the front solver.
+
+    ``profile_tol`` bounds the profile's change over the last step, and
+    ``speed_tol`` the speed's iteration error (``speed_error``).  They also
+    size grids: a solve's own grid runs its tails down to
+    min(``BAND_EPS``, sqrt(speed_tol)), and the sized grid that stands in
+    for a longer given one down to ``profile_tol``.
+    """
 
     __slots__ = ()
 
@@ -266,12 +279,12 @@ def _sized_grid(dk1: DiscreteKernel, dk2: DiscreteKernel, speed: float,
                 decay_rate: float, eps: float) -> Grid:
     """Half length J*dx plus the distance over which the slowest tail falls to eps.
 
-    The front is recentered to x = 0, so only the tails need room; beyond
-    eps = profile_tol the stopping test cannot see them.  At least
-    speed + 3 cells beyond J*dx, so ``wave_residual`` and
-    ``validate_profile`` keep an interior window.  Raises RangeError beyond
-    ``DEFAULT_HALF_LENGTH``: a shorter grid cuts the tails off above eps,
-    and the solve converges to a profile whose tails miss the corners.
+    The front is recentered to x = 0, so only the tails need room (to eps;
+    see ``WaveOptions``).  At least speed + 3 cells beyond J*dx, so
+    ``wave_residual`` and ``validate_profile`` keep an interior window.
+    Raises RangeError beyond ``DEFAULT_HALF_LENGTH``: a shorter grid cuts
+    the tails off above eps, and the solve converges to a profile whose
+    tails miss the corners.
     """
     dx = dk1.dx
     tail = math.log(1.0 / eps) / decay_rate if decay_rate > 0.0 else math.inf
@@ -331,14 +344,16 @@ def find_bistable_wave(
     and the sized grid are taken; it is not a bound on the wave speed, which
     exceeds it near a = 1.
     One grid per solve: with no grid, the solve runs on ``_sized_grid`` at
-    spacing ``dx`` (default ``DEFAULT_DX``); with a given grid, it runs on
-    the sized grid when that can be built and is shorter, and the profile
-    is embedded into the given grid by repeating its end values (the
-    residual is taken there); otherwise it runs on the given grid.  A step
-    works on both fields as one (2, N) array over every cell of its grid:
-    one clamp that also checks the output, one resample, one residual
-    f = G - z for the stopping test, and one in-place mixing update, to
-    which G and f are handed (``_Anderson`` keeps its own copies).
+    spacing ``dx`` (default ``DEFAULT_DX``), its tails run down to
+    min(``BAND_EPS``, sqrt(speed_tol)); with a given grid, it runs on the
+    grid sized with tails down to ``profile_tol`` when that can be built
+    and is shorter, and the profile is embedded into the given grid by
+    repeating its end values (the residual is taken there); otherwise it
+    runs on the given grid.  A step works on both fields as one (2, N)
+    array over every cell of its grid: one clamp that also checks the
+    output, one resample, one residual f = G - z for the stopping test, and
+    one in-place mixing update, to which G and f are handed (``_Anderson``
+    keeps its own copies).
     """
     opts = opts or WaveOptions()
     if opts.max_steps < 1:
@@ -367,7 +382,10 @@ def find_bistable_wave(
     sizing_speed = cp.c_plus_F0F2.value
     decay_rate = _tail_decay_rate(p, dk1, dk2, sizing_speed)
     if grid is None:
-        grid = solve_grid = _sized_grid(dk1, dk2, sizing_speed, decay_rate, opts.profile_tol)
+        # the mass identity's speed deviation falls about as eps**2, so a
+        # tight speed_tol keeps a longer grid
+        eps = min(BAND_EPS, math.sqrt(opts.speed_tol))
+        grid = solve_grid = _sized_grid(dk1, dk2, sizing_speed, decay_rate, eps)
     else:
         reach, lead = max(dk1.half_width, dk2.half_width), round(sizing_speed / dx)
         if grid.half_cells < reach + lead + 2:
@@ -377,6 +395,8 @@ def find_bistable_wave(
                 f"grid half length {grid.half_length:g} is too short for the kernels and "
                 f"the sizing speed {sizing_speed:.4g}: a wave needs at least "
                 f"{(reach + lead + 2) * dx:.4g} ({reach} + {lead} + 2 cells of {dx:g})")
+        # the embedded far field repeats the end values, so the sized grid
+        # stands in for the given one only with tails below profile_tol
         try:
             sized = _sized_grid(dk1, dk2, sizing_speed, decay_rate, opts.profile_tol)
         except RangeError:

@@ -681,7 +681,7 @@ class TestSubcommands:
         assert main(["wave", "--config", str(config_path), "--set", "model.a1=1.05",
                      "--set", "model.a2=2.5"]) == 0
         _, rows = parse_csv(capsys.readouterr().out)
-        assert rows[0]["speed"] == "0.320046545321"
+        assert rows[0]["speed"] == "0.320046545314"
 
     def test_wave_resolved_kernels_pass_the_mgf_check(self, config_path, tmp_path):
         path = tmp_path / "uniform.cfg"
@@ -899,9 +899,9 @@ class TestDeterminism:
 README_WAVE_STDOUT = (
     "# config dddde958d71f\n"
     "speed,residual,steps,monotone,range,left_tail,right_tail,residual_ok\n"
-    "0.118969811343,9.10160835588e-12,21,true,true,true,true,true\n"
+    "0.118969811343,9.10183040048e-12,21,true,true,true,true,true\n"
 )
-README_WAVE_PROFILE_SHA256 = "f6ae4c2700135da81c76a421d405763614e7ace6d515ff06c69fcb2b8ef2dc9d"
+README_WAVE_PROFILE_SHA256 = "beb7da9e52e9d5e562839e081c52b99d2efe4ccf571e05c8afda44f6c6b9a563"
 README_SIMULATE_SHA256 = {
     0: "88a19111caf2e669256f2c723f5e821db638d965c1cf299df610008641e3cfd7",
     10: "e6265d2e066454ec41328ca9863391c3433caa73ba06591740ee6d482fb98f0d",
@@ -943,7 +943,7 @@ README_ORIGINAL_SIMULATE_SHA256 = {
     150: "f0d4b8452a1da1bec9f8b9ac5178bc22fcfe23c33c18f2f58977fd3164a93747",
 }
 README_ORIGINAL_WAVE_PROFILE_SHA256 = (
-    "c31a63f21533e5baebc7259ea25b4ec605375054714bc52b0c7bca2b9a563394")
+    "edbbde2165ebac3c27f357fa60c787294dda4f9d401e7c03fdea409f5c3eb49c")
 
 
 # `wave` stdout and the sha256 of `wave_profile.csv` with one kernel per
@@ -956,9 +956,9 @@ SPECIES_CONFIG = ("".join(line + "\n" for line in BASE_CONFIG.splitlines()
 SPECIES_WAVE_STDOUT = (
     "# config 1cc644b1cd50\n"
     "speed,residual,steps,monotone,range,left_tail,right_tail,residual_ok\n"
-    "0.106894428383,4.22343826578e-11,23,true,true,true,true,true\n"
+    "0.106894428383,4.22482049345e-11,23,true,true,true,true,true\n"
 )
-SPECIES_WAVE_PROFILE_SHA256 = "c5545d7493bc2030f3c6926f8d0eeca47366e480cae620e7a42a04733a3f6206"
+SPECIES_WAVE_PROFILE_SHA256 = "ea2a05e90b3bcf3d44c4a39a3677d5b3fb19d6452203c08f1f2e164f90e440ea"
 
 # `validate` stdout on a table kernel built from an asymmetric table: H3
 # passes with the symmetrization note on both species.

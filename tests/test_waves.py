@@ -644,8 +644,14 @@ class TestFrontWindow:
         grid = Grid(half_length=200.0, dx=dx)
         lengths = _stepped_lengths(monkeypatch)
         embedded = find_bistable_wave(p, k, k, grid)
-        sized = find_bistable_wave(p, k, k, dx=dx)
-        # the long grid's solve is the sized one, its residual taken on the long grid
+        # a solve's own grid runs its tails down to BAND_EPS; the one that
+        # stands in for a given grid runs them down to profile_tol
+        with monkeypatch.context() as m:
+            m.setattr(waves, "BAND_EPS", WaveOptions().profile_tol)
+            sized = find_bistable_wave(p, k, k, dx=dx)
+        assert sized.grid.n_points > find_bistable_wave(p, k, k, dx=dx).grid.n_points
+        # the long grid's solve is the profile_tol-sized one, its residual
+        # taken on the long grid
         assert lengths[: embedded.steps] == [sized.grid.n_points] * embedded.steps
         assert lengths[embedded.steps] == grid.n_points
         assert (embedded.speed, embedded.steps) == (sized.speed, sized.steps)
@@ -680,7 +686,7 @@ class TestFrontWindow:
         assert all(n < grid.n_points / 2 for n in lengths)
 
     def test_sub_floor_start_values_do_not_change_the_profile(self, monkeypatch):
-        # the sized grid for sigma 1.5 reaches |x| = 47, where the ramp is
+        # the sized grid for sigma 1.5 reaches |x| = 37, where the ramp is
         # within the roundoff floor of its corners
         args = (ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.5), GaussianKernel(1.5))
         from_ramp = find_bistable_wave(*args)
@@ -923,10 +929,11 @@ class TestWaveGrid:
         assert abs(wp.speed - doubled.speed) <= 1e-9
 
     def test_stiff_cell_needs_a_longer_grid(self):
-        # the slowest tail decays at 0.0143 per unit: it needs L ~ 974, and a
-        # grid capped at 200 would cut it off at 1 - psi ~ 1.7e-3
+        # the slowest tail decays at 0.0143 per unit: it needs L ~ 707 to
+        # fall to 4.5e-5, and a grid capped at 200 would cut it off at
+        # 1 - psi ~ 1.7e-3
         p, k = ModelParams(0.999, 0.001, 2.0, 3.0), GaussianKernel(1.0)
-        hint = r"half length of about 973\.7.*\(grid\.L, or --set grid\.L=\.\.\. on"
+        hint = r"half length of about 707\.3.*\(grid\.L, or --set grid\.L=\.\.\. on"
         for dx in (None, DEFAULT_DX):
             with pytest.raises(RangeError, match=hint):
                 find_bistable_wave(p, k, k, dx=dx)
@@ -935,17 +942,29 @@ class TestWaveGrid:
             find_bistable_wave(p, k, k, Grid(DEFAULT_HALF_LENGTH, DEFAULT_DX),
                                WaveOptions(max_steps=5))
 
-    def test_grid_follows_the_spacing_and_profile_tolerance(self):
+    def test_grid_follows_the_spacing_and_profile_tolerance(self, monkeypatch):
         p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
         coarse = find_bistable_wave(p, k, k, dx=0.2).grid
         fine = find_bistable_wave(p, k, k, dx=0.1).grid
         assert coarse.dx == 0.2
         assert coarse.half_length == pytest.approx(fine.half_length, abs=0.2)
-        strict = find_bistable_wave(p, k, k, opts=WaveOptions(profile_tol=1e-9), dx=0.1).grid
+        assert fine.n_points == 499
+        # a solve's own grid follows speed_tol, not profile_tol: its tails
+        # fall to min(4.5e-5, sqrt(speed_tol))
+        strict = WaveOptions(profile_tol=1e-9)
+        assert find_bistable_wave(p, k, k, opts=strict, dx=0.1).grid == fine
+        tight = find_bistable_wave(p, k, k, opts=WaveOptions(speed_tol=1e-12), dx=0.1).grid
+        assert tight.n_points == 633
+        # the sized grid that stands in for a given one follows profile_tol:
         # ln(1e9)/ln(1e6) of the tail length beyond the kernel reach
-        reach = discretize(k, 0.1).half_width * 0.1
-        assert (strict.half_length - reach) == pytest.approx(
-            1.5 * (fine.half_length - reach), abs=0.2)
+        lengths = _stepped_lengths(monkeypatch)
+        given = Grid(DEFAULT_HALF_LENGTH, 0.1)
+        for profile_tol in (1e-6, 1e-9):
+            with pytest.raises(ConvergenceError):
+                find_bistable_wave(p, k, k, given, WaveOptions(profile_tol, max_steps=1))
+        assert lengths[0] == tight.n_points
+        reach = discretize(k, 0.1).half_width
+        assert (lengths[1] // 2 - reach) == pytest.approx(1.5 * (lengths[0] // 2 - reach), abs=2)
 
     def test_decay_rate_solves_the_characteristic_equation(self):
         sigma, speed = 1.3, 0.4
@@ -991,6 +1010,27 @@ class TestWaveGrid:
         assert validate_profile(wp).passed
         partner = find_bistable_wave(ModelParams(0.5, 0.5, 2.5, 1.05), k, k)
         assert abs(wp.speed + partner.speed) <= 1e-8
+
+    def test_slow_tail_cell_sizes_to_the_validation_band(self):
+        # its slowest tail needs L ~ 240.9 to fall to profile_tol, past the
+        # cap, but only ~176.5 to fall to the tail level validation reads
+        k = GaussianKernel(1.0)
+        wp = find_bistable_wave(ModelParams(0.8, 0.2, 2.5, 1.05), k, k)
+        assert wp.grid.half_length == pytest.approx(176.5, abs=0.1)
+        assert validate_profile(wp).passed
+        assert wp.speed == pytest.approx(-0.249074, abs=1e-6)
+        partner = find_bistable_wave(ModelParams(0.2, 0.8, 1.05, 2.5), k, k)
+        assert validate_profile(partner).passed
+        assert abs(wp.speed + partner.speed) <= wp.speed_error + partner.speed_error
+
+    @pytest.mark.parametrize("cell", SIZING_CELLS,
+                             ids=[f"lhs{k}" for k in range(8)] + ["uniform", "table"])
+    def test_sized_tails_keep_a_margin_under_the_tail_tolerance(self, cell):
+        # the sized grid's tails reach the corners within a third of what
+        # validation allows in its outer bands
+        details = validate_profile(find_bistable_wave(*cell)).details
+        assert details["left_tail_deviation"] <= waves.TAIL_TOL / 3
+        assert details["right_tail_deviation"] <= waves.TAIL_TOL / 3
 
     def test_slowest_corner_sets_the_rate(self):
         p = ModelParams(0.3, 0.7, 1.6, 3.2)
