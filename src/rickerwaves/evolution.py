@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from collections import namedtuple
 from functools import cached_property
 
@@ -358,6 +359,9 @@ def iterate(
     The initial state is always first and the final state always last;
     intermediate states are kept every ``keep_every`` steps.
     """
+    for name, count in (("n_steps", n_steps), ("keep_every", keep_every)):
+        if not isinstance(count, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {count!r}")
     if n_steps < 0:
         raise DomainError(f"n_steps must be nonnegative, got {n_steps}")
     if keep_every < 1:

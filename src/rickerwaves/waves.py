@@ -7,15 +7,17 @@ step converges to a translating profile.  The re-centering shifts give the
 front speed; no formula for it is available, so the speed is purely an
 output of the construction (zero in the exchange-symmetric case).
 Anderson mixing of the recentered steps, projected back onto monotone
-states in [0, 1], reaches the profile in fewer steps; plain steps at the
-end give the speed.  Newton-type profile solving is deliberately avoided:
-the operator is cheap and globally monotone, while its derivative is not
-something we ever need to build, and the mixing only evaluates it.
+states in [0, 1], reaches the profile in fewer steps; the last of the
+plain steps at the end gives the speed.  Newton-type profile solving is
+deliberately avoided: the operator is cheap and globally monotone, while
+its derivative is not something we ever need to build, and the mixing
+only evaluates it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 
 import numpy as np
@@ -50,10 +52,6 @@ from .speeds import FRONT_LEVEL, counter_propagation, front_position
 
 # number of past steps the Anderson mixing combines; 0 is plain iteration
 ANDERSON_DEPTH = 5
-
-# the speed is extrapolated from this many displacements of unmixed steps:
-# two Aitken limits, three displacements each
-PLAIN_DISPLACEMENTS = 4
 
 # width of the solver's logistic start ramp; the fixed point does not depend on it
 RAMP_WIDTH = 1.0
@@ -108,8 +106,8 @@ class WaveProfile(namedtuple(
     sized grid is built from it.  A front may be faster (near a = 1 it
     nears the edge speed).  ``speed_error`` bounds the iteration error left
     in ``speed`` (see ``find_bistable_wave``); the grid's error is not in it.
-    ``contraction_rate`` is the ratio of the last two displacement
-    increments.
+    ``contraction_rate`` is the ratio of the last two sup-norm changes of
+    the profile.
     """
 
     __slots__ = ()
@@ -145,26 +143,6 @@ def _resample_shifted(fields: np.ndarray, offset: float, dx: float) -> tuple:
         fields[cells] *= 1.0 - t
         fields[cells] += mixed
     return fields, m
-
-
-def _aitken(displacements: list) -> tuple:
-    """Aitken delta-squared limit of the last three displacements.
-
-    With increments dn = xn - xn-1 and ratio q = dn/dn-1, a sequence
-    converging geometrically at rate q has limit xn - c, where the
-    correction c = dn**2/(dn - dn-1) is also the error of xn.  Equal
-    increments (a zero denominator) leave nothing to extrapolate: c = 0,
-    and q is 0 for constant displacements and 1 for a steady drift.
-    Returns (limit, c, q).
-    """
-    x0, x1, x2 = displacements[-3:]
-    d, d_prev = x2 - x1, x1 - x0
-    correction = d * d / (d - d_prev) if d != d_prev else 0.0
-    if d_prev != 0.0:
-        q = d / d_prev
-    else:
-        q = 0.0 if d == 0.0 else math.inf
-    return x2 - correction, correction, q
 
 
 # the LAPACK solve under np.linalg.solve, without its argument checks.  Both
@@ -316,19 +294,17 @@ def find_bistable_wave(
     (``_Anderson``), projected onto the monotone states in [0, 1], until
     the sup-norm change of the recentered profile falls below
     profile_tol * speed_tol (at least the roundoff floor).  Plain steps
-    follow, and their displacements converge geometrically to the speed:
-    the speed is the Aitken delta-squared limit of the last three.
-    ``speed_error`` bounds its error by the largest of the last Aitken
-    correction, the change of the limit over the last step and
-    sup diff / ((1 - |q|) phi'(0)), where q is ``contraction_rate`` and
-    phi'(0) the slope of the first component at the crossing: a step that
-    moves the profile by d leaves it up to d / (1 - |q|) from the fixed
-    point, and the front that far over the slope, so ``speed_error`` is
-    finite only when |q| < 1.  The solve stops at the first step after four
-    plain displacements where the profile moved less than ``profile_tol``
-    and ``speed_error`` is below ``speed_tol``.  ``speed_error`` says
-    nothing of the grid's own error (speed at dx 0.1 against dx 0.01: ~9e-5
-    in the README case).
+    follow, and the speed is the last one's displacement.  From the second
+    step on, ``contraction_rate`` q is the ratio of the last two sup-norm
+    changes d.  From the second plain step on, ``speed_error`` is
+    2 d / ((1 - q) phi'(0)), phi'(0) the slope of the first component at
+    the crossing: the profile lies within d / (1 - q) of the fixed point,
+    and one step moves the front at most as far again over the slope.  It
+    is infinite when q >= 1 or phi'(0) <= 0.  The solve stops at the first
+    step where the profile moved less than ``profile_tol`` and
+    ``speed_error`` is below ``speed_tol``.  ``speed_error`` says nothing
+    of the grid's own error (speed at dx 0.1 against dx 0.01: ~9e-5 in the
+    README case).
     The start is the logistic ramp of width ``RAMP_WIDTH``
     (``step_initial_data``) on the grid the solve runs on.  The ramp is
     snapped as every step's clamp snaps its output: values within the
@@ -356,6 +332,8 @@ def find_bistable_wave(
     keeps its own copies).
     """
     opts = opts or WaveOptions()
+    if not isinstance(opts.max_steps, numbers.Integral):
+        raise ParameterError(f"solver max_steps must be an integer, got {opts.max_steps!r}")
     if opts.max_steps < 1:
         raise ParameterError(f"solver max_steps must be at least 1, got {opts.max_steps}")
     for name in ("profile_tol", "speed_tol"):
@@ -408,15 +386,14 @@ def find_bistable_wave(
     _clamp(state.fields, "initial fields", TRANSFORMED_FRAME)
     history = WaveHistory()
     mixer = _Anderson(ANDERSON_DEPTH, solve_grid.n_points) if ANDERSON_DEPTH > 0 else None
-    # mixed iterates break the geometric decay the Aitken limit relies on,
-    # so the plain steps that give the speed start once the profile moves
-    # less than a speed_tol fraction of profile_tol per step (stopping the
-    # mixing at profile_tol left speed errors up to 3e-5 on seeded cells);
-    # the roundoff floor keeps tight tolerances reachable
+    # the plain steps that give the speed start once the profile moves less
+    # than a speed_tol fraction of profile_tol per step (stopping the mixing
+    # at profile_tol left speed errors up to 3e-5 on seeded cells); the
+    # roundoff floor keeps tight tolerances reachable
     mix_tol = max(opts.profile_tol * opts.speed_tol, _FFT_NOISE_FLOOR)
-    plain = 0  # displacements since the last mixed iterate
+    plain = 0  # plain steps since the last mixed iterate
     centre = solve_grid.half_cells
-    speed = speed_error = correction = rate = math.nan
+    rate = math.nan
 
     for n in range(1, opts.max_steps + 1):
         # G = recenter o Q: one step, then the front's crossing moved back to x = 0
@@ -434,19 +411,18 @@ def find_bistable_wave(
         if mixer is not None and sup_diff < mix_tol:
             mixer = None
         plain = 0 if mixer is not None else plain + 1
+        if n >= 2:
+            last = history.sup_diffs[-2]
+            rate = sup_diff / last if last > 0.0 else (math.inf if sup_diff > 0.0 else 0.0)
         speed_error = math.nan
-        if n >= 3:
-            previous = speed
-            speed, correction, rate = _aitken(history.displacements)
-            if plain >= PLAIN_DISPLACEMENTS:
-                # a profile within sup_diff/(1 - |q|) of the fixed point puts
-                # the front within that over the slope at the crossing
-                slope = float(G[0, centre + 1] - G[0, centre - 1]) / (2.0 * grid.dx)
-                drift = (sup_diff / ((1.0 - abs(rate)) * slope)
-                         if abs(rate) < 1.0 and slope > 0.0 else math.inf)
-                speed_error = max(abs(correction), abs(speed - previous), drift)
+        if plain >= 2:
+            # the profile lies within sup_diff/(1 - q) of the fixed point and
+            # one step moves it at most as far again: twice that over the
+            # slope at the crossing bounds the front's move
+            slope = float(G[0, centre + 1] - G[0, centre - 1]) / (2.0 * grid.dx)
+            speed_error = (2.0 * sup_diff / ((1.0 - rate) * slope)
+                           if rate < 1.0 and slope > 0.0 else math.inf)
         history.speed_errors.append(speed_error)
-        # speed_error bounds the Aitken correction from above
         if sup_diff < opts.profile_tol and speed_error < opts.speed_tol:
             break
         if mixer is not None:
@@ -454,15 +430,15 @@ def find_bistable_wave(
         # recentering and mixing keep the checked fields of apply_Q inside [0, 1]
         state = SpatialState._unchecked(solve_grid, TRANSFORMED_FRAME, G, state.step + 1)
     else:
-        # at the last contraction rate the sup diff reaches profile_tol in this many more steps
+        # at their last ratio the sup diffs reach profile_tol in this many more steps
         remaining = ""
         if 0.0 < rate < 1.0 and sup_diff > opts.profile_tol:
             more = math.ceil(math.log(sup_diff / opts.profile_tol) / -math.log(rate))
             remaining = f"; about {more} more steps at that rate"
         raise ConvergenceError(
             f"no traveling profile within {opts.max_steps} steps "
-            f"(last sup diff {sup_diff:.3e}, Aitken correction {abs(correction):.3e}, "
-            f"speed error {speed_error:.3e}, contraction rate {rate:.4g}{remaining})",
+            f"(last sup diff {sup_diff:.3e}, speed error {speed_error:.3e}, "
+            f"contraction rate {rate:.4g}{remaining})",
             history=history,
         )
 
@@ -474,7 +450,7 @@ def find_bistable_wave(
         grid=grid,
         phi=G[0],
         psi=G[1],
-        speed=speed,
+        speed=t,
         residual=math.nan,
         steps=n,
         history=history,

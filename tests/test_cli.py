@@ -681,7 +681,7 @@ class TestSubcommands:
         assert main(["wave", "--config", str(config_path), "--set", "model.a1=1.05",
                      "--set", "model.a2=2.5"]) == 0
         _, rows = parse_csv(capsys.readouterr().out)
-        assert rows[0]["speed"] == "0.320046545314"
+        assert rows[0]["speed"] == "0.3200465431"
 
     def test_wave_resolved_kernels_pass_the_mgf_check(self, config_path, tmp_path):
         path = tmp_path / "uniform.cfg"
@@ -899,9 +899,9 @@ class TestDeterminism:
 README_WAVE_STDOUT = (
     "# config dddde958d71f\n"
     "speed,residual,steps,monotone,range,left_tail,right_tail,residual_ok\n"
-    "0.118969811343,9.10183040048e-12,21,true,true,true,true,true\n"
+    "0.118969811421,2.26362262268e-11,19,true,true,true,true,true\n"
 )
-README_WAVE_PROFILE_SHA256 = "beb7da9e52e9d5e562839e081c52b99d2efe4ccf571e05c8afda44f6c6b9a563"
+README_WAVE_PROFILE_SHA256 = "a53875a18520a4fc6e4ee1583bd0d48e1971673a4f31ecab969bd9b41119032e"
 README_SIMULATE_SHA256 = {
     0: "88a19111caf2e669256f2c723f5e821db638d965c1cf299df610008641e3cfd7",
     10: "e6265d2e066454ec41328ca9863391c3433caa73ba06591740ee6d482fb98f0d",
@@ -943,7 +943,7 @@ README_ORIGINAL_SIMULATE_SHA256 = {
     150: "f0d4b8452a1da1bec9f8b9ac5178bc22fcfe23c33c18f2f58977fd3164a93747",
 }
 README_ORIGINAL_WAVE_PROFILE_SHA256 = (
-    "edbbde2165ebac3c27f357fa60c787294dda4f9d401e7c03fdea409f5c3eb49c")
+    "bf3af6ac9beba6f4bba8e10477641b1326f72108bd51465ba30313a704ab4eb4")
 
 
 # `wave` stdout and the sha256 of `wave_profile.csv` with one kernel per
@@ -956,9 +956,9 @@ SPECIES_CONFIG = ("".join(line + "\n" for line in BASE_CONFIG.splitlines()
 SPECIES_WAVE_STDOUT = (
     "# config 1cc644b1cd50\n"
     "speed,residual,steps,monotone,range,left_tail,right_tail,residual_ok\n"
-    "0.106894428383,4.22482049345e-11,23,true,true,true,true,true\n"
+    "0.106894428684,4.84157158809e-11,21,true,true,true,true,true\n"
 )
-SPECIES_WAVE_PROFILE_SHA256 = "ea2a05e90b3bcf3d44c4a39a3677d5b3fb19d6452203c08f1f2e164f90e440ea"
+SPECIES_WAVE_PROFILE_SHA256 = "bbfdd3f8a71c3902b3798eb74de0bae126ddb57bfeefea4c02cb545af3b74380"
 
 # `validate` stdout on a table kernel built from an asymmetric table: H3
 # passes with the symmetrization note on both species.

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -316,6 +317,9 @@ class TestIterate:
     @pytest.mark.parametrize("n_steps,keep_every,message", [
         (-1, 1, "n_steps must be nonnegative, got -1"),
         (3, 0, "keep_every must be at least 1, got 0"),
+        (2.5, 1, "n_steps must be an integer, got 2.5"),
+        (7, 2.5, "keep_every must be an integer, got 2.5"),
+        (7, math.nan, "keep_every must be an integer, got nan"),
     ])
     def test_bad_counts_are_refused(self, params, small_grid, gaussian_weights, rng,
                                     n_steps, keep_every, message):
