@@ -254,20 +254,38 @@ def _tail_decay_rate(p: ModelParams, dk1: DiscreteKernel, dk2: DiscreteKernel,
 
 
 def _sized_grid(dk1: DiscreteKernel, dk2: DiscreteKernel, speed: float,
-                decay_rate: float, eps: float) -> Grid:
-    """Half length J*dx plus the distance over which the slowest tail falls to eps.
+                decay_rate: float, opts: WaveOptions, given: Grid | None = None) -> Grid:
+    """The grid a solve runs on, sized as J*dx plus the slowest tail's fall to eps.
 
-    The front is recentered to x = 0, so only the tails need room (to eps;
-    see ``WaveOptions``).  At least speed + 3 cells beyond J*dx, so
-    ``wave_residual`` and ``validate_profile`` keep an interior window.
-    Raises RangeError beyond ``DEFAULT_HALF_LENGTH``: a shorter grid cuts
-    the tails off above eps, and the solve converges to a profile whose
-    tails miss the corners.
+    The front is recentered to x = 0, so only the tails need room.  At
+    least speed + 3 cells beyond J*dx, so ``wave_residual`` and
+    ``validate_profile`` keep an interior window.  With no ``given`` grid,
+    eps = min(``BAND_EPS``, sqrt(speed_tol)): the mass identity's speed
+    deviation falls about as eps**2, so a tight speed_tol keeps a longer
+    grid.  Beyond ``DEFAULT_HALF_LENGTH`` it raises RangeError: a shorter
+    grid cuts the tails off above eps, and the solve converges to a profile
+    whose tails miss the corners.  A given grid bounds the solve instead,
+    with no cap: the sized grid stands in for it when that has fewer
+    cells, with eps = ``profile_tol`` since the profile is embedded by
+    repeating its end values; otherwise (a zero decay rate too) the given
+    grid is returned.  A given grid with fewer than J + round(speed/dx) + 2
+    cells each side raises RangeError: a front moving at ``speed`` leaves
+    ``wave_residual`` no interior window.
     """
     dx = dk1.dx
+    reach, lead = max(dk1.half_width, dk2.half_width), round(speed / dx)
+    if given is not None and given.half_cells < reach + lead + 2:
+        raise RangeError(
+            f"grid half length {given.half_length:g} is too short for the kernels and "
+            f"the sizing speed {speed:.4g}: a wave needs at least "
+            f"{(reach + lead + 2) * dx:.4g} ({reach} + {lead} + 2 cells of {dx:g})")
+    eps = opts.profile_tol if given is not None else min(BAND_EPS, math.sqrt(opts.speed_tol))
     tail = math.log(1.0 / eps) / decay_rate if decay_rate > 0.0 else math.inf
-    reach = max(dk1.half_width, dk2.half_width) * dx
-    half_length = reach + max(tail, speed + 3 * dx)
+    half_length = reach * dx + max(tail, speed + 3 * dx)
+    if given is not None:
+        # Grid's own cell count, compared before a Grid is built: an infinite
+        # length builds none
+        return Grid(half_length, dx) if half_length / dx + 1e-9 < given.half_cells else given
     if half_length > DEFAULT_HALF_LENGTH:
         raise RangeError(
             f"the profile tails need a half length of about {half_length:.4g} "
@@ -313,33 +331,33 @@ def find_bistable_wave(
     Raises ConvergenceError (with the history attached) on step-budget
     exhaustion, DegenerateDataError if lambda(B_0) rounds to 1 or the
     tracked level crossing disappears, and RangeError before the first
-    step when a sized grid needs more than ``DEFAULT_HALF_LENGTH`` or a
-    given one has fewer than J + round(c/dx) + 2 cells each side, c the
-    sizing speed (``wave_residual`` trims that many at speed c).  The sizing
-    speed is the interior monostable speed, from which the tail decay rate
-    and the sized grid are taken; it is not a bound on the wave speed, which
-    exceeds it near a = 1.
-    One grid per solve: with no grid, the solve runs on ``_sized_grid`` at
-    spacing ``dx`` (default ``DEFAULT_DX``), its tails run down to
-    min(``BAND_EPS``, sqrt(speed_tol)); with a given grid, it runs on the
-    grid sized with tails down to ``profile_tol`` when that can be built
-    and is shorter, and the profile is embedded into the given grid by
-    repeating its end values (the residual is taken there); otherwise it
-    runs on the given grid.  A step works on both fields as one (2, N)
-    array over every cell of its grid: one clamp that also checks the
-    output, one resample, one residual f = G - z for the stopping test, and
-    one in-place mixing update, to which G and f are handed (``_Anderson``
-    keeps its own copies).
+    step from ``_sized_grid``.  The sizing speed is the interior monostable
+    speed, from which the tail decay rate and the sized grid are taken; it
+    is not a bound on the wave speed, which exceeds it near a = 1.
+    One grid per solve, which ``_sized_grid`` picks: with no grid, a sized
+    grid at spacing ``dx`` (default ``DEFAULT_DX``); with a given grid, the
+    shorter of it and its sized stand-in, whose profile is embedded into
+    the given grid by repeating its end values (the residual is taken
+    there).  A step works on both fields as one (2, N) array over every
+    cell of its grid: one clamp that also checks the output, one resample,
+    one residual f = G - z for the stopping test, and one in-place mixing
+    update, to which G and f are handed (``_Anderson`` keeps its own
+    copies).
     """
     opts = opts or WaveOptions()
-    if not isinstance(opts.max_steps, numbers.Integral):
+    # a bool is an Integral and a Real, and would count as 0 or 1
+    if isinstance(opts.max_steps, bool) or not isinstance(opts.max_steps, numbers.Integral):
         raise ParameterError(f"solver max_steps must be an integer, got {opts.max_steps!r}")
     if opts.max_steps < 1:
         raise ParameterError(f"solver max_steps must be at least 1, got {opts.max_steps}")
     for name in ("profile_tol", "speed_tol"):
         tol = getattr(opts, name)
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+            raise ParameterError(f"solver {name} must be a real number, got {tol!r}")
         if not 0.0 < tol < math.inf:
             raise ParameterError(f"solver {name} must be positive and finite, got {tol}")
+    if dx is not None and (isinstance(dx, bool) or not isinstance(dx, numbers.Real)):
+        raise ParameterError(f"dx must be a real number, got {dx!r}")
 
     validate_params(p)
     for name, k in (("kernel1", kernel1), ("kernel2", kernel2)):
@@ -359,27 +377,8 @@ def find_bistable_wave(
     dk2 = dk1 if kernel1 == kernel2 else discretize(kernel2, dx)
     sizing_speed = cp.c_plus_F0F2.value
     decay_rate = _tail_decay_rate(p, dk1, dk2, sizing_speed)
-    if grid is None:
-        # the mass identity's speed deviation falls about as eps**2, so a
-        # tight speed_tol keeps a longer grid
-        eps = min(BAND_EPS, math.sqrt(opts.speed_tol))
-        grid = solve_grid = _sized_grid(dk1, dk2, sizing_speed, decay_rate, eps)
-    else:
-        reach, lead = max(dk1.half_width, dk2.half_width), round(sizing_speed / dx)
-        if grid.half_cells < reach + lead + 2:
-            # on fewer cells a front moving at the sizing speed leaves
-            # wave_residual no interior window
-            raise RangeError(
-                f"grid half length {grid.half_length:g} is too short for the kernels and "
-                f"the sizing speed {sizing_speed:.4g}: a wave needs at least "
-                f"{(reach + lead + 2) * dx:.4g} ({reach} + {lead} + 2 cells of {dx:g})")
-        # the embedded far field repeats the end values, so the sized grid
-        # stands in for the given one only with tails below profile_tol
-        try:
-            sized = _sized_grid(dk1, dk2, sizing_speed, decay_rate, opts.profile_tol)
-        except RangeError:
-            sized = grid  # tails too slow to size a grid: solve on the given one
-        solve_grid = sized if sized.half_cells < grid.half_cells else grid
+    solve_grid = _sized_grid(dk1, dk2, sizing_speed, decay_rate, opts, grid)
+    grid = grid or solve_grid
 
     state = step_initial_data(solve_grid, RAMP_WIDTH)
     # snap the ramp's corner residue as every step's clamp does

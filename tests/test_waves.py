@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -302,7 +304,7 @@ class TestFindBistableWave:
                 GaussianKernel(1.0), wave_grid, WaveOptions(max_steps=budget),
             )
 
-    @pytest.mark.parametrize("budget", [30.0, 2.5, math.nan])
+    @pytest.mark.parametrize("budget", [30.0, 2.5, math.nan, True])
     def test_non_integer_step_budget_rejected_before_stepping(self, monkeypatch, budget):
         steps = []
         monkeypatch.setattr(waves, "apply_Q", lambda *args: steps.append(args))
@@ -311,6 +313,23 @@ class TestFindBistableWave:
                            match=rf"^solver max_steps must be an integer, got {budget!r}$"):
             find_bistable_wave(ModelParams(0.5, 0.5, 2.0, 3.0), k, k,
                                opts=WaveOptions(max_steps=budget))
+        assert steps == []
+
+    @pytest.mark.parametrize("opts,dx,message", [
+        (WaveOptions(profile_tol="1e-6"), None, "solver profile_tol must be a real number, got '1e-6'"),
+        (WaveOptions(speed_tol=None), None, "solver speed_tol must be a real number, got None"),
+        (WaveOptions(profile_tol=True), None, "solver profile_tol must be a real number, got True"),
+        (None, "0.1", "dx must be a real number, got '0.1'"),
+        (None, True, "dx must be a real number, got True"),
+    ], ids=["str_tol", "none_tol", "bool_tol", "str_dx", "bool_dx"])
+    def test_wrongly_typed_value_rejected_before_stepping(self, monkeypatch, opts, dx, message):
+        # a bool counts as 0 or 1 and a string fails a comparison: each is
+        # refused by name before the first step
+        steps = []
+        monkeypatch.setattr(waves, "apply_Q", lambda *args: steps.append(args))
+        k = GaussianKernel(1.0)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            find_bistable_wave(ModelParams(0.5, 0.5, 2.0, 3.0), k, k, opts=opts, dx=dx)
         assert steps == []
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
@@ -616,12 +635,9 @@ def _start_from(monkeypatch, wp):
     monkeypatch.setattr(waves, "step_initial_data", start)
 
 
-def _unsizable(monkeypatch):
-    """Make every grid sizing fail, as it does for a cell with too slow tails."""
-    def raising(*args):
-        raise RangeError("tails too slow to size a grid")
-
-    monkeypatch.setattr(waves, "_sized_grid", raising)
+def _outgrown(monkeypatch):
+    """Give every cell a zero tail decay rate: its sized grid outgrows any given one."""
+    monkeypatch.setattr(waves, "_tail_decay_rate", lambda *args: 0.0)
 
 
 def _stepped_lengths(monkeypatch):
@@ -661,8 +677,9 @@ class TestFrontWindow:
         margin = grid.half_cells - sized.grid.half_cells
         for long, short in ((embedded.phi, sized.phi), (embedded.psi, sized.psi)):
             assert np.array_equal(long, np.pad(short, margin, mode="edge"))
-        # a cell whose sizing fails is solved on every cell of the long grid
-        _unsizable(monkeypatch)
+        # a cell whose sized grid outgrows the long one is solved on every
+        # cell of the long grid
+        _outgrown(monkeypatch)
         lengths.clear()
         whole = find_bistable_wave(p, k, k, grid)
         assert set(lengths) == {grid.n_points}
@@ -1049,7 +1066,7 @@ class TestWaveGrid:
 
     def test_fast_tails_keep_interior_windows(self):
         dk = discretize(GaussianKernel(1.0), 0.1)
-        grid = waves._sized_grid(dk, dk, 0.6, 1e9, 1e-6)
+        grid = waves._sized_grid(dk, dk, 0.6, 1e9, WaveOptions())
         # wave_residual trims J + |round(c/dx)| + 2 cells, c up to the speed bound
         interior_slice(grid, dk.half_width + round(0.6 / 0.1) + 2)
 
@@ -1060,15 +1077,29 @@ class TestWaveGrid:
         grid = Grid(half_length=30.0, dx=0.2)
         wp = find_bistable_wave(p, k, k, grid)
         assert wp.grid == grid and set(lengths) == {grid.n_points}
-        # on L = 200 the sized grid is solved on and embedded; with the sizing
-        # failing, every cell of the given grid is: the same front
+        # on L = 200 the sized grid is solved on and embedded; with a sized
+        # grid that outgrows it, every cell of the given grid is: the same front
         grid = Grid(half_length=DEFAULT_HALF_LENGTH, dx=DEFAULT_DX)
         embedded = find_bistable_wave(p, k, k, grid)
-        _unsizable(monkeypatch)
+        _outgrown(monkeypatch)
         lengths.clear()
         wp = find_bistable_wave(p, k, k, grid)
         assert wp.grid == grid and set(lengths) == {grid.n_points}
         _same_front(wp, embedded)
+
+    def test_stand_in_past_the_cap_is_solved_on(self, monkeypatch):
+        # the profile_tol stand-in (L ~ 240.8) is longer than a sized grid may
+        # be, but shorter than the given L = 300: every step runs on it, and
+        # the profile and speed are those of a solve on all 6001 points
+        p, k = ModelParams(0.8, 0.2, 2.5, 1.05), GaussianKernel(1.0)
+        grid = Grid(300.0, 0.1)
+        lengths = _stepped_lengths(monkeypatch)
+        wp = find_bistable_wave(p, k, k, grid)
+        assert lengths == [4817] * wp.steps + [grid.n_points]
+        assert wp.grid == grid and wp.speed == -0.24907367758711202
+        # the profile's bytes from when every step ran on the given grid
+        assert hashlib.sha256(np.array((wp.phi, wp.psi)).tobytes()).hexdigest() == (
+            "d79d4c8ad33512a39da9e0b33d85610943f5316331564c543fc4271d78bfb364")
 
     def test_dx_must_match_a_given_grid(self):
         p, k = ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0)
