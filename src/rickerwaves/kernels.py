@@ -50,6 +50,15 @@ DEFAULT_TRUNCATION = 1e-12
 MAX_GRID_POINTS = 10**7
 
 
+def _is_positive(value) -> bool:
+    """Whether value is a number above 0: a bool is not, nor is a value that
+    does not compare with 0 (a string, None)."""
+    try:
+        return value > 0 and not isinstance(value, bool)
+    except TypeError:
+        return False
+
+
 class Kernel:
     """Symmetric dispersal density with unit mass and an MGF.
 
@@ -66,7 +75,10 @@ class Kernel:
     def moments(self, mu: float) -> tuple:
         """(M, mean, variance) at mu: the MGF M(mu), and the mean and variance
         of the density tilted by exp(mu y), which are the first two
-        derivatives of ln M.  Raises RangeError where M overflows."""
+        derivatives of ln M.  Raises RangeError where M overflows.  At
+        mu = 0 each family skips its general formula, with the same bits:
+        a Gaussian or uniform kernel returns its constant terms, and a
+        table sums its lattice once per instance."""
         raise NotImplementedError
 
     def truncation_radius(self) -> float:
@@ -101,9 +113,9 @@ class GaussianKernel(_ShapeKernel, namedtuple("GaussianKernel", "sigma")):
 
     def __new__(cls, sigma):
         # the variance sigma^2 must be a float too
-        if not (sigma > 0 and math.isfinite(sigma * sigma)):
+        if not (_is_positive(sigma) and math.isfinite(sigma * sigma)):
             raise ParameterError(
-                f"gaussian sigma must be positive with a finite square, got {sigma}")
+                f"gaussian sigma must be positive with a finite square, got {sigma!r}")
         return super().__new__(cls, sigma)
 
     def density(self, y):
@@ -113,13 +125,15 @@ class GaussianKernel(_ShapeKernel, namedtuple("GaussianKernel", "sigma")):
         return np.exp(-0.5 * (y / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
 
     def moments(self, mu: float) -> tuple:
+        variance = self.sigma * self.sigma
+        if not mu:
+            return 1.0, variance * mu, variance
         # |sigma mu| is bounded before the power, which raises OverflowError
         # rather than giving inf once it passes ~1.3e154
         s = self.sigma * mu
         arg = 0.5 * s ** 2 if abs(s) <= _EXP_ARG_MAX else math.inf
         if not arg <= _EXP_ARG_MAX:
             raise RangeError(f"gaussian MGF overflows at mu={mu}")
-        variance = self.sigma * self.sigma
         return math.exp(arg), variance * mu, variance
 
     def truncation_radius(self) -> float:
@@ -133,9 +147,9 @@ class UniformKernel(_ShapeKernel, namedtuple("UniformKernel", "halfwidth")):
 
     def __new__(cls, halfwidth):
         # the variance a^2 / 3 must be a float too
-        if not (halfwidth > 0 and math.isfinite(halfwidth * halfwidth)):
+        if not (_is_positive(halfwidth) and math.isfinite(halfwidth * halfwidth)):
             raise ParameterError(
-                f"uniform halfwidth must be positive with a finite square, got {halfwidth}")
+                f"uniform halfwidth must be positive with a finite square, got {halfwidth!r}")
         return super().__new__(cls, halfwidth)
 
     def density(self, y):
@@ -147,13 +161,16 @@ class UniformKernel(_ShapeKernel, namedtuple("UniformKernel", "halfwidth")):
         # with x = a mu: M = sinh x / x, and the mean and variance
         # a (coth x - 1/x) and a^2 (1/x^2 - 1/sinh^2 x), which cancel as
         # x -> 0; below _SERIES_X their Taylor series, to within 5e-15
-        # relative of both
+        # relative of both.  At x = 0 (mu = 0, or a mu underflowed) the
+        # series are their constant terms, 1/3 each
         a = self.halfwidth
         x = a * mu
+        if not x:
+            return 1.0, a * x * (1 / 3), a * a * (1 / 3)
         if not abs(x) <= _EXP_ARG_MAX:
             raise RangeError(f"uniform MGF overflows at mu={mu}")
         sinh = math.sinh(x)
-        mgf = sinh / x if x else 1.0
+        mgf = sinh / x
         if abs(x) < _SERIES_X:
             z = x * x
             mean = variance = 0.0
@@ -233,7 +250,15 @@ class TableKernel(Kernel):
         return np.interp(y, self.offsets, self.densities, left=0.0, right=0.0)
 
     def moments(self, mu: float) -> tuple:
+        if not mu:
+            return self._origin
         mass, mean, variance = _lattice_moments(self.offsets, self.densities, mu, "table")
+        return self.spacing * mass, mean, variance
+
+    @cached_property
+    def _origin(self) -> tuple:
+        """The moments at mu = 0, summed on first use; -0.0 sums to the same bits."""
+        mass, mean, variance = _lattice_moments(self.offsets, self.densities, 0.0, "table")
         return self.spacing * mass, mean, variance
 
     def truncation_radius(self) -> float:
@@ -337,8 +362,8 @@ def discretize(kernel: Kernel, dx: float) -> DiscreteKernel:
     is below DEFAULT_TRUNCATION before normalization; a dx so fine that the
     2J + 1 weights exceed ``MAX_GRID_POINTS`` raises ParameterError.
     """
-    if not (dx > 0 and math.isfinite(dx)):
-        raise ParameterError(f"dx must be positive, got {dx}")
+    if not (_is_positive(dx) and math.isfinite(dx)):
+        raise ParameterError(f"dx must be positive and finite, got {dx!r}")
 
     radius = kernel.truncation_radius()
     # J <= (MAX_GRID_POINTS - 1) // 2 exactly when 2J + 1 <= MAX_GRID_POINTS;

@@ -49,15 +49,23 @@ def validate_params(p: ModelParams) -> None:
     Raises ParameterError naming every violation, joined by "; ".
     """
     r1, r2, a1, a2 = p  # nan fails every comparison, and inf the upper bound
-    if 0.0 < r1 < 1.0 and 0.0 < r2 < 1.0 and 1.0 < a1 < math.inf and 1.0 < a2 < math.inf:
-        return
-    named = (("r1", r1), ("r2", r2), ("a1", a1), ("a2", a2))
-    violations = [f"{name}={value} is not finite" for name, value in named
-                  if not math.isfinite(value)]
-    violations += [f"{name}={value} outside (0, 1)" for name, value in named[:2]
-                   if math.isfinite(value) and not 0.0 < value < 1.0]
-    violations += [f"{name}={value} outside (1, inf)" for name, value in named[2:]
-                   if math.isfinite(value) and not value > 1.0]
+    try:
+        if 0.0 < r1 < 1.0 and 0.0 < r2 < 1.0 and 1.0 < a1 < math.inf and 1.0 < a2 < math.inf:
+            return
+    except TypeError:  # a value that is not a number, named below
+        pass
+    violations, named = [], []
+    for name, value in (("r1", r1), ("r2", r2), ("a1", a1), ("a2", a2)):
+        try:
+            named.append((name, value, math.isfinite(value)))
+        except TypeError:
+            violations.append(f"{name}={value!r} is not a number")
+    violations += [f"{name}={value} is not finite" for name, value, finite in named
+                   if not finite]
+    violations += [f"{name}={value} outside (0, 1)" for name, value, finite in named
+                   if finite and name[0] == "r" and not 0.0 < value < 1.0]
+    violations += [f"{name}={value} outside (1, inf)" for name, value, finite in named
+                   if finite and name[0] == "a" and not value > 1.0]
     raise ParameterError("; ".join(violations))
 
 

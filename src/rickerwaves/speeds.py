@@ -25,6 +25,9 @@ model of g at 0 (the Gaussian closed form), finds it in a few evaluations:
 at most 6 for rates 0.2-0.8 and kernel widths 0.5-3.  Each evaluation is
 one closure call on Python floats, which makes one ``moments`` call per
 kernel: M and the first two derivatives of ln M, so g' and g'' as well.
+The start makes one ``moments(0.0)`` call per distinct kernel for
+lambda(B_0), and a scalar search one more for g''(0); each kernel answers
+mu = 0 without its general formula.
 The matrix objective makes the same IEEE operations, in the same order, as
 on the array of ``linearization_matrix``, through the
 characteristic-polynomial arithmetic that ``model.eigenvalues_2x2`` uses as
@@ -154,7 +157,7 @@ def _minimize_positive(objective, g0: float, curvature0: float, kernels: tuple) 
                         f"objective still decreasing when the MGF overflowed near mu={hi}")
                 break
         previous, step, mu = step, abs(new - mu), new
-    curve.sort(key=lambda pair: pair[0])
+    curve.sort()  # each mu is evaluated once, so the pairs sort by mu
     return mu, f, curve
 
 
@@ -179,8 +182,12 @@ def scalar_speed(r: float, kernel: Kernel) -> SpeedReport:
 
     Minimizes (r + ln M(mu)) / mu over mu > 0.
     """
-    if not (0.0 < r < 1.0):
-        raise DomainError(f"growth rate must lie in (0,1), got {r}")
+    try:
+        admissible = 0.0 < r < 1.0
+    except TypeError:  # not a number
+        admissible = False
+    if not admissible:
+        raise DomainError(f"growth rate must lie in (0,1), got {r!r}")
     mu_star, value, curve = _scalar_minimum(r, kernel)
     return SpeedReport(value=value, mu_star=mu_star, curve=curve, method="scalar-formula")
 
@@ -224,17 +231,20 @@ def system_speed_bound(p: ModelParams, kernel1: Kernel, kernel2: Kernel) -> Spee
     root through ``model.trace_and_discriminant``, bit for bit the root that
     ``eigenvalues_2x2`` gives for ``linearization_matrix``, and the first
     two derivatives of ln lambda from the kernels' tilted moments; each
-    kernel's three numbers come from one ``moments`` call.
+    kernel's three numbers come from one ``moments`` call, and a shared
+    kernel's at mu = 0 from one call for both columns of B_0.
     """
     validate_params(p)
     (c11, c12), (c21, c22) = _coefficients(p)
-    at_zero = (*kernel1.moments(0.0), *kernel2.moments(0.0))
+    shared = kernel1 is kernel2 or kernel1 == kernel2
+    zero1 = kernel1.moments(0.0)
+    at_zero = (*zero1, *(zero1 if shared else kernel2.moments(0.0)))
     m1, m2 = at_zero[0], at_zero[3]
     lambda0 = eigenvalues_2x2(((c11 * m1, c12 * m2), (c21 * m1, c22 * m2)))[0]
     if not lambda0 > 1.0:
         raise DegenerateDataError(
             f"lambda(B_0) = {lambda0!r} is not above 1: no positive interior speed")
-    if kernel1 is kernel2 or kernel1 == kernel2:
+    if shared:
         mu_star, value, curve = _scalar_minimum(math.log(lambda0), kernel1)
         return SpeedReport(value, mu_star, curve, "matrix-eigenvalue", lambda0)
     moments1, moments2 = kernel1.moments, kernel2.moments

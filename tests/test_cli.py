@@ -994,6 +994,20 @@ UNIFORM_SWEEP_CONFIG = (
 UNIFORM_SWEEP_STDOUT_SHA256 = (
     "26c11caed2e7f4b9a074cf398d5efcf2fb0597f3056874e74f39a76268daa970")
 
+# `sweep` stdout on one table kernel shared by both species (the asymmetric
+# table of the `validate` pin) over a 2x2 lattice: every cell's moments at
+# mu = 0 come from the table's one origin sum.
+SHARED_TABLE_SWEEP_STDOUT_SHA256 = (
+    "755e61d4f8ee2722ac4f1715fe4901ca1cefee8d1d326e9a9bea3a07f6bd814c")
+
+
+def _asymmetric_table_config(tmp_path):
+    offsets = np.linspace(-1, 1, 21)
+    dens = np.maximum(1 - np.abs(offsets), 0) * (1 + 0.5 * offsets)
+    np.savetxt(tmp_path / "asym.txt", np.column_stack([offsets, dens]))
+    return (BASE_CONFIG.replace("kernel.family = gaussian", "kernel.family = table")
+            .replace("kernel.sigma = 1.0", "kernel.table_path = asym.txt"))
+
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -1039,14 +1053,17 @@ class TestPinnedBytes:
         assert _sha256(tmp_path / "wave_profile.csv") == README_ORIGINAL_WAVE_PROFILE_SHA256
 
     def test_asymmetric_table_validate_stdout(self, tmp_path, capsys):
-        offsets = np.linspace(-1, 1, 21)
-        dens = np.maximum(1 - np.abs(offsets), 0) * (1 + 0.5 * offsets)
-        np.savetxt(tmp_path / "asym.txt", np.column_stack([offsets, dens]))
         path = tmp_path / "tbl.cfg"
-        path.write_text(BASE_CONFIG.replace("kernel.family = gaussian", "kernel.family = table")
-                        .replace("kernel.sigma = 1.0", "kernel.table_path = asym.txt"))
+        path.write_text(_asymmetric_table_config(tmp_path))
         assert main(["validate", "--config", str(path)]) == 0
         assert capsys.readouterr().out == ASYMMETRIC_TABLE_VALIDATE_STDOUT
+
+    def test_shared_table_lattice_sweep_stdout(self, tmp_path, capsys):
+        path = tmp_path / "tbl_sweep.cfg"
+        path.write_text(_asymmetric_table_config(tmp_path)
+                        + "sweep.r1 = 0.3, 0.6\nsweep.a1 = 1.5, 2.5\n")
+        assert main(["sweep", "--config", str(path)]) == 0
+        assert _text_sha256(capsys.readouterr().out) == SHARED_TABLE_SWEEP_STDOUT_SHA256
 
     def test_readme_speeds_stdout(self, config_path, capsys):
         assert main(["speeds", "--config", str(config_path)]) == 0

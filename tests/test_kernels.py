@@ -20,6 +20,7 @@ from rickerwaves import (
     make_kernel,
     validate_hypotheses,
 )
+from rickerwaves import kernels
 from rickerwaves.kernels import DEFAULT_TRUNCATION, _lattice_moments
 
 
@@ -82,6 +83,13 @@ class TestMakeKernel:
         # the variance needs width * width, which is inf past ~1.34e154
         with pytest.raises(ParameterError, match="finite square, got 1e.160"):
             make(1e160)
+
+    @pytest.mark.parametrize("width", [True, "1", None, 1j], ids=["bool", "str", "none", "complex"])
+    @pytest.mark.parametrize("make", [GaussianKernel, UniformKernel], ids=["gauss", "unif"])
+    def test_a_width_that_is_not_a_number_is_named(self, make, width):
+        # True would equal and hash as the width 1.0
+        with pytest.raises(ParameterError, match=f"got {width!r}$"):
+            make(width)
 
     def test_a_width_whose_square_is_a_float_has_finite_moments(self):
         assert GaussianKernel(1e150).moments(0.0) == (1.0, 0.0, 1e150 * 1e150)
@@ -269,6 +277,52 @@ class TestTiltedMoments:
             kernel.moments(mu)
 
 
+class TestOrigin:
+    """The moments at mu = 0, which each family gives without its general
+    formula: pinned to the bits that formula gave."""
+
+    @pytest.mark.parametrize("kernel,at_plus,at_minus", [
+        (GaussianKernel(0.7), ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.f5c28f5c28f5bp-2"),
+         ("0x1.0000000000000p+0", "-0x0.0p+0", "0x1.f5c28f5c28f5bp-2")),
+        (UniformKernel(1.3), ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.206d3a06d3a07p-1"),
+         ("0x1.0000000000000p+0", "-0x0.0p+0", "0x1.206d3a06d3a07p-1")),
+        (triangular_table(1.5), ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.7fd8adab9f566p-2"),
+         ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.7fd8adab9f566p-2")),
+    ], ids=["gauss", "unif", "tri"])
+    def test_pinned_bits_at_both_zeros(self, kernel, at_plus, at_minus):
+        assert tuple(v.hex() for v in kernel.moments(0.0)) == at_plus
+        assert tuple(v.hex() for v in kernel.moments(-0.0)) == at_minus
+
+    def test_an_underflowed_uniform_exponent_is_the_origin(self):
+        # a mu = 1e-30 underflows to x = 0, and a^2 to 0
+        assert tuple(v.hex() for v in UniformKernel(1e-300).moments(1e-30)) == (
+            "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0")
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 17, 101])
+    def test_a_table_serves_both_zeros_the_bits_of_its_lattice_sum(self, n):
+        kernel = triangular_table(1.5, n)
+        for mu in (0.0, -0.0):
+            mass, mean, variance = _lattice_moments(kernel.offsets, kernel.densities, mu, "table")
+            assert tuple(v.hex() for v in kernel.moments(mu)) == tuple(
+                v.hex() for v in (kernel.spacing * mass, mean, variance))
+
+    def test_a_table_sums_its_origin_once(self, monkeypatch):
+        calls = []
+
+        def counted(offsets, weights, mu, name):
+            calls.append(mu)
+            return _lattice_moments(offsets, weights, mu, name)
+
+        monkeypatch.setattr(kernels, "_lattice_moments", counted)
+        kernel = triangular_table(1.5)
+        first = kernel.moments(0.0)
+        assert all(kernel.moments(mu) is first for mu in (0.0, -0.0, 0, 0.0))
+        assert calls == [0.0]
+        # another table sums its own
+        triangular_table(1.5).moments(0.0)
+        assert calls == [0.0, 0.0]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(halfwidth=st.floats(0.1, 10.0),
        half=st.lists(st.floats(0.01, 1.0), min_size=6, max_size=40))
@@ -319,6 +373,13 @@ class TestMass:
 
 
 class TestDiscretize:
+    @pytest.mark.parametrize("dx", [True, "0.1", None, 0.0, math.inf],
+                             ids=["bool", "str", "none", "zero", "inf"])
+    def test_a_spacing_that_is_not_a_positive_number_is_named(self, dx):
+        # True would be taken as spacing 1.0
+        with pytest.raises(ParameterError, match=f"^dx must be positive and finite, got {dx!r}$"):
+            discretize(GaussianKernel(1.0), dx)
+
     def test_gaussian_half_width_matches_tail_oracle(self):
         # oracle: two-sided tail mass outside [-R, R] is erfc(R / (sigma sqrt 2))
         eps = DEFAULT_TRUNCATION

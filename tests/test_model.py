@@ -106,6 +106,18 @@ class TestValidateParams:
             validate_params(ModelParams(*fields))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("fields,message", [
+        (("0.5", 0.5, 2.0, 3.0), "r1='0.5' is not a number"),
+        ((0.5, None, 2.0, 3.0), "r2=None is not a number"),
+        ((0.5, 0.5, 2.0, 3j), "a2=3j is not a number"),
+        ((1.5, 0.5, "2", math.nan),
+         "a1='2' is not a number; a2=nan is not finite; r1=1.5 outside (0, 1)"),
+    ], ids=["str", "none", "complex", "with-other-violations"])
+    def test_a_value_that_is_not_a_number_is_named_first(self, fields, message):
+        with pytest.raises(ParameterError) as info:
+            validate_params(ModelParams(*fields))
+        assert str(info.value) == message
+
 
 class TestPointwiseMaps:
     def test_coexistence_point_is_fixed(self, params):

@@ -112,6 +112,11 @@ class TestScalarSpeed:
         with pytest.raises(DomainError):
             scalar_speed(1.5, GaussianKernel(1.0))
 
+    @pytest.mark.parametrize("r", ["0.5", None, 0.5j], ids=["str", "none", "complex"])
+    def test_a_growth_rate_that_is_not_a_number_is_named(self, r):
+        with pytest.raises(DomainError, match=rf"^growth rate must lie in \(0,1\), got {r!r}$"):
+            scalar_speed(r, GaussianKernel(1.0))
+
     def test_search_never_touches_nonpositive_mu(self):
         # the first call, at mu = 0, gives the start's curvature g''(0)
         seen = []
@@ -407,9 +412,10 @@ def test_shared_kernel_searches_the_scalar_objective_at_ln_lambda0(params):
     kernel = UniformKernel(1.0)
     shared = _CountingKernel(kernel)
     report = system_speed_bound(params, shared, shared)
-    # one call per search evaluation, plus three at mu = 0: both columns of
-    # B_0 for lambda0, and the curvature that starts the scalar search
-    assert shared.calls == len(report.curve) + 3
+    # one call per search evaluation, plus two at mu = 0: one for both
+    # columns of B_0 in lambda0, and the curvature that starts the scalar
+    # search
+    assert shared.calls == len(report.curve) + 2
     rho = math.log(report.lambda0)
 
     def objective(mu):
@@ -432,7 +438,8 @@ def test_searches_take_at_most_ten_evaluations(rng, family):
     # the speed_map box (rates 0.2-0.8, competition 1.5-3.5, halfwidths
     # 0.5-3), triangular tables as wide, and two distinct Gaussians of sigma
     # 0.5-2, each search counted by its moments calls; lambda0 takes one
-    # call of each kernel, and a scalar search one more for its start
+    # call of each distinct kernel, and a scalar search one more for its
+    # start
     for _ in range(25):
         p = random_admissible(rng, r_lo=0.2, r_hi=0.8, a_lo=1.5, a_hi=3.5)
         if family == "gaussian-pair":
@@ -446,7 +453,7 @@ def test_searches_take_at_most_ten_evaluations(rng, family):
                                  else triangular_table(width))
         assert len(scalar_speed(p.r1, kernel).curve) == kernel.calls - 1 <= 10
         kernel.calls = 0
-        assert len(system_speed_bound(p, kernel, kernel).curve) == kernel.calls - 3 <= 10
+        assert len(system_speed_bound(p, kernel, kernel).curve) == kernel.calls - 2 <= 10
 
 
 class TestCounterPropagation:
