@@ -51,10 +51,10 @@ MAX_GRID_POINTS = 10**7
 
 
 def _is_positive(value) -> bool:
-    """Whether value is a number above 0: a bool is not, nor is a value that
-    does not compare with 0 (a string, None)."""
+    """Whether value is a number above 0: a bool is not, Python's or numpy's,
+    nor is a value that does not compare with 0 (a string, None)."""
     try:
-        return value > 0 and not isinstance(value, bool)
+        return value > 0 and type(value).__name__ not in ("bool", "bool_")
     except TypeError:
         return False
 
@@ -76,9 +76,8 @@ class Kernel:
         """(M, mean, variance) at mu: the MGF M(mu), and the mean and variance
         of the density tilted by exp(mu y), which are the first two
         derivatives of ln M.  Raises RangeError where M overflows.  At
-        mu = 0 each family skips its general formula, with the same bits:
-        a Gaussian or uniform kernel returns its constant terms, and a
-        table sums its lattice once per instance."""
+        mu = 0 a Gaussian or uniform kernel returns its constant terms,
+        the bits its general formula gives there."""
         raise NotImplementedError
 
     def truncation_radius(self) -> float:
@@ -250,15 +249,7 @@ class TableKernel(Kernel):
         return np.interp(y, self.offsets, self.densities, left=0.0, right=0.0)
 
     def moments(self, mu: float) -> tuple:
-        if not mu:
-            return self._origin
         mass, mean, variance = _lattice_moments(self.offsets, self.densities, mu, "table")
-        return self.spacing * mass, mean, variance
-
-    @cached_property
-    def _origin(self) -> tuple:
-        """The moments at mu = 0, summed on first use; -0.0 sums to the same bits."""
-        mass, mean, variance = _lattice_moments(self.offsets, self.densities, 0.0, "table")
         return self.spacing * mass, mean, variance
 
     def truncation_radius(self) -> float:

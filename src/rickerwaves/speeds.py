@@ -26,8 +26,8 @@ at most 6 for rates 0.2-0.8 and kernel widths 0.5-3.  Each evaluation is
 one closure call on Python floats, which makes one ``moments`` call per
 kernel: M and the first two derivatives of ln M, so g' and g'' as well.
 The start makes one ``moments(0.0)`` call per distinct kernel for
-lambda(B_0), and a scalar search one more for g''(0); each kernel answers
-mu = 0 without its general formula.
+lambda(B_0), and a scalar search one more for g''(0); a Gaussian or uniform
+kernel answers mu = 0 without its general formula.
 The matrix objective makes the same IEEE operations, in the same order, as
 on the array of ``linearization_matrix``, through the
 characteristic-polynomial arithmetic that ``model.eigenvalues_2x2`` uses as
@@ -157,7 +157,7 @@ def _minimize_positive(objective, g0: float, curvature0: float, kernels: tuple) 
                         f"objective still decreasing when the MGF overflowed near mu={hi}")
                 break
         previous, step, mu = step, abs(new - mu), new
-    curve.sort()  # each mu is evaluated once, so the pairs sort by mu
+    curve.sort()  # a repeated mu repeats its value: the pairs sort by mu
     return mu, f, curve
 
 

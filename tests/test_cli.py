@@ -995,8 +995,7 @@ UNIFORM_SWEEP_STDOUT_SHA256 = (
     "26c11caed2e7f4b9a074cf398d5efcf2fb0597f3056874e74f39a76268daa970")
 
 # `sweep` stdout on one table kernel shared by both species (the asymmetric
-# table of the `validate` pin) over a 2x2 lattice: every cell's moments at
-# mu = 0 come from the table's one origin sum.
+# table of the `validate` pin) over a 2x2 lattice.
 SHARED_TABLE_SWEEP_STDOUT_SHA256 = (
     "755e61d4f8ee2722ac4f1715fe4901ca1cefee8d1d326e9a9bea3a07f6bd814c")
 
