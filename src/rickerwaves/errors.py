@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one test of a number."""
+
+
+def _is_number(value, integral: bool = False) -> bool:
+    """Whether value is a numbers.Real (a numbers.Integral if ``integral``) and
+    not a bool, Python's or numpy's: a str, None, a complex or a Decimal is
+    not.  Every module asks it before comparing an argument, and raises its
+    own named error.  A float or an int is told by its type alone, so code on
+    plain floats never imports ``numbers``."""
+    kind = type(value)
+    if kind is float or kind is int:
+        return kind is int or not integral
+    import numbers
+    return kind is not bool and isinstance(value, numbers.Integral if integral else numbers.Real)
 
 
 class ParameterError(ValueError):

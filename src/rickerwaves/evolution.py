@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, RangeError
+from .errors import ConfigError, DomainError, RangeError, _is_number
 from .kernels import MAX_GRID_POINTS, DiscreteKernel
 from .model import ORIGINAL_FRAME, TRANSFORMED_FRAME, ModelParams, growth
 
@@ -60,10 +59,10 @@ class Grid(namedtuple("Grid", "half_length dx")):
     """
 
     def __new__(cls, half_length, dx):
-        if not (dx > 0 and math.isfinite(dx)):
-            raise ConfigError(f"grid dx must be positive, got {dx}")
-        if half_length < dx:
-            raise ConfigError(f"grid half_length {half_length} must be at least dx={dx}")
+        if not (_is_number(dx) and dx > 0 and math.isfinite(dx)):
+            raise ConfigError(f"grid dx must be positive, got {dx!r}")
+        if not _is_number(half_length) or half_length < dx:
+            raise ConfigError(f"grid half_length {half_length!r} must be at least dx={dx}")
         self = super().__new__(cls, half_length, dx)
         # the ratio test comes first: it rejects inf and nan before floor() sees them
         if not (half_length / dx <= MAX_GRID_POINTS and self.n_points <= MAX_GRID_POINTS):
@@ -135,8 +134,8 @@ class SpatialState:
 
 def step_initial_data(grid: Grid, width: float) -> SpatialState:
     """Monotone ramp data: both components follow a logistic sigmoid."""
-    if not (0 < width < math.inf):
-        raise DomainError(f"ramp width must be positive and finite, got {width}")
+    if not (_is_number(width) and 0 < width < math.inf):
+        raise DomainError(f"ramp width must be positive and finite, got {width!r}")
     # exp overflows to inf far left, where the ramp is then exactly 0
     with np.errstate(over="ignore"):
         ramp = 1.0 / (1.0 + np.exp(-grid.x / width))
@@ -360,7 +359,7 @@ def iterate(
     intermediate states are kept every ``keep_every`` steps.
     """
     for name, count in (("n_steps", n_steps), ("keep_every", keep_every)):
-        if not isinstance(count, numbers.Integral):
+        if not _is_number(count, integral=True):
             raise DomainError(f"{name} must be an integer, got {count!r}")
     if n_steps < 0:
         raise DomainError(f"n_steps must be nonnegative, got {n_steps}")
@@ -390,7 +389,8 @@ def _shift_cells(values: np.ndarray, j: int) -> np.ndarray:
 
 def translate(state: SpatialState, j: int) -> SpatialState:
     """Shift the fields by j cells; vacated cells take the edge value."""
-    j = int(j)
+    if not _is_number(j, integral=True):
+        raise DomainError(f"shift must be an integer number of cells, got {j!r}")
     if abs(j) >= state.grid.n_points:
         raise RangeError(
             f"|shift| {abs(j)} must be below the grid size {state.grid.n_points}"
@@ -416,8 +416,8 @@ def compare(s1: SpatialState, s2: SpatialState) -> str:
 
 def interior_slice(grid: Grid, margin_cells: int) -> slice:
     """Indices at least margin_cells away from either grid edge."""
-    if margin_cells < 0:
-        raise DomainError(f"margin_cells must be nonnegative, got {margin_cells}")
+    if not _is_number(margin_cells, integral=True) or margin_cells < 0:
+        raise DomainError(f"margin_cells must be nonnegative, got {margin_cells!r}")
     if 2 * margin_cells >= grid.n_points:
         raise RangeError(
             f"margin of {margin_cells} cells leaves no interior on {grid.n_points} points"

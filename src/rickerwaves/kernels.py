@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from functools import cached_property
 
-from .errors import DegenerateKernelError, ParameterError, RangeError
+from .errors import DegenerateKernelError, ParameterError, RangeError, _is_number
 
 TYPE_CHECKING = False  # True to a type checker; spares importing typing
 if TYPE_CHECKING:
@@ -48,15 +48,6 @@ DEFAULT_TRUNCATION = 1e-12
 # and dx=0.01 gives 40001, so a larger grid points to a typo in dx or L.
 # A discretized kernel's 2J + 1 weights are held to the same cap.
 MAX_GRID_POINTS = 10**7
-
-
-def _is_positive(value) -> bool:
-    """Whether value is a number above 0: a bool is not, Python's or numpy's,
-    nor is a value that does not compare with 0 (a string, None)."""
-    try:
-        return value > 0 and type(value).__name__ not in ("bool", "bool_")
-    except TypeError:
-        return False
 
 
 class Kernel:
@@ -112,7 +103,7 @@ class GaussianKernel(_ShapeKernel, namedtuple("GaussianKernel", "sigma")):
 
     def __new__(cls, sigma):
         # the variance sigma^2 must be a float too
-        if not (_is_positive(sigma) and math.isfinite(sigma * sigma)):
+        if not (_is_number(sigma) and sigma > 0 and math.isfinite(sigma * sigma)):
             raise ParameterError(
                 f"gaussian sigma must be positive with a finite square, got {sigma!r}")
         return super().__new__(cls, sigma)
@@ -146,7 +137,7 @@ class UniformKernel(_ShapeKernel, namedtuple("UniformKernel", "halfwidth")):
 
     def __new__(cls, halfwidth):
         # the variance a^2 / 3 must be a float too
-        if not (_is_positive(halfwidth) and math.isfinite(halfwidth * halfwidth)):
+        if not (_is_number(halfwidth) and halfwidth > 0 and math.isfinite(halfwidth * halfwidth)):
             raise ParameterError(
                 f"uniform halfwidth must be positive with a finite square, got {halfwidth!r}")
         return super().__new__(cls, halfwidth)
@@ -302,9 +293,9 @@ def make_kernel(family: str, **spec) -> Kernel:
         return spec[key]
 
     if name == "gaussian":
-        return GaussianKernel(sigma=float(need("sigma")))
+        return GaussianKernel(sigma=need("sigma"))
     if name == "uniform":
-        return UniformKernel(halfwidth=float(need("halfwidth")))
+        return UniformKernel(halfwidth=need("halfwidth"))
     return TableKernel(offsets=need("offsets"), densities=need("densities"),
                        compactly_supported=spec.get("compactly_supported", True))
 
@@ -353,7 +344,7 @@ def discretize(kernel: Kernel, dx: float) -> DiscreteKernel:
     is below DEFAULT_TRUNCATION before normalization; a dx so fine that the
     2J + 1 weights exceed ``MAX_GRID_POINTS`` raises ParameterError.
     """
-    if not (_is_positive(dx) and math.isfinite(dx)):
+    if not (_is_number(dx) and dx > 0 and math.isfinite(dx)):
         raise ParameterError(f"dx must be positive and finite, got {dx!r}")
 
     radius = kernel.truncation_radius()

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import CertificateError, DomainError, ParameterError
+from .errors import CertificateError, DomainError, ParameterError, _is_number
 
 ORIGINAL_FRAME = "original"
 TRANSFORMED_FRAME = "transformed"
@@ -49,24 +49,22 @@ def validate_params(p: ModelParams) -> None:
     Raises ParameterError naming every violation, joined by "; ".
     """
     r1, r2, a1, a2 = p  # nan fails every comparison, and inf the upper bound
-    try:
-        if 0.0 < r1 < 1.0 and 0.0 < r2 < 1.0 and 1.0 < a1 < math.inf and 1.0 < a2 < math.inf:
-            return
-    except TypeError:  # a value that is not a number, named below
-        pass
-    violations, named = [], []
-    for name, value in (("r1", r1), ("r2", r2), ("a1", a1), ("a2", a2)):
-        try:
-            named.append((name, value, math.isfinite(value)))
-        except TypeError:
-            violations.append(f"{name}={value!r} is not a number")
+    if (type(r1) is type(r2) is type(a1) is type(a2) is float and 0.0 < r1 < 1.0
+            and 0.0 < r2 < 1.0 and 1.0 < a1 < math.inf and 1.0 < a2 < math.inf):
+        return
+    # a value outside the box, or any but a plain float, is checked here
+    fields = (("r1", r1), ("r2", r2), ("a1", a1), ("a2", a2))
+    violations = [f"{name}={value!r} is not a number" for name, value in fields
+                  if not _is_number(value)]
+    named = [(name, value, math.isfinite(value)) for name, value in fields if _is_number(value)]
     violations += [f"{name}={value} is not finite" for name, value, finite in named
                    if not finite]
     violations += [f"{name}={value} outside (0, 1)" for name, value, finite in named
                    if finite and name[0] == "r" and not 0.0 < value < 1.0]
     violations += [f"{name}={value} outside (1, inf)" for name, value, finite in named
                    if finite and name[0] == "a" and not value > 1.0]
-    raise ParameterError("; ".join(violations))
+    if violations:
+        raise ParameterError("; ".join(violations))
 
 
 def _exponentials(p: ModelParams, U, V, frame: str, exp):

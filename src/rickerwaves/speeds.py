@@ -44,7 +44,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import DegenerateDataError, DomainError, MeasurementError, RangeError, SearchError
+from .errors import (
+    DegenerateDataError, DomainError, MeasurementError, RangeError, SearchError, _is_number,
+)
 from .kernels import GaussianKernel, Kernel
 from .model import (
     ModelParams, coexistence_coordinates, eigenvalues_2x2, trace_and_discriminant,
@@ -182,11 +184,7 @@ def scalar_speed(r: float, kernel: Kernel) -> SpeedReport:
 
     Minimizes (r + ln M(mu)) / mu over mu > 0.
     """
-    try:
-        admissible = 0.0 < r < 1.0
-    except TypeError:  # not a number
-        admissible = False
-    if not admissible:
+    if not (_is_number(r) and 0.0 < r < 1.0):
         raise DomainError(f"growth rate must lie in (0,1), got {r!r}")
     mu_star, value, curve = _scalar_minimum(r, kernel)
     return SpeedReport(value=value, mu_star=mu_star, curve=curve, method="scalar-formula")
@@ -209,8 +207,8 @@ def linearization_matrix(
     """
     import numpy as np
     validate_params(p)
-    if mu < 0.0:
-        raise DomainError(f"exponent mu must be nonnegative, got {mu}")
+    if not _is_number(mu) or mu < 0.0:
+        raise DomainError(f"exponent mu must be nonnegative, got {mu!r}")
     return np.array(_coefficients(p)) * np.array(
         [kernel1.moments(mu)[0], kernel2.moments(mu)[0]])
 

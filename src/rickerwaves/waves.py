@@ -17,7 +17,6 @@ only evaluates it.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 
 import numpy as np
@@ -29,6 +28,7 @@ from .errors import (
     MeasurementError,
     ParameterError,
     RangeError,
+    _is_number,
 )
 from .evolution import (
     _FFT_NOISE_FLOOR,
@@ -345,18 +345,17 @@ def find_bistable_wave(
     copies).
     """
     opts = opts or WaveOptions()
-    # a bool is an Integral and a Real, and would count as 0 or 1
-    if isinstance(opts.max_steps, bool) or not isinstance(opts.max_steps, numbers.Integral):
+    if not _is_number(opts.max_steps, integral=True):
         raise ParameterError(f"solver max_steps must be an integer, got {opts.max_steps!r}")
     if opts.max_steps < 1:
         raise ParameterError(f"solver max_steps must be at least 1, got {opts.max_steps}")
     for name in ("profile_tol", "speed_tol"):
         tol = getattr(opts, name)
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        if not _is_number(tol):
             raise ParameterError(f"solver {name} must be a real number, got {tol!r}")
         if not 0.0 < tol < math.inf:
             raise ParameterError(f"solver {name} must be positive and finite, got {tol}")
-    if dx is not None and (isinstance(dx, bool) or not isinstance(dx, numbers.Real)):
+    if dx is not None and not _is_number(dx):
         raise ParameterError(f"dx must be a real number, got {dx!r}")
 
     validate_params(p)

@@ -1216,12 +1216,13 @@ PACKAGE_EXPORTS = {
               "validate_profile", "wave_residual"),
 }
 
-# run in a fresh interpreter with numpy unimportable: the scalar subcommands;
+# run in a fresh interpreter with numpy and numbers unimportable: the scalar
+# subcommands, whose floats pass the number test on their type alone;
 # then, with numpy allowed again and the wave solver unimportable, the
 # simulations; then, with both allowed, the package's lazy exports
 _WITHOUT_NUMPY = """\
 import contextlib, importlib, io, json, sys
-sys.modules["numpy"] = sys.modules["dataclasses"] = None
+sys.modules["numpy"] = sys.modules["dataclasses"] = sys.modules["numbers"] = None
 import rickerwaves
 from rickerwaves.cli import main
 runs = []
@@ -1233,7 +1234,7 @@ def run_all(argvs):
             runs.append([main(argv), out.getvalue()])
 
 run_all(json.loads(sys.argv[1]))
-del sys.modules["numpy"], sys.modules["dataclasses"]
+del sys.modules["numpy"], sys.modules["dataclasses"], sys.modules["numbers"]
 sys.modules["rickerwaves.waves"] = None
 run_all(json.loads(sys.argv[3]))
 del sys.modules["rickerwaves.waves"]

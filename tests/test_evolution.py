@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from rickerwaves import (
     GaussianKernel,
     Grid,
     ModelParams,
+    ParameterError,
     RangeError,
     SpatialState,
     UniformKernel,
@@ -20,8 +23,13 @@ from rickerwaves import (
     find_bistable_wave,
     interior_slice,
     iterate,
+    linearization_matrix,
+    make_kernel,
     pointwise_map,
+    scalar_speed,
+    step_initial_data,
     translate,
+    validate_params,
 )
 from rickerwaves import evolution
 from rickerwaves.evolution import MAX_GRID_POINTS, _fft_length
@@ -320,6 +328,8 @@ class TestIterate:
         (2.5, 1, "n_steps must be an integer, got 2.5"),
         (7, 2.5, "keep_every must be an integer, got 2.5"),
         (7, math.nan, "keep_every must be an integer, got nan"),
+        (True, 1, "n_steps must be an integer, got True"),
+        (7, True, "keep_every must be an integer, got True"),
     ])
     def test_bad_counts_are_refused(self, params, small_grid, gaussian_weights, rng,
                                     n_steps, keep_every, message):
@@ -365,6 +375,71 @@ class TestTranslate:
             win = interior_slice(small_grid, abs(j) + gaussian_weights.half_width)
             assert np.max(np.abs(a.U[win] - b.U[win])) <= 1e-12
             assert np.max(np.abs(a.V[win] - b.V[win])) <= 1e-12
+
+
+# an entry point that takes a number, the error it raises for anything else,
+# and a call of it on a small grid with the value in question
+NUMBER_ARGUMENTS = {
+    "Grid-dx": (ConfigError, lambda grid, value: Grid(200.0, value)),
+    "Grid-half_length": (ConfigError, lambda grid, value: Grid(value, 0.5)),
+    "step_initial_data": (DomainError, lambda grid, value: step_initial_data(grid, value)),
+    "interior_slice": (DomainError, lambda grid, value: interior_slice(grid, value)),
+    "translate": (DomainError,
+                  lambda grid, value: translate(step_initial_data(grid, 1.0), value)),
+    "make_kernel-sigma": (ParameterError,
+                          lambda grid, value: make_kernel("gaussian", sigma=value)),
+    "make_kernel-halfwidth": (ParameterError,
+                              lambda grid, value: make_kernel("uniform", halfwidth=value)),
+    "linearization_matrix": (DomainError, lambda grid, value: linearization_matrix(
+        ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0), GaussianKernel(1.0), value)),
+}
+NOT_NUMBERS = {"bool": True, "numpy-bool": np.True_, "str": "1", "none": None, "complex": 1j,
+               "decimal": Decimal("1")}
+
+
+class TestNumberArguments:
+    # a missing (None) shape parameter has its own message in make_kernel
+    @pytest.mark.parametrize("entry,value", [
+        pytest.param(entry, value, id=f"{entry}-{kind}")
+        for entry in NUMBER_ARGUMENTS for kind, value in NOT_NUMBERS.items()
+        if not (entry.startswith("make_kernel") and value is None)])
+    def test_a_value_that_is_not_a_number_is_refused_by_name(self, small_grid, entry, value):
+        # a bool would count as 0 or 1, and a str or a Decimal would pass as
+        # its float or fail later on a bare TypeError
+        error, call = NUMBER_ARGUMENTS[entry]
+        with pytest.raises(error) as info:
+            call(small_grid, value)
+        assert repr(value) in str(info.value)
+
+    def test_a_fractional_count_of_cells_is_refused(self, small_grid):
+        # int() would shift 1.7 cells as 1
+        with pytest.raises(DomainError,
+                           match="^shift must be an integer number of cells, got 1.7$"):
+            translate(step_initial_data(small_grid, 1.0), 1.7)
+        with pytest.raises(DomainError, match="got 1.5$"):
+            interior_slice(small_grid, 1.5)
+
+    def test_other_real_numbers_are_taken_as_their_value(self, params, small_grid,
+                                                         gaussian_weights):
+        # ints, numpy numbers and Fractions, beside the floats they equal
+        gaussian = GaussianKernel(1.0)
+        assert Grid(Fraction(20), np.float64(0.1)).n_points == small_grid.n_points
+        state = step_initial_data(small_grid, 1.0)
+        for width in (1, np.float64(1.0)):
+            assert np.array_equal(step_initial_data(small_grid, width).fields, state.fields)
+        assert interior_slice(small_grid, np.int64(3)) == interior_slice(small_grid, 3)
+        assert np.array_equal(translate(state, np.int64(2)).fields, translate(state, 2).fields)
+        trajectory = iterate(state, params, gaussian_weights, gaussian_weights, np.int64(2),
+                             keep_every=np.int64(1))
+        assert [s.step for s in trajectory] == [0, 1, 2]
+        assert make_kernel("gaussian", sigma=Fraction(1)) == gaussian
+        assert make_kernel("uniform", halfwidth=np.int64(2)) == UniformKernel(2.0)
+        assert np.array_equal(linearization_matrix(params, gaussian, gaussian, Fraction(1, 2)),
+                              linearization_matrix(params, gaussian, gaussian, 0.5))
+        assert scalar_speed(Fraction(1, 2), gaussian) == scalar_speed(0.5, gaussian)
+        assert np.array_equal(discretize(gaussian, np.float64(0.1)).weights,
+                              gaussian_weights.weights)
+        validate_params(ModelParams(Fraction(1, 2), np.float64(0.5), 2, np.int64(3)))
 
 
 class TestAxiomErrors:

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, localcontext
 from statistics import NormalDist
 
@@ -83,12 +84,13 @@ class TestMakeKernel:
         with pytest.raises(ParameterError, match="finite square, got 1e.160"):
             make(1e160)
 
-    @pytest.mark.parametrize("width", [True, np.True_, "1", None, 1j],
-                             ids=["bool", "numpy-bool", "str", "none", "complex"])
+    @pytest.mark.parametrize("width", [True, np.True_, "1", None, 1j, Decimal("1")],
+                             ids=["bool", "numpy-bool", "str", "none", "complex", "decimal"])
     @pytest.mark.parametrize("make", [GaussianKernel, UniformKernel], ids=["gauss", "unif"])
     def test_a_width_that_is_not_a_number_is_named(self, make, width):
-        # a bool would equal and hash as the width 1.0
-        with pytest.raises(ParameterError, match=f"got {width!r}$"):
+        # a bool would equal and hash as the width 1.0, and a Decimal fails
+        # only once its moments mix it with floats
+        with pytest.raises(ParameterError, match=f"got {re.escape(repr(width))}$"):
             make(width)
 
     def test_a_width_whose_square_is_a_float_has_finite_moments(self):
@@ -349,11 +351,14 @@ class TestMass:
 
 
 class TestDiscretize:
-    @pytest.mark.parametrize("dx", [True, np.True_, "0.1", None, 0.0, math.inf],
-                             ids=["bool", "numpy-bool", "str", "none", "zero", "inf"])
+    @pytest.mark.parametrize("dx", [True, np.True_, "0.1", None, 1j, Decimal("0.1"), 0.0,
+                                    math.inf],
+                             ids=["bool", "numpy-bool", "str", "none", "complex", "decimal",
+                                  "zero", "inf"])
     def test_a_spacing_that_is_not_a_positive_number_is_named(self, dx):
         # a bool would be taken as spacing 1.0
-        with pytest.raises(ParameterError, match=f"^dx must be positive and finite, got {dx!r}$"):
+        with pytest.raises(ParameterError, match=("^dx must be positive and finite, got "
+                                                  f"{re.escape(repr(dx))}$")):
             discretize(GaussianKernel(1.0), dx)
 
     def test_gaussian_half_width_matches_tail_oracle(self):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -110,9 +111,10 @@ class TestValidateParams:
         (("0.5", 0.5, 2.0, 3.0), "r1='0.5' is not a number"),
         ((0.5, None, 2.0, 3.0), "r2=None is not a number"),
         ((0.5, 0.5, 2.0, 3j), "a2=3j is not a number"),
+        ((0.5, 0.5, Decimal("2"), 3.0), "a1=Decimal('2') is not a number"),
         ((1.5, 0.5, "2", math.nan),
          "a1='2' is not a number; a2=nan is not finite; r1=1.5 outside (0, 1)"),
-    ], ids=["str", "none", "complex", "with-other-violations"])
+    ], ids=["str", "none", "complex", "decimal", "with-other-violations"])
     def test_a_value_that_is_not_a_number_is_named_first(self, fields, message):
         with pytest.raises(ParameterError) as info:
             validate_params(ModelParams(*fields))

@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -321,7 +322,13 @@ class TestFindBistableWave:
         (WaveOptions(profile_tol=True), None, "solver profile_tol must be a real number, got True"),
         (None, "0.1", "dx must be a real number, got '0.1'"),
         (None, True, "dx must be a real number, got True"),
-    ], ids=["str_tol", "none_tol", "bool_tol", "str_dx", "bool_dx"])
+        (WaveOptions(speed_tol=1j), None, "solver speed_tol must be a real number, got 1j"),
+        (WaveOptions(profile_tol=Decimal("0.001")), None,
+         "solver profile_tol must be a real number, got Decimal('0.001')"),
+        (None, Decimal("1"), "dx must be a real number, got Decimal('1')"),
+        (None, 1j, "dx must be a real number, got 1j"),
+    ], ids=["str_tol", "none_tol", "bool_tol", "str_dx", "bool_dx", "complex_tol",
+            "decimal_tol", "decimal_dx", "complex_dx"])
     def test_wrongly_typed_value_rejected_before_stepping(self, monkeypatch, opts, dx, message):
         # a bool counts as 0 or 1 and a string fails a comparison: each is
         # refused by name before the first step
