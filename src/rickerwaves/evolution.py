@@ -32,10 +32,9 @@ cross-checks.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import namedtuple
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -61,9 +60,12 @@ class Grid(namedtuple("Grid", "half_length dx")):
     def __new__(cls, half_length, dx):
         if not (_is_number(dx) and dx > 0 and math.isfinite(dx)):
             raise ConfigError(f"grid dx must be positive, got {dx!r}")
-        if not _is_number(half_length) or half_length < dx:
+        if not _is_number(half_length):
+            raise ConfigError(f"grid half_length must be a real number, got {half_length!r}")
+        if half_length < dx:
             raise ConfigError(f"grid half_length {half_length!r} must be at least dx={dx}")
-        self = super().__new__(cls, half_length, dx)
+        # a Fraction or an int computes as the float it names
+        self = super().__new__(cls, float(half_length), float(dx))
         # the ratio test comes first: it rejects inf and nan before floor() sees them
         if not (half_length / dx <= MAX_GRID_POINTS and self.n_points <= MAX_GRID_POINTS):
             raise ConfigError(
@@ -138,7 +140,7 @@ def step_initial_data(grid: Grid, width: float) -> SpatialState:
         raise DomainError(f"ramp width must be positive and finite, got {width!r}")
     # exp overflows to inf far left, where the ramp is then exactly 0
     with np.errstate(over="ignore"):
-        ramp = 1.0 / (1.0 + np.exp(-grid.x / width))
+        ramp = 1.0 / (1.0 + np.exp(-grid.x / float(width)))
     return SpatialState(grid=grid, frame=TRANSFORMED_FRAME, U=ramp, V=ramp)
 
 
@@ -157,35 +159,23 @@ _FFT_NOISE_FLOOR = 64.0 * np.finfo(float).eps
 DIRECT_MAX_TERMS = 3e5
 
 
-def _smooth_numbers(limit: int) -> tuple:
-    """Every 2**a * 3**b * 5**c up to limit, in increasing order."""
-    numbers = []
-    p5 = 1
-    while p5 <= limit:
-        p35 = p5
-        while p35 <= limit:
-            p = p35
-            while p <= limit:
-                numbers.append(p)
-                p *= 2
-            p35 *= 3
-        p5 *= 5
-    return tuple(sorted(numbers))
-
-
-# a transform holds a field of at most MAX_GRID_POINTS cells and its 4J
-# padding; every length up to the first power of two above twice that has
-# its least smooth length here (934 lengths, built in ~0.15 ms at import)
-_SMOOTH_LENGTHS = _smooth_numbers(1 << (2 * MAX_GRID_POINTS - 1).bit_length())
-
-
+@cache
 def _fft_length(n: int) -> int:
     """Smallest 2**a * 3**b * 5**c that is at least n (fast for pocketfft).
 
-    Beyond the table, the next power of two.
+    Each odd part 3**b * 5**c below the next power of two is doubled up to
+    n, and the least result is kept; the power of two is the odd part 1.
     """
-    i = bisect.bisect_left(_SMOOTH_LENGTHS, n)
-    return _SMOOTH_LENGTHS[i] if i < len(_SMOOTH_LENGTHS) else 1 << (n - 1).bit_length()
+    bound = 1 << (n - 1).bit_length()
+    best = bound
+    p5 = 1
+    while p5 < bound:
+        p35 = p5
+        while p35 < bound:
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _choose_method(n: int, half_width: int) -> str:
@@ -417,7 +407,7 @@ def compare(s1: SpatialState, s2: SpatialState) -> str:
 def interior_slice(grid: Grid, margin_cells: int) -> slice:
     """Indices at least margin_cells away from either grid edge."""
     if not _is_number(margin_cells, integral=True) or margin_cells < 0:
-        raise DomainError(f"margin_cells must be nonnegative, got {margin_cells!r}")
+        raise DomainError(f"margin_cells must be a nonnegative integer, got {margin_cells!r}")
     if 2 * margin_cells >= grid.n_points:
         raise RangeError(
             f"margin of {margin_cells} cells leaves no interior on {grid.n_points} points"

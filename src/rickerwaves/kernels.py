@@ -81,13 +81,23 @@ class Kernel:
 
 
 class _ShapeKernel(Kernel):
-    """A kernel that is the tuple of its shape parameters (a namedtuple base).
+    """A kernel that is the tuple of its one width parameter (a namedtuple base).
 
     It equals and hashes as a kernel of the same family and shape:
     ``GaussianKernel(1.0) != UniformKernel(1.0)``, though both are (1.0,).
     """
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        (width,) = self
+        # the variance, a multiple of width^2, must be a float too
+        if not (_is_number(width) and width > 0 and math.isfinite(width * width)):
+            raise ParameterError(
+                f"{cls.__name__.removesuffix('Kernel').lower()} {cls._fields[0]} "
+                f"must be positive with a finite square, got {width!r}")
+        return self
 
     def __eq__(self, other):
         return type(self) is type(other) and tuple.__eq__(self, other)
@@ -100,13 +110,6 @@ class _ShapeKernel(Kernel):
 
 class GaussianKernel(_ShapeKernel, namedtuple("GaussianKernel", "sigma")):
     __slots__ = ()
-
-    def __new__(cls, sigma):
-        # the variance sigma^2 must be a float too
-        if not (_is_number(sigma) and sigma > 0 and math.isfinite(sigma * sigma)):
-            raise ParameterError(
-                f"gaussian sigma must be positive with a finite square, got {sigma!r}")
-        return super().__new__(cls, sigma)
 
     def density(self, y):
         import numpy as np
@@ -134,13 +137,6 @@ class GaussianKernel(_ShapeKernel, namedtuple("GaussianKernel", "sigma")):
 
 class UniformKernel(_ShapeKernel, namedtuple("UniformKernel", "halfwidth")):
     __slots__ = ()
-
-    def __new__(cls, halfwidth):
-        # the variance a^2 / 3 must be a float too
-        if not (_is_number(halfwidth) and halfwidth > 0 and math.isfinite(halfwidth * halfwidth)):
-            raise ParameterError(
-                f"uniform halfwidth must be positive with a finite square, got {halfwidth!r}")
-        return super().__new__(cls, halfwidth)
 
     def density(self, y):
         import numpy as np
@@ -362,8 +358,9 @@ def discretize(kernel: Kernel, dx: float) -> DiscreteKernel:
             "all mass would land on one cell"
         )
     import numpy as np
-    offsets = np.arange(-J, J + 1) * dx
-    w = kernel.cell_masses(offsets, dx)
+    # a Fraction or an int computes as the float it names
+    offsets = np.arange(-J, J + 1) * float(dx)
+    w = kernel.cell_masses(offsets, float(dx))
     if w.sum() <= 0 or np.all(w[np.arange(-J, J + 1) != 0] == 0.0):
         raise DegenerateKernelError(
             f"dx={dx} is too coarse for the kernel; only the center cell "

@@ -85,7 +85,7 @@ class TestGrid:
         assert interior_slice(grid, 3) == slice(3, 18)
         with pytest.raises(DomainError) as err:
             interior_slice(grid, -1)
-        assert str(err.value) == "margin_cells must be nonnegative, got -1"
+        assert str(err.value) == "margin_cells must be a nonnegative integer, got -1"
 
 
 class TestSpatialState:
@@ -416,16 +416,27 @@ class TestNumberArguments:
         with pytest.raises(DomainError,
                            match="^shift must be an integer number of cells, got 1.7$"):
             translate(step_initial_data(small_grid, 1.0), 1.7)
-        with pytest.raises(DomainError, match="got 1.5$"):
+        with pytest.raises(DomainError) as err:
             interior_slice(small_grid, 1.5)
+        assert str(err.value) == "margin_cells must be a nonnegative integer, got 1.5"
+
+    def test_a_half_length_that_is_not_a_number_is_named_as_one(self):
+        with pytest.raises(ConfigError) as err:
+            Grid("200", 0.1)
+        assert str(err.value) == "grid half_length must be a real number, got '200'"
 
     def test_other_real_numbers_are_taken_as_their_value(self, params, small_grid,
                                                          gaussian_weights):
-        # ints, numpy numbers and Fractions, beside the floats they equal
+        # ints, numpy numbers and Fractions, beside the floats they equal; a
+        # Fraction computes as its float, not into an object array
         gaussian = GaussianKernel(1.0)
         assert Grid(Fraction(20), np.float64(0.1)).n_points == small_grid.n_points
+        for got, want in ((Grid(Fraction(2), Fraction(1, 10)).x, Grid(2.0, 0.1).x),
+                          (discretize(gaussian, Fraction(1, 10)).weights,
+                           gaussian_weights.weights)):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
         state = step_initial_data(small_grid, 1.0)
-        for width in (1, np.float64(1.0)):
+        for width in (1, np.float64(1.0), Fraction(1)):
             assert np.array_equal(step_initial_data(small_grid, width).fields, state.fields)
         assert interior_slice(small_grid, np.int64(3)) == interior_slice(small_grid, 3)
         assert np.array_equal(translate(state, np.int64(2)).fields, translate(state, 2).fields)
@@ -565,9 +576,12 @@ class TestConvolution:
         assert all(_fft_length(n) == expected[n] for n in range(1, 50001))
         for n in (MAX_GRID_POINTS, MAX_GRID_POINTS + 1, 2 * MAX_GRID_POINTS):
             assert _fft_length(n) == least(n)
-        # past the table, a power of two: 5-smooth and large enough
-        last = evolution._SMOOTH_LENGTHS[-1]
-        assert _fft_length(last + 1) == 2 * last
+        # past 2**25, where a table would have ended, still the least length
+        assert _fft_length(2**25 + 1) == least(2**25 + 1) == 33592320
+        # the longest transform a grid can ask for: MAX_GRID_POINTS cells and
+        # the 4J padding of the widest kernel, 2J + 1 <= MAX_GRID_POINTS
+        J = (MAX_GRID_POINTS - 1) // 2
+        assert _fft_length(MAX_GRID_POINTS + 4 * J) == least(MAX_GRID_POINTS + 4 * J)
 
     # J = 72 at dx = 0.1: 201 points are 29145 multiply-adds, 4001 are 580145
     @pytest.mark.parametrize("n,method", [(201, "direct"), (4001, "fft")])

@@ -750,6 +750,23 @@ class TestAnderson:
         assert mixer.count == 0
         assert step(base + 2 * d + d[::-1])
 
+    def test_private_solve_gives_numpys_bits_and_a_quiet_nan_when_singular(self, rng):
+        # waves._solve is numpy's private _umath_linalg.solve1, so a numpy
+        # release that changes it fails here rather than inside a solve
+        for k in range(1, 6):
+            for _ in range(20):
+                rows = rng.standard_normal((k, 40))
+                gram, rhs = rows @ rows.T, rows @ rng.standard_normal(40)
+                assert (waves._solve(gram, rhs).tobytes()
+                        == np.linalg.solve(gram, rhs).tobytes()), k
+        # the mixer's reset reads the nan; np.linalg.solve raises instead
+        singular = np.ones((2, 2))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(singular, np.ones(2))
+        with np.errstate(all="ignore"):
+            gamma = waves._solve(singular, np.ones(2))
+        assert np.isnan(gamma).all()
+
     def test_mixed_iterate_is_monotone_in_the_unit_square(self, rng):
         mixer = waves._Anderson(2, 50)
         for scale in (0.0, 0.3, 0.6):
