@@ -1,17 +1,28 @@
-"""Exception types shared across the package, and its one test of a number."""
+"""Exception types shared across the package, and its one test of a number:
+a real within the float range, or an integral count of any size."""
 
 
 def _is_number(value, integral: bool = False) -> bool:
     """Whether value is a numbers.Real (a numbers.Integral if ``integral``) and
     not a bool, Python's or numpy's: a str, None, a complex or a Decimal is
-    not.  Every module asks it before comparing an argument, and raises its
-    own named error.  A float or an int is told by its type alone, so code on
-    plain floats never imports ``numbers``."""
+    not, and nor is a real whose float() overflows (an int or a Fraction
+    past ~1.8e308), though such an int is still a count.  Every module asks
+    it before comparing an argument, and raises its own named error.  A
+    float or an int is told without ``numbers``, so code on plain floats
+    never imports it."""
     kind = type(value)
-    if kind is float or kind is int:
-        return kind is int or not integral
-    import numbers
-    return kind is not bool and isinstance(value, numbers.Integral if integral else numbers.Real)
+    if kind is float:
+        return not integral
+    if kind is not int:
+        import numbers
+        if kind is bool or not isinstance(value, numbers.Integral if integral else numbers.Real):
+            return False
+    if not integral:
+        try:
+            float(value)
+        except OverflowError:
+            return False
+    return True
 
 
 class ParameterError(ValueError):

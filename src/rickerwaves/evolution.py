@@ -59,9 +59,10 @@ class Grid(namedtuple("Grid", "half_length dx")):
 
     def __new__(cls, half_length, dx):
         if not (_is_number(dx) and dx > 0 and math.isfinite(dx)):
-            raise ConfigError(f"grid dx must be positive, got {dx!r}")
+            raise ConfigError(f"grid dx must be positive and finite, got {dx!r}")
         if not _is_number(half_length):
-            raise ConfigError(f"grid half_length must be a real number, got {half_length!r}")
+            raise ConfigError(f"grid half_length must be a real number in float range, "
+                              f"got {half_length!r}")
         if half_length < dx:
             raise ConfigError(f"grid half_length {half_length!r} must be at least dx={dx}")
         # a Fraction or an int computes as the float it names

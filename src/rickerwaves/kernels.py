@@ -4,11 +4,10 @@ Built-in families are the Gaussian (closed-form MGF, finite for every
 exponent) and the symmetric uniform density on [-a, a].  Arbitrary tabulated
 densities on a symmetric uniform grid are supported as well; tables are
 symmetrized and normalized on construction, so every kernel is symmetric and
-nonnegative.  A table can be flagged as the truncation of an
-unbounded-support density, in which case ``validate_hypotheses`` raises:
-its MGF is not finite for all exponents.  Two Gaussian or two uniform
-kernels are equal when their shapes are; a table or a discretized kernel
-equals only itself.
+nonnegative, and every MGF is finite (a table is a finite lattice):
+``validate_hypotheses`` refuses only what is not a kernel.  Two Gaussian or
+two uniform kernels are equal when their shapes are; a table or a
+discretized kernel equals only itself.
 """
 
 from __future__ import annotations
@@ -184,16 +183,12 @@ class TableKernel(Kernel):
 
     Samples are symmetrized (average with their mirror) and normalized so
     that the rectangle-rule mass spacing * sum(densities) is exactly one;
-    the stored offsets and densities are exact mirrors and read-only.
-    ``compactly_supported=False`` marks the table as a truncation of an
-    unbounded-support density (a Laplace tail, say); such kernels keep
-    working numerically but fail the finite-MGF hypothesis.  A table equals
-    and hashes as itself only, so two species share a table kernel exactly
-    when they hold one object.
+    the stored offsets and densities are exact mirrors and read-only.  A
+    table equals and hashes as itself only, so two species share a table
+    kernel exactly when they hold one object.
     """
 
-    def __init__(self, offsets: np.ndarray, densities: np.ndarray,
-                 compactly_supported: bool = True):
+    def __init__(self, offsets: np.ndarray, densities: np.ndarray):
         import numpy as np
         offsets = np.asarray(offsets, dtype=float)
         dens = np.asarray(densities, dtype=float)
@@ -224,7 +219,6 @@ class TableKernel(Kernel):
             array.flags.writeable = False
         self.offsets = offsets
         self.densities = sym
-        self.compactly_supported = compactly_supported
         # whether the input table was asymmetric, and the step h of the
         # offsets h * (-J..J), so offsets[j] == (j - J) * spacing
         self.symmetrized = was_asymmetric
@@ -265,16 +259,16 @@ def _lattice_moments(offsets: np.ndarray, weights: np.ndarray, mu: float, name: 
     return mass, mean, float((tilted * (offsets - mean) ** 2).sum() / mass)
 
 
-_SHAPE_PARAMETERS = ("sigma", "halfwidth", "offsets", "densities", "compactly_supported")
+_SHAPE_PARAMETERS = ("sigma", "halfwidth", "offsets", "densities")
 
 
 def make_kernel(family: str, **spec) -> Kernel:
     """Build a kernel from a family name and its shape parameters.
 
-    gaussian: sigma; uniform: halfwidth; table: offsets, densities and an
-    optional compactly_supported flag.  The other families' parameters are
-    ignored, so one shared spec can serve any family; a missing (or None)
-    parameter of the family and a name no family uses raise ParameterError.
+    gaussian: sigma; uniform: halfwidth; table: offsets and densities.  The
+    other families' parameters are ignored, so one shared spec can serve
+    any family; a missing (or None) parameter of the family and a name no
+    family uses raise ParameterError.
     """
     name = family.strip().lower()
     if name not in ("gaussian", "uniform", "table"):
@@ -292,8 +286,7 @@ def make_kernel(family: str, **spec) -> Kernel:
         return GaussianKernel(sigma=need("sigma"))
     if name == "uniform":
         return UniformKernel(halfwidth=need("halfwidth"))
-    return TableKernel(offsets=need("offsets"), densities=need("densities"),
-                       compactly_supported=spec.get("compactly_supported", True))
+    return TableKernel(offsets=need("offsets"), densities=need("densities"))
 
 
 class DiscreteKernel:
@@ -380,9 +373,8 @@ def discretize(kernel: Kernel, dx: float) -> DiscreteKernel:
 
 
 def validate_hypotheses(kernel: Kernel) -> None:
-    """Check the finite MGF (H2); symmetry and nonnegativity (H3) hold by
-    construction.  Only a table flagged as not compactly supported fails:
-    it raises ParameterError."""
-    if isinstance(kernel, TableKernel) and not kernel.compactly_supported:
-        raise ParameterError(
-            "(H2) MGF not finite for all exponents: kernel has unbounded support")
+    """Check that kernel is a ``Kernel``, which has a finite MGF (H2) and is
+    symmetric and nonnegative (H3) by construction; anything else, a
+    ``DiscreteKernel`` included, raises ParameterError naming its type."""
+    if not isinstance(kernel, Kernel):
+        raise ParameterError(f"expected a Kernel, got {type(kernel).__name__}")

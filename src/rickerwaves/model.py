@@ -54,8 +54,8 @@ def validate_params(p: ModelParams) -> None:
         return
     # a value outside the box, or any but a plain float, is checked here
     fields = (("r1", r1), ("r2", r2), ("a1", a1), ("a2", a2))
-    violations = [f"{name}={value!r} is not a number" for name, value in fields
-                  if not _is_number(value)]
+    violations = [f"{name}={value!r} is not a real number in float range"
+                  for name, value in fields if not _is_number(value)]
     named = [(name, value, math.isfinite(value)) for name, value in fields if _is_number(value)]
     violations += [f"{name}={value} is not finite" for name, value, finite in named
                    if not finite]

@@ -208,7 +208,8 @@ def linearization_matrix(
     import numpy as np
     validate_params(p)
     if not _is_number(mu) or mu < 0.0:
-        raise DomainError(f"exponent mu must be nonnegative, got {mu!r}")
+        raise DomainError(
+            f"exponent mu must be a nonnegative real number in float range, got {mu!r}")
     return np.array(_coefficients(p)) * np.array(
         [kernel1.moments(mu)[0], kernel2.moments(mu)[0]])
 

@@ -352,11 +352,12 @@ def find_bistable_wave(
     for name in ("profile_tol", "speed_tol"):
         tol = getattr(opts, name)
         if not _is_number(tol):
-            raise ParameterError(f"solver {name} must be a real number, got {tol!r}")
+            raise ParameterError(
+                f"solver {name} must be a real number in float range, got {tol!r}")
         if not 0.0 < tol < math.inf:
             raise ParameterError(f"solver {name} must be positive and finite, got {tol}")
     if dx is not None and not _is_number(dx):
-        raise ParameterError(f"dx must be a real number, got {dx!r}")
+        raise ParameterError(f"dx must be a real number in float range, got {dx!r}")
 
     validate_params(p)
     for name, k in (("kernel1", kernel1), ("kernel2", kernel2)):

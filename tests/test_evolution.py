@@ -393,8 +393,12 @@ NUMBER_ARGUMENTS = {
     "linearization_matrix": (DomainError, lambda grid, value: linearization_matrix(
         ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0), GaussianKernel(1.0), value)),
 }
+# an int or a Fraction past the float range is refused as well: float()
+# would overflow on it.  An int that large is still a count, out of range.
 NOT_NUMBERS = {"bool": True, "numpy-bool": np.True_, "str": "1", "none": None, "complex": 1j,
-               "decimal": Decimal("1")}
+               "decimal": Decimal("1"), "int-overflow": 10**400,
+               "fraction-overflow": Fraction(10**400)}
+COUNTS = ("interior_slice", "translate")
 
 
 class TestNumberArguments:
@@ -402,14 +406,21 @@ class TestNumberArguments:
     @pytest.mark.parametrize("entry,value", [
         pytest.param(entry, value, id=f"{entry}-{kind}")
         for entry in NUMBER_ARGUMENTS for kind, value in NOT_NUMBERS.items()
-        if not (entry.startswith("make_kernel") and value is None)])
+        if not (entry.startswith("make_kernel") and value is None)
+        and not (entry in COUNTS and kind == "int-overflow")])
     def test_a_value_that_is_not_a_number_is_refused_by_name(self, small_grid, entry, value):
-        # a bool would count as 0 or 1, and a str or a Decimal would pass as
-        # its float or fail later on a bare TypeError
+        # a bool would count as 0 or 1, a str or a Decimal would pass as its
+        # float or fail later on a bare TypeError, and a real past the float
+        # range would fail on a bare OverflowError
         error, call = NUMBER_ARGUMENTS[entry]
         with pytest.raises(error) as info:
             call(small_grid, value)
         assert repr(value) in str(info.value)
+
+    @pytest.mark.parametrize("entry", COUNTS)
+    def test_a_count_past_the_float_range_is_out_of_range(self, small_grid, entry):
+        with pytest.raises(RangeError):
+            NUMBER_ARGUMENTS[entry][1](small_grid, 10**400)
 
     def test_a_fractional_count_of_cells_is_refused(self, small_grid):
         # int() would shift 1.7 cells as 1
@@ -423,7 +434,7 @@ class TestNumberArguments:
     def test_a_half_length_that_is_not_a_number_is_named_as_one(self):
         with pytest.raises(ConfigError) as err:
             Grid("200", 0.1)
-        assert str(err.value) == "grid half_length must be a real number, got '200'"
+        assert str(err.value) == "grid half_length must be a real number in float range, got '200'"
 
     def test_other_real_numbers_are_taken_as_their_value(self, params, small_grid,
                                                          gaussian_weights):

@@ -1,6 +1,7 @@
 import math
 import re
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -46,7 +47,7 @@ class TestMakeKernel:
         k = make_kernel("table", offsets=offsets, densities=dens)
         assert k.symmetrized
         assert np.array_equal(k.densities, k.densities[::-1])
-        # a compactly supported table passes H2: the check returns, not raises
+        # a table is a finite lattice, so its MGF is finite (H2)
         assert validate_hypotheses(k) is None
 
     def test_symmetrized_is_set_on_construction_only(self):
@@ -84,12 +85,14 @@ class TestMakeKernel:
         with pytest.raises(ParameterError, match="finite square, got 1e.160"):
             make(1e160)
 
-    @pytest.mark.parametrize("width", [True, np.True_, "1", None, 1j, Decimal("1")],
-                             ids=["bool", "numpy-bool", "str", "none", "complex", "decimal"])
+    @pytest.mark.parametrize("width", [True, np.True_, "1", None, 1j, Decimal("1"), 10**400,
+                                       Fraction(10**400)],
+                             ids=["bool", "numpy-bool", "str", "none", "complex", "decimal",
+                                  "int-overflow", "fraction-overflow"])
     @pytest.mark.parametrize("make", [GaussianKernel, UniformKernel], ids=["gauss", "unif"])
     def test_a_width_that_is_not_a_number_is_named(self, make, width):
-        # a bool would equal and hash as the width 1.0, and a Decimal fails
-        # only once its moments mix it with floats
+        # a bool would equal and hash as the width 1.0, a Decimal fails only
+        # once its moments mix it with floats, and float() of 10**400 overflows
         with pytest.raises(ParameterError, match=f"got {re.escape(repr(width))}$"):
             make(width)
 
@@ -113,6 +116,14 @@ class TestMakeKernel:
     def test_unknown_shape_parameter_rejected(self):
         with pytest.raises(ParameterError, match="sigmaa"):
             make_kernel("gaussian", sigma=1.0, sigmaa=2.0)
+
+    def test_a_table_takes_no_support_flag(self):
+        # a table is a finite lattice, so its MGF is finite whatever its tails
+        offsets = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(ParameterError,
+                           match=r"^unknown kernel shape parameters \['compactly_supported'\]$"):
+            make_kernel("table", offsets=offsets, densities=1.0 - np.abs(offsets),
+                        compactly_supported=False)
 
     def test_bad_tables_rejected(self):
         good = np.linspace(-1, 1, 5)
@@ -352,9 +363,9 @@ class TestMass:
 
 class TestDiscretize:
     @pytest.mark.parametrize("dx", [True, np.True_, "0.1", None, 1j, Decimal("0.1"), 0.0,
-                                    math.inf],
+                                    math.inf, 10**400, Fraction(10**400)],
                              ids=["bool", "numpy-bool", "str", "none", "complex", "decimal",
-                                  "zero", "inf"])
+                                  "zero", "inf", "int-overflow", "fraction-overflow"])
     def test_a_spacing_that_is_not_a_positive_number_is_named(self, dx):
         # a bool would be taken as spacing 1.0
         with pytest.raises(ParameterError, match=("^dx must be positive and finite, got "
@@ -487,13 +498,6 @@ class TestDiscretize:
         assert max(abs(d - c) for d, c in inner) < 1e-6
 
 
-def heavy_tailed_table():
-    """A Laplace density truncated to [-5, 5] and flagged as such."""
-    offsets = np.linspace(-5, 5, 201)
-    return TableKernel(offsets=offsets, densities=0.5 * np.exp(-np.abs(offsets)),
-                       compactly_supported=False)
-
-
 class TestSameKernel:
     """Two species share a kernel exactly when ``kernel1 == kernel2``."""
 
@@ -519,14 +523,26 @@ class TestSameKernel:
         assert triangular_table(1.0) != GaussianKernel(1.0)
 
 
+class _MomentsOnly:
+    """A duck-typed stand-in: a Gaussian's moments, but not a ``Kernel``."""
+
+    def moments(self, mu):
+        return GaussianKernel(1.0).moments(mu)
+
+
 class TestHypotheses:
     def test_gaussian_passes_both(self):
         assert validate_hypotheses(GaussianKernel(2.0)) is None
 
-    def test_heavy_tailed_table_fails_finite_mgf(self):
-        with pytest.raises(ParameterError, match=r"^\(H2\) MGF not finite for all exponents: "
-                                                 r"kernel has unbounded support$"):
-            validate_hypotheses(heavy_tailed_table())
-
     def test_uniform_passes_both(self):
         assert validate_hypotheses(UniformKernel(0.5)) is None
+
+    @pytest.mark.parametrize("value,kind", [
+        (1.0, "float"), ("gaussian", "str"),
+        (discretize(GaussianKernel(1.0), 0.1), "DiscreteKernel"),
+        (_MomentsOnly(), "_MomentsOnly"),
+    ], ids=["float", "str", "discrete", "duck-typed"])
+    def test_what_is_not_a_kernel_is_refused_by_type(self, value, kind):
+        # a discretized kernel has moments but no density or truncation radius
+        with pytest.raises(ParameterError, match=f"^expected a Kernel, got {kind}$"):
+            validate_hypotheses(value)

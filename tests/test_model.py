@@ -1,5 +1,6 @@
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,13 +109,19 @@ class TestValidateParams:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("fields,message", [
-        (("0.5", 0.5, 2.0, 3.0), "r1='0.5' is not a number"),
-        ((0.5, None, 2.0, 3.0), "r2=None is not a number"),
-        ((0.5, 0.5, 2.0, 3j), "a2=3j is not a number"),
-        ((0.5, 0.5, Decimal("2"), 3.0), "a1=Decimal('2') is not a number"),
+        (("0.5", 0.5, 2.0, 3.0), "r1='0.5' is not a real number in float range"),
+        ((0.5, None, 2.0, 3.0), "r2=None is not a real number in float range"),
+        ((0.5, 0.5, 2.0, 3j), "a2=3j is not a real number in float range"),
+        ((0.5, 0.5, Decimal("2"), 3.0), "a1=Decimal('2') is not a real number in float range"),
+        # float() of these overflows
+        ((0.5, 0.5, 10**400, 3.0), f"a1={10**400!r} is not a real number in float range"),
+        ((0.5, 0.5, 2.0, Fraction(10**400)),
+         f"a2={Fraction(10**400)!r} is not a real number in float range"),
         ((1.5, 0.5, "2", math.nan),
-         "a1='2' is not a number; a2=nan is not finite; r1=1.5 outside (0, 1)"),
-    ], ids=["str", "none", "complex", "decimal", "with-other-violations"])
+         "a1='2' is not a real number in float range; a2=nan is not finite; "
+         "r1=1.5 outside (0, 1)"),
+    ], ids=["str", "none", "complex", "decimal", "int-overflow", "fraction-overflow",
+            "with-other-violations"])
     def test_a_value_that_is_not_a_number_is_named_first(self, fields, message):
         with pytest.raises(ParameterError) as info:
             validate_params(ModelParams(*fields))

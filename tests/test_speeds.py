@@ -3,6 +3,7 @@ import math
 import re
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,8 +114,10 @@ class TestScalarSpeed:
         with pytest.raises(DomainError):
             scalar_speed(1.5, GaussianKernel(1.0))
 
-    @pytest.mark.parametrize("r", ["0.5", None, 0.5j, Decimal("0.5")],
-                             ids=["str", "none", "complex", "decimal"])
+    @pytest.mark.parametrize("r", ["0.5", None, 0.5j, Decimal("0.5"), 10**400,
+                                   Fraction(10**400)],
+                             ids=["str", "none", "complex", "decimal", "int-overflow",
+                                  "fraction-overflow"])
     def test_a_growth_rate_that_is_not_a_number_is_named(self, r):
         with pytest.raises(DomainError,
                            match=rf"^growth rate must lie in \(0,1\), got {re.escape(repr(r))}$"):
@@ -210,7 +213,9 @@ class TestLinearizationMatrix:
             assert np.all(b > 0.0)
 
     def test_negative_exponent_rejected(self, params, gaussian):
-        with pytest.raises(DomainError):
+        # a non-number, 10**400 included, is refused in test_evolution
+        with pytest.raises(DomainError, match=r"^exponent mu must be a nonnegative real number "
+                                              r"in float range, got -1\.0$"):
             linearization_matrix(params, gaussian, gaussian, -1.0)
 
 

@@ -3,6 +3,7 @@ import math
 import re
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,7 +44,6 @@ from rickerwaves.speeds import counter_propagation, system_speed_bound
 from rickerwaves.waves import WaveHistory, WaveProfile
 
 from conftest import constant_state
-from test_kernels import heavy_tailed_table
 
 # README-config front speed on Grid(200, 0.1), solved to tolerances 1e-12
 C_CONVERGED = 0.11896981135981706
@@ -317,21 +317,33 @@ class TestFindBistableWave:
         assert steps == []
 
     @pytest.mark.parametrize("opts,dx,message", [
-        (WaveOptions(profile_tol="1e-6"), None, "solver profile_tol must be a real number, got '1e-6'"),
-        (WaveOptions(speed_tol=None), None, "solver speed_tol must be a real number, got None"),
-        (WaveOptions(profile_tol=True), None, "solver profile_tol must be a real number, got True"),
-        (None, "0.1", "dx must be a real number, got '0.1'"),
-        (None, True, "dx must be a real number, got True"),
-        (WaveOptions(speed_tol=1j), None, "solver speed_tol must be a real number, got 1j"),
+        (WaveOptions(profile_tol="1e-6"), None,
+         "solver profile_tol must be a real number in float range, got '1e-6'"),
+        (WaveOptions(speed_tol=None), None,
+         "solver speed_tol must be a real number in float range, got None"),
+        (WaveOptions(profile_tol=True), None,
+         "solver profile_tol must be a real number in float range, got True"),
+        (None, "0.1", "dx must be a real number in float range, got '0.1'"),
+        (None, True, "dx must be a real number in float range, got True"),
+        (WaveOptions(speed_tol=1j), None,
+         "solver speed_tol must be a real number in float range, got 1j"),
         (WaveOptions(profile_tol=Decimal("0.001")), None,
-         "solver profile_tol must be a real number, got Decimal('0.001')"),
-        (None, Decimal("1"), "dx must be a real number, got Decimal('1')"),
-        (None, 1j, "dx must be a real number, got 1j"),
+         "solver profile_tol must be a real number in float range, got Decimal('0.001')"),
+        (None, Decimal("1"), "dx must be a real number in float range, got Decimal('1')"),
+        (None, 1j, "dx must be a real number in float range, got 1j"),
+        (WaveOptions(profile_tol=10**400), None,
+         f"solver profile_tol must be a real number in float range, got {10**400!r}"),
+        (WaveOptions(speed_tol=Fraction(10**400)), None,
+         f"solver speed_tol must be a real number in float range, got {Fraction(10**400)!r}"),
+        (None, 10**400, f"dx must be a real number in float range, got {10**400!r}"),
+        (None, Fraction(10**400),
+         f"dx must be a real number in float range, got {Fraction(10**400)!r}"),
     ], ids=["str_tol", "none_tol", "bool_tol", "str_dx", "bool_dx", "complex_tol",
-            "decimal_tol", "decimal_dx", "complex_dx"])
+            "decimal_tol", "decimal_dx", "complex_dx", "int_overflow_tol",
+            "fraction_overflow_tol", "int_overflow_dx", "fraction_overflow_dx"])
     def test_wrongly_typed_value_rejected_before_stepping(self, monkeypatch, opts, dx, message):
-        # a bool counts as 0 or 1 and a string fails a comparison: each is
-        # refused by name before the first step
+        # a bool counts as 0 or 1, a string fails a comparison and float() of
+        # 10**400 overflows: each is refused by name before the first step
         steps = []
         monkeypatch.setattr(waves, "apply_Q", lambda *args: steps.append(args))
         k = GaussianKernel(1.0)
@@ -367,12 +379,14 @@ class TestFindBistableWave:
                 GaussianKernel(1.0), wave_grid,
             )
 
-    def test_heavy_tailed_kernel2_rejected_before_stepping(self, monkeypatch):
+    def test_discretized_kernel2_rejected_before_stepping(self, monkeypatch):
+        # it has moments, so the speed check would pass it, but no density
         steps = []
         monkeypatch.setattr(waves, "apply_Q", lambda *args: steps.append(args))
-        with pytest.raises(ParameterError, match=r"^kernel2: \(H2\) MGF not finite") as info:
+        with pytest.raises(ParameterError,
+                           match=r"^kernel2: expected a Kernel, got DiscreteKernel$") as info:
             find_bistable_wave(ModelParams(0.5, 0.5, 2.0, 3.0), GaussianKernel(1.0),
-                               heavy_tailed_table())
+                               discretize(GaussianKernel(1.0), 0.1))
         assert isinstance(info.value.__cause__, ParameterError)
         assert steps == []
 
