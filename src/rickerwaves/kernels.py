@@ -241,11 +241,14 @@ def _lattice_moments(offsets: np.ndarray, weights: np.ndarray, mu: float, name: 
     """(sum of w e^(mu y), mean, variance) of weights w at offsets y that are
     exact mirrors about their centre entry.
 
-    Three weighted sums: the tilted mass, the first moment with each mirror
-    pair folded into one sinh (the pairs cancel as mu -> 0), and the centred
-    second moment, whose terms are all nonnegative.  A |mu| above
-    _EXP_ARG_MAX / max(y) raises RangeError, so that quotient itself, where
-    ``waves._decay_rate`` may start, is always a safe exponent.
+    Four weighted sums over the uniform offsets y = (j - J) h: the tilted
+    mass; the mean, each mirror pair folded into one sinh (the pairs cancel
+    as mu -> 0); and the second moment about the offset y_k nearest the
+    mean, less d^2 for d = mean - y_k summed directly.  Each y - y_k is
+    zero at y_k and correct to rounding elsewhere, so the variance keeps its
+    relative precision when the tilt puts nearly all the mass on y_k.  A
+    |mu| above _EXP_ARG_MAX / max(y) raises RangeError, so that quotient
+    itself, where ``waves._decay_rate`` may start, is always a safe exponent.
     """
     import numpy as np
     if not abs(mu) <= _EXP_ARG_MAX / offsets[-1]:
@@ -256,7 +259,11 @@ def _lattice_moments(offsets: np.ndarray, weights: np.ndarray, mu: float, name: 
     centre = offsets.size // 2
     y = offsets[centre + 1:]
     mean = float(2.0 * (weights[centre + 1:] * y * np.sinh(mu * y)).sum() / mass)
-    return mass, mean, float((tilted * (offsets - mean) ** 2).sum() / mass)
+    # |mean| <= max(y), so y_k is one of the offsets; a float quotient
+    # rounds faster than a numpy scalar's
+    dy = offsets - offsets[centre + round(mean / float(y[0]))]
+    d = float((tilted * dy).sum()) / mass
+    return mass, mean, float((tilted * dy ** 2).sum()) / mass - d * d
 
 
 _SHAPE_PARAMETERS = ("sigma", "halfwidth", "offsets", "densities")

@@ -469,9 +469,10 @@ def wave_residual(wp: WaveProfile, p: ModelParams) -> float:
     takes the largest deviation from the profile over the boundary-safe
     interior window, J + |round(c/dx)| + 2 cells in from each edge for a
     speed c; ``interior_slice`` raises RangeError when that leaves no cell.
+    The profile is stepped as it is given: ``SpatialState`` refuses a
+    non-finite sample, or one outside [0, 1], with DomainError.
     """
-    state = SpatialState(grid=wp.grid, frame=TRANSFORMED_FRAME,
-                         U=np.clip(wp.phi, 0.0, 1.0), V=np.clip(wp.psi, 0.0, 1.0))
+    state = SpatialState(grid=wp.grid, frame=TRANSFORMED_FRAME, U=wp.phi, V=wp.psi)
     fields = apply_Q(state, p, *wp.discrete_kernels).fields
     del state  # before the resample makes its fields
     fields, m = _resample_shifted(fields, wp.speed, wp.grid.dx)

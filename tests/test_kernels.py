@@ -265,6 +265,18 @@ class TestTiltedMoments:
                 assert _relative_error(mean, exact_mean) <= Decimal("1e-13"), x
                 assert _relative_error(variance, exact_variance) <= Decimal("1e-13"), x
 
+    @pytest.mark.parametrize("mu,exact", [
+        (600.0, 1.7513021525392984e-28),
+        (690.0, 2.161278555414549e-32),
+    ], ids=["mu600", "mu690"])
+    def test_table_variance_keeps_its_precision_on_one_heavy_offset(self, mu, exact):
+        # all but ~e^(-mu/10) of the tilted mass sits on y = 0.1; the exact
+        # values are the 60-digit variances of the stored offsets and densities
+        table = TableKernel([-0.1, 0.0, 0.1], [1.0, 2.0, 1.0])
+        for kernel in (table, discretize(table, 0.1)):
+            for tilt in (mu, -mu):
+                assert kernel.moments(tilt)[2] == pytest.approx(exact, rel=1e-12, abs=0.0)
+
     def test_gaussian_closed_form(self):
         assert GaussianKernel(2.0).moments(0.75) == (math.exp(1.125), 3.0, 4.0)
 
@@ -318,11 +330,9 @@ class TestOrigin:
 def test_a_table_and_its_discretization_share_their_moments(halfwidth, half):
     # half holds the centre density and those to its right; at the table's
     # own spacing the weights are the densities times the spacing, up to
-    # roundoff, which the discrete kernel sums without the spacing.  The
-    # centred variance carries an absolute error near (eps halfwidth)^2, so
-    # a relative comparison needs the tilted mass spread over more than one
-    # offset: positive densities within a factor 100 of each other, on at
-    # least five offsets a side, keep mu * spacing <= 10
+    # roundoff, which the discrete kernel sums without the spacing: positive
+    # densities within a factor 100 of each other, on at least five offsets
+    # a side, at mu * spacing <= 10
     table = TableKernel(np.linspace(-halfwidth, halfwidth, 2 * len(half) - 1),
                         np.array(half[:0:-1] + half))
     dk = discretize(table, table.spacing)

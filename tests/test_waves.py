@@ -907,6 +907,20 @@ class TestWaveResidual:
         resid = wave_residual(perturbed, params)
         assert resid > 1e-3
 
+    @pytest.mark.parametrize("field,index,value", [
+        ("psi", -1, np.nextafter(1.0, 2.0)),
+        ("phi", 0, -5e-324),
+    ], ids=["psi-above-one", "phi-below-zero"])
+    def test_an_out_of_range_profile_is_refused(self, standard_wave, params,
+                                                field, index, value):
+        # the profile is stepped as it is given, not a copy clipped into [0, 1]
+        samples = getattr(standard_wave, field).copy()
+        samples[index] = value
+        wp = standard_wave._replace(**{field: samples})
+        with pytest.raises(DomainError, match=re.escape("must lie in [0,1]; range [")) as err:
+            wave_residual(wp, params)
+        assert repr(float(value)) in str(err.value)
+
 
 class TestValidateProfile:
     def test_converged_profile_passes_all_clauses(self, standard_wave):
