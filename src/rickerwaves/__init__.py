@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 # exported name -> the module that defines it
 _MODULE_OF = {name: module for module, names in {
     "evolution": ("Grid", "SpatialState", "apply_Q", "compare", "convolve_extended",
-                  "interior_slice", "iterate", "step_initial_data", "translate"),
+                  "interior_slice", "step_initial_data", "translate"),
     "kernels": ("DiscreteKernel", "GaussianKernel", "Kernel", "TableKernel", "UniformKernel",
                 "discretize", "make_kernel", "validate_hypotheses"),
     "model": ("ORIGINAL_FRAME", "TRANSFORMED_FRAME", "EquilibriumSet", "ModelParams",

@@ -198,6 +198,8 @@ def convolve_extended(field_values: np.ndarray, dk: DiscreteKernel,
     """
     J = dk.half_width
     n_field = len(field_values)
+    if not n_field or field_values.shape != (n_field,):
+        raise DomainError(f"field must be a nonempty 1-d array, got shape {field_values.shape}")
     if method is None:
         method = _choose_method(n_field, J)
     padded = np.empty(n_field + 2 * J)
@@ -334,35 +336,6 @@ def apply_Q(
     if b < out.shape[1]:
         out[:, b:] = window[:, -1:]
     return SpatialState._unchecked(state.grid, state.frame, out, state.step + 1)
-
-
-def iterate(
-    state: SpatialState,
-    p: ModelParams,
-    k1: DiscreteKernel,
-    k2: DiscreteKernel,
-    n_steps: int,
-    keep_every: int = 1,
-) -> list:
-    """Apply the step operator n_steps times; returns the saved trajectory.
-
-    The initial state is always first and the final state always last;
-    intermediate states are kept every ``keep_every`` steps.
-    """
-    for name, count in (("n_steps", n_steps), ("keep_every", keep_every)):
-        if not _is_number(count, integral=True):
-            raise DomainError(f"{name} must be an integer, got {count!r}")
-    if n_steps < 0:
-        raise DomainError(f"n_steps must be nonnegative, got {n_steps}")
-    if keep_every < 1:
-        raise DomainError(f"keep_every must be at least 1, got {keep_every}")
-    trajectory = [state]
-    current = state
-    for n in range(1, n_steps + 1):
-        current = apply_Q(current, p, k1, k2)
-        if n % keep_every == 0 or n == n_steps:
-            trajectory.append(current)
-    return trajectory
 
 
 def _shift_cells(values: np.ndarray, j: int) -> np.ndarray:

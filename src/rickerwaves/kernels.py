@@ -277,7 +277,7 @@ def make_kernel(family: str, **spec) -> Kernel:
     any family; a missing (or None) parameter of the family and a name no
     family uses raise ParameterError.
     """
-    name = family.strip().lower()
+    name = family.strip().lower() if isinstance(family, str) else None
     if name not in ("gaussian", "uniform", "table"):
         raise ParameterError(f"unknown kernel family {family!r}")
     unknown = sorted(set(spec) - set(_SHAPE_PARAMETERS))

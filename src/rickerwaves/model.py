@@ -213,8 +213,14 @@ StabilityResult = namedtuple("StabilityResult", "label spectral_radius eigenvalu
 
 def classify_stability(p: ModelParams, point, frame: str) -> StabilityResult:
     """Classify a fixed point by the spectral radius of its Jacobian."""
+    try:
+        u, v = point
+    except (TypeError, ValueError):
+        u = v = None
+    if not (_is_number(u) and _is_number(v)):
+        raise DomainError(f"point {point!r} is not a pair of real numbers")
     resid = _fixed_point_residual(p, point, frame)
-    if resid > FIXED_POINT_TOL:
+    if not resid <= FIXED_POINT_TOL:  # a nan residual is not fixed either
         raise DomainError(
             f"point {point} is not fixed in frame {frame!r}: residual {resid}"
         )

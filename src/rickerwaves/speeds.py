@@ -207,7 +207,7 @@ def linearization_matrix(
     """
     import numpy as np
     validate_params(p)
-    if not _is_number(mu) or mu < 0.0:
+    if not _is_number(mu) or not mu >= 0.0:
         raise DomainError(
             f"exponent mu must be a nonnegative real number in float range, got {mu!r}")
     return np.array(_coefficients(p)) * np.array(
@@ -384,7 +384,12 @@ def measure_front_speed(
         start = len(positions) // 2
         stop = len(positions) - 1
     else:
-        start, stop = fit_window
+        try:
+            start, stop = fit_window
+        except (TypeError, ValueError):
+            start = stop = None
+        if not (_is_number(start, integral=True) and _is_number(stop, integral=True)):
+            raise DomainError(f"fit window {fit_window} must be two integer indices")
     if not (0 <= start < stop < len(positions)):
         raise DomainError(f"fit window {fit_window} out of range")
     ns = steps[start : stop + 1]

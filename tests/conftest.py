@@ -64,6 +64,14 @@ def constant_state(grid, frame, point, step=0):
                         V=np.full(grid.n_points, float(v)), step=step)
 
 
+def trajectory(state, p, k1, k2, n_steps):
+    """The state and its images under n_steps steps of apply_Q, in step order."""
+    states = [state]
+    for _ in range(n_steps):
+        states.append(apply_Q(states[-1], p, k1, k2))
+    return states
+
+
 def random_transformed(grid, rng):
     return SpatialState(
         grid=grid,

@@ -22,7 +22,6 @@ from rickerwaves import (
     classify_stability,
     find_bistable_wave,
     interior_slice,
-    iterate,
     jacobian,
     linearization_matrix,
     measure_front_speed,
@@ -34,7 +33,7 @@ from rickerwaves import (
 )
 from rickerwaves.model import ORIGINAL_FRAME, TRANSFORMED_FRAME
 
-from conftest import axiom_errors
+from conftest import axiom_errors, trajectory
 
 P_STD = ModelParams(r1=0.5, r2=0.5, a1=2.0, a2=3.0)
 GAUSS = GaussianKernel(sigma=1.0)
@@ -126,9 +125,9 @@ def test_criterion_4_empirical_vs_variational_speed():
     # with V = 0 the original-frame U update is the scalar Ricker invasion, r = r1
     start = SpatialState(grid=grid, frame=ORIGINAL_FRAME,
                          U=np.where(grid.x <= 0.0, 1.0, 0.0), V=np.zeros(grid.n_points))
-    trajectory = iterate(start, P_STD, dk, dk, 150)
     speed = measure_front_speed(
-        trajectory, fit_window=(50, 150), margin_cells=dk.half_width,
+        trajectory(start, P_STD, dk, dk, 150),
+        fit_window=(50, 150), margin_cells=dk.half_width,
     ).speed
     if abs(speed - 1.0) >= 0.05:
         failures.append(f"empirical speed {speed} off the variational 1.0 by >= 5%")

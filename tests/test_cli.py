@@ -437,6 +437,40 @@ class TestSubcommands:
         assert lines[1] == "x,U,V"
         assert len(lines) == 2 + 401
 
+    @pytest.mark.parametrize("steps,thin,kept", [
+        (7, 3, [0, 3, 6, 7]), (0, 3, [0]), (0, 1, [0]), (2, 5, [0, 2]),
+    ])
+    def test_simulate_keeps_every_thin_step_and_the_last(self, config_path, capsys, tmp_path,
+                                                         steps, thin, kept):
+        out_dir = tmp_path / "snaps"
+        code = main(["simulate", "--config", str(config_path), "--set", "grid.L=20",
+                     "--set", f"sim.steps={steps}", "--set", f"sim.thin={thin}",
+                     "--out", str(out_dir)])
+        assert code == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert (rows[0]["saved_states"], rows[0]["final_step"]) == (str(len(kept)), str(steps))
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            f"sim_step_{n:05d}.csv" for n in kept]
+
+    def test_simulate_writes_each_snapshot_before_the_next_step(self, config_path, capsys,
+                                                                tmp_path, monkeypatch):
+        # when step n is taken, every kept state before it is on disk
+        out_dir = tmp_path / "snaps"
+        on_disk = []
+        apply_Q = evolution.apply_Q
+
+        def recording(state, *args):
+            on_disk.append((state.step + 1, sorted(p.name for p in out_dir.glob("*.csv"))))
+            return apply_Q(state, *args)
+
+        monkeypatch.setattr(evolution, "apply_Q", recording)
+        assert main(["simulate", "--config", str(config_path), "--set", "grid.L=20",
+                     "--set", "sim.steps=7", "--set", "sim.thin=3",
+                     "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        assert on_disk == [(n, [f"sim_step_{k:05d}.csv" for k in (0, 3, 6) if k < n])
+                           for n in range(1, 8)]
+
     def test_simulate_without_out_writes_nothing(self, config_path, capsys, tmp_path,
                                                  monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1202,7 +1236,7 @@ PACKAGE_EXPORTS = {
                "DegenerateKernelError", "DomainError", "MeasurementError", "ParameterError",
                "RangeError", "SearchError"),
     "evolution": ("Grid", "SpatialState", "apply_Q", "compare", "convolve_extended",
-                  "interior_slice", "iterate", "step_initial_data", "translate"),
+                  "interior_slice", "step_initial_data", "translate"),
     "kernels": ("DiscreteKernel", "GaussianKernel", "Kernel", "TableKernel", "UniformKernel",
                 "discretize", "make_kernel", "validate_hypotheses"),
     "model": ("ORIGINAL_FRAME", "TRANSFORMED_FRAME", "EquilibriumSet", "ModelParams",

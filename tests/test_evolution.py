@@ -1,4 +1,4 @@
-import math
+import re
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -22,7 +22,6 @@ from rickerwaves import (
     discretize,
     find_bistable_wave,
     interior_slice,
-    iterate,
     linearization_matrix,
     make_kernel,
     pointwise_map,
@@ -35,7 +34,7 @@ from rickerwaves import evolution
 from rickerwaves.evolution import MAX_GRID_POINTS, _fft_length
 from rickerwaves.model import ORIGINAL_FRAME, TRANSFORMED_FRAME
 
-from conftest import axiom_errors, constant_state, random_transformed
+from conftest import axiom_errors, constant_state, random_transformed, trajectory
 
 
 def ordered_pair(grid, rng):
@@ -295,16 +294,11 @@ class TestStepCheck:
         assert not caplog.records
 
 
-class TestIterate:
-    def test_zero_steps_identity(self, params, small_grid, gaussian_weights, rng):
-        state = random_transformed(small_grid, rng)
-        trajectory = iterate(state, params, gaussian_weights, gaussian_weights, 0)
-        assert len(trajectory) == 1 and trajectory[0] is state
-
+class TestTrajectory:
     def test_ordered_data_stays_ordered(self, params, small_grid, gaussian_weights, rng):
         lo, hi = ordered_pair(small_grid, rng)
-        traj_lo = iterate(lo, params, gaussian_weights, gaussian_weights, 10)
-        traj_hi = iterate(hi, params, gaussian_weights, gaussian_weights, 10)
+        traj_lo = trajectory(lo, params, gaussian_weights, gaussian_weights, 10)
+        traj_hi = trajectory(hi, params, gaussian_weights, gaussian_weights, 10)
         for s_lo, s_hi in zip(traj_lo, traj_hi):
             assert np.all(s_lo.U <= s_hi.U + 1e-12)
             assert np.all(s_lo.V <= s_hi.V + 1e-12)
@@ -313,29 +307,9 @@ class TestIterate:
         from rickerwaves import step_initial_data
 
         state = step_initial_data(small_grid, 1.0)
-        for snap in iterate(state, params, gaussian_weights, gaussian_weights, 15):
+        for snap in trajectory(state, params, gaussian_weights, gaussian_weights, 15):
             assert np.min(np.diff(snap.U)) >= -1e-12
             assert np.min(np.diff(snap.V)) >= -1e-12
-
-    def test_thinning_keeps_first_and_last(self, params, small_grid, gaussian_weights, rng):
-        state = random_transformed(small_grid, rng)
-        trajectory = iterate(state, params, gaussian_weights, gaussian_weights, 7, keep_every=3)
-        assert [s.step for s in trajectory] == [0, 3, 6, 7]
-
-    @pytest.mark.parametrize("n_steps,keep_every,message", [
-        (-1, 1, "n_steps must be nonnegative, got -1"),
-        (3, 0, "keep_every must be at least 1, got 0"),
-        (2.5, 1, "n_steps must be an integer, got 2.5"),
-        (7, 2.5, "keep_every must be an integer, got 2.5"),
-        (7, math.nan, "keep_every must be an integer, got nan"),
-        (True, 1, "n_steps must be an integer, got True"),
-        (7, True, "keep_every must be an integer, got True"),
-    ])
-    def test_bad_counts_are_refused(self, params, small_grid, gaussian_weights, rng,
-                                    n_steps, keep_every, message):
-        state = random_transformed(small_grid, rng)
-        with pytest.raises(DomainError, match=f"^{message}$"):
-            iterate(state, params, gaussian_weights, gaussian_weights, n_steps, keep_every)
 
 
 class TestTranslate:
@@ -451,9 +425,8 @@ class TestNumberArguments:
             assert np.array_equal(step_initial_data(small_grid, width).fields, state.fields)
         assert interior_slice(small_grid, np.int64(3)) == interior_slice(small_grid, 3)
         assert np.array_equal(translate(state, np.int64(2)).fields, translate(state, 2).fields)
-        trajectory = iterate(state, params, gaussian_weights, gaussian_weights, np.int64(2),
-                             keep_every=np.int64(1))
-        assert [s.step for s in trajectory] == [0, 1, 2]
+        states = trajectory(state, params, gaussian_weights, gaussian_weights, np.int64(2))
+        assert [s.step for s in states] == [0, 1, 2]
         assert make_kernel("gaussian", sigma=Fraction(1)) == gaussian
         assert make_kernel("uniform", halfwidth=np.int64(2)) == UniformKernel(2.0)
         assert np.array_equal(linearization_matrix(params, gaussian, gaussian, Fraction(1, 2)),
@@ -654,6 +627,14 @@ class TestConvolution:
         assert not np.array_equal(via_fft, default)
         assert np.max(np.abs(via_fft - default)) <= 1e-13
 
+    @pytest.mark.parametrize("method", [None, "fft", "direct"])
+    @pytest.mark.parametrize("shape", [(0,), (2, 64), (64, 1), (1, 1)])
+    def test_a_field_that_is_not_a_nonempty_line_is_named(self, gaussian_weights, method,
+                                                         shape):
+        with pytest.raises(DomainError, match=re.escape(
+                f"field must be a nonempty 1-d array, got shape {shape}")):
+            convolve_extended(np.ones(shape), gaussian_weights, method)
+
     def test_unknown_method_rejected(self, gaussian_weights):
         with pytest.raises(ConfigError):
             convolve_extended(np.ones(64), gaussian_weights, "warp")
@@ -691,7 +672,7 @@ class TestActiveWindow:
             if not window:
                 m.setattr(evolution, "_active_window", lambda U, V, reach: (0, len(U)))
             k1, k2 = discretize(kernel1, state.grid.dx), discretize(kernel2, state.grid.dx)
-            return iterate(state, params, k1, k2, n)[1:]
+            return trajectory(state, params, k1, k2, n)[1:]
 
     @staticmethod
     def in_frame(state, frame):

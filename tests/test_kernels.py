@@ -99,6 +99,12 @@ class TestMakeKernel:
     def test_a_width_whose_square_is_a_float_has_finite_moments(self):
         assert GaussianKernel(1e150).moments(0.0) == (1.0, 0.0, 1e150 * 1e150)
 
+    @pytest.mark.parametrize("family", [None, 3, b"gaussian"])
+    def test_a_family_that_is_not_a_string_is_unknown(self, family):
+        with pytest.raises(ParameterError,
+                           match=f"^unknown kernel family {re.escape(repr(family))}$"):
+            make_kernel(family, sigma=1.0)
+
     def test_missing_shape_parameter_named(self):
         with pytest.raises(ParameterError, match="gaussian kernel needs shape parameter 'sigma'"):
             make_kernel("gaussian")

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -374,6 +375,20 @@ class TestStability:
     def test_non_fixed_point_rejected(self, params):
         with pytest.raises(DomainError):
             classify_stability(params, (0.3, 0.3), ORIGINAL_FRAME)
+
+    @pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)])
+    def test_a_nan_point_is_not_fixed(self, params, point):
+        # the original frame has no square to leave, and a nan residual
+        # compares False against the tolerance either way
+        with pytest.raises(DomainError, match=r"is not fixed in frame 'original': residual nan$"):
+            classify_stability(params, point, ORIGINAL_FRAME)
+
+    @pytest.mark.parametrize("point", [None, (0.0, 0.0, 0.0), (0.0,), ("0", 0.0),
+                                       (0.0, None), (True, 0.0), 0.0])
+    def test_a_point_that_is_not_a_real_pair_is_named(self, params, point):
+        with pytest.raises(DomainError, match=re.escape(
+                f"point {point!r} is not a pair of real numbers")):
+            classify_stability(params, point, ORIGINAL_FRAME)
 
     def test_agrees_with_forward_iteration(self, rng):
         perturbations = {

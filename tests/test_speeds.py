@@ -25,7 +25,6 @@ from rickerwaves import (
     discretize,
     eigenvalues_2x2,
     front_position,
-    iterate,
     linearization_matrix,
     measure_front_speed,
     scalar_speed,
@@ -35,7 +34,7 @@ from rickerwaves.errors import RangeError, SearchError
 from rickerwaves.model import ORIGINAL_FRAME
 from rickerwaves.speeds import _minimize_positive
 
-from conftest import random_admissible
+from conftest import random_admissible, trajectory
 from test_kernels import triangular_table
 
 
@@ -212,11 +211,12 @@ class TestLinearizationMatrix:
             b = linearization_matrix(p, GaussianKernel(1.0), GaussianKernel(1.0), 2.0)
             assert np.all(b > 0.0)
 
-    def test_negative_exponent_rejected(self, params, gaussian):
+    @pytest.mark.parametrize("mu", [-1.0, math.nan])
+    def test_negative_exponent_rejected(self, params, gaussian, mu):
         # a non-number, 10**400 included, is refused in test_evolution
         with pytest.raises(DomainError, match=r"^exponent mu must be a nonnegative real number "
-                                              r"in float range, got -1\.0$"):
-            linearization_matrix(params, gaussian, gaussian, -1.0)
+                                              rf"in float range, got {mu!r}$"):
+            linearization_matrix(params, gaussian, gaussian, mu)
 
 
 class TestPrincipalEigenvalue:
@@ -503,7 +503,7 @@ class TestCounterPropagation:
         assert report.c_minus_F2F3.value == system_speed_bound(params, gaussian, uniform).value
 
 
-def scalar_invasion(params, dk, grid, n_steps, keep_every=1):
+def scalar_invasion(params, dk, grid, n_steps):
     """Original-frame steps from a leftward-saturated U step with V = 0.
 
     With V identically zero the U update of the step operator is the scalar
@@ -511,7 +511,7 @@ def scalar_invasion(params, dk, grid, n_steps, keep_every=1):
     """
     start = SpatialState(grid=grid, frame=ORIGINAL_FRAME,
                          U=np.where(grid.x <= 0.0, 1.0, 0.0), V=np.zeros(grid.n_points))
-    return iterate(start, params, dk, dk, n_steps, keep_every)
+    return trajectory(start, params, dk, dk, n_steps)
 
 
 def as_states(grid, fields):
@@ -565,13 +565,18 @@ class TestFrontMeasurement:
                                match="^need at least two states to fit a speed$"):
                 measure_front_speed(trajectory)
 
-    @pytest.mark.parametrize("fit_window", [(0, 3), (2, 2), (-1, 1), (2, 1)])
-    def test_fit_window_out_of_range_refused(self, fit_window):
+    # a float would fail as a slice index, and True would read as index 1
+    @pytest.mark.parametrize("fit_window,problem", [
+        *[(w, "out of range") for w in [(0, 3), (2, 2), (-1, 1), (2, 1)]],
+        *[(w, "must be two integer indices")
+          for w in [(0, 2.5), (0.0, 2), (0, True), (None, 2), (0, 1, 2), 2]],
+    ])
+    def test_bad_fit_window_refused(self, fit_window, problem):
         grid = Grid(half_length=10.0, dx=0.1)
         states = as_states(grid, [np.where(grid.x <= k * 0.1, 1.0, 0.0) for k in range(3)])
         with pytest.raises(DomainError) as err:
             measure_front_speed(states, fit_window=fit_window)
-        assert str(err.value) == f"fit window {fit_window} out of range"
+        assert str(err.value) == f"fit window {fit_window} {problem}"
 
     def test_scalar_invasion_tracks_variational_speed(self, params, gaussian):
         grid = Grid(half_length=200.0, dx=0.1)
@@ -590,7 +595,7 @@ class TestFrontMeasurement:
         grid = Grid(half_length=100.0, dx=0.1)
         dk = discretize(gaussian, grid.dx)
         full = scalar_invasion(params, dk, grid, 60)
-        thinned = scalar_invasion(params, dk, grid, 60, keep_every=10)
+        thinned = full[::10]
         every_step = measure_front_speed(full, margin_cells=dk.half_width, fit_window=(20, 60))
         report = measure_front_speed(thinned, margin_cells=dk.half_width, fit_window=(2, 6))
         assert np.array_equal(report.steps, np.arange(0.0, 61.0, 10.0))
