@@ -11,9 +11,8 @@ on first use (PEP 562), so numpy loads with the first grid, array or table.
 
 import importlib
 
-from .errors import (CertificateError, ConfigError, ConvergenceError, DegenerateDataError,
-                     DegenerateKernelError, DomainError, MeasurementError, ParameterError,
-                     RangeError, SearchError)
+from .errors import (ConfigError, ConvergenceError, DegenerateDataError, DegenerateKernelError,
+                     DomainError, MeasurementError, ParameterError, RangeError, SearchError)
 
 __version__ = "0.1.0"
 

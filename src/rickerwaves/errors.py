@@ -49,10 +49,6 @@ class SearchError(RuntimeError):
     """A one-dimensional minimization failed to bracket a minimum."""
 
 
-class CertificateError(RuntimeError):
-    """No admissible threshold found for the bistability certificate."""
-
-
 class MeasurementError(RuntimeError):
     """A front-tracking level is never crossed by the field."""
 

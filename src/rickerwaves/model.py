@@ -14,8 +14,8 @@ on the unit square, with stable corners F0=(0,0) and F3=(1,1) and unstable
 interior/edge states F1, F2.  This module owns the growth law of both
 frames (``growth``, which the grid step operator calls as well), the
 pointwise map, the frame change of a point, equilibria with their stability
-classification, and the certificate that the corners are strongly stable
-in the cooperative frame.
+classification, and the cooperative-frame corners' strong stability, which
+holds by derivation under (H1).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import CertificateError, DomainError, ParameterError, _is_number
+from .errors import DomainError, ParameterError, _is_number
 
 ORIGINAL_FRAME = "original"
 TRANSFORMED_FRAME = "transformed"
@@ -33,8 +33,6 @@ STABILITY_MARGIN = 1e-9
 FIXED_POINT_TOL = 1e-10
 # the largest fixed-point residual ``equilibria`` accepts
 EQUILIBRIUM_TOL = 1e-12
-# ``strong_stability_vectors`` tries delta = 2^-1 .. 2^-STABILITY_MAX_LEVEL
-STABILITY_MAX_LEVEL = 20
 
 
 class ModelParams(namedtuple("ModelParams", "r1 r2 a1 a2")):
@@ -235,21 +233,15 @@ def classify_stability(p: ModelParams, point, frame: str) -> StabilityResult:
     return StabilityResult(label=label, spectral_radius=radius, eigenvalues=lams)
 
 
-class StabilityCertificate(namedtuple("StabilityCertificate",
-                                      "e4 e5 delta table f1_f2_unordered")):
-    """Strong stability of the cooperative-frame corners.
+class StabilityCertificate(namedtuple("StabilityCertificate", "e4 e5 margins")):
+    """Strong stability of the cooperative-frame corners, by derivation.
 
-    e4 and e5 are strictly positive unit vectors such that for every tested
-    eta in (0, delta] the map pulls eta*e4 strictly toward (0,0) and
-    (1,1) - eta*e5 strictly toward (1,1), componentwise.  ``table`` records
-    each tested eta with the two strict-inequality outcomes.
+    e4 and e5 are strictly positive unit vectors that the corner Jacobians
+    shrink entry by entry; ``margins`` holds the least shrinkage, 1 minus
+    the larger factor, at F0 and at F3.
     """
 
     __slots__ = ()
-
-
-def _strictly_below(a, b) -> bool:
-    return a[0] < b[0] and a[1] < b[1]
 
 
 def _unit(x: float, y: float) -> tuple:
@@ -258,38 +250,24 @@ def _unit(x: float, y: float) -> tuple:
 
 
 def strong_stability_vectors(p: ModelParams) -> StabilityCertificate:
-    """Certify strong stability of (0,0) and (1,1) for the cooperative map.
+    """Strong stability of (0,0) and (1,1) for the cooperative map (A5).
 
-    Uses the directions (1, 1/(2 a1)) and (1/(2 a2), 1): the triangular
-    Jacobians at the corners contract along them whenever the second
-    (resp. first) component stays below 1/a1 (resp. 1/a2).  Scans the
-    dyadic thresholds delta = 2^-k and returns the largest one for which
-    the strict inequalities hold at eta in {delta, delta/2, delta/4}.
+    The corner Jacobians are triangular.  Along e4 = (1, 1/(2 a1)) and
+    e5 = (1/(2 a2), 1), normalized,
+
+        J(F0) e4 = (1 - r1/2, e^{r2 (1 - a2)}) * e4,
+        J(F3) e5 = (e^{r1 (1 - a1)}, 1 - r2/2) * e5,
+
+    entry by entry, and under (H1) every factor lies in (0, 1).  A strict
+    linear contraction gives the map's own strict one for eta small enough.
+    The margins are formed with expm1, so a tiny rate or an a - 1 near
+    roundoff keeps a positive margin instead of rounding its factor to 1.
+    F1 = (1, 0) and F2 = (1 - k1, k2) with k1, k2 in (0, 1) are unordered.
     """
     validate_params(p)
-    e4 = _unit(1.0, 1.0 / (2.0 * p.a1))
-    e5 = _unit(1.0 / (2.0 * p.a2), 1.0)
-
-    k1, k2 = coexistence_coordinates(p)
-    f1 = (1.0, 0.0)
-    f2 = (1.0 - k1, k2)
-    unordered = not (
-        (f1[0] <= f2[0] and f1[1] <= f2[1]) or (f1[0] >= f2[0] and f1[1] >= f2[1])
-    )
-
-    for k in range(1, STABILITY_MAX_LEVEL + 1):
-        delta = 2.0 ** (-k)
-        rows = []
-        for eta in (delta, delta / 2.0, delta / 4.0):
-            low = (eta * e4[0], eta * e4[1])
-            high = (1.0 - eta * e5[0], 1.0 - eta * e5[1])
-            low_ok = _strictly_below(pointwise_map(p, low, TRANSFORMED_FRAME), low)
-            high_ok = _strictly_below(high, pointwise_map(p, high, TRANSFORMED_FRAME))
-            rows.append((eta, low_ok, high_ok))
-        if all(low_ok and high_ok for _, low_ok, high_ok in rows):
-            return StabilityCertificate(
-                e4=e4, e5=e5, delta=delta, table=rows, f1_f2_unordered=unordered)
-    raise CertificateError(
-        f"no dyadic delta down to 2^-{STABILITY_MAX_LEVEL} certifies strong stability "
-        f"for params {p}"
-    )
+    r1, r2, a1, a2 = p
+    return StabilityCertificate(
+        e4=_unit(1.0, 1.0 / (2.0 * a1)),
+        e5=_unit(1.0 / (2.0 * a2), 1.0),
+        margins=(min(0.5 * r1, -math.expm1(r2 * (1.0 - a2))),
+                 min(-math.expm1(r1 * (1.0 - a1)), 0.5 * r2)))

@@ -195,7 +195,8 @@ def test_criterion_7_axiom_property_suite():
     if worst > 1e-12:
         failures.append(f"(A3) order violation {worst}")
 
-    # (A5) certificate across the parameter lattice, with the stated directions
+    # (A5) across the parameter lattice, by derivation: the corner Jacobians
+    # contract the stated directions, and so does the map at small eta
     for r1, r2, a1, a2 in itertools.product(
         (0.2, 0.5, 0.8), (0.2, 0.5, 0.8), (1.5, 2.0, 3.0), (1.5, 2.0, 3.0)
     ):
@@ -207,9 +208,23 @@ def test_criterion_7_axiom_property_suite():
             failures.append(f"(A5) wrong lower direction at {p}")
         if not np.allclose(cert.e5, e5_direction / np.linalg.norm(e5_direction), atol=1e-12):
             failures.append(f"(A5) wrong upper direction at {p}")
-        if not (cert.delta > 0.0 and cert.f1_f2_unordered):
-            failures.append(f"(A5) certificate failed at {p}")
-    report(7, "(A1)/(A3) within 1e-12 and (A5) certified over the lattice", failures)
+        e4, e5 = np.asarray(cert.e4), np.asarray(cert.e5)
+        if not np.all(np.asarray(jacobian(p, (0.0, 0.0), TRANSFORMED_FRAME)) @ e4 < e4):
+            failures.append(f"(A5) J(F0) e4 < e4 fails at {p}")
+        if not np.all(np.asarray(jacobian(p, (1.0, 1.0), TRANSFORMED_FRAME)) @ e5 < e5):
+            failures.append(f"(A5) J(F3) e5 < e5 fails at {p}")
+        if not min(cert.margins) > 0.0:
+            failures.append(f"(A5) margins {cert.margins} at {p}")
+        for eta in (0.25, 0.125, 0.0625):
+            low = tuple(eta * e4)
+            high = tuple(1.0 - eta * e5)
+            image_low = pointwise_map(p, low, TRANSFORMED_FRAME)
+            image_high = pointwise_map(p, high, TRANSFORMED_FRAME)
+            if not (image_low[0] < low[0] and image_low[1] < low[1]):
+                failures.append(f"(A5) eta {eta} e4 not pulled toward F0 at {p}")
+            if not (image_high[0] > high[0] and image_high[1] > high[1]):
+                failures.append(f"(A5) 1 - eta {eta} e5 not pulled toward F3 at {p}")
+    report(7, "(A1)/(A3) within 1e-12 and (A5) contracting over the lattice", failures)
 
 
 def test_criterion_8_bistable_wave_desk_scale():

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rickerwaves import (
-    CertificateError,
     DomainError,
     GaussianKernel,
     Grid,
@@ -416,19 +415,15 @@ class TestStability:
 
 
 class TestStrongStability:
-    def test_standard_directions_and_threshold(self, params):
+    def test_standard_directions(self, params):
         cert = strong_stability_vectors(params)
         e4, e5 = np.asarray(cert.e4), np.asarray(cert.e5)
         assert np.allclose(e4 / e4[0], [1.0, 0.25], atol=1e-12)
         assert np.allclose(e5 / e5[1], [1.0 / 6.0, 1.0], atol=1e-12)
-        assert cert.delta > 0.0
         assert np.linalg.norm(e4) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(e5) == pytest.approx(1.0, abs=1e-12)
-        assert all(low and high for (_, low, high) in cert.table)
 
     def test_intermediate_states_unordered(self, params):
-        cert = strong_stability_vectors(params)
-        assert cert.f1_f2_unordered
         eq = equilibria(params)
         assert eq.F1[0] > eq.F2[0] and eq.F1[1] < eq.F2[1]
 
@@ -441,19 +436,31 @@ class TestStrongStability:
             image = J @ np.array([1.0, eps])
             assert image[0] < 1.0 and image[1] < eps
 
+    def test_linearized_contraction_condition_at_f3(self, rng):
+        # J(1,1) (eps, 1) < (eps, 1) componentwise iff eps < 1/a2
+        for _ in range(20):
+            p = random_admissible(rng)
+            J = jacobian(p, (1.0, 1.0), TRANSFORMED_FRAME)
+            eps = 1.0 / (2.0 * p.a2)
+            image = J @ np.array([eps, 1.0])
+            assert image[0] < eps and image[1] < 1.0
+
+    def test_margins_are_one_minus_the_contraction_factors(self, rng):
+        for _ in range(20):
+            p = random_admissible(rng)
+            cert = strong_stability_vectors(p)
+            J0 = jacobian(p, (0.0, 0.0), TRANSFORMED_FRAME)
+            J3 = jacobian(p, (1.0, 1.0), TRANSFORMED_FRAME)
+            low = 1.0 - (J0 @ np.asarray(cert.e4)) / np.asarray(cert.e4)
+            high = 1.0 - (J3 @ np.asarray(cert.e5)) / np.asarray(cert.e5)
+            assert cert.margins == pytest.approx((low.min(), high.min()), rel=1e-12)
+
     def test_certificate_holds_nonlinearly(self, params):
         cert = strong_stability_vectors(params)
-        for eta in (cert.delta, cert.delta / 8.0, cert.delta / 64.0):
+        for eta in (0.5, 0.5 / 8.0, 0.5 / 64.0):
             low = (eta * cert.e4[0], eta * cert.e4[1])
             out = pointwise_map(params, low, TRANSFORMED_FRAME)
             assert out[0] < low[0] and out[1] < low[1]
             high = (1.0 - eta * cert.e5[0], 1.0 - eta * cert.e5[1])
             out = pointwise_map(params, high, TRANSFORMED_FRAME)
             assert out[0] > high[0] and out[1] > high[1]
-
-    def test_failure_raises_certificate_error(self, monkeypatch):
-        # inadmissible parameters never reach the sweep, so force the sweep
-        # to fail by exhausting the dyadic levels on a valid parameter set
-        monkeypatch.setattr(model, "STABILITY_MAX_LEVEL", 0)
-        with pytest.raises(CertificateError):
-            strong_stability_vectors(ModelParams(0.5, 0.5, 2.0, 3.0))
