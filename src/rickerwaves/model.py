@@ -31,8 +31,6 @@ TRANSFORMED_FRAME = "transformed"
 # classification band around spectral radius 1
 STABILITY_MARGIN = 1e-9
 FIXED_POINT_TOL = 1e-10
-# the largest fixed-point residual ``equilibria`` accepts
-EQUILIBRIUM_TOL = 1e-12
 
 
 class ModelParams(namedtuple("ModelParams", "r1 r2 a1 a2")):
@@ -109,11 +107,6 @@ def pointwise_map(p: ModelParams, point, frame: str):
     return (min(max(float(1.0 - gu), 0.0), 1.0), min(max(float(gv), 0.0), 1.0))
 
 
-def _fixed_point_residual(p: ModelParams, point, frame: str) -> float:
-    image = pointwise_map(p, point, frame)
-    return max(abs(image[0] - point[0]), abs(image[1] - point[1]))
-
-
 def change_coordinates(point):
     """Swap frames at a point via u -> 1 - u, v -> v.  An involution."""
     u, v = point
@@ -126,11 +119,20 @@ def coexistence_coordinates(p: ModelParams):
     Evaluated as (a1-1)/d, (a2-1)/d with d = a2 (a1-1) + (a2-1), which
     equals a1 a2 - 1 without the cancellation the naive form suffers when
     a1 a2 is close to 1.  For admissible parameters (H1) d is positive.
+    Where d overflows, a2 and a2-1 are first scaled by 2^-e, e the binary
+    exponent of a2.  The scaling is exact, so k gets the bits the same
+    operations give in an unbounded exponent range, and k1, about 1/a2,
+    rounds once more only where it is subnormal.
     """
     am1 = p.a1 - 1.0
     bm1 = p.a2 - 1.0
     denom = p.a2 * am1 + bm1
-    return (am1 / denom, bm1 / denom)
+    if denom < math.inf:
+        return (am1 / denom, bm1 / denom)
+    e = math.frexp(p.a2)[1]
+    bm1 = math.ldexp(bm1, -e)
+    denom = math.ldexp(p.a2, -e) * am1 + bm1
+    return (math.ldexp(am1 / denom, -e), bm1 / denom)
 
 
 class EquilibriumSet(namedtuple("EquilibriumSet", "E0 E1 E2 E3 F0 F1 F2 F3 k1 k2")):
@@ -146,27 +148,17 @@ class EquilibriumSet(namedtuple("EquilibriumSet", "E0 E1 E2 E3 F0 F1 F2 F3 k1 k2
 
 
 def equilibria(p: ModelParams) -> EquilibriumSet:
-    """All eight equilibria, each verified fixed under its frame's map."""
+    """All eight equilibria, in closed form; no map is evaluated.
+
+    The original frame's are E0 = (0,0), E1 = (1,0), E2 = (0,1) and
+    E3 = (k1, k2) from ``coexistence_coordinates``.  The cooperative
+    F0, F1, F2, F3 are the frame change of E1, E0, E3, E2.
+    """
     validate_params(p)
     k1, k2 = coexistence_coordinates(p)
-    eqset = EquilibriumSet(
-        E0=(0.0, 0.0),
-        E1=(1.0, 0.0),
-        E2=(0.0, 1.0),
-        E3=(k1, k2),
-        F0=(0.0, 0.0),
-        F1=(1.0, 0.0),
-        F2=(1.0 - k1, k2),
-        F3=(1.0, 1.0),
-        k1=k1,
-        k2=k2,
-    )
-    for name, point in {**eqset.original(), **eqset.transformed()}.items():
-        frame = ORIGINAL_FRAME if name.startswith("E") else TRANSFORMED_FRAME
-        resid = _fixed_point_residual(p, point, frame)
-        if resid > EQUILIBRIUM_TOL:
-            raise ParameterError(f"{name} is not fixed to {EQUILIBRIUM_TOL}: residual {resid}")
-    return eqset
+    e0, e1, e2, e3 = (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (k1, k2)
+    return EquilibriumSet(e0, e1, e2, e3, *map(change_coordinates, (e1, e0, e3, e2)),
+                          k1, k2)
 
 
 def jacobian(p: ModelParams, point, frame: str) -> tuple:
@@ -217,7 +209,8 @@ def classify_stability(p: ModelParams, point, frame: str) -> StabilityResult:
         u = v = None
     if not (_is_number(u) and _is_number(v)):
         raise DomainError(f"point {point!r} is not a pair of real numbers")
-    resid = _fixed_point_residual(p, point, frame)
+    image = pointwise_map(p, point, frame)
+    resid = max(abs(image[0] - u), abs(image[1] - v))
     if not resid <= FIXED_POINT_TOL:  # a nan residual is not fixed either
         raise DomainError(
             f"point {point} is not fixed in frame {frame!r}: residual {resid}"

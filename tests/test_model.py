@@ -244,7 +244,7 @@ class TestChangeCoordinates:
         assert change_coordinates(eq.E1) == eq.F0
         assert change_coordinates(eq.E2) == eq.F3
         assert change_coordinates(eq.E0) == eq.F1
-        assert change_coordinates(eq.E3) == pytest.approx(eq.F2, abs=1e-15)
+        assert change_coordinates(eq.E3) == eq.F2
 
 
 class TestEquilibria:
@@ -270,7 +270,7 @@ class TestEquilibria:
     def test_fixed_point_residuals_for_random_draws(self, rng):
         for _ in range(20):
             p = random_admissible(rng)
-            eq = equilibria(p)  # raises if any residual exceeds 1e-12
+            eq = equilibria(p)
             for name, pt in eq.original().items():
                 image = pointwise_map(p, pt, ORIGINAL_FRAME)
                 assert max(abs(image[0] - pt[0]), abs(image[1] - pt[1])) < 1e-12
@@ -282,14 +282,35 @@ class TestEquilibria:
         with pytest.raises(ParameterError):
             equilibria(ModelParams(0.5, 0.5, 1.0, 1.0))
 
-    def test_a_residual_above_the_tolerance_is_refused(self, params, monkeypatch):
-        # on the standard parameters every point maps to itself exactly but
-        # F2 = (0.8, 0.4), whose residual is 2^-53: the first point past a
-        # tolerance below that
-        monkeypatch.setattr(model, "EQUILIBRIUM_TOL", 1e-17)
-        with pytest.raises(ParameterError) as err:
-            equilibria(params)
-        assert str(err.value) == "F2 is not fixed to 1e-17: residual 1.1102230246251565e-16"
+    def test_a_cell_where_one_minus_k1_rounds_is_returned(self):
+        # k1 = 9.1e-16, so F2 = (1 - k1, k2) rounds and is 5.2e-6 from fixed
+        # under the cooperative map; the original frame's points hold
+        p = ModelParams(1.714908792795613e-209, 0.0001432507040610293,
+                        1.706783720592109, 456828381927592.5)
+        eq = equilibria(p)
+        for pt in eq.original().values():
+            image = pointwise_map(p, pt, ORIGINAL_FRAME)
+            assert max(abs(image[0] - pt[0]), abs(image[1] - pt[1])) < 1e-12
+        assert eq.F2 == change_coordinates(eq.E3)
+
+
+class TestCoexistenceCoordinates:
+    # a2 (a1 - 1) overflows on each cell; k1 is subnormal on (2, 1e308),
+    # where math.ulp gives the subnormal spacing, an absolute bound
+    @pytest.mark.parametrize("a1,a2", [(1e155, 1e155), (1e300, 1e10), (1e10, 1e300),
+                                       (2.0, 1e308), (1e200, 1e200)])
+    def test_within_one_ulp_of_the_exact_rational_past_the_float_range(self, a1, a2):
+        k = model.coexistence_coordinates(ModelParams(0.5, 0.5, a1, a2))
+        d = Fraction(a1) * Fraction(a2) - 1
+        for got, exact in zip(k, ((Fraction(a1) - 1) / d, (Fraction(a2) - 1) / d)):
+            assert abs(Fraction(got) - exact) <= Fraction(math.ulp(float(exact)))
+
+    def test_a_finite_denominator_keeps_the_direct_quotients(self, rng):
+        for am1, bm1 in 10.0 ** rng.uniform(-15.0, 150.0, (1000, 2)):
+            a1, a2 = 1.0 + float(am1), 1.0 + float(bm1)
+            d = a2 * (a1 - 1.0) + (a2 - 1.0)
+            assert model.coexistence_coordinates(ModelParams(0.5, 0.5, a1, a2)) == (
+                (a1 - 1.0) / d, (a2 - 1.0) / d)
 
 
 def finite_difference_jacobian(p, point, frame, h=1e-6):
