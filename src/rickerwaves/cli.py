@@ -340,14 +340,14 @@ def cmd_validate(cfg: ExperimentConfig, args) -> tuple:
 
 def cmd_equilibria(cfg: ExperimentConfig, args) -> tuple:
     eqset = model.equilibria(cfg.params)
+    stab = {name: model.classify_stability(cfg.params, point, model.ORIGINAL_FRAME)
+            for name, point in eqset.original().items()}
     rows = []
-    for frame, points in (
-        (model.ORIGINAL_FRAME, eqset.original()),
-        (model.TRANSFORMED_FRAME, eqset.transformed()),
-    ):
+    for frame, points in ((model.ORIGINAL_FRAME, eqset.original()),
+                          (model.TRANSFORMED_FRAME, eqset.transformed())):
         for name, point in points.items():
-            stab = model.classify_stability(cfg.params, point, frame)
-            rows.append((name, frame, point[0], point[1], stab.label, stab.spectral_radius))
+            s = stab[model._CONJUGATE.get(name, name)]  # a cooperative row: its conjugate's
+            rows.append((name, frame, point[0], point[1], s.label, s.spectral_radius))
     return (("point", "frame", "u", "v", "stability", "spectral_radius"), rows,
             [("equilibria", True, f"k1 {_fmt(eqset.k1)}; k2 {_fmt(eqset.k2)}")])
 

@@ -31,6 +31,7 @@ TRANSFORMED_FRAME = "transformed"
 # classification band around spectral radius 1
 STABILITY_MARGIN = 1e-9
 FIXED_POINT_TOL = 1e-10
+_CONJUGATE = {"F0": "E1", "F1": "E0", "F2": "E3", "F3": "E2"}  # F -> E under u -> 1 - u
 
 
 class ModelParams(namedtuple("ModelParams", "r1 r2 a1 a2")):
@@ -152,13 +153,15 @@ def equilibria(p: ModelParams) -> EquilibriumSet:
 
     The original frame's are E0 = (0,0), E1 = (1,0), E2 = (0,1) and
     E3 = (k1, k2) from ``coexistence_coordinates``.  The cooperative
-    F0, F1, F2, F3 are the frame change of E1, E0, E3, E2.
+    F0, F1, F2, F3 are the frame change of E1, E0, E3, E2, whose stability
+    they share (J_F = D J_E D, D = diag(-1, 1)) and which are exact, while
+    F2 = (1 - k1, k2) holds k1 only to a multiple of 2**-53.
     """
     validate_params(p)
     k1, k2 = coexistence_coordinates(p)
-    e0, e1, e2, e3 = (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (k1, k2)
-    return EquilibriumSet(e0, e1, e2, e3, *map(change_coordinates, (e1, e0, e3, e2)),
-                          k1, k2)
+    e = {"E0": (0.0, 0.0), "E1": (1.0, 0.0), "E2": (0.0, 1.0), "E3": (k1, k2)}
+    return EquilibriumSet(**e, **{f: change_coordinates(e[n]) for f, n in _CONJUGATE.items()},
+                          k1=k1, k2=k2)
 
 
 def jacobian(p: ModelParams, point, frame: str) -> tuple:
@@ -202,7 +205,9 @@ StabilityResult = namedtuple("StabilityResult", "label spectral_radius eigenvalu
 
 
 def classify_stability(p: ModelParams, point, frame: str) -> StabilityResult:
-    """Classify a fixed point by the spectral radius of its Jacobian."""
+    """Classify a fixed point by the spectral radius of its Jacobian.  A
+    cooperative point's exponent 1 - a2 - V + a2 U cancels to 0 at U = 1 once
+    a2 passes ~1e16; its original conjugate, of one spectrum, is the exact route."""
     try:
         u, v = point
     except (TypeError, ValueError):

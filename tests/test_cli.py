@@ -419,6 +419,67 @@ class TestSubcommands:
         assert by_name["F0"]["stability"] == "stable"
         assert by_name["F2"]["stability"] == "unstable"
 
+    @staticmethod
+    def _equilibria(config_path, capsys, cell=()):
+        # cell is (r1, r2, a1, a2), or () for the config's own parameters
+        argv = ["equilibria", "--config", str(config_path)]
+        for key, value in zip(("r1", "r2", "a1", "a2"), cell):
+            argv += ["--set", f"model.{key}={float(value)!r}"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        return captured.out
+
+    @staticmethod
+    def _assert_rows_match_conjugates(out):
+        # J_F = D J_E D with D = diag(-1, 1): a cooperative state and the
+        # original one it maps to under u -> 1 - u share one spectrum
+        _, rows = parse_csv(out)
+        by_name = {row["point"]: row for row in rows}
+        for f, e in (("F0", "E1"), ("F1", "E0"), ("F2", "E3"), ("F3", "E2")):
+            assert ((by_name[f]["stability"], by_name[f]["spectral_radius"])
+                    == (by_name[e]["stability"], by_name[e]["spectral_radius"])), (f, e)
+
+    def test_cooperative_rows_carry_their_conjugates_stability(self, config_path, capsys):
+        self._assert_rows_match_conjugates(self._equilibria(config_path, capsys))
+        # r in [1e-300, 1) and a - 1 in [1e-15, 1e300], log-uniform: where a2
+        # is large or k1 tiny, the cooperative point's own classification
+        # disagreed with its conjugate's on about 1 cell in 30
+        rng = np.random.default_rng(59)
+        for _ in range(200):
+            rates = np.minimum(np.exp(rng.uniform(np.log(1e-300), 0.0, 2)), 1.0 - 2.0**-53)
+            coefficients = 1.0 + np.exp(rng.uniform(np.log(1e-15), np.log(1e300), 2))
+            out = self._equilibria(config_path, capsys, (*rates, *coefficients))
+            self._assert_rows_match_conjugates(out)
+
+    @pytest.mark.parametrize("cell,row", [
+        # F2 = (1 - k1, k2) rounds k1 = 1e-155 away; it read marginal,1
+        ((0.5, 0.5, 1e155, 1e155), "F2,transformed,1,1e-155,unstable,1.5"),
+        # k1 = 9.1e-16: F2 was refused as not fixed (residual 5.2e-06), exit 2
+        ((1.714908792795613e-209, 0.0001432507040610293, 1.706783720592109,
+          456828381927592.5), "F2,transformed,1,0.58589731548,marginal,1"),
+        # a2 = 2.3e66: the cooperative exponent cancels at U = 1; it read marginal,1
+        ((1.2581294328472417e-270, 0.0006159138233560557, 1.484776557089496e52,
+          2.2773549557880996e66), "F1,transformed,1,0,unstable,1.00061610354"),
+    ], ids=["k1-1e-155", "k1-9e-16", "a2-2e66"])
+    def test_cooperative_row_where_its_own_point_rounds(self, config_path, capsys, cell, row):
+        out = self._equilibria(config_path, capsys, cell)
+        assert row in out.splitlines()
+        self._assert_rows_match_conjugates(out)
+
+    def test_equilibria_classifies_in_the_original_frame_only(self, config_path, capsys,
+                                                               monkeypatch):
+        frames = []
+        classify = model.classify_stability
+
+        def spy(p, point, frame):
+            frames.append(frame)
+            return classify(p, point, frame)
+
+        monkeypatch.setattr(model, "classify_stability", spy)
+        self._equilibria(config_path, capsys)
+        assert frames == [model.ORIGINAL_FRAME] * 4
+
     def test_speeds_table_and_curves(self, config_path, capsys, tmp_path):
         out_dir = tmp_path / "art"
         code = main(["speeds", "--config", str(config_path), "--curve",
