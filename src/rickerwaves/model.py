@@ -8,14 +8,14 @@ competition map
 whose exclusion states E1=(1,0) and E2=(0,1) are stable under strong
 competition.  Substituting u -> 1 - u turns it into the cooperative map
 
-    u' = 1 - (1 - u) exp(r1 (u - a1 v)),   v' = v exp(r2 (1 - a2 - v + a2 u))
+    u' = 1 - (1 - u) exp(r1 (u - a1 v)),   v' = v exp(r2 (1 - v - a2 (1 - u)))
 
 on the unit square, with stable corners F0=(0,0) and F3=(1,1) and unstable
-interior/edge states F1, F2.  This module owns the growth law of both
-frames (``growth``, which the grid step operator calls as well), the
-pointwise map, the frame change of a point, equilibria with their stability
-classification, and the cooperative-frame corners' strong stability, which
-holds by derivation under (H1).
+interior/edge states F1, F2: one Ricker law, at the original-frame density
+u or 1 - u of the first species.  This module owns that law (``growth``,
+which the grid step operator calls as well), the pointwise map, the frame
+change of a point, equilibria with their stability classification, and
+the cooperative-frame corners' strong stability, derived under (H1).
 """
 
 from __future__ import annotations
@@ -65,14 +65,17 @@ def validate_params(p: ModelParams) -> None:
 
 
 def _exponentials(p: ModelParams, U, V, frame: str, exp):
-    """The two Ricker factors of a frame's map, as (e^{r1(...)}, e^{r2(...)}):
-    the one copy of the growth law's exponents, which ``growth`` takes with
-    np.exp on arrays and the scalar maps with math.exp."""
+    """The one statement of the Ricker law, (w, e^{r1(1 - w - a1 V)}, e^{r2(1 - V - a2 w)}),
+    w the first species' original-frame density: U, or 1 - U in the cooperative
+    frame, whose 1 - w is U itself, so nothing is complemented twice.  ``growth``
+    takes it with np.exp on arrays, the scalar maps with math.exp."""
     if frame == ORIGINAL_FRAME:
-        return exp(p.r1 * (1.0 - U - p.a1 * V)), exp(p.r2 * (1.0 - V - p.a2 * U))
-    if frame == TRANSFORMED_FRAME:
-        return exp(p.r1 * (U - p.a1 * V)), exp(p.r2 * (1.0 - p.a2 - V + p.a2 * U))
-    raise DomainError(f"unknown frame {frame!r}")
+        w, rest = U, 1.0 - U
+    elif frame == TRANSFORMED_FRAME:
+        w, rest = 1.0 - U, U
+    else:
+        raise DomainError(f"unknown frame {frame!r}")
+    return w, exp(p.r1 * (rest - p.a1 * V)), exp(p.r2 * (1.0 - V - p.a2 * w))
 
 
 def growth(p: ModelParams, U, V, frame: str):
@@ -87,8 +90,8 @@ def growth(p: ModelParams, U, V, frame: str):
     density; it is dispersed at full precision and rounded once.
     """
     import numpy as np
-    eu, ev = _exponentials(p, U, V, frame, np.exp)
-    return (U if frame == ORIGINAL_FRAME else 1.0 - U) * eu, V * ev
+    w, eu, ev = _exponentials(p, U, V, frame, np.exp)
+    return w * eu, V * ev
 
 
 def pointwise_map(p: ModelParams, point, frame: str):
@@ -101,10 +104,10 @@ def pointwise_map(p: ModelParams, point, frame: str):
     u, v = point
     if frame == TRANSFORMED_FRAME and not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
         raise DomainError(f"point {point} outside the unit square")
-    eu, ev = _exponentials(p, u, v, frame, math.exp)
+    w, eu, ev = _exponentials(p, u, v, frame, math.exp)
+    gu, gv = w * eu, v * ev
     if frame == ORIGINAL_FRAME:
-        return (float(u * eu), float(v * ev))
-    gu, gv = (1.0 - u) * eu, v * ev
+        return (float(gu), float(gv))
     return (min(max(float(1.0 - gu), 0.0), 1.0), min(max(float(gv), 0.0), 1.0))
 
 
@@ -173,8 +176,8 @@ def jacobian(p: ModelParams, point, frame: str) -> tuple:
     flipped.
     """
     u, v = point
-    eu, ev = _exponentials(p, u, v, frame, math.exp)
-    w, sign = (u, -1.0) if frame == ORIGINAL_FRAME else (1.0 - u, 1.0)
+    w, eu, ev = _exponentials(p, u, v, frame, math.exp)
+    sign = -1.0 if frame == ORIGINAL_FRAME else 1.0
     return ((eu * (1.0 - p.r1 * w), sign * p.r1 * p.a1 * w * eu),
             (sign * p.r2 * p.a2 * v * ev, ev * (1.0 - p.r2 * v)))
 
@@ -206,8 +209,8 @@ StabilityResult = namedtuple("StabilityResult", "label spectral_radius eigenvalu
 
 def classify_stability(p: ModelParams, point, frame: str) -> StabilityResult:
     """Classify a fixed point by the spectral radius of its Jacobian.  A
-    cooperative point's exponent 1 - a2 - V + a2 U cancels to 0 at U = 1 once
-    a2 passes ~1e16; its original conjugate, of one spectrum, is the exact route."""
+    cooperative point such as F2 = (1 - k1, k2) may round its coordinates;
+    its original conjugate, of one spectrum, is the exact route."""
     try:
         u, v = point
     except (TypeError, ValueError):

@@ -458,7 +458,8 @@ class TestSubcommands:
         # k1 = 9.1e-16: F2 was refused as not fixed (residual 5.2e-06), exit 2
         ((1.714908792795613e-209, 0.0001432507040610293, 1.706783720592109,
           456828381927592.5), "F2,transformed,1,0.58589731548,marginal,1"),
-        # a2 = 2.3e66: the cooperative exponent cancels at U = 1; it read marginal,1
+        # a2 = 2.3e66: the cooperative exponent, once written as 1 - a2 - V + a2 U,
+        # cancelled at U = 1; it read marginal,1
         ((1.2581294328472417e-270, 0.0006159138233560557, 1.484776557089496e52,
           2.2773549557880996e66), "F1,transformed,1,0,unstable,1.00061610354"),
     ], ids=["k1-1e-155", "k1-9e-16", "a2-2e66"])
@@ -1018,23 +1019,23 @@ README_WAVE_STDOUT = (
     "speed,residual,steps,monotone,range,left_tail,right_tail,residual_ok\n"
     "0.118969811421,2.26362262268e-11,19,true,true,true,true,true\n"
 )
-README_WAVE_PROFILE_SHA256 = "a53875a18520a4fc6e4ee1583bd0d48e1971673a4f31ecab969bd9b41119032e"
+README_WAVE_PROFILE_SHA256 = "c3fc7f827391178ee0e78ff76dc21dcbe526ff29b903a75ef5861e7c7f028130"
 README_SIMULATE_SHA256 = {
     0: "88a19111caf2e669256f2c723f5e821db638d965c1cf299df610008641e3cfd7",
-    10: "e6265d2e066454ec41328ca9863391c3433caa73ba06591740ee6d482fb98f0d",
-    20: "c7acdc3207ff62016fd7922d2d31a6c02f1708ea90591f3879933aee3e6700ce",
+    10: "149a211975839e41b4b5dc01d0eebaf21e9fd41dd428632638e5e257408f8e1b",
+    20: "5005095f048f91cb8c56f9c1c25a5dbd2232e2c50e8544671da6ce3a99a2fde8",
     30: "7caed872e031e5e4685cbdceb37a7147e7ab5fd8f213be88f8912a5b6ff67db4",
     40: "d6fad556af67d159d0327cca41c809e267e5fe56998c64a1aa14cfe634a89a10",
     50: "62fa910acd56c8ca1863e3df467a8a0c3c86ac96515b9c33defc8b1346223df7",
-    60: "afe81d29e210c8306bc2406a5174fe6c518e9d1fcedc03fff976195795d2b6a6",
-    70: "85f6da5eb64ce06ff10998533c6ec4c1a85446e3d5d67b580f0d948dd2bbdc3e",
-    80: "d1ef1b79ac12057e163522b9127c52a68a9dcf8fe3a07b345d2993e57e2b799d",
+    60: "e0af39a5b7f1728eff3443dd144b5a086750a75e72de88d56dfc68ab8ae67e2b",
+    70: "efa6bdffe76c94ddc44fbedbfa5d6d73b0eb59f2d33887309b55ea3f331f32ea",
+    80: "6bacd636d02814a4ecb650a472a280a73cac8654453ea97919a0f9372e2733f5",
     90: "a854d607027fa31dd4fd939a5c92584aabd6366e773ebb2523a1ffe6ab7089e8",
     100: "8cf201a63ef7b7f47fa716f361f65cd7526174c11b4ba2c6d0317917487bd37e",
     110: "392bf876630d22e3f9a081759aca636d9d16227be43cf87af4cc8d466288e5e2",
     120: "ed206646aeb371857d8ec8f744097298ad851289a99177a558d4941a93a3cb59",
     130: "1495300adb017603569031cd4bb19f21354ccdd13a35029140d4caece14a84c8",
-    140: "6e67462c3ad018774732cf95a4ba6b1230be159a74487713d0484e1150571805",
+    140: "d087cac6919882489d1e95c584754dc73b441726b4a18666fea027c7a28b8c9e",
     150: "6dc5512ee5c220c5f61c614eab411446685fefa342a30050892996dd2d8f9d3c",
 }
 
@@ -1060,7 +1061,7 @@ README_ORIGINAL_SIMULATE_SHA256 = {
     150: "f0d4b8452a1da1bec9f8b9ac5178bc22fcfe23c33c18f2f58977fd3164a93747",
 }
 README_ORIGINAL_WAVE_PROFILE_SHA256 = (
-    "bf3af6ac9beba6f4bba8e10477641b1326f72108bd51465ba30313a704ab4eb4")
+    "a9f3bc8e6c377f42cf140253e412e345b1de61f2154ca64863b112177401a4f4")
 
 
 # `wave` stdout and the sha256 of `wave_profile.csv` with one kernel per
@@ -1073,9 +1074,9 @@ SPECIES_CONFIG = ("".join(line + "\n" for line in BASE_CONFIG.splitlines()
 SPECIES_WAVE_STDOUT = (
     "# config 1cc644b1cd50\n"
     "speed,residual,steps,monotone,range,left_tail,right_tail,residual_ok\n"
-    "0.106894428684,4.84157158809e-11,21,true,true,true,true,true\n"
+    "0.106894428684,4.84156048586e-11,21,true,true,true,true,true\n"
 )
-SPECIES_WAVE_PROFILE_SHA256 = "bbfdd3f8a71c3902b3798eb74de0bae126ddb57bfeefea4c02cb545af3b74380"
+SPECIES_WAVE_PROFILE_SHA256 = "2d52c18694bf468ee4e8ea1bc654d6e0e6a8c2dc34bce84d551a1c7dff66b735"
 
 # `validate` stdout on a table kernel built from an asymmetric table: H3
 # passes with the symmetrization note on both species.

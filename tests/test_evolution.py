@@ -207,6 +207,18 @@ class TestApplyQ:
             assert np.max(np.abs(coop.U - (1.0 - orig.U))) < 1e-12
             assert np.max(np.abs(coop.V - orig.V)) < 1e-12
 
+    def test_frames_agree_where_the_competition_is_huge(self, gaussian_weights):
+        # a2 = 1e17: the cooperative V exponent, written at w = 1 - U, is the
+        # original one's, so the first step's V is the same bits in both
+        # frames, and the second differs only by the U step's roundoff
+        p = ModelParams(0.5, 0.5, 2.0, 1e17)
+        coop = step_initial_data(Grid(200.0, 0.1), 1.0)
+        orig = SpatialState(grid=coop.grid, frame=ORIGINAL_FRAME, U=1.0 - coop.U, V=coop.V)
+        coop, orig = (apply_Q(s, p, gaussian_weights, gaussian_weights) for s in (coop, orig))
+        assert np.array_equal(coop.V, orig.V)
+        coop, orig = (apply_Q(s, p, gaussian_weights, gaussian_weights) for s in (coop, orig))
+        assert np.max(np.abs(coop.V - orig.V)) < 1e-13
+
     def test_spacing_mismatch_rejected(self, params, small_grid, gaussian):
         wrong = discretize(gaussian, 0.2)
         state = constant_state(small_grid, TRANSFORMED_FRAME, (0.5, 0.5))

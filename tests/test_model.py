@@ -155,6 +155,33 @@ class TestPointwiseMaps:
         image = pointwise_map(params, (0.8, 0.4), TRANSFORMED_FRAME)
         assert image == pytest.approx((0.8, 0.4), abs=1e-15)
 
+    def test_cooperative_v_exponent_does_not_cancel(self):
+        # at U = 1 the cooperative V exponent is r2 (1 - V - a2 (1 - U)) = r2 (1 - V);
+        # a2 = 1e17 swallows 1 - V in the expanded form 1 - a2 - V + a2 U
+        p = ModelParams(0.5, 0.5, 2.0, 1e17)
+        assert pointwise_map(p, (0.0, 0.5), ORIGINAL_FRAME) == (0.0, 0.6420127083438707)
+        assert pointwise_map(p, (1.0, 0.5), TRANSFORMED_FRAME) == (1.0, 0.6420127083438707)
+
+    def test_cooperative_map_conjugates_the_original_across_the_box(self):
+        # r in [1e-300, 1) and a - 1 in [1e-15, 1e300], log-uniform, at points
+        # whose complements are exact: the cooperative map at (1 - u, v) is the
+        # original one at (u, v) seen through u -> 1 - u, its v' bit for bit,
+        # and F1 = (1, 0) takes E0 = (0, 0)'s label and spectral radius
+        rng = np.random.default_rng(2024)
+        lattice = (0.0, 0.25, 0.5, 0.75, 1.0)
+        for _ in range(2000):
+            rates = np.minimum(np.exp(rng.uniform(np.log(1e-300), 0.0, 2)), 1.0 - 2.0**-53)
+            coefficients = 1.0 + np.exp(rng.uniform(np.log(1e-15), np.log(1e300), 2))
+            p = ModelParams(*map(float, rates), *map(float, coefficients))
+            for u in lattice:
+                for v in lattice:
+                    up, vp = pointwise_map(p, (u, v), ORIGINAL_FRAME)
+                    Up, Vp = pointwise_map(p, (1.0 - u, v), TRANSFORMED_FRAME)
+                    assert Vp == vp and abs((1.0 - Up) - up) <= 2.0**-52, (p, u, v)
+            f1 = classify_stability(p, (1.0, 0.0), TRANSFORMED_FRAME)
+            e0 = classify_stability(p, (0.0, 0.0), ORIGINAL_FRAME)
+            assert (f1.label, f1.spectral_radius) == (e0.label, e0.spectral_radius), p
+
     def test_outside_unit_square_rejected(self, params):
         with pytest.raises(DomainError):
             pointwise_map(params, (1.2, 0.5), TRANSFORMED_FRAME)
